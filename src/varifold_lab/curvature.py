@@ -141,10 +141,9 @@ def _boundary_force(v: DiscreteVarifold, topo: EdgeTopology) -> np.ndarray:
     return force
 
 
-def mean_curvature(v: DiscreteVarifold, topo: EdgeTopology | None = None) -> CurvatureField:
+def mean_curvature(v: DiscreteVarifold) -> CurvatureField:
     """First-variation mean curvature vectors H_v with lumped vertex areas."""
-    if topo is None:
-        topo = edge_topology(v)
+    topo = edge_topology(v)
     grad = _area_gradients(v)
     force = _boundary_force(v, topo)
     area = _vertex_areas(v)
@@ -161,15 +160,14 @@ def mean_curvature(v: DiscreteVarifold, topo: EdgeTopology | None = None) -> Cur
     )
 
 
-def willmore_energy(v: DiscreteVarifold, field: CurvatureField | None = None) -> float:
+def willmore_energy(v: DiscreteVarifold) -> float:
     """(1/4) sum |H_v|^2 A_v over non-boundary vertices.
 
     Junction vertices are included: the balancing of sheets keeps H bounded
     there, and their collar carries genuine energy. Boundary vertices are
     excluded; their first-variation mass belongs to the conormal boundary term.
     """
-    if field is None:
-        field = mean_curvature(v)
+    field = mean_curvature(v)
     keep = ~field.boundary_mask & ~field.isolated_mask
     h2 = np.einsum("ij,ij->i", field.H, field.H)
     return 0.25 * math.fsum((h2 * field.vertex_area)[keep])
@@ -207,7 +205,7 @@ def _angle_defects(v: DiscreteVarifold) -> np.ndarray:
     return defect
 
 
-def gauss_curvature(v: DiscreteVarifold, topo: EdgeTopology | None = None) -> CurvatureField:
+def gauss_curvature(v: DiscreteVarifold) -> CurvatureField:
     """Angle-defect Gauss curvature K_v = defect_v / (geometric vertex area).
 
     Boundary and junction vertices are flagged and get NaN (the defect is not
@@ -215,9 +213,7 @@ def gauss_curvature(v: DiscreteVarifold, topo: EdgeTopology | None = None) -> Cu
     that its total still satisfies the combinatorial Gauss--Bonnet identity on
     closed manifolds.
     """
-    if topo is None:
-        topo = edge_topology(v)
-    base = mean_curvature(v, topo)
+    base = mean_curvature(v)
     defect = _angle_defects(v)
     area_geom = _vertex_areas(v, weighted=False)
     K = np.full(v.num_vertices, np.nan)
@@ -239,15 +235,14 @@ def gauss_curvature(v: DiscreteVarifold, topo: EdgeTopology | None = None) -> Cu
     )
 
 
-def euler_characteristic(v: DiscreteVarifold, topo: EdgeTopology | None = None) -> TopologyReport:
+def euler_characteristic(v: DiscreteVarifold) -> TopologyReport:
     """V - E + F with the angle-defect cross-check, orientability, and genus.
 
     Requires a closed manifold: every edge on exactly two faces. Junction or
     boundary edges raise MeshError naming the first offending edge. Vertex
     count uses vertices actually referenced by faces.
     """
-    if topo is None:
-        topo = edge_topology(v)
+    topo = edge_topology(v)
     if len(topo.boundary_edges):
         e = topo.edges[topo.boundary_edges[0]]
         raise MeshError(f"mesh is not closed: edge ({e[0]}, {e[1]}) bounds one face")
@@ -338,7 +333,7 @@ def _vertex_normals_unoriented(v: DiscreteVarifold) -> np.ndarray:
     return out
 
 
-def second_fundamental_norm(v: DiscreteVarifold, topo: EdgeTopology | None = None) -> CurvatureField:
+def second_fundamental_norm(v: DiscreteVarifold) -> CurvatureField:
     """|B|^2 from the edge-based (dihedral-angle) curvature tensor.
 
     Per vertex, S_v = (1/area) sum over incident interior edges of
@@ -348,9 +343,8 @@ def second_fundamental_norm(v: DiscreteVarifold, topo: EdgeTopology | None = Non
     and junction vertices are flagged NaN. Also fills K and the residual
     |K - (|H|^2 - |B|^2)/2| of the trace identity.
     """
-    if topo is None:
-        topo = edge_topology(v)
-    g = gauss_curvature(v, topo)
+    topo = edge_topology(v)
+    g = gauss_curvature(v)
     nv = v.num_vertices
     nhat, _ = face_normals(v)
 
@@ -452,11 +446,9 @@ def _require_consistent_orientation(v: DiscreteVarifold, topo: EdgeTopology) -> 
             raise MeshError(f"face windings disagree across edge ({e[0]}, {e[1]})")
 
 
-def oriented_vertex_normals(v: DiscreteVarifold, topo: EdgeTopology | None = None) -> np.ndarray:
+def oriented_vertex_normals(v: DiscreteVarifold) -> np.ndarray:
     """Area-and-multiplicity-weighted unit vertex normals of an oriented mesh."""
-    if topo is None:
-        topo = edge_topology(v)
-    _require_consistent_orientation(v, topo)
+    _require_consistent_orientation(v, edge_topology(v))
     nhat, areas = face_normals(v)
     w = (areas * v.multiplicity)[:, None] * nhat
     acc = np.zeros((v.num_vertices, 3))
@@ -474,9 +466,8 @@ def helfrich_energy(v: DiscreteVarifold, c0: float) -> float:
     At c0 = 0 this reduces to the same sum as willmore_energy, term for term.
     Requires a consistently oriented manifold mesh.
     """
-    topo = edge_topology(v)
-    normals = oriented_vertex_normals(v, topo)
-    field = mean_curvature(v, topo)
+    normals = oriented_vertex_normals(v)
+    field = mean_curvature(v)
     keep = ~field.boundary_mask & ~field.isolated_mask
     d = field.H - c0 * normals
     vals = np.einsum("ij,ij->i", d, d) * field.vertex_area

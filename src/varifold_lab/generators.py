@@ -1,10 +1,11 @@
 """Reference mesh constructors.
 
 Every generator returns a :class:`GeneratorOutput` bundling the discrete
-varifold, an ``analytic`` dict of exact reference values (areas, energies,
-density points, marked feature circles), and an optional projector that
-:func:`varifold_lab.mesh.refine` can use to snap new midpoints back onto the
-smooth model (label ``-1`` selects the nearest feature curve).
+varifold and an ``analytic`` dict of exact reference values (areas, energies,
+density points, marked feature circles). Meshes that have smooth pieces carry
+their piece labels as ``face_patches``. A finer mesh of the smooth model
+comes from a higher ``level``: :func:`varifold_lab.mesh.refine` leaves the new
+midpoints on the chords.
 """
 
 from __future__ import annotations
@@ -21,14 +22,12 @@ from .mesh import DiscreteVarifold, make_varifold
 log = logging.getLogger(__name__)
 
 TAU = 2.0 * math.pi
-Projector = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
 class GeneratorOutput:
     varifold: DiscreteVarifold
     analytic: dict
-    projector: Projector | None = None
 
 
 def _unit_rows(a: np.ndarray) -> np.ndarray:
@@ -142,10 +141,7 @@ def gen_sphere(R: float, level: int) -> GeneratorOutput:
         ],
     }
 
-    def projector(pts: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        return R * _unit_rows(np.asarray(pts, dtype=np.float64))
-
-    return GeneratorOutput(v, analytic, projector)
+    return GeneratorOutput(v, analytic)
 
 
 # ---------------------------------------------------------------------------
@@ -278,23 +274,7 @@ def gen_cap(R: float, theta: float, level: int) -> GeneratorOutput:
             {"center": [0.0, 0.0, 0.0], "radius": rim_r, "normal": [0.0, 0.0, 1.0]}
         ]
 
-    center = np.array([0.0, 0.0, cz])
-
-    def projector(pts: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=np.float64)
-        out = center + R * _unit_rows(pts - center)
-        if not closed:
-            m = np.asarray(labels) == -1
-            if m.any():
-                xy = pts[m, :2]
-                nrm = np.linalg.norm(xy, axis=1, keepdims=True)
-                nrm[nrm == 0.0] = 1.0
-                snapped = np.zeros((int(m.sum()), 3))
-                snapped[:, :2] = rim_r * xy / nrm
-                out[m] = snapped
-        return out
-
-    return GeneratorOutput(v, analytic, projector)
+    return GeneratorOutput(v, analytic)
 
 
 def _bubble_angles(theta2: float) -> tuple[float, float, float]:
@@ -361,29 +341,7 @@ def gen_double_bubble(theta2: float, rho: float, level: int) -> GeneratorOutput:
         "li_yau": {"theta_max": 1.5, "w_over_4pi": 1.5},
     }
 
-    centers = {patch: np.array([0.0, 0.0, -side * R * math.cos(beta)])
-               for beta, R, side, patch in specs}
-    radii_geom = {patch: R for _, R, _, patch in specs}
-
-    def projector(pts: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=np.float64)
-        labels = np.asarray(labels)
-        out = pts.copy()
-        for patch, c in centers.items():
-            m = labels == patch
-            if m.any():
-                out[m] = c + radii_geom[patch] * _unit_rows(pts[m] - c)
-        m = labels == -1
-        if m.any():
-            xy = pts[m, :2]
-            nrm = np.linalg.norm(xy, axis=1, keepdims=True)
-            nrm[nrm == 0.0] = 1.0
-            snapped = np.zeros((int(m.sum()), 3))
-            snapped[:, :2] = rho * xy / nrm
-            out[m] = snapped
-        return out
-
-    return GeneratorOutput(v, analytic, projector)
+    return GeneratorOutput(v, analytic)
 
 
 def gen_double_bubble_flat(rho: float, level: int) -> GeneratorOutput:
@@ -448,38 +406,12 @@ def gen_double_bubble_flat(rho: float, level: int) -> GeneratorOutput:
         "li_yau": {"theta_max": 1.5, "w_over_4pi": 1.5},
     }
 
-    c_up = np.array([0.0, 0.0, R / 2.0])
-    c_dn = np.array([0.0, 0.0, -R / 2.0])
-
-    def projector(pts: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=np.float64)
-        labels = np.asarray(labels)
-        out = pts.copy()
-        for patch, c in ((0, c_up), (1, c_dn)):
-            m = labels == patch
-            if m.any():
-                out[m] = c + R * _unit_rows(pts[m] - c)
-        m = labels == 2
-        if m.any():
-            out[m, 2] = 0.0
-        m = labels == -1
-        if m.any():
-            xy = pts[m, :2]
-            nrm = np.linalg.norm(xy, axis=1, keepdims=True)
-            nrm[nrm == 0.0] = 1.0
-            snapped = np.zeros((int(m.sum()), 3))
-            snapped[:, :2] = rho * xy / nrm
-            out[m] = snapped
-        return out
-
-    return GeneratorOutput(v, analytic, projector)
+    return GeneratorOutput(v, analytic)
 
 
 # ---------------------------------------------------------------------------
 # triple bubble
 
-_TB_C2 = np.array([0.0, -math.sqrt(3.0) / 2.0, 0.5])
-_TB_C3 = np.array([0.0, -math.sqrt(3.0) / 2.0, -0.5])
 _TB_G = np.array([0.0, -1.0 / math.sqrt(3.0), 0.0])  # axis point; axis direction is x
 _TB_X1 = np.array([math.sqrt(2.0 / 3.0), -1.0 / math.sqrt(3.0), 0.0])
 
@@ -636,52 +568,7 @@ def gen_triple_bubble(level: int) -> GeneratorOutput:
         "li_yau": {"theta_max": dens, "w_over_4pi": w / (4.0 * math.pi)},
     }
 
-    centers = [np.zeros(3), _TB_C2, _TB_C3]
-    planes = [(_TB_C2, 0.5), (_TB_C3, 0.5), (np.array([0.0, 0.0, 1.0]), 0.0)]
-    circles = [
-        (_TB_C2 / 2.0, _TB_C2, math.sqrt(3.0) / 2.0),
-        (_TB_C3 / 2.0, _TB_C3, math.sqrt(3.0) / 2.0),
-        (np.array([0.0, -math.sqrt(3.0) / 2.0, 0.0]), np.array([0.0, 0.0, 1.0]), math.sqrt(3.0) / 2.0),
-    ]
-
-    def projector(pts: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=np.float64)
-        labels = np.asarray(labels)
-        out = pts.copy()
-        for patch, c in enumerate(centers):
-            msk = labels == patch
-            if msk.any():
-                out[msk] = c + _unit_rows(pts[msk] - c)
-        for patch, (nrm, off) in enumerate(planes, start=3):
-            msk = labels == patch
-            if msk.any():
-                d = pts[msk] @ nrm - off
-                out[msk] = pts[msk] - d[:, None] * nrm
-        msk = labels == -1
-        if msk.any():
-            p = pts[msk]
-            best_d = np.full(len(p), np.inf)
-            best = p.copy()
-            for cen, nrm, rad in circles:
-                w_ = p - cen
-                h = w_ @ nrm
-                q = w_ - h[:, None] * nrm
-                qn = np.linalg.norm(q, axis=1)
-                qn_safe = np.where(qn == 0.0, 1.0, qn)
-                proj = cen + rad * q / qn_safe[:, None]
-                d = np.linalg.norm(p - proj, axis=1)
-                upd = d < best_d
-                best_d[upd] = d[upd]
-                best[upd] = proj[upd]
-            t = np.clip(p[:, 0], -half, half)
-            proj = np.stack([t, np.full(len(p), _TB_G[1]), np.zeros(len(p))], axis=1)
-            d = np.linalg.norm(p - proj, axis=1)
-            upd = d < best_d
-            best[upd] = proj[upd]
-            out[msk] = best
-        return out
-
-    return GeneratorOutput(v, analytic, projector)
+    return GeneratorOutput(v, analytic)
 
 
 # ---------------------------------------------------------------------------
@@ -732,7 +619,7 @@ def gen_branched_patch(delta: float, rho0: float, level: int) -> GeneratorOutput
     if delta == 0.0:
         analytic["willmore_energy"] = 0.0
         analytic["area"] = 2.0 * math.pi * rho0 * rho0
-    return GeneratorOutput(v, analytic, None)
+    return GeneratorOutput(v, analytic)
 
 
 # ---------------------------------------------------------------------------
@@ -847,7 +734,7 @@ def gen_singular_pair(
         ],
         "chi": 2,
     }
-    return GeneratorOutput(v, analytic, None)
+    return GeneratorOutput(v, analytic)
 
 
 # ---------------------------------------------------------------------------
@@ -858,7 +745,7 @@ def gen_flat_disk(rho: float, level: int) -> GeneratorOutput:
 
     The rings are inflated by sqrt((2pi/M)/sin(2pi/M)) so the outer polygon
     has the same area as the round disk; refinement keeps the polygon, hence
-    the area, unchanged (no projector).
+    the area, unchanged.
     """
     if rho <= 0.0:
         raise ValueError("rho must be positive")
@@ -894,7 +781,7 @@ def gen_flat_disk(rho: float, level: int) -> GeneratorOutput:
             {"point": [float(c) for c in verts[mid]], "density": 1.0, "label": "interior point"}
         ],
     }
-    return GeneratorOutput(v, analytic, None)
+    return GeneratorOutput(v, analytic)
 
 
 def gen_torus(R: float, r: float, level: int) -> GeneratorOutput:
@@ -933,16 +820,7 @@ def gen_torus(R: float, r: float, level: int) -> GeneratorOutput:
         ],
     }
 
-    def projector(pts: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=np.float64)
-        xy = pts[:, :2]
-        nrm = np.linalg.norm(xy, axis=1, keepdims=True)
-        nrm[nrm == 0.0] = 1.0
-        core = np.zeros_like(pts)
-        core[:, :2] = R * xy / nrm
-        return core + r * _unit_rows(pts - core)
-
-    return GeneratorOutput(v, analytic, projector)
+    return GeneratorOutput(v, analytic)
 
 
 GENERATORS: dict[str, Callable[..., GeneratorOutput]] = {

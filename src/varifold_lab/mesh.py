@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -33,9 +32,6 @@ __all__ = [
     "junction_sheet_angles",
 ]
 
-Projector = Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-
 class MeshError(ValueError):
     """Raised for structurally invalid meshes (bad indices, degenerate faces, ...)."""
 
@@ -56,8 +52,9 @@ class DiscreteVarifold:
     faces : (F, 3) int64, indices into vertices
     multiplicity : (F,) int64, each >= 1
     oriented : whether face windings are declared globally consistent
-    face_patches : optional (F,) int64 labels of smooth pieces, used by
-        refinement to decide which feature curve a new midpoint belongs to
+    face_patches : optional (F,) int64 labels of the smooth pieces a generator
+        built the mesh from; refine hands each child its parent's label and
+        the JSON format stores them, but no analysis reads them
     """
 
     vertices: np.ndarray
@@ -89,6 +86,8 @@ class EdgeTopology:
     ``edges[i]`` is a sorted vertex pair. The faces incident to edge ``i`` are
     ``inc_faces[offsets[i]:offsets[i+1]]``; ``inc_signs`` says whether that
     face traverses the edge as (lo, hi) (+1) or (hi, lo) (-1) in its winding.
+    ``half_edge_edge[3*f + k]`` is the edge under corner pair k of face f, with
+    pairs ordered (c0, c1), (c1, c2), (c2, c0).
     """
 
     edges: np.ndarray
@@ -101,6 +100,7 @@ class EdgeTopology:
     junction_edges: np.ndarray = field(repr=False)
     boundary_vertex_mask: np.ndarray = field(repr=False)
     junction_vertex_mask: np.ndarray = field(repr=False)
+    half_edge_edge: np.ndarray = field(repr=False)
 
     def faces_of_edge(self, i: int) -> np.ndarray:
         return self.inc_faces[self.offsets[i]:self.offsets[i + 1]]
@@ -187,18 +187,30 @@ def mesh_scale(v: DiscreteVarifold) -> float:
 
 
 def edge_topology(v: DiscreteVarifold) -> EdgeTopology:
-    """Group the 3F half-edges into undirected edges and classify them."""
+    """Group the 3F half-edges into undirected edges and classify them.
+
+    Each half-edge gets the integer key lo*V + hi of its sorted vertex pair;
+    one stable sort of the keys yields the edges in lexicographic order and
+    their incidences in face order.
+    """
     f = v.faces
     he = np.stack([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]], axis=1).reshape(-1, 2)
     lo = np.minimum(he[:, 0], he[:, 1])
     hi = np.maximum(he[:, 0], he[:, 1])
-    und = np.stack([lo, hi], axis=1)
-    edges, inv, counts = np.unique(und, axis=0, return_inverse=True, return_counts=True)
-    order = np.argsort(inv, kind="stable")
-    offsets = np.zeros(len(edges) + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
+    key = lo * v.num_vertices + hi
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    starts = np.flatnonzero(first)
+    lo_s = lo[order]
+    edges = np.stack([lo_s[starts], hi[order[starts]]], axis=1)
+    offsets = np.append(starts, len(order)).astype(np.int64)
+    counts = np.diff(offsets)
+    inv = np.empty(len(order), dtype=np.int64)
+    inv[order] = np.cumsum(first) - 1
     inc_faces = (order // 3).astype(np.int64)
-    inc_signs = np.where(he[order, 0] == edges[inv[order], 0], 1, -1).astype(np.int64)
+    inc_signs = np.where(he[order, 0] == lo_s, 1, -1).astype(np.int64)
 
     boundary = np.nonzero(counts == 1)[0]
     interior = np.nonzero(counts == 2)[0]
@@ -211,7 +223,7 @@ def edge_topology(v: DiscreteVarifold) -> EdgeTopology:
         jmask[edges[junction].ravel()] = True
     return EdgeTopology(
         edges=_frozen(edges),
-        counts=_frozen(counts.astype(np.int64)),
+        counts=_frozen(counts),
         offsets=_frozen(offsets),
         inc_faces=_frozen(inc_faces),
         inc_signs=_frozen(inc_signs),
@@ -220,39 +232,22 @@ def edge_topology(v: DiscreteVarifold) -> EdgeTopology:
         junction_edges=_frozen(junction),
         boundary_vertex_mask=_frozen(bmask),
         junction_vertex_mask=_frozen(jmask),
+        half_edge_edge=_frozen(inv),
     )
 
 
-def refine(v: DiscreteVarifold, projector: Projector | None = None) -> DiscreteVarifold:
+def refine(v: DiscreteVarifold) -> DiscreteVarifold:
     """Split every face 4-to-1 at edge midpoints (midpoints welded across faces).
 
-    Children inherit the parent multiplicity, patch label, and winding. When a
-    projector is given, it is applied to the new midpoints only, with a label
-    per midpoint: the shared patch label when all incident faces agree and the
-    edge is interior, else -1 (feature edges: boundaries, junctions, patch
-    seams) so the projector can snap those onto the feature curve.
+    Children inherit the parent multiplicity, patch label, and winding.
     """
     topo = edge_topology(v)
     e = topo.edges
     mids = 0.5 * (v.vertices[e[:, 0]] + v.vertices[e[:, 1]])
-
-    patches = v.face_patches if v.face_patches is not None else np.zeros(v.num_faces, dtype=np.int64)
-    inc_patch = patches[topo.inc_faces]
-    pmin = np.minimum.reduceat(inc_patch, topo.offsets[:-1])
-    pmax = np.maximum.reduceat(inc_patch, topo.offsets[:-1])
-    labels = np.where((pmin == pmax) & (topo.counts >= 2), pmin, -1)
-    if projector is not None:
-        mids = np.asarray(projector(mids, labels), dtype=np.float64)
-
     # index of the midpoint vertex for each (face, corner pair)
-    f = v.faces
-    he = np.stack([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]], axis=1).reshape(-1, 2)
-    lo = np.minimum(he[:, 0], he[:, 1])
-    hi = np.maximum(he[:, 0], he[:, 1])
-    und = np.stack([lo, hi], axis=1)
-    _, inv = np.unique(und, axis=0, return_inverse=True)
-    mid_idx = (v.num_vertices + inv).reshape(-1, 3)  # per face: [m01, m12, m20]
+    mid_idx = (v.num_vertices + topo.half_edge_edge).reshape(-1, 3)  # per face: [m01, m12, m20]
 
+    f = v.faces
     a, b, c = f[:, 0], f[:, 1], f[:, 2]
     mab, mbc, mca = mid_idx[:, 0], mid_idx[:, 1], mid_idx[:, 2]
     new_faces = np.concatenate(
@@ -269,11 +264,11 @@ def refine(v: DiscreteVarifold, projector: Projector | None = None) -> DiscreteV
         faces=new_faces,
         multiplicity=tile(v.multiplicity),
         oriented=v.oriented,
-        face_patches=tile(patches) if v.face_patches is not None else None,
+        face_patches=tile(v.face_patches) if v.face_patches is not None else None,
     )
 
 
-def junction_sheet_angles(v: DiscreteVarifold, topo: EdgeTopology | None = None) -> np.ndarray:
+def junction_sheet_angles(v: DiscreteVarifold) -> np.ndarray:
     """Pairwise angles (degrees) between the sheets at each 3-sheet junction edge.
 
     Returns an array (J, 3): for every junction edge with exactly three
@@ -281,8 +276,7 @@ def junction_sheet_angles(v: DiscreteVarifold, topo: EdgeTopology | None = None)
     point from the edge into each face. Junction edges with more than three
     sheets are skipped.
     """
-    if topo is None:
-        topo = edge_topology(v)
+    topo = edge_topology(v)
     rows = []
     for ei in topo.junction_edges:
         fs = topo.faces_of_edge(int(ei))
@@ -329,20 +323,42 @@ def save_varifold(v: DiscreteVarifold, path: str, analytic: dict | None = None) 
         fh.write("\n")
 
 
+def _file_array(doc: dict, key: str, path: str, kinds: str) -> np.ndarray:
+    """``doc[key]`` as an array whose dtype kind is in ``kinds``, else MeshError."""
+    a = np.asarray(doc[key])
+    if a.size and a.dtype.kind not in kinds:
+        want = "integers" if kinds == "iu" else "numbers"
+        raise MeshError(f"mesh file {path!r}: {key!r} must hold {want}, not {a.dtype}")
+    return a
+
+
 def load_mesh_file(path: str) -> tuple[DiscreteVarifold, dict | None]:
-    """Load a mesh JSON file; returns (varifold, analytic-block-or-None)."""
+    """Load a mesh JSON file; returns (varifold, analytic-block-or-None).
+
+    Values are never coerced: a non-integer face index, multiplicity or patch
+    label, a face row without exactly three indices, or a non-boolean
+    ``oriented`` raises MeshError naming the key.
+    """
     with open(path) as fh:
         doc = json.load(fh)
     for key in ("vertices", "faces", "multiplicity"):
         if key not in doc:
             raise MeshError(f"mesh file {path!r} is missing the {key!r} array")
-    patches = doc.get("face_patches")
+    oriented = doc.get("oriented", False)
+    if not isinstance(oriented, bool):
+        raise MeshError(f"mesh file {path!r}: 'oriented' must be true or false, not {oriented!r}")
+    faces = _file_array(doc, "faces", path, "iu")
+    if faces.size and (faces.ndim != 2 or faces.shape[1] != 3):
+        raise MeshError(f"mesh file {path!r}: 'faces' must be rows of 3 indices, not shape {faces.shape}")
+    patches = None
+    if doc.get("face_patches") is not None:
+        patches = _file_array(doc, "face_patches", path, "iu")
     v = make_varifold(
-        np.asarray(doc["vertices"], dtype=np.float64),
-        np.asarray(doc["faces"], dtype=np.int64),
-        np.asarray(doc["multiplicity"], dtype=np.int64),
-        oriented=bool(doc.get("oriented", False)),
-        face_patches=None if patches is None else np.asarray(patches, dtype=np.int64),
+        _file_array(doc, "vertices", path, "iuf"),
+        faces,
+        _file_array(doc, "multiplicity", path, "iu"),
+        oriented=oriented,
+        face_patches=patches,
     )
     return v, doc.get("analytic")
 

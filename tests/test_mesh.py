@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from varifold_lab import mesh
+from varifold_lab import curvature, generators, mesh
+from varifold_lab.cli import main
 from varifold_lab.mesh import DiscreteVarifold, MeshError, make_varifold
 
 from conftest import triple_fan, two_triangle_square
@@ -78,12 +80,71 @@ def test_refine_quadruples_faces_and_preserves_flat_mass():
     assert mesh.total_mass(fine) == pytest.approx(mesh.total_mass(var), abs=1e-14)
 
 
-def test_refine_projector_keeps_sphere_vertices_on_sphere(sphere3):
-    v = sphere3.varifold
-    fine = mesh.refine(
-        v, projector=lambda p, labels: p / np.linalg.norm(p, axis=1)[:, None]
-    )
-    assert np.linalg.norm(fine.vertices, axis=1) == pytest.approx(1.0, abs=1e-12)
+def _edge_oracle(faces):
+    """Independent topology: sorted vertex pair -> [(face, +1 if traversed lo->hi)]."""
+    inc = {}
+    for fi, tri in enumerate(faces.tolist()):
+        for k in range(3):
+            p, q = tri[k], tri[(k + 1) % 3]
+            inc.setdefault((min(p, q), max(p, q)), []).append((fi, 1 if p < q else -1))
+    return inc
+
+
+def _double_bubble3():
+    return generators.gen_double_bubble(0.7, 1.0, 3).varifold
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: make_varifold(*triple_fan()), _double_bubble3,
+     lambda: generators.gen_torus(2.0, 0.7, 3).varifold],
+    ids=["triple_fan", "double_bubble3", "torus3"],
+)
+def test_edge_topology_matches_dict_oracle(build):
+    var = build()
+    topo = mesh.edge_topology(var)
+    oracle = _edge_oracle(var.faces)
+    keys = sorted(oracle)
+    assert topo.edges.tolist() == [list(k) for k in keys]
+    assert topo.counts.tolist() == [len(oracle[k]) for k in keys]
+    for i, k in enumerate(keys):
+        lo, hi = topo.offsets[i], topo.offsets[i + 1]
+        got = list(zip(topo.inc_faces[lo:hi].tolist(), topo.inc_signs[lo:hi].tolist()))
+        assert got == oracle[k]
+    pairs = np.stack([var.faces, np.roll(var.faces, -1, axis=1)], axis=2).reshape(-1, 2)
+    np.testing.assert_array_equal(topo.edges[topo.half_edge_edge], np.sort(pairs, axis=1))
+
+
+def test_refine_places_midpoints_on_their_parent_edges(torus3):
+    var = torus3.varifold
+    fine = mesh.refine(var)
+    corners = var.vertices[var.faces]  # (F, 3, 3)
+    child = fine.vertices[fine.faces[: var.num_faces]]  # corner-0 children [a, mab, mca]
+    np.testing.assert_array_equal(child[:, 1], 0.5 * (corners[:, 0] + corners[:, 1]))
+    np.testing.assert_array_equal(child[:, 2], 0.5 * (corners[:, 2] + corners[:, 0]))
+
+
+@pytest.mark.parametrize("fixture, chi", [("sphere3", 2), ("torus3", 0)])
+def test_refine_keeps_euler_characteristic(request, fixture, chi):
+    fine = mesh.refine(request.getfixturevalue(fixture).varifold)
+    assert curvature.euler_characteristic(fine).chi == chi
+
+
+def test_refine_doubles_boundary_edges():
+    var = make_varifold(*two_triangle_square())
+    before = len(mesh.edge_topology(var).boundary_edges)
+    assert len(mesh.edge_topology(mesh.refine(var)).boundary_edges) == 2 * before
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: make_varifold(*triple_fan()), _double_bubble3],
+    ids=["triple_fan", "double_bubble3"],
+)
+def test_refine_doubles_junction_edges(build):
+    var = build()
+    before = len(mesh.edge_topology(var).junction_edges)
+    assert before > 0
+    assert len(mesh.edge_topology(mesh.refine(var)).junction_edges) == 2 * before
 
 
 def test_save_load_roundtrip(tmp_path, sphere3):
@@ -93,6 +154,40 @@ def test_save_load_roundtrip(tmp_path, sphere3):
     np.testing.assert_array_equal(var.faces, sphere3.varifold.faces)
     np.testing.assert_allclose(var.vertices, sphere3.varifold.vertices, atol=0)
     assert analytic["willmore_energy"] == pytest.approx(4 * math.pi)
+
+
+def _write_square(path, **overrides):
+    v, f = two_triangle_square()
+    doc = {"vertices": v.tolist(), "faces": f.tolist(), "multiplicity": [1, 1],
+           "oriented": True}
+    doc.update(overrides)
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"multiplicity": [1, 1.7]}, "multiplicity"),
+        ({"faces": [[0, 1, 2.9], [0, 2, 3]]}, "faces"),
+        ({"oriented": "false"}, "oriented"),
+        ({"faces": [[0, 1], [2, 0], [1, 2]]}, "faces"),
+    ],
+    ids=["fractional_multiplicity", "fractional_face_index", "string_oriented",
+         "two_index_faces"],
+)
+def test_load_rejects_values_it_would_have_to_coerce(tmp_path, capsys, overrides, key):
+    path = _write_square(tmp_path / "bad.json", **overrides)
+    with pytest.raises(MeshError, match=f"'{key}'"):
+        mesh.load_mesh_file(path)
+    assert main(["analyze", path, "--energy"]) == 2
+    assert f"'{key}'" in capsys.readouterr().err
+
+
+def test_load_keeps_face_patches(tmp_path):
+    var, _ = mesh.load_mesh_file(_write_square(tmp_path / "p.json", face_patches=[0, 3]))
+    assert var.face_patches.tolist() == [0, 3]
+    assert var.oriented is True
 
 
 def test_load_obj(tmp_path):
