@@ -114,8 +114,14 @@ def make_varifold(
     face_patches: np.ndarray | None = None,
     check: bool = True,
 ) -> DiscreteVarifold:
-    """Build a DiscreteVarifold, validating structure unless check=False."""
-    faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
+    """Build a DiscreteVarifold, validating structure unless check=False.
+
+    ``faces`` must be (F, 3); an empty array stands for no faces. Any other
+    shape is left for ``validate`` to reject, never reshaped.
+    """
+    faces = np.asarray(faces, dtype=np.int64)
+    if faces.shape == (0,):
+        faces = faces.reshape(0, 3)
     if multiplicity is None:
         multiplicity = np.ones(len(faces), dtype=np.int64)
     v = DiscreteVarifold(vertices, faces, multiplicity, oriented, face_patches)

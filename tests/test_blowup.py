@@ -162,6 +162,34 @@ def test_spherical_link_misses_support():
     assert link.polylines == ()
 
 
+def _merge_ends_oracle(points, tol):
+    """The linear scan: each point joins the lowest-index node within tol."""
+    centers, nodes = [], []
+    for p in points:
+        for j, c in enumerate(centers):
+            if np.linalg.norm(c - p) <= tol:
+                nodes.append(j)
+                break
+        else:
+            nodes.append(len(centers))
+            centers.append(p)
+    return nodes
+
+
+def test_merge_ends_picks_lowest_index_node_within_tol():
+    rng = np.random.default_rng(5)
+    tol = 1e-5
+    for _ in range(20):
+        # endpoints clustered around grid-cell corners, within a few tol of them,
+        # so that many lie within tol of nodes in neighbouring cells
+        corners = rng.integers(-3, 4, size=(6, 3)) * tol
+        points = corners[rng.integers(0, 6, size=80)] + rng.uniform(-1.5, 1.5, size=(80, 3)) * tol
+        points[::7] = points[1::7][: len(points[::7])]  # exact repeats
+        want = _merge_ends_oracle(points, tol)
+        assert blowup._merge_ends(points, tol) == want
+        assert len(set(want)) < len(points)
+
+
 def test_admissible_density_constants():
     labels = [kv[0] for kv in ADMISSIBLE_DENSITIES]
     values = [kv[1] for kv in ADMISSIBLE_DENSITIES]

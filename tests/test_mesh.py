@@ -44,6 +44,18 @@ def test_validate_rejects_bad_meshes(mutate, fragment):
         make_varifold(bad_v, bad_f, bad_m)
 
 
+def test_make_varifold_rejects_face_rows_that_are_not_triples():
+    v, _ = two_triangle_square()
+    with pytest.raises(MeshError, match=r"faces must be \(F, 3\)"):
+        make_varifold(v, [[0, 1], [2, 0], [1, 2]])
+
+
+def test_make_varifold_accepts_no_faces():
+    v, _ = two_triangle_square()
+    var = make_varifold(v, [])
+    assert var.faces.shape == (0, 3) and var.num_faces == 0
+
+
 def test_total_mass_counts_multiplicity():
     vertices = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float)
     faces = np.array([[0, 1, 2]])
