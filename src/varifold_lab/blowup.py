@@ -1,7 +1,7 @@
 """Ball masses, density extrapolation, monotonicity checks, spherical links.
 
 Ball masses are computed by exact disk–triangle clipping in each face plane
-(see the _kernels package), so mass ratios carry no sampling noise and the
+(see the _kernels module), so mass ratios carry no sampling noise and the
 density at a point can be extrapolated from a geometric radius ladder.
 """
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .curvature import mean_curvature, point_surface_distance, willmore_energy
+from .curvature import point_surface_distance, willmore_energy
 from .mesh import DiscreteVarifold, MeshError, mesh_scale
 
 log = logging.getLogger(__name__)
@@ -227,7 +227,7 @@ def monotonicity_check(
     m_r, m_s = ball_mass_ladder(v, x0, [r, s])
     lhs = m_r / (math.pi * r * r)
     ratio_s = m_s / (math.pi * s * s)
-    f = mean_curvature(v)
+    f = v.curvature
     inside = np.linalg.norm(v.vertices - x0, axis=1) <= s
     keep = inside & ~f.boundary_mask & ~f.isolated_mask
     h2 = np.einsum("ij,ij->i", f.H, f.H)
@@ -265,9 +265,7 @@ def li_yau_check(v: DiscreteVarifold, sample_points, eps: float = 0.05) -> LiYau
     theta_max - W/(4π); sampling the maximizing points of the density makes
     the gap |·| ≈ 0 exactly when the bound is saturated.
     """
-    from .mesh import edge_topology
-
-    topo = edge_topology(v)
+    topo = v.topology
     if len(topo.boundary_edges):
         e = topo.edges[topo.boundary_edges[0]]
         raise MeshError(f"Li–Yau check needs a closed varifold: edge ({e[0]}, {e[1]}) is boundary")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import DiscreteVarifold, MeshError, edge_topology, face_areas, face_normals
+from .mesh import DiscreteVarifold, MeshError, _boundary_conormals
 
 log = logging.getLogger(__name__)
 
@@ -122,22 +122,14 @@ def boundary_measure(v: DiscreteVarifold) -> DiscreteBoundary:
     in-plane unit normal to the edge pointing out of that face.  A closed mesh
     yields an empty boundary (with a log notice).
     """
-    topo = edge_topology(v)
-    bidx = topo.boundary_edges
-    if len(bidx) == 0:
+    if len(v.topology.boundary_edges) == 0:
         log.info("mesh is closed: boundary measure is empty")
         z3 = np.zeros((0, 3))
         z = np.zeros(0)
         return DiscreteBoundary(np.zeros((0, 2), dtype=np.int64), z, z3,
                                 np.zeros(0, dtype=np.int64), 0.0)
-    normals, _ = face_normals(v)
-    edges = topo.edges[bidx]
-    starts = topo.offsets[bidx]
-    fidx = topo.inc_faces[starts]
-    signs = topo.inc_signs[starts]
-    vec = (v.vertices[edges[:, 1]] - v.vertices[edges[:, 0]]) * signs[:, None]
+    edges, fidx, vec, conormals = _boundary_conormals(v)
     lengths = np.linalg.norm(vec, axis=1)
-    conormals = np.cross(vec, normals[fidx])
     conormals /= np.linalg.norm(conormals, axis=1, keepdims=True)
     mult = v.multiplicity[fidx]
     total = float(np.dot(mult.astype(np.float64), lengths))

@@ -295,7 +295,7 @@ def cmd_net_relax(args) -> int:
     from . import nets
 
     net = nets.load_net(args.net)
-    res = nets.relax(net, max_iter=args.max_iter, tol=args.tol, trace=True)
+    res = nets.relax(net, max_iter=args.max_iter, tol=args.tol)
     final_len = nets.total_length(res.net)
     final_res = nets.balance_residual(res.net)
     if args.out:

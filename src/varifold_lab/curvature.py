@@ -17,16 +17,16 @@ up as a residual that shrinks under refinement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
+from ._kernels import _dot
 from .mesh import (
     DiscreteVarifold,
-    EdgeTopology,
     MeshError,
-    edge_topology,
+    _boundary_conormals,
     face_normals,
     mesh_scale,
 )
@@ -121,31 +121,26 @@ def _vertex_areas(v: DiscreteVarifold, weighted: bool = True) -> np.ndarray:
     return acc
 
 
-def _boundary_force(v: DiscreteVarifold, topo: EdgeTopology) -> np.ndarray:
+def _boundary_force(v: DiscreteVarifold) -> np.ndarray:
     """Half the multiplicity-weighted conormal line force of the boundary edges."""
     force = np.zeros((v.num_vertices, 3))
-    be = topo.boundary_edges
-    if len(be) == 0:
+    if len(v.topology.boundary_edges) == 0:
         return force
-    lo = topo.edges[be, 0]
-    hi = topo.edges[be, 1]
-    f = topo.inc_faces[topo.offsets[be]]
-    s = topo.inc_signs[topo.offsets[be]].astype(np.float64)
-    nhat, _ = face_normals(v)
-    evec = (v.vertices[hi] - v.vertices[lo]) * s[:, None]  # as traversed by the face
-    nu = np.cross(evec, nhat[f])  # length |e| times in-plane outward unit conormal
+    edges, f, _, nu = _boundary_conormals(v)
     w = 0.5 * v.multiplicity[f].astype(np.float64)
     contrib = nu * w[:, None]
-    force += _scatter_rows(lo, contrib, v.num_vertices)
-    force += _scatter_rows(hi, contrib, v.num_vertices)
+    force += _scatter_rows(edges[:, 0], contrib, v.num_vertices)
+    force += _scatter_rows(edges[:, 1], contrib, v.num_vertices)
     return force
 
 
 def mean_curvature(v: DiscreteVarifold) -> CurvatureField:
-    """First-variation mean curvature vectors H_v with lumped vertex areas."""
-    topo = edge_topology(v)
+    """First-variation mean curvature vectors H_v with lumped vertex areas.
+
+    Computed afresh on each call; ``v.curvature`` keeps one read-only copy."""
+    topo = v.topology
     grad = _area_gradients(v)
-    force = _boundary_force(v, topo)
+    force = _boundary_force(v)
     area = _vertex_areas(v)
     isolated = area <= 0.0
     H = np.zeros_like(grad)
@@ -167,7 +162,7 @@ def willmore_energy(v: DiscreteVarifold) -> float:
     there, and their collar carries genuine energy. Boundary vertices are
     excluded; their first-variation mass belongs to the conormal boundary term.
     """
-    field = mean_curvature(v)
+    field = v.curvature
     keep = ~field.boundary_mask & ~field.isolated_mask
     h2 = np.einsum("ij,ij->i", field.H, field.H)
     return 0.25 * math.fsum((h2 * field.vertex_area)[keep])
@@ -213,7 +208,7 @@ def gauss_curvature(v: DiscreteVarifold) -> CurvatureField:
     that its total still satisfies the combinatorial Gauss--Bonnet identity on
     closed manifolds.
     """
-    base = mean_curvature(v)
+    base = v.curvature
     defect = _angle_defects(v)
     area_geom = _vertex_areas(v, weighted=False)
     K = np.full(v.num_vertices, np.nan)
@@ -224,15 +219,7 @@ def gauss_curvature(v: DiscreteVarifold) -> CurvatureField:
         & (area_geom > 0.0)
     )
     K[ok] = defect[ok] / area_geom[ok]
-    return CurvatureField(
-        H=base.H,
-        vertex_area=base.vertex_area,
-        boundary_mask=base.boundary_mask,
-        junction_mask=base.junction_mask,
-        isolated_mask=base.isolated_mask,
-        K=K,
-        angle_defect=defect,
-    )
+    return replace(base, K=K, angle_defect=defect)
 
 
 def euler_characteristic(v: DiscreteVarifold) -> TopologyReport:
@@ -242,7 +229,7 @@ def euler_characteristic(v: DiscreteVarifold) -> TopologyReport:
     boundary edges raise MeshError naming the first offending edge. Vertex
     count uses vertices actually referenced by faces.
     """
-    topo = edge_topology(v)
+    topo = v.topology
     if len(topo.boundary_edges):
         e = topo.edges[topo.boundary_edges[0]]
         raise MeshError(f"mesh is not closed: edge ({e[0]}, {e[1]}) bounds one face")
@@ -258,7 +245,7 @@ def euler_characteristic(v: DiscreteVarifold) -> TopologyReport:
     chi = nv - ne + nf
     defect_chi = math.fsum(_angle_defects(v)) / (2.0 * math.pi)
 
-    orientable, components = _orient_scan(v, topo)
+    orientable, components = _orient_scan(v)
     genus: int | None = None
     if orientable and components == 1 and (2 - chi) % 2 == 0:
         genus = (2 - chi) // 2
@@ -274,8 +261,9 @@ def euler_characteristic(v: DiscreteVarifold) -> TopologyReport:
     )
 
 
-def _orient_scan(v: DiscreteVarifold, topo: EdgeTopology) -> tuple[bool, int]:
+def _orient_scan(v: DiscreteVarifold) -> tuple[bool, int]:
     """BFS over face adjacency: orientability parity and component count."""
+    topo = v.topology
     nf = v.num_faces
     adj_f: list[list[tuple[int, int]]] = [[] for _ in range(nf)]
     for ei in topo.interior_edges:
@@ -312,25 +300,29 @@ def _orient_scan(v: DiscreteVarifold, topo: EdgeTopology) -> tuple[bool, int]:
 
 
 def _vertex_normals_unoriented(v: DiscreteVarifold) -> np.ndarray:
-    """Area-weighted vertex normals with per-vertex sign fixing (no global orientation)."""
+    """Area-weighted vertex normals with per-vertex sign fixing (no global orientation).
+
+    Each incident face normal is flipped to agree with the normal of the
+    vertex's first incident face (in face order) before the area-weighted
+    sum; a zero sum falls back to that reference normal, and vertices on no
+    face get zero.
+    """
     nhat, areas = face_normals(v)
     nv = v.num_vertices
     order = np.argsort(v.faces.ravel(), kind="stable")
     vert_of = v.faces.ravel()[order]
     face_of = order // 3
-    starts = np.searchsorted(vert_of, np.arange(nv))
-    ends = np.searchsorted(vert_of, np.arange(nv) + 1)
-    out = np.zeros((nv, 3))
-    for p in range(nv):
-        fs = face_of[starts[p]:ends[p]]
-        if len(fs) == 0:
-            continue
-        ref = nhat[fs[0]]
-        sgn = np.where(nhat[fs] @ ref >= 0.0, 1.0, -1.0)
-        acc = (nhat[fs] * (areas[fs] * sgn)[:, None]).sum(axis=0)
-        nrm = np.linalg.norm(acc)
-        out[p] = acc / nrm if nrm > 0 else ref
-    return out
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = vert_of[1:] != vert_of[:-1]
+    ref = np.zeros((nv, 3))
+    ref[vert_of[first]] = nhat[face_of[first]]
+    fn = nhat[face_of]
+    sgn = np.where(_dot(fn, ref[vert_of]) >= 0.0, 1.0, -1.0)
+    acc = _scatter_rows(vert_of, fn * (areas[face_of] * sgn)[:, None], nv)
+    nrm = np.sqrt(_dot(acc, acc))  # rounds like the norm of each row alone
+    ok = nrm > 0
+    ref[ok] = acc[ok] / nrm[ok, None]
+    return ref
 
 
 def second_fundamental_norm(v: DiscreteVarifold) -> CurvatureField:
@@ -343,7 +335,7 @@ def second_fundamental_norm(v: DiscreteVarifold) -> CurvatureField:
     and junction vertices are flagged NaN. Also fills K and the residual
     |K - (|H|^2 - |B|^2)/2| of the trace identity.
     """
-    topo = edge_topology(v)
+    topo = v.topology
     g = gauss_curvature(v)
     nv = v.num_vertices
     nhat, _ = face_normals(v)
@@ -413,26 +405,17 @@ def second_fundamental_norm(v: DiscreteVarifold) -> CurvatureField:
     resid = np.full(nv, np.nan)
     h2 = np.einsum("ij,ij->i", g.H, g.H)
     resid[ok] = np.abs(g.K[ok] - 0.5 * (h2[ok] - B2[ok]))
-    return CurvatureField(
-        H=g.H,
-        vertex_area=g.vertex_area,
-        boundary_mask=g.boundary_mask,
-        junction_mask=g.junction_mask,
-        isolated_mask=g.isolated_mask,
-        K=g.K,
-        angle_defect=g.angle_defect,
-        B2=B2,
-        gauss_relation_residual=resid,
-    )
+    return replace(g, B2=B2, gauss_relation_residual=resid)
 
 
 # ---------------------------------------------------------------------------
 # oriented-surface functionals
 
 
-def _require_consistent_orientation(v: DiscreteVarifold, topo: EdgeTopology) -> None:
+def _require_consistent_orientation(v: DiscreteVarifold) -> None:
     if not v.oriented:
         raise MeshError("operation requires an oriented mesh (oriented=True)")
+    topo = v.topology
     if len(topo.junction_edges):
         e = topo.edges[topo.junction_edges[0]]
         raise MeshError(f"operation requires a manifold: edge ({e[0]}, {e[1]}) has 3+ faces")
@@ -448,7 +431,7 @@ def _require_consistent_orientation(v: DiscreteVarifold, topo: EdgeTopology) -> 
 
 def oriented_vertex_normals(v: DiscreteVarifold) -> np.ndarray:
     """Area-and-multiplicity-weighted unit vertex normals of an oriented mesh."""
-    _require_consistent_orientation(v, edge_topology(v))
+    _require_consistent_orientation(v)
     nhat, areas = face_normals(v)
     w = (areas * v.multiplicity)[:, None] * nhat
     acc = np.zeros((v.num_vertices, 3))
@@ -467,7 +450,7 @@ def helfrich_energy(v: DiscreteVarifold, c0: float) -> float:
     Requires a consistently oriented manifold mesh.
     """
     normals = oriented_vertex_normals(v)
-    field = mean_curvature(v)
+    field = v.curvature
     keep = ~field.boundary_mask & ~field.isolated_mask
     d = field.H - c0 * normals
     vals = np.einsum("ij,ij->i", d, d) * field.vertex_area
@@ -480,8 +463,8 @@ def enclosed_volume(v: DiscreteVarifold) -> float:
     Positive for closed surfaces whose windings give outward normals; flip the
     orientation to negate. Requires a closed, consistently oriented mesh.
     """
-    topo = edge_topology(v)
-    _require_consistent_orientation(v, topo)
+    _require_consistent_orientation(v)
+    topo = v.topology
     if len(topo.boundary_edges):
         e = topo.edges[topo.boundary_edges[0]]
         raise MeshError(f"mesh is not closed: edge ({e[0]}, {e[1]}) bounds one face")
@@ -565,7 +548,7 @@ def first_variation_residual(
         phi = np.asarray(phi, dtype=np.float64)
     if phi.shape != v.vertices.shape:
         raise MeshError(f"phi must have shape {v.vertices.shape}, got {phi.shape}")
-    topo = edge_topology(v)
+    topo = v.topology
     grad = _area_gradients(v)
     dots = np.einsum("ij,ij->i", phi, grad)
     div_term = math.fsum(dots)
@@ -573,15 +556,8 @@ def first_variation_residual(
     h_term = -math.fsum(dots[smooth])  # <phi, H A> = -<phi, grad M> at smooth vertices
 
     bdry_term = 0.0
-    be = topo.boundary_edges
-    if len(be):
-        lo = topo.edges[be, 0]
-        hi = topo.edges[be, 1]
-        f = topo.inc_faces[topo.offsets[be]]
-        s = topo.inc_signs[topo.offsets[be]].astype(np.float64)
-        nhat, _ = face_normals(v)
-        evec = (v.vertices[hi] - v.vertices[lo]) * s[:, None]
-        nu = np.cross(evec, nhat[f])  # |e| * unit outward conormal
-        mid_phi = 0.5 * (phi[lo] + phi[hi])
+    if len(topo.boundary_edges):
+        edges, f, _, nu = _boundary_conormals(v)
+        mid_phi = 0.5 * (phi[edges[:, 0]] + phi[edges[:, 1]])
         bdry_term = math.fsum(v.multiplicity[f] * np.einsum("ij,ij->i", mid_phi, nu))
     return abs(div_term + h_term - bdry_term)

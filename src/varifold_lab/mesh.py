@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -37,7 +38,10 @@ class MeshError(ValueError):
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
+    """Read-only contiguous ``a``; a view is copied, so its base cannot change it."""
     a = np.ascontiguousarray(a)
+    if not a.flags.owndata:
+        a = a.copy()
     a.setflags(write=False)
     return a
 
@@ -55,6 +59,9 @@ class DiscreteVarifold:
     face_patches : optional (F,) int64 labels of the smooth pieces a generator
         built the mesh from; refine hands each child its parent's label and
         the JSON format stores them, but no analysis reads them
+
+    The arrays are read-only (views are copied first), and so are those of
+    ``topology`` and ``curvature``, which are derived on first use and kept.
     """
 
     vertices: np.ndarray
@@ -77,6 +84,20 @@ class DiscreteVarifold:
     @property
     def num_faces(self) -> int:
         return int(self.faces.shape[0])
+
+    @cached_property
+    def topology(self) -> EdgeTopology:
+        """``edge_topology(self)``, built once."""
+        return edge_topology(self)
+
+    @cached_property
+    def curvature(self):
+        """``curvature.mean_curvature(self)`` with read-only arrays, computed once."""
+        from . import curvature
+
+        f = curvature.mean_curvature(self)
+        return replace(f, **{k.name: _frozen(getattr(f, k.name))
+                             for k in fields(f) if getattr(f, k.name) is not None})
 
 
 @dataclass(frozen=True)
@@ -174,6 +195,20 @@ def face_normals(v: DiscreteVarifold) -> tuple[np.ndarray, np.ndarray]:
     return unit, areas
 
 
+def _boundary_conormals(v: DiscreteVarifold) -> tuple[np.ndarray, ...]:
+    """Boundary ``(edges, faces, evec, nu)``: ``evec`` is x_hi - x_lo as the
+    edge's face traverses it; ``nu = evec x n_f`` has length |e| and points
+    out of the face, in its plane."""
+    topo = v.topology
+    be = topo.boundary_edges
+    edges = topo.edges[be]
+    f = topo.inc_faces[topo.offsets[be]]
+    s = topo.inc_signs[topo.offsets[be]].astype(np.float64)
+    evec = (v.vertices[edges[:, 1]] - v.vertices[edges[:, 0]]) * s[:, None]
+    nu = np.cross(evec, face_normals(v)[0][f])
+    return edges, f, evec, nu
+
+
 def face_areas(v: DiscreteVarifold) -> np.ndarray:
     return face_normals(v)[1]
 
@@ -247,7 +282,7 @@ def refine(v: DiscreteVarifold) -> DiscreteVarifold:
 
     Children inherit the parent multiplicity, patch label, and winding.
     """
-    topo = edge_topology(v)
+    topo = v.topology
     e = topo.edges
     mids = 0.5 * (v.vertices[e[:, 0]] + v.vertices[e[:, 1]])
     # index of the midpoint vertex for each (face, corner pair)
@@ -282,7 +317,7 @@ def junction_sheet_angles(v: DiscreteVarifold) -> np.ndarray:
     point from the edge into each face. Junction edges with more than three
     sheets are skipped.
     """
-    topo = edge_topology(v)
+    topo = v.topology
     rows = []
     for ei in topo.junction_edges:
         fs = topo.faces_of_edge(int(ei))

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .mesh import _frozen
+
 __all__ = [
     "NetError",
     "GeodesicNet",
@@ -35,16 +37,12 @@ class NetError(ValueError):
     """Raised for structurally invalid nets or ambiguous geodesics."""
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True)
 class GeodesicNet:
     """Unit-sphere net: vertices (N, 3) unit vectors; arcs (M, 3) int rows
-    [i, j, multiplicity]; major (M,) bool flags selecting the long way round."""
+    [i, j, multiplicity]; major (M,) bool flags selecting the long way round.
+    An empty ``arcs`` array stands for no arcs; any other shape but (M, 3) is
+    left for validation to reject, never reshaped."""
 
     vertices: np.ndarray
     arcs: np.ndarray
@@ -52,7 +50,10 @@ class GeodesicNet:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "vertices", _frozen(np.asarray(self.vertices, dtype=np.float64)))
-        object.__setattr__(self, "arcs", _frozen(np.asarray(self.arcs, dtype=np.int64).reshape(-1, 3)))
+        arcs = np.asarray(self.arcs, dtype=np.int64)
+        if arcs.shape == (0,):
+            arcs = arcs.reshape(0, 3)
+        object.__setattr__(self, "arcs", _frozen(arcs))
         m = self.major if self.major is not None else np.zeros(len(self.arcs), dtype=bool)
         object.__setattr__(self, "major", _frozen(np.asarray(m, dtype=bool)))
 
@@ -66,11 +67,7 @@ class GeodesicNet:
 
 
 def make_net(vertices, arcs, major=None, check: bool = True) -> GeodesicNet:
-    vertices = np.asarray(vertices, dtype=np.float64)
-    arcs = np.asarray(arcs, dtype=np.int64).reshape(-1, 3)
-    if major is None:
-        major = np.zeros(len(arcs), dtype=bool)
-    net = GeodesicNet(vertices, arcs, np.asarray(major, dtype=bool))
+    net = GeodesicNet(vertices, arcs, major)
     if check:
         _validate(net)
     return net
@@ -79,6 +76,8 @@ def make_net(vertices, arcs, major=None, check: bool = True) -> GeodesicNet:
 def _validate(net: GeodesicNet) -> None:
     if net.vertices.ndim != 2 or net.vertices.shape[1] != 3:
         raise NetError(f"vertices must be (N, 3), got {net.vertices.shape}")
+    if net.arcs.ndim != 2 or net.arcs.shape[1] != 3:
+        raise NetError(f"arcs must be (M, 3) rows [i, j, multiplicity], got {net.arcs.shape}")
     nrm = np.linalg.norm(net.vertices, axis=1)
     off = np.abs(nrm - 1.0)
     if len(nrm) and off.max() > 1e-12:
@@ -171,12 +170,7 @@ class RelaxResult:
     converged: bool = False
 
 
-def relax(
-    net: GeodesicNet,
-    max_iter: int = 1000,
-    tol: float = 1e-10,
-    trace: bool = False,
-) -> GeodesicNet | RelaxResult:
+def relax(net: GeodesicNet, max_iter: int = 1000, tol: float = 1e-10) -> RelaxResult:
     """Drive the net to stationarity (zero junction force), combinatorics fixed.
 
     Balanced nets are saddle points of total length — every net shortens by
@@ -190,7 +184,8 @@ def relax(
     well-posed; a slave is 2-valent, so zero force there means its two
     tangents are collinear and its chain is a single geodesic. Slaves are
     dropped on return and the combinatorics is the input one. Stops when the
-    largest per-vertex force norm drops below tol or after max_iter steps.
+    largest per-vertex force norm drops below tol or after max_iter steps,
+    and returns the net with its length and residual histories.
     Aborts with NetError if any (sub)arc collapses below 1e-6.
     """
     _validate(net)
@@ -279,11 +274,9 @@ def relax(
     else:
         it = max_iter
 
-    out = replace(net, vertices=_frozen(x[:n_master]))
-    if trace:
-        return RelaxResult(net=out, lengths=lengths, residuals=residuals,
-                           iterations=it, converged=converged)
-    return out
+    out = replace(net, vertices=x[:n_master])
+    return RelaxResult(net=out, lengths=lengths, residuals=residuals,
+                       iterations=it, converged=converged)
 
 
 def _subdivide(net: GeodesicNet) -> tuple[np.ndarray, np.ndarray, int]:
@@ -614,6 +607,10 @@ def load_net(path: str) -> GeodesicNet:
     if "vertices" not in doc or "arcs" not in doc:
         raise NetError(f"net file {path!r} needs 'vertices' and 'arcs'")
     rows = doc["arcs"]
+    for k, r in enumerate(rows):
+        if not (isinstance(r, list) and len(r) in (3, 4)
+                and all(isinstance(x, int) and not isinstance(x, bool) for x in r)):
+            raise NetError(f"net file {path!r}: arc {k} must be 3 or 4 integers, not {r!r}")
     arcs = np.asarray([r[:3] for r in rows], dtype=np.int64)
     major = np.asarray([len(r) > 3 and bool(r[3]) for r in rows], dtype=bool)
     return make_net(np.asarray(doc["vertices"], dtype=np.float64), arcs, major)

@@ -121,7 +121,7 @@ def test_05_net_stationarity_and_relaxation():
     rng = np.random.default_rng(42)
     x = tetra.net.vertices + 0.05 * rng.standard_normal(tetra.net.vertices.shape)
     x /= np.linalg.norm(x, axis=1)[:, None]
-    res = nets.relax(nets.make_net(x, tetra.net.arcs, tetra.net.major), trace=True)
+    res = nets.relax(nets.make_net(x, tetra.net.arcs, tetra.net.major))
     assert res.converged and res.iterations < 500
     assert nets.total_length(res.net) == pytest.approx(TETRA_LENGTH, abs=1e-8)
 

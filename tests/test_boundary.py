@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -15,8 +16,11 @@ from varifold_lab.boundary import (
     save_datum,
     sup_conormal_integral,
 )
+from varifold_lab.curvature import _boundary_force, first_variation_residual
 from varifold_lab.generators import gen_cap, gen_flat_disk
-from varifold_lab.mesh import MeshError
+from varifold_lab.mesh import MeshError, make_varifold
+
+from conftest import two_triangle_square
 
 
 def unit_circle(**kw):
@@ -292,3 +296,39 @@ def test_cap_boundary_conormal_angle():
     assert errs[1] < 0.6 * errs[0]
     b = boundary_measure(gen_cap(1.0, theta, 3).varifold)
     assert b.total_length == pytest.approx(2 * math.pi * math.sin(theta), rel=0.01)
+
+
+# The boundary force, the first-variation boundary term and boundary_measure
+# share one conormal computation; these bits were recorded before they did.
+
+
+def _phi(x):
+    return x[:, [1, 2, 0]] * x + 0.25 * x[:, [2, 0, 1]] + np.array([0.1, -0.2, 0.3])
+
+
+def _sha(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+def test_conormal_bits_on_the_square():
+    v = make_varifold(*two_triangle_square())
+    h, z = "0x1.0000000000000p-1", "0x0.0p+0"
+    force = [["-" + h, "-" + h, z], [h, "-" + h, z], [h, h, z], ["-" + h, h, z]]
+    assert [[x.hex() for x in row] for row in _boundary_force(v).tolist()] == force
+    assert first_variation_residual(v, _phi(v.vertices)).hex() == "0x1.0000000000000p-53"
+    b = boundary_measure(v)
+    assert b.total_length.hex() == "0x1.0000000000000p+2"
+    assert [x.hex() for x in b.lengths.tolist()] == ["0x1.0000000000000p+0"] * 4
+    one = "0x1.0000000000000p+0"
+    assert [x.hex() for x in b.conormals.ravel().tolist()] == [
+        z, "-" + one, z, "-" + one, z, z, one, z, z, z, one, "-0x0.0p+0"]
+
+
+def test_conormal_bits_on_a_cap():
+    v = gen_cap(1.0, 1.2, 2).varifold
+    assert _sha(_boundary_force(v)) == "456ad0c6adaf0c034302d12573fdc736c00e4dd60f1223978412efd843c666b4"
+    assert first_variation_residual(v, _phi(v.vertices)).hex() == "0x1.87448fcb699d0p-4"
+    b = boundary_measure(v)
+    assert b.total_length.hex() == "0x1.75b9c9cef7deep+2"
+    assert _sha(b.lengths) == "1a9915f6d78601dcba24274aff941aa27fca9fc6af5d930a6385ec3999ea026d"
+    assert _sha(b.conormals) == "b900b94daa0229bb53dc2809efe1212182fd97c601cb1059ef77af07cb6257fa"

@@ -79,6 +79,49 @@ def test_second_fundamental_form_on_sphere(sphere4):
     assert np.median(f.B2[ok]) == pytest.approx(2.0, abs=0.05)  # |B|² = 2 on S²
 
 
+def _vertex_normals_loop(v):
+    """Per-vertex loop oracle for curvature._vertex_normals_unoriented."""
+    nhat, areas = mesh.face_normals(v)
+    nv = v.num_vertices
+    order = np.argsort(v.faces.ravel(), kind="stable")
+    vert_of = v.faces.ravel()[order]
+    face_of = order // 3
+    starts = np.searchsorted(vert_of, np.arange(nv))
+    ends = np.searchsorted(vert_of, np.arange(nv) + 1)
+    out = np.zeros((nv, 3))
+    for p in range(nv):
+        fs = face_of[starts[p]:ends[p]]
+        if len(fs) == 0:
+            continue
+        ref = nhat[fs[0]]
+        sgn = np.where(nhat[fs] @ ref >= 0.0, 1.0, -1.0)
+        acc = (nhat[fs] * (areas[fs] * sgn)[:, None]).sum(axis=0)
+        nrm = np.linalg.norm(acc)
+        out[p] = acc / nrm if nrm > 0 else ref
+    return out
+
+
+@pytest.mark.parametrize("fixture", ["sphere3", "torus3", "double_bubble4"])
+def test_vertex_normals_match_the_loop_oracle(request, monkeypatch, fixture):
+    v = request.getfixturevalue(fixture).varifold
+    np.testing.assert_allclose(curvature._vertex_normals_unoriented(v), _vertex_normals_loop(v),
+                               rtol=0, atol=1e-14)
+    b2 = curvature.second_fundamental_norm(v).B2
+    monkeypatch.setattr(curvature, "_vertex_normals_unoriented", _vertex_normals_loop)
+    np.testing.assert_allclose(b2, curvature.second_fundamental_norm(v).B2, rtol=0, atol=1e-12)
+
+
+def test_vertex_normals_flip_faces_against_the_first_and_skip_unused_vertices():
+    # Faces 0 (normal +z) and 1 (normal -z) share vertices 0 and 2, whose
+    # first face is face 0; vertex 3 is on face 1 only; vertex 4 is unused.
+    verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [-1, 0, 0], [5, 5, 5]], dtype=float)
+    v = make_varifold(verts, [[0, 1, 2], [0, 3, 2]])
+    n = curvature._vertex_normals_unoriented(v)
+    np.testing.assert_array_equal(n[:4], [[0, 0, 1], [0, 0, 1], [0, 0, 1], [0, 0, -1]])
+    np.testing.assert_array_equal(n[4], 0.0)
+    np.testing.assert_array_equal(n, _vertex_normals_loop(v))
+
+
 def test_euler_characteristic_sphere(sphere3):
     t = curvature.euler_characteristic(sphere3.varifold)
     assert t.chi == 2 and t.genus == 0 and t.orientable

@@ -1,10 +1,11 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from varifold_lab import curvature, generators, mesh
+from varifold_lab import blowup, boundary, curvature, generators, mesh
 from varifold_lab.cli import main
 from varifold_lab.mesh import DiscreteVarifold, MeshError, make_varifold
 
@@ -23,6 +24,106 @@ def test_arrays_are_frozen():
     var = make_varifold(v, f)
     with pytest.raises(ValueError):
         var.vertices[0, 0] = 5.0
+
+
+def test_input_views_are_copied_before_freezing():
+    sphere = generators.gen_sphere(1.0, 2).varifold
+    vbase = np.vstack([[9.0, 9.0, 9.0], sphere.vertices])
+    fbase = np.vstack([[0, 1, 2], sphere.faces])
+    mbase = np.concatenate([[1], sphere.multiplicity])
+    ref = make_varifold(vbase[1:].copy(), fbase[1:].copy(), mbase[1:].copy())
+    var = make_varifold(vbase[1:], fbase[1:], mbase[1:])
+    h = var.curvature.H.copy()
+    vbase[1:] *= 2.0
+    fbase[1:] = fbase[1:, ::-1]
+    mbase[1:] = 3
+    np.testing.assert_array_equal(var.vertices, ref.vertices)
+    np.testing.assert_array_equal(var.faces, ref.faces)
+    np.testing.assert_array_equal(var.multiplicity, ref.multiplicity)
+    np.testing.assert_array_equal(var.curvature.H, h)
+    np.testing.assert_array_equal(var.curvature.H, ref.curvature.H)
+    np.testing.assert_array_equal(var.topology.edges, ref.topology.edges)
+
+
+def _fresh(v: DiscreteVarifold) -> DiscreteVarifold:
+    """A new instance over the same arrays, so nothing is cached on it yet."""
+    return dataclasses.replace(v)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: generators.gen_sphere(1.0, 2).varifold,
+    lambda: generators.gen_cap(1.0, 1.2, 2).varifold,
+])
+def test_topology_and_curvature_are_built_once_per_mesh(monkeypatch, build):
+    v = _fresh(build())
+    calls = {"edge_topology": 0, "mean_curvature": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    counting(mesh, "edge_topology")
+    counting(curvature, "mean_curvature")
+    closed = len(v.topology.boundary_edges) == 0
+    curvature.willmore_energy(v)
+    if closed:
+        blowup.li_yau_check(v, v.vertices[:2])
+        curvature.euler_characteristic(v)
+    else:
+        with pytest.raises(MeshError, match="closed"):
+            blowup.li_yau_check(v, v.vertices[:2])
+        with pytest.raises(MeshError, match="not closed"):
+            curvature.euler_characteristic(v)
+    curvature.second_fundamental_norm(v)
+    boundary.boundary_measure(v)
+    curvature.first_variation_residual(v, v.vertices)
+    for i in range(50):
+        blowup.monotonicity_check(v, v.vertices[i], 0.1, 0.4)
+    assert calls == {"edge_topology": 1, "mean_curvature": 1}
+
+
+def test_cached_arrays_are_read_only(sphere3):
+    v = _fresh(sphere3.varifold)
+    topo, field = v.topology, v.curvature
+    arrays = [getattr(topo, f.name) for f in dataclasses.fields(topo)]
+    arrays += [getattr(field, f.name) for f in dataclasses.fields(field)
+               if getattr(field, f.name) is not None]
+    arrays.append(curvature.gauss_curvature(v).H)  # shares the cached array
+    assert len(arrays) == 17
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+    assert v.topology is topo and v.curvature is field
+
+
+def test_cached_curvature_is_mean_curvature(double_bubble4):
+    v = double_bubble4.varifold
+    fresh = curvature.mean_curvature(v)
+    for f in dataclasses.fields(fresh):
+        a, b = getattr(fresh, f.name), getattr(v.curvature, f.name)
+        if a is None:
+            assert b is None
+        else:
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
+
+def test_new_meshes_get_fresh_caches(sphere3):
+    v = sphere3.varifold
+    finer = mesh.refine(v)
+    assert finer.topology is not v.topology
+    assert len(finer.topology.edges) == 4 * len(v.topology.edges)
+    scaled = dataclasses.replace(v, vertices=2 * v.vertices)
+    assert scaled.topology is not v.topology
+    np.testing.assert_array_equal(scaled.topology.edges, v.topology.edges)
+    assert scaled.curvature is not v.curvature
+    np.testing.assert_allclose(scaled.curvature.H, 0.5 * v.curvature.H, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(scaled.curvature.vertex_area, 4 * v.curvature.vertex_area, rtol=1e-12)
 
 
 @pytest.mark.parametrize(

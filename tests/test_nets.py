@@ -175,6 +175,37 @@ def test_make_net_validation(mutate, message):
     make_net(verts, arcs, check=False)  # opt-out leaves the rows as given
 
 
+@pytest.mark.parametrize(
+    "arcs",
+    [
+        [[0, 1], [2, 0], [1, 2]],  # (3, 2): reshaping would make two arcs of it
+        [0, 1, 1],
+        [[0, 1, 1, 1]],
+        np.zeros((1, 3, 1), dtype=np.int64),
+    ],
+)
+def test_make_net_rejects_arcs_that_are_not_rows_of_three(arcs):
+    verts = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-1.0, 0.0, 0.0]])
+    with pytest.raises(NetError, match=r"arcs must be \(M, 3\)"):
+        make_net(verts, arcs)
+
+
+def test_make_net_empty_arcs_means_no_arcs():
+    verts = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    for arcs in ([], np.zeros(0, dtype=np.int64)):
+        net = make_net(verts, arcs)
+        assert net.arcs.shape == (0, 3)
+        assert net.major.shape == (0,)
+        assert total_length(net) == 0.0
+
+
+def test_net_input_views_are_copied():
+    base = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    net = make_net(base[1:], [[0, 1, 1]])
+    base[1] = [0.0, 0.0, -1.0]
+    np.testing.assert_array_equal(net.vertices, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+
+
 def test_balance_rejects_antipodal_arc():
     verts = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
     net = make_net(verts, [[0, 1, 1]])  # passes structural checks
@@ -196,7 +227,7 @@ def test_net_arrays_are_frozen(entries):
 
 def test_balanced_net_is_fixed_point(entries):
     gc = entries[0].net
-    res = relax(gc, trace=True)
+    res = relax(gc)
     assert res.converged
     assert res.iterations == 0
     assert res.lengths == [pytest.approx(2 * math.pi, abs=1e-12)]
@@ -206,7 +237,7 @@ def test_balanced_net_is_fixed_point(entries):
 @pytest.mark.parametrize("scale", [0.05, 0.1])
 def test_relax_recovers_tetrahedron(entries, scale):
     tetra = entries[2]
-    res = relax(_perturbed(tetra.net, scale, 42), trace=True)
+    res = relax(_perturbed(tetra.net, scale, 42))
     assert res.converged
     assert res.iterations < 500
     assert total_length(res.net) == pytest.approx(tetra.length, abs=1e-8)
@@ -216,20 +247,22 @@ def test_relax_recovers_tetrahedron(entries, scale):
 
 def test_relax_recovers_cube(entries):
     cube = entries[3]
-    res = relax(_perturbed(cube.net, 0.05, 42), trace=True)
+    res = relax(_perturbed(cube.net, 0.05, 42))
     assert res.converged
     assert res.iterations < 500
     assert total_length(res.net) == pytest.approx(cube.length, abs=1e-8)
 
 
-def test_relax_without_trace_returns_net(entries):
-    out = relax(_perturbed(entries[2].net, 0.05, 42))
-    assert isinstance(out, nets.GeodesicNet)
-    assert balance_residual(out) < 1e-8
+def test_relax_returns_relax_result(entries):
+    res = relax(_perturbed(entries[2].net, 0.05, 42))
+    assert isinstance(res, nets.RelaxResult)
+    assert isinstance(res.net, nets.GeodesicNet)
+    assert balance_residual(res.net) < 1e-8
+    assert len(res.lengths) == len(res.residuals) == res.iterations + 1
 
 
 def test_relax_reports_non_convergence(entries):
-    res = relax(_perturbed(entries[2].net, 0.1, 42), max_iter=1, trace=True)
+    res = relax(_perturbed(entries[2].net, 0.1, 42), max_iter=1)
     assert not res.converged
     assert res.iterations == 1
     assert len(res.residuals) == 1
@@ -304,6 +337,18 @@ def test_save_load_keeps_major_flags(tmp_path):
     back = load_net(path)
     np.testing.assert_array_equal(back.major, [True, False, False])
     assert total_length(back) == pytest.approx(total_length(net), abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "row",
+    ["[0, 1]", "[0, 1, 1, 0, 0]", "[0, 1, 1.5]", "[0.0, 1, 1]", "[0, 1, true]",
+     "[0, 1, 1, true]", "[0, \"1\", 1]", "7"],
+)
+def test_load_rejects_arc_rows_that_are_not_three_or_four_integers(tmp_path, row):
+    path = tmp_path / "bad.json"
+    path.write_text('{"vertices": [[1, 0, 0], [0, 1, 0]], "arcs": [[0, 1, 1], %s]}' % row)
+    with pytest.raises(NetError, match="arc 1 must be 3 or 4 integers"):
+        load_net(str(path))
 
 
 def test_load_rejects_missing_keys(tmp_path):
