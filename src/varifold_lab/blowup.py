@@ -14,7 +14,7 @@ import numpy as np
 
 from . import _kernels
 from .curvature import point_surface_distance, willmore_energy
-from .mesh import DiscreteVarifold, MeshError, mesh_scale
+from .mesh import DiscreteVarifold, MeshError, _weld, mesh_scale
 
 log = logging.getLogger(__name__)
 
@@ -419,31 +419,6 @@ def _sample_arc(mult, rho, foot, e1, e2, theta0, dtheta, r) -> np.ndarray:
     return u
 
 
-def _merge_ends(points: np.ndarray, tol: float) -> list[int]:
-    """Node index of each point: the first earlier node within tol, else a new one.
-
-    A point joins the lowest-index node whose first point lies within tol of
-    it (Euclidean norm). Nodes are hashed on a grid of pitch tol, so only the
-    27 cells around a point can hold such a node.
-    """
-    cells = np.floor(points / tol).astype(np.int64).tolist()
-    grid: dict[tuple[int, int, int], list[int]] = {}
-    centers: list[np.ndarray] = []
-    nodes: list[int] = []
-    for p, (cx, cy, cz) in zip(points, cells):
-        near = sorted(
-            j for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)
-            for j in grid.get((cx + dx, cy + dy, cz + dz), ())
-        )
-        nd = next((j for j in near if np.linalg.norm(centers[j] - p) <= tol), None)
-        if nd is None:
-            nd = len(centers)
-            centers.append(p)
-            grid.setdefault((cx, cy, cz), []).append(nd)
-        nodes.append(nd)
-    return nodes
-
-
 def _chain_arcs(arcs, r, tol: float) -> tuple[list[np.ndarray], int]:
     """Merge sampled arc endpoints into nodes and walk maximal polylines."""
     if not arcs:
@@ -456,7 +431,7 @@ def _chain_arcs(arcs, r, tol: float) -> tuple[list[np.ndarray], int]:
         if not cl:
             ends.append((i, 0, s[0]))
             ends.append((i, 1, s[-1]))
-    nodes = _merge_ends(np.array([p for _, _, p in ends]).reshape(-1, 3), tol)
+    nodes = _weld(np.array([p for _, _, p in ends]), tol)[0].tolist()
     node_of = {(i, w): nd for (i, w, _), nd in zip(ends, nodes)}
     degree = [0] * (max(nodes, default=-1) + 1)
     for nd in nodes:

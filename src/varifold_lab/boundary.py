@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import DiscreteVarifold, MeshError, _boundary_conormals
+from .mesh import DiscreteVarifold, MeshError, _boundary_conormals, face_normals
 
 log = logging.getLogger(__name__)
 
@@ -85,19 +85,41 @@ def save_datum(datum: BoundaryDatum, path: str) -> None:
         fh.write("\n")
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def load_datum(path: str) -> BoundaryDatum:
+    """Load a boundary datum file: {"circles": [{"center", "radius", "normal", "m", "conormal_sign"}]}.
+
+    Values are never coerced: ``center`` and ``normal`` must be 3 numbers,
+    ``radius`` a number, and the optional ``m`` and ``conormal_sign`` (default
+    1) JSON integers, booleans excluded. A missing key or a value of the wrong
+    type raises ValueError naming it.
+    """
     with open(path) as fh:
         doc = json.load(fh)
-    circles = [
-        CircleSpec(
-            np.asarray(c["center"], dtype=np.float64),
-            float(c["radius"]),
-            np.asarray(c["normal"], dtype=np.float64),
-            int(c.get("m", 1)),
-            int(c.get("conormal_sign", 1)),
-        )
-        for c in doc["circles"]
-    ]
+    if not isinstance(doc, dict) or not isinstance(doc.get("circles"), list):
+        raise ValueError(f"datum file {path!r} needs a 'circles' list")
+    circles = []
+    for k, c in enumerate(doc["circles"]):
+        where = f"datum file {path!r}: circle {k}"
+        if not isinstance(c, dict):
+            raise ValueError(f"{where} must be an object, not {c!r}")
+        for key in ("center", "radius", "normal"):
+            if key not in c:
+                raise ValueError(f"{where} is missing {key!r}")
+        for key in ("center", "normal"):
+            if not (isinstance(c[key], list) and len(c[key]) == 3 and all(map(_is_number, c[key]))):
+                raise ValueError(f"{where}: {key!r} must be 3 numbers, not {c[key]!r}")
+        if not _is_number(c["radius"]):
+            raise ValueError(f"{where}: 'radius' must be a number, not {c['radius']!r}")
+        for key in ("m", "conormal_sign"):
+            if key in c and not (isinstance(c[key], int) and not isinstance(c[key], bool)):
+                raise ValueError(f"{where}: {key!r} must be an integer, not {c[key]!r}")
+        circles.append(CircleSpec(np.asarray(c["center"], dtype=np.float64), float(c["radius"]),
+                                  np.asarray(c["normal"], dtype=np.float64),
+                                  c.get("m", 1), c.get("conormal_sign", 1)))
     return BoundaryDatum(tuple(circles))
 
 
@@ -128,7 +150,7 @@ def boundary_measure(v: DiscreteVarifold) -> DiscreteBoundary:
         z = np.zeros(0)
         return DiscreteBoundary(np.zeros((0, 2), dtype=np.int64), z, z3,
                                 np.zeros(0, dtype=np.int64), 0.0)
-    edges, fidx, vec, conormals = _boundary_conormals(v)
+    edges, fidx, vec, conormals = _boundary_conormals(v, face_normals(v)[0])
     lengths = np.linalg.norm(vec, axis=1)
     conormals /= np.linalg.norm(conormals, axis=1, keepdims=True)
     mult = v.multiplicity[fidx]

@@ -299,12 +299,9 @@ def cmd_net_relax(args) -> int:
     final_len = nets.total_length(res.net)
     final_res = nets.balance_residual(res.net)
     if args.out:
-        rows = []
-        for (i, j, m), major in zip(res.net.arcs.tolist(), res.net.major.tolist()):
-            rows.append([i, j, m, 1] if major else [i, j, m])
         write_report({
             "vertices": res.net.vertices.tolist(),
-            "arcs": rows,
+            "arcs": nets._arc_rows(res.net),
             "total_length": final_len,
             "balance_residual": final_res,
             "iterations": res.iterations,

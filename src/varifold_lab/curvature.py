@@ -93,12 +93,11 @@ def _scatter_rows(idx: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _area_gradients(v: DiscreteVarifold) -> np.ndarray:
+def _area_gradients(v: DiscreteVarifold, nhat: np.ndarray) -> np.ndarray:
     """Gradient of total mass with respect to each vertex position, (V, 3)."""
     p0 = v.vertices[v.faces[:, 0]]
     p1 = v.vertices[v.faces[:, 1]]
     p2 = v.vertices[v.faces[:, 2]]
-    nhat, _ = face_normals(v)
     m = v.multiplicity[:, None].astype(np.float64)
     g0 = 0.5 * np.cross(nhat, p2 - p1) * m
     g1 = 0.5 * np.cross(nhat, p0 - p2) * m
@@ -110,9 +109,8 @@ def _area_gradients(v: DiscreteVarifold) -> np.ndarray:
     return grad
 
 
-def _vertex_areas(v: DiscreteVarifold, weighted: bool = True) -> np.ndarray:
-    """Lumped one-third vertex areas, multiplicity-weighted unless weighted=False."""
-    _, areas = face_normals(v)
+def _vertex_areas(v: DiscreteVarifold, areas: np.ndarray, weighted: bool = True) -> np.ndarray:
+    """Lumped one-third vertex areas from the face areas, multiplicity-weighted unless weighted=False."""
     w = areas * v.multiplicity if weighted else areas
     n = v.num_vertices
     acc = np.zeros(n)
@@ -121,12 +119,12 @@ def _vertex_areas(v: DiscreteVarifold, weighted: bool = True) -> np.ndarray:
     return acc
 
 
-def _boundary_force(v: DiscreteVarifold) -> np.ndarray:
+def _boundary_force(v: DiscreteVarifold, nhat: np.ndarray) -> np.ndarray:
     """Half the multiplicity-weighted conormal line force of the boundary edges."""
     force = np.zeros((v.num_vertices, 3))
     if len(v.topology.boundary_edges) == 0:
         return force
-    edges, f, _, nu = _boundary_conormals(v)
+    edges, f, _, nu = _boundary_conormals(v, nhat)
     w = 0.5 * v.multiplicity[f].astype(np.float64)
     contrib = nu * w[:, None]
     force += _scatter_rows(edges[:, 0], contrib, v.num_vertices)
@@ -139,9 +137,10 @@ def mean_curvature(v: DiscreteVarifold) -> CurvatureField:
 
     Computed afresh on each call; ``v.curvature`` keeps one read-only copy."""
     topo = v.topology
-    grad = _area_gradients(v)
-    force = _boundary_force(v)
-    area = _vertex_areas(v)
+    nhat, areas = face_normals(v)
+    grad = _area_gradients(v, nhat)
+    force = _boundary_force(v, nhat)
+    area = _vertex_areas(v, areas)
     isolated = area <= 0.0
     H = np.zeros_like(grad)
     ok = ~isolated
@@ -208,9 +207,13 @@ def gauss_curvature(v: DiscreteVarifold) -> CurvatureField:
     that its total still satisfies the combinatorial Gauss--Bonnet identity on
     closed manifolds.
     """
+    return _with_gauss(v, _vertex_areas(v, face_normals(v)[1], weighted=False))
+
+
+def _with_gauss(v: DiscreteVarifold, area_geom: np.ndarray) -> CurvatureField:
+    """``v.curvature`` with K and the angle defects, given the unweighted vertex areas."""
     base = v.curvature
     defect = _angle_defects(v)
-    area_geom = _vertex_areas(v, weighted=False)
     K = np.full(v.num_vertices, np.nan)
     ok = (
         ~base.boundary_mask
@@ -299,15 +302,14 @@ def _orient_scan(v: DiscreteVarifold) -> tuple[bool, int]:
 # second fundamental form
 
 
-def _vertex_normals_unoriented(v: DiscreteVarifold) -> np.ndarray:
+def _vertex_normals_unoriented(v: DiscreteVarifold, nhat: np.ndarray, areas: np.ndarray) -> np.ndarray:
     """Area-weighted vertex normals with per-vertex sign fixing (no global orientation).
 
     Each incident face normal is flipped to agree with the normal of the
     vertex's first incident face (in face order) before the area-weighted
     sum; a zero sum falls back to that reference normal, and vertices on no
-    face get zero.
+    face get zero. ``nhat`` and ``areas`` are the face normals and areas.
     """
-    nhat, areas = face_normals(v)
     nv = v.num_vertices
     order = np.argsort(v.faces.ravel(), kind="stable")
     vert_of = v.faces.ravel()[order]
@@ -336,9 +338,10 @@ def second_fundamental_norm(v: DiscreteVarifold) -> CurvatureField:
     |K - (|H|^2 - |B|^2)/2| of the trace identity.
     """
     topo = v.topology
-    g = gauss_curvature(v)
+    nhat, areas = face_normals(v)
+    area_geom = _vertex_areas(v, areas, weighted=False)
+    g = _with_gauss(v, area_geom)
     nv = v.num_vertices
-    nhat, _ = face_normals(v)
 
     S = np.zeros((nv, 6))  # xx, yy, zz, xy, xz, yz
     ie = topo.interior_edges
@@ -372,8 +375,7 @@ def second_fundamental_norm(v: DiscreteVarifold) -> CurvatureField:
         S += _scatter_rows(lo, t, nv)
         S += _scatter_rows(hi, t, nv)
 
-    area_geom = _vertex_areas(v, weighted=False)
-    normals = _vertex_normals_unoriented(v)
+    normals = _vertex_normals_unoriented(v, nhat, areas)
     B2 = np.full(nv, np.nan)
     ok = ~g.boundary_mask & ~g.junction_mask & ~g.isolated_mask & (area_geom > 0)
     idx = np.nonzero(ok)[0]
@@ -549,7 +551,8 @@ def first_variation_residual(
     if phi.shape != v.vertices.shape:
         raise MeshError(f"phi must have shape {v.vertices.shape}, got {phi.shape}")
     topo = v.topology
-    grad = _area_gradients(v)
+    nhat = face_normals(v)[0]
+    grad = _area_gradients(v, nhat)
     dots = np.einsum("ij,ij->i", phi, grad)
     div_term = math.fsum(dots)
     smooth = ~topo.boundary_vertex_mask & ~topo.junction_vertex_mask
@@ -557,7 +560,7 @@ def first_variation_residual(
 
     bdry_term = 0.0
     if len(topo.boundary_edges):
-        edges, f, _, nu = _boundary_conormals(v)
+        edges, f, _, nu = _boundary_conormals(v, nhat)
         mid_phi = 0.5 * (phi[edges[:, 0]] + phi[edges[:, 1]])
         bdry_term = math.fsum(v.multiplicity[f] * np.einsum("ij,ij->i", mid_phi, nu))
     return abs(div_term + h_term - bdry_term)

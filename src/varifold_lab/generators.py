@@ -17,7 +17,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .mesh import DiscreteVarifold, make_varifold
+from ._kernels import _dot
+from .mesh import DiscreteVarifold, _weld, make_varifold
 
 log = logging.getLogger(__name__)
 
@@ -34,37 +35,41 @@ def _unit_rows(a: np.ndarray) -> np.ndarray:
     return a / np.linalg.norm(a, axis=-1, keepdims=True)
 
 
-class _Weld:
-    """Tolerance-based vertex pool: identical points get one index.
+def _circle(M: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cosines and sines of the M angles 2*pi*j/M."""
+    lam = TAU * np.arange(M) / M
+    return np.cos(lam), np.sin(lam)
 
-    Points are hashed on a grid of pitch ``tol``; insertion probes the 27
-    neighbouring cells so near-coincident points (seams produced by mirror or
-    rotation copies) merge deterministically.
+
+def _ring(r: float, z, cs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Ring of points (r cos, r sin, z) over the angles whose cosines and sines are cs."""
+    c, s = cs
+    return np.stack([r * c, r * s, np.broadcast_to(z, c.shape)], axis=1)
+
+
+def _strips(rows: np.ndarray, outer_first: bool) -> np.ndarray:
+    """Two triangles per cell between consecutive index rows, periodic along a row.
+
+    With p the earlier row and q the next one, cell j gives (p_j, p_j+1, q_j+1),
+    (p_j, q_j+1, q_j) if ``outer_first``, else (p_j, q_j, q_j+1), (p_j, q_j+1, p_j+1).
     """
+    p, q = rows[:-1], rows[1:]
+    p1, q1 = np.roll(p, -1, axis=1), np.roll(q, -1, axis=1)
+    tris = ((p, p1, q1), (p, q1, q)) if outer_first else ((p, q, q1), (p, q1, p1))
+    return np.stack([np.stack(t, axis=-1) for t in tris], axis=2).reshape(-1, 3)
 
-    def __init__(self, tol: float) -> None:
-        self.tol = tol
-        self.points: list[tuple[float, float, float]] = []
-        self._cells: dict[tuple[int, int, int], list[int]] = {}
 
-    def add(self, p: Sequence[float]) -> int:
-        x, y, z = float(p[0]), float(p[1]), float(p[2])
-        t = self.tol
-        cx, cy, cz = int(math.floor(x / t)), int(math.floor(y / t)), int(math.floor(z / t))
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for dz in (-1, 0, 1):
-                    for idx in self._cells.get((cx + dx, cy + dy, cz + dz), ()):
-                        q = self.points[idx]
-                        if abs(q[0] - x) < t and abs(q[1] - y) < t and abs(q[2] - z) < t:
-                            return idx
-        idx = len(self.points)
-        self.points.append((x, y, z))
-        self._cells.setdefault((cx, cy, cz), []).append(idx)
-        return idx
+def _fan(center: int, row: np.ndarray) -> np.ndarray:
+    """Triangles (center, row_j, row_j+1), periodic along the row."""
+    return np.stack([np.full(len(row), center), row, np.roll(row, -1)], axis=1)
 
-    def array(self) -> np.ndarray:
-        return np.asarray(self.points, dtype=np.float64)
+
+def _mesh(verts, faces, patches=None, oriented: bool = False) -> DiscreteVarifold:
+    """Varifold from vertex blocks and face blocks, with one patch label per face block."""
+    labels = None
+    if patches is not None:
+        labels = np.concatenate([np.full(len(f), p, dtype=np.int64) for f, p in zip(faces, patches)])
+    return make_varifold(np.vstack(verts), np.vstack(faces), oriented=oriented, face_patches=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -94,26 +99,21 @@ def _icosphere(radius: float, level: int) -> tuple[np.ndarray, np.ndarray]:
     verts = _unit_rows(_ICO_VERTS.copy())
     faces = _ICO_FACES.copy()
     for _ in range(level):
-        cache: dict[tuple[int, int], int] = {}
-        vlist = list(verts)
-
-        def midpoint(i: int, j: int) -> int:
-            key = (i, j) if i < j else (j, i)
-            idx = cache.get(key)
-            if idx is None:
-                m = vlist[i] + vlist[j]
-                m /= np.linalg.norm(m)
-                idx = len(vlist)
-                vlist.append(m)
-                cache[key] = idx
-            return idx
-
-        out = np.empty((4 * len(faces), 3), dtype=np.int64)
-        for k, (a, b, c) in enumerate(faces):
-            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-            out[4 * k: 4 * k + 4] = [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
-        verts = np.asarray(vlist)
-        faces = out
+        # half-edges (a, b), (b, c), (c, a) per face; midpoints are numbered in
+        # the order their edge is first met
+        he = faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+        key = np.minimum(he[:, 0], he[:, 1]) * len(verts) + np.maximum(he[:, 0], he[:, 1])
+        _, first, inv = np.unique(key, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        e = he[first[order]]
+        m = verts[e[:, 0]] + verts[e[:, 1]]
+        m /= np.sqrt(_dot(m, m))[:, None]  # rounds like the norm of each row alone
+        ab, bc, ca = (len(verts) + rank[inv]).reshape(-1, 3).T
+        a, b, c = faces.T
+        faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1).reshape(-1, 3)
+        verts = np.vstack([verts, m])
     # outward winding: flip everything if the signed volume comes out negative
     p = verts[faces]
     vol6 = float(np.einsum("ij,ij->", p[:, 0], np.cross(p[:, 1], p[:, 2])))
@@ -168,52 +168,24 @@ def _meridian_ladder(beta: float, first: float, base: float) -> list[float]:
     return phis
 
 
-def _attach_cap(
-    verts: list[np.ndarray],
-    faces: list[tuple[int, int, int]],
-    patches: list[int],
-    ring_idx: np.ndarray,
-    beta: float,
-    R: float,
-    side: int,
-    M: int,
-    patch: int,
-    first_frac: float,
-) -> int:
-    """Append a spherical cap meshed onto an existing rim ring.
+def _cap(ring: np.ndarray, start: int, beta: float, R: float, side: int, first_frac: float):
+    """A spherical cap meshed onto the rim ``ring`` (M vertex indices).
 
     The cap has geometric opening ``beta`` and radius ``R``; ``side=+1`` puts
-    the apex above the rim plane z=0, ``side=-1`` below.  Returns the apex
-    vertex index.
+    the apex above the rim plane z=0, ``side=-1`` below.  Its new vertices are
+    numbered from ``start``.  Returns (vertices, faces), the apex last.
     """
+    M = len(ring)
     base = TAU / M
     first = base * min(math.sin(beta), first_frac)
     phis = _meridian_ladder(beta, first, base)
     cz = -side * R * math.cos(beta)
-    lam = TAU * np.arange(M) / M
-    cos_l, sin_l = np.cos(lam), np.sin(lam)
-
-    rows = [ring_idx]
-    for phi in phis[1:]:
-        s, c = math.sin(phi), math.cos(phi)
-        start = len(verts)
-        for j in range(M):
-            verts.append(np.array([R * s * cos_l[j], R * s * sin_l[j], cz + side * R * c]))
-        rows.append(np.arange(start, start + M))
-    apex = len(verts)
-    verts.append(np.array([0.0, 0.0, cz + side * R]))
-
-    for outer, inner in zip(rows[:-1], rows[1:]):
-        for j in range(M):
-            j1 = (j + 1) % M
-            faces.append((outer[j], outer[j1], inner[j1]))
-            faces.append((outer[j], inner[j1], inner[j]))
-            patches.extend((patch, patch))
-    last = rows[-1]
-    for j in range(M):
-        faces.append((last[j], last[(j + 1) % M], apex))
-        patches.append(patch)
-    return apex
+    cs = _circle(M)
+    verts = [_ring(R * math.sin(phi), cz + side * R * math.cos(phi), cs) for phi in phis[1:]]
+    verts.append(np.array([[0.0, 0.0, cz + side * R]]))
+    rows = np.vstack([ring, start + np.arange(M * (len(phis) - 1)).reshape(-1, M)])
+    tip = _fan(start + M * (len(phis) - 1), rows[-1])[:, [1, 2, 0]]
+    return np.vstack(verts), np.vstack([_strips(rows, outer_first=True), tip])
 
 
 def gen_cap(R: float, theta: float, level: int) -> GeneratorOutput:
@@ -231,36 +203,19 @@ def gen_cap(R: float, theta: float, level: int) -> GeneratorOutput:
     rim_r = R * math.sin(theta)
     cz = -R * math.cos(theta)
 
-    verts: list[np.ndarray] = []
     if closed:
         # march almost to the south pole, then cap with a fan
-        eff = math.pi - TAU / M
-        lam = TAU * np.arange(M) / M
-        ring_idx = np.arange(M)
-        s, c = math.sin(eff), math.cos(eff)
-        for j in range(M):
-            verts.append(np.array([R * s * math.cos(lam[j]), R * s * math.sin(lam[j]), cz + R * c]))
+        beta = math.pi - TAU / M
+        ring = _ring(R * math.sin(beta), cz + R * math.cos(beta), _circle(M))
     else:
-        lam = TAU * np.arange(M) / M
-        ring_idx = np.arange(M)
-        for j in range(M):
-            verts.append(np.array([rim_r * math.cos(lam[j]), rim_r * math.sin(lam[j]), 0.0]))
-
-    faces: list[tuple[int, int, int]] = []
-    patches: list[int] = []
-    beta = eff if closed else theta
-    _attach_cap(verts, faces, patches, ring_idx, beta, R, +1, M, 0, first_frac=1.0)
+        beta = theta
+        ring = _ring(rim_r, 0.0, _circle(M))
+    cap_v, cap_f = _cap(np.arange(M), M, beta, R, +1, first_frac=1.0)
+    verts, faces = [ring, cap_v], [cap_f]
     if closed:
-        south = len(verts)
-        verts.append(np.array([0.0, 0.0, cz - R]))
-        for j in range(M):
-            faces.append((ring_idx[(j + 1) % M], ring_idx[j], south))
-            patches.append(0)
-
-    v = make_varifold(
-        np.asarray(verts), np.asarray(faces, dtype=np.int64), oriented=True,
-        face_patches=np.asarray(patches, dtype=np.int64),
-    )
+        verts.append(np.array([[0.0, 0.0, cz - R]]))
+        faces.append(_fan(M + len(cap_v), np.arange(M))[:, ::-1])
+    v = _mesh(verts, faces, [0] * len(faces), oriented=True)
     analytic = {
         "area": TAU * R * R * (1.0 - math.cos(theta)),
         "willmore_energy": TAU * (1.0 - math.cos(theta)),
@@ -275,6 +230,17 @@ def gen_cap(R: float, theta: float, level: int) -> GeneratorOutput:
         ]
 
     return GeneratorOutput(v, analytic)
+
+
+def _junction_caps(rho: float, M: int, caps) -> tuple[list, list]:
+    """Vertex and face blocks of the junction ring (radius rho, z=0) and one cap
+    per ``(beta, R, side)`` in ``caps``, all meshed onto that ring."""
+    verts, faces = [_ring(rho, 0.0, _circle(M))], []
+    for beta, R, side in caps:
+        cap_v, cap_f = _cap(np.arange(M), sum(map(len, verts)), beta, R, side, 0.125)
+        verts.append(cap_v)
+        faces.append(cap_f)
+    return verts, faces
 
 
 def _bubble_angles(theta2: float) -> tuple[float, float, float]:
@@ -298,30 +264,16 @@ def gen_double_bubble(theta2: float, rho: float, level: int) -> GeneratorOutput:
         raise ValueError("flat-interface case; use gen_double_bubble_flat")
 
     M = 4 * 2**level
-    lam = TAU * np.arange(M) / M
-    verts: list[np.ndarray] = [
-        np.array([rho * math.cos(a), rho * math.sin(a), 0.0]) for a in lam
-    ]
-    ring_idx = np.arange(M)
-    faces: list[tuple[int, int, int]] = []
-    patches: list[int] = []
-
     r1, r2, r3 = rho / math.sin(t1), rho / math.sin(t2), rho / math.sin(t3)
     # cap 1 opens upward, cap 2 downward; cap 3 (radius |r3|) continues the
     # 120-degree fan: below for t3 < pi, above (opening 2pi - t3) for t3 > pi.
-    specs = [(t1, abs(r1), +1, 0), (t2, abs(r2), -1, 1)]
+    specs = [(t1, abs(r1), +1), (t2, abs(r2), -1)]
     if t3 < math.pi:
-        specs.append((t3, abs(r3), -1, 2))
+        specs.append((t3, abs(r3), -1))
     else:
-        specs.append((TAU - t3, abs(r3), +1, 2))
-    apexes = []
-    for beta, R, side, patch in specs:
-        apexes.append(_attach_cap(verts, faces, patches, ring_idx, beta, R, side, M, patch, 0.125))
-
-    v = make_varifold(
-        np.asarray(verts), np.asarray(faces, dtype=np.int64),
-        face_patches=np.asarray(patches, dtype=np.int64),
-    )
+        specs.append((TAU - t3, abs(r3), +1))
+    verts, faces = _junction_caps(rho, M, specs)
+    v = _mesh(verts, faces, [0, 1, 2])
     cap_areas = [TAU * r * r * (1.0 - math.cos(t)) for r, t in ((r1, t1), (r2, t2), (r3, t3))]
     analytic = {
         "angles": [t1, t2, t3],
@@ -336,7 +288,7 @@ def gen_double_bubble(theta2: float, rho: float, level: int) -> GeneratorOutput:
         ],
         "density_points": [
             {"point": [float(rho), 0.0, 0.0], "density": 1.5, "label": "junction circle"},
-            {"point": [float(c) for c in verts[apexes[0]]], "density": 1.0, "label": "cap 1 apex"},
+            {"point": [float(c) for c in verts[1][-1]], "density": 1.0, "label": "cap 1 apex"},
         ],
         "li_yau": {"theta_max": 1.5, "w_over_4pi": 1.5},
     }
@@ -355,41 +307,18 @@ def gen_double_bubble_flat(rho: float, level: int) -> GeneratorOutput:
     beta = 2.0 * math.pi / 3.0
     R = rho / math.sin(beta)
     M = 4 * 2**level
-    lam = TAU * np.arange(M) / M
-    verts: list[np.ndarray] = [
-        np.array([rho * math.cos(a), rho * math.sin(a), 0.0]) for a in lam
-    ]
-    ring_idx = np.arange(M)
-    faces: list[tuple[int, int, int]] = []
-    patches: list[int] = []
-    apex_up = _attach_cap(verts, faces, patches, ring_idx, beta, R, +1, M, 0, 0.125)
-    _attach_cap(verts, faces, patches, ring_idx, beta, R, -1, M, 1, 0.125)
+    verts, faces = _junction_caps(rho, M, [(beta, R, +1), (beta, R, -1)])
 
     # interface disk: concentric rings sharing the junction ring vertices
     n = max(2, round(M / TAU))
-    rows = [ring_idx]
-    for k in range(n - 1, 0, -1):
-        s = rho * k / n
-        start = len(verts)
-        for a in lam:
-            verts.append(np.array([s * math.cos(a), s * math.sin(a), 0.0]))
-        rows.append(np.arange(start, start + M))
-    center = len(verts)
-    verts.append(np.array([0.0, 0.0, 0.0]))
-    for outer, inner in zip(rows[:-1], rows[1:]):
-        for j in range(M):
-            j1 = (j + 1) % M
-            faces.append((outer[j], outer[j1], inner[j1]))
-            faces.append((outer[j], inner[j1], inner[j]))
-            patches.extend((2, 2))
-    for j in range(M):
-        faces.append((rows[-1][j], rows[-1][(j + 1) % M], center))
-        patches.append(2)
-
-    v = make_varifold(
-        np.asarray(verts), np.asarray(faces, dtype=np.int64),
-        face_patches=np.asarray(patches, dtype=np.int64),
-    )
+    start = sum(map(len, verts))
+    cs = _circle(M)
+    verts += [_ring(rho * k / n, 0.0, cs) for k in range(n - 1, 0, -1)]
+    verts.append(np.zeros((1, 3)))
+    rows = np.vstack([np.arange(M), start + np.arange(M * (n - 1)).reshape(-1, M)])
+    center = _fan(start + M * (n - 1), rows[-1])[:, [1, 2, 0]]
+    faces.append(np.vstack([_strips(rows, outer_first=True), center]))
+    v = _mesh(verts, faces, [0, 1, 2])
     cap_area = TAU * R * R * 1.5
     analytic = {
         "cap_areas": [cap_area, cap_area],
@@ -401,7 +330,7 @@ def gen_double_bubble_flat(rho: float, level: int) -> GeneratorOutput:
         ],
         "density_points": [
             {"point": [float(rho), 0.0, 0.0], "density": 1.5, "label": "junction circle"},
-            {"point": [float(c) for c in verts[apex_up]], "density": 1.0, "label": "cap apex"},
+            {"point": [float(c) for c in verts[1][-1]], "density": 1.0, "label": "cap apex"},
         ],
         "li_yau": {"theta_max": 1.5, "w_over_4pi": 1.5},
     }
@@ -430,6 +359,27 @@ def _tb_rotate(pts: np.ndarray, turns: int) -> np.ndarray:
     return out
 
 
+def _quad_sweep(grid: np.ndarray) -> np.ndarray:
+    """Triangles of the quads of an index grid, in row order.
+
+    Quad (a_j, a_j+1, b_j+1, b_j) between rows a and b gives (a_j, a_j+1,
+    b_j+1) and (a_j, b_j+1, b_j); where a column has collapsed to one point
+    (a_j = b_j, or else a_j+1 = b_j+1) it gives the one triangle on its other
+    three corners. Triangles that repeat a vertex are dropped.
+    """
+    q0, q1, q2, q3 = grid[:-1, :-1], grid[:-1, 1:], grid[1:, 1:], grid[1:, :-1]
+    left = q0 == q3
+    right = ~left & (q1 == q2)
+    tris = np.stack([
+        np.stack([q0, q1, np.where(right, q3, q2)], axis=-1),
+        np.stack([q0, q2, q3], axis=-1),
+    ], axis=2)
+    c0, c1, c2 = tris[..., 0], tris[..., 1], tris[..., 2]
+    distinct = (c0 != c1) & (c1 != c2) & (c0 != c2)
+    distinct[..., 1] &= ~left & ~right
+    return tris[distinct]
+
+
 def gen_triple_bubble(level: int) -> GeneratorOutput:
     """Symmetric triple bubble: three unit-sphere sheets and three flat disks.
 
@@ -444,112 +394,73 @@ def gen_triple_bubble(level: int) -> GeneratorOutput:
     if level < 0:
         raise ValueError("level must be >= 0")
     n = 3 * 2**level
-    pool = _Weld(1e-9)
-    faces: list[tuple[int, int, int]] = []
-    patches: list[int] = []
 
     # Quarter-patch rows (theta ascending from the rim at pi/3).  The patch
     # collapses to the mid-sheet pole at theta = 5pi/6, so the column count
     # shrinks with the row width (subdivided-triangle connectivity): uniform
     # columns would degenerate into slivers whose discrete curvature blows up
     # under refinement.
-    qverts: list[list[np.ndarray]] = []
+    rows = []
     for k in range(n + 1):
         th = math.pi / 3.0 + (math.pi / 2.0) * k / n
         phi_t = math.acos(max(-1.0, min(1.0, -(1.0 / math.sqrt(3.0)) / math.tan(th))))
         mk = n - k
-        row = []
-        for j in range(mk + 1):
-            ph = -phi_t * j / mk if mk else 0.0
-            st, ct = math.sin(th), math.cos(th)
-            p = np.array([
-                -st * math.sin(ph),
-                0.5 * st * math.cos(ph) - math.sqrt(3.0) / 2.0 * ct,
-                math.sqrt(3.0) / 2.0 * st * math.cos(ph) + 0.5 * ct,
-            ])
-            if j == 0:
-                p[0] = 0.0
-            if j == mk:
-                p[2] = 0.0
-            row.append(p)
-        qverts.append(row)
+        ph = -phi_t * np.arange(mk + 1) / mk if mk else np.zeros(1)
+        st, ct = math.sin(th), math.cos(th)
+        row = np.stack([
+            -st * np.sin(ph),
+            0.5 * st * np.cos(ph) - math.sqrt(3.0) / 2.0 * ct,
+            math.sqrt(3.0) / 2.0 * st * np.cos(ph) + 0.5 * ct,
+        ], axis=1)
+        row[0, 0] = 0.0
+        row[-1, 2] = 0.0
+        rows.append(row)
+    quarter = np.vstack(rows)
+    start = np.cumsum([0] + [len(r) for r in rows])
+    tris = []
+    for k in range(n):
+        a, b = start[k] + np.arange(n - k + 1), start[k + 1] + np.arange(n - k)
+        tris.append(np.stack([a[:-1], b, a[1:]], axis=1))
+        tris.append(np.stack([a[1:-1], b[:-1], b[1:]], axis=1))
+    quarter_faces = np.vstack(tris)
 
-    def emit_sheet(transform: Callable[[np.ndarray], np.ndarray], flip: bool, patch: int) -> list[int]:
-        """Add one transformed quarter; returns the rim row's pool indices."""
-        rows = [[pool.add(transform(p)) for p in row] for row in qverts]
-        for k in range(n):
-            a, b = rows[k], rows[k + 1]  # len(a) = n-k+1, len(b) = n-k
-            mk = n - k
-            for j in range(mk):
-                tri = (a[j], b[j], a[j + 1])
-                faces.append(tri[::-1] if flip else tri)
-                patches.append(patch)
-            for j in range(mk - 1):
-                tri = (a[j + 1], b[j], b[j + 1])
-                faces.append(tri[::-1] if flip else tri)
-                patches.append(patch)
-        return rows[0]
+    # each sheet is a quarter, mirrored across {x=0} and {z=0} and turned
+    # about the axis; a mirror by one plane reverses the winding
+    mirrors = [([1.0, 1.0, 1.0], False), ([-1.0, 1.0, 1.0], True),
+               ([1.0, 1.0, -1.0], True), ([-1.0, 1.0, -1.0], False)]
+    sheets = [_tb_rotate(quarter * np.array(m), turns) for turns in range(3) for m, _ in mirrors]
 
-    mirror_x = lambda p: p * np.array([-1.0, 1.0, 1.0])  # noqa: E731
-    mirror_z = lambda p: p * np.array([1.0, 1.0, -1.0])  # noqa: E731
-
-    rim_arcs: list[list[int]] = []  # junction polyline (x2 -> N/S -> x1) per sheet copy
-    for turns in range(3):
-        rot = lambda p, t=turns: _tb_rotate(p, t)  # noqa: E731
-        r_pp = emit_sheet(lambda p: rot(p), False, turns)
-        r_mp = emit_sheet(lambda p: rot(mirror_x(p)), True, turns)
-        emit_sheet(lambda p: rot(mirror_z(p)), True, turns)
-        emit_sheet(lambda p: rot(mirror_x(mirror_z(p))), False, turns)
-        if turns == 0:
-            # arc A on circle(12): x2 .. N .. x1 (the rim rows share index 0 = N)
-            rim_arcs.append(list(reversed(r_mp)) + r_pp[1:])
-
-    # flat disks: transfinite patch between arc A and the axis chord x2 -> x1
-    arc = rim_arcs[0]
+    # flat disks: transfinite patch between arc A and the axis chord x2 -> x1.
+    # Arc A on circle(12) runs x2 .. N .. x1 along the rims of the first two
+    # sheets; the first sheet's rim row comes first among all points, so the
+    # shared point N keeps its coordinates there.
+    arc = np.vstack([sheets[1][n:0:-1], quarter[:n + 1]])
     K = len(arc) - 1  # = 2m
     L = max(4, math.ceil(0.4 * n))
     half = math.sqrt(2.0 / 3.0)
-    a_pts = pool.array()[arc].copy()
     q_pts = np.zeros((K + 1, 3))
     q_pts[:, 0] = half * (2.0 * np.arange(K + 1) / K - 1.0)
     q_pts[:, 1] = _TB_G[1]
+    t = (np.arange(L + 1) / L)[:, None, None]
+    layers = (1.0 - t) * arc + t * q_pts
+    layers[:, 0] = q_pts[0]
+    layers[:, -1] = q_pts[-1]
+    layers[L] = q_pts
+    flat = layers.reshape(-1, 3)
+    flats = [flat, flat * np.array([1.0, 1.0, -1.0]), _tb_rotate(flat, 1)]
 
-    def emit_flat(transform: Callable[[np.ndarray], np.ndarray], flip: bool, patch: int) -> None:
-        rows = []
-        for k in range(L + 1):
-            t = k / L
-            layer = (1.0 - t) * a_pts + t * q_pts
-            layer[0] = q_pts[0]
-            layer[-1] = q_pts[-1]
-            if k == L:
-                layer = q_pts
-            rows.append([pool.add(transform(p)) for p in layer])
-        # quad sweep with degenerate-aware corner columns
-        for k in range(L):
-            a, b = rows[k], rows[k + 1]
-            for j in range(K):
-                quad = (a[j], a[j + 1], b[j + 1], b[j])
-                tris = []
-                if quad[0] == quad[3]:  # degenerate left column
-                    tris.append((quad[0], quad[1], quad[2]))
-                elif quad[1] == quad[2]:  # degenerate right column
-                    tris.append((quad[0], quad[1], quad[3]))
-                else:
-                    tris.append((quad[0], quad[1], quad[2]))
-                    tris.append((quad[0], quad[2], quad[3]))
-                for tri in tris:
-                    if len({tri[0], tri[1], tri[2]}) == 3:
-                        faces.append(tri[::-1] if flip else tri)
-                        patches.append(patch)
-
-    emit_flat(lambda p: p, False, 3)
-    emit_flat(mirror_z, True, 4)
-    emit_flat(lambda p: _tb_rotate(p, 1), False, 5)
-
-    v = make_varifold(
-        pool.array(), np.asarray(faces, dtype=np.int64),
-        face_patches=np.asarray(patches, dtype=np.int64),
-    )
+    ids, verts = _weld(np.vstack(sheets + flats), 1e-9)
+    faces, patches = [], []
+    for s, (_, flip) in enumerate(mirrors * 3):
+        f = ids[s * len(quarter) + quarter_faces]
+        faces.append(f[:, ::-1] if flip else f)
+        patches.append(s // 4)
+    flat_ids = ids[12 * len(quarter):].reshape(3, L + 1, K + 1)
+    for s, flip in enumerate((False, True, False)):
+        f = _quad_sweep(flat_ids[s])
+        faces.append(f[:, ::-1] if flip else f)
+        patches.append(3 + s)
+    v = _mesh([verts], faces, patches)
     w = 12.0 * math.acos(-1.0 / 3.0)
     lam_seg = math.acos(1.0 / 3.0)
     flat_area = math.pi * 0.75 - 0.75 * (lam_seg - math.sin(lam_seg) * math.cos(lam_seg))
@@ -590,27 +501,16 @@ def gen_branched_patch(delta: float, rho0: float, level: int) -> GeneratorOutput
     M = 8 * 2**level
     n = 4 * 2**level
     thetas = TAU * np.arange(M) / M
-    verts = [np.zeros(3)]
-    rows = []
+    cs2, cos1 = (np.cos(2 * thetas), np.sin(2 * thetas)), np.cos(thetas)
+    verts = [np.zeros((1, 3))]
     for i in range(1, n + 1):
         rho = rho0 * i / n
         s = _smoothstep((rho - rho0 / 3.0) / (rho0 / 3.0))
         psi = 1.0 - float(s)
         zamp = delta * math.exp(-1.0 / (rho * rho)) * psi
-        start = len(verts)
-        for t in thetas:
-            verts.append(np.array([rho * math.cos(2 * t), rho * math.sin(2 * t), zamp * math.cos(t)]))
-        rows.append(np.arange(start, start + M))
-    faces: list[tuple[int, int, int]] = []
-    for j in range(M):
-        faces.append((0, rows[0][j], rows[0][(j + 1) % M]))
-    for inner, outer in zip(rows[:-1], rows[1:]):
-        for j in range(M):
-            j1 = (j + 1) % M
-            faces.append((inner[j], outer[j], outer[j1]))
-            faces.append((inner[j], outer[j1], inner[j1]))
-
-    v = make_varifold(np.asarray(verts), np.asarray(faces, dtype=np.int64))
+        verts.append(_ring(rho, zamp * cos1, cs2))
+    rows = 1 + np.arange(n * M).reshape(n, M)
+    v = _mesh(verts, [_fan(0, rows[0]), _strips(rows, outer_first=False)])
     analytic = {
         "density_points": [
             {"point": [0.0, 0.0, 0.0], "density": 2.0, "label": "branch point"}
@@ -671,46 +571,21 @@ def gen_singular_pair(
     thetas = TAU * np.arange(M) / M
     ring_xy = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
 
-    verts: list[np.ndarray] = []
-
-    def add_ring(s: float, sign: int) -> np.ndarray:
+    def ring(s: float, sign: int) -> np.ndarray:
         xy = s * ring_xy
-        z = sign * delta * float(eta_of(np.array([s]))[0]) * u_of(xy)
-        start = len(verts)
-        for k in range(M):
-            verts.append(np.array([xy[k, 0], xy[k, 1], z[k]]))
-        return np.arange(start, start + M)
+        return np.column_stack([xy, sign * delta * float(eta_of(np.array([s]))[0]) * u_of(xy)])
 
     u0 = float(u_of(np.zeros((1, 2)))[0])
-    faces: list[tuple[int, int, int]] = []
-    patches: list[int] = []
-    rim = add_ring(1.0, +1)  # z = 0 exactly (eta vanishes)
-    sheet_rows: dict[int, list[np.ndarray]] = {}
+    verts = [ring(1.0, +1)]  # the shared rim: z = 0 exactly (eta vanishes)
+    faces = []
     for sign in (+1, -1):
-        rows = [add_ring(i / n, sign) for i in range(1, n)]
-        rows.append(rim)
-        center = len(verts)
-        verts.append(np.array([0.0, 0.0, sign * delta * u0]))
-        for j in range(M):
-            tri = (center, rows[0][j], rows[0][(j + 1) % M])
-            faces.append(tri if sign > 0 else tri[::-1])
-            patches.append(0 if sign > 0 else 1)
-        for inner, outer in zip(rows[:-1], rows[1:]):
-            for j in range(M):
-                j1 = (j + 1) % M
-                t1_ = (inner[j], outer[j], outer[j1])
-                t2_ = (inner[j], outer[j1], inner[j1])
-                if sign > 0:
-                    faces.extend((t1_, t2_))
-                else:
-                    faces.extend((t1_[::-1], t2_[::-1]))
-                patches.extend((0 if sign > 0 else 1,) * 2)
-        sheet_rows[sign] = rows
-
-    v = make_varifold(
-        np.asarray(verts), np.asarray(faces, dtype=np.int64), oriented=True,
-        face_patches=np.asarray(patches, dtype=np.int64),
-    )
+        start = sum(map(len, verts))
+        verts += [ring(i / n, sign) for i in range(1, n)]
+        verts.append(np.array([[0.0, 0.0, sign * delta * u0]]))
+        rows = np.vstack([start + np.arange(M * (n - 1)).reshape(-1, M), np.arange(M)])
+        sheet = np.vstack([_fan(start + M * (n - 1), rows[0]), _strips(rows, outer_first=False)])
+        faces.append(sheet if sign > 0 else sheet[:, ::-1])
+    v = _mesh(verts, faces, [0, 1], oriented=True)
     density_points = [
         {"point": [float(c[0]), float(c[1]), 0.0], "density": 2.0, "label": "contact disk center"}
         for c in centers
@@ -752,24 +627,10 @@ def gen_flat_disk(rho: float, level: int) -> GeneratorOutput:
     M = 8 * 2**level
     n = max(2, round(M / TAU))
     lam = math.sqrt((TAU / M) / math.sin(TAU / M))
-    thetas = TAU * np.arange(M) / M
-    verts: list[np.ndarray] = [np.zeros(3)]
-    rows = []
-    for k in range(1, n + 1):
-        s = lam * rho * k / n
-        start = len(verts)
-        for t in thetas:
-            verts.append(np.array([s * math.cos(t), s * math.sin(t), 0.0]))
-        rows.append(np.arange(start, start + M))
-    faces: list[tuple[int, int, int]] = []
-    for j in range(M):
-        faces.append((0, rows[0][j], rows[0][(j + 1) % M]))
-    for inner, outer in zip(rows[:-1], rows[1:]):
-        for j in range(M):
-            j1 = (j + 1) % M
-            faces.append((inner[j], outer[j], outer[j1]))
-            faces.append((inner[j], outer[j1], inner[j1]))
-    v = make_varifold(np.asarray(verts), np.asarray(faces, dtype=np.int64), oriented=True)
+    cs = _circle(M)
+    verts = np.vstack([np.zeros((1, 3))] + [_ring(lam * rho * k / n, 0.0, cs) for k in range(1, n + 1)])
+    rows = 1 + np.arange(n * M).reshape(n, M)
+    v = _mesh([verts], [_fan(0, rows[0]), _strips(rows, outer_first=False)], oriented=True)
     mid = rows[max(0, n // 2 - 1)][0]
     analytic = {
         "area": math.pi * rho * rho,
@@ -790,25 +651,13 @@ def gen_torus(R: float, r: float, level: int) -> GeneratorOutput:
         raise ValueError("need 0 < r < R")
     nu = 8 * 2**level
     nv = max(6, round(nu * r / R))
-    us = TAU * np.arange(nu) / nu
-    vs = TAU * np.arange(nv) / nv
-    verts = np.empty((nu * nv, 3))
-    for i, u in enumerate(us):
-        for j, w in enumerate(vs):
-            verts[i * nv + j] = (
-                (R + r * math.cos(w)) * math.cos(u),
-                (R + r * math.cos(w)) * math.sin(u),
-                r * math.sin(w),
-            )
-    faces = []
-    for i in range(nu):
-        i1 = (i + 1) % nu
-        for j in range(nv):
-            j1 = (j + 1) % nv
-            a, b, c, d = i * nv + j, i1 * nv + j, i1 * nv + j1, i * nv + j1
-            faces.append((a, b, c))
-            faces.append((a, c, d))
-    v = make_varifold(verts, np.asarray(faces, dtype=np.int64), oriented=True)
+    cu, su = _circle(nu)
+    cv, sv = _circle(nv)
+    tube = R + r * cv
+    verts = np.stack([tube * cu[:, None], tube * su[:, None], np.broadcast_to(r * sv, (nu, nv))], axis=-1)
+    rows = np.arange(nu * nv).reshape(nu, nv)
+    faces = _strips(np.vstack([rows, rows[:1]]), outer_first=False)  # the last ring joins the first
+    v = _mesh([verts.reshape(-1, 3)], [faces], oriented=True)
     analytic = {
         "area": 4.0 * math.pi**2 * R * r,
         "willmore_energy": math.pi**2 * R * R / (r * math.sqrt(R * R - r * r)),

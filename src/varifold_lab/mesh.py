@@ -7,12 +7,15 @@ legal inputs everywhere unless an operation documents otherwise.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
+
+from ._kernels import _dot
 
 __all__ = [
     "MeshError",
@@ -195,18 +198,66 @@ def face_normals(v: DiscreteVarifold) -> tuple[np.ndarray, np.ndarray]:
     return unit, areas
 
 
-def _boundary_conormals(v: DiscreteVarifold) -> tuple[np.ndarray, ...]:
-    """Boundary ``(edges, faces, evec, nu)``: ``evec`` is x_hi - x_lo as the
-    edge's face traverses it; ``nu = evec x n_f`` has length |e| and points
-    out of the face, in its plane."""
+def _boundary_conormals(v: DiscreteVarifold, nhat: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Boundary ``(edges, faces, evec, nu)`` given the unit face normals ``nhat``:
+    ``evec`` is x_hi - x_lo as the edge's face traverses it; ``nu = evec x n_f``
+    has length |e| and points out of the face, in its plane."""
     topo = v.topology
     be = topo.boundary_edges
     edges = topo.edges[be]
     f = topo.inc_faces[topo.offsets[be]]
     s = topo.inc_signs[topo.offsets[be]].astype(np.float64)
     evec = (v.vertices[edges[:, 1]] - v.vertices[edges[:, 0]]) * s[:, None]
-    nu = np.cross(evec, face_normals(v)[0][f])
+    nu = np.cross(evec, nhat[f])
     return edges, f, evec, nu
+
+
+def _weld(points: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Node ids of the points and the nodes' first points, as (ids (P,), nodes (N, 3)).
+
+    Taken in order, a point joins the lowest-numbered node whose first point
+    lies within ``tol`` of it (Euclidean, rounded like a 1-D
+    ``np.linalg.norm``), or else starts the next node. Exact duplicates always
+    share a node, so only the distinct points are welded. Candidate pairs come
+    from 8 grids of pitch 3·tol, offset by half a cell along each axis: two
+    points within ``tol`` share a cell of at least one. Python only loops over
+    the candidate pairs.
+    """
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    if len(points) == 0:
+        return np.zeros(0, dtype=np.int64), points
+    _, first, inv = np.unique(points, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[order] = np.arange(len(first))
+    pts = points[first[order]]  # distinct points in order of first occurrence
+    n = len(pts)
+    pairs = []
+    for shift in itertools.product((0.0, 0.5), repeat=3):
+        c = np.floor(pts / (3.0 * tol) + shift).astype(np.int64)
+        key = c[:, 0] * 73856093 ^ c[:, 1] * 19349663 ^ c[:, 2] * 83492791  # collisions only add candidates
+        by_key = np.argsort(key)
+        key = key[by_key]
+        for d in range(1, n):
+            same = key[d:] == key[:-d]
+            if not same.any():
+                break
+            a, b = by_key[:-d][same], by_key[d:][same]
+            pairs.append(np.maximum(a, b) * n + np.minimum(a, b))
+    if not pairs:
+        return rank[inv], pts
+    pairs = np.unique(np.concatenate(pairs))  # ascending later point, then earlier
+    later, earlier = pairs // n, pairs % n
+    d = pts[earlier] - pts[later]
+    near = np.sqrt(_dot(d, d)) <= tol
+    founder = [True] * n
+    parent = list(range(n))
+    for i, j in zip(later[near].tolist(), earlier[near].tolist()):
+        if founder[i] and founder[j]:
+            parent[i] = j
+            founder[i] = False
+    node = np.cumsum(founder) - 1
+    return node[parent][rank[inv]], pts[founder]
 
 
 def face_areas(v: DiscreteVarifold) -> np.ndarray:

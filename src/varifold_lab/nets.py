@@ -589,13 +589,16 @@ def match_link(link) -> dict:
 # serialization
 
 
+def _arc_rows(net: GeodesicNet) -> list[list[int]]:
+    """Arcs as file rows [i, j, mult], with a fourth element 1 on a major arc."""
+    return [[i, j, m, 1] if major else [i, j, m]
+            for (i, j, m), major in zip(net.arcs.tolist(), net.major.tolist())]
+
+
 def save_net(net: GeodesicNet, path: str) -> None:
     """Net JSON: {"vertices": [[x,y,z],...], "arcs": [[i,j,mult],...]};
     arcs that take the major way round get a fourth element 1."""
-    rows = []
-    for (i, j, m), major in zip(net.arcs.tolist(), net.major.tolist()):
-        rows.append([i, j, m, 1] if major else [i, j, m])
-    doc = {"vertices": net.vertices.tolist(), "arcs": rows}
+    doc = {"vertices": net.vertices.tolist(), "arcs": _arc_rows(net)}
     with open(path, "w") as fh:
         json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")

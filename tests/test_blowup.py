@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from varifold_lab import blowup, generators, nets
+from varifold_lab import blowup, generators, mesh, nets
 from varifold_lab.blowup import ADMISSIBLE_DENSITIES
 from varifold_lab.mesh import DiscreteVarifold, MeshError
 
@@ -186,8 +186,21 @@ def test_merge_ends_picks_lowest_index_node_within_tol():
         points = corners[rng.integers(0, 6, size=80)] + rng.uniform(-1.5, 1.5, size=(80, 3)) * tol
         points[::7] = points[1::7][: len(points[::7])]  # exact repeats
         want = _merge_ends_oracle(points, tol)
-        assert blowup._merge_ends(points, tol) == want
+        assert mesh._weld(points, tol)[0].tolist() == want
         assert len(set(want)) < len(points)
+
+
+def test_weld_of_no_points_is_empty():
+    ids, nodes = mesh._weld(np.zeros((0, 3)), 1e-5)
+    assert ids.shape == (0,) and nodes.shape == (0, 3)
+
+
+@pytest.mark.parametrize("first", [0.0, -0.0])
+def test_weld_keeps_the_first_points_bytes(first):
+    points = np.array([[first, 0.0, 0.0], [-first, 0.0, 0.0]])
+    ids, nodes = mesh._weld(points, 1e-9)
+    assert ids.tolist() == [0, 0]
+    assert nodes.tobytes() == points[:1].tobytes()
 
 
 def test_admissible_density_constants():

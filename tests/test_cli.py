@@ -196,6 +196,15 @@ def test_net_relax_roundtrip(tmp_path, capsys):
     assert "converged False" in capsys.readouterr().out
 
 
+def test_net_relax_writes_arc_rows_like_save_net(tmp_path, capsys):
+    verts = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    net = nets.make_net(verts, [[0, 1, 2], [1, 2, 1], [2, 0, 1]], major=[True, False, False])
+    in_path, out_path = str(tmp_path / "major.json"), str(tmp_path / "relaxed.json")
+    nets.save_net(net, in_path)
+    main(["net", "relax", in_path, "--max-iter", "1", "-o", out_path])
+    assert read_json(out_path)["arcs"] == read_json(in_path)["arcs"] == [[0, 1, 2, 1], [1, 2, 1], [2, 0, 1]]
+
+
 # ---------------------------------------------------------------------------
 # boundary subcommands
 
@@ -210,6 +219,29 @@ def datum_file(tmp_path):
         ],
     }))
     return str(path)
+
+
+_CIRCLE = {"center": [0, 0, 0], "radius": 1.0, "normal": [0, 0, 1], "m": 1, "conormal_sign": 1}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"circles": [dict(_CIRCLE, m=1.7)]}, "'m' must be an integer"),
+    ({"circles": [dict(_CIRCLE, m=True)]}, "'m' must be an integer"),
+    ({"circles": [dict(_CIRCLE, conormal_sign=-1.5)]}, "'conormal_sign' must be an integer"),
+    ({"circles": [dict(_CIRCLE, conormal_sign=True)]}, "'conormal_sign' must be an integer"),
+    ({"circles": [dict(_CIRCLE, center=[0, 0])]}, "'center' must be 3 numbers"),
+    ({"circles": [dict(_CIRCLE, normal=[0, 0, "1"])]}, "'normal' must be 3 numbers"),
+    ({"circles": [dict(_CIRCLE, normal=[0, 0, True])]}, "'normal' must be 3 numbers"),
+    ({"circles": [dict(_CIRCLE, radius="1")]}, "'radius' must be a number"),
+    ({"circles": [{k: x for k, x in _CIRCLE.items() if k != "radius"}]}, "missing 'radius'"),
+    ({"circle": [_CIRCLE]}, "needs a 'circles' list"),
+], ids=["m-float", "m-bool", "sign-float", "sign-bool", "center-short", "normal-string",
+        "normal-bool", "radius-string", "no-radius", "no-circles"])
+def test_boundary_datum_is_loaded_strictly(tmp_path, capsys, doc, message):
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(doc))
+    assert main(["boundary", "sup", str(path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_boundary_circle_integral(datum_file, tmp_path, capsys):

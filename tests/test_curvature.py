@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -79,9 +80,8 @@ def test_second_fundamental_form_on_sphere(sphere4):
     assert np.median(f.B2[ok]) == pytest.approx(2.0, abs=0.05)  # |B|² = 2 on S²
 
 
-def _vertex_normals_loop(v):
+def _vertex_normals_loop(v, nhat, areas):
     """Per-vertex loop oracle for curvature._vertex_normals_unoriented."""
-    nhat, areas = mesh.face_normals(v)
     nv = v.num_vertices
     order = np.argsort(v.faces.ravel(), kind="stable")
     vert_of = v.faces.ravel()[order]
@@ -104,7 +104,8 @@ def _vertex_normals_loop(v):
 @pytest.mark.parametrize("fixture", ["sphere3", "torus3", "double_bubble4"])
 def test_vertex_normals_match_the_loop_oracle(request, monkeypatch, fixture):
     v = request.getfixturevalue(fixture).varifold
-    np.testing.assert_allclose(curvature._vertex_normals_unoriented(v), _vertex_normals_loop(v),
+    fn = mesh.face_normals(v)
+    np.testing.assert_allclose(curvature._vertex_normals_unoriented(v, *fn), _vertex_normals_loop(v, *fn),
                                rtol=0, atol=1e-14)
     b2 = curvature.second_fundamental_norm(v).B2
     monkeypatch.setattr(curvature, "_vertex_normals_unoriented", _vertex_normals_loop)
@@ -116,10 +117,45 @@ def test_vertex_normals_flip_faces_against_the_first_and_skip_unused_vertices():
     # first face is face 0; vertex 3 is on face 1 only; vertex 4 is unused.
     verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [-1, 0, 0], [5, 5, 5]], dtype=float)
     v = make_varifold(verts, [[0, 1, 2], [0, 3, 2]])
-    n = curvature._vertex_normals_unoriented(v)
+    fn = mesh.face_normals(v)
+    n = curvature._vertex_normals_unoriented(v, *fn)
     np.testing.assert_array_equal(n[:4], [[0, 0, 1], [0, 0, 1], [0, 0, 1], [0, 0, -1]])
     np.testing.assert_array_equal(n[4], 0.0)
-    np.testing.assert_array_equal(n, _vertex_normals_loop(v))
+    np.testing.assert_array_equal(n, _vertex_normals_loop(v, *fn))
+
+
+def test_face_normals_are_computed_once_per_curvature_call(monkeypatch):
+    v = generators.gen_cap(1.0, 1.2, 3).varifold  # fresh, and open: the conormals run too
+    calls = []
+    face_normals = mesh.face_normals
+
+    def counting(w):
+        calls.append(w)
+        return face_normals(w)
+
+    monkeypatch.setattr(mesh, "face_normals", counting)
+    monkeypatch.setattr(curvature, "face_normals", counting)
+    v.curvature
+    assert len(calls) == 1
+    for fn in (curvature.mean_curvature, curvature.gauss_curvature, curvature.second_fundamental_norm):
+        calls.clear()
+        fn(v)
+        assert len(calls) == 1, fn.__name__
+
+
+def test_curvature_fields_keep_their_bits():
+    # sha256 of each array of second_fundamental_norm on a cap, recorded
+    # before the face normals were passed between the helpers
+    f = curvature.second_fundamental_norm(generators.gen_cap(1.0, 1.2, 3).varifold)
+    want = {
+        "H": "894606aa55b32203214cb95aeafa8be2fc3d4082863339f3a39b6df8462ddb93",
+        "vertex_area": "7557a20ab597ec0e7c22ae557004de433989baad115d0edb319a839c1f1e32ec",
+        "K": "93743b0d6169e0bd4cd35fbbf8620cb19aa0c9d685801b64b9b29241402cb65c",
+        "angle_defect": "c62972aef3d517711051f1d1648794fcd39db7541e3eb0f785d12d6743b08411",
+        "B2": "3349c6635f818335b0bcf0602b4b04e0c991742207986f2e160a9ba80c026a3a",
+        "gauss_relation_residual": "4f6dcd402ab485b389ca7ad80ba1ab56858a47f49a1e1d03263536ba893e7eea",
+    }
+    assert {k: hashlib.sha256(getattr(f, k).tobytes()).hexdigest() for k in want} == want
 
 
 def test_euler_characteristic_sphere(sphere3):

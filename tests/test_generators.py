@@ -1,9 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from varifold_lab import blowup, generators
+from varifold_lab.cli import main
 from varifold_lab.generators import (
     GENERATORS,
     gen_branched_patch,
@@ -16,7 +18,7 @@ from varifold_lab.generators import (
     gen_torus,
     gen_triple_bubble,
 )
-from varifold_lab.mesh import total_mass
+from varifold_lab.mesh import junction_sheet_angles, total_mass
 
 TETRA_DENSITY = 3.0 * math.acos(-1.0 / 3.0) / math.pi
 
@@ -208,6 +210,23 @@ def test_triple_bubble_mirror_symmetry():
     assert t1 == pytest.approx(t2, abs=1e-3)
 
 
+@pytest.mark.parametrize("build, levels, edges, max_err", [
+    (lambda level: gen_double_bubble(0.7, 1.0, level), (3, 4), (32, 64), 1.0),
+    (gen_triple_bubble, (2, 3), (96, 192), 4.0),
+], ids=["double-bubble", "triple-bubble"])
+def test_junction_sheets_meet_at_120_degrees(build, levels, edges, max_err):
+    # Plateau's law: three sheets meet along a triple line at 120 degrees
+    # (Taylor, Ann. Math. 1976); the sheets share their junction vertices, so
+    # every junction edge has exactly three faces
+    errs = []
+    for level, count in zip(levels, edges):
+        angles = junction_sheet_angles(build(level).varifold)
+        assert angles.shape == (count, 3)
+        errs.append(np.abs(angles - 120.0).max())
+    assert errs[1] <= 0.6 * errs[0]  # max |angle - 120| shrinks by >= 40% per level
+    assert errs[1] <= max_err
+
+
 # ---------------------------------------------------------------------------
 # singular models
 
@@ -296,3 +315,105 @@ def test_density_points_sit_on_support():
             x0 = np.asarray(p["point"])
             d = np.linalg.norm(v.vertices - x0, axis=1).min()
             assert d <= blowup.local_edge_scale(v, x0), p["label"]
+
+
+# ---------------------------------------------------------------------------
+# byte pins: every float pin, digest and acceptance value downstream reads
+# these meshes, so their bytes (vertex order and coordinates down to the sign
+# of zero, face order, patch labels, analytic block) must not drift
+
+# sha256 of `generate NAME --level L` with the CLI's default parameters
+# (singular-pair: one disk 0,0:0.3)
+GENERATOR_SHA256 = {
+    ("branched-patch", 0): "35761be722a3d0ff07060876452439e8e3614007541188173c435a78efeb2013",
+    ("branched-patch", 1): "910336bfe0c3803bcb3db74aef60b52ca0a60d4cae459912cf8161eae5c435fe",
+    ("branched-patch", 2): "f436cf85db334360b54058ee8d3a7c165f0c0ca04b93f88cec65fe086470d22c",
+    ("branched-patch", 3): "31ddcbf0391bf08b603aab48283798248a03d02487509a71b5c8a95310bd4387",
+    ("cap", 0): "e818a51bf549c645f81c0ef1582b646776691d83470f9e7056e92ef84ee2421c",
+    ("cap", 1): "77344e5337ee472ee63fa972aeb52d06338ee927fe7118e663a22ceec90c41dd",
+    ("cap", 2): "45f325fb27d02bdf4341fabf11e31eec4d1cd639aeebc73fd4eb20bccea5739c",
+    ("cap", 3): "6dd4ddbd548a7053266fa48f8b50d36d9d03189e0cf26d441e8919ea486fa3fe",
+    ("double-bubble", 0): "2ad5f1b347fa178fa1c5e0392aa511f08dcf74e1f5b39e6e4f80e981799ed99b",
+    ("double-bubble", 1): "c51d4721bf8b5897cf7375bef09cc9329028da803815227766562378a99d427a",
+    ("double-bubble", 2): "d7e452490f26bd5d087a875d7069a8f1f117df0109f1b4877637594c94706d18",
+    ("double-bubble", 3): "11d28dc7b3bcc9d713355051b24b81958876186d63c4ed942a26749b750192f7",
+    ("double-bubble-flat", 0): "00c0f2b2be7ef183c8e7c8555bb7c67f4388a24cf47e88aaa66981bce114f467",
+    ("double-bubble-flat", 1): "dd88a5d130f39d50a158356843d2e671b457f08876b7b90ad64fcf04045d7fdf",
+    ("double-bubble-flat", 2): "968570cfb3acac96871db6be1506e915b9b3e7c6363fe271c547e058b7ce4027",
+    ("double-bubble-flat", 3): "e98395ead4b767d1dc47acbfe9606605c7457e024c655b6354e39ce13ba85f02",
+    ("flat-disk", 0): "ac7b9237e6241cf6847a718d5813d1390d8ce476dacc39b415054cf71316710c",
+    ("flat-disk", 1): "346b55e1664c82adac6594dc5adfaebb6876f7c99ec24c7982c5a7eb08cf2cbb",
+    ("flat-disk", 2): "86911900f2f8e47b1420fff3b2a525ddd2d34ac68f4213127152f1d89c604733",
+    ("flat-disk", 3): "9577c6cbb288ee3bb08af6ca3a2a6b49414a802172a4da2923359ef0a8bd3b39",
+    ("singular-pair", 0): "d28a68499fb4c26cc7556f1a83ac88e7bd73c56cc45fa6ee57c0ba0657262317",
+    ("singular-pair", 1): "5a0937bdfe604d7617a4890c63ac90b7315a7c0ef70d377a97ea72076a65b134",
+    ("singular-pair", 2): "b5af0f05e6b3c291bd5a2557952823e78bf585cc13dbe3605d3f59078b99ddb4",
+    ("singular-pair", 3): "89aaba268ed192b63e9f0172c845fa8ed9e348247c0997f36281cd0f5045445c",
+    ("sphere", 0): "f21541d7fca613609a563837e2e2df0f35d0d081fdb856143b5ab40d807bb35e",
+    ("sphere", 1): "e20ebea0d2be6486348f3b12fcde0b208927874e2c729068bf9223ba8d164e62",
+    ("sphere", 2): "2413b739d7ef9504e82e144b468183eb8ec8b771ee1d4f05ad1cbcce50b089ac",
+    ("sphere", 3): "8b7a487e7e18ae088093d8c1e80e4db6a1a4251532dd29aafbc8ed12683016c4",
+    ("torus", 0): "9b45a81faab7766c59b9872978b2987ecbb8c723489cfbeabad685e1179723ff",
+    ("torus", 1): "340e2c695df7ff0a880de47908c591202eb7f9efc4a5759680344d9ee21e2e2d",
+    ("torus", 2): "3049fc7d532267d4a0fa839c60db5e7c20bb1b68bd2b79895330ea65a56c8462",
+    ("torus", 3): "f99ef38e860c1e725ef479d936d244d084d6ad3aafc6022f9f5ecdc030ce1bc0",
+    ("triple-bubble", 0): "5f6c3ca8ee40ede9c067d34ca39f156ceb336cfb5deb5258e38676f2480a1752",
+    ("triple-bubble", 1): "46cf3122d11ab109cb6f00c53713ee73d8b630ac1a4dda6e3d69f1416d2782c5",
+    ("triple-bubble", 2): "d274c4a8cc93e5949435ab92aa5011c41595cb6fb0bd450d99c4eade299995e6",
+    ("triple-bubble", 3): "e0f570a27512b6e32108afa75420943d35328d6b03ba41efd16c74ecbe4ae0bf",
+    ("triple-bubble", 4): "f83085f783801e57a970f3665cfe2cc9b85cbb2295f396a514fa049de5e931bd",
+}
+
+
+@pytest.mark.parametrize("name, level", sorted(GENERATOR_SHA256), ids=lambda x: str(x))
+def test_generator_bytes_are_pinned(name, level, tmp_path, capsys):
+    path = str(tmp_path / "mesh.json")
+    extra = ["--disk", "0,0:0.3"] if name == "singular-pair" else []
+    assert main(["generate", name, "--level", str(level), "-o", path] + extra) == 0
+    with open(path, "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == GENERATOR_SHA256[(name, level)]
+
+
+class _GridWeldOracle:
+    """Point-by-point tolerance pool: a point takes the index of the first
+    stored point found within tol in every coordinate among the 27 grid cells
+    of pitch tol around it, else a new index."""
+
+    def __init__(self, tol):
+        self.tol = tol
+        self.points = []
+        self._cells = {}
+
+    def add(self, p):
+        x, y, z = float(p[0]), float(p[1]), float(p[2])
+        t = self.tol
+        cx, cy, cz = math.floor(x / t), math.floor(y / t), math.floor(z / t)
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                for dz in (-1, 0, 1):
+                    for idx in self._cells.get((cx + dx, cy + dy, cz + dz), ()):
+                        q = self.points[idx]
+                        if abs(q[0] - x) < t and abs(q[1] - y) < t and abs(q[2] - z) < t:
+                            return idx
+        self.points.append((x, y, z))
+        self._cells.setdefault((cx, cy, cz), []).append(len(self.points) - 1)
+        return len(self.points) - 1
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_weld_matches_point_pool_on_triple_bubble(level, monkeypatch):
+    calls = []
+    weld = generators._weld
+
+    def spy(points, tol):
+        calls.append((points, tol))
+        return weld(points, tol)
+
+    monkeypatch.setattr(generators, "_weld", spy)
+    v = gen_triple_bubble(level).varifold
+    (points, tol), = calls
+    pool = _GridWeldOracle(tol)
+    want = [pool.add(p) for p in points]
+    ids, nodes = weld(points, tol)
+    assert ids.tolist() == want
+    assert nodes.tobytes() == np.asarray(pool.points).tobytes() == v.vertices.tobytes()
