@@ -45,27 +45,48 @@ def ball_mass(v: DiscreteVarifold, x0, r: float) -> float:
     """Mass of v restricted to the closed ball B(x0, r), by exact clipping."""
     if r <= 0:
         raise ValueError(f"ball radius must be positive, got {r}")
-    return float(
-        _kernels.ball_masses(
-            v.vertices, v.faces, v.multiplicity.astype(np.float64), np.asarray(x0, dtype=np.float64), np.asarray([r])
-        )[0]
-    )
+    return float(_ball_masses(v, np.asarray(x0, dtype=np.float64), np.asarray([r], dtype=np.float64))[0])
 
 
 def ball_mass_ladder(v: DiscreteVarifold, x0, radii) -> np.ndarray:
-    """Ball masses for several radii at once (one pass over the faces per radius)."""
+    """Ball masses for several radii at once (one pass over the nearby faces per radius)."""
     radii = np.asarray(radii, dtype=np.float64)
     if (radii <= 0).any():
         raise ValueError("all ball radii must be positive")
-    return _kernels.ball_masses(
-        v.vertices, v.faces, v.multiplicity.astype(np.float64), np.asarray(x0, dtype=np.float64), radii
-    )
+    _require_faces(v)
+    return _ball_masses(v, np.asarray(x0, dtype=np.float64), radii)
+
+
+def _ball_masses(v: DiscreteVarifold, x0: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """``_kernels.ball_masses`` over the faces the face grid finds near the largest ball.
+
+    Faces that cannot meet a ball add nothing to its mass, and the kernel sums
+    with ``math.fsum``, so the masses are those of a pass over every face.
+    """
+    idx = v.face_grid.query(x0, float(radii.max()) if len(radii) else 0.0)
+    faces, mult = v.faces, v.multiplicity
+    if len(idx) < v.num_faces:  # large balls, which need every face, skip the copies
+        faces, mult = np.take(faces, idx, axis=0), mult[idx]  # take: several times faster than faces[idx]
+    return _kernels.ball_masses(v.vertices, faces, mult.astype(np.float64), x0, radii)
+
+
+def _require_faces(v: DiscreteVarifold) -> None:
+    if v.num_faces == 0:
+        raise MeshError("varifold has no faces")
 
 
 def local_edge_scale(v: DiscreteVarifold, x0, k: int = 32) -> float:
-    """Mean edge length over the k faces whose centroids are nearest to x0."""
+    """Mean edge length over the k faces whose centroids are nearest to x0.
+
+    This scans every face: the order in which ``np.argpartition`` returns the
+    k nearest fixes the rounding of the mean, and a scan of fewer faces does
+    not reproduce it.
+    """
+    _require_faces(v)
     x0 = np.asarray(x0, dtype=np.float64)
-    cen = v.vertices[v.faces].mean(axis=1)
+    # the bits of v.vertices[v.faces].mean(axis=1), without the (F, 3, 3) gather
+    vert, f = v.vertices, v.faces
+    cen = (vert[f[:, 0]] + vert[f[:, 1]] + vert[f[:, 2]]) / 3.0
     d2 = np.einsum("ij,ij->i", cen - x0, cen - x0)
     k = min(k, len(d2))
     idx = np.argpartition(d2, k - 1)[:k] if k < len(d2) else np.arange(len(d2))
@@ -305,68 +326,78 @@ class SphericalLink:
         }
 
 
-def _face_circle_arcs(p2d: np.ndarray, rho: float) -> list[tuple[float, float]]:
-    """Angular intervals of the circle |p| = rho lying inside the CCW triangle p2d."""
-    angles: list[float] = []
-    for k in range(3):
-        p0 = p2d[k]
-        d = p2d[(k + 1) % 3] - p0
-        dd = float(d @ d)
-        if dd < 1e-300:
-            continue
-        p0d = float(p0 @ d)
-        disc = p0d * p0d - dd * (float(p0 @ p0) - rho * rho)
-        if disc <= 1e-12 * dd * rho * rho:
-            continue
-        sq = math.sqrt(disc)
-        for t in ((-p0d - sq) / dd, (-p0d + sq) / dd):
-            if 0.0 <= t <= 1.0:
-                q = p0 + t * d
-                angles.append(math.atan2(q[1], q[0]))
-    if not angles:
-        probe = np.array([rho, 0.0])
-        return [(0.0, 2.0 * math.pi)] if _inside_ccw(p2d, probe) else []
-    angles.sort()
-    out = []
-    for i, a0 in enumerate(angles):
-        a1 = angles[(i + 1) % len(angles)]
-        if i + 1 == len(angles):
-            a1 += 2.0 * math.pi
-        mid = 0.5 * (a0 + a1)
-        probe = np.array([rho * math.cos(mid), rho * math.sin(mid)])
-        if _inside_ccw(p2d, probe):
-            out.append((a0, a1 - a0))
-    return out
+def _circle_arcs(P: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Angular intervals of the circles |p| = rho inside the CCW triangles P.
 
-
-def _inside_ccw(p2d: np.ndarray, q: np.ndarray) -> bool:
+    P is (m, 3, 2), one triangle per circle. Returns (row, theta0, dtheta)
+    per arc, ordered by row and then by start angle: the circle's crossings
+    of the triangle's edges are sorted, and each span between consecutive
+    crossings whose midpoint lies inside the triangle is an arc; a circle
+    that crosses no edge is one whole arc or none.
+    """
+    m = len(rho)
+    ang = np.full((m, 6), np.inf)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for k in range(3):
+            p0 = P[:, k]
+            d = P[:, (k + 1) % 3] - p0
+            dd = _kernels._dot(d, d)
+            p0d = _kernels._dot(p0, d)
+            disc = p0d * p0d - dd * (_kernels._dot(p0, p0) - rho * rho)
+            cut = ~(dd < 1e-300) & ~(disc <= 1e-12 * dd * rho * rho)
+            sq = np.sqrt(disc)
+            for j, t in enumerate(((-p0d - sq) / dd, (-p0d + sq) / dd)):
+                hit = np.flatnonzero(cut & (0.0 <= t) & (t <= 1.0))
+                qx = p0[hit, 0] + t[hit] * d[hit, 0]
+                qy = p0[hit, 1] + t[hit] * d[hit, 1]
+                ang[hit, 2 * k + j] = np.fromiter(map(math.atan2, qy.tolist(), qx.tolist()),
+                                                  dtype=np.float64, count=len(hit))
+    ang = np.sort(ang, axis=1, kind="stable")
+    count = np.isfinite(ang).sum(axis=1)
+    # a circle that crosses no edge is one arc from 0 to 2π, probed at angle 0
+    whole = count == 0
+    ang[whole, 0] = 0.0
+    count[whole] = 1
+    slot = np.arange(6)
+    nxt = np.where(slot == (count - 1)[:, None], ang[:, :1] + 2.0 * math.pi, np.roll(ang, -1, axis=1))
+    row, col = np.nonzero(slot < count[:, None])
+    a0, a1 = ang[row, col], nxt[row, col]
+    mid = np.where(whole[row], 0.0, 0.5 * (a0 + a1))
+    qx = rho[row] * np.fromiter(map(math.cos, mid.tolist()), dtype=np.float64, count=len(mid))
+    qy = rho[row] * np.fromiter(map(math.sin, mid.tolist()), dtype=np.float64, count=len(mid))
+    inside = np.ones(len(row), dtype=bool)
     for k in range(3):
-        a = p2d[k]
-        b = p2d[(k + 1) % 3]
-        if (b[0] - a[0]) * (q[1] - a[1]) - (b[1] - a[1]) * (q[0] - a[0]) < -1e-12:
-            return False
-    return True
+        a, b = P[row, k], P[row, (k + 1) % 3]
+        inside &= ~((b[:, 0] - a[:, 0]) * (qy - a[:, 1]) - (b[:, 1] - a[:, 1]) * (qx - a[:, 0]) < -1e-12)
+    return row[inside], a0[inside], a1[inside] - a0[inside]
 
 
 def spherical_link(v: DiscreteVarifold, x0, r: float) -> SphericalLink:
     """Intersection of spt v with the sphere ∂B_r(x0), rescaled to the unit sphere.
 
-    Per face the circle–triangle intersection is computed exactly in the face
-    plane; lengths are summed from arc angles (multiplicity-weighted), then
-    the arcs are sampled and chained into polylines. Arc ends crossing the
-    same mesh edge coincide to round-off, so endpoint merging uses a small
-    scale-free tolerance; nodes where three or more ends meet are junctions;
-    at four-end nodes (transversal crossings) the chaining continues straight
-    through.
+    The faces the face grid finds near the sphere are screened by their vertex
+    distances; per remaining face the circle–triangle intersection is then
+    computed exactly in the face plane, as arrays over the faces (dot
+    products rounded like a 1-D ``a @ b``, angles from ``math.atan2``).
+    Lengths are summed from arc angles (multiplicity-weighted) with
+    ``math.fsum``, then the arcs are sampled and chained into polylines. Arc
+    ends crossing the same mesh edge coincide to round-off, so endpoint
+    merging uses a small scale-free tolerance; nodes where three or more ends
+    meet are junctions; at four-end nodes (transversal crossings) the
+    chaining continues straight through. A sphere that misses the support
+    gives the empty link.
     """
     x0 = np.asarray(x0, dtype=np.float64)
     if r <= 0:
         raise ValueError("link radius must be positive")
-    arcs = []  # (mult, rho, x0foot, e1, e2, theta0, dtheta)
-    lengths = []
-    va = v.vertices[v.faces[:, 0]] - x0
-    vb = v.vertices[v.faces[:, 1]] - x0
-    vc = v.vertices[v.faces[:, 2]] - x0
+    grid = v.face_grid
+    # a face the screen keeps has a vertex within r + its longest edge of x0,
+    # and the edge is at most twice the spread, so its centroid lies in this ball
+    fi = grid.query(x0, r + 2.0 * grid.spread)
+    faces = np.take(v.faces, fi, axis=0)
+    va = v.vertices[faces[:, 0]] - x0
+    vb = v.vertices[faces[:, 1]] - x0
+    vc = v.vertices[faces[:, 2]] - x0
     norms = np.stack([np.linalg.norm(va, axis=1), np.linalg.norm(vb, axis=1), np.linalg.norm(vc, axis=1)])
     dmin_v = norms.min(axis=0)
     dmax_v = norms.max(axis=0)
@@ -378,29 +409,29 @@ def spherical_link(v: DiscreteVarifold, x0, r: float) -> SphericalLink:
         np.linalg.norm(vc - vb, axis=1),
         np.linalg.norm(va - vc, axis=1),
     ]), axis=0)
-    cand = np.nonzero((dmin_v < r + emax) & (dmax_v > r * (1 - 1e-12)))[0]
-    for fi in cand:
-        a, b, c = va[fi], vb[fi], vc[fi]
-        n = np.cross(b - a, c - a)
-        nn = np.linalg.norm(n)
-        if nn < 1e-300:
-            continue
-        nhat = n / nn
-        d = float(a @ nhat)
-        rho2 = r * r - d * d
-        if rho2 <= 0.0:
-            continue
-        rho = math.sqrt(rho2)
-        e1 = b - a
-        e1 = e1 / np.linalg.norm(e1)
-        e2 = np.cross(nhat, e1)
-        foot = d * nhat  # circle center relative to x0
-        p2d = np.stack([[float((p - foot) @ e1), float((p - foot) @ e2)] for p in (a, b, c)])
-        for theta0, dtheta in _face_circle_arcs(p2d, rho):
-            m = float(v.multiplicity[fi])
-            arcs.append((m, rho, foot, e1, e2, theta0, dtheta))
-            lengths.append(m * rho * dtheta / r)
-    total_length = math.fsum(lengths)
+    keep = (dmin_v < r + emax) & (dmax_v > r * (1 - 1e-12))
+    fi, va, vb, vc = fi[keep], va[keep], vb[keep], vc[keep]
+    n = np.cross(vb - va, vc - va)
+    nn = np.sqrt(_kernels._dot(n, n))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        nhat = n / nn[:, None]
+        d = _kernels._dot(va, nhat)  # signed distance from x0 to each face plane
+    rho2 = r * r - d * d
+    keep = ~(nn < 1e-300) & ~(rho2 <= 0.0)
+    fi, va, vb, vc, nhat, d = fi[keep], va[keep], vb[keep], vc[keep], nhat[keep], d[keep]
+    rho = np.sqrt(rho2[keep])
+    e1 = vb - va
+    e1 = e1 / np.sqrt(_kernels._dot(e1, e1))[:, None]
+    e2 = np.cross(nhat, e1)
+    foot = d[:, None] * nhat  # circle centers relative to x0
+    P = np.stack([np.stack([_kernels._dot(p - foot, e1), _kernels._dot(p - foot, e2)], axis=1)
+                  for p in (va, vb, vc)], axis=1)
+    row, theta0, dtheta = _circle_arcs(P, rho)
+    mult = v.multiplicity[fi[row]].astype(np.float64)
+    lengths = mult * rho[row] * dtheta / r
+    arcs = list(zip(mult.tolist(), rho[row].tolist(), foot[row], e1[row], e2[row],
+                    theta0.tolist(), dtheta.tolist()))
+    total_length = math.fsum(lengths.tolist())
     polylines, junction_count = _chain_arcs(arcs, r, tol=1e-5)
     return SphericalLink(
         polylines=tuple(polylines),

@@ -29,12 +29,19 @@ def _unit(a: np.ndarray) -> np.ndarray:
     return a / n
 
 
+def _is_int(x) -> bool:
+    """A Python or NumPy integer; booleans are not integers here."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class CircleSpec:
     """One boundary circle: center, radius, plane normal, multiplicity, sign.
 
     The conormal field is conormal_sign * normal, constant along the circle
-    (the closed-form lemma's hypothesis).
+    (the closed-form lemma's hypothesis). ``m`` must be an integer >= 1 and
+    ``conormal_sign`` the integer +1 or -1 (Python or NumPy integers, not
+    booleans); both are stored as Python ints.
     """
 
     center: np.ndarray
@@ -52,10 +59,12 @@ class CircleSpec:
         object.__setattr__(self, "normal", normal)
         if not self.radius > 0.0:
             raise ValueError("circle radius must be positive")
-        if int(self.m) < 1:
-            raise ValueError("multiplicity m must be a positive integer")
-        if self.conormal_sign not in (-1, 1):
-            raise ValueError("conormal_sign must be +1 or -1")
+        if not (_is_int(self.m) and self.m >= 1):
+            raise ValueError(f"multiplicity m must be a positive integer, not {self.m!r}")
+        if not (_is_int(self.conormal_sign) and self.conormal_sign in (-1, 1)):
+            raise ValueError(f"conormal_sign must be the integer +1 or -1, not {self.conormal_sign!r}")
+        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "conormal_sign", int(self.conormal_sign))
 
     def to_dict(self) -> dict:
         return {
@@ -115,7 +124,7 @@ def load_datum(path: str) -> BoundaryDatum:
         if not _is_number(c["radius"]):
             raise ValueError(f"{where}: 'radius' must be a number, not {c['radius']!r}")
         for key in ("m", "conormal_sign"):
-            if key in c and not (isinstance(c[key], int) and not isinstance(c[key], bool)):
+            if key in c and not _is_int(c[key]):
                 raise ValueError(f"{where}: {key!r} must be an integer, not {c[key]!r}")
         circles.append(CircleSpec(np.asarray(c["center"], dtype=np.float64), float(c["radius"]),
                                   np.asarray(c["normal"], dtype=np.float64),

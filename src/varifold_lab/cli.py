@@ -198,6 +198,16 @@ def cmd_analyze(args) -> int:
         for spec in args.link:
             p, r = _parse_link_spec(spec)
             link = blowup.spherical_link(v, p, r)
+            if link.total_length <= 0:
+                rows.append({
+                    "point": p.tolist(),
+                    "radius": r,
+                    "total_length": link.total_length,
+                    "components": len(link.polylines),
+                    "status": "not_applicable",
+                    "reason": "the sphere misses the support, so the link is empty",
+                })
+                continue
             m = nets.match_link(link)
             rows.append({
                 "point": p.tolist(),

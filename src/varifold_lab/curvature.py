@@ -498,11 +498,28 @@ def concentrated_volume(v: DiscreteVarifold, x0: np.ndarray) -> float:
 
 
 def point_surface_distance(v: DiscreteVarifold, x0: np.ndarray) -> float:
-    """Exact distance from x0 to the union of the triangles."""
-    a = v.vertices[v.faces[:, 0]]
-    b = v.vertices[v.faces[:, 1]]
-    c = v.vertices[v.faces[:, 2]]
+    """Exact distance from x0 to the union of the triangles.
+
+    The face grid is searched in balls of doubling radius, starting at one
+    cell pitch, until the nearest face found lies within the searched radius:
+    every face left out is farther than that. At worst every face is searched.
+    """
     p = np.asarray(x0, dtype=np.float64)
+    grid = v.face_grid
+    r = grid.pitch
+    while True:
+        idx = grid.query(p, r)
+        d = _distance_to_faces(v.vertices, np.take(v.faces, idx, axis=0), p)
+        if d <= r or len(idx) == v.num_faces:
+            return d
+        r *= 2.0
+
+
+def _distance_to_faces(vertices: np.ndarray, faces: np.ndarray, p: np.ndarray) -> float:
+    """Exact distance from p to the nearest of the given triangles (inf for none)."""
+    a = vertices[faces[:, 0]]
+    b = vertices[faces[:, 1]]
+    c = vertices[faces[:, 2]]
     # Ericson-style closest point on triangle, vectorized over faces
     ab, ac, ap = b - a, c - a, p - a
     d1 = np.einsum("ij,ij->i", ab, ap)

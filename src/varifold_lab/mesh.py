@@ -12,10 +12,14 @@ import json
 import math
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ._kernels import _dot
+
+if TYPE_CHECKING:
+    from ._grid import FaceGrid
 
 __all__ = [
     "MeshError",
@@ -64,7 +68,8 @@ class DiscreteVarifold:
         the JSON format stores them, but no analysis reads them
 
     The arrays are read-only (views are copied first), and so are those of
-    ``topology`` and ``curvature``, which are derived on first use and kept.
+    ``topology``, ``curvature`` and ``face_grid``, which are derived on first
+    use and kept.
     """
 
     vertices: np.ndarray
@@ -101,6 +106,13 @@ class DiscreteVarifold:
         f = curvature.mean_curvature(self)
         return replace(f, **{k.name: _frozen(getattr(f, k.name))
                              for k in fields(f) if getattr(f, k.name) is not None})
+
+    @cached_property
+    def face_grid(self) -> FaceGrid:
+        """``FaceGrid.build(self)``, built once."""
+        from ._grid import FaceGrid
+
+        return FaceGrid.build(self)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
-from varifold_lab import blowup, generators, mesh, nets
+from varifold_lab import _grid, blowup, curvature, generators, mesh, nets
 from varifold_lab.blowup import ADMISSIBLE_DENSITIES
 from varifold_lab.mesh import DiscreteVarifold, MeshError
 
@@ -155,6 +157,88 @@ def test_spherical_link_density_agrees_with_ladder(double_bubble4):
     assert link.density_estimate == pytest.approx(theta, abs=0.02 * theta)
 
 
+def _face_circle_arcs_loop(p2d: np.ndarray, rho: float) -> list[tuple[float, float]]:
+    """The per-face scalar loop that ``blowup._circle_arcs`` replaced, kept as its oracle."""
+
+    def inside(q):
+        for k in range(3):
+            a, b = p2d[k], p2d[(k + 1) % 3]
+            if (b[0] - a[0]) * (q[1] - a[1]) - (b[1] - a[1]) * (q[0] - a[0]) < -1e-12:
+                return False
+        return True
+
+    angles: list[float] = []
+    for k in range(3):
+        p0 = p2d[k]
+        d = p2d[(k + 1) % 3] - p0
+        dd = float(d @ d)
+        if dd < 1e-300:
+            continue
+        p0d = float(p0 @ d)
+        disc = p0d * p0d - dd * (float(p0 @ p0) - rho * rho)
+        if disc <= 1e-12 * dd * rho * rho:
+            continue
+        sq = math.sqrt(disc)
+        for t in ((-p0d - sq) / dd, (-p0d + sq) / dd):
+            if 0.0 <= t <= 1.0:
+                q = p0 + t * d
+                angles.append(math.atan2(q[1], q[0]))
+    if not angles:
+        return [(0.0, 2.0 * math.pi)] if inside(np.array([rho, 0.0])) else []
+    angles.sort()
+    out = []
+    for i, a0 in enumerate(angles):
+        a1 = angles[(i + 1) % len(angles)]
+        if i + 1 == len(angles):
+            a1 += 2.0 * math.pi
+        mid = 0.5 * (a0 + a1)
+        if inside(np.array([rho * math.cos(mid), rho * math.sin(mid)])):
+            out.append((a0, a1 - a0))
+    return out
+
+
+def test_circle_arcs_match_the_scalar_loop_bit_for_bit():
+    rng = np.random.default_rng(17)
+    P = rng.uniform(-1.5, 1.5, size=(2000, 3, 2))
+    e1, e2 = P[:, 1] - P[:, 0], P[:, 2] - P[:, 0]
+    cw = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0] < 0
+    P[cw] = P[cw][:, ::-1]
+    P[:50] *= 0.1  # circles around small triangles, and circles inside large ones
+    P[50:100] *= 20.0
+    P[100:110, 1] = P[100:110, 0]  # a zero-length edge
+    rho = rng.uniform(0.05, 2.0, size=2000)
+    row, theta0, dtheta = blowup._circle_arcs(P, rho)
+    got = [[] for _ in rho]
+    for i, a, w in zip(row.tolist(), theta0.tolist(), dtheta.tolist()):
+        got[i].append((a, w))
+    want = [_face_circle_arcs_loop(p, r) for p, r in zip(P, rho.tolist())]
+    assert [[(x.hex(), y.hex()) for x, y in arcs] for arcs in got] == \
+        [[(x.hex(), y.hex()) for x, y in arcs] for arcs in want]
+    assert sum(map(len, want)) > 1000 and sum(arcs == [(0.0, 2.0 * math.pi)] for arcs in want) > 10
+
+
+def _no_faces() -> DiscreteVarifold:
+    return mesh.make_varifold(np.eye(3), np.zeros((0, 3), dtype=np.int64))
+
+
+@pytest.mark.parametrize("call", [
+    lambda v: blowup.density(v, [0.0, 0.0, 0.0]),
+    lambda v: blowup.ball_mass_ladder(v, [0.0, 0.0, 0.0], [0.5, 1.0]),
+    lambda v: blowup.local_edge_scale(v, [0.0, 0.0, 0.0]),
+], ids=["density", "ball_mass_ladder", "local_edge_scale"])
+def test_no_faces_is_a_mesh_error(call, capfd):
+    with pytest.raises(MeshError, match="varifold has no faces"):
+        call(_no_faces())
+    assert capfd.readouterr().err == ""
+
+
+def test_spherical_link_of_no_faces_is_empty():
+    v = _no_faces()
+    assert len(v.face_grid.cells) == 0 and len(v.face_grid.face_cell) == 0
+    link = blowup.spherical_link(v, np.zeros(3), 0.5)
+    assert link.polylines == () and link.total_length == 0.0 and link.junction_count == 0
+
+
 def test_spherical_link_misses_support():
     v = generators.gen_sphere(1.0, 3).varifold
     link = blowup.spherical_link(v, np.array([5.0, 0.0, 0.0]), 0.5)
@@ -208,3 +292,120 @@ def test_admissible_density_constants():
     values = [kv[1] for kv in ADMISSIBLE_DENSITIES]
     assert labels == ["1", "3/2", "3*acos(-1/3)/pi"]
     assert values[2] == pytest.approx(1.8245203439081783, abs=1e-15)
+
+
+def _link_digest(link) -> str:
+    return hashlib.sha256(json.dumps(link.to_dict()).encode()).hexdigest()
+
+
+_T1 = 2.0 * math.pi / 3.0 - 0.7  # outer-sheet opening of the double bubble with theta2 = 0.7
+_X1 = (math.sqrt(2.0 / 3.0), -1.0 / math.sqrt(3.0), 0.0)
+_X2 = (-math.sqrt(2.0 / 3.0), -1.0 / math.sqrt(3.0), 0.0)
+#: (mesh, level, point, radius) of the eight benchmark links at closed-form
+#: density points: a triple line and an apex of the double bubble, two
+#: tetrahedral points and a triple line of the triple bubble.
+LOCAL_LINKS = [
+    ("double_bubble", 5, (1.0, 0.0, 0.0), 0.35),
+    ("double_bubble", 5, (0.0, 0.0, (1.0 - math.cos(_T1)) / math.sin(_T1)), 0.35),
+    ("triple_bubble", 4, _X1, 0.3),
+    ("triple_bubble", 4, _X2, 0.3),
+    ("triple_bubble", 4, (0.0, 0.0, 1.0), 0.3),
+    ("triple_bubble", 5, _X1, 0.3),
+    ("triple_bubble", 5, _X2, 0.3),
+    ("triple_bubble", 5, (0.0, 0.0, 1.0), 0.3),
+]
+
+#: sha256 of json.dumps(link.to_dict()) for LOCAL_LINKS, recorded with the
+#: per-face loop over all faces that the face grid and the array frames replaced.
+LOCAL_LINK_DIGESTS = [
+    "6365b63f99cabebf354df75db5a065b8cd589a3a2791bcde0dcdae6d2173ef35",
+    "176abb9f00e1cbb7647f2dc3c084bf050e6f092e02eb934c597e4dfdda7db667",
+    "840b3aac602458c378e78dc86bf4d4a28d9f5285f673f809d627f8c75f98339b",
+    "1e2ce9ed61fd7536545e2f85062af97c7fa0d5d4cbc2d23df637dfb68548c0d0",
+    "35970b3a812f981bb9dba99020d2d3e7db6f605470c1eda286bb1b8c4a4e3263",
+    "2cf18d042ac6322c7bab8bc670ba96f59082eb0573a5f5c6951b1064d5d498cc",
+    "a9a3862612b1430bc2d5b17c03a3daf104c5513a825e47e9171b4776f6bd6892",
+    "46cf056378f61d88bab3eaf918a96ee857e468d6eb7524caba8f50a26ca08896",
+]
+
+
+def _local_link_digests() -> list[str]:
+    built = {}
+    out = []
+    for name, level, x0, r in LOCAL_LINKS:
+        if (name, level) not in built:
+            gen = (lambda lv: generators.gen_double_bubble(0.7, 1.0, lv)) if name == "double_bubble" \
+                else generators.gen_triple_bubble
+            built[name, level] = gen(level).varifold
+        out.append(_link_digest(blowup.spherical_link(built[name, level], np.array(x0), r)))
+    return out
+
+
+def test_benchmark_links_keep_their_bytes():
+    assert _local_link_digests() == LOCAL_LINK_DIGESTS
+
+
+#: sha256 of json.dumps(link.to_dict()) at seeded random points near the
+#: support and random radii, on a closed sphere, a cap with boundary and a
+#: torus; recorded like LOCAL_LINK_DIGESTS.
+RANDOM_LINK_DIGESTS = {
+    "sphere4": [
+        "b168c2ab91ad2eedc2bc32c90f1ac5c1b794f33a29fdcf8ac625c65453c521a0",
+        "297c21166ddbd37c187407ad2ea85caeadc014656d3f4ad7936fee78933c1b45",
+        "55e6fada6a52d6db05179c355c5d792c9356c60bf6258d2d1da004dcbd75cc0f",
+        "69153d8bc67da5aedcc587d46f8157616f91e907ef5b44d0a0fd62a2ed25ed1e",
+        "bb8d489c805705a6be2e8063696698b7f8390dd129165772781bda1f05080edf",
+    ],
+    "cap3": [
+        "0dfde4fad271a7d8cd83d131db5a3a25d22e1771d46b58270faf4ce01c225fa6",
+        "f2ec892a6219818dbac1d1a66a10efefa825d96574293520f7d167e8d40e2cb5",
+        "2fef752c2db03986da7166f12c241f505c88658f415b7120a6289323be5dc94f",
+        "0616ac98617bc7c0f61d4e477e8a24501b5aadf95f538dac28ec3c1d03de203e",
+        "0b4136c242001dfd01b2572395a284a0f36a9dee67b469286411f30dd77c187e",
+    ],
+    "torus3": [
+        "e1c5a69c87c6dbb737b1b58f9329a3ec37f30e16735d17d05b03ac11d864701c",
+        "c3d85a99a3761d1fa7f7de656bd31561539c7c650fe1962121bb9108b4dbe5dd",
+        "c4c652f7ae5467a7956c0c6dde39f1c250855699c3fe0360da4adcd91d41bac6",
+        "c76476c86e2150309c881e02dc8a4f54a25271b3f55527ad78b378a8c7d02372",
+        "3a351ceb8719032b6748da6c905872493c971af342eb9763cff8e66ff47f0a5f",
+    ],
+}
+
+
+def _random_link_digests(meshes) -> dict[str, list[str]]:
+    rng = np.random.default_rng(2026)
+    out = {}
+    for name, v in meshes.items():
+        out[name] = []
+        for _ in range(5):
+            x0 = v.vertices[rng.integers(v.num_vertices)] + rng.normal(scale=0.01, size=3)
+            r = float(rng.uniform(0.05, 1.5))
+            out[name].append(_link_digest(blowup.spherical_link(v, x0, r)))
+    return out
+
+
+def test_random_links_keep_their_bytes(sphere4, torus3):
+    meshes = {"sphere4": sphere4.varifold, "cap3": generators.gen_cap(1.0, 1.0, 3).varifold,
+              "torus3": torus3.varifold}
+    assert _random_link_digests(meshes) == RANDOM_LINK_DIGESTS
+
+
+def test_face_grid_changes_no_bits_on_a_sparse_cloud(monkeypatch):
+    """Distances, masses and links over the grid's faces equal those over every
+    face, on 300 small triangles scattered in a cube, where the nearest face
+    found first is often not the nearest one."""
+    rng = np.random.default_rng(3)
+    tri = rng.uniform(0.0, 10.0, size=(300, 1, 3)) + rng.normal(scale=0.1, size=(300, 3, 3))
+    v = mesh.make_varifold(tri.reshape(-1, 3), np.arange(900).reshape(-1, 3))
+    queries = list(zip(rng.uniform(-1.0, 11.0, size=(100, 3)), rng.uniform(0.05, 3.0, size=100)))
+
+    def run():
+        return [(float(curvature.point_surface_distance(v, x0)).hex(),
+                 [float(m).hex() for m in blowup.ball_mass_ladder(v, x0, [r, 0.5 * r])],
+                 _link_digest(blowup.spherical_link(v, x0, r)))
+                for x0, r in queries]
+
+    got = run()
+    monkeypatch.setattr(_grid.FaceGrid, "query", lambda self, x0, r: np.arange(len(self.face_cell)))
+    assert run() == got

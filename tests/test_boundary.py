@@ -64,6 +64,16 @@ def test_circle_spec_normalizes_normal():
         {"m": 0},
         {"conormal_sign": 2},
         {"normal": [0.0, 0.0, 0.0]},
+        {"m": 1.7},
+        {"m": 2.0},
+        {"m": True},
+        {"m": np.float64(2.0)},
+        {"m": np.int64(-1)},
+        {"m": "2"},
+        {"conormal_sign": True},
+        {"conormal_sign": 1.0},
+        {"conormal_sign": np.int8(0)},
+        {"conormal_sign": np.bool_(True)},
     ],
 )
 def test_circle_spec_validation(kw):
@@ -71,6 +81,24 @@ def test_circle_spec_validation(kw):
     base.update(kw)
     with pytest.raises(ValueError):
         CircleSpec(**base)
+
+
+def test_circle_spec_takes_numpy_integers():
+    c = CircleSpec([0, 0, 0], 1.0, [0, 0, 1], m=np.int64(2), conormal_sign=np.int32(-1))
+    assert (c.m, c.conormal_sign) == (2, -1)
+    assert type(c.m) is int and type(c.conormal_sign) is int
+
+
+def test_datum_roundtrip_keeps_the_integral_bits(tmp_path):
+    """The circle the multiplicity check was found on: with m coerced, the
+    integral weighted it by 1.7 while the saved file said 1."""
+    datum = make_datum([CircleSpec([0, 0, 0], 1.0, [0, 0, 1], m=np.int64(2), conormal_sign=-1)])
+    path = str(tmp_path / "datum.json")
+    save_datum(datum, path)
+    x0 = np.array([0.0, 0.0, 1.0])
+    want = datum_integral(datum, x0)
+    assert float(datum_integral(load_datum(path), x0)).hex() == float(want).hex()
+    assert want == pytest.approx(2.0 * math.pi)  # m * (-pi) * conormal_sign
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import varifold_lab
 from varifold_lab import nets
 from varifold_lab.cli import main
 from varifold_lab.reports import canonical_dumps
@@ -104,6 +105,18 @@ def test_analyze_density_and_link(sphere_file, tmp_path):
     assert link["match"] == "great circle"
     assert link["passed"] is True
     assert doc["analyses"]["liyau"]["passed"] is True
+
+
+def test_analyze_link_that_misses_the_support_is_not_applicable(sphere_file, tmp_path):
+    report = str(tmp_path / "report.json")
+    code = main(["analyze", sphere_file, "--energy", "--link=0,0,3:0.35", "-o", report])
+    assert code == 0
+    doc = read_json(report)
+    assert doc["analyses"]["energy"]["passed"] is True
+    (row,) = doc["analyses"]["link"]
+    assert row["total_length"] == 0 and row["components"] == 0
+    assert row["status"] == "not_applicable" and "misses the support" in row["reason"]
+    assert "passed" not in row
 
 
 def test_analyze_failure_exits_one(tmp_path, capsys):
@@ -309,6 +322,14 @@ def test_report_command_without_flags(tmp_path, capsys):
 # determinism and thread caps
 
 
+def _child_env(**extra) -> dict:
+    """This environment, with the imported package findable by a child Python."""
+    env = dict(os.environ, **extra)
+    src = os.path.dirname(os.path.dirname(varifold_lab.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_serial_reports_are_byte_identical(sphere_file, tmp_path):
     outs = [str(tmp_path / f"r{i}.json") for i in (0, 1)]
     for out in outs:
@@ -317,7 +338,7 @@ def test_serial_reports_are_byte_identical(sphere_file, tmp_path):
              "import sys; from varifold_lab.cli import main; sys.exit(main(sys.argv[1:]))",
              "--serial", "analyze", sphere_file,
              "--energy", "--topology", "--liyau", "-o", out],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=_child_env(),
         )
         assert proc.returncode == 0, proc.stderr
     with open(outs[0], "rb") as fa, open(outs[1], "rb") as fb:
@@ -332,10 +353,9 @@ def test_thread_cap_env_applies_before_numpy():
         "print('OMP=' + os.environ.get('OMP_NUM_THREADS', 'unset'))\n"
         "sys.exit(code)\n"
     )
-    env = {k: v for k, v in os.environ.items()
+    env = {k: v for k, v in _child_env(VARIFOLD_LAB_THREADS="2").items()
            if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                         "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
-    env["VARIFOLD_LAB_THREADS"] = "2"
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr

@@ -268,3 +268,26 @@ def test_junction_residual_shrinks_under_refinement():
         vals.append(curvature.first_variation_residual(v, v.vertices.copy()))
     assert vals[0] > 1e-8  # junction really is untreated
     assert vals[1] < vals[0]
+
+
+#: point_surface_distance as float.hex() at points on the surface, near it,
+#: at a moderate distance, at the centre of the sphere or torus and far
+#: away; recorded with the scan over all faces that the face grid replaced.
+DISTANCE_PINS = {
+    "sphere3": ["0x0.0p+0", "0x1.0624dd2f1a71ap-10", "0x1.8e30123943603p-5",
+                "0x1.fdae75326d1e5p-1", "0x1.2637b5955ab8cp-6", "0x1.9342a017d9ebdp+5"],
+    "torus3": ["0x0.0p+0", "0x1.494f7bef41074p-10", "0x1.7b35b7663a421p-3",
+               "0x1.49c6b213701dep+0", "0x1.165279c519274p-1", "0x1.85ce5cf828b77p+5"],
+}
+
+
+def _distance_hexes(v) -> list[str]:
+    x = v.vertices[5]
+    points = [x, x * (1.0 + 1e-3), x + [0.0, 0.3, -0.2], v.vertices.mean(axis=0),
+              [0.31, -0.77, 0.52], [40.0, -30.0, 12.0]]
+    return [float(curvature.point_surface_distance(v, np.asarray(p, dtype=float))).hex() for p in points]
+
+
+def test_point_surface_distance_pinned_bits(sphere3, torus3):
+    assert {"sphere3": _distance_hexes(sphere3.varifold),
+            "torus3": _distance_hexes(torus3.varifold)} == DISTANCE_PINS

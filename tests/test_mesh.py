@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from varifold_lab import blowup, boundary, curvature, generators, mesh
+from varifold_lab import _grid, blowup, boundary, curvature, generators, mesh
 from varifold_lab.cli import main
 from varifold_lab.mesh import DiscreteVarifold, MeshError, make_varifold
 
@@ -56,7 +58,7 @@ def _fresh(v: DiscreteVarifold) -> DiscreteVarifold:
 ])
 def test_topology_and_curvature_are_built_once_per_mesh(monkeypatch, build):
     v = _fresh(build())
-    calls = {"edge_topology": 0, "mean_curvature": 0}
+    calls = {"edge_topology": 0, "mean_curvature": 0, "build": 0}
 
     def counting(module, name):
         original = getattr(module, name)
@@ -69,6 +71,7 @@ def test_topology_and_curvature_are_built_once_per_mesh(monkeypatch, build):
 
     counting(mesh, "edge_topology")
     counting(curvature, "mean_curvature")
+    counting(_grid.FaceGrid, "build")
     closed = len(v.topology.boundary_edges) == 0
     curvature.willmore_energy(v)
     if closed:
@@ -84,21 +87,25 @@ def test_topology_and_curvature_are_built_once_per_mesh(monkeypatch, build):
     curvature.first_variation_residual(v, v.vertices)
     for i in range(50):
         blowup.monotonicity_check(v, v.vertices[i], 0.1, 0.4)
-    assert calls == {"edge_topology": 1, "mean_curvature": 1}
+        blowup.spherical_link(v, v.vertices[i], 0.3)
+        curvature.point_surface_distance(v, v.vertices[i])
+    assert calls == {"edge_topology": 1, "mean_curvature": 1, "build": 1}
 
 
 def test_cached_arrays_are_read_only(sphere3):
     v = _fresh(sphere3.varifold)
-    topo, field = v.topology, v.curvature
+    topo, field, grid = v.topology, v.curvature, v.face_grid
     arrays = [getattr(topo, f.name) for f in dataclasses.fields(topo)]
     arrays += [getattr(field, f.name) for f in dataclasses.fields(field)
                if getattr(field, f.name) is not None]
     arrays.append(curvature.gauss_curvature(v).H)  # shares the cached array
-    assert len(arrays) == 17
+    arrays += [getattr(grid, f.name) for f in dataclasses.fields(grid)
+               if isinstance(getattr(grid, f.name), np.ndarray)]
+    assert len(arrays) == 21
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
-    assert v.topology is topo and v.curvature is field
+    assert v.topology is topo and v.curvature is field and v.face_grid is grid
 
 
 def test_cached_curvature_is_mean_curvature(double_bubble4):
@@ -325,3 +332,73 @@ def test_mesh_scale_is_bbox_diagonal():
     vertices = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float)
     var = make_varifold(vertices, np.array([[0, 1, 2]]))
     assert mesh.mesh_scale(var) == pytest.approx(math.sqrt(2))
+
+
+# ---------------------------------------------------------------------------
+# face grid
+
+_coord = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _soups(draw) -> DiscreteVarifold:
+    """Triangle soups of 1-12 faces, some flat (one axis of zero extent)."""
+    nv = draw(st.integers(3, 10))
+    pts = np.array(draw(st.lists(st.tuples(_coord, _coord, _coord), min_size=nv, max_size=nv)))
+    if draw(st.booleans()):
+        pts[:, draw(st.integers(0, 2))] = draw(_coord)
+    nf = draw(st.integers(1, 12))
+    faces = [draw(st.permutations(range(nv)))[:3] for _ in range(nf)]
+    return make_varifold(pts, faces, check=False)
+
+
+def _near_faces(v: DiscreteVarifold, x0: np.ndarray, r: float) -> set[int]:
+    """Brute force: the faces whose bounding sphere about the centroid meets B(x0, r)."""
+    corners = v.vertices[v.faces]
+    cen = corners.mean(axis=1)
+    spread = np.linalg.norm(corners - cen[:, None, :], axis=2).max(axis=1)
+    return set(np.flatnonzero(np.linalg.norm(cen - x0, axis=1) <= r + spread).tolist())
+
+
+@settings(max_examples=300, deadline=None)
+@given(v=_soups(), x0=st.tuples(*[st.floats(-40.0, 40.0)] * 3),
+       r=st.floats(1e-6, 1e4, allow_nan=False))
+def test_face_grid_query_holds_every_face_near_the_ball(v, x0, r):
+    x0 = np.array(x0)
+    got = v.face_grid.query(x0, r)
+    assert (np.diff(got) > 0).all()
+    assert _near_faces(v, x0, r) <= set(got.tolist())
+
+
+@pytest.mark.parametrize("r", [1e-9, 0.2, 1e6, math.inf])
+def test_face_grid_single_face_and_flat_mesh(r):
+    one = make_varifold([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]])
+    assert one.face_grid.query([0.3, 0.3, 0.0], r).tolist() == [0]
+    flat = generators.gen_flat_disk(1.0, 2).varifold
+    assert np.ptp(flat.vertices[:, 2]) == 0.0
+    x0 = np.array([0.2, -0.1, 0.0])
+    got = flat.face_grid.query(x0, r)
+    assert _near_faces(flat, x0, r) <= set(got.tolist())
+    far = flat.face_grid.query(x0 + [0.0, 0.0, 5.0], r)
+    assert len(far) == (flat.num_faces if r >= 4.0 else 0)
+
+
+def test_face_grid_large_or_unbounded_balls_give_every_face(sphere3):
+    grid = sphere3.varifold.face_grid
+    every = np.arange(sphere3.varifold.num_faces)
+    for x0, r in [((0.0, 0.0, 0.0), 5.0), ((30.0, -2.0, 7.0), 40.0), ((0.0, 0.0, 0.0), math.inf),
+                  ((math.nan, 0.0, 0.0), 0.1)]:
+        np.testing.assert_array_equal(grid.query(np.array(x0), r), every)
+    assert len(grid.query(np.array([30.0, -2.0, 7.0]), 1.0)) == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(v=_soups(), x0=st.tuples(*[st.floats(-40.0, 40.0)] * 3))
+def test_point_surface_distance_matches_a_scan_of_every_face(v, x0):
+    try:
+        mesh.validate(v)
+    except MeshError:
+        assume(False)  # degenerate faces have no closest point
+    x0 = np.array(x0)
+    want = curvature._distance_to_faces(v.vertices, v.faces, x0)
+    assert float(curvature.point_surface_distance(v, x0)).hex() == float(want).hex()
