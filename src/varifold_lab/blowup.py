@@ -15,6 +15,7 @@ import numpy as np
 from . import _kernels
 from .curvature import point_surface_distance, willmore_energy
 from .mesh import DiscreteVarifold, MeshError, _weld, mesh_scale
+from .reports import Record
 
 log = logging.getLogger(__name__)
 
@@ -96,7 +97,7 @@ def local_edge_scale(v: DiscreteVarifold, x0, k: int = 32) -> float:
 
 
 @dataclass(frozen=True)
-class DensityReport:
+class DensityReport(Record):
     x0: np.ndarray
     radii: np.ndarray
     ratios: np.ndarray
@@ -106,19 +107,6 @@ class DensityReport:
     classification: str
     classification_residual: float
     warnings: tuple[str, ...] = field(default_factory=tuple)
-
-    def to_dict(self) -> dict:
-        return {
-            "x0": list(map(float, self.x0)),
-            "radii": list(map(float, self.radii)),
-            "ratios": list(map(float, self.ratios)),
-            "theta": self.theta,
-            "error_bar": self.error_bar,
-            "model": self.model,
-            "classification": self.classification,
-            "classification_residual": self.classification_residual,
-            "warnings": list(self.warnings),
-        }
 
 
 def _fit(radii: np.ndarray, ratios: np.ndarray, power: int) -> tuple[float, float]:
@@ -211,7 +199,7 @@ def classify_density(theta: float, tol: float = 0.1, ambient_dim: int = 3) -> tu
 
 
 @dataclass(frozen=True)
-class MonotonicityReport:
+class MonotonicityReport(Record):
     x0: np.ndarray
     r: float
     s: float
@@ -220,18 +208,6 @@ class MonotonicityReport:
     willmore_term: float
     slack: float
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "x0": list(map(float, self.x0)),
-            "r": self.r,
-            "s": self.s,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "willmore_term": self.willmore_term,
-            "slack": self.slack,
-            "passed": self.passed,
-        }
 
 
 def monotonicity_check(
@@ -262,21 +238,12 @@ def monotonicity_check(
 
 
 @dataclass(frozen=True)
-class LiYauReport:
+class LiYauReport(Record):
     thetas: np.ndarray
     theta_max: float
     willmore_over_4pi: float
     gap: float
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "thetas": list(map(float, self.thetas)),
-            "theta_max": self.theta_max,
-            "willmore_over_4pi": self.willmore_over_4pi,
-            "gap": self.gap,
-            "passed": self.passed,
-        }
 
 
 def li_yau_check(v: DiscreteVarifold, sample_points, eps: float = 0.05) -> LiYauReport:
@@ -309,21 +276,13 @@ def li_yau_check(v: DiscreteVarifold, sample_points, eps: float = 0.05) -> LiYau
 
 
 @dataclass(frozen=True)
-class SphericalLink:
+class SphericalLink(Record):
     """Blow-up link of the varifold at a point: ∂B_r(x0) ∩ spt, rescaled to S²."""
 
     polylines: tuple[np.ndarray, ...]
     total_length: float
     junction_count: int
     density_estimate: float
-
-    def to_dict(self) -> dict:
-        return {
-            "polylines": [p.tolist() for p in self.polylines],
-            "total_length": self.total_length,
-            "junction_count": self.junction_count,
-            "density_estimate": self.density_estimate,
-        }
 
 
 def _circle_arcs(P: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

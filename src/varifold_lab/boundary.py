@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import DiscreteVarifold, MeshError, _boundary_conormals, face_normals
+from .reports import Record, save_json
 
 log = logging.getLogger(__name__)
 
@@ -35,7 +36,7 @@ def _is_int(x) -> bool:
 
 
 @dataclass(frozen=True)
-class CircleSpec:
+class CircleSpec(Record):
     """One boundary circle: center, radius, plane normal, multiplicity, sign.
 
     The conormal field is conormal_sign * normal, constant along the circle
@@ -52,13 +53,19 @@ class CircleSpec:
 
     def __post_init__(self) -> None:
         center = np.asarray(self.center, dtype=np.float64).reshape(3)
-        normal = _unit(np.asarray(self.normal, dtype=np.float64).reshape(3))
+        normal = np.asarray(self.normal, dtype=np.float64).reshape(3)
+        for name, value in (("center", center), ("normal", normal)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"circle {name} must be finite, not {value.tolist()}")
+        radius = float(self.radius)
+        if not (radius > 0.0 and math.isfinite(radius)):
+            raise ValueError(f"circle radius must be positive and finite, not {radius}")
+        normal = _unit(normal)
         center.flags.writeable = False
         normal.flags.writeable = False
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "normal", normal)
-        if not self.radius > 0.0:
-            raise ValueError("circle radius must be positive")
+        object.__setattr__(self, "radius", radius)
         if not (_is_int(self.m) and self.m >= 1):
             raise ValueError(f"multiplicity m must be a positive integer, not {self.m!r}")
         if not (_is_int(self.conormal_sign) and self.conormal_sign in (-1, 1)):
@@ -66,22 +73,10 @@ class CircleSpec:
         object.__setattr__(self, "m", int(self.m))
         object.__setattr__(self, "conormal_sign", int(self.conormal_sign))
 
-    def to_dict(self) -> dict:
-        return {
-            "center": [float(c) for c in self.center],
-            "radius": float(self.radius),
-            "normal": [float(c) for c in self.normal],
-            "m": int(self.m),
-            "conormal_sign": int(self.conormal_sign),
-        }
-
 
 @dataclass(frozen=True)
-class BoundaryDatum:
+class BoundaryDatum(Record):
     circles: tuple[CircleSpec, ...]
-
-    def to_dict(self) -> dict:
-        return {"circles": [c.to_dict() for c in self.circles]}
 
 
 def make_datum(circles) -> BoundaryDatum:
@@ -89,9 +84,7 @@ def make_datum(circles) -> BoundaryDatum:
 
 
 def save_datum(datum: BoundaryDatum, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(datum.to_dict(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    save_json(datum.to_dict(), path)
 
 
 def _is_number(x) -> bool:
@@ -244,17 +237,10 @@ def datum_integral(datum: BoundaryDatum, x0) -> float:
 # sup over basepoints and the admissibility report
 
 @dataclass(frozen=True)
-class ConormalSup:
+class ConormalSup(Record):
     value: float
     argmax: np.ndarray
     grid_shape: tuple[int, int, int]
-
-    def to_dict(self) -> dict:
-        return {
-            "value": float(self.value),
-            "argmax": [float(c) for c in self.argmax],
-            "grid_shape": list(self.grid_shape),
-        }
 
 
 def _datum_eval(datum: BoundaryDatum, pts: np.ndarray) -> np.ndarray:
@@ -279,13 +265,16 @@ def sup_conormal_integral(
 ) -> ConormalSup:
     """Sup over basepoints of the total conormal integral.
 
-    Coarse grid over the circles' bounding box padded by two diameters (the
-    integrand decays like 1/dist^2, so the sup lies inside), then a
-    deterministic pattern-search polish.  Grid ties resolve to the first point
-    in C scan order; the polish shrinks its step by half on failure.
+    Coarse grid of ``grid_n`` >= 2 points per axis over the circles' bounding
+    box padded by two diameters (the integrand decays like 1/dist^2, so the
+    sup lies inside), then a deterministic pattern-search polish.  Grid ties
+    resolve to the first point in C scan order; the polish shrinks its step by
+    half on failure.
     """
     if not datum.circles:
         raise ValueError("datum has no circles")
+    if grid_n < 2:
+        raise ValueError(f"the sup grid needs at least 2 points per axis, not {grid_n}")
     centers = np.array([c.center for c in datum.circles])
     radii = np.array([c.radius for c in datum.circles])
     lo = (centers - radii[:, None]).min(axis=0)
@@ -317,7 +306,7 @@ def sup_conormal_integral(
 
 
 @dataclass(frozen=True)
-class AdmissibilityReport:
+class AdmissibilityReport(Record):
     p_estimate: float
     sup_value: float
     sup_argmax: np.ndarray
@@ -328,19 +317,6 @@ class AdmissibilityReport:
     passes_p_bound: bool
     admissible: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "p_estimate": float(self.p_estimate),
-            "sup_value": float(self.sup_value),
-            "sup_argmax": [float(c) for c in self.sup_argmax],
-            "total": float(self.total),
-            "threshold": float(self.threshold),
-            "slack": float(self.slack),
-            "passes_threshold": bool(self.passes_threshold),
-            "passes_p_bound": bool(self.passes_p_bound),
-            "admissible": bool(self.admissible),
-        }
-
 
 def admissibility_check(
     p_estimate: float, datum: BoundaryDatum, threshold: float = 6.0 * math.pi
@@ -349,8 +325,8 @@ def admissibility_check(
 
     ``threshold`` must be 6*pi or 8*pi — the two regimes with a guarantee.
     """
-    if p_estimate < 0.0:
-        raise ValueError("p_estimate must be >= 0")
+    if not 0.0 <= p_estimate < math.inf:
+        raise ValueError(f"p_estimate must be finite and >= 0, not {p_estimate}")
     if not (abs(threshold - 6.0 * math.pi) < 1e-12 or abs(threshold - 8.0 * math.pi) < 1e-12):
         raise ValueError("threshold must be 6*pi or 8*pi")
     sup = sup_conormal_integral(datum)

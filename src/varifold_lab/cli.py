@@ -23,6 +23,14 @@ from .reports import (
 )
 
 
+def finite(text: str) -> float:
+    """The one parser of the CLI's floats: a ValueError unless ``text`` is finite."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"{text!r} is not a finite number")
+    return x
+
+
 def _parse_point(text: str):
     import numpy as np
 
@@ -30,9 +38,9 @@ def _parse_point(text: str):
     if len(parts) != 3:
         raise ValueError(f"malformed point spec {text!r}: need x,y,z")
     try:
-        return np.array([float(p) for p in parts])
+        return np.array([finite(p) for p in parts])
     except ValueError:
-        raise ValueError(f"malformed point spec {text!r}: need three numbers") from None
+        raise ValueError(f"malformed point spec {text!r}: need three finite numbers") from None
 
 
 def _parse_link_spec(text: str):
@@ -41,7 +49,7 @@ def _parse_link_spec(text: str):
         raise ValueError(f"malformed link spec {text!r}: need x,y,z:r")
     point = _parse_point(head)
     try:
-        r = float(tail)
+        r = finite(tail)
     except ValueError:
         raise ValueError(f"malformed link spec {text!r}: bad radius {tail!r}") from None
     if r <= 0:
@@ -55,9 +63,9 @@ def _parse_disk_spec(text: str):
     if not sep or len(parts) != 2:
         raise ValueError(f"malformed disk spec {text!r}: need cx,cy:r")
     try:
-        return [float(parts[0]), float(parts[1])], float(tail)
+        return [finite(parts[0]), finite(parts[1])], finite(tail)
     except ValueError:
-        raise ValueError(f"malformed disk spec {text!r}: need numbers") from None
+        raise ValueError(f"malformed disk spec {text!r}: need finite numbers") from None
 
 
 # ---------------------------------------------------------------------------
@@ -229,18 +237,8 @@ def cmd_analyze(args) -> int:
 
     if args.topology:
         rep = curvature.euler_characteristic(v)
-        blocks["topology"] = {
-            "num_vertices": rep.num_vertices,
-            "num_edges": rep.num_edges,
-            "num_faces": rep.num_faces,
-            "chi": rep.chi,
-            "defect_chi": rep.defect_chi,
-            "orientable": rep.orientable,
-            "connected_components": rep.connected_components,
-            "genus": rep.genus,
-            "tolerance": 1e-6,
-            "passed": bool(abs(rep.defect_chi - rep.chi) <= 1e-6),
-        }
+        blocks["topology"] = {**rep.to_dict(), "tolerance": 1e-6,
+                              "passed": bool(abs(rep.defect_chi - rep.chi) <= 1e-6)}
 
     if args.liyau:
         pts = [dp["point"] for dp in (analytic or {}).get("density_points", [])]
@@ -441,15 +439,15 @@ def build_parser() -> argparse.ArgumentParser:
     ]
     g = sub.add_parser("generate", help="write an example mesh with its analytic block")
     g.add_argument("name", choices=gen_names)
-    g.add_argument("--radius", type=float, default=1.0,
+    g.add_argument("--radius", type=finite, default=1.0,
                    help="sphere/cap radius, or torus center-circle radius")
-    g.add_argument("--theta", type=float, default=math.pi / 2, help="cap opening angle")
-    g.add_argument("--theta2", type=float, default=0.7,
+    g.add_argument("--theta", type=finite, default=math.pi / 2, help="cap opening angle")
+    g.add_argument("--theta2", type=finite, default=0.7,
                    help="double bubble: polar opening of the middle sheet")
-    g.add_argument("--rho", type=float, default=1.0, help="junction/disk radius")
-    g.add_argument("--delta", type=float, default=0.1, help="graph amplitude")
-    g.add_argument("--rho0", type=float, default=1.0, help="branched patch radius")
-    g.add_argument("--tube-radius", type=float, default=0.3, help="torus tube radius")
+    g.add_argument("--rho", type=finite, default=1.0, help="junction/disk radius")
+    g.add_argument("--delta", type=finite, default=0.1, help="graph amplitude")
+    g.add_argument("--rho0", type=finite, default=1.0, help="branched patch radius")
+    g.add_argument("--tube-radius", type=finite, default=0.3, help="torus tube radius")
     g.add_argument("--disk", action="append", metavar="CX,CY:R",
                    help="singular-pair contact disk (repeatable)")
     g.add_argument("--level", type=int, default=4, help="refinement level")
@@ -467,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Euler characteristic, orientability, genus")
     a.add_argument("--liyau", action="store_true",
                    help="density bound against energy/(4*pi)")
-    a.add_argument("--helfrich", type=float, metavar="C0",
+    a.add_argument("--helfrich", type=finite, metavar="C0",
                    help="spontaneous-curvature energy at offset C0")
     a.add_argument("--boundary", action="store_true", help="boundary length summary")
     a.add_argument("--tolerance-profile", choices=sorted(TOLERANCE_PROFILES),
@@ -484,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     nr = nsub.add_parser("relax", help="drive a net to stationarity")
     nr.add_argument("net", help="net JSON path")
     nr.add_argument("--max-iter", type=int, default=1000)
-    nr.add_argument("--tol", type=float, default=1e-10)
+    nr.add_argument("--tol", type=finite, default=1e-10)
     nr.add_argument("-o", "--out", help="relaxed net + residual history JSON path")
     nr.set_defaults(func=cmd_net_relax)
     nm = nsub.add_parser("match", help="classify a link length against the catalogue")
@@ -508,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     bs.set_defaults(func=cmd_boundary_sup)
     ba = bsub.add_parser("admissible", help="check P + 2*sup against a threshold")
     ba.add_argument("datum", help="boundary datum JSON path")
-    ba.add_argument("--p", "--p-estimate", dest="p", type=float, required=True,
+    ba.add_argument("--p", "--p-estimate", dest="p", type=finite, required=True,
                     metavar="P", help="energy estimate P >= 0")
     ba.add_argument("--threshold", choices=["6pi", "8pi"], default="6pi")
     ba.add_argument("-o", "--out", help="JSON output path")

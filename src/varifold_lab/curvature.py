@@ -30,6 +30,7 @@ from .mesh import (
     face_normals,
     mesh_scale,
 )
+from .reports import Record
 
 __all__ = [
     "CurvatureField",
@@ -71,7 +72,7 @@ class CurvatureField:
 
 
 @dataclass(frozen=True)
-class TopologyReport:
+class TopologyReport(Record):
     num_vertices: int
     num_edges: int
     num_faces: int

@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ._kernels import _dot
+from .reports import save_json
 
 if TYPE_CHECKING:
     from ._grid import FaceGrid
@@ -422,9 +423,7 @@ def save_varifold(v: DiscreteVarifold, path: str, analytic: dict | None = None) 
         doc["face_patches"] = v.face_patches.tolist()
     if analytic is not None:
         doc["analytic"] = analytic
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    save_json(doc, path)
 
 
 def _file_array(doc: dict, key: str, path: str, kinds: str) -> np.ndarray:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .mesh import _frozen
+from .reports import NOT_RECORDED, Record, save_json
 
 __all__ = [
     "NetError",
@@ -78,9 +79,11 @@ def _validate(net: GeodesicNet) -> None:
         raise NetError(f"vertices must be (N, 3), got {net.vertices.shape}")
     if net.arcs.ndim != 2 or net.arcs.shape[1] != 3:
         raise NetError(f"arcs must be (M, 3) rows [i, j, multiplicity], got {net.arcs.shape}")
-    nrm = np.linalg.norm(net.vertices, axis=1)
-    off = np.abs(nrm - 1.0)
-    if len(nrm) and off.max() > 1e-12:
+    bad = np.nonzero(~np.isfinite(net.vertices).all(axis=1))[0]
+    if len(bad):
+        raise NetError(f"vertex {int(bad[0])} is not finite: {net.vertices[bad[0]].tolist()}")
+    off = np.abs(np.linalg.norm(net.vertices, axis=1) - 1.0)
+    if len(off) and off.max() > 1e-12:
         raise NetError(f"vertex {int(off.argmax())} is off the unit sphere by {off.max():.2e}")
     if len(net.arcs):
         if net.arcs[:, :2].min() < 0 or net.arcs[:, :2].max() >= net.num_vertices:
@@ -108,33 +111,37 @@ def arc_length(p, q, major: bool = False) -> float:
     return 2.0 * math.pi - ang if major else ang
 
 
-def total_length(net: GeodesicNet) -> float:
-    """Sum of multiplicity-weighted arc lengths."""
-    p = net.vertices[net.arcs[:, 0]]
-    q = net.vertices[net.arcs[:, 1]]
+def _arc_geometry(x: np.ndarray, arcs: np.ndarray, major: np.ndarray):
+    """Angle of each arc and its unit tangents at both ends, pointing into the arc.
+
+    Returns (angle (M,), t_start (M,3), t_end (M,3)) for arcs [i, j, mult] on
+    the unit vectors ``x``. Major arcs are 2*pi minus the minor angle long and
+    leave each endpoint in the direction opposite the minor arc.
+    """
+    p = x[arcs[:, 0]]
+    q = x[arcs[:, 1]]
     c = np.clip(np.einsum("ij,ij->i", p, q), -1.0, 1.0)
     ang = np.arccos(c)
-    ang = np.where(net.major, 2.0 * math.pi - ang, ang)
-    return math.fsum(net.arcs[:, 2] * ang)
+    ang = np.where(major, 2.0 * math.pi - ang, ang)
+    s = np.sqrt(np.maximum(1.0 - c * c, 1e-30))[:, None]
+    sign = np.where(major, -1.0, 1.0)[:, None]
+    return ang, (q - c[:, None] * p) / s * sign, (p - c[:, None] * q) / s * sign
 
 
-def _tangents(net: GeodesicNet) -> tuple[np.ndarray, np.ndarray]:
-    """Unit tangents of each arc at both endpoints, pointing into the arc.
+def _forces(x: np.ndarray, arcs: np.ndarray, tp: np.ndarray, tq: np.ndarray) -> np.ndarray:
+    """Multiplicity-weighted sum of the incident tangents at each vertex,
+    projected to the tangent plane of the sphere; zero at a vertex without arcs."""
+    w = arcs[:, 2].astype(np.float64)[:, None]
+    f = np.zeros_like(x)
+    np.add.at(f, arcs[:, 0], w * tp)
+    np.add.at(f, arcs[:, 1], w * tq)
+    f -= np.einsum("ij,ij->i", f, x)[:, None] * x
+    return f
 
-    Returns (t_start (M,3), t_end (M,3)). Major arcs leave each endpoint in
-    the direction opposite the minor arc.
-    """
-    p = net.vertices[net.arcs[:, 0]]
-    q = net.vertices[net.arcs[:, 1]]
-    c = np.clip(np.einsum("ij,ij->i", p, q), -1.0, 1.0)
-    s = np.sqrt(np.maximum(1.0 - c * c, 0.0))
-    if (s < 1e-12).any():
-        bad = int(np.nonzero(s < 1e-12)[0][0])
-        raise NetError(f"arc {bad} joins (nearly) parallel or antipodal points")
-    tp = (q - c[:, None] * p) / s[:, None]
-    tq = (p - c[:, None] * q) / s[:, None]
-    sign = np.where(net.major, -1.0, 1.0)[:, None]
-    return tp * sign, tq * sign
+
+def total_length(net: GeodesicNet) -> float:
+    """Sum of multiplicity-weighted arc lengths."""
+    return math.fsum(net.arcs[:, 2] * _arc_geometry(net.vertices, net.arcs, net.major)[0])
 
 
 def balance_residual(net: GeodesicNet) -> float:
@@ -143,17 +150,12 @@ def balance_residual(net: GeodesicNet) -> float:
     The sums are projected to the tangent plane of the sphere (they already
     are, up to round-off). Zero characterizes stationarity.
     """
-    tp, tq = _tangents(net)
-    force = np.zeros_like(net.vertices)
-    w = net.arcs[:, 2].astype(np.float64)[:, None]
-    np.add.at(force, net.arcs[:, 0], w * tp)
-    np.add.at(force, net.arcs[:, 1], w * tq)
-    radial = np.einsum("ij,ij->i", force, net.vertices)
-    force -= radial[:, None] * net.vertices
-    deg = np.zeros(net.num_vertices)
-    np.add.at(deg, net.arcs[:, 0], 1.0)
-    np.add.at(deg, net.arcs[:, 1], 1.0)
-    force[deg == 0] = 0.0
+    ang, tp, tq = _arc_geometry(net.vertices, net.arcs, net.major)
+    flat = np.abs(np.sin(ang)) < 1e-12  # the angle is 0 or pi: no tangent plane
+    if flat.any():
+        bad = int(np.nonzero(flat)[0][0])
+        raise NetError(f"arc {bad} joins (nearly) parallel or antipodal points")
+    force = _forces(net.vertices, net.arcs, tp, tq)
     return float(np.linalg.norm(force, axis=1).max()) if net.num_vertices else 0.0
 
 
@@ -193,33 +195,19 @@ def relax(net: GeodesicNet, max_iter: int = 1000, tol: float = 1e-10) -> RelaxRe
     lengths: list[float] = []
     residuals: list[float] = []
 
+    minor = np.zeros(len(work_arcs), dtype=bool)
+
     def length_of(x: np.ndarray) -> float:
-        p = x[work_arcs[:, 0]]
-        q = x[work_arcs[:, 1]]
-        c = np.clip(np.einsum("ij,ij->i", p, q), -1.0, 1.0)
-        return math.fsum(work_arcs[:, 2] * np.arccos(c))
+        return math.fsum(work_arcs[:, 2] * _arc_geometry(x, work_arcs, minor)[0])
 
     def forces(x: np.ndarray) -> np.ndarray:
-        # Tangent of the arc to q at p is (q - <p,q>p)/sqrt(1-<p,q>^2); the
-        # per-vertex sum is projected to the tangent plane of the sphere.
-        p = x[work_arcs[:, 0]]
-        q = x[work_arcs[:, 1]]
-        c = np.clip(np.einsum("ij,ij->i", p, q), -1.0, 1.0)
-        ang = np.arccos(c)
+        ang, tp, tq = _arc_geometry(x, work_arcs, minor)
         if (ang < 1e-6).any():
             bad = int(np.nonzero(ang < 1e-6)[0][0])
             raise NetError(
                 f"arc collapse during relaxation: sub-arc {bad} shrank below 1e-6"
             )
-        s = np.sqrt(np.maximum(1.0 - c * c, 1e-30))
-        tp = (q - c[:, None] * p) / s[:, None]
-        tq = (p - c[:, None] * q) / s[:, None]
-        w = work_arcs[:, 2].astype(np.float64)[:, None]
-        f = np.zeros_like(x)
-        np.add.at(f, work_arcs[:, 0], w * tp)
-        np.add.at(f, work_arcs[:, 1], w * tq)
-        f -= np.einsum("ij,ij->i", f, x)[:, None] * x
-        return f
+        return _forces(x, work_arcs, tp, tq)
 
     def residual_of(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         x = z / np.linalg.norm(z, axis=1)[:, None]
@@ -312,7 +300,7 @@ def _subdivide(net: GeodesicNet) -> tuple[np.ndarray, np.ndarray, int]:
 
 
 @dataclass(frozen=True)
-class CatalogueEntry:
+class CatalogueEntry(Record):
     name: str
     n_arcs: int
     closed_form: str
@@ -320,22 +308,9 @@ class CatalogueEntry:
     below_4pi: bool
     constructible: bool
     combinatorics: str
-    net: GeodesicNet | None = None
+    net: GeodesicNet | None = field(default=None, metadata=NOT_RECORDED)
     invalid_as_printed: bool = False
     note: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "n_arcs": self.n_arcs,
-            "closed_form": self.closed_form,
-            "length": self.length,
-            "below_4pi": self.below_4pi,
-            "constructible": self.constructible,
-            "combinatorics": self.combinatorics,
-            "invalid_as_printed": self.invalid_as_printed,
-            "note": self.note,
-        }
 
 
 def _arcs_by_dot(verts: np.ndarray, target: float, tol: float = 1e-9) -> np.ndarray:
@@ -561,6 +536,8 @@ def match_link(link) -> dict:
     composite/unknown (sums of catalogue lengths are not decomposed).
     """
     length = float(getattr(link, "total_length", link))
+    if not math.isfinite(length):
+        raise NetError(f"cannot match a link of length {length}")
     if length <= 0:
         raise NetError("cannot match an empty link")
     best: CatalogueEntry | None = None
@@ -598,10 +575,7 @@ def _arc_rows(net: GeodesicNet) -> list[list[int]]:
 def save_net(net: GeodesicNet, path: str) -> None:
     """Net JSON: {"vertices": [[x,y,z],...], "arcs": [[i,j,mult],...]};
     arcs that take the major way round get a fourth element 1."""
-    doc = {"vertices": net.vertices.tolist(), "arcs": _arc_rows(net)}
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    save_json({"vertices": net.vertices.tolist(), "arcs": _arc_rows(net)}, path)
 
 
 def load_net(path: str) -> GeodesicNet:

@@ -1,13 +1,15 @@
 """Deterministic report plumbing: canonical JSON, input digests, tolerances.
 
-Reports are plain JSON with sorted keys, compact separators, and no
-timestamps, so identical inputs produce byte-identical files.  Non-finite
-floats are encoded as the strings "nan"/"inf"/"-inf" (strict JSON has no
-representation for them).
+Every JSON file the package writes -- reports, meshes, nets, boundary data --
+goes through one encoder: sorted keys, compact separators, a trailing newline,
+no timestamps, so identical inputs produce byte-identical files.  Report
+values pass through ``sanitize`` first, which encodes non-finite floats as the
+strings "nan"/"inf"/"-inf" (strict JSON has no representation for them).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -24,7 +26,6 @@ TOLERANCE_PROFILES: dict[str, dict[str, float]] = {
         "link_match_abs": 0.02 * 2.0 * math.pi,
         "liyau_gap": 0.02,
         "monotonicity_slack": -0.01,
-        "helfrich_rel": 0.02,
     },
     "default": {
         "energy_rel": 0.02,
@@ -32,7 +33,6 @@ TOLERANCE_PROFILES: dict[str, dict[str, float]] = {
         "link_match_abs": 0.05 * 2.0 * math.pi,
         "liyau_gap": 0.05,
         "monotonicity_slack": -0.02,
-        "helfrich_rel": 0.05,
     },
     "coarse": {
         "energy_rel": 0.05,
@@ -40,15 +40,30 @@ TOLERANCE_PROFILES: dict[str, dict[str, float]] = {
         "link_match_abs": 0.10 * 2.0 * math.pi,
         "liyau_gap": 0.10,
         "monotonicity_slack": -0.05,
-        "helfrich_rel": 0.10,
     },
 }
+
+
+#: Field metadata that leaves a field out of ``Record.to_dict``.
+NOT_RECORDED = {"recorded": False}
+
+
+class Record:
+    """Base of the result dataclasses: ``to_dict`` is ``sanitize`` over the
+    dataclass fields in declaration order, except fields whose metadata is
+    ``NOT_RECORDED``."""
+
+    def to_dict(self) -> dict:
+        return {f.name: sanitize(getattr(self, f.name)) for f in dataclasses.fields(self)
+                if f.metadata.get("recorded", True)}
 
 
 def sanitize(obj):
     """Recursively convert to JSON-encodable values with explicit non-finites."""
     import numpy as np  # deferred: the CLI caps thread pools before loading numpy
 
+    if isinstance(obj, Record):
+        return obj.to_dict()
     if isinstance(obj, dict):
         return {str(k): sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -70,10 +85,21 @@ def sanitize(obj):
     return obj
 
 
+def _encode(doc) -> str:
+    """The one JSON encoding: sorted keys, compact, newline-terminated, finite."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+
+
 def canonical_dumps(doc: dict) -> str:
-    """Canonical report encoding: sorted keys, compact, newline-terminated."""
-    return json.dumps(sanitize(doc), sort_keys=True, separators=(",", ":"),
-                      allow_nan=False) + "\n"
+    """Canonical report encoding: ``sanitize``, then the one encoder."""
+    return _encode(sanitize(doc))
+
+
+def save_json(doc: dict, path: str) -> None:
+    """Write plain JSON values (no NumPy, no non-finite floats) to ``path``."""
+    text = _encode(doc)
+    with open(path, "w") as fh:
+        fh.write(text)
 
 
 def file_digest(path: str) -> str:
@@ -121,9 +147,7 @@ def collect_flags(doc) -> list[tuple[str, bool]]:
 
 def write_report(doc: dict, out_path: str | None) -> None:
     """Write canonical JSON to a file, or to stdout when no path is given."""
-    text = canonical_dumps(doc)
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.write(canonical_dumps(doc))
     else:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        save_json(sanitize(doc), out_path)

@@ -19,6 +19,7 @@ from varifold_lab.boundary import (
 from varifold_lab.curvature import _boundary_force, first_variation_residual
 from varifold_lab.generators import gen_cap, gen_flat_disk
 from varifold_lab.mesh import MeshError, face_normals, make_varifold
+from varifold_lab.reports import canonical_dumps
 
 from conftest import two_triangle_square
 
@@ -74,6 +75,11 @@ def test_circle_spec_normalizes_normal():
         {"conormal_sign": 1.0},
         {"conormal_sign": np.int8(0)},
         {"conormal_sign": np.bool_(True)},
+        {"center": [0.0, np.nan, 0.0]},
+        {"normal": [0.0, 0.0, np.nan]},
+        {"normal": [np.inf, 0.0, 1.0]},
+        {"radius": np.inf},
+        {"radius": np.nan},
     ],
 )
 def test_circle_spec_validation(kw):
@@ -210,6 +216,12 @@ def test_sup_requires_circles():
         sup_conormal_integral(make_datum([]))
 
 
+@pytest.mark.parametrize("grid_n", [1, 0])
+def test_sup_needs_two_grid_points_per_axis(grid_n):
+    with pytest.raises(ValueError, match="at least 2 points per axis"):
+        sup_conormal_integral(make_datum([unit_circle()]), grid_n=grid_n)
+
+
 # ---------------------------------------------------------------------------
 # admissibility
 
@@ -243,6 +255,9 @@ def test_admissibility_thresholds():
         admissibility_check(1.0, datum, threshold=7 * math.pi)
     with pytest.raises(ValueError):
         admissibility_check(-1.0, datum)
+    for p in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"finite and >= 0, not {p}"):
+            admissibility_check(p, datum)
 
 
 def test_admissibility_report_serializes():
@@ -267,6 +282,8 @@ def test_datum_roundtrip(tmp_path):
     )
     path = str(tmp_path / "datum.json")
     save_datum(datum, path)
+    with open(path) as fh:
+        assert fh.read() == canonical_dumps(datum.to_dict())  # compact, one line
     back = load_datum(path)
     assert len(back.circles) == len(datum.circles)
     for got, want in zip(back.circles, datum.circles):

@@ -273,6 +273,25 @@ def test_boundary_sup(datum_file, capsys):
     assert "sup 3.14159" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("grid", ["1", "0", "-2"])
+def test_boundary_sup_rejects_a_grid_below_two(datum_file, capsys, grid):
+    # --grid 1 made the polish step infinite, so the search never ended
+    assert main(["boundary", "sup", datum_file, "--grid", grid]) == 2
+    assert f"at least 2 points per axis, not {grid}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("center", [float("nan"), 0.0, 0.0], "circle center must be finite, not [nan, 0.0, 0.0]"),
+    ("normal", [0.0, 0.0, float("nan")], "circle normal must be finite, not [0.0, 0.0, nan]"),
+    ("radius", float("inf"), "circle radius must be positive and finite, not inf"),
+], ids=["nan-center", "nan-normal", "inf-radius"])
+def test_boundary_datum_with_a_non_finite_value_is_input_error(tmp_path, capsys, key, value, message):
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps({"circles": [dict(_CIRCLE, **{key: value})]}))  # NaN/Infinity literals
+    assert main(["boundary", "sup", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_boundary_admissible_pass_and_fail(datum_file, capsys):
     assert main(["boundary", "admissible", datum_file, "--p", "3"]) == 0
     out = capsys.readouterr().out
@@ -288,6 +307,74 @@ def test_boundary_admissible_flag_alias_and_threshold(datum_file, capsys):
     assert main(["boundary", "admissible", datum_file,
                  "--p-estimate", "3", "--threshold", "8pi"]) == 0
     assert "threshold 25.13274" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# non-finite numbers on the command line
+
+
+def _exit_code(argv) -> int:
+    """main's return code, or the code argparse exits with."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--density=nan,0,0"], "malformed point spec 'nan,0,0'"),
+    (["--density", "0,inf,0"], "malformed point spec '0,inf,0'"),
+    (["--link=0,0,1:inf"], "bad radius 'inf'"),
+    (["--link=nan,0,1:0.3"], "malformed point spec 'nan,0,1'"),
+    (["--helfrich", "nan"], "invalid finite value: 'nan'"),
+], ids=["density", "density-inf", "link-radius", "link-point", "helfrich"])
+def test_analyze_rejects_non_finite_numbers(sphere_file, capsys, args, message):
+    assert _exit_code(["analyze", sphere_file, *args]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, option, value", [
+    ("sphere", "--radius", "nan"),
+    ("cap", "--theta", "inf"),
+    ("double-bubble", "--theta2", "nan"),
+    ("flat-disk", "--rho", "-inf"),
+    ("branched-patch", "--delta", "nan"),
+    ("branched-patch", "--rho0", "inf"),
+    ("torus", "--tube-radius", "nan"),
+    ("singular-pair", "--disk", "0,nan:0.5"),
+], ids=["radius", "theta", "theta2", "rho", "delta", "rho0", "tube-radius", "disk"])
+def test_generate_rejects_non_finite_options(tmp_path, capsys, name, option, value):
+    path = tmp_path / "m.json"
+    assert _exit_code(["generate", name, f"{option}={value}", "--level", "1", "-o", str(path)]) == 2
+    assert repr(value) in capsys.readouterr().err
+    assert not path.exists()
+
+
+def test_boundary_point_and_p_must_be_finite(datum_file, capsys):
+    assert _exit_code(["boundary", "circle-integral", datum_file, "--point", "0,nan,1"]) == 2
+    assert "malformed point spec '0,nan,1'" in capsys.readouterr().err
+    assert _exit_code(["boundary", "admissible", datum_file, "--p", "nan"]) == 2
+    assert "invalid finite value: 'nan'" in capsys.readouterr().err
+
+
+def test_net_match_rejects_a_non_finite_length(tmp_path, capsys):
+    # a bare NaN used to die on an AssertionError (exit 1)
+    assert main(["net", "match", "nan"]) == 2
+    assert "cannot match a link of length nan" in capsys.readouterr().err
+    path = tmp_path / "link.json"
+    path.write_text(json.dumps({"total_length": float("inf")}))
+    assert main(["net", "match", str(path)]) == 2
+    assert "cannot match a link of length inf" in capsys.readouterr().err
+
+
+def test_net_file_with_a_nan_vertex_is_input_error(tmp_path, capsys):
+    path = tmp_path / "net.json"
+    path.write_text('{"vertices": [[1, 0, 0], [NaN, 1, 0]], "arcs": [[0, 1, 1]]}')
+    assert main(["net", "relax", str(path)]) == 2
+    assert "vertex 1 is not finite: [nan, 1.0, 0.0]" in capsys.readouterr().err
+    nets.save_net(nets.catalogue()[2].net, str(path))
+    assert _exit_code(["net", "relax", str(path), "--tol", "nan"]) == 2
+    assert "invalid finite value: 'nan'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

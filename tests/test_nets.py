@@ -164,6 +164,8 @@ def test_arc_length_antipodal():
         (lambda v, a: (v, [[0, 9, 1]]), "out of range"),
         (lambda v, a: (v, [[1, 1, 1]]), "identical endpoints"),
         (lambda v, a: (v, [[0, 1, 0]]), "multiplicities"),
+        (lambda v, a: (np.vstack([v[:2], [np.nan, 0.0, 1.0]]), a), r"vertex 2 is not finite: \[nan, 0.0, 1.0\]"),
+        (lambda v, a: (np.vstack([v[:2], [0.0, np.inf, 1.0]]), a), "vertex 2 is not finite"),
     ],
 )
 def test_make_net_validation(mutate, message):
@@ -204,6 +206,14 @@ def test_net_input_views_are_copied():
     net = make_net(base[1:], [[0, 1, 1]])
     base[1] = [0.0, 0.0, -1.0]
     np.testing.assert_array_equal(net.vertices, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+
+
+def test_minor_and_major_arc_close_a_balanced_great_circle():
+    # the major arc leaves each endpoint opposite the minor one, so the two cancel
+    net = make_net([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [[0, 1, 1], [0, 1, 1]], [False, True])
+    assert total_length(net) == pytest.approx(2.0 * math.pi, abs=1e-15)
+    assert balance_residual(net) < 1e-15
+    assert balance_residual(make_net(net.vertices, net.arcs)) == pytest.approx(2.0)
 
 
 def test_balance_rejects_antipodal_arc():
@@ -311,6 +321,12 @@ def test_match_composite_far_from_catalogue():
 def test_match_rejects_empty_link():
     with pytest.raises(NetError, match="empty"):
         match_link(0.0)
+
+
+@pytest.mark.parametrize("length", [math.nan, math.inf])
+def test_match_rejects_a_non_finite_length(length):
+    with pytest.raises(NetError, match=f"length {length}"):
+        match_link(length)
 
 
 # ---------------------------------------------------------------------------
