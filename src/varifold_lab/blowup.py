@@ -14,7 +14,7 @@ import numpy as np
 
 from . import _kernels
 from .curvature import point_surface_distance, willmore_energy
-from .mesh import DiscreteVarifold, MeshError, _weld, mesh_scale
+from .mesh import DiscreteVarifold, MeshError, _require, _weld
 from .reports import Record
 
 log = logging.getLogger(__name__)
@@ -44,16 +44,14 @@ ADMISSIBLE_DENSITIES: tuple[tuple[str, float], ...] = (
 
 def ball_mass(v: DiscreteVarifold, x0, r: float) -> float:
     """Mass of v restricted to the closed ball B(x0, r), by exact clipping."""
-    if r <= 0:
-        raise ValueError(f"ball radius must be positive, got {r}")
-    return float(_ball_masses(v, np.asarray(x0, dtype=np.float64), np.asarray([r], dtype=np.float64))[0])
+    return float(ball_mass_ladder(v, x0, [r])[0])
 
 
 def ball_mass_ladder(v: DiscreteVarifold, x0, radii) -> np.ndarray:
     """Ball masses for several radii at once (one pass over the nearby faces per radius)."""
     radii = np.asarray(radii, dtype=np.float64)
     if (radii <= 0).any():
-        raise ValueError("all ball radii must be positive")
+        raise ValueError(f"ball radii must be positive, got {radii.tolist()}")
     _require_faces(v)
     return _ball_masses(v, np.asarray(x0, dtype=np.float64), radii)
 
@@ -253,10 +251,7 @@ def li_yau_check(v: DiscreteVarifold, sample_points, eps: float = 0.05) -> LiYau
     theta_max - W/(4π); sampling the maximizing points of the density makes
     the gap |·| ≈ 0 exactly when the bound is saturated.
     """
-    topo = v.topology
-    if len(topo.boundary_edges):
-        e = topo.edges[topo.boundary_edges[0]]
-        raise MeshError(f"Li–Yau check needs a closed varifold: edge ({e[0]}, {e[1]}) is boundary")
+    _require(v, closed=True)
     thetas = np.array([density(v, p).theta for p in sample_points])
     w = willmore_energy(v)
     bound = w / (4.0 * math.pi)
@@ -343,8 +338,9 @@ def spherical_link(v: DiscreteVarifold, x0, r: float) -> SphericalLink:
     ends crossing the same mesh edge coincide to round-off, so endpoint
     merging uses a small scale-free tolerance; nodes where three or more ends
     meet are junctions; at four-end nodes (transversal crossings) the
-    chaining continues straight through. A sphere that misses the support
-    gives the empty link.
+    chaining continues straight through, onto the end that best continues
+    the arc, and stops if that end is already chained. A sphere that misses
+    the support gives the empty link.
     """
     x0 = np.asarray(x0, dtype=np.float64)
     if r <= 0:
@@ -452,20 +448,22 @@ def _chain_arcs(arcs, r, tol: float) -> tuple[list[np.ndarray], int]:
         cur, went = i0, 1 - w0  # arrived at the far end
         while True:
             nd = node_of[(cur, went)]
-            options = [(j, w) for (j, w) in incident[nd] if not used[j]]
-            if degree[nd] == 2 and len(options) == 1:
-                nxt, wn = options[0]
-            elif degree[nd] == 4 and len(options) >= 1:
+            others = [jw for jw in incident[nd] if jw != (cur, went)]
+            if degree[nd] == 2:
+                nxt, wn = others[0]
+            elif degree[nd] == 4:
+                # straight through: the end that continues the arrival
+                # direction, which the walk takes only if it is still free
                 inc = heading(cur, went, outward=False)
-                nxt, wn = max(options, key=lambda jw: float(inc @ heading(jw[0], jw[1], outward=True)))
+                nxt, wn = max(others, key=lambda jw: float(inc @ heading(jw[0], jw[1], outward=True)))
             else:
+                break
+            if used[nxt]:
                 break
             used[nxt] = True
             seg = samples[nxt] if wn == 0 else samples[nxt][::-1]
             pts.append(seg[1:])
             cur, went = nxt, 1 - wn
-            if (cur, went) == (i0, w0):
-                break
         return np.vstack(pts)
 
     # start walks at junction nodes and odd nodes first, then sweep leftovers

@@ -163,32 +163,31 @@ def boundary_measure(v: DiscreteVarifold) -> DiscreteBoundary:
 # ---------------------------------------------------------------------------
 # circle conormal integral: closed form and quadrature
 
-def _reduced_coords(circle: CircleSpec, x0: np.ndarray) -> tuple[float, float]:
-    """Reduce to the unit circle in z=0: returns (a, c) with x0 -> (a, 0, c)."""
-    w = (np.asarray(x0, dtype=np.float64).reshape(3) - circle.center) / circle.radius
-    c = float(w @ circle.normal)
-    a = float(np.linalg.norm(w - c * circle.normal))
-    return a, c
-
-
-def _half_integral(a: float, c: float) -> float:
-    return -c * math.pi / (
-        math.sqrt((1.0 + a) ** 2 + c * c) * math.sqrt((1.0 - a) ** 2 + c * c)
-    )
-
-
-def circle_conormal_integral(circle: CircleSpec, x0) -> float:
-    """Closed-form conormal integral of one circle at basepoint x0.
+def _circle_eval(circle: CircleSpec, pts: np.ndarray) -> np.ndarray:
+    """Closed-form conormal integral of one circle at each basepoint of ``pts`` (N, 3).
 
     After reduction to the unit circle with conormal e3 and x0 = (a, 0, c),
     the value is m * (I(a) + I(-a)) with
-    I(a) = -c*pi / (sqrt((1+a)^2+c^2) * sqrt((1-a)^2+c^2)).
+    I(a) = -c*pi / (sqrt((1+a)^2+c^2) * sqrt((1-a)^2+c^2)); the two terms
+    coincide. A basepoint on the circle, where the integrand is singular,
+    gets -inf.
     """
-    a, c = _reduced_coords(circle, x0)
-    if math.sqrt((a - 1.0) ** 2 + c * c) < 1e-9:
+    w = (pts - circle.center) / circle.radius
+    h = w @ circle.normal
+    a = np.linalg.norm(w - h[:, None] * circle.normal, axis=1)
+    sing = np.sqrt((a - 1.0) ** 2 + h * h) < 1e-9
+    denom = np.sqrt((1.0 + a) ** 2 + h * h) * np.sqrt((1.0 - a) ** 2 + h * h)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val = -2.0 * h * math.pi / denom
+    return np.where(sing, -np.inf, circle.m * circle.conormal_sign * val)
+
+
+def circle_conormal_integral(circle: CircleSpec, x0) -> float:
+    """Closed-form conormal integral of one circle at basepoint x0 (see ``_circle_eval``)."""
+    val = float(_circle_eval(circle, np.asarray(x0, dtype=np.float64).reshape(1, 3))[0])
+    if val == -math.inf:
         raise MeshError("integrand singular: x0 lies on the circle")
-    val = _half_integral(a, c) + _half_integral(-a, c)
-    return circle.m * circle.conormal_sign * val
+    return val
 
 
 def _circle_frame(circle: CircleSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -244,19 +243,10 @@ class ConormalSup(Record):
 
 
 def _datum_eval(datum: BoundaryDatum, pts: np.ndarray) -> np.ndarray:
-    """Vectorized total integral at many basepoints (singular points -> -inf)."""
+    """Total integral at many basepoints (singular points -> -inf)."""
     total = np.zeros(len(pts))
     for c in datum.circles:
-        w = (pts - c.center) / c.radius
-        h = w @ c.normal
-        a = np.linalg.norm(w - h[:, None] * c.normal, axis=1)
-        sing = np.sqrt((a - 1.0) ** 2 + h * h) < 1e-9
-        # I(a) + I(-a) = 2 I(a): the two half-period terms coincide.
-        denom = np.sqrt((1.0 + a) ** 2 + h * h) * np.sqrt((1.0 - a) ** 2 + h * h)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            val = -2.0 * h * math.pi / denom
-        val = np.where(sing, -np.inf, c.m * c.conormal_sign * val)
-        total = total + val
+        total = total + _circle_eval(c, pts)
     return total
 
 

@@ -72,41 +72,30 @@ def _parse_disk_spec(text: str):
 # generate
 
 
-def _generator_kwargs(args) -> dict:
-    name = args.name
-    if name == "sphere":
-        return {"R": args.radius, "level": args.level}
-    if name == "cap":
-        return {"R": args.radius, "theta": args.theta, "level": args.level}
-    if name == "double-bubble":
-        return {"theta2": args.theta2, "rho": args.rho, "level": args.level}
-    if name == "double-bubble-flat":
-        return {"rho": args.rho, "level": args.level}
-    if name == "triple-bubble":
-        return {"level": args.level}
-    if name == "branched-patch":
-        return {"delta": args.delta, "rho0": args.rho0, "level": args.level}
-    if name == "singular-pair":
-        disks = [_parse_disk_spec(d) for d in (args.disk or [])]
-        return {
-            "disk_centers": [d[0] for d in disks],
-            "disk_radii": [d[1] for d in disks],
-            "delta": args.delta,
-            "level": args.level,
-        }
-    if name == "flat-disk":
-        return {"rho": args.rho, "level": args.level}
-    if name == "torus":
-        return {"R": args.radius, "r": args.tube_radius, "level": args.level}
-    raise ValueError(f"unknown generator {name!r}")
+#: Each generator's keyword arguments and the ``generate`` options that give
+#: them; singular-pair also takes its disks from ``--disk``.
+GENERATOR_OPTIONS = {
+    "sphere": {"R": "radius", "level": "level"},
+    "cap": {"R": "radius", "theta": "theta", "level": "level"},
+    "double-bubble": {"theta2": "theta2", "rho": "rho", "level": "level"},
+    "double-bubble-flat": {"rho": "rho", "level": "level"},
+    "triple-bubble": {"level": "level"},
+    "branched-patch": {"delta": "delta", "rho0": "rho0", "level": "level"},
+    "singular-pair": {"delta": "delta", "level": "level"},
+    "flat-disk": {"rho": "rho", "level": "level"},
+    "torus": {"R": "radius", "r": "tube_radius", "level": "level"},
+}
 
 
 def cmd_generate(args) -> int:
     from .generators import GENERATORS
     from .mesh import save_varifold
 
-    gen = GENERATORS[args.name]
-    out = gen(**_generator_kwargs(args))
+    kwargs = {key: getattr(args, opt) for key, opt in GENERATOR_OPTIONS[args.name].items()}
+    if args.name == "singular-pair":
+        disks = [_parse_disk_spec(d) for d in (args.disk or [])]
+        kwargs.update(disk_centers=[d[0] for d in disks], disk_radii=[d[1] for d in disks])
+    out = GENERATORS[args.name](**kwargs)
     save_varifold(out.varifold, args.out, analytic=out.analytic)
     v = out.varifold
     print(f"wrote {args.out}: {v.num_vertices} vertices, {v.num_faces} faces")
@@ -326,20 +315,15 @@ def cmd_net_match(args) -> int:
     from . import nets
 
     try:
-        doc: object = float(args.link)
+        length = float(args.link)
     except ValueError:
         with open(args.link) as fh:
             doc = json.load(fh)
-    if isinstance(doc, dict) and "lengths" in doc:
-        length = math.fsum(float(x) for x in doc["lengths"])
-    elif isinstance(doc, dict) and "total_length" in doc:
-        length = float(doc["total_length"])
-    elif isinstance(doc, (int, float)):
-        length = float(doc)
-    else:
-        raise nets.NetError(
-            f"link file {args.link!r} needs 'total_length' or 'lengths'"
-        )
+        length = doc.get("total_length") if isinstance(doc, dict) else doc
+        if not isinstance(length, (int, float)) or isinstance(length, bool):
+            raise nets.NetError(
+                f"link file {args.link!r} needs 'total_length' as a number, not {length!r}"
+            ) from None
     m = nets.match_link(length)
     print(f"{m['match']}, density {m['density']:g}")
     if args.out:
@@ -433,12 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="force single-threaded, bit-deterministic mode")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen_names = [
-        "sphere", "cap", "double-bubble", "double-bubble-flat", "triple-bubble",
-        "branched-patch", "singular-pair", "flat-disk", "torus",
-    ]
     g = sub.add_parser("generate", help="write an example mesh with its analytic block")
-    g.add_argument("name", choices=gen_names)
+    g.add_argument("name", choices=list(GENERATOR_OPTIONS))
     g.add_argument("--radius", type=finite, default=1.0,
                    help="sphere/cap radius, or torus center-circle radius")
     g.add_argument("--theta", type=finite, default=math.pi / 2, help="cap opening angle")
@@ -486,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     nr.add_argument("-o", "--out", help="relaxed net + residual history JSON path")
     nr.set_defaults(func=cmd_net_relax)
     nm = nsub.add_parser("match", help="classify a link length against the catalogue")
-    nm.add_argument("link", help="link JSON path ('total_length' or 'lengths')")
+    nm.add_argument("link", help="a length, or a JSON file with a number 'total_length'")
     nm.add_argument("-o", "--out", help="match JSON output path")
     nm.set_defaults(func=cmd_net_match)
 
@@ -532,7 +512,7 @@ def main(argv=None) -> int:
             os.environ.setdefault(var, cap)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:  # MeshError/NetError are ValueErrors
+    except (ValueError, OverflowError, OSError) as exc:  # MeshError/NetError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -27,6 +27,7 @@ from .mesh import (
     DiscreteVarifold,
     MeshError,
     _boundary_conormals,
+    _require,
     face_normals,
     mesh_scale,
 )
@@ -87,11 +88,22 @@ class TopologyReport(Record):
 # mean curvature
 
 
-def _scatter_rows(idx: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
-    out = np.zeros((n, rows.shape[1]))
-    for c in range(rows.shape[1]):
-        out[:, c] = np.bincount(idx, weights=rows[:, c], minlength=n)
-    return out
+def _vertex_sum(idx: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
+    """Per-vertex sums of the terms ``vals[m, j]`` at the vertices ``idx[m, j]``.
+
+    ``idx`` is (M, J); ``vals`` broadcasts to (M, J) or (M, J, k), and the
+    result is (n,) or (n, k). Column j's terms are added in row order
+    (``np.bincount``), then the J column sums in column order, so the
+    rounding is fixed by the order of the rows and columns.
+    """
+    vals = np.asarray(vals, dtype=np.float64)
+    terms = vals if vals.ndim == 3 else vals[..., None]
+    terms = np.broadcast_to(terms, idx.shape + terms.shape[2:])
+    out = np.zeros((n, terms.shape[2]))
+    for j in range(idx.shape[1]):
+        for c in range(terms.shape[2]):
+            out[:, c] += np.bincount(idx[:, j], weights=terms[:, j, c], minlength=n)
+    return out if vals.ndim == 3 else out[:, 0]
 
 
 def _area_gradients(v: DiscreteVarifold, nhat: np.ndarray) -> np.ndarray:
@@ -100,37 +112,23 @@ def _area_gradients(v: DiscreteVarifold, nhat: np.ndarray) -> np.ndarray:
     p1 = v.vertices[v.faces[:, 1]]
     p2 = v.vertices[v.faces[:, 2]]
     m = v.multiplicity[:, None].astype(np.float64)
-    g0 = 0.5 * np.cross(nhat, p2 - p1) * m
-    g1 = 0.5 * np.cross(nhat, p0 - p2) * m
-    g2 = 0.5 * np.cross(nhat, p1 - p0) * m
-    n = v.num_vertices
-    grad = _scatter_rows(v.faces[:, 0], g0, n)
-    grad += _scatter_rows(v.faces[:, 1], g1, n)
-    grad += _scatter_rows(v.faces[:, 2], g2, n)
-    return grad
+    g = np.stack([np.cross(nhat, p2 - p1), np.cross(nhat, p0 - p2), np.cross(nhat, p1 - p0)], axis=1)
+    g *= 0.5
+    g *= m[:, None]
+    return _vertex_sum(v.faces, g, v.num_vertices)
 
 
 def _vertex_areas(v: DiscreteVarifold, areas: np.ndarray, weighted: bool = True) -> np.ndarray:
     """Lumped one-third vertex areas from the face areas, multiplicity-weighted unless weighted=False."""
     w = areas * v.multiplicity if weighted else areas
-    n = v.num_vertices
-    acc = np.zeros(n)
-    for c in range(3):
-        acc += np.bincount(v.faces[:, c], weights=w / 3.0, minlength=n)
-    return acc
+    return _vertex_sum(v.faces, (w / 3.0)[:, None], v.num_vertices)
 
 
 def _boundary_force(v: DiscreteVarifold, nhat: np.ndarray) -> np.ndarray:
     """Half the multiplicity-weighted conormal line force of the boundary edges."""
-    force = np.zeros((v.num_vertices, 3))
-    if len(v.topology.boundary_edges) == 0:
-        return force
     edges, f, _, nu = _boundary_conormals(v, nhat)
     w = 0.5 * v.multiplicity[f].astype(np.float64)
-    contrib = nu * w[:, None]
-    force += _scatter_rows(edges[:, 0], contrib, v.num_vertices)
-    force += _scatter_rows(edges[:, 1], contrib, v.num_vertices)
-    return force
+    return _vertex_sum(edges, (nu * w[:, None])[:, None], v.num_vertices)
 
 
 def mean_curvature(v: DiscreteVarifold) -> CurvatureField:
@@ -189,11 +187,8 @@ def _corner_angles(v: DiscreteVarifold) -> np.ndarray:
 
 def _angle_defects(v: DiscreteVarifold) -> np.ndarray:
     """2*pi minus the (unweighted) angle sum at each vertex; 0 on unused vertices."""
-    ang = _corner_angles(v)
     n = v.num_vertices
-    s = np.zeros(n)
-    for k in range(3):
-        s += np.bincount(v.faces[:, k], weights=ang[:, k], minlength=n)
+    s = _vertex_sum(v.faces, _corner_angles(v), n)
     used = np.zeros(n, dtype=bool)
     used[v.faces.ravel()] = True
     defect = np.where(used, 2.0 * np.pi - s, 0.0)
@@ -233,14 +228,8 @@ def euler_characteristic(v: DiscreteVarifold) -> TopologyReport:
     boundary edges raise MeshError naming the first offending edge. Vertex
     count uses vertices actually referenced by faces.
     """
+    _require(v, closed=True, manifold=True)
     topo = v.topology
-    if len(topo.boundary_edges):
-        e = topo.edges[topo.boundary_edges[0]]
-        raise MeshError(f"mesh is not closed: edge ({e[0]}, {e[1]}) bounds one face")
-    if len(topo.junction_edges):
-        e = topo.edges[topo.junction_edges[0]]
-        raise MeshError(f"mesh is not manifold: edge ({e[0]}, {e[1]}) has 3+ faces")
-
     used = np.zeros(v.num_vertices, dtype=bool)
     used[v.faces.ravel()] = True
     nv = int(used.sum())
@@ -321,7 +310,7 @@ def _vertex_normals_unoriented(v: DiscreteVarifold, nhat: np.ndarray, areas: np.
     ref[vert_of[first]] = nhat[face_of[first]]
     fn = nhat[face_of]
     sgn = np.where(_dot(fn, ref[vert_of]) >= 0.0, 1.0, -1.0)
-    acc = _scatter_rows(vert_of, fn * (areas[face_of] * sgn)[:, None], nv)
+    acc = _vertex_sum(vert_of[:, None], (fn * (areas[face_of] * sgn)[:, None])[:, None], nv)
     nrm = np.sqrt(_dot(acc, acc))  # rounds like the norm of each row alone
     ok = nrm > 0
     ref[ok] = acc[ok] / nrm[ok, None]
@@ -373,8 +362,7 @@ def second_fundamental_norm(v: DiscreteVarifold) -> CurvatureField:
             ],
             axis=1,
         )
-        S += _scatter_rows(lo, t, nv)
-        S += _scatter_rows(hi, t, nv)
+        S += _vertex_sum(topo.edges[ie], t[:, None], nv)
 
     normals = _vertex_normals_unoriented(v, nhat, areas)
     B2 = np.full(nv, np.nan)
@@ -418,10 +406,8 @@ def second_fundamental_norm(v: DiscreteVarifold) -> CurvatureField:
 def _require_consistent_orientation(v: DiscreteVarifold) -> None:
     if not v.oriented:
         raise MeshError("operation requires an oriented mesh (oriented=True)")
+    _require(v, manifold=True)
     topo = v.topology
-    if len(topo.junction_edges):
-        e = topo.edges[topo.junction_edges[0]]
-        raise MeshError(f"operation requires a manifold: edge ({e[0]}, {e[1]}) has 3+ faces")
     ie = topo.interior_edges
     if len(ie):
         s0 = topo.inc_signs[topo.offsets[ie]]
@@ -437,9 +423,7 @@ def oriented_vertex_normals(v: DiscreteVarifold) -> np.ndarray:
     _require_consistent_orientation(v)
     nhat, areas = face_normals(v)
     w = (areas * v.multiplicity)[:, None] * nhat
-    acc = np.zeros((v.num_vertices, 3))
-    for c in range(3):
-        acc += _scatter_rows(v.faces[:, c], w, v.num_vertices)
+    acc = _vertex_sum(v.faces, w[:, None], v.num_vertices)
     nrm = np.linalg.norm(acc, axis=1)
     ok = nrm > 0
     acc[ok] /= nrm[ok, None]
@@ -467,10 +451,7 @@ def enclosed_volume(v: DiscreteVarifold) -> float:
     orientation to negate. Requires a closed, consistently oriented mesh.
     """
     _require_consistent_orientation(v)
-    topo = v.topology
-    if len(topo.boundary_edges):
-        e = topo.edges[topo.boundary_edges[0]]
-        raise MeshError(f"mesh is not closed: edge ({e[0]}, {e[1]}) bounds one face")
+    _require(v, closed=True)
     nhat, areas = face_normals(v)
     cen = v.vertices[v.faces].mean(axis=1)
     vals = (areas * v.multiplicity) * np.einsum("ij,ij->i", cen, nhat)

@@ -189,46 +189,31 @@ def _cap(ring: np.ndarray, start: int, beta: float, R: float, side: int, first_f
 
 
 def gen_cap(R: float, theta: float, level: int) -> GeneratorOutput:
-    """Spherical cap of opening theta with its boundary circle in z=0.
+    """Spherical cap of opening theta in (0, pi) with its boundary circle in z=0.
 
-    The cap meets the base plane at angle theta.  theta=pi closes the mesh
-    into a full sphere (the rim shrinks to the south pole).
+    The cap meets the base plane at angle theta. The closed sphere is
+    :func:`gen_sphere`.
     """
     if R <= 0.0:
         raise ValueError("R must be positive")
-    if not 0.0 < theta <= math.pi:
-        raise ValueError("theta must lie in (0, pi]")
+    if not 0.0 < theta < math.pi:
+        raise ValueError(f"theta must lie in (0, pi), not {theta}; "
+                         "for the closed sphere use gen_sphere ('generate sphere')")
     M = max(6, 6 * 2**level)
-    closed = theta > math.pi - 1e-12
     rim_r = R * math.sin(theta)
-    cz = -R * math.cos(theta)
-
-    if closed:
-        # march almost to the south pole, then cap with a fan
-        beta = math.pi - TAU / M
-        ring = _ring(R * math.sin(beta), cz + R * math.cos(beta), _circle(M))
-    else:
-        beta = theta
-        ring = _ring(rim_r, 0.0, _circle(M))
-    cap_v, cap_f = _cap(np.arange(M), M, beta, R, +1, first_frac=1.0)
-    verts, faces = [ring, cap_v], [cap_f]
-    if closed:
-        verts.append(np.array([[0.0, 0.0, cz - R]]))
-        faces.append(_fan(M + len(cap_v), np.arange(M))[:, ::-1])
-    v = _mesh(verts, faces, [0] * len(faces), oriented=True)
+    cap_v, cap_f = _cap(np.arange(M), M, theta, R, +1, first_frac=1.0)
+    v = _mesh([_ring(rim_r, 0.0, _circle(M)), cap_v], [cap_f], [0], oriented=True)
     analytic = {
         "area": TAU * R * R * (1.0 - math.cos(theta)),
         "willmore_energy": TAU * (1.0 - math.cos(theta)),
         "conormal_plane_angle": float(theta),
         "density_points": [
-            {"point": [0.0, 0.0, cz + R], "density": 1.0, "label": "apex"}
+            {"point": [0.0, 0.0, R - R * math.cos(theta)], "density": 1.0, "label": "apex"}
+        ],
+        "boundary_circles": [
+            {"center": [0.0, 0.0, 0.0], "radius": rim_r, "normal": [0.0, 0.0, 1.0]}
         ],
     }
-    if not closed:
-        analytic["boundary_circles"] = [
-            {"center": [0.0, 0.0, 0.0], "radius": rim_r, "normal": [0.0, 0.0, 1.0]}
-        ]
-
     return GeneratorOutput(v, analytic)
 
 

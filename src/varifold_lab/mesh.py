@@ -28,7 +28,6 @@ __all__ = [
     "EdgeTopology",
     "make_varifold",
     "validate",
-    "load_varifold",
     "load_mesh_file",
     "save_varifold",
     "load_obj",
@@ -149,9 +148,8 @@ def make_varifold(
     multiplicity: np.ndarray | None = None,
     oriented: bool = False,
     face_patches: np.ndarray | None = None,
-    check: bool = True,
 ) -> DiscreteVarifold:
-    """Build a DiscreteVarifold, validating structure unless check=False.
+    """Build a DiscreteVarifold and validate its structure.
 
     ``faces`` must be (F, 3); an empty array stands for no faces. Any other
     shape is left for ``validate`` to reject, never reshaped.
@@ -162,8 +160,7 @@ def make_varifold(
     if multiplicity is None:
         multiplicity = np.ones(len(faces), dtype=np.int64)
     v = DiscreteVarifold(vertices, faces, multiplicity, oriented, face_patches)
-    if check:
-        validate(v)
+    validate(v)
     return v
 
 
@@ -197,6 +194,18 @@ def validate(v: DiscreteVarifold) -> None:
     tiny = areas < 1e-14 * scale * scale
     if tiny.any():
         raise MeshError(f"face {int(np.nonzero(tiny)[0][0])} is degenerate (zero area)")
+
+
+def _require(v: DiscreteVarifold, closed: bool = False, manifold: bool = False) -> None:
+    """Raise MeshError naming the first boundary edge (``closed``) or the first
+    junction edge (``manifold``) of ``v``."""
+    topo = v.topology
+    if closed and len(topo.boundary_edges):
+        a, b = topo.edges[topo.boundary_edges[0]]
+        raise MeshError(f"mesh is not closed: edge ({a}, {b}) bounds one face")
+    if manifold and len(topo.junction_edges):
+        a, b = topo.edges[topo.junction_edges[0]]
+        raise MeshError(f"mesh is not manifold: edge ({a}, {b}) has 3+ faces")
 
 
 def face_normals(v: DiscreteVarifold) -> tuple[np.ndarray, np.ndarray]:
@@ -431,7 +440,7 @@ def _file_array(doc: dict, key: str, path: str, kinds: str) -> np.ndarray:
     a = np.asarray(doc[key])
     if a.size and a.dtype.kind not in kinds:
         want = "integers" if kinds == "iu" else "numbers"
-        raise MeshError(f"mesh file {path!r}: {key!r} must hold {want}, not {a.dtype}")
+        raise MeshError(f"file {path!r}: {key!r} must hold {want}, not {a.dtype}")
     return a
 
 
@@ -464,11 +473,6 @@ def load_mesh_file(path: str) -> tuple[DiscreteVarifold, dict | None]:
         face_patches=patches,
     )
     return v, doc.get("analytic")
-
-
-def load_varifold(path: str) -> DiscreteVarifold:
-    """Load a mesh JSON file, validating structure."""
-    return load_mesh_file(path)[0]
 
 
 def load_obj(path: str) -> DiscreteVarifold:

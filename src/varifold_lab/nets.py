@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .mesh import _frozen
+from .mesh import _file_array, _frozen
 from .reports import NOT_RECORDED, Record, save_json
 
 __all__ = [
@@ -67,10 +67,9 @@ class GeodesicNet:
         return int(self.arcs.shape[0])
 
 
-def make_net(vertices, arcs, major=None, check: bool = True) -> GeodesicNet:
+def make_net(vertices, arcs, major=None) -> GeodesicNet:
     net = GeodesicNet(vertices, arcs, major)
-    if check:
-        _validate(net)
+    _validate(net)
     return net
 
 
@@ -102,13 +101,10 @@ def arc_length(p, q, major: bool = False) -> float:
     NetError("ambiguous geodesic"); the major-arc length is still pi and is
     returned without complaint.
     """
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    c = float(np.clip(p @ q, -1.0, 1.0))
-    if not major and np.linalg.norm(p + q) < 1e-9:
+    x = np.asarray([p, q], dtype=np.float64)
+    if not major and np.linalg.norm(x[0] + x[1]) < 1e-9:
         raise NetError("ambiguous geodesic: endpoints are antipodal")
-    ang = math.acos(c)
-    return 2.0 * math.pi - ang if major else ang
+    return float(_arc_geometry(x, np.array([[0, 1, 1]]), np.array([major]))[0][0])
 
 
 def _arc_geometry(x: np.ndarray, arcs: np.ndarray, major: np.ndarray):
@@ -579,6 +575,11 @@ def save_net(net: GeodesicNet, path: str) -> None:
 
 
 def load_net(path: str) -> GeodesicNet:
+    """Load a net file (the ``save_net`` format); values are never coerced.
+
+    The vertices must be numbers, as in a mesh file (MeshError otherwise), and
+    each arc row 3 or 4 integers.
+    """
     with open(path) as fh:
         doc = json.load(fh)
     if "vertices" not in doc or "arcs" not in doc:
@@ -590,4 +591,4 @@ def load_net(path: str) -> GeodesicNet:
             raise NetError(f"net file {path!r}: arc {k} must be 3 or 4 integers, not {r!r}")
     arcs = np.asarray([r[:3] for r in rows], dtype=np.int64)
     major = np.asarray([len(r) > 3 and bool(r[3]) for r in rows], dtype=bool)
-    return make_net(np.asarray(doc["vertices"], dtype=np.float64), arcs, major)
+    return make_net(_file_array(doc, "vertices", path, "iuf"), arcs, major)

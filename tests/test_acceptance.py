@@ -2,7 +2,9 @@
 headline capability.  Expected values are closed forms or frozen oracle
 constants; tolerances are the coarsest the verified protocols need."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,3 +231,21 @@ def test_11_energy_functionals(sphere5):
     assert curvature.concentrated_volume(v, np.zeros(3)) == pytest.approx(
         -4 * math.pi, rel=0.01
     )
+
+
+def test_12_readme_python_quick_start():
+    """The README's Python quick-start runs as printed, and each bare
+    expression in it gives the value its comment states."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Quick start (Python)", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    scope: dict = {}
+    shown = []
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr):
+            shown.append(eval(compile(ast.Expression(node.value), "README.md", "eval"), scope))
+        else:
+            exec(compile(ast.Module([node], type_ignores=[]), "README.md", "exec"), scope)
+    willmore, theta, match = shown
+    assert willmore == pytest.approx(SIX_PI, rel=0.02)
+    assert theta == pytest.approx(1.5, abs=0.05)
+    assert match == "three half circles"

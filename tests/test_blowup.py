@@ -246,6 +246,39 @@ def test_spherical_link_misses_support():
     assert link.polylines == ()
 
 
+def _four_half_planes(n: int = 10) -> DiscreteVarifold:
+    """Four half-planes {t d + z e3 : 0 <= t <= 1, |z| <= 1}, d = ±e1, ±e2, on a
+    grid of pitch 1/n; the z-axis is an edge chain with four faces per edge."""
+    z = np.linspace(-1.0, 1.0, 2 * n + 1)
+    t = np.linspace(0.0, 1.0, n + 1)[1:]
+    verts = [np.stack([np.zeros_like(z), np.zeros_like(z), z], axis=1)]
+    faces = []
+    for dx, dy in ((1, 0), (0, 1), (-1, 0), (0, -1)):
+        tt, zz = np.meshgrid(t, z)
+        idx = np.hstack([np.arange(len(z))[:, None],
+                         sum(map(len, verts)) + np.arange(tt.size).reshape(tt.shape)])
+        verts.append(np.stack([dx * tt.ravel(), dy * tt.ravel(), zz.ravel()], axis=1))
+        a, b, c, d = idx[:-1, :-1], idx[:-1, 1:], idx[1:, 1:], idx[1:, :-1]
+        faces += [np.stack([a, b, c], axis=-1).reshape(-1, 3), np.stack([a, c, d], axis=-1).reshape(-1, 3)]
+    return mesh.make_varifold(np.vstack(verts), np.vstack(faces))
+
+
+def test_link_walk_goes_straight_through_four_end_nodes():
+    """Two crossing planes: the link is two great circles that cross at two
+    four-end nodes. A walk that comes back to its start node must stop there,
+    not turn onto the other circle."""
+    link = blowup.spherical_link(_four_half_planes(), np.array([0.0, 0.0, 0.05]), 0.3)
+    assert link.junction_count == 2
+    assert len(link.polylines) == 2
+    assert link.total_length == pytest.approx(4.0 * math.pi, rel=1e-14)
+    # one circle in the plane x = 0, one in y = 0, each closed
+    assert sorted(int(np.argmin(np.abs(p).max(axis=0))) for p in link.polylines) == [0, 1]
+    for p in link.polylines:
+        np.testing.assert_allclose(p[0], p[-1], atol=1e-12)
+    # recorded with the walk that stops when the straight end is taken
+    assert _link_digest(link) == "845e4c3342f189936a02404aa4cc01d39cd7c7b18525af8afa3bd5911c78f377"
+
+
 def _merge_ends_oracle(points, tol):
     """The linear scan: each point joins the lowest-index node within tol."""
     centers, nodes = [], []

@@ -107,6 +107,26 @@ def test_analyze_density_and_link(sphere_file, tmp_path):
     assert doc["analyses"]["liyau"]["passed"] is True
 
 
+def test_analyze_density_on_a_junction_circle_reads_its_expected_value(tmp_path):
+    # (0, 1, 0) is on the junction circle but is none of the listed density
+    # points, so the expected density comes from the circle itself
+    path = str(tmp_path / "db.json")
+    assert main(["generate", "double-bubble", "--level", "3", "-o", path]) == 0
+    assert [0.0, 1.0, 0.0] not in [dp["point"] for dp in read_json(path)["analytic"]["density_points"]]
+    report = str(tmp_path / "report.json")
+    assert main(["analyze", path, "--density=0,1,0", "-o", report]) == 0
+    (row,) = read_json(report)["analyses"]["density"]
+    assert row["expected"] == 1.5 and row["passed"] is True
+    assert row["theta"] == pytest.approx(1.5, abs=0.01)
+
+
+def test_generate_cap_at_pi_is_input_error(tmp_path, capsys):
+    path = tmp_path / "cap.json"
+    assert main(["generate", "cap", "--theta", "3.141592653589793", "-o", str(path)]) == 2
+    assert "gen_sphere" in capsys.readouterr().err
+    assert not path.exists()
+
+
 def test_analyze_link_that_misses_the_support_is_not_applicable(sphere_file, tmp_path):
     report = str(tmp_path / "report.json")
     code = main(["analyze", sphere_file, "--energy", "--link=0,0,3:0.35", "-o", report])
@@ -171,15 +191,16 @@ def test_net_match_bare_number(capsys):
 def test_net_match_link_files(tmp_path, capsys):
     a = tmp_path / "a.json"
     a.write_text(json.dumps({"total_length": 3 * math.pi}))
-    assert main(["net", "match", str(a)]) == 0
+    out_path = str(tmp_path / "match.json")
+    assert main(["net", "match", str(a), "-o", out_path]) == 0
     assert "three half circles" in capsys.readouterr().out
+    assert read_json(out_path)["match"] == "three half circles"
 
+    # the per-arc list format is gone; a file that uses it is an input error
     b = tmp_path / "b.json"
     b.write_text(json.dumps({"lengths": [math.pi, math.pi, math.pi]}))
-    out_path = str(tmp_path / "match.json")
-    assert main(["net", "match", str(b), "-o", out_path]) == 0
-    capsys.readouterr()
-    assert read_json(out_path)["match"] == "three half circles"
+    assert main(["net", "match", str(b)]) == 2
+    assert "'total_length'" in capsys.readouterr().err
 
 
 def test_net_match_bad_file(tmp_path, capsys):
@@ -187,6 +208,16 @@ def test_net_match_bad_file(tmp_path, capsys):
     bad.write_text('{"name": "nothing useful"}')
     assert main(["net", "match", str(bad)]) == 2
     assert "total_length" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [{"total_length": True}, {"total_length": "6.283185307179586"},
+                                 {"total_length": None}, True],
+                         ids=["bool", "string", "null", "bare-bool"])
+def test_net_match_does_not_coerce_the_length(tmp_path, capsys, doc):
+    path = tmp_path / "link.json"
+    path.write_text(json.dumps(doc))
+    assert main(["net", "match", str(path)]) == 2
+    assert "'total_length' as a number" in capsys.readouterr().err
 
 
 def test_net_relax_roundtrip(tmp_path, capsys):
@@ -365,6 +396,9 @@ def test_net_match_rejects_a_non_finite_length(tmp_path, capsys):
     path.write_text(json.dumps({"total_length": float("inf")}))
     assert main(["net", "match", str(path)]) == 2
     assert "cannot match a link of length inf" in capsys.readouterr().err
+    path.write_text(json.dumps({"total_length": 10**400}))  # a JSON integer beyond float range
+    assert main(["net", "match", str(path)]) == 2
+    assert "too large to convert to float" in capsys.readouterr().err
 
 
 def test_net_file_with_a_nan_vertex_is_input_error(tmp_path, capsys):
@@ -375,6 +409,17 @@ def test_net_file_with_a_nan_vertex_is_input_error(tmp_path, capsys):
     nets.save_net(nets.catalogue()[2].net, str(path))
     assert _exit_code(["net", "relax", str(path), "--tol", "nan"]) == 2
     assert "invalid finite value: 'nan'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("vertices", [
+    [[True, False, False], ["0", "1", "0"], [0, 0, 1]],
+    [[True, False, False], [False, True, False], [False, False, True]],
+], ids=["bool-and-string", "bool"])
+def test_net_file_vertices_are_not_coerced(tmp_path, capsys, vertices):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps({"vertices": vertices, "arcs": [[0, 1, 1], [1, 2, 1], [2, 0, 1]]}))
+    assert main(["net", "relax", str(path)]) == 2
+    assert "'vertices' must hold numbers" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,8 @@ def test_cap_validation():
         gen_cap(1.0, 0.0, 2)
     with pytest.raises(ValueError):
         gen_cap(1.0, 3.5, 2)
+    with pytest.raises(ValueError, match="gen_sphere"):  # the closed sphere has its own generator
+        gen_cap(1.0, math.pi, 2)
 
 
 def test_torus_metadata():

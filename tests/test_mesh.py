@@ -349,7 +349,7 @@ def _soups(draw) -> DiscreteVarifold:
         pts[:, draw(st.integers(0, 2))] = draw(_coord)
     nf = draw(st.integers(1, 12))
     faces = [draw(st.permutations(range(nv)))[:3] for _ in range(nf)]
-    return make_varifold(pts, faces, check=False)
+    return DiscreteVarifold(pts, faces, np.ones(nf, dtype=np.int64))
 
 
 def _near_faces(v: DiscreteVarifold, x0: np.ndarray, r: float) -> set[int]:

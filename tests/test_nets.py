@@ -174,7 +174,6 @@ def test_make_net_validation(mutate, message):
     verts, arcs = mutate(verts, arcs)
     with pytest.raises(NetError, match=message):
         make_net(verts, arcs)
-    make_net(verts, arcs, check=False)  # opt-out leaves the rows as given
 
 
 @pytest.mark.parametrize(
