@@ -74,11 +74,11 @@ def _require_faces(v: DiscreteVarifold) -> None:
         raise MeshError("varifold has no faces")
 
 
-def local_edge_scale(v: DiscreteVarifold, x0, k: int = 32) -> float:
-    """Mean edge length over the k faces whose centroids are nearest to x0.
+def local_edge_scale(v: DiscreteVarifold, x0) -> float:
+    """Mean edge length over the 32 faces whose centroids are nearest to x0.
 
     This scans every face: the order in which ``np.argpartition`` returns the
-    k nearest fixes the rounding of the mean, and a scan of fewer faces does
+    32 nearest fixes the rounding of the mean, and a scan of fewer faces does
     not reproduce it.
     """
     _require_faces(v)
@@ -87,7 +87,7 @@ def local_edge_scale(v: DiscreteVarifold, x0, k: int = 32) -> float:
     vert, f = v.vertices, v.faces
     cen = (vert[f[:, 0]] + vert[f[:, 1]] + vert[f[:, 2]]) / 3.0
     d2 = np.einsum("ij,ij->i", cen - x0, cen - x0)
-    k = min(k, len(d2))
+    k = min(32, len(d2))
     idx = np.argpartition(d2, k - 1)[:k] if k < len(d2) else np.arange(len(d2))
     p = v.vertices[v.faces[idx]]
     e = np.concatenate([p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]])
@@ -115,20 +115,15 @@ def _fit(radii: np.ndarray, ratios: np.ndarray, power: int) -> tuple[float, floa
     return float(coef[0]), ssr
 
 
-def density(
-    v: DiscreteVarifold,
-    x0,
-    r_max: float | None = None,
-    rungs: int = 6,
-    ratio: float = 0.5,
-) -> DensityReport:
+def density(v: DiscreteVarifold, x0, r_max: float | None = None) -> DensityReport:
     """Extrapolated 2-density of v at x0 from a geometric radius ladder.
 
-    Mass ratios μ(B_r)/(π r²) are computed on r_i = r_max · ratio^i and fitted
-    against both theta + c·r² (smooth sheets) and theta + c·r (conical
-    junction points); the better-fitting model supplies theta. The error bar
-    is the half-spread of the pairwise Richardson extrapolants of the winning
-    model. x0 must lie on the support (within half a local edge length).
+    Mass ratios μ(B_r)/(π r²) are computed on r_i = r_max · 2^-i, i = 0..5,
+    and fitted against both theta + c·r² (smooth sheets) and theta + c·r
+    (conical junction points); the better-fitting model supplies theta. The
+    error bar is the half-spread of the pairwise Richardson extrapolants of
+    the winning model. x0 must lie on the support (within half a local edge
+    length).
     """
     x0 = np.asarray(x0, dtype=np.float64)
     h = local_edge_scale(v, x0)
@@ -138,16 +133,10 @@ def density(
     if r_max is None:
         r_max = 10.0 * h
     elif r_max < 2.0 * h:
-        msg = f"r_max={r_max:.3g} is below mesh resolution (edge scale {h:.3g}); trimming ladder"
+        msg = f"r_max={r_max:.3g} is below mesh resolution (edge scale {h:.3g}); the ladder is under-resolved"
         log.warning(msg)
         warnings.append(msg)
-    if rungs < 3:
-        raise ValueError("need at least 3 rungs to extrapolate")
-    radii = r_max * ratio ** np.arange(rungs)
-    if warnings:
-        keep = radii >= 0.5 * h
-        if keep.sum() >= 3:
-            radii = radii[keep]
+    radii = r_max * 0.5 ** np.arange(6)
     masses = ball_mass_ladder(v, x0, radii)
     ratios = masses / (math.pi * radii**2)
 
@@ -158,9 +147,9 @@ def density(
     else:
         theta, model, power = theta_l, "linear", 1
 
-    qp = ratio**power
+    qp = 0.5**power
     rich = (ratios[1:] - qp * ratios[:-1]) / (1.0 - qp)
-    error_bar = 0.5 * float(rich.max() - rich.min()) if len(rich) > 1 else float("nan")
+    error_bar = 0.5 * float(rich.max() - rich.min())
 
     label, resid = classify_density(theta)
     return DensityReport(
@@ -383,11 +372,9 @@ def spherical_link(v: DiscreteVarifold, x0, r: float) -> SphericalLink:
                   for p in (va, vb, vc)], axis=1)
     row, theta0, dtheta = _circle_arcs(P, rho)
     mult = v.multiplicity[fi[row]].astype(np.float64)
-    lengths = mult * rho[row] * dtheta / r
-    arcs = list(zip(mult.tolist(), rho[row].tolist(), foot[row], e1[row], e2[row],
-                    theta0.tolist(), dtheta.tolist()))
-    total_length = math.fsum(lengths.tolist())
-    polylines, junction_count = _chain_arcs(arcs, r, tol=1e-5)
+    total_length = math.fsum((mult * rho[row] * dtheta / r).tolist())
+    pts, off = _sample_arcs(rho[row], foot[row], e1[row], e2[row], theta0, dtheta, r)
+    polylines, junction_count = _chain_arcs(pts, off, dtheta >= 2.0 * math.pi - 1e-9)
     return SphericalLink(
         polylines=tuple(polylines),
         total_length=total_length,
@@ -396,83 +383,67 @@ def spherical_link(v: DiscreteVarifold, x0, r: float) -> SphericalLink:
     )
 
 
-def _sample_arc(mult, rho, foot, e1, e2, theta0, dtheta, r) -> np.ndarray:
-    npts = max(2, int(math.ceil(dtheta / 0.1)) + 1)
-    t = theta0 + np.linspace(0.0, dtheta, npts)
-    pts = foot[None, :] + rho * (np.cos(t)[:, None] * e1[None, :] + np.sin(t)[:, None] * e2[None, :])
+def _sample_arcs(rho, foot, e1, e2, theta0, dtheta, r) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-sphere samples of every arc, arc a's at ``pts[off[a]:off[a + 1]]``.
+
+    Arc a gets n = max(2, ceil(dθ/0.1) + 1) points at the angles
+    θ0 + k·(dθ/(n − 1)), the last at θ0 + dθ: the bits of
+    ``θ0 + np.linspace(0, dθ, n)``.
+    """
+    n = np.maximum(2, np.ceil(dtheta / 0.1).astype(np.int64) + 1)
+    off = np.concatenate([[0], np.cumsum(n)])
+    arc = np.repeat(np.arange(len(n)), n)
+    k = np.arange(off[-1]) - off[arc]
+    t = theta0[arc] + np.where(k == n[arc] - 1, dtheta[arc], k * (dtheta / (n - 1))[arc])
+    pts = foot[arc] + rho[arc, None] * (np.cos(t)[:, None] * e1[arc] + np.sin(t)[:, None] * e2[arc])
     u = pts / r
     u /= np.linalg.norm(u, axis=1)[:, None]
-    return u
+    return u, off
 
 
-def _chain_arcs(arcs, r, tol: float) -> tuple[list[np.ndarray], int]:
-    """Merge sampled arc endpoints into nodes and walk maximal polylines."""
-    if not arcs:
-        return [], 0
-    samples = [_sample_arc(*a, r) for a in arcs]
-    closed = [a[6] >= 2.0 * math.pi - 1e-9 for a in arcs]
-    # collect endpoints of open arcs
-    ends = []  # (arc index, which end, point)
-    for i, (s, cl) in enumerate(zip(samples, closed)):
-        if not cl:
-            ends.append((i, 0, s[0]))
-            ends.append((i, 1, s[-1]))
-    nodes = _weld(np.array([p for _, _, p in ends]), tol)[0].tolist()
-    node_of = {(i, w): nd for (i, w, _), nd in zip(ends, nodes)}
-    degree = [0] * (max(nodes, default=-1) + 1)
-    for nd in nodes:
-        degree[nd] += 1
-    junction_count = sum(1 for d in degree if d >= 3)
+def _chain_arcs(pts: np.ndarray, off: np.ndarray, closed: np.ndarray) -> tuple[list[np.ndarray], int]:
+    """Weld the open arcs' ends into nodes and walk maximal polylines.
 
-    incident: dict[int, list[tuple[int, int]]] = {}
-    for (i, w), nd in node_of.items():
-        incident.setdefault(nd, []).append((i, w))
+    End 2a is the first sample of arc a and end 2a + 1 its last. A walk that
+    arrives at end e goes on at end ``nxt[e]``: the other end of a two-end
+    node, or at a four-end node the end whose heading best continues the
+    arrival (the first of equals); it stops where ``nxt`` is -1 (other nodes)
+    or at an arc already walked.
+    """
+    tip = np.stack([off[:-1], off[1:] - 1], axis=1).ravel()  # each end's sample
+    ends = np.flatnonzero(np.repeat(~closed, 2))
+    node = _weld(pts[tip[ends]], 1e-5)[0]
+    degree = np.bincount(node)
+    by_node = ends[np.argsort(node, kind="stable")]  # each node's ends, in end order
+    first = np.cumsum(degree) - degree
+    nxt = np.full(len(closed) * 2, -1)
+    two = first[degree == 2]
+    nxt[by_node[two]], nxt[by_node[two + 1]] = by_node[two + 1], by_node[two]
+    e = by_node[first[degree == 4][:, None] + np.arange(4)]  # (m, 4)
+    d = pts[tip[e] + 1 - 2 * (e % 2)] - pts[tip[e]]
+    dn = np.sqrt(_kernels._dot(d.reshape(-1, 3), d.reshape(-1, 3))).reshape(e.shape)[..., None]
+    h = np.divide(d, dn, out=d, where=dn > 0)  # outward headings; zero steps stay zero
+    dots = _kernels._dot(np.repeat(-h, 4, axis=1).reshape(-1, 3), np.tile(h, (1, 4, 1)).reshape(-1, 3))
+    dots = np.where(np.eye(4, dtype=bool), -np.inf, dots.reshape(-1, 4, 4))
+    nxt[e] = np.take_along_axis(e, dots.argmax(axis=2), axis=1)
 
-    used = [False] * len(samples)
-    polylines: list[np.ndarray] = []
-    for i, cl in enumerate(closed):
-        if cl:
-            used[i] = True
-            polylines.append(samples[i])
+    off, nxt, used = off.tolist(), nxt.tolist(), closed.tolist()
+    polylines = [pts[off[a]:off[a + 1]] for a in np.flatnonzero(closed).tolist()]
 
-    def heading(i: int, w: int, outward: bool) -> np.ndarray:
-        s = samples[i]
-        d = (s[1] - s[0]) if w == 0 else (s[-2] - s[-1])
-        d = d if outward else -d
-        n = np.linalg.norm(d)
-        return d / n if n > 0 else d
+    def piece(e: int) -> np.ndarray:
+        s = pts[off[e // 2]:off[e // 2 + 1]]
+        return s if e % 2 == 0 else s[::-1]
 
-    def walk(i0: int, w0: int) -> np.ndarray:
-        pts = [samples[i0] if w0 == 0 else samples[i0][::-1]]
-        used[i0] = True
-        cur, went = i0, 1 - w0  # arrived at the far end
-        while True:
-            nd = node_of[(cur, went)]
-            others = [jw for jw in incident[nd] if jw != (cur, went)]
-            if degree[nd] == 2:
-                nxt, wn = others[0]
-            elif degree[nd] == 4:
-                # straight through: the end that continues the arrival
-                # direction, which the walk takes only if it is still free
-                inc = heading(cur, went, outward=False)
-                nxt, wn = max(others, key=lambda jw: float(inc @ heading(jw[0], jw[1], outward=True)))
-            else:
-                break
-            if used[nxt]:
-                break
-            used[nxt] = True
-            seg = samples[nxt] if wn == 0 else samples[nxt][::-1]
-            pts.append(seg[1:])
-            cur, went = nxt, 1 - wn
-        return np.vstack(pts)
+    def walk(e: int) -> np.ndarray:
+        pieces = [piece(e)]
+        used[e // 2] = True
+        while (e := nxt[e ^ 1]) >= 0 and not used[e // 2]:
+            used[e // 2] = True
+            pieces.append(piece(e)[1:])
+        return np.vstack(pieces)
 
     # start walks at junction nodes and odd nodes first, then sweep leftovers
-    for nd, deg in enumerate(degree):
-        if deg != 2:
-            for (i, w) in incident[nd]:
-                if not used[i]:
-                    polylines.append(walk(i, w))
-    for i in range(len(samples)):
-        if not used[i]:
-            polylines.append(walk(i, 0))
-    return polylines, junction_count
+    for e in by_node[np.repeat(degree != 2, degree)].tolist() + list(range(0, len(nxt), 2)):
+        if not used[e // 2]:
+            polylines.append(walk(e))
+    return polylines, int((degree >= 3).sum())

@@ -250,16 +250,14 @@ def _datum_eval(datum: BoundaryDatum, pts: np.ndarray) -> np.ndarray:
     return total
 
 
-def sup_conormal_integral(
-    datum: BoundaryDatum, grid_n: int = 24, tol: float = 1e-9
-) -> ConormalSup:
+def sup_conormal_integral(datum: BoundaryDatum, grid_n: int = 24) -> ConormalSup:
     """Sup over basepoints of the total conormal integral.
 
     Coarse grid of ``grid_n`` >= 2 points per axis over the circles' bounding
     box padded by two diameters (the integrand decays like 1/dist^2, so the
     sup lies inside), then a deterministic pattern-search polish.  Grid ties
     resolve to the first point in C scan order; the polish shrinks its step by
-    half on failure.
+    half on failure, down to 1e-9 of the diameter.
     """
     if not datum.circles:
         raise ValueError("datum has no circles")
@@ -284,7 +282,7 @@ def sup_conormal_integral(
     dirs = np.array([
         [1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1],
     ], dtype=np.float64)
-    while step > tol * diam:
+    while step > 1e-9 * diam:
         cand = x + step * dirs
         cv = _datum_eval(datum, cand)
         k = int(np.argmax(cv))

@@ -438,8 +438,11 @@ def save_varifold(v: DiscreteVarifold, path: str, analytic: dict | None = None) 
 def _file_array(doc: dict, key: str, path: str, kinds: str) -> np.ndarray:
     """``doc[key]`` as an array whose dtype kind is in ``kinds``, else MeshError."""
     a = np.asarray(doc[key])
+    want = "integers" if kinds == "iu" else "numbers"
+    rows = itertools.chain.from_iterable(doc[key]) if a.ndim == 2 else doc[key] if a.ndim == 1 else ()
+    if bool in set(map(type, rows)):  # among numbers NumPy reads true and false as 1 and 0
+        raise MeshError(f"file {path!r}: {key!r} must hold {want}, not booleans")
     if a.size and a.dtype.kind not in kinds:
-        want = "integers" if kinds == "iu" else "numbers"
         raise MeshError(f"file {path!r}: {key!r} must hold {want}, not {a.dtype}")
     return a
 
@@ -448,8 +451,8 @@ def load_mesh_file(path: str) -> tuple[DiscreteVarifold, dict | None]:
     """Load a mesh JSON file; returns (varifold, analytic-block-or-None).
 
     Values are never coerced: a non-integer face index, multiplicity or patch
-    label, a face row without exactly three indices, or a non-boolean
-    ``oriented`` raises MeshError naming the key.
+    label, a boolean among numbers, a face row without exactly three indices,
+    or a non-boolean ``oriented`` raises MeshError naming the key.
     """
     with open(path) as fh:
         doc = json.load(fh)

@@ -1,9 +1,13 @@
+import dataclasses
+import functools
 import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varifold_lab import _grid, blowup, curvature, generators, mesh, nets
 from varifold_lab.blowup import ADMISSIBLE_DENSITIES
@@ -55,14 +59,9 @@ def test_density_trims_sub_resolution_ladder(sphere3):
     x0 = sphere3.varifold.vertices[0]
     h = blowup.local_edge_scale(sphere3.varifold, x0)
     rep = blowup.density(sphere3.varifold, x0, r_max=1.5 * h)
-    assert rep.warnings  # trimmed ladder is reported
+    assert rep.warnings  # the sub-resolution ladder is reported
     assert len(rep.radii) >= 3
     assert rep.theta == pytest.approx(1.0, abs=0.1)
-
-
-def test_density_needs_three_rungs(sphere3):
-    with pytest.raises(ValueError):
-        blowup.density(sphere3.varifold, sphere3.varifold.vertices[0], rungs=2)
 
 
 @pytest.mark.parametrize(
@@ -246,14 +245,15 @@ def test_spherical_link_misses_support():
     assert link.polylines == ()
 
 
-def _four_half_planes(n: int = 10) -> DiscreteVarifold:
-    """Four half-planes {t d + z e3 : 0 <= t <= 1, |z| <= 1}, d = ±e1, ±e2, on a
-    grid of pitch 1/n; the z-axis is an edge chain with four faces per edge."""
+def _four_half_planes(n: int = 10, dirs=((1, 0), (0, 1), (-1, 0), (0, -1))) -> DiscreteVarifold:
+    """Four half-planes {t d + z e3 : 0 <= t <= 1, |z| <= 1}, d = ±e1, ±e2 (or
+    ``dirs``), on a grid of pitch 1/n; the z-axis is an edge chain with four
+    faces per edge."""
     z = np.linspace(-1.0, 1.0, 2 * n + 1)
     t = np.linspace(0.0, 1.0, n + 1)[1:]
     verts = [np.stack([np.zeros_like(z), np.zeros_like(z), z], axis=1)]
     faces = []
-    for dx, dy in ((1, 0), (0, 1), (-1, 0), (0, -1)):
+    for dx, dy in dirs:
         tt, zz = np.meshgrid(t, z)
         idx = np.hstack([np.arange(len(z))[:, None],
                          sum(map(len, verts)) + np.arange(tt.size).reshape(tt.shape)])
@@ -277,6 +277,151 @@ def test_link_walk_goes_straight_through_four_end_nodes():
         np.testing.assert_allclose(p[0], p[-1], atol=1e-12)
     # recorded with the walk that stops when the straight end is taken
     assert _link_digest(link) == "845e4c3342f189936a02404aa4cc01d39cd7c7b18525af8afa3bd5911c78f377"
+
+
+def _sample_arc(rho, foot, e1, e2, theta0, dtheta, r) -> np.ndarray:
+    npts = max(2, int(math.ceil(dtheta / 0.1)) + 1)
+    t = theta0 + np.linspace(0.0, dtheta, npts)
+    pts = foot[None, :] + rho * (np.cos(t)[:, None] * e1[None, :] + np.sin(t)[:, None] * e2[None, :])
+    u = pts / r
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    return u
+
+
+def _chain_arcs_oracle(arcs, r, last_max=False) -> tuple[list[np.ndarray], int]:
+    """The per-arc sampling and the walk over dicts keyed by (arc, end) that
+    ``blowup._sample_arcs`` and ``blowup._chain_arcs`` replaced, kept as their
+    oracle; ``last_max`` lets the last of equal ends win at four-end nodes."""
+    samples = [_sample_arc(*a, r) for a in arcs]
+    closed = [a[5] >= 2.0 * math.pi - 1e-9 for a in arcs]
+    ends = []  # (arc index, which end, point)
+    for i, (s, cl) in enumerate(zip(samples, closed)):
+        if not cl:
+            ends.append((i, 0, s[0]))
+            ends.append((i, 1, s[-1]))
+    nodes = mesh._weld(np.array([p for _, _, p in ends]), 1e-5)[0].tolist()
+    node_of = {(i, w): nd for (i, w, _), nd in zip(ends, nodes)}
+    degree = [0] * (max(nodes, default=-1) + 1)
+    for nd in nodes:
+        degree[nd] += 1
+    incident: dict[int, list[tuple[int, int]]] = {}
+    for (i, w), nd in node_of.items():
+        incident.setdefault(nd, []).append((i, w))
+    used = list(closed)
+    polylines = [s for s, cl in zip(samples, closed) if cl]
+
+    def heading(i: int, w: int, outward: bool) -> np.ndarray:
+        s = samples[i]
+        d = (s[1] - s[0]) if w == 0 else (s[-2] - s[-1])
+        d = d if outward else -d
+        n = np.linalg.norm(d)
+        return d / n if n > 0 else d
+
+    def walk(i0: int, w0: int) -> np.ndarray:
+        pts = [samples[i0] if w0 == 0 else samples[i0][::-1]]
+        used[i0] = True
+        cur, went = i0, 1 - w0
+        while True:
+            nd = node_of[(cur, went)]
+            others = [jw for jw in incident[nd] if jw != (cur, went)]
+            if degree[nd] == 2:
+                nxt, wn = others[0]
+            elif degree[nd] == 4:
+                inc = heading(cur, went, outward=False)
+                nxt, wn = max(others[::-1] if last_max else others,
+                              key=lambda jw: float(inc @ heading(jw[0], jw[1], outward=True)))
+            else:
+                break
+            if used[nxt]:
+                break
+            used[nxt] = True
+            seg = samples[nxt] if wn == 0 else samples[nxt][::-1]
+            pts.append(seg[1:])
+            cur, went = nxt, 1 - wn
+        return np.vstack(pts)
+
+    for nd, deg in enumerate(degree):
+        if deg != 2:
+            for (i, w) in incident[nd]:
+                if not used[i]:
+                    polylines.append(walk(i, w))
+    for i in range(len(samples)):
+        if not used[i]:
+            polylines.append(walk(i, 0))
+    return polylines, sum(1 for d in degree if d >= 3)
+
+
+def _link_and_oracle(v, x0, r, last_max=False) -> tuple[str, str]:
+    """JSON of spherical_link(v, x0, r), and of the same link chained by the oracle."""
+    seen = []
+    sample_arcs = blowup._sample_arcs
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(blowup, "_sample_arcs", lambda *a: seen.append(a) or sample_arcs(*a))
+        link = blowup.spherical_link(v, np.asarray(x0, dtype=np.float64), r)
+    rho, foot, e1, e2, theta0, dtheta, _ = seen[0]
+    arcs = list(zip(rho.tolist(), foot, e1, e2, theta0.tolist(), dtheta.tolist()))
+    polylines, junctions = _chain_arcs_oracle(arcs, r, last_max)
+    want = dataclasses.replace(link, polylines=tuple(polylines), junction_count=junctions)
+    return json.dumps(link.to_dict()), json.dumps(want.to_dict())
+
+
+@functools.cache
+def _oracle_meshes() -> dict[str, DiscreteVarifold]:
+    return {
+        "sphere3": generators.gen_sphere(1.0, 3).varifold,
+        "torus3": generators.gen_torus(2.0, 0.7, 3).varifold,
+        "double_bubble3": generators.gen_double_bubble(0.7, 1.0, 3).varifold,
+        "triple_bubble2": generators.gen_triple_bubble(2).varifold,
+        "four_half_planes": _four_half_planes(),
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(["sphere3", "torus3", "double_bubble3", "triple_bubble2", "four_half_planes"]),
+       i=st.integers(0, 10**6), dx=st.tuples(*[st.floats(-0.02, 0.02)] * 3), r=st.floats(0.05, 1.0))
+def test_link_chain_matches_the_per_arc_oracle(name, i, dx, r):
+    v = _oracle_meshes()[name]
+    got, want = _link_and_oracle(v, v.vertices[i % v.num_vertices] + np.array(dx), r)
+    assert got == want
+
+
+@pytest.mark.parametrize("x0, r", [((0.0, 0.0, 0.05), 0.3), ((0.03, 0.0, -0.2), 0.5),
+                                   ((-0.1, 0.0, 0.3), 0.6)])
+def test_link_chain_breaks_exact_four_end_ties_like_the_oracle(x0, r):
+    """Half-planes at 0°, 150°, 210° and 270° about the z-axis, the two at
+    150° and 210° mirror images in y, and x0 in the plane y = 0: a walk that
+    arrives from the half-plane at 0° meets two ends with equal dot products,
+    and the first of them wins."""
+    c = -math.sqrt(3.0) / 2.0
+    v = _four_half_planes(dirs=((1.0, 0.0), (c, 0.5), (c, -0.5), (0.0, -1.0)))
+    got, want = _link_and_oracle(v, x0, r)
+    assert got == want != _link_and_oracle(v, x0, r, last_max=True)[1]
+
+
+_BIG_TRIANGLE = [[-2.0, -2.0, 0.0], [3.0, -1.0, 0.0], [0.0, 3.0, 0.0]]
+
+
+def test_link_of_a_circle_inside_one_face_is_one_closed_polyline():
+    """The sphere meets the plane z = 0 in a circle that crosses no edge."""
+    v = mesh.make_varifold(np.array(_BIG_TRIANGLE), np.array([[0, 1, 2]]))
+    link = blowup.spherical_link(v, np.array([0.0, 0.0, 0.1]), 0.2)
+    assert [len(p) for p in link.polylines] == [64] and link.junction_count == 0
+    assert link.total_length == pytest.approx(2.0 * math.pi * math.sqrt(0.03) / 0.2, rel=1e-15)
+    np.testing.assert_allclose(link.polylines[0][0], link.polylines[0][-1], atol=1e-15)
+    assert _link_digest(link) == "fd7394c6c658a54e606bae7127ee0ed9e8d77a592ca53cd7899c257f3ad300fb"
+
+
+def test_link_lists_closed_arcs_before_open_ones():
+    """A square in the plane x = 0.1 (faces 0 and 1) cuts the circle into four
+    open polylines; the big triangle (face 2) holds one closed circle, which
+    comes first although its face comes last."""
+    square = [[0.1, -0.15, -0.05], [0.1, 0.15, -0.05], [0.1, 0.15, 0.25], [0.1, -0.15, 0.25]]
+    v = mesh.make_varifold(np.array(square + _BIG_TRIANGLE), np.array([[0, 1, 2], [0, 2, 3], [4, 5, 6]]))
+    link = blowup.spherical_link(v, np.array([0.0, 0.0, 0.1]), 0.2)
+    assert [len(p) for p in link.polylines] == [64, 7, 7, 7, 7] and link.junction_count == 0
+    assert _link_digest(link) == "1d015088e47bb44dd52909960e9dc948840eb1f64e9868884178d70ae5e240d9"
+    got, want = _link_and_oracle(v, [0.0, 0.0, 0.1], 0.2)
+    assert got == want
 
 
 def _merge_ends_oracle(points, tol):

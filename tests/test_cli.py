@@ -54,6 +54,23 @@ def test_malformed_point_spec_is_input_error(sphere_file, capsys):
 # generate + analyze
 
 
+def test_boundary_of_generated_cap(tmp_path):
+    """The cap's boundary is a regular 48-gon inscribed in the unit circle."""
+    path, report = str(tmp_path / "cap.json"), str(tmp_path / "r.json")
+    assert main(["generate", "cap", "--level", "3", "-o", path]) == 0
+    assert main(["analyze", path, "--boundary", "-o", report]) == 0
+    block = read_json(report)["analyses"]["boundary"]
+    assert block == {"edge_count": 48, "total_length": 6.2787004060937335, "closed": False}
+    assert block["total_length"] == pytest.approx(48 * 2 * math.sin(math.pi / 48), rel=1e-15)
+
+
+def test_helfrich_at_zero_is_the_willmore_energy(sphere_file, tmp_path):
+    report = str(tmp_path / "r.json")
+    assert main(["analyze", sphere_file, "--energy", "--helfrich", "0", "-o", report]) == 0
+    blocks = read_json(report)["analyses"]
+    assert blocks["helfrich"]["value"].hex() == blocks["energy"]["willmore_energy"].hex()
+
+
 def test_generate_reports_mesh_size(tmp_path, capsys):
     path = str(tmp_path / "m.json")
     assert main(["generate", "torus", "--level", "2", "--radius", "2",
@@ -420,6 +437,14 @@ def test_net_file_vertices_are_not_coerced(tmp_path, capsys, vertices):
     path.write_text(json.dumps({"vertices": vertices, "arcs": [[0, 1, 1], [1, 2, 1], [2, 0, 1]]}))
     assert main(["net", "relax", str(path)]) == 2
     assert "'vertices' must hold numbers" in capsys.readouterr().err
+
+
+def test_net_file_with_a_boolean_among_vertex_numbers_is_input_error(tmp_path, capsys):
+    path = tmp_path / "net.json"
+    path.write_text('{"vertices": [[1, 0, 0], [0, true, 0], [0, 0, 1]],'
+                    ' "arcs": [[0, 1, 1], [1, 2, 1], [2, 0, 1]]}')
+    assert main(["net", "relax", str(path)]) == 2
+    assert "'vertices' must hold numbers, not booleans" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

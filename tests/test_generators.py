@@ -159,6 +159,20 @@ def test_double_bubble_discrete_mass_and_energy(double_bubble4):
     )
 
 
+def test_double_bubble_with_third_cap_above():
+    """For theta2 > pi/3 the third opening angle exceeds pi, and the third cap
+    opens upward, like the first."""
+    from varifold_lab.curvature import willmore_energy
+
+    out = gen_double_bubble(1.2, 1.0, 4)
+    v, a = out.varifold, out.analytic
+    assert a["angles"][2] > math.pi
+    z = v.vertices[v.faces[v.face_patches == 2]][..., 2]
+    assert z.min() == 0.0 and z.max() > 1.0
+    assert willmore_energy(v) / (6 * math.pi) == pytest.approx(1.0, abs=0.01)
+    assert total_mass(v) / a["area"] == pytest.approx(1.0, abs=0.005)
+
+
 def test_double_bubble_flat_interface_routing():
     with pytest.raises(ValueError, match="gen_double_bubble_flat"):
         gen_double_bubble(math.pi / 3, 1.0, 2)

@@ -304,6 +304,24 @@ def test_load_rejects_values_it_would_have_to_coerce(tmp_path, capsys, overrides
     assert f"'{key}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "overrides, key, flag",
+    [
+        ({"vertices": [[0, 0, 0], [1, 0, 0], [True, 1, 0], [0, 1, 0]]}, "vertices", "--boundary"),
+        ({"faces": [[0, True, 2], [0, 2, 3]]}, "faces", "--energy"),
+        ({"multiplicity": [1, True]}, "multiplicity", "--energy"),
+        ({"face_patches": [False, 3]}, "face_patches", "--energy"),
+    ],
+    ids=["vertices", "faces", "multiplicity", "face_patches"],
+)
+def test_load_rejects_booleans_among_numbers(tmp_path, capsys, overrides, key, flag):
+    path = _write_square(tmp_path / "bad.json", **overrides)
+    with pytest.raises(MeshError, match=f"'{key}' must hold .* not booleans"):
+        mesh.load_mesh_file(path)
+    assert main(["analyze", path, flag]) == 2
+    assert f"'{key}' must hold" in capsys.readouterr().err
+
+
 def test_load_keeps_face_patches(tmp_path):
     var, _ = mesh.load_mesh_file(_write_square(tmp_path / "p.json", face_patches=[0, 3]))
     assert var.face_patches.tolist() == [0, 3]
