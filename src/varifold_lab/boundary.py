@@ -9,16 +9,14 @@ sup-over-basepoints search and the admissibility threshold report built on it.
 from __future__ import annotations
 
 import json
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import DiscreteVarifold, MeshError, _boundary_conormals, face_normals
+from .mesh import (_INTEGER, _NUMBER, _POINT, DiscreteVarifold, MeshError, _boundary_conormals, _check_rows,
+                   _is_int, _is_number, _numeric, face_normals)
 from .reports import Record, save_json
-
-log = logging.getLogger(__name__)
 
 _FOUR_PI = 4.0 * math.pi
 
@@ -30,19 +28,15 @@ def _unit(a: np.ndarray) -> np.ndarray:
     return a / n
 
 
-def _is_int(x) -> bool:
-    """A Python or NumPy integer; booleans are not integers here."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
 @dataclass(frozen=True)
 class CircleSpec(Record):
     """One boundary circle: center, radius, plane normal, multiplicity, sign.
 
     The conormal field is conormal_sign * normal, constant along the circle
-    (the closed-form lemma's hypothesis). ``m`` must be an integer >= 1 and
-    ``conormal_sign`` the integer +1 or -1 (Python or NumPy integers, not
-    booleans); both are stored as Python ints.
+    (the closed-form lemma's hypothesis). ``center`` and ``normal`` must be 3
+    numbers and ``radius`` a number, ``m`` an integer >= 1 and
+    ``conormal_sign`` the integer +1 or -1 (Python or NumPy numbers, not
+    booleans or strings); ``m`` and ``conormal_sign`` are stored as Python ints.
     """
 
     center: np.ndarray
@@ -52,11 +46,13 @@ class CircleSpec(Record):
     conormal_sign: int = 1
 
     def __post_init__(self) -> None:
-        center = np.asarray(self.center, dtype=np.float64).reshape(3)
-        normal = np.asarray(self.normal, dtype=np.float64).reshape(3)
+        center = _numeric(self.center, "iuf", "circle center", ValueError).astype(np.float64).reshape(3)
+        normal = _numeric(self.normal, "iuf", "circle normal", ValueError).astype(np.float64).reshape(3)
         for name, value in (("center", center), ("normal", normal)):
             if not np.isfinite(value).all():
                 raise ValueError(f"circle {name} must be finite, not {value.tolist()}")
+        if not _is_number(self.radius):
+            raise ValueError(f"circle radius must be a number, not {self.radius!r}")
         radius = float(self.radius)
         if not (radius > 0.0 and math.isfinite(radius)):
             raise ValueError(f"circle radius must be positive and finite, not {radius}")
@@ -87,8 +83,9 @@ def save_datum(datum: BoundaryDatum, path: str) -> None:
     save_json(datum.to_dict(), path)
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+#: The keys of a datum file's circles, with their tests.
+_CIRCLE_KEYS = {"center": _POINT, "radius": _NUMBER, "normal": _POINT,
+                "m?": _INTEGER, "conormal_sign?": _INTEGER}
 
 
 def load_datum(path: str) -> BoundaryDatum:
@@ -103,25 +100,9 @@ def load_datum(path: str) -> BoundaryDatum:
         doc = json.load(fh)
     if not isinstance(doc, dict) or not isinstance(doc.get("circles"), list):
         raise ValueError(f"datum file {path!r} needs a 'circles' list")
-    circles = []
-    for k, c in enumerate(doc["circles"]):
-        where = f"datum file {path!r}: circle {k}"
-        if not isinstance(c, dict):
-            raise ValueError(f"{where} must be an object, not {c!r}")
-        for key in ("center", "radius", "normal"):
-            if key not in c:
-                raise ValueError(f"{where} is missing {key!r}")
-        for key in ("center", "normal"):
-            if not (isinstance(c[key], list) and len(c[key]) == 3 and all(map(_is_number, c[key]))):
-                raise ValueError(f"{where}: {key!r} must be 3 numbers, not {c[key]!r}")
-        if not _is_number(c["radius"]):
-            raise ValueError(f"{where}: 'radius' must be a number, not {c['radius']!r}")
-        for key in ("m", "conormal_sign"):
-            if key in c and not _is_int(c[key]):
-                raise ValueError(f"{where}: {key!r} must be an integer, not {c[key]!r}")
-        circles.append(CircleSpec(np.asarray(c["center"], dtype=np.float64), float(c["radius"]),
-                                  np.asarray(c["normal"], dtype=np.float64),
-                                  c.get("m", 1), c.get("conormal_sign", 1)))
+    _check_rows(doc["circles"], _CIRCLE_KEYS, f"datum file {path!r}: 'circles'", ValueError)
+    circles = [CircleSpec(c["center"], c["radius"], c["normal"], c.get("m", 1), c.get("conormal_sign", 1))
+               for c in doc["circles"]]
     return BoundaryDatum(tuple(circles))
 
 
@@ -144,14 +125,8 @@ def boundary_measure(v: DiscreteVarifold) -> DiscreteBoundary:
 
     Each boundary edge has exactly one incident face; the conormal is the
     in-plane unit normal to the edge pointing out of that face.  A closed mesh
-    yields an empty boundary (with a log notice).
+    yields an empty boundary.
     """
-    if len(v.topology.boundary_edges) == 0:
-        log.info("mesh is closed: boundary measure is empty")
-        z3 = np.zeros((0, 3))
-        z = np.zeros(0)
-        return DiscreteBoundary(np.zeros((0, 2), dtype=np.int64), z, z3,
-                                np.zeros(0, dtype=np.int64), 0.0)
     edges, fidx, vec, conormals = _boundary_conormals(v, face_normals(v)[0])
     lengths = np.linalg.norm(vec, axis=1)
     conormals /= np.linalg.norm(conormals, axis=1, keepdims=True)

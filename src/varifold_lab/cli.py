@@ -319,10 +319,10 @@ def cmd_net_match(args) -> int:
     except ValueError:
         with open(args.link) as fh:
             doc = json.load(fh)
-        length = doc.get("total_length") if isinstance(doc, dict) else doc
+        length = doc.get("total_length") if isinstance(doc, dict) else None
         if not isinstance(length, (int, float)) or isinstance(length, bool):
             raise nets.NetError(
-                f"link file {args.link!r} needs 'total_length' as a number, not {length!r}"
+                f"link file {args.link!r} needs an object with 'total_length' as a number, not {doc!r}"
             ) from None
     m = nets.match_link(length)
     print(f"{m['match']}, density {m['density']:g}")
@@ -391,6 +391,8 @@ def cmd_boundary_admissible(args) -> int:
 def cmd_report(args) -> int:
     with open(args.report) as fh:
         doc = json.load(fh)
+    if not (isinstance(doc, dict) and isinstance(doc.get("input", {}), dict)):
+        raise ValueError(f"report file {args.report!r}: the report and its 'input' must be objects")
     tool = doc.get("tool", "?")
     version = doc.get("version", "?")
     source = doc.get("input", {}).get("path", "-")

@@ -335,63 +335,61 @@ def second_fundamental_norm(v: DiscreteVarifold) -> CurvatureField:
 
     S = np.zeros((nv, 6))  # xx, yy, zz, xy, xz, yz
     ie = topo.interior_edges
-    if len(ie):
-        o = topo.offsets[ie]
-        f0 = topo.inc_faces[o]
-        f1 = topo.inc_faces[o + 1]
-        s0 = topo.inc_signs[o].astype(np.float64)
-        lo = topo.edges[ie, 0]
-        hi = topo.edges[ie, 1]
-        evec = v.vertices[hi] - v.vertices[lo]
-        elen = np.linalg.norm(evec, axis=1)
-        ebar = evec / elen[:, None]
-        # signed dihedral: angle from n0 to n1 around the edge as f0 traverses it
-        ef0 = ebar * s0[:, None]
-        n0, n1 = nhat[f0], nhat[f1]
-        beta = np.arctan2(np.einsum("ij,ij->i", np.cross(n0, n1), ef0),
-                          np.einsum("ij,ij->i", n0, n1))
-        w = beta * elen / 2.0
-        t = np.stack(
-            [
-                w * ebar[:, 0] * ebar[:, 0],
-                w * ebar[:, 1] * ebar[:, 1],
-                w * ebar[:, 2] * ebar[:, 2],
-                w * ebar[:, 0] * ebar[:, 1],
-                w * ebar[:, 0] * ebar[:, 2],
-                w * ebar[:, 1] * ebar[:, 2],
-            ],
-            axis=1,
-        )
-        S += _vertex_sum(topo.edges[ie], t[:, None], nv)
+    o = topo.offsets[ie]
+    f0 = topo.inc_faces[o]
+    f1 = topo.inc_faces[o + 1]
+    s0 = topo.inc_signs[o].astype(np.float64)
+    lo = topo.edges[ie, 0]
+    hi = topo.edges[ie, 1]
+    evec = v.vertices[hi] - v.vertices[lo]
+    elen = np.linalg.norm(evec, axis=1)
+    ebar = evec / elen[:, None]
+    # signed dihedral: angle from n0 to n1 around the edge as f0 traverses it
+    ef0 = ebar * s0[:, None]
+    n0, n1 = nhat[f0], nhat[f1]
+    beta = np.arctan2(np.einsum("ij,ij->i", np.cross(n0, n1), ef0),
+                      np.einsum("ij,ij->i", n0, n1))
+    w = beta * elen / 2.0
+    t = np.stack(
+        [
+            w * ebar[:, 0] * ebar[:, 0],
+            w * ebar[:, 1] * ebar[:, 1],
+            w * ebar[:, 2] * ebar[:, 2],
+            w * ebar[:, 0] * ebar[:, 1],
+            w * ebar[:, 0] * ebar[:, 2],
+            w * ebar[:, 1] * ebar[:, 2],
+        ],
+        axis=1,
+    )
+    S += _vertex_sum(topo.edges[ie], t[:, None], nv)
 
     normals = _vertex_normals_unoriented(v, nhat, areas)
     B2 = np.full(nv, np.nan)
     ok = ~g.boundary_mask & ~g.junction_mask & ~g.isolated_mask & (area_geom > 0)
     idx = np.nonzero(ok)[0]
-    if len(idx):
-        Sm = np.empty((len(idx), 3, 3))
-        Sm[:, 0, 0] = S[idx, 0]
-        Sm[:, 1, 1] = S[idx, 1]
-        Sm[:, 2, 2] = S[idx, 2]
-        Sm[:, 0, 1] = Sm[:, 1, 0] = S[idx, 3]
-        Sm[:, 0, 2] = Sm[:, 2, 0] = S[idx, 4]
-        Sm[:, 1, 2] = Sm[:, 2, 1] = S[idx, 5]
-        Sm /= area_geom[idx, None, None]
-        n = normals[idx]
-        # tangent frame
-        pick = np.where(np.abs(n[:, 0]) < 0.9, 0, 1)
-        seed = np.zeros_like(n)
-        seed[np.arange(len(idx)), pick] = 1.0
-        t1 = np.cross(n, seed)
-        t1 /= np.linalg.norm(t1, axis=1)[:, None]
-        t2 = np.cross(n, t1)
-        p = np.einsum("ni,nij,nj->n", t1, Sm, t1)
-        r = np.einsum("ni,nij,nj->n", t2, Sm, t2)
-        q = np.einsum("ni,nij,nj->n", t1, Sm, t2)
-        mean = 0.5 * (p + r)
-        dev = np.sqrt(np.maximum(0.25 * (p - r) ** 2 + q * q, 0.0))
-        l1, l2 = mean + dev, mean - dev
-        B2[idx] = l1 * l1 + l2 * l2
+    Sm = np.empty((len(idx), 3, 3))
+    Sm[:, 0, 0] = S[idx, 0]
+    Sm[:, 1, 1] = S[idx, 1]
+    Sm[:, 2, 2] = S[idx, 2]
+    Sm[:, 0, 1] = Sm[:, 1, 0] = S[idx, 3]
+    Sm[:, 0, 2] = Sm[:, 2, 0] = S[idx, 4]
+    Sm[:, 1, 2] = Sm[:, 2, 1] = S[idx, 5]
+    Sm /= area_geom[idx, None, None]
+    n = normals[idx]
+    # tangent frame
+    pick = np.where(np.abs(n[:, 0]) < 0.9, 0, 1)
+    seed = np.zeros_like(n)
+    seed[np.arange(len(idx)), pick] = 1.0
+    t1 = np.cross(n, seed)
+    t1 /= np.linalg.norm(t1, axis=1)[:, None]
+    t2 = np.cross(n, t1)
+    p = np.einsum("ni,nij,nj->n", t1, Sm, t1)
+    r = np.einsum("ni,nij,nj->n", t2, Sm, t2)
+    q = np.einsum("ni,nij,nj->n", t1, Sm, t2)
+    mean = 0.5 * (p + r)
+    dev = np.sqrt(np.maximum(0.25 * (p - r) ** 2 + q * q, 0.0))
+    l1, l2 = mean + dev, mean - dev
+    B2[idx] = l1 * l1 + l2 * l2
 
     resid = np.full(nv, np.nan)
     h2 = np.einsum("ij,ij->i", g.H, g.H)
@@ -409,13 +407,12 @@ def _require_consistent_orientation(v: DiscreteVarifold) -> None:
     _require(v, manifold=True)
     topo = v.topology
     ie = topo.interior_edges
-    if len(ie):
-        s0 = topo.inc_signs[topo.offsets[ie]]
-        s1 = topo.inc_signs[topo.offsets[ie] + 1]
-        bad = np.nonzero(s0 == s1)[0]
-        if len(bad):
-            e = topo.edges[ie[bad[0]]]
-            raise MeshError(f"face windings disagree across edge ({e[0]}, {e[1]})")
+    s0 = topo.inc_signs[topo.offsets[ie]]
+    s1 = topo.inc_signs[topo.offsets[ie] + 1]
+    bad = np.nonzero(s0 == s1)[0]
+    if len(bad):
+        e = topo.edges[ie[bad[0]]]
+        raise MeshError(f"face windings disagree across edge ({e[0]}, {e[1]})")
 
 
 def oriented_vertex_normals(v: DiscreteVarifold) -> np.ndarray:
@@ -557,9 +554,7 @@ def first_variation_residual(
     smooth = ~topo.boundary_vertex_mask & ~topo.junction_vertex_mask
     h_term = -math.fsum(dots[smooth])  # <phi, H A> = -<phi, grad M> at smooth vertices
 
-    bdry_term = 0.0
-    if len(topo.boundary_edges):
-        edges, f, _, nu = _boundary_conormals(v, nhat)
-        mid_phi = 0.5 * (phi[edges[:, 0]] + phi[edges[:, 1]])
-        bdry_term = math.fsum(v.multiplicity[f] * np.einsum("ij,ij->i", mid_phi, nu))
+    edges, f, _, nu = _boundary_conormals(v, nhat)
+    mid_phi = 0.5 * (phi[edges[:, 0]] + phi[edges[:, 1]])
+    bdry_term = math.fsum(v.multiplicity[f] * np.einsum("ij,ij->i", mid_phi, nu))
     return abs(div_term + h_term - bdry_term)

@@ -84,7 +84,7 @@ _ICO_VERTS = np.array(
     ],
     dtype=np.float64,
 )
-_ICO_FACES = np.array(
+_ICO_FACES = np.array(  # wound outward; the 4-to-1 split keeps each child's winding
     [
         (0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),
         (1, 5, 9), (5, 11, 4), (11, 10, 2), (10, 7, 6), (7, 1, 8),
@@ -114,11 +114,6 @@ def _icosphere(radius: float, level: int) -> tuple[np.ndarray, np.ndarray]:
         a, b, c = faces.T
         faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1).reshape(-1, 3)
         verts = np.vstack([verts, m])
-    # outward winding: flip everything if the signed volume comes out negative
-    p = verts[faces]
-    vol6 = float(np.einsum("ij,ij->", p[:, 0], np.cross(p[:, 1], p[:, 2])))
-    if vol6 < 0.0:
-        faces = faces[:, ::-1]
     return radius * verts, faces
 
 

@@ -152,13 +152,18 @@ def make_varifold(
     """Build a DiscreteVarifold and validate its structure.
 
     ``faces`` must be (F, 3); an empty array stands for no faces. Any other
-    shape is left for ``validate`` to reject, never reshaped.
+    shape is left for ``validate`` to reject, never reshaped. Nothing is coerced:
+    vertices must be numbers, the other arrays integers (MeshError otherwise).
     """
-    faces = np.asarray(faces, dtype=np.int64)
+    vertices = _numeric(vertices, "iuf", "vertices")
+    faces = _numeric(faces, "iu", "faces")
     if faces.shape == (0,):
         faces = faces.reshape(0, 3)
     if multiplicity is None:
         multiplicity = np.ones(len(faces), dtype=np.int64)
+    multiplicity = _numeric(multiplicity, "iu", "multiplicity")
+    if face_patches is not None:
+        face_patches = _numeric(face_patches, "iu", "face_patches")
     v = DiscreteVarifold(vertices, faces, multiplicity, oriented, face_patches)
     validate(v)
     return v
@@ -174,9 +179,7 @@ def validate(v: DiscreteVarifold) -> None:
         raise MeshError("vertices contain non-finite coordinates")
     if len(v.multiplicity) != len(v.faces):
         raise MeshError("multiplicity length does not match face count")
-    if len(v.faces) == 0:
-        return
-    if v.faces.min() < 0 or v.faces.max() >= len(v.vertices):
+    if v.faces.min(initial=0) < 0 or v.faces.max(initial=-1) >= len(v.vertices):
         bad = int(np.nonzero((v.faces < 0) | (v.faces >= len(v.vertices)))[0][0])
         raise MeshError(f"face {bad} has a vertex index out of range")
     same = (
@@ -189,9 +192,8 @@ def validate(v: DiscreteVarifold) -> None:
     if (v.multiplicity < 1).any():
         bad = int(np.nonzero(v.multiplicity < 1)[0][0])
         raise MeshError(f"face {bad} has multiplicity < 1")
-    areas = face_areas(v)
     scale = mesh_scale(v)
-    tiny = areas < 1e-14 * scale * scale
+    tiny = face_areas(v) / scale / scale < 1e-14  # scale * scale may underflow to 0
     if tiny.any():
         raise MeshError(f"face {int(np.nonzero(tiny)[0][0])} is degenerate (zero area)")
 
@@ -246,8 +248,6 @@ def _weld(points: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     the candidate pairs.
     """
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    if len(points) == 0:
-        return np.zeros(0, dtype=np.int64), points
     _, first, inv = np.unique(points, axis=0, return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty(len(first), dtype=np.int64)
@@ -331,10 +331,8 @@ def edge_topology(v: DiscreteVarifold) -> EdgeTopology:
     junction = np.nonzero(counts >= 3)[0]
     bmask = np.zeros(v.num_vertices, dtype=bool)
     jmask = np.zeros(v.num_vertices, dtype=bool)
-    if len(boundary):
-        bmask[edges[boundary].ravel()] = True
-    if len(junction):
-        jmask[edges[junction].ravel()] = True
+    bmask[edges[boundary].ravel()] = True
+    jmask[edges[junction].ravel()] = True
     return EdgeTopology(
         edges=_frozen(edges),
         counts=_frozen(counts),
@@ -391,29 +389,17 @@ def junction_sheet_angles(v: DiscreteVarifold) -> np.ndarray:
     sheets are skipped.
     """
     topo = v.topology
-    rows = []
-    for ei in topo.junction_edges:
-        fs = topo.faces_of_edge(int(ei))
-        if len(fs) != 3:
-            continue
-        p, q = v.vertices[topo.edges[ei, 0]], v.vertices[topo.edges[ei, 1]]
-        ehat = q - p
-        ehat = ehat / np.linalg.norm(ehat)
-        m = 0.5 * (p + q)
-        dirs = []
-        for fi in fs:
-            corners = v.faces[fi]
-            opp = [x for x in corners if x != topo.edges[ei, 0] and x != topo.edges[ei, 1]][0]
-            w = v.vertices[opp] - m
-            w = w - (w @ ehat) * ehat
-            dirs.append(w / np.linalg.norm(w))
-        angs = []
-        for i in range(3):
-            for j in range(i + 1, 3):
-                d = float(np.clip(dirs[i] @ dirs[j], -1.0, 1.0))
-                angs.append(math.degrees(math.acos(d)))
-        rows.append(sorted(angs))
-    return np.asarray(rows, dtype=np.float64).reshape(-1, 3)
+    je = topo.junction_edges[topo.counts[topo.junction_edges] == 3]
+    fs = topo.inc_faces[topo.offsets[je][:, None] + np.arange(3)]  # (J, 3)
+    lo, hi = topo.edges[je, 0], topo.edges[je, 1]
+    p, q = v.vertices[lo], v.vertices[hi]
+    ehat = (q - p) / np.linalg.norm(q - p, axis=1)[:, None]
+    opp = v.faces[fs].sum(axis=2) - (lo + hi)[:, None]  # each face's corner off the edge
+    w = v.vertices[opp] - 0.5 * (p + q)[:, None]
+    w -= np.einsum("jfk,jk->jf", w, ehat)[..., None] * ehat[:, None]
+    w /= np.linalg.norm(w, axis=2)[..., None]
+    dots = np.einsum("jfk,jgk->jfg", w, w)[:, [0, 0, 1], [1, 2, 2]]
+    return np.sort(np.degrees(np.arccos(np.clip(dots, -1.0, 1.0))), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -435,16 +421,49 @@ def save_varifold(v: DiscreteVarifold, path: str, analytic: dict | None = None) 
     save_json(doc, path)
 
 
-def _file_array(doc: dict, key: str, path: str, kinds: str) -> np.ndarray:
-    """``doc[key]`` as an array whose dtype kind is in ``kinds``, else MeshError."""
-    a = np.asarray(doc[key])
+def _numeric(x, kinds: str, where: str, error: type[ValueError] = MeshError) -> np.ndarray:
+    """``x`` as an array of dtype kind in ``kinds`` ("iu" or "iuf"), never coerced, else ``error``
+    naming ``where``. A sequence is also scanned for booleans, which NumPy reads as 1 and 0."""
+    a = np.asarray(x)
     want = "integers" if kinds == "iu" else "numbers"
-    rows = itertools.chain.from_iterable(doc[key]) if a.ndim == 2 else doc[key] if a.ndim == 1 else ()
-    if bool in set(map(type, rows)):  # among numbers NumPy reads true and false as 1 and 0
-        raise MeshError(f"file {path!r}: {key!r} must hold {want}, not booleans")
+    if not isinstance(x, np.ndarray):
+        rows = itertools.chain.from_iterable(x) if a.ndim == 2 else x if a.ndim == 1 else ()
+        if {bool, np.bool_} & set(map(type, rows)):
+            raise error(f"{where} must hold {want}, not booleans")
     if a.size and a.dtype.kind not in kinds:
-        raise MeshError(f"file {path!r}: {key!r} must hold {want}, not {a.dtype}")
+        raise error(f"{where} must hold {want}, not {a.dtype}")
     return a
+
+
+def _is_int(x) -> bool:
+    """A Python or NumPy integer; booleans are not integers here."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    """A Python or NumPy integer or float; booleans are not numbers here."""
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+
+
+#: Tests of a JSON value for ``_check_rows``, each with what it asks for.
+_NUMBER = (_is_number, "a number")
+_INTEGER = (_is_int, "an integer")
+_POINT = (lambda x: isinstance(x, list) and len(x) == 3 and all(map(_is_number, x)), "3 numbers")
+
+
+
+def _check_rows(rows, spec: dict, where: str, error: type[ValueError] = MeshError) -> None:
+    """``error`` naming the entry and key unless ``rows`` is a list of objects whose keys pass
+    ``spec``'s tests (key -> (test, what it asks for)); only a key ending in "?" may be missing."""
+    if not (isinstance(rows, list) and all(isinstance(r, dict) for r in rows)):
+        raise error(f"{where} must be a list of objects")
+    for k, row in enumerate(rows):
+        for name, (ok, what) in spec.items():
+            key = name.rstrip("?")
+            if key == name and key not in row:
+                raise error(f"{where} entry {k} is missing {key!r}")
+            if key in row and not ok(row[key]):
+                raise error(f"{where} entry {k}: {key!r} must be {what}, not {row[key]!r}")
 
 
 def load_mesh_file(path: str) -> tuple[DiscreteVarifold, dict | None]:
@@ -452,30 +471,40 @@ def load_mesh_file(path: str) -> tuple[DiscreteVarifold, dict | None]:
 
     Values are never coerced: a non-integer face index, multiplicity or patch
     label, a boolean among numbers, a face row without exactly three indices,
-    or a non-boolean ``oriented`` raises MeshError naming the key.
+    a non-boolean ``oriented``, or an ``analytic`` block whose keys that
+    analyses read have the wrong type raises MeshError naming the key.
     """
     with open(path) as fh:
         doc = json.load(fh)
     for key in ("vertices", "faces", "multiplicity"):
-        if key not in doc:
+        if not isinstance(doc, dict) or key not in doc:
             raise MeshError(f"mesh file {path!r} is missing the {key!r} array")
     oriented = doc.get("oriented", False)
     if not isinstance(oriented, bool):
         raise MeshError(f"mesh file {path!r}: 'oriented' must be true or false, not {oriented!r}")
-    faces = _file_array(doc, "faces", path, "iu")
+    analytic, where = doc.get("analytic"), f"mesh file {path!r}: 'analytic'"
+    if analytic is not None and not isinstance(analytic, dict):
+        raise MeshError(f"{where} must be an object, not {type(analytic).__name__}")
+    if not _is_number((analytic or {}).get("willmore_energy", 0)):
+        raise MeshError(f"{where}: 'willmore_energy' must be a number, not {analytic['willmore_energy']!r}")
+    for key, spec in (("density_points", {"point": _POINT, "density": _NUMBER, "r_max?": _NUMBER}),
+                      ("junction_circles", {"center": _POINT, "normal": _POINT, "radius": _NUMBER,
+                                            "density?": _NUMBER})):  # the lists that analyses read
+        _check_rows((analytic or {}).get(key, []), spec, f"{where}: {key!r}")
+    faces = _numeric(doc["faces"], "iu", f"file {path!r}: 'faces'")
     if faces.size and (faces.ndim != 2 or faces.shape[1] != 3):
         raise MeshError(f"mesh file {path!r}: 'faces' must be rows of 3 indices, not shape {faces.shape}")
     patches = None
     if doc.get("face_patches") is not None:
-        patches = _file_array(doc, "face_patches", path, "iu")
+        patches = _numeric(doc["face_patches"], "iu", f"file {path!r}: 'face_patches'")
     v = make_varifold(
-        _file_array(doc, "vertices", path, "iuf"),
+        _numeric(doc["vertices"], "iuf", f"file {path!r}: 'vertices'"),
         faces,
-        _file_array(doc, "multiplicity", path, "iu"),
+        _numeric(doc["multiplicity"], "iu", f"file {path!r}: 'multiplicity'"),
         oriented=oriented,
         face_patches=patches,
     )
-    return v, doc.get("analytic")
+    return v, analytic
 
 
 def load_obj(path: str) -> DiscreteVarifold:

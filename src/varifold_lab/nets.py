@@ -8,13 +8,14 @@ lengths and, for the first seven, explicit balanced coordinates.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .mesh import _file_array, _frozen
+from .mesh import _frozen, _numeric
 from .reports import NOT_RECORDED, Record, save_json
 
 __all__ = [
@@ -68,7 +69,9 @@ class GeodesicNet:
 
 
 def make_net(vertices, arcs, major=None) -> GeodesicNet:
-    net = GeodesicNet(vertices, arcs, major)
+    """A validated net: numbers as vertices, integers as arcs, nothing coerced (NetError)."""
+    net = GeodesicNet(_numeric(vertices, "iuf", "vertices", NetError),
+                      _numeric(arcs, "iu", "arcs", NetError), major)
     _validate(net)
     return net
 
@@ -84,14 +87,13 @@ def _validate(net: GeodesicNet) -> None:
     off = np.abs(np.linalg.norm(net.vertices, axis=1) - 1.0)
     if len(off) and off.max() > 1e-12:
         raise NetError(f"vertex {int(off.argmax())} is off the unit sphere by {off.max():.2e}")
-    if len(net.arcs):
-        if net.arcs[:, :2].min() < 0 or net.arcs[:, :2].max() >= net.num_vertices:
-            raise NetError("arc endpoint index out of range")
-        if (net.arcs[:, 0] == net.arcs[:, 1]).any():
-            bad = int(np.nonzero(net.arcs[:, 0] == net.arcs[:, 1])[0][0])
-            raise NetError(f"arc {bad} has identical endpoints")
-        if (net.arcs[:, 2] < 1).any():
-            raise NetError("arc multiplicities must be >= 1")
+    if net.arcs[:, :2].min(initial=0) < 0 or net.arcs[:, :2].max(initial=-1) >= net.num_vertices:
+        raise NetError("arc endpoint index out of range")
+    if (net.arcs[:, 0] == net.arcs[:, 1]).any():
+        bad = int(np.nonzero(net.arcs[:, 0] == net.arcs[:, 1])[0][0])
+        raise NetError(f"arc {bad} has identical endpoints")
+    if (net.arcs[:, 2] < 1).any():
+        raise NetError("arc multiplicities must be >= 1")
 
 
 def arc_length(p, q, major: bool = False) -> float:
@@ -297,16 +299,28 @@ def _subdivide(net: GeodesicNet) -> tuple[np.ndarray, np.ndarray, int]:
 
 @dataclass(frozen=True)
 class CatalogueEntry(Record):
+    """One catalogue net; ``n_arcs`` is given only without a net, and the
+    flags are derived from ``length`` and ``net``."""
+
     name: str
-    n_arcs: int
     closed_form: str
     length: float | None
-    below_4pi: bool
-    constructible: bool
     combinatorics: str
     net: GeodesicNet | None = field(default=None, metadata=NOT_RECORDED)
-    invalid_as_printed: bool = False
+    n_arcs: int | None = None
     note: str = ""
+    below_4pi: bool = field(init=False)
+    constructible: bool = field(init=False)
+    invalid_as_printed: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        if self.net is not None:
+            if self.n_arcs is not None:
+                raise TypeError("n_arcs is the net's arc count: give it only without a net")
+            object.__setattr__(self, "n_arcs", self.net.num_arcs)
+        object.__setattr__(self, "below_4pi", self.length is not None and self.length < 4.0 * math.pi)
+        object.__setattr__(self, "constructible", self.net is not None)
+        object.__setattr__(self, "invalid_as_printed", self.length is None)
 
 
 def _arcs_by_dot(verts: np.ndarray, target: float, tol: float = 1e-9) -> np.ndarray:
@@ -383,8 +397,10 @@ def _net_dodecahedron() -> GeodesicNet:
     return make_net(verts, arcs)
 
 
-def catalogue() -> list[CatalogueEntry]:
-    """The ten stationary nets on the unit sphere, with printed closed forms.
+@functools.cache
+def catalogue() -> tuple[CatalogueEntry, ...]:
+    """The ten stationary nets on the unit sphere, with printed closed forms,
+    built on first use and shared (the entries are frozen).
 
     Entries 1–7 carry explicit balanced coordinates; 8–10 are length-only
     (no coordinates are printed in the classification; reconstructing them is
@@ -399,74 +415,53 @@ def catalogue() -> list[CatalogueEntry]:
         + 16 * asin(sqrt((2 ** 0.25 - 1) ** 2 / 6 + (2 - sqrt(2)) ** 2 / 12))
     )
     e9 = (6 * 83.80167087 + 8 * 58.25684287 + 4 * 13.55944752) * pi / 180.0
-    entries = [
+    return (
         CatalogueEntry(
             name="great circle",
-            n_arcs=4,
             closed_form="2*pi",
             length=2 * pi,
-            below_4pi=True,
-            constructible=True,
             combinatorics="one great circle sampled at 4 points, 4 quarter arcs",
             net=_net_great_circle(),
         ),
         CatalogueEntry(
             name="three half circles",
-            n_arcs=6,
             closed_form="3*pi",
             length=3 * pi,
-            below_4pi=True,
-            constructible=True,
             combinatorics="three meridians sharing both poles, split at the equator",
             net=_net_three_half_circles(),
         ),
         CatalogueEntry(
             name="tetrahedron",
-            n_arcs=6,
             closed_form="6*acos(-1/3)",
             length=6 * acos(-1.0 / 3.0),
-            below_4pi=True,
-            constructible=True,
             combinatorics="1-skeleton of the regular tetrahedron, radially projected",
             net=_net_tetrahedron(),
         ),
         CatalogueEntry(
             name="cube",
-            n_arcs=12,
             closed_form="12*acos(1/3)",
             length=12 * acos(1.0 / 3.0),
-            below_4pi=False,
-            constructible=True,
             combinatorics="1-skeleton of the cube, radially projected",
             net=_net_cube(),
         ),
         CatalogueEntry(
             name="pentagon prism",
-            n_arcs=15,
             closed_form="10*acos(sqrt(5)/3) + 5*acos((3 - 5*sqrt(5)/3)/(5 - sqrt(5)))",
             length=10 * acos(sqrt(5) / 3) + 5 * acos((3 - 5 * sqrt(5) / 3) / (5 - sqrt(5))),
-            below_4pi=False,
-            constructible=True,
             combinatorics="prism over a regular pentagon: two rings of 5 plus 5 uprights",
             net=_net_prism(5, 2.0 * (5.0 - math.sqrt(5.0)) / 15.0),
         ),
         CatalogueEntry(
             name="triangle prism",
-            n_arcs=9,
             closed_form="6*acos(-1/3) + 3*acos(7/9)",
             length=6 * acos(-1.0 / 3.0) + 3 * acos(7.0 / 9.0),
-            below_4pi=False,
-            constructible=True,
             combinatorics="prism over a regular triangle: two rings of 3 plus 3 uprights",
             net=_net_prism(3, 8.0 / 9.0),
         ),
         CatalogueEntry(
             name="dodecahedron",
-            n_arcs=30,
             closed_form="30*acos(1 - 8/(3*(1 + sqrt(5))**2))",
             length=30 * acos(1 - 8 / (3 * (1 + sqrt(5)) ** 2)),
-            below_4pi=False,
-            constructible=True,
             combinatorics="1-skeleton of the regular dodecahedron, radially projected",
             net=_net_dodecahedron(),
         ),
@@ -478,8 +473,6 @@ def catalogue() -> list[CatalogueEntry]:
                 " + 8*2*asin(sqrt((2**(1/4) - 1)**2/6 + (2 - sqrt(2))**2/12))"
             ),
             length=e8,
-            below_4pi=False,
-            constructible=False,
             combinatorics=(
                 "24 arcs forming 2 regular quadrilaterals and 8 equal pentagons; each"
                 " quadrilateral surrounded by 4 pentagons, each pentagon by 4 pentagons"
@@ -491,8 +484,6 @@ def catalogue() -> list[CatalogueEntry]:
             n_arcs=18,
             closed_form="(6*83.80167087 + 8*58.25684287 + 4*13.55944752)*2*pi/360",
             length=e9,
-            below_4pi=False,
-            constructible=False,
             combinatorics=(
                 "18 arcs forming 4 equal pentagons and 4 equal quadrilaterals; each"
                 " quadrilateral surrounded by 3 pentagons and 1 quadrilateral, each"
@@ -507,22 +498,18 @@ def catalogue() -> list[CatalogueEntry]:
                 " + 3*2*asin((sqrt(3) - sqrt(2))/(2*sqrt(3)))"
             ),
             length=None,
-            below_4pi=False,
-            constructible=False,
             combinatorics=(
                 "21 arcs forming 3 regular quadrilaterals and 6 equal pentagons; each"
                 " quadrilateral surrounded by 4 pentagons, each pentagon by 2"
                 " quadrilaterals and 3 pentagons"
             ),
-            invalid_as_printed=True,
             note=(
                 "the middle arcsin argument sqrt(3 - sqrt(6)/6) ≈ 1.61 exceeds 1, so"
                 " the printed formula cannot be evaluated; the intended comparison"
                 " (> 25, hence > 4*pi) is recorded here"
             ),
         ),
-    ]
-    return entries
+    )
 
 
 def match_link(link) -> dict:
@@ -591,4 +578,4 @@ def load_net(path: str) -> GeodesicNet:
             raise NetError(f"net file {path!r}: arc {k} must be 3 or 4 integers, not {r!r}")
     arcs = np.asarray([r[:3] for r in rows], dtype=np.int64)
     major = np.asarray([len(r) > 3 and bool(r[3]) for r in rows], dtype=bool)
-    return make_net(_file_array(doc, "vertices", path, "iuf"), arcs, major)
+    return make_net(_numeric(doc["vertices"], "iuf", f"file {path!r}: 'vertices'"), arcs, major)

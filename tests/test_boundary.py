@@ -312,6 +312,41 @@ def test_closed_mesh_has_empty_boundary(sphere3):
     assert b.total_length == 0.0
 
 
+def test_closed_mesh_boundary_logs_nothing(sphere3, caplog):
+    caplog.set_level("DEBUG")
+    assert boundary_measure(sphere3.varifold).total_length == 0.0
+    assert caplog.records == []
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"center": ["1", "0", "0"]}, "circle center must hold numbers, not <U1"),
+    ({"radius": True}, "circle radius must be a number, not True"),
+    ({"radius": "1"}, "circle radius must be a number, not '1'"),
+    ({"normal": [0, 0, True]}, "circle normal must hold numbers, not booleans"),
+    ({"center": np.array([True, False, False])}, "circle center must hold numbers, not bool"),
+], ids=["string-center", "bool-radius", "string-radius", "bool-normal", "bool-center-array"])
+def test_circle_spec_coerces_nothing(kwargs, message):
+    args = {"center": [1, 0, 0], "radius": 1.0, "normal": [0, 0, 1], **kwargs}
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        CircleSpec(**args)
+
+
+def test_circle_spec_takes_numpy_numbers_and_leaves_its_inputs_writable():
+    center = np.array([1, 0, 0], dtype=np.int32)
+    c = CircleSpec(center, np.float32(0.5), np.array([0.0, 0.0, 2.0]), m=np.int64(2))
+    assert c.center.dtype == np.float64 and c.radius == 0.5 and c.normal.tolist() == [0.0, 0.0, 1.0]
+    assert center.flags.writeable and not c.center.flags.writeable
+
+
+def test_closed_mesh_boundary_arrays_keep_their_shapes_and_types(sphere3):
+    # recorded while a closed mesh still took a special case
+    b = boundary_measure(sphere3.varifold)
+    for a, shape, dtype in ((b.edges, (0, 2), np.int64), (b.lengths, (0,), np.float64),
+                            (b.conormals, (0, 3), np.float64), (b.multiplicity, (0,), np.int64)):
+        assert (a.shape, a.dtype) == (shape, dtype)
+    assert type(b.total_length) is float and b.total_length == 0.0
+
+
 def test_flat_disk_boundary(sphere3):
     rho = 1.5
     out = gen_flat_disk(rho, 3)

@@ -170,6 +170,18 @@ def test_analyze_failure_exits_one(tmp_path, capsys):
     assert "[FAIL] analyses.energy" in capsys.readouterr().out
 
 
+def test_analyze_liyau_without_an_analytic_block_samples_eight_vertices(tmp_path):
+    from varifold_lab import generators
+    from varifold_lab.mesh import save_varifold
+
+    path, report = str(tmp_path / "bare.json"), str(tmp_path / "r.json")
+    save_varifold(generators.gen_sphere(1.0, 3).varifold, path)
+    assert main(["analyze", path, "--liyau", "-o", report]) == 0
+    block = read_json(report)["analyses"]["liyau"]
+    assert block["n_samples"] == 8
+    assert block["theta_max"] == 0.9975459219046342
+
+
 def test_analyze_writes_to_stdout_without_out(sphere_file, capsys):
     assert main(["analyze", sphere_file, "--energy"]) == 0
     out = capsys.readouterr().out
@@ -228,8 +240,8 @@ def test_net_match_bad_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("doc", [{"total_length": True}, {"total_length": "6.283185307179586"},
-                                 {"total_length": None}, True],
-                         ids=["bool", "string", "null", "bare-bool"])
+                                 {"total_length": None}, True, 6.283185307179586, [6.283185307179586]],
+                         ids=["bool", "string", "null", "bare-bool", "bare-number", "list"])
 def test_net_match_does_not_coerce_the_length(tmp_path, capsys, doc):
     path = tmp_path / "link.json"
     path.write_text(json.dumps(doc))
@@ -473,6 +485,54 @@ def test_report_command_without_flags(tmp_path, capsys):
     path.write_text(canonical_dumps({"analyses": {}}))
     assert main(["report", str(path)]) == 0
     assert "no pass/fail checks recorded" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([1, 2], "the report and its 'input' must be objects"),
+    ({"input": "mesh.json", "analyses": {}}, "the report and its 'input' must be objects"),
+], ids=["list", "string-input"])
+def test_report_of_the_wrong_shape_is_input_error(tmp_path, capsys, doc, message):
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(doc))
+    assert main(["report", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"report file {str(path)!r}" in err and message in err
+
+
+@pytest.mark.parametrize("analytic, option, message", [
+    ([1], "--energy", "'analytic' must be an object, not list"),
+    ({"density_points": "x"}, "--liyau", "'analytic': 'density_points' must be a list of objects"),
+    ({"willmore_energy": True}, "--energy", "'analytic': 'willmore_energy' must be a number, not True"),
+    ({"density_points": [{"point": [1, 0, 0]}]}, "--liyau",
+     "'analytic': 'density_points' entry 0 is missing 'density'"),
+    ({"junction_circles": [{"center": [0, 0, 0], "normal": [0, 0, 1], "radius": 1, "density": None}]},
+     "--density=1,0,0", "'analytic': 'junction_circles' entry 0: 'density' must be a number, not None"),
+], ids=["list", "string-density-points", "bool-energy", "no-density", "null-circle-density"])
+def test_analytic_block_of_the_wrong_shape_is_input_error(sphere_file, tmp_path, capsys, analytic,
+                                                          option, message):
+    doc = read_json(sphere_file)
+    doc["analytic"] = analytic
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path), option, "-o", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert f"mesh file {str(path)!r}: {message}" in err
+
+
+def test_analytic_block_may_leave_out_optional_keys(sphere_file, tmp_path):
+    doc = read_json(sphere_file)
+    doc["analytic"] = {"density_points": [{"point": [0, 0, 1], "density": 1.0}]}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path), "--liyau", "-o", str(tmp_path / "r.json")]) == 0
+    assert read_json(str(tmp_path / "r.json"))["analyses"]["liyau"]["n_samples"] == 1
+
+
+def test_mesh_file_of_the_wrong_shape_is_input_error(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text("3")
+    assert main(["analyze", str(path), "--energy"]) == 2
+    assert f"mesh file {str(path)!r} is missing the 'vertices' array" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,23 @@ def test_helfrich_needs_orientation():
         curvature.helfrich_energy(var, 0.0)
 
 
+def test_helfrich_names_the_first_edge_where_windings_disagree():
+    v = generators.gen_sphere(1.0, 2).varifold
+    faces = v.faces.copy()
+    faces[0] = faces[0, ::-1]
+    flipped = make_varifold(v.vertices, faces, oriented=True)
+    with pytest.raises(MeshError, match=r"^face windings disagree across edge \(0, 42\)$"):
+        curvature.helfrich_energy(flipped, 0.0)
+
+
+def test_helfrich_on_one_oriented_triangle_is_zero():
+    # no interior edge and only boundary vertices; recorded while an empty
+    # interior took a special case
+    tri = make_varifold([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]], oriented=True)
+    assert curvature.helfrich_energy(tri, 0.0) == 0.0
+    assert curvature.helfrich_energy(tri, 1.0) == 0.0
+
+
 def test_gauss_curvature_on_sphere(sphere4):
     f = curvature.gauss_curvature(sphere4.varifold)
     assert np.nanmean(f.K) == pytest.approx(1.0, abs=0.01)
@@ -158,6 +175,19 @@ def test_curvature_fields_keep_their_bits():
     assert {k: hashlib.sha256(getattr(f, k).tobytes()).hexdigest() for k in want} == want
 
 
+def test_second_fundamental_norm_of_one_triangle():
+    # no interior edge and no vertex off the boundary; recorded while both
+    # took a special case
+    tri = make_varifold([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]])
+    f = curvature.second_fundamental_norm(tri)
+    np.testing.assert_array_equal(f.H, np.zeros((3, 3)))
+    np.testing.assert_array_equal(f.vertex_area, [1 / 6, 1 / 6, 1 / 6])
+    np.testing.assert_array_equal(f.boundary_mask, [True, True, True])
+    np.testing.assert_array_equal(f.angle_defect, [1.5 * math.pi, 1.75 * math.pi, 1.75 * math.pi])
+    for a in (f.K, f.B2, f.gauss_relation_residual):
+        assert a.shape == (3,) and np.isnan(a).all()
+
+
 def test_euler_characteristic_sphere(sphere3):
     t = curvature.euler_characteristic(sphere3.varifold)
     assert t.chi == 2 and t.genus == 0 and t.orientable
@@ -175,6 +205,22 @@ def test_euler_characteristic_rejects_junctions():
     var = make_varifold(*triple_fan())
     with pytest.raises(MeshError):
         curvature.euler_characteristic(var)
+
+
+def test_euler_characteristic_names_the_first_junction_edge_of_a_closed_mesh():
+    # the README quick-start's exit: the double bubble is closed but not manifold
+    var = generators.gen_double_bubble(0.7, 1.0, 3).varifold
+    with pytest.raises(MeshError, match=r"^mesh is not manifold: edge \(0, 1\) has 3\+ faces$"):
+        curvature.euler_characteristic(var)
+
+
+def test_euler_characteristic_of_the_projective_plane():
+    # the 6-vertex real projective plane: closed, manifold, not orientable
+    faces = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
+             (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3)]
+    var = make_varifold(np.random.default_rng(0).standard_normal((6, 3)), faces)
+    t = curvature.euler_characteristic(var)
+    assert (t.chi, t.defect_chi, t.orientable, t.connected_components, t.genus) == (1, 1.0, False, 1, None)
 
 
 def test_enclosed_volume_unit_sphere(sphere4):
@@ -245,6 +291,13 @@ def test_first_variation_matches_finite_differences(sphere3, rng):
 def test_first_variation_residual_closed_mesh(sphere3, rng):
     phi = rng.normal(size=sphere3.varifold.vertices.shape)
     assert curvature.first_variation_residual(sphere3.varifold, phi) < 1e-10
+
+
+def test_first_variation_residual_closed_mesh_pinned():
+    # recorded while a mesh without boundary edges took a special case
+    v = generators.gen_sphere(1.0, 2).varifold
+    phi = np.random.default_rng(0).standard_normal(v.vertices.shape)
+    assert curvature.first_variation_residual(v, phi) == 0.0
 
 
 def test_first_variation_residual_flat_disk(rng):

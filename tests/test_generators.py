@@ -18,7 +18,7 @@ from varifold_lab.generators import (
     gen_torus,
     gen_triple_bubble,
 )
-from varifold_lab.mesh import junction_sheet_angles, total_mass
+from varifold_lab.mesh import junction_sheet_angles, make_varifold, total_mass
 
 TETRA_DENSITY = 3.0 * math.acos(-1.0 / 3.0) / math.pi
 
@@ -241,6 +241,53 @@ def test_junction_sheets_meet_at_120_degrees(build, levels, edges, max_err):
         errs.append(np.abs(angles - 120.0).max())
     assert errs[1] <= 0.6 * errs[0]  # max |angle - 120| shrinks by >= 40% per level
     assert errs[1] <= max_err
+
+
+def _junction_sheet_angles_oracle(v):
+    """Sheet angles at each 3-face junction edge, one edge and one face at a time."""
+    topo = v.topology
+    rows = []
+    for ei in topo.junction_edges:
+        fs = topo.faces_of_edge(int(ei))
+        if len(fs) != 3:
+            continue
+        p, q = v.vertices[topo.edges[ei, 0]], v.vertices[topo.edges[ei, 1]]
+        ehat = (q - p) / np.linalg.norm(q - p)
+        m = 0.5 * (p + q)
+        dirs = []
+        for fi in fs:
+            opp = [x for x in v.faces[fi] if x not in topo.edges[ei]][0]
+            w = v.vertices[opp] - m
+            w = w - (w @ ehat) * ehat
+            dirs.append(w / np.linalg.norm(w))
+        rows.append(sorted(math.degrees(math.acos(float(np.clip(dirs[i] @ dirs[j], -1.0, 1.0))))
+                           for i, j in ((0, 1), (0, 2), (1, 2))))
+    return np.asarray(rows, dtype=np.float64).reshape(-1, 3)
+
+
+def _fans():
+    """A 3-sheet fan on edge (0, 1) and a 4-sheet fan on edge (6, 7), the
+    second skipped by junction_sheet_angles."""
+    pts = [[0, 0, 0], [0, 0, 1], [1, 0, 0], [-0.5, 0.8, 0.1], [-0.4, -0.9, 0.2]]
+    pts += [[5, 5, 5], [6, 5, 5], [6, 5, 6], [7, 5, 5], [6, 6, 5], [5.5, 4, 5], [6, 4.5, 5]]
+    faces = [[0, 1, 2], [1, 0, 3], [0, 1, 4], [6, 7, 8], [6, 7, 9], [7, 6, 10], [6, 7, 11]]
+    return make_varifold(np.asarray(pts, dtype=float), faces)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: gen_double_bubble(0.7, 1.0, 3), lambda: gen_double_bubble(0.7, 1.0, 4),
+    lambda: gen_triple_bubble(2), lambda: gen_triple_bubble(3),
+    lambda: gen_sphere(1.0, 2), _fans,
+], ids=["double-bubble-3", "double-bubble-4", "triple-bubble-2", "triple-bubble-3", "sphere-2", "fans"])
+def test_junction_sheet_angles_match_the_loop_oracle(build):
+    out = build()
+    v = getattr(out, "varifold", out)
+    want = _junction_sheet_angles_oracle(v)
+    got = junction_sheet_angles(v)
+    assert got.shape == want.shape and got.dtype == np.float64
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    if build is _fans:
+        assert got.shape == (1, 3)
 
 
 # ---------------------------------------------------------------------------

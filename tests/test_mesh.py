@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,6 +167,32 @@ def test_make_varifold_accepts_no_faces():
     assert var.faces.shape == (0, 3) and var.num_faces == 0
 
 
+_TRIANGLE = [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
+
+
+@pytest.mark.parametrize("args, kwargs, message", [
+    ((_TRIANGLE, [[0, 1, 2.7]]), {}, "faces must hold integers, not float64"),
+    ((_TRIANGLE, [[0, 1, 2]]), {"multiplicity": [1.9]}, "multiplicity must hold integers, not float64"),
+    (([[True, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]]), {}, "vertices must hold numbers, not booleans"),
+    ((_TRIANGLE, [[0, 1, True]]), {}, "faces must hold integers, not booleans"),
+    ((_TRIANGLE, [[0, 1, 2]]), {"face_patches": [True]}, "face_patches must hold integers, not booleans"),
+    ((np.array(_TRIANGLE, dtype=bool), [[0, 1, 2]]), {}, "vertices must hold numbers, not bool"),
+    ((_TRIANGLE, np.array([[0.0, 1.0, 2.0]])), {}, "faces must hold integers, not float64"),
+], ids=["float-face", "float-multiplicity", "bool-vertex", "bool-face", "bool-patch",
+        "bool-vertex-array", "float-face-array"])
+def test_make_varifold_coerces_nothing(args, kwargs, message):
+    with pytest.raises(MeshError, match=f"^{message}$"):
+        make_varifold(*args, **kwargs)
+
+
+def test_make_varifold_takes_integer_and_float_arrays_of_any_width():
+    v = make_varifold(np.array(_TRIANGLE, dtype=np.float32), np.array([[0, 1, 2]], dtype=np.uint8),
+                      np.array([3], dtype=np.int32), face_patches=np.array([7], dtype=np.int16))
+    assert (v.vertices.dtype, v.faces.dtype, v.multiplicity.dtype, v.face_patches.dtype) == (
+        np.float64, np.int64, np.int64, np.int64)
+    assert v.faces.tolist() == [[0, 1, 2]] and v.multiplicity.tolist() == [3]
+
+
 def test_total_mass_counts_multiplicity():
     vertices = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float)
     faces = np.array([[0, 1, 2]])
@@ -180,6 +209,18 @@ def test_edge_topology_square():
     assert len(topo.interior_edges) == 1
     assert len(topo.junction_edges) == 0
     assert topo.boundary_vertex_mask.all()  # every vertex touches the rim
+
+
+def test_edge_topology_without_boundary_or_junction_edges(sphere3):
+    # recorded while empty edge classes took a special case
+    for v in (sphere3.varifold, make_varifold(*two_triangle_square())):
+        topo = mesh.edge_topology(v)
+        assert (topo.junction_edges.shape, topo.junction_edges.dtype) == ((0,), np.int64)
+        assert topo.junction_vertex_mask.dtype == bool
+        assert topo.junction_vertex_mask.shape == (v.num_vertices,) and not topo.junction_vertex_mask.any()
+    topo = sphere3.varifold.topology
+    assert (topo.boundary_edges.shape, topo.boundary_edges.dtype) == ((0,), np.int64)
+    assert topo.boundary_vertex_mask.shape == (642,) and not topo.boundary_vertex_mask.any()
 
 
 def test_edge_topology_triple_junction():
@@ -420,3 +461,29 @@ def test_point_surface_distance_matches_a_scan_of_every_face(v, x0):
     x0 = np.array(x0)
     want = curvature._distance_to_faces(v.vertices, v.faces, x0)
     assert float(curvature.point_surface_distance(v, x0)).hex() == float(want).hex()
+
+
+def test_zero_area_face_at_a_tiny_scale_is_degenerate():
+    # hypothesis draw (seed 54): the area 0 was compared with 1e-14 * scale**2,
+    # which underflows to 0, and point_surface_distance then divided by zero
+    with pytest.raises(MeshError, match="face 0 is degenerate"):
+        make_varifold([[0, 0, 0], [0, 0, 0], [0, 0, 2.03584332e-156]], [[0, 1, 2]])
+
+
+def test_a_failing_hypothesis_test_does_not_end_the_session(tmp_path):
+    (tmp_path / "test_pair.py").write_text(
+        "from hypothesis import given, strategies as st\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 0\n"
+        "def test_passes():\n"
+        "    pass\n"
+    )
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(config),
+         "--rootdir", str(tmp_path), "test_pair.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert "1 failed, 1 passed" in run.stdout, run.stdout[-2000:]

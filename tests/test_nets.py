@@ -21,6 +21,37 @@ from varifold_lab.nets import (
 
 FOUR_PI = 4.0 * math.pi
 
+
+@pytest.mark.parametrize("vertices, arcs, message", [
+    ([[1, 0, 0], [0, 1, 0]], [[0, 1, 1.9]], "arcs must hold integers, not float64"),
+    ([[1, 0, 0], [0, 1, 0]], [[0, 1, True]], "arcs must hold integers, not booleans"),
+    ([[True, 0, 0], [0, 1, 0]], [[0, 1, 1]], "vertices must hold numbers, not booleans"),
+    ([["1", "0", "0"], [0, 1, 0]], [[0, 1, 1]], "vertices must hold numbers, not <U"),
+], ids=["float-multiplicity", "bool-multiplicity", "bool-vertex", "string-vertex"])
+def test_make_net_coerces_nothing(vertices, arcs, message):
+    with pytest.raises(NetError, match=f"^{message}"):
+        make_net(vertices, arcs)
+
+
+def test_catalogue_entries_derive_their_flags():
+    net = catalogue()[0].net
+    e = nets.CatalogueEntry(name="x", closed_form="2*pi", length=2 * math.pi, combinatorics="", net=net)
+    assert (e.n_arcs, e.below_4pi, e.constructible, e.invalid_as_printed) == (4, True, True, False)
+    e = nets.CatalogueEntry(name="y", closed_form="?", length=None, combinatorics="", n_arcs=21)
+    assert (e.n_arcs, e.below_4pi, e.constructible, e.invalid_as_printed) == (21, False, False, True)
+    e = nets.CatalogueEntry(name="z", closed_form="4*pi", length=FOUR_PI, combinatorics="", n_arcs=8)
+    assert not e.below_4pi  # strictly below
+    with pytest.raises(TypeError, match="n_arcs"):
+        nets.CatalogueEntry(name="x", closed_form="", length=1.0, combinatorics="", net=net, n_arcs=4)
+    for flag in ("below_4pi", "constructible", "invalid_as_printed"):
+        with pytest.raises(TypeError):
+            nets.CatalogueEntry(name="x", closed_form="", length=1.0, combinatorics="", **{flag: True})
+
+
+def test_catalogue_is_built_once_and_shared():
+    assert type(catalogue()) is tuple
+    assert catalogue() is catalogue()
+
 # Closed-form lengths of the ten-net catalogue, frozen to full precision.
 FROZEN_LENGTHS = [
     2.0 * math.pi,
