@@ -1,130 +1,61 @@
 """Discrete varifold toolbox: meshes with junctions, bending energy, densities,
-spherical links, geodesic nets, and boundary conormal integrals."""
+spherical links, geodesic nets, and boundary conormal integrals.
 
-from .boundary import (
-    BoundaryDatum,
-    CircleSpec,
-    admissibility_check,
-    boundary_measure,
-    circle_conormal_integral,
-    circle_conormal_integral_quad,
-    load_datum,
-    make_datum,
-    save_datum,
-    sup_conormal_integral,
-)
-from .curvature import (
-    concentrated_volume,
-    enclosed_volume,
-    euler_characteristic,
-    first_variation_residual,
-    gauss_curvature,
-    helfrich_energy,
-    mean_curvature,
-    second_fundamental_norm,
-    willmore_energy,
-)
-from .blowup import (
-    ball_mass,
-    ball_mass_ladder,
-    classify_density,
-    density,
-    li_yau_check,
-    monotonicity_check,
-    spherical_link,
-)
-from .generators import (
-    GENERATORS,
-    gen_branched_patch,
-    gen_cap,
-    gen_double_bubble,
-    gen_double_bubble_flat,
-    gen_flat_disk,
-    gen_singular_pair,
-    gen_sphere,
-    gen_torus,
-    gen_triple_bubble,
-)
-from .mesh import (
-    DiscreteVarifold,
-    MeshError,
-    edge_topology,
-    load_mesh_file,
-    load_obj,
-    make_varifold,
-    refine,
-    save_varifold,
-    total_mass,
-)
-from .nets import (
-    GeodesicNet,
-    NetError,
-    balance_residual,
-    catalogue,
-    load_net,
-    make_net,
-    match_link,
-    relax,
-    save_net,
-    total_length,
-)
-from .reports import TOOL_VERSION as __version__
+Importing the package loads no submodule and not NumPy. Each submodule is
+registered in ``sys.modules`` through ``importlib.util.LazyLoader`` and runs
+when one of its attributes is first read, so a CLI command loads only what it
+uses; registering them at once, rather than on first ``__getattr__``, keeps
+``sys.modules["varifold_lab.<module>"]`` complete for code that wraps module
+attributes right after ``import varifold_lab`` (the benchmark's tracer). The
+public names below resolve through ``__getattr__`` (PEP 562) and are not
+cached here, so every read sees the submodule's current binding.
+"""
 
-__all__ = [
-    "BoundaryDatum",
-    "CircleSpec",
-    "DiscreteVarifold",
-    "GENERATORS",
-    "GeodesicNet",
-    "MeshError",
-    "NetError",
-    "admissibility_check",
-    "balance_residual",
-    "ball_mass",
-    "ball_mass_ladder",
-    "boundary_measure",
-    "catalogue",
-    "circle_conormal_integral",
-    "circle_conormal_integral_quad",
-    "classify_density",
-    "concentrated_volume",
-    "density",
-    "edge_topology",
-    "enclosed_volume",
-    "euler_characteristic",
-    "first_variation_residual",
-    "gauss_curvature",
-    "gen_branched_patch",
-    "gen_cap",
-    "gen_double_bubble",
-    "gen_double_bubble_flat",
-    "gen_flat_disk",
-    "gen_singular_pair",
-    "gen_sphere",
-    "gen_torus",
-    "gen_triple_bubble",
-    "helfrich_energy",
-    "li_yau_check",
-    "load_datum",
-    "load_mesh_file",
-    "load_net",
-    "load_obj",
-    "make_datum",
-    "make_net",
-    "make_varifold",
-    "match_link",
-    "mean_curvature",
-    "monotonicity_check",
-    "refine",
-    "relax",
-    "save_datum",
-    "save_net",
-    "save_varifold",
-    "second_fundamental_norm",
-    "spherical_link",
-    "sup_conormal_integral",
-    "total_length",
-    "total_mass",
-    "willmore_energy",
-    "__version__",
-]
+import importlib.util
+import sys
+
+#: Each public name's home module; ``__all__`` and ``__getattr__`` read this table.
+_EXPORTS = {
+    "boundary": ("BoundaryDatum", "CircleSpec", "admissibility_check", "boundary_measure",
+                 "circle_conormal_integral", "circle_conormal_integral_quad", "load_datum",
+                 "make_datum", "save_datum", "sup_conormal_integral"),
+    "curvature": ("concentrated_volume", "enclosed_volume", "euler_characteristic",
+                  "first_variation_residual", "gauss_curvature", "helfrich_energy",
+                  "mean_curvature", "second_fundamental_norm", "willmore_energy"),
+    "blowup": ("ball_mass", "ball_mass_ladder", "classify_density", "density", "li_yau_check",
+               "monotonicity_check", "spherical_link"),
+    "generators": ("GENERATORS", "gen_branched_patch", "gen_cap", "gen_double_bubble",
+                   "gen_double_bubble_flat", "gen_flat_disk", "gen_singular_pair", "gen_sphere",
+                   "gen_torus", "gen_triple_bubble"),
+    "mesh": ("DiscreteVarifold", "MeshError", "edge_topology", "load_mesh_file", "load_obj",
+             "make_varifold", "refine", "save_varifold", "total_mass"),
+    "nets": ("GeodesicNet", "NetError", "balance_residual", "catalogue", "load_net", "make_net",
+             "match_link", "relax", "save_net", "total_length"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_HOME) + ["__version__"]
+
+
+def _register(name: str):
+    """``varifold_lab.<name>``, in ``sys.modules`` but not run until an attribute is read."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+globals().update({name: _register(name) for name in ("reports", "_kernels", *_EXPORTS)})
+
+
+def __getattr__(name: str):
+    if name == "__version__":
+        return globals()["reports"].TOOL_VERSION
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(globals()[_HOME[name]], name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -46,21 +46,21 @@ class CircleSpec(Record):
     conormal_sign: int = 1
 
     def __post_init__(self) -> None:
-        center = _numeric(self.center, "iuf", "circle center", ValueError).astype(np.float64).reshape(3)
-        normal = _numeric(self.normal, "iuf", "circle normal", ValueError).astype(np.float64).reshape(3)
-        for name, value in (("center", center), ("normal", normal)):
+        for name in ("center", "normal"):
+            value = _numeric(getattr(self, name), "iuf", f"circle {name}", ValueError).astype(np.float64)
+            if value.shape != (3,):
+                raise ValueError(f"circle {name} must be 3 numbers, not {getattr(self, name)!r}")
             if not np.isfinite(value).all():
                 raise ValueError(f"circle {name} must be finite, not {value.tolist()}")
+            if name == "normal":
+                value = _unit(value)
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
         if not _is_number(self.radius):
             raise ValueError(f"circle radius must be a number, not {self.radius!r}")
         radius = float(self.radius)
         if not (radius > 0.0 and math.isfinite(radius)):
             raise ValueError(f"circle radius must be positive and finite, not {radius}")
-        normal = _unit(normal)
-        center.flags.writeable = False
-        normal.flags.writeable = False
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "normal", normal)
         object.__setattr__(self, "radius", radius)
         if not (_is_int(self.m) and self.m >= 1):
             raise ValueError(f"multiplicity m must be a positive integer, not {self.m!r}")

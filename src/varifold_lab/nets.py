@@ -69,11 +69,18 @@ class GeodesicNet:
 
 
 def make_net(vertices, arcs, major=None) -> GeodesicNet:
-    """A validated net: numbers as vertices, integers as arcs, nothing coerced (NetError)."""
+    """A validated net: numbers as vertices, integers as arcs, one boolean or 0/1 per arc as
+    ``major``; nothing coerced (NetError)."""
     net = GeodesicNet(_numeric(vertices, "iuf", "vertices", NetError),
-                      _numeric(arcs, "iu", "arcs", NetError), major)
+                      _numeric(arcs, "iu", "arcs", NetError), None)
     _validate(net)
-    return net
+    if major is None:
+        return net
+    flags = np.asarray(major)
+    if (flags.shape != (net.num_arcs,) or (flags.size and flags.dtype.kind not in "biu")
+            or not np.isin(flags, (0, 1)).all()):
+        raise NetError(f"major must be {net.num_arcs} booleans or 0/1 integers, one per arc, not {major!r}")
+    return replace(net, major=flags)
 
 
 def _validate(net: GeodesicNet) -> None:
@@ -565,7 +572,7 @@ def load_net(path: str) -> GeodesicNet:
     """Load a net file (the ``save_net`` format); values are never coerced.
 
     The vertices must be numbers, as in a mesh file (MeshError otherwise), and
-    each arc row 3 or 4 integers.
+    each arc row 3 integers, or 4 whose last is 1 on a major arc and 0 on a minor one.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -573,9 +580,10 @@ def load_net(path: str) -> GeodesicNet:
         raise NetError(f"net file {path!r} needs 'vertices' and 'arcs'")
     rows = doc["arcs"]
     for k, r in enumerate(rows):
-        if not (isinstance(r, list) and len(r) in (3, 4)
+        if not (isinstance(r, list) and len(r) in (3, 4) and r[3:] in ([], [0], [1])
                 and all(isinstance(x, int) and not isinstance(x, bool) for x in r)):
-            raise NetError(f"net file {path!r}: arc {k} must be 3 or 4 integers, not {r!r}")
+            raise NetError(f"net file {path!r}: arc {k} must be 3 or 4 integers, the fourth 0 or 1,"
+                           f" not {r!r}")
     arcs = np.asarray([r[:3] for r in rows], dtype=np.int64)
-    major = np.asarray([len(r) > 3 and bool(r[3]) for r in rows], dtype=bool)
+    major = [r[3:] == [1] for r in rows]
     return make_net(_numeric(doc["vertices"], "iuf", f"file {path!r}: 'vertices'"), arcs, major)

@@ -324,7 +324,11 @@ def test_closed_mesh_boundary_logs_nothing(sphere3, caplog):
     ({"radius": "1"}, "circle radius must be a number, not '1'"),
     ({"normal": [0, 0, True]}, "circle normal must hold numbers, not booleans"),
     ({"center": np.array([True, False, False])}, "circle center must hold numbers, not bool"),
-], ids=["string-center", "bool-radius", "string-radius", "bool-normal", "bool-center-array"])
+    ({"center": [0, 0]}, r"circle center must be 3 numbers, not \[0, 0\]"),
+    ({"normal": [0, 0, 1, 0]}, r"circle normal must be 3 numbers, not \[0, 0, 1, 0\]"),
+    ({"center": [[1, 0, 0]]}, r"circle center must be 3 numbers, not \[\[1, 0, 0\]\]"),
+], ids=["string-center", "bool-radius", "string-radius", "bool-normal", "bool-center-array",
+        "short-center", "long-normal", "nested-center"])
 def test_circle_spec_coerces_nothing(kwargs, message):
     args = {"center": [1, 0, 0], "radius": 1.0, "normal": [0, 0, 1], **kwargs}
     with pytest.raises(ValueError, match=f"^{message}$"):

@@ -562,18 +562,41 @@ def test_serial_reports_are_byte_identical(sphere_file, tmp_path):
         assert fa.read() == fb.read()
 
 
-def test_thread_cap_env_applies_before_numpy():
+def _thread_cap_at_numpy_load(extra_env: dict, argv: list[str]) -> list[str]:
+    """Run ``main(argv)`` in a child Python with ``extra_env`` and no thread caps set.
+
+    Returns whether NumPy was loaded before ``main``, the ``OMP_NUM_THREADS``
+    that an import hook saw when NumPy started to load (which is when its BLAS
+    reads it), and whether NumPy was loaded after ``main``.
+    """
     script = (
         "import os, sys\n"
+        "seen = []\n"
+        "class Probe:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'numpy':\n"
+        "            seen.append(os.environ.get('OMP_NUM_THREADS', 'unset'))\n"
+        "sys.meta_path.insert(0, Probe())\n"
         "from varifold_lab.cli import main\n"
-        "code = main(['net', 'match', '6.283185307179586'])\n"
-        "print('OMP=' + os.environ.get('OMP_NUM_THREADS', 'unset'))\n"
+        "before = 'numpy' in sys.modules\n"
+        "code = main(sys.argv[1:])\n"
+        "print(f'probe: before={before} at-load={\",\".join(seen)} after={\"numpy\" in sys.modules}')\n"
         "sys.exit(code)\n"
     )
-    env = {k: v for k, v in _child_env(VARIFOLD_LAB_THREADS="2").items()
-           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                        "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
-    proc = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True, env=env)
+    env = {k: v for k, v in _child_env().items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                        "NUMEXPR_NUM_THREADS", "VARIFOLD_LAB_THREADS")}
+    env.update(extra_env)
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert "OMP=2" in proc.stdout
+    return proc.stdout.splitlines()[-1].split()[1:]
+
+
+def test_thread_cap_env_applies_before_numpy():
+    got = _thread_cap_at_numpy_load({"VARIFOLD_LAB_THREADS": "2"}, ["net", "match", "6.283185307179586"])
+    assert got == ["before=False", "at-load=2", "after=True"]
+
+
+def test_serial_applies_before_numpy():
+    got = _thread_cap_at_numpy_load({}, ["--serial", "net", "match", "6.283185307179586"])
+    assert got == ["before=False", "at-load=1", "after=True"]

@@ -231,6 +231,22 @@ def test_make_net_empty_arcs_means_no_arcs():
         assert total_length(net) == 0.0
 
 
+@pytest.mark.parametrize("major", [[True], [True, False, True], [2.5, 0], [2, 0], [-1, 0], ["a", "b"],
+                                   True, [[True, False]]],
+                         ids=["short", "long", "float", "two", "minus-one", "strings", "scalar", "nested"])
+def test_make_net_takes_one_flag_per_arc(major):
+    # a short array used to broadcast: [True] made both arcs major (3*pi, not 2*pi)
+    with pytest.raises(NetError, match="^major must be 2 booleans or 0/1 integers, one per arc"):
+        make_net(np.eye(3), [[0, 1, 1], [1, 2, 1]], major=major)
+
+
+@pytest.mark.parametrize("major", [[True, False], [1, 0], np.array([1, 0], dtype=np.uint8)])
+def test_make_net_takes_booleans_or_zero_one_integers(major):
+    net = make_net(np.eye(3), [[0, 1, 1], [1, 2, 1]], major=major)
+    assert net.major.dtype == bool and net.major.tolist() == [True, False]
+    assert total_length(net) == pytest.approx(2 * math.pi, abs=1e-15)
+
+
 def test_net_input_views_are_copied():
     base = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     net = make_net(base[1:], [[0, 1, 1]])
@@ -388,13 +404,19 @@ def test_save_load_keeps_major_flags(tmp_path):
 @pytest.mark.parametrize(
     "row",
     ["[0, 1]", "[0, 1, 1, 0, 0]", "[0, 1, 1.5]", "[0.0, 1, 1]", "[0, 1, true]",
-     "[0, 1, 1, true]", "[0, \"1\", 1]", "7"],
+     "[0, 1, 1, true]", "[0, \"1\", 1]", "7", "[0, 1, 1, 5]", "[0, 1, 1, -1]"],
 )
 def test_load_rejects_arc_rows_that_are_not_three_or_four_integers(tmp_path, row):
     path = tmp_path / "bad.json"
     path.write_text('{"vertices": [[1, 0, 0], [0, 1, 0]], "arcs": [[0, 1, 1], %s]}' % row)
     with pytest.raises(NetError, match="arc 1 must be 3 or 4 integers"):
         load_net(str(path))
+
+
+def test_load_reads_a_fourth_element_of_zero_or_one(tmp_path):
+    path = tmp_path / "net.json"
+    path.write_text('{"vertices": [[1, 0, 0], [0, 1, 0]], "arcs": [[0, 1, 1, 0], [1, 0, 1, 1]]}')
+    assert load_net(str(path)).major.tolist() == [False, True]
 
 
 def test_load_rejects_missing_keys(tmp_path):
