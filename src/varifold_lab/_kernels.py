@@ -8,18 +8,28 @@ signed angle over all outside pieces automatically picks up the winding of the
 triangle around the disk center, so the same steps handle every configuration
 (disk inside triangle, triangle inside disk, partial overlap, disjoint).
 
-The kernel is vectorized over faces, one radius at a time. Faces wholly inside
-the ball contribute their area; only the faces the sphere cuts are clipped.
-Every per-face term is rounded exactly as a scalar evaluation of the same
-formulas would round it, and the terms are summed with ``math.fsum``, which is
-exactly rounded, so the masses do not depend on face order. Two rules keep
-the per-face terms bit-exact:
+``ball_masses`` makes one pass per call over faces and radii. A face wholly
+inside a ball contributes its area; the faces the sphere cuts are clipped,
+for every radius in one batch. Every per-face term is rounded exactly as a
+scalar evaluation of the same formulas would round it, and each mass is the
+correctly rounded exact sum of its terms (what ``math.fsum`` returns), so
+the masses do not depend on face order. These rules keep the bits:
 
-- dot products of 3-vectors use a batched ``@`` (one ``(1, 3) @ (3, 1)``
-  product per face), which rounds like a 1-D ``a @ b``; ``einsum`` does not;
+- corners are gathered with ``np.take`` from the vertices shifted once by the
+  center, which rounds each row like the shift of a gathered corner;
+- cross products are written out (``_cross``), the products and differences
+  ``np.cross`` forms;
+- dot products of 3-vectors use a batched ``@`` (``_dot``: one
+  ``(1, 3) @ (3, 1)`` product per face), which rounds like a 1-D ``a @ b``;
+  ``einsum`` does not;
 - arc angles use ``math.atan2`` (libm), computed only for the arc pieces that
   contribute; ``np.arctan2`` may take a SIMD path that differs in the last
-  bit.
+  bit;
+- sums are exact (``fsum``): mantissas are binned by exponent in integer
+  halves, combined in a Python int and rounded once; non-finite input, a
+  zero total and sums near overflow go to ``math.fsum``. A face's whole mass
+  is added to the shell of the smallest radius whose ball holds the face,
+  and each mass takes the shells of the radii up to its own.
 """
 from __future__ import annotations
 
@@ -97,8 +107,19 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
+def _cross(e: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Row-wise cross products of (k, 3) arrays, with the bits of ``np.cross``."""
+    out = np.empty((len(e), 3))
+    e0, e1, e2 = e.T
+    f0, f1, f2 = f.T
+    out[:, 0] = e1 * f2 - e2 * f1
+    out[:, 1] = e2 * f0 - e0 * f2
+    out[:, 2] = e0 * f1 - e1 * f0
+    return out
+
+
 def _clipped_areas(va, vb, vc, n, two_area, r) -> tuple[np.ndarray, np.ndarray]:
-    """area(face ∩ B(0, r)) for faces the sphere |x| = r may cut.
+    """area(face ∩ B(0, r)) for faces the sphere |x| = r may cut, one r per row.
 
     Returns (rows, areas) for the rows whose face plane meets the ball.
     """
@@ -110,7 +131,7 @@ def _clipped_areas(va, vb, vc, n, two_area, r) -> tuple[np.ndarray, np.ndarray]:
     rho = np.sqrt(rho2[rows])
     e1 = vb - va
     e1 = e1 / np.sqrt(_sq(e1))[:, None]
-    e2 = np.cross(nf, e1)
+    e2 = _cross(nf, e1)
     q = -d[:, None] * nf  # foot of the center on each face plane
     a, b, c = va - q, vb - q, vc - q
     area = _disk_tri_areas(
@@ -129,8 +150,9 @@ def ball_masses(
     """Mass of the varifold restricted to balls B(x0, r) for each r in radii.
 
     Each face contributes multiplicity × area(face ∩ ball) with the clipped
-    area computed exactly. Totals are accumulated with math.fsum so results do
-    not depend on face order. Radii r <= 0 give mass 0.
+    area computed exactly, and each mass is the exactly rounded sum of these
+    terms, so it does not depend on face order. Radii r <= 0 (and NaN) give
+    mass 0.
     """
     vertices = np.asarray(vertices, dtype=np.float64)
     faces = np.asarray(faces, dtype=np.int64)
@@ -138,36 +160,113 @@ def ball_masses(
     x0 = np.asarray(x0, dtype=np.float64)
     radii = np.asarray(radii, dtype=np.float64)
 
-    va = vertices[faces[:, 0]] - x0
-    vb = vertices[faces[:, 1]] - x0
-    vc = vertices[faces[:, 2]] - x0
-    d_max = np.sqrt(np.maximum(np.maximum(_sq(va), _sq(vb)), _sq(vc)))
+    d = vertices - x0
+    corners = np.ascontiguousarray(faces.T)
+    abc = np.take(d, corners, axis=0)  # (3, F, 3): each face's corners, shifted
+    va, vb, vc = abc
+    d_max = np.sqrt(_sq(d).take(corners).max(axis=0))
     # conservative lower bound on the distance from x0 to the face
     cen = (va + vb + vc) / 3.0
-    spread = np.sqrt(np.maximum(np.maximum(_sq(va - cen), _sq(vb - cen)), _sq(vc - cen)))
+    spread = np.sqrt(_sq(abc - cen).max(axis=0))
     d_min = np.maximum(0.0, np.sqrt(_sq(cen)) - spread)
 
-    n = np.cross(vb - va, vc - va)
+    n = _cross(vb - va, vc - va)
     two_area = np.sqrt(_sq(n))
     areas = 0.5 * two_area
     whole_mass = mult * areas
     live = ~(two_area < 1e-300)
 
+    # the distinct positive radii, ascending; the others keep mass 0
+    pos = np.flatnonzero(radii > 0.0)
+    rs, slot = np.unique(radii[pos], return_inverse=True)
+    nr = len(rs)
+    # a face is near ball k (d_min < r) from k_near on and inside it
+    # (d_max <= r) from k_in on: cut by the sphere for k_near <= k < k_in,
+    # whole from its shell max(k_near, k_in) on
+    k_near = np.where(live, np.searchsorted(rs, d_min, side="right"), nr)
+    k_in = np.searchsorted(rs, d_max, side="left")
+    shell = np.maximum(k_near, k_in)
+    count = np.maximum(k_in - k_near, 0)
+    cut = np.repeat(np.arange(len(faces)), count)
+    k = np.arange(len(cut)) + np.repeat(k_near - (np.cumsum(count) - count), count)
+    rows, clip = _clipped_areas(
+        va.take(cut, axis=0), vb.take(cut, axis=0), vc.take(cut, axis=0),
+        n.take(cut, axis=0), two_area[cut], rs[k],
+    )
+    cut, k = cut[rows], k[rows]
+    clip = np.minimum(clip, areas[cut])  # round-off can overshoot the face area
+    hit = clip > 0.0
+    cut, k = cut[hit], k[hit]
+    parts = mult[cut] * clip[hit]
+
+    whole = np.flatnonzero(shell < nr)
+    exact = _exact_sums(
+        np.concatenate([whole_mass[whole], parts]), np.concatenate([shell[whole], nr + k]), 2 * nr
+    )
+    masses = np.zeros(nr)
+    below = 0
+    for j in range(nr):
+        mass = None
+        if exact is not None:
+            t, e0 = exact
+            below += t[j]
+            mass = _round(below + t[nr + j], e0)
+        if mass is None:  # math.fsum over the terms: whole faces, then cut ones, each in face order
+            mass = math.fsum(whole_mass[shell <= j].tolist() + parts[k == j].tolist())
+        masses[j] = mass
     out = np.zeros(len(radii))
-    for ir, r in enumerate(radii):
-        if r <= 0.0:
-            continue
-        near = live & (d_min < r)
-        inside = d_max <= r
-        whole = np.flatnonzero(near & inside)
-        cut = np.flatnonzero(near & ~inside)
-        rows, clip = _clipped_areas(va[cut], vb[cut], vc[cut], n[cut], two_area[cut], r)
-        cut = cut[rows]
-        clip = np.minimum(clip, areas[cut])  # round-off can overshoot the face area
-        hit = clip > 0.0
-        parts = whole_mass[whole].tolist() + (mult[cut[hit]] * clip[hit]).tolist()
-        out[ir] = math.fsum(parts)
+    out[pos] = masses[slot]
     return out
+
+
+def fsum(x) -> float:
+    """``math.fsum`` of a float array, bit for bit, from exact binned sums."""
+    x = np.asarray(x, dtype=np.float64).ravel()
+    exact = _exact_sums(x, 0, 1)
+    total = None if exact is None else _round(exact[0][0], exact[1])
+    return math.fsum(x.tolist()) if total is None else total
+
+
+def _exact_sums(x: np.ndarray, group: np.ndarray | int, n: int) -> tuple[list[int], int] | None:
+    """Exact sums of x by group (each in 0..n-1), as ints t_g with sum = t_g · 2**(e0 − 53).
+
+    Returns (t, e0), or None when x holds a non-finite value or is large
+    enough that ``math.fsum`` might overflow on the way.
+    """
+    if not len(x):
+        return [0] * n, 0
+    if len(x) > 2**26 or not np.abs(x).max() < 2.0 ** (1021 - len(x).bit_length()):
+        return None
+    m, e = np.frexp(x)
+    e0 = int(e.min())
+    width = int(e.max()) - e0 + 1
+    key = group * width + (e - e0)
+    # x = mant · 2**(e − 53) with |mant| < 2**53: halves of 27 and 26 bits
+    # have bin sums below 2**53, exact in float64
+    mant = (m * 2.0**53).astype(np.int64)
+    hi = np.bincount(key, weights=mant >> 26, minlength=n * width)
+    lo = np.bincount(key, weights=mant & (2**26 - 1), minlength=n * width)
+    nz = np.flatnonzero((hi != 0.0) | (lo != 0.0))
+    sums = [0] * n
+    for i, h, l in zip(nz.tolist(), hi[nz].tolist(), lo[nz].tolist()):
+        g, b = divmod(i, width)
+        sums[g] += ((int(h) << 26) + int(l)) << b
+    return sums, e0
+
+
+def _round(t: int, e0: int) -> float | None:
+    """t · 2**(e0 − 53) rounded to nearest, ties to even.
+
+    ``float(t)`` rounds once and ``ldexp`` is exact: a sum of floats is a
+    multiple of 2**-1074, so one below 2**-1022 fits a subnormal. None for
+    zero, whose sign ``math.fsum`` decides, and when ``float(t)`` overflows.
+    """
+    if not t:
+        return None
+    try:
+        return math.ldexp(float(t), e0 - 53)
+    except OverflowError:
+        return None
 
 
 def _sq(w: np.ndarray) -> np.ndarray:

@@ -48,7 +48,7 @@ def ball_mass(v: DiscreteVarifold, x0, r: float) -> float:
 
 
 def ball_mass_ladder(v: DiscreteVarifold, x0, radii) -> np.ndarray:
-    """Ball masses for several radii at once (one pass over the nearby faces per radius)."""
+    """Ball masses for several radii at once (one pass over the nearby faces)."""
     radii = np.asarray(radii, dtype=np.float64)
     if (radii <= 0).any():
         raise ValueError(f"ball radii must be positive, got {radii.tolist()}")
@@ -59,8 +59,8 @@ def ball_mass_ladder(v: DiscreteVarifold, x0, radii) -> np.ndarray:
 def _ball_masses(v: DiscreteVarifold, x0: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """``_kernels.ball_masses`` over the faces the face grid finds near the largest ball.
 
-    Faces that cannot meet a ball add nothing to its mass, and the kernel sums
-    with ``math.fsum``, so the masses are those of a pass over every face.
+    Faces that cannot meet a ball add nothing to its mass, and the kernel's
+    sums are exact, so the masses are those of a pass over every face.
     """
     idx = v.face_grid.query(x0, float(radii.max()) if len(radii) else 0.0)
     faces, mult = v.faces, v.multiplicity
@@ -84,8 +84,9 @@ def local_edge_scale(v: DiscreteVarifold, x0) -> float:
     _require_faces(v)
     x0 = np.asarray(x0, dtype=np.float64)
     # the bits of v.vertices[v.faces].mean(axis=1), without the (F, 3, 3) gather
-    vert, f = v.vertices, v.faces
-    cen = (vert[f[:, 0]] + vert[f[:, 1]] + vert[f[:, 2]]) / 3.0
+    vert = v.vertices
+    f0, f1, f2 = np.ascontiguousarray(v.faces.T)
+    cen = (vert.take(f0, axis=0) + vert.take(f1, axis=0) + vert.take(f2, axis=0)) / 3.0
     d2 = np.einsum("ij,ij->i", cen - x0, cen - x0)
     k = min(32, len(d2))
     idx = np.argpartition(d2, k - 1)[:k] if k < len(d2) else np.arange(len(d2))
@@ -215,7 +216,7 @@ def monotonicity_check(
     inside = np.linalg.norm(v.vertices - x0, axis=1) <= s
     keep = inside & ~f.boundary_mask & ~f.isolated_mask
     h2 = np.einsum("ij,ij->i", f.H, f.H)
-    w_term = math.fsum((h2 * f.vertex_area)[keep]) / (16.0 * math.pi)
+    w_term = _kernels.fsum((h2 * f.vertex_area)[keep]) / (16.0 * math.pi)
     rhs = ratio_s + w_term
     slack = rhs - lhs
     return MonotonicityReport(
@@ -355,7 +356,7 @@ def spherical_link(v: DiscreteVarifold, x0, r: float) -> SphericalLink:
     ]), axis=0)
     keep = (dmin_v < r + emax) & (dmax_v > r * (1 - 1e-12))
     fi, va, vb, vc = fi[keep], va[keep], vb[keep], vc[keep]
-    n = np.cross(vb - va, vc - va)
+    n = _kernels._cross(vb - va, vc - va)
     nn = np.sqrt(_kernels._dot(n, n))
     with np.errstate(invalid="ignore", divide="ignore"):
         nhat = n / nn[:, None]
@@ -366,7 +367,7 @@ def spherical_link(v: DiscreteVarifold, x0, r: float) -> SphericalLink:
     rho = np.sqrt(rho2[keep])
     e1 = vb - va
     e1 = e1 / np.sqrt(_kernels._dot(e1, e1))[:, None]
-    e2 = np.cross(nhat, e1)
+    e2 = _kernels._cross(nhat, e1)
     foot = d[:, None] * nhat  # circle centers relative to x0
     P = np.stack([np.stack([_kernels._dot(p - foot, e1), _kernels._dot(p - foot, e2)], axis=1)
                   for p in (va, vb, vc)], axis=1)

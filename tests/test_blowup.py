@@ -64,6 +64,17 @@ def test_density_trims_sub_resolution_ladder(sphere3):
     assert rep.theta == pytest.approx(1.0, abs=0.1)
 
 
+@pytest.mark.parametrize("x0, want", [
+    ((1.0, 0.0, 0.0), "0x1.3450d8f67ea87p-4"),
+    ((0.3, 0.2, 0.5), "0x1.5e627bf72b608p-4"),
+    ((0.0, 0.0, 3.0), "0x1.6e90a30473968p-5"),
+])
+def test_local_edge_scale_pinned_bits(double_bubble4, x0, want):
+    """Recorded as float.hex() when the centroids were gathered by fancy
+    indexing (``vertices[faces[:, k]]``)."""
+    assert blowup.local_edge_scale(double_bubble4.varifold, x0).hex() == want
+
+
 @pytest.mark.parametrize(
     "theta, label, residual",
     [

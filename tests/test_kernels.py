@@ -1,8 +1,11 @@
+import functools
 import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from varifold_lab import _kernels, generators
 
@@ -158,3 +161,194 @@ def test_ball_masses_bits_ignore_face_order(request):
 
 def test_default_backend_is_reported():
     assert _kernels.BACKEND == "fallback"
+
+
+def _ref_dot(a, b):
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _ref_sq(w):
+    return np.einsum("...i,...i->...", w, w)
+
+
+def _ref_clipped_areas(va, vb, vc, n, two_area, r):
+    nf = n / two_area[:, None]
+    d = _ref_dot(va, nf)
+    rho2 = r * r - d * d
+    rows = np.flatnonzero(~(rho2 <= 0.0))
+    va, vb, vc, nf, d = va[rows], vb[rows], vc[rows], nf[rows], d[rows]
+    rho = np.sqrt(rho2[rows])
+    e1 = vb - va
+    e1 = e1 / np.sqrt(_ref_sq(e1))[:, None]
+    e2 = np.cross(nf, e1)
+    q = -d[:, None] * nf
+    a, b, c = va - q, vb - q, vc - q
+    area = _kernels._disk_tri_areas(
+        _ref_dot(a, e1), _ref_dot(a, e2), _ref_dot(b, e1), _ref_dot(b, e2),
+        _ref_dot(c, e1), _ref_dot(c, e2), rho,
+    )
+    return rows, area
+
+
+def reference_ball_masses(vertices, faces, mult, x0, radii):
+    """The ball-mass kernel as it was before its one-pass form: one radius at
+    a time, corners shifted after the gather, ``np.cross``, and ``math.fsum``
+    over a list of the whole faces' masses and the clipped parts."""
+    vertices = np.asarray(vertices, dtype=np.float64)
+    faces = np.asarray(faces, dtype=np.int64)
+    mult = np.asarray(mult, dtype=np.float64)
+    x0 = np.asarray(x0, dtype=np.float64)
+    radii = np.asarray(radii, dtype=np.float64)
+
+    va = vertices[faces[:, 0]] - x0
+    vb = vertices[faces[:, 1]] - x0
+    vc = vertices[faces[:, 2]] - x0
+    d_max = np.sqrt(np.maximum(np.maximum(_ref_sq(va), _ref_sq(vb)), _ref_sq(vc)))
+    cen = (va + vb + vc) / 3.0
+    spread = np.sqrt(np.maximum(np.maximum(_ref_sq(va - cen), _ref_sq(vb - cen)), _ref_sq(vc - cen)))
+    d_min = np.maximum(0.0, np.sqrt(_ref_sq(cen)) - spread)
+
+    n = np.cross(vb - va, vc - va)
+    two_area = np.sqrt(_ref_sq(n))
+    areas = 0.5 * two_area
+    whole_mass = mult * areas
+    live = ~(two_area < 1e-300)
+
+    out = np.zeros(len(radii))
+    for ir, r in enumerate(radii):
+        if r <= 0.0:
+            continue
+        near = live & (d_min < r)
+        inside = d_max <= r
+        whole = np.flatnonzero(near & inside)
+        cut = np.flatnonzero(near & ~inside)
+        rows, clip = _ref_clipped_areas(va[cut], vb[cut], vc[cut], n[cut], two_area[cut], r)
+        cut = cut[rows]
+        clip = np.minimum(clip, areas[cut])
+        hit = clip > 0.0
+        parts = whole_mass[whole].tolist() + (mult[cut[hit]] * clip[hit]).tolist()
+        out[ir] = math.fsum(parts)
+    return out
+
+
+@functools.cache
+def _surfaces():
+    return [
+        generators.gen_sphere(1.0, 2).varifold,
+        generators.gen_torus(2.0, 0.7, 2).varifold,
+        generators.gen_double_bubble(0.7, 1.0, 2).varifold,
+        generators.gen_triple_bubble(1).varifold,
+    ]
+
+
+#: coordinates on a grid of 1/16, which makes ties (a corner exactly on the
+#: sphere, repeated corners, zero-area faces), or floats no smaller than 1e-3
+_coord = st.one_of(
+    st.integers(-32, 32).map(lambda i: i / 16.0),
+    st.floats(-2.0, 2.0).filter(lambda t: t == 0.0 or abs(t) >= 1e-3),
+)
+
+
+@st.composite
+def _soups(draw):
+    nv = draw(st.integers(3, 12))
+    verts = np.array(draw(st.lists(st.tuples(_coord, _coord, _coord), min_size=nv, max_size=nv)))
+    nf = draw(st.integers(1, 24))
+    faces = np.array(draw(st.lists(st.tuples(*[st.integers(0, nv - 1)] * 3), min_size=nf, max_size=nf)))
+    mult = np.array(draw(st.lists(st.sampled_from([1.0, 2.0, 3.0, 0.7]), min_size=nf, max_size=nf)))
+    return verts, faces, mult
+
+
+@st.composite
+def _ball_cases(draw):
+    if draw(st.booleans()):
+        v = draw(st.sampled_from(_surfaces()))
+        verts, faces, mult = v.vertices, v.faces, v.multiplicity.astype(np.float64)
+    else:
+        verts, faces, mult = draw(_soups())
+    near = verts[draw(st.integers(0, len(verts) - 1))]
+    offset = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3)))
+    scale = draw(st.sampled_from([0.0, 0.01, 0.3, 5.0]))
+    x0 = near + scale * offset
+    # radii: arbitrary, <= 0, NaN, and distances to vertices (a corner on the sphere)
+    corner = np.sqrt(_ref_sq(verts - x0))
+    radius = st.one_of(
+        st.floats(-1.0, 8.0),
+        st.sampled_from([0.0, -0.5, math.nan, 1e-9]),
+        st.integers(0, len(verts) - 1).map(lambda i: float(corner[i])),
+    )
+    radii = draw(st.lists(radius, min_size=1, max_size=8))
+    radii += draw(st.lists(st.sampled_from(radii), max_size=3))  # duplicates
+    return verts, faces, mult, x0, np.array(radii)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_ball_cases())
+def test_ball_masses_bits_equal_the_reference(case):
+    verts, faces, mult, x0, radii = case
+    got = _kernels.ball_masses(verts, faces, mult, x0, radii)
+    want = reference_ball_masses(verts, faces, mult, x0, radii)
+    assert [m.hex() for m in got.tolist()] == [m.hex() for m in want.tolist()]
+
+
+def _outcome(f, x):
+    try:
+        return f(x).hex()
+    except (OverflowError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@st.composite
+def _float_arrays(draw):
+    """Arrays of any floats, or of floats whose exponents fill a window
+    anywhere in the range, often with cancelling pairs, so that sums land
+    anywhere: zero, subnormal, near the overflow threshold."""
+    n = draw(st.integers(0, 40))
+    if draw(st.booleans()):
+        xs = draw(st.lists(st.floats(), min_size=n, max_size=n))
+    else:
+        lo = draw(st.integers(-1074, 1023))
+        hi = draw(st.integers(lo, min(lo + draw(st.sampled_from([0, 3, 60, 200])), 1023)))
+        mant = st.integers(-(2**53) + 1, 2**53 - 1)
+        xs = [math.ldexp(draw(mant), draw(st.integers(lo, hi)) - 52) for _ in range(n)]
+        xs = [x if math.isfinite(x) else 0.0 for x in xs]
+    xs += [-x for x in draw(st.lists(st.sampled_from(xs), max_size=len(xs)))] if xs else []
+    xs += draw(st.lists(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]), max_size=3))
+    return np.array(draw(st.permutations(xs)), dtype=np.float64)
+
+
+@settings(max_examples=500, deadline=None)
+@given(x=_float_arrays())
+@example(x=np.array([]))
+@example(x=np.array([-0.0]))
+@example(x=np.array([-0.0, -0.0]))
+@example(x=np.array([1.0, -1.0]))
+@example(x=np.array([2.5e-308, -5e-324]))
+@example(x=np.array([1e308, 1e308, -1e308]))
+@example(x=np.array([1e308, -1e308, 1e-300]))
+@example(x=np.array([1.0, 2.0**-53, 2.0**-105]))
+def test_fsum_equals_math_fsum(x):
+    assert _outcome(_kernels.fsum, x) == _outcome(math.fsum, x.tolist())
+
+
+@pytest.mark.parametrize("x", [
+    [math.inf, 1.0], [-math.inf, 1.0], [math.inf, -math.inf], [math.nan, 1.0],
+    [math.inf, math.nan], [1e308, math.inf],
+])
+def test_fsum_of_non_finite_input_is_math_fsum(x):
+    assert _outcome(_kernels.fsum, np.array(x)) == _outcome(math.fsum, x)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_fsum_of_many_values(seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(100_000) * np.exp2(rng.integers(-60, 60, size=100_000))
+    assert _kernels.fsum(x).hex() == math.fsum(x.tolist()).hex()
+    assert _kernels.fsum(np.abs(x)).hex() == math.fsum(np.abs(x).tolist()).hex()
+
+
+def test_cross_has_the_bits_of_np_cross():
+    rng = np.random.default_rng(3)
+    e = rng.standard_normal((500, 3)) * np.exp2(rng.integers(-30, 30, size=(500, 1)))
+    f = rng.standard_normal((500, 3))
+    assert np.array_equal(_kernels._cross(e, f).view(np.int64), np.cross(e, f).view(np.int64))
