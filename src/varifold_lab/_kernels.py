@@ -19,6 +19,7 @@ the masses do not depend on face order. These rules keep the bits:
   center, which rounds each row like the shift of a gathered corner;
 - cross products are written out (``_cross``), the products and differences
   ``np.cross`` forms;
+- squared norms (``_sq``) are summed in one fixed order, (x² + z²) + y²;
 - dot products of 3-vectors use a batched ``@`` (``_dot``: one
   ``(1, 3) @ (3, 1)`` product per face), which rounds like a 1-D ``a @ b``;
   ``einsum`` does not;
@@ -270,4 +271,10 @@ def _round(t: int, e0: int) -> float | None:
 
 
 def _sq(w: np.ndarray) -> np.ndarray:
-    return np.einsum("...i,...i->...", w, w)
+    """Squared norms of the 3-vectors w[..., :], summed as (x*x + z*z) + y*y.
+
+    ``einsum`` rounds in the order of the host's SIMD lanes; this order is
+    fixed, and it is the one ``einsum`` took on an AVX-512 host.
+    """
+    x, y, z = w.reshape(-1, 3).T
+    return ((x * x + z * z) + y * y).reshape(w.shape[:-1])

@@ -77,17 +77,14 @@ def _require_faces(v: DiscreteVarifold) -> None:
 def local_edge_scale(v: DiscreteVarifold, x0) -> float:
     """Mean edge length over the 32 faces whose centroids are nearest to x0.
 
-    This scans every face: the order in which ``np.argpartition`` returns the
-    32 nearest fixes the rounding of the mean, and a scan of fewer faces does
-    not reproduce it.
+    This ranks every face: the order in which ``np.argpartition`` returns the
+    32 nearest fixes the rounding of the mean, and a ranking of fewer faces
+    does not reproduce it. The centroids are the face grid's, which have the
+    bits of ``v.vertices[v.faces].mean(axis=1)``.
     """
     _require_faces(v)
-    x0 = np.asarray(x0, dtype=np.float64)
-    # the bits of v.vertices[v.faces].mean(axis=1), without the (F, 3, 3) gather
-    vert = v.vertices
-    f0, f1, f2 = np.ascontiguousarray(v.faces.T)
-    cen = (vert.take(f0, axis=0) + vert.take(f1, axis=0) + vert.take(f2, axis=0)) / 3.0
-    d2 = np.einsum("ij,ij->i", cen - x0, cen - x0)
+    w = v.face_grid.centroids - np.asarray(x0, dtype=np.float64)
+    d2 = np.einsum("ij,ij->i", w, w)
     k = min(32, len(d2))
     idx = np.argpartition(d2, k - 1)[:k] if k < len(d2) else np.arange(len(d2))
     p = v.vertices[v.faces[idx]]
@@ -336,9 +333,13 @@ def spherical_link(v: DiscreteVarifold, x0, r: float) -> SphericalLink:
     if r <= 0:
         raise ValueError("link radius must be positive")
     grid = v.face_grid
-    # a face the screen keeps has a vertex within r + its longest edge of x0,
-    # and the edge is at most twice the spread, so its centroid lies in this ball
-    fi = grid.query(x0, r + 2.0 * grid.spread)
+    # the shell query returns every face the screen below keeps. Such a face
+    # f has a vertex farther than r(1 - 1e-12) from x0, within f's spread s_f
+    # of its centroid, so |centroid - x0| + s_f > r(1 - 1e-12): the query's
+    # tolerance (at least 1e-9·r) covers the gap to the inner radius r. f
+    # also has a vertex within r + its longest edge of x0, and that edge is
+    # at most 2·s_f <= 2·spread, so f's bounding sphere meets B(x0, r + 2·spread)
+    fi = grid.query(x0, r + 2.0 * grid.spread, inner=r)
     faces = np.take(v.faces, fi, axis=0)
     va = v.vertices[faces[:, 0]] - x0
     vb = v.vertices[faces[:, 1]] - x0

@@ -232,7 +232,8 @@ def cmd_analyze(args) -> int:
     if args.liyau:
         pts = [dp["point"] for dp in (analytic or {}).get("density_points", [])]
         if not pts:
-            idx = np.unique(np.linspace(0, v.num_vertices - 1, 8).astype(int))
+            idx = np.linspace(0, v.num_vertices - 1, 8).astype(int)  # ascending
+            idx = idx[np.diff(idx, prepend=-1) != 0]  # np.unique would import numpy.ma
             pts = [v.vertices[i] for i in idx]
         rep = blowup.li_yau_check(v, pts, eps=tol["liyau_gap"])
         blocks["liyau"] = {

@@ -268,7 +268,10 @@ def _weld(points: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
             pairs.append(np.maximum(a, b) * n + np.minimum(a, b))
     if not pairs:
         return rank[inv], pts
-    pairs = np.unique(np.concatenate(pairs))  # ascending later point, then earlier
+    # ascending later point, then earlier; a sort and a drop of repeats, since
+    # a plain np.unique imports numpy.ma
+    pairs = np.sort(np.concatenate(pairs))
+    pairs = pairs[np.diff(pairs, prepend=-1) != 0]
     later, earlier = pairs // n, pairs % n
     d = pts[earlier] - pts[later]
     near = np.sqrt(_dot(d, d)) <= tol

@@ -596,5 +596,30 @@ def test_face_grid_changes_no_bits_on_a_sparse_cloud(monkeypatch):
                 for x0, r in queries]
 
     got = run()
-    monkeypatch.setattr(_grid.FaceGrid, "query", lambda self, x0, r: np.arange(len(self.face_cell)))
+    monkeypatch.setattr(_grid.FaceGrid, "query", lambda self, x0, r, inner=0.0: np.arange(len(self.face_cell)))
     assert run() == got
+
+
+def test_link_shell_query_holds_every_face_the_screen_keeps(monkeypatch):
+    """On triple bubble L3, at x1, x2, a triple-line point and 50 seeded random
+    points, every face that passes ``spherical_link``'s vertex screen (over all
+    faces) is among the faces its grid query returns."""
+    v = generators.gen_triple_bubble(3).varifold
+    rng = np.random.default_rng(11)
+    cases = [(np.array(p), 0.3) for p in (_X1, _X2, (0.0, 0.0, 1.0))]
+    cases += [(v.vertices[rng.integers(v.num_vertices)] + rng.normal(scale=0.05, size=3),
+               float(rng.uniform(0.05, 1.5))) for _ in range(50)]
+    returned = []
+    query = _grid.FaceGrid.query
+    monkeypatch.setattr(_grid.FaceGrid, "query",
+                        lambda self, *args, **kwargs: returned.append(query(self, *args, **kwargs)) or returned[-1])
+    p = v.vertices[v.faces]
+    edges = np.linalg.norm(p - np.roll(p, -1, axis=1), axis=2).max(axis=1)
+    for i, (x0, r) in enumerate(cases):
+        norms = np.linalg.norm(p - x0, axis=2)
+        screened = np.flatnonzero((norms.min(axis=1) < r + edges) & (norms.max(axis=1) > r * (1 - 1e-12)))
+        blowup.spherical_link(v, x0, r)
+        got = returned.pop()
+        assert set(screened.tolist()) <= set(got.tolist())
+        if i < 3:  # the closed-form points: a link, from a small part of the mesh
+            assert 0 < len(screened) and len(got) < v.num_faces / 4

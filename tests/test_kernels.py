@@ -352,3 +352,14 @@ def test_cross_has_the_bits_of_np_cross():
     e = rng.standard_normal((500, 3)) * np.exp2(rng.integers(-30, 30, size=(500, 1)))
     f = rng.standard_normal((500, 3))
     assert np.array_equal(_kernels._cross(e, f).view(np.int64), np.cross(e, f).view(np.int64))
+
+
+def test_sq_sums_in_a_fixed_order():
+    # the first of these seeded rows rounds differently in the order (x² + y²) + z²
+    w = np.random.default_rng(5).standard_normal((20, 3))
+    x, y, z = w[0]
+    assert (x * x + y * y) + z * z != (x * x + z * z) + y * y
+    got = _kernels._sq(w.reshape(4, 5, 3))
+    assert got.shape == (4, 5)
+    x, y, z = w.T
+    assert np.array_equal(got.ravel().view(np.int64), ((x * x + z * z) + y * y).view(np.int64))

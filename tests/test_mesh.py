@@ -104,7 +104,7 @@ def test_cached_arrays_are_read_only(sphere3):
     arrays.append(curvature.gauss_curvature(v).H)  # shares the cached array
     arrays += [getattr(grid, f.name) for f in dataclasses.fields(grid)
                if isinstance(getattr(grid, f.name), np.ndarray)]
-    assert len(arrays) == 21
+    assert len(arrays) == 23
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
@@ -411,22 +411,72 @@ def _soups(draw) -> DiscreteVarifold:
     return DiscreteVarifold(pts, faces, np.ones(nf, dtype=np.int64))
 
 
-def _near_faces(v: DiscreteVarifold, x0: np.ndarray, r: float) -> set[int]:
-    """Brute force: the faces whose bounding sphere about the centroid meets B(x0, r)."""
+@st.composite
+def _scattered(draw) -> DiscreteVarifold:
+    """Soups of 1-40 triangles of sizes 1e-3 to 1, scattered in a cube, so that
+    the grid has many cells and the faces in one cell differ in spread."""
+    nf = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = np.exp(rng.uniform(math.log(1e-3), 0.0, size=(nf, 1, 1)))
+    tri = rng.uniform(-10.0, 10.0, size=(nf, 1, 3)) + size * rng.normal(size=(nf, 3, 3))
+    return DiscreteVarifold(tri.reshape(-1, 3), np.arange(3 * nf).reshape(-1, 3), np.ones(nf, dtype=np.int64))
+
+
+def _sphere_distances(v: DiscreteVarifold, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Brute force: each face's centroid distance from x0, and its spread."""
     corners = v.vertices[v.faces]
     cen = corners.mean(axis=1)
     spread = np.linalg.norm(corners - cen[:, None, :], axis=2).max(axis=1)
-    return set(np.flatnonzero(np.linalg.norm(cen - x0, axis=1) <= r + spread).tolist())
+    return np.linalg.norm(cen - x0, axis=1), spread
+
+
+def _near_faces(v: DiscreteVarifold, x0: np.ndarray, r: float, inner: float = 0.0,
+                slack: float = 0.0) -> set[int]:
+    """Brute force: the faces whose bounding sphere about the centroid meets the
+    shell ``inner <= |x - x0| <= r``, widened by ``slack`` on both sides."""
+    d, spread = _sphere_distances(v, x0)
+    return set(np.flatnonzero((d <= r + spread + slack) & (d + spread >= inner - slack)).tolist())
+
+
+#: a soup, a center near it or far from it, the outer radius r, the inner radius
+#: t·r, and k: None, or the shell is made tangent to the k-th nearest face's
+#: bounding sphere, where round-off decides
+_query_draws = dict(v=_soups() | _scattered(),
+                    x0=st.tuples(*[st.floats(-40.0, 40.0)] * 3) | st.tuples(*[_coord] * 3),
+                    r=st.floats(1e-6, 1e4, allow_nan=False), t=st.floats(0.0, 1.0),
+                    k=st.none() | st.integers(0, 11))
+
+
+def _shell(v: DiscreteVarifold, x0: np.ndarray, r: float, t: float, k: int | None) -> tuple[float, float]:
+    """(r, inner) for a draw of ``_query_draws``."""
+    if k is None:
+        return r, t * r
+    d, s = _sphere_distances(v, x0)
+    k = np.argsort(d - s, kind="stable")[k % v.num_faces]
+    return (d[k] - s[k], 0.0) if d[k] > s[k] else (max(r, d[k] + s[k]), d[k] + s[k])
 
 
 @settings(max_examples=300, deadline=None)
-@given(v=_soups(), x0=st.tuples(*[st.floats(-40.0, 40.0)] * 3),
-       r=st.floats(1e-6, 1e4, allow_nan=False))
-def test_face_grid_query_holds_every_face_near_the_ball(v, x0, r):
+@given(**_query_draws)
+def test_face_grid_query_holds_every_face_near_the_ball(v, x0, r, t, k):
     x0 = np.array(x0)
-    got = v.face_grid.query(x0, r)
+    r, inner = _shell(v, x0, r, t, k)
+    got = v.face_grid.query(x0, r, inner=inner)
     assert (np.diff(got) > 0).all()
-    assert _near_faces(v, x0, r) <= set(got.tolist())
+    assert _near_faces(v, x0, r, inner) <= set(got.tolist())
+
+
+@settings(max_examples=300, deadline=None)
+@given(**_query_draws)
+def test_face_grid_query_returns_only_faces_near_the_shell(v, x0, r, t, k):
+    """Unless the query box covers the whole grid (and every face is returned
+    untested), each face returned has a bounding sphere that meets the shell."""
+    x0 = np.array(x0)
+    r, inner = _shell(v, x0, r, t, k)
+    got = v.face_grid.query(x0, r, inner=inner)
+    if len(got) < v.num_faces:
+        slack = 1e-6 * (r + np.abs(x0).max() + np.abs(v.vertices).max())
+        assert set(got.tolist()) <= _near_faces(v, x0, r, inner, slack)
 
 
 @pytest.mark.parametrize("r", [1e-9, 0.2, 1e6, math.inf])

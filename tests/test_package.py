@@ -57,6 +57,25 @@ def test_report_command_never_loads_numpy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "numpy=False"
 
 
+def test_generate_and_analyze_never_load_numpy_ma(tmp_path):
+    # a plain np.unique(x) imports numpy.ma, 13-18 ms per process
+    tb, bare = str(tmp_path / "tb.json"), str(tmp_path / "bare.json")
+    proc = run_python(
+        "-c",
+        "import sys\n"
+        "from varifold_lab.cli import main\n"
+        "from varifold_lab.mesh import load_mesh_file, save_varifold\n"
+        "tb, bare, out = sys.argv[1:]\n"
+        "codes = [main(['generate', 'triple-bubble', '--level', '2', '-o', tb]),\n"
+        "         main(['analyze', tb, '--link=0,0,0:0.3', '-o', out])]\n"
+        "save_varifold(load_mesh_file(tb)[0], bare)  # no density points: --liyau samples vertices\n"
+        "codes.append(main(['analyze', bare, '--liyau', '-o', out]))\n"
+        "print(codes, 'numpy.ma' in sys.modules)\n",
+        tb, bare, str(tmp_path / "report.json"),
+    )
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] False"
+
+
 def test_public_names_are_their_home_modules_attributes():
     namespace: dict = {}
     exec("from varifold_lab import *", namespace)
