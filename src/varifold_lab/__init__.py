@@ -19,16 +19,15 @@ _EXPORTS = {
     "boundary": ("BoundaryDatum", "CircleSpec", "admissibility_check", "boundary_measure",
                  "circle_conormal_integral", "circle_conormal_integral_quad", "load_datum",
                  "make_datum", "save_datum", "sup_conormal_integral"),
-    "curvature": ("concentrated_volume", "enclosed_volume", "euler_characteristic",
-                  "first_variation_residual", "gauss_curvature", "helfrich_energy",
-                  "mean_curvature", "second_fundamental_norm", "willmore_energy"),
+    "curvature": ("enclosed_volume", "euler_characteristic", "helfrich_energy", "mean_curvature",
+                  "second_fundamental_norm", "willmore_energy"),
     "blowup": ("ball_mass", "ball_mass_ladder", "classify_density", "density", "li_yau_check",
                "monotonicity_check", "spherical_link"),
     "generators": ("GENERATORS", "gen_branched_patch", "gen_cap", "gen_double_bubble",
                    "gen_double_bubble_flat", "gen_flat_disk", "gen_singular_pair", "gen_sphere",
                    "gen_torus", "gen_triple_bubble"),
-    "mesh": ("DiscreteVarifold", "MeshError", "edge_topology", "load_mesh_file", "load_obj",
-             "make_varifold", "refine", "save_varifold", "total_mass"),
+    "mesh": ("DiscreteVarifold", "MeshError", "edge_topology", "load_mesh_file", "make_varifold",
+             "refine", "save_varifold", "total_mass"),
     "nets": ("GeodesicNet", "NetError", "balance_residual", "catalogue", "load_net", "make_net",
              "match_link", "relax", "save_net", "total_length"),
 }

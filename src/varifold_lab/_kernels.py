@@ -44,21 +44,8 @@ BACKEND = "fallback"
 _DISC_EPS = 1e-12
 
 
-def disk_tri_area_2d(
-    ax: float, ay: float, bx: float, by: float, cx: float, cy: float, rho: float
-) -> float:
-    """Area of the intersection of triangle (a, b, c) with the disk |p| <= rho.
-
-    The triangle must be counter-clockwise; the disk is centered at the origin.
-    """
-    if rho <= 0.0:
-        return 0.0
-    cols = (np.array([c], dtype=np.float64) for c in (ax, ay, bx, by, cx, cy, rho))
-    return float(_disk_tri_areas(*cols)[0])
-
-
 def _disk_tri_areas(ax, ay, bx, by, cx, cy, rho) -> np.ndarray:
-    """``disk_tri_area_2d`` over arrays of CCW triangles and radii rho > 0.
+    """Areas of the CCW triangles (a, b, c) intersected with the disks |p| <= rho, rho > 0.
 
     Per triangle the terms are added in the scalar order: for each edge, its
     entry arc, chord and exit arc, or its whole outside arc.
@@ -133,7 +120,10 @@ def _clipped_areas(va, vb, vc, n, two_area, r) -> tuple[np.ndarray, np.ndarray]:
     e1 = vb - va
     e1 = e1 / np.sqrt(_sq(e1))[:, None]
     e2 = _cross(nf, e1)
-    q = -d[:, None] * nf  # foot of the center on each face plane
+    # q is the foot d·nf of the center mirrored through the center. The
+    # in-plane coordinates are those about the foot all the same, because
+    # e1, e2 ⊥ nf; using the foot itself would move last bits
+    q = -d[:, None] * nf
     a, b, c = va - q, vb - q, vc - q
     area = _disk_tri_areas(
         _dot(a, e1), _dot(a, e2), _dot(b, e1), _dot(b, e2), _dot(c, e1), _dot(c, e2), rho

@@ -19,20 +19,6 @@ from .reports import Record
 
 log = logging.getLogger(__name__)
 
-__all__ = [
-    "ADMISSIBLE_DENSITIES",
-    "DensityReport",
-    "SphericalLink",
-    "ball_mass",
-    "ball_mass_ladder",
-    "density",
-    "classify_density",
-    "monotonicity_check",
-    "li_yau_check",
-    "spherical_link",
-    "local_edge_scale",
-]
-
 #: Densities attainable below the 6*pi energy threshold in codimension one:
 #: 1 (smooth point), 3/2 (triple-line point), 3*acos(-1/3)/pi (tetrahedral point).
 ADMISSIBLE_DENSITIES: tuple[tuple[str, float], ...] = (
@@ -49,11 +35,14 @@ def ball_mass(v: DiscreteVarifold, x0, r: float) -> float:
 
 def ball_mass_ladder(v: DiscreteVarifold, x0, radii) -> np.ndarray:
     """Ball masses for several radii at once (one pass over the nearby faces)."""
+    x0 = np.asarray(x0, dtype=np.float64)
     radii = np.asarray(radii, dtype=np.float64)
+    if not (np.isfinite(x0).all() and np.isfinite(radii).all()):
+        raise ValueError(f"ball center and radii must be finite, got {x0.tolist()} and {radii.tolist()}")
     if (radii <= 0).any():
         raise ValueError(f"ball radii must be positive, got {radii.tolist()}")
     _require_faces(v)
-    return _ball_masses(v, np.asarray(x0, dtype=np.float64), radii)
+    return _ball_masses(v, x0, radii)
 
 
 def _ball_masses(v: DiscreteVarifold, x0: np.ndarray, radii: np.ndarray) -> np.ndarray:
@@ -126,7 +115,7 @@ def density(v: DiscreteVarifold, x0, r_max: float | None = None) -> DensityRepor
     x0 = np.asarray(x0, dtype=np.float64)
     h = local_edge_scale(v, x0)
     warnings: list[str] = []
-    if point_surface_distance(v, x0) > 0.5 * h:
+    if not point_surface_distance(v, x0) <= 0.5 * h:
         raise MeshError(f"point {x0.tolist()} is not on the support of the varifold")
     if r_max is None:
         r_max = 10.0 * h
@@ -163,19 +152,17 @@ def density(v: DiscreteVarifold, x0, r_max: float | None = None) -> DensityRepor
     )
 
 
-def classify_density(theta: float, tol: float = 0.1, ambient_dim: int = 3) -> tuple[str, float]:
-    """Nearest admissible density value, or ">=2 / unclassified".
+def classify_density(theta: float) -> tuple[str, float]:
+    """Nearest admissible density value, or ">=2 / unclassified" from 1.9 on.
 
-    In ambient dimension 3 the admissible set below 2 is {1, 3/2,
-    3*acos(-1/3)/pi}; in higher ambient dimensions only {1, 3/2} survives.
-    Returns (label, |theta - value|); the residual is NaN when unclassified.
+    The admissible set below 2 is {1, 3/2, 3*acos(-1/3)/pi}. Returns
+    (label, |theta - value|); the residual is NaN when unclassified.
     """
-    if theta < 0.5:
-        raise ValueError(f"theta={theta} is not a varifold density (< 0.5)")
-    if theta >= 2.0 - tol:
+    if not theta >= 0.5:
+        raise ValueError(f"theta={theta} is not a varifold density (need theta >= 0.5)")
+    if theta >= 1.9:
         return ">=2 / unclassified", float("nan")
-    candidates = ADMISSIBLE_DENSITIES if ambient_dim == 3 else ADMISSIBLE_DENSITIES[:2]
-    label, value = min(candidates, key=lambda kv: abs(theta - kv[1]))
+    label, value = min(ADMISSIBLE_DENSITIES, key=lambda kv: abs(theta - kv[1]))
     return label, abs(theta - value)
 
 
@@ -330,7 +317,9 @@ def spherical_link(v: DiscreteVarifold, x0, r: float) -> SphericalLink:
     the support gives the empty link.
     """
     x0 = np.asarray(x0, dtype=np.float64)
-    if r <= 0:
+    if not (np.isfinite(x0).all() and math.isfinite(r)):
+        raise ValueError(f"link center and radius must be finite, got {x0.tolist()} and {r}")
+    if not r > 0:
         raise ValueError("link radius must be positive")
     grid = v.face_grid
     # the shell query returns every face the screen below keeps. Such a face

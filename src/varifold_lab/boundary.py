@@ -174,21 +174,12 @@ def _circle_frame(circle: CircleSpec) -> tuple[np.ndarray, np.ndarray]:
     return e1, e2
 
 
-def circle_conormal_integral_quad(
-    circle: CircleSpec, x0, n_samples: int = 256, nu0=None
-) -> float:
-    """Trapezoid-rule conormal integral (spectrally accurate: periodic smooth).
-
-    ``nu0`` overrides the conormal direction (need not be plane-orthogonal;
-    the closed form refuses that case, the quadrature does not).
-    """
+def circle_conormal_integral_quad(circle: CircleSpec, x0, n_samples: int = 256) -> float:
+    """Trapezoid-rule conormal integral (spectrally accurate: periodic smooth)."""
     if n_samples < 16:
         raise ValueError("n_samples must be >= 16")
     x0 = np.asarray(x0, dtype=np.float64).reshape(3)
-    if nu0 is None:
-        nu = circle.conormal_sign * circle.normal
-    else:
-        nu = _unit(np.asarray(nu0, dtype=np.float64).reshape(3))
+    nu = circle.conormal_sign * circle.normal
     e1, e2 = _circle_frame(circle)
     t = 2.0 * math.pi * np.arange(n_samples) / n_samples
     pts = (circle.center
@@ -200,11 +191,6 @@ def circle_conormal_integral_quad(
         raise MeshError("integrand singular: x0 lies on the circle")
     vals = (d @ nu) / dd
     return circle.m * float(vals.mean()) * 2.0 * math.pi * circle.radius
-
-
-def datum_integral(datum: BoundaryDatum, x0) -> float:
-    """Sum of closed-form circle integrals over the datum at basepoint x0."""
-    return math.fsum(circle_conormal_integral(c, x0) for c in datum.circles)
 
 
 # ---------------------------------------------------------------------------

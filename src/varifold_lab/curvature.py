@@ -1,4 +1,4 @@
-"""Curvature, energies, and first-variation identities on triangle soups.
+"""Curvature, energies and topology of triangle soups.
 
 The discrete mean curvature is defined through the first variation of mass:
 for a vertex p, the gradient of total mass with respect to p is the sum of
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -29,23 +28,8 @@ from .mesh import (
     _boundary_conormals,
     _require,
     face_normals,
-    mesh_scale,
 )
 from .reports import Record
-
-__all__ = [
-    "CurvatureField",
-    "TopologyReport",
-    "mean_curvature",
-    "willmore_energy",
-    "gauss_curvature",
-    "second_fundamental_norm",
-    "euler_characteristic",
-    "helfrich_energy",
-    "enclosed_volume",
-    "concentrated_volume",
-    "first_variation_residual",
-]
 
 
 @dataclass(frozen=True)
@@ -57,8 +41,8 @@ class CurvatureField:
     i.e. inward for a round sphere). vertex_area is the multiplicity-weighted
     lumped area. Vertices under boundary_mask carry the conormal-corrected H;
     junction_mask marks vertices on edges with three or more sheets. K,
-    angle_defect, B2 and gauss_relation_residual are filled by the operations
-    that compute them and are NaN on masked vertices.
+    angle_defect, B2 and gauss_relation_residual are filled by
+    second_fundamental_norm; all but angle_defect are NaN on masked vertices.
     """
 
     H: np.ndarray
@@ -167,7 +151,7 @@ def willmore_energy(v: DiscreteVarifold) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Gauss curvature and topology
+# angle defects and topology
 
 
 def _corner_angles(v: DiscreteVarifold) -> np.ndarray:
@@ -193,32 +177,6 @@ def _angle_defects(v: DiscreteVarifold) -> np.ndarray:
     used[v.faces.ravel()] = True
     defect = np.where(used, 2.0 * np.pi - s, 0.0)
     return defect
-
-
-def gauss_curvature(v: DiscreteVarifold) -> CurvatureField:
-    """Angle-defect Gauss curvature K_v = defect_v / (geometric vertex area).
-
-    Boundary and junction vertices are flagged and get NaN (the defect is not
-    a curvature there); the defect array itself is kept for all vertices so
-    that its total still satisfies the combinatorial Gauss--Bonnet identity on
-    closed manifolds.
-    """
-    return _with_gauss(v, _vertex_areas(v, face_normals(v)[1], weighted=False))
-
-
-def _with_gauss(v: DiscreteVarifold, area_geom: np.ndarray) -> CurvatureField:
-    """``v.curvature`` with K and the angle defects, given the unweighted vertex areas."""
-    base = v.curvature
-    defect = _angle_defects(v)
-    K = np.full(v.num_vertices, np.nan)
-    ok = (
-        ~base.boundary_mask
-        & ~base.junction_mask
-        & ~base.isolated_mask
-        & (area_geom > 0.0)
-    )
-    K[ok] = defect[ok] / area_geom[ok]
-    return replace(base, K=K, angle_defect=defect)
 
 
 def euler_characteristic(v: DiscreteVarifold) -> TopologyReport:
@@ -324,14 +282,21 @@ def second_fundamental_norm(v: DiscreteVarifold) -> CurvatureField:
     beta_e (|e|/2) ē ēᵀ with beta_e the signed dihedral angle; the two
     tangent-plane eigenvalues approximate the principal curvatures up to the
     known eigenvector swap, which |B|^2 = k1^2 + k2^2 does not see. Boundary
-    and junction vertices are flagged NaN. Also fills K and the residual
+    and junction vertices are flagged NaN. Also fills the angle-defect Gauss
+    curvature K_v = defect_v / (geometric vertex area), NaN on the same
+    vertices, the defects themselves at every vertex (their total satisfies
+    Gauss--Bonnet on closed manifolds), and the residual
     |K - (|H|^2 - |B|^2)/2| of the trace identity.
     """
     topo = v.topology
+    base = v.curvature
     nhat, areas = face_normals(v)
     area_geom = _vertex_areas(v, areas, weighted=False)
-    g = _with_gauss(v, area_geom)
     nv = v.num_vertices
+    ok = ~base.boundary_mask & ~base.junction_mask & ~base.isolated_mask & (area_geom > 0)
+    defect = _angle_defects(v)
+    K = np.full(nv, np.nan)
+    K[ok] = defect[ok] / area_geom[ok]
 
     S = np.zeros((nv, 6))  # xx, yy, zz, xy, xz, yz
     ie = topo.interior_edges
@@ -365,7 +330,6 @@ def second_fundamental_norm(v: DiscreteVarifold) -> CurvatureField:
 
     normals = _vertex_normals_unoriented(v, nhat, areas)
     B2 = np.full(nv, np.nan)
-    ok = ~g.boundary_mask & ~g.junction_mask & ~g.isolated_mask & (area_geom > 0)
     idx = np.nonzero(ok)[0]
     Sm = np.empty((len(idx), 3, 3))
     Sm[:, 0, 0] = S[idx, 0]
@@ -392,9 +356,9 @@ def second_fundamental_norm(v: DiscreteVarifold) -> CurvatureField:
     B2[idx] = l1 * l1 + l2 * l2
 
     resid = np.full(nv, np.nan)
-    h2 = np.einsum("ij,ij->i", g.H, g.H)
-    resid[ok] = np.abs(g.K[ok] - 0.5 * (h2[ok] - B2[ok]))
-    return replace(g, B2=B2, gauss_relation_residual=resid)
+    h2 = np.einsum("ij,ij->i", base.H, base.H)
+    resid[ok] = np.abs(K[ok] - 0.5 * (h2[ok] - B2[ok]))
+    return replace(base, K=K, angle_defect=defect, B2=B2, gauss_relation_residual=resid)
 
 
 # ---------------------------------------------------------------------------
@@ -455,27 +419,6 @@ def enclosed_volume(v: DiscreteVarifold) -> float:
     return math.fsum(vals) / 3.0
 
 
-def concentrated_volume(v: DiscreteVarifold, x0: np.ndarray) -> float:
-    """- sum_f mult A_f <x - x0, n_f>/|x - x0|^2 by midpoint-rule quadrature.
-
-    x0 must stay away from the surface (raises MeshError within 1e-7 of the
-    mesh scale). For any closed surface oriented outward around x0 the value
-    is -4*pi times the enclosed winding; for the unit sphere about its center,
-    -4*pi.
-    """
-    x0 = np.asarray(x0, dtype=np.float64)
-    d = point_surface_distance(v, x0)
-    scale = mesh_scale(v)
-    if d < 1e-7 * scale:
-        raise MeshError(f"concentrated volume singular: x0 is on the surface (distance {d:.3e})")
-    nhat, areas = face_normals(v)
-    p = v.vertices[v.faces]  # (F, 3, 3)
-    mids = 0.5 * (p + np.roll(p, -1, axis=1)) - x0  # (F, 3, 3) edge midpoints
-    g = np.einsum("fkj,fj->fk", mids, nhat) / np.einsum("fkj,fkj->fk", mids, mids)
-    vals = (areas * v.multiplicity) * g.mean(axis=1)
-    return -math.fsum(vals)
-
-
 def point_surface_distance(v: DiscreteVarifold, x0: np.ndarray) -> float:
     """Exact distance from x0 to the union of the triangles.
 
@@ -525,36 +468,3 @@ def _distance_to_faces(vertices: np.ndarray, faces: np.ndarray, p: np.ndarray) -
         best = np.minimum(best, np.linalg.norm(s + t[:, None] * evec - p, axis=1))
     return float(best.min()) if len(best) else math.inf
 
-
-def first_variation_residual(
-    v: DiscreteVarifold,
-    phi: np.ndarray | Callable[[np.ndarray], np.ndarray],
-) -> float:
-    """Defect of the first-variation identity for the vertex field phi.
-
-    residual = | d/dt M(v + t phi)  +  sum_{smooth v} <phi_v, H_v A_v>
-                 - sum_{boundary e} mult |e| <phi_mid, nu_e> |
-
-    where "smooth" excludes boundary and junction vertices and nu_e is the
-    outward in-plane conormal. Zero to round-off on closed junction-free
-    meshes and on flat patches; the untreated junction force remains as a
-    residual that shrinks under refinement.
-    """
-    if callable(phi):
-        phi = np.asarray(phi(v.vertices), dtype=np.float64)
-    else:
-        phi = np.asarray(phi, dtype=np.float64)
-    if phi.shape != v.vertices.shape:
-        raise MeshError(f"phi must have shape {v.vertices.shape}, got {phi.shape}")
-    topo = v.topology
-    nhat = face_normals(v)[0]
-    grad = _area_gradients(v, nhat)
-    dots = np.einsum("ij,ij->i", phi, grad)
-    div_term = math.fsum(dots)
-    smooth = ~topo.boundary_vertex_mask & ~topo.junction_vertex_mask
-    h_term = -math.fsum(dots[smooth])  # <phi, H A> = -<phi, grad M> at smooth vertices
-
-    edges, f, _, nu = _boundary_conormals(v, nhat)
-    mid_phi = 0.5 * (phi[edges[:, 0]] + phi[edges[:, 1]])
-    bdry_term = math.fsum(v.multiplicity[f] * np.einsum("ij,ij->i", mid_phi, nu))
-    return abs(div_term + h_term - bdry_term)

@@ -22,23 +22,6 @@ from .reports import save_json
 if TYPE_CHECKING:
     from ._grid import FaceGrid
 
-__all__ = [
-    "MeshError",
-    "DiscreteVarifold",
-    "EdgeTopology",
-    "make_varifold",
-    "validate",
-    "load_mesh_file",
-    "save_varifold",
-    "load_obj",
-    "edge_topology",
-    "face_areas",
-    "face_normals",
-    "total_mass",
-    "mesh_scale",
-    "refine",
-    "junction_sheet_angles",
-]
 
 class MeshError(ValueError):
     """Raised for structurally invalid meshes (bad indices, degenerate faces, ...)."""
@@ -193,7 +176,7 @@ def validate(v: DiscreteVarifold) -> None:
         bad = int(np.nonzero(v.multiplicity < 1)[0][0])
         raise MeshError(f"face {bad} has multiplicity < 1")
     scale = mesh_scale(v)
-    tiny = face_areas(v) / scale / scale < 1e-14  # scale * scale may underflow to 0
+    tiny = face_normals(v)[1] / scale / scale < 1e-14  # scale * scale may underflow to 0
     if tiny.any():
         raise MeshError(f"face {int(np.nonzero(tiny)[0][0])} is degenerate (zero area)")
 
@@ -285,13 +268,9 @@ def _weld(points: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     return node[parent][rank[inv]], pts[founder]
 
 
-def face_areas(v: DiscreteVarifold) -> np.ndarray:
-    return face_normals(v)[1]
-
-
 def total_mass(v: DiscreteVarifold) -> float:
     """Total measure: sum of multiplicity-weighted face areas."""
-    return math.fsum(v.multiplicity.astype(np.float64) * face_areas(v))
+    return math.fsum(v.multiplicity.astype(np.float64) * face_normals(v)[1])
 
 
 def mesh_scale(v: DiscreteVarifold) -> float:
@@ -454,7 +433,6 @@ _INTEGER = (_is_int, "an integer")
 _POINT = (lambda x: isinstance(x, list) and len(x) == 3 and all(map(_is_number, x)), "3 numbers")
 
 
-
 def _check_rows(rows, spec: dict, where: str, error: type[ValueError] = MeshError) -> None:
     """``error`` naming the entry and key unless ``rows`` is a list of objects whose keys pass
     ``spec``'s tests (key -> (test, what it asks for)); only a key ending in "?" may be missing."""
@@ -509,22 +487,3 @@ def load_mesh_file(path: str) -> tuple[DiscreteVarifold, dict | None]:
     )
     return v, analytic
 
-
-def load_obj(path: str) -> DiscreteVarifold:
-    """Minimal Wavefront OBJ import: v/f records, fan-triangulated, multiplicity 1."""
-    verts: list[list[float]] = []
-    faces: list[list[int]] = []
-    with open(path) as fh:
-        for line in fh:
-            parts = line.split()
-            if not parts or parts[0].startswith("#"):
-                continue
-            if parts[0] == "v":
-                verts.append([float(x) for x in parts[1:4]])
-            elif parts[0] == "f":
-                idx = [int(tok.split("/")[0]) - 1 for tok in parts[1:]]
-                for k in range(1, len(idx) - 1):
-                    faces.append([idx[0], idx[k], idx[k + 1]])
-    if not faces:
-        raise MeshError(f"OBJ file {path!r} contains no faces")
-    return make_varifold(np.asarray(verts), np.asarray(faces))

@@ -18,22 +18,6 @@ import numpy as np
 from .mesh import _frozen, _numeric
 from .reports import NOT_RECORDED, Record, save_json
 
-__all__ = [
-    "NetError",
-    "GeodesicNet",
-    "CatalogueEntry",
-    "RelaxResult",
-    "make_net",
-    "load_net",
-    "save_net",
-    "arc_length",
-    "total_length",
-    "balance_residual",
-    "catalogue",
-    "relax",
-    "match_link",
-]
-
 
 class NetError(ValueError):
     """Raised for structurally invalid nets or ambiguous geodesics."""
@@ -576,8 +560,8 @@ def load_net(path: str) -> GeodesicNet:
     """
     with open(path) as fh:
         doc = json.load(fh)
-    if "vertices" not in doc or "arcs" not in doc:
-        raise NetError(f"net file {path!r} needs 'vertices' and 'arcs'")
+    if not (isinstance(doc, dict) and "vertices" in doc and isinstance(doc.get("arcs"), list)):
+        raise NetError(f"net file {path!r} needs an object with 'vertices' and an 'arcs' list")
     rows = doc["arcs"]
     for k, r in enumerate(rows):
         if not (isinstance(r, list) and len(r) in (3, 4) and r[3:] in ([], [0], [1])

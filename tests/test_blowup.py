@@ -100,11 +100,6 @@ def test_classify_density_rejects_sub_half():
         blowup.classify_density(0.2)
 
 
-def test_classify_density_higher_ambient_drops_tetra_value():
-    label, _ = blowup.classify_density(1.8, ambient_dim=5)
-    assert label == "3/2"
-
-
 def test_classification_scale_invariant(sphere3):
     x0 = np.asarray(sphere3.analytic["density_points"][0]["point"])
     base = blowup.density(sphere3.varifold, x0).classification
@@ -127,6 +122,25 @@ def test_monotonicity_on_sphere(sphere3, rng):
 def test_monotonicity_rejects_bad_radii(sphere3):
     with pytest.raises(ValueError):
         blowup.monotonicity_check(sphere3.varifold, np.zeros(3), 0.5, 0.5)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda v: blowup.classify_density(NAN), "theta=nan is not a varifold density"),
+    (lambda v: blowup.monotonicity_check(v, [NAN, 0.0, 0.0], 0.1, 0.5), "must be finite"),
+    (lambda v: blowup.spherical_link(v, [NAN, 0.0, 0.0], 0.3), "must be finite"),
+    (lambda v: blowup.spherical_link(v, v.vertices[0], NAN), "must be finite"),
+    (lambda v: blowup.spherical_link(v, v.vertices[0], INF), "must be finite"),
+    (lambda v: blowup.ball_mass(v, 0, NAN), "must be finite"),
+    (lambda v: blowup.ball_mass_ladder(v, v.vertices[0], [0.1, INF]), "must be finite"),
+    (lambda v: blowup.density(v, [NAN, 0.0, 0.0]), "not on the support"),
+], ids=["classify-nan", "monotonicity-nan-center", "link-nan-center", "link-nan-radius",
+        "link-inf-radius", "ball-mass-nan-radius", "ladder-inf-radius", "density-nan-center"])
+def test_non_finite_input_is_rejected(sphere3, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(sphere3.varifold)
 
 
 def test_li_yau_on_sphere(sphere4):

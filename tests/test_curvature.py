@@ -7,7 +7,7 @@ import pytest
 from varifold_lab import curvature, generators, mesh
 from varifold_lab.mesh import DiscreteVarifold, MeshError, make_varifold
 
-from conftest import triple_fan
+from conftest import first_variation_residual, triple_fan
 
 
 def test_sphere_mean_curvature_magnitude(sphere4):
@@ -72,13 +72,13 @@ def test_helfrich_on_one_oriented_triangle_is_zero():
 
 
 def test_gauss_curvature_on_sphere(sphere4):
-    f = curvature.gauss_curvature(sphere4.varifold)
+    f = curvature.second_fundamental_norm(sphere4.varifold)
     assert np.nanmean(f.K) == pytest.approx(1.0, abs=0.01)
 
 
 def test_gauss_defects_sum_to_2pi_chi(sphere3, torus3):
     for v, chi in ((sphere3.varifold, 2), (torus3.varifold, 0)):
-        f = curvature.gauss_curvature(v)
+        f = curvature.second_fundamental_norm(v)
         assert math.fsum(f.angle_defect) == pytest.approx(2 * math.pi * chi, abs=1e-9)
 
 
@@ -154,7 +154,7 @@ def test_face_normals_are_computed_once_per_curvature_call(monkeypatch):
     monkeypatch.setattr(curvature, "face_normals", counting)
     v.curvature
     assert len(calls) == 1
-    for fn in (curvature.mean_curvature, curvature.gauss_curvature, curvature.second_fundamental_norm):
+    for fn in (curvature.mean_curvature, curvature.second_fundamental_norm):
         calls.clear()
         fn(v)
         assert len(calls) == 1, fn.__name__
@@ -251,29 +251,6 @@ def test_enclosed_volume_rejects_open_mesh():
         curvature.enclosed_volume(cap)
 
 
-def test_concentrated_volume_at_center(sphere4):
-    val = curvature.concentrated_volume(sphere4.varifold, np.zeros(3))
-    assert val == pytest.approx(-4 * math.pi, rel=0.01)
-
-
-def test_concentrated_volume_decays(sphere3):
-    val = curvature.concentrated_volume(sphere3.varifold, np.array([100.0, 0.0, 0.0]))
-    assert abs(val) < 0.05
-
-
-def test_concentrated_volume_negates_under_orientation_flip(sphere3):
-    v = sphere3.varifold
-    flipped = DiscreteVarifold(v.vertices, v.faces[:, ::-1], v.multiplicity, True)
-    x0 = np.array([0.2, 0.1, 0.0])
-    assert curvature.concentrated_volume(flipped, x0) == -curvature.concentrated_volume(v, x0)
-
-
-def test_concentrated_volume_singular_on_support(sphere3):
-    x0 = sphere3.varifold.vertices[0]
-    with pytest.raises(MeshError, match="singular"):
-        curvature.concentrated_volume(sphere3.varifold, x0)
-
-
 def test_first_variation_matches_finite_differences(sphere3, rng):
     v = sphere3.varifold
     f = curvature.mean_curvature(v)
@@ -290,25 +267,25 @@ def test_first_variation_matches_finite_differences(sphere3, rng):
 
 def test_first_variation_residual_closed_mesh(sphere3, rng):
     phi = rng.normal(size=sphere3.varifold.vertices.shape)
-    assert curvature.first_variation_residual(sphere3.varifold, phi) < 1e-10
+    assert first_variation_residual(sphere3.varifold, phi) < 1e-10
 
 
 def test_first_variation_residual_closed_mesh_pinned():
     # recorded while a mesh without boundary edges took a special case
     v = generators.gen_sphere(1.0, 2).varifold
     phi = np.random.default_rng(0).standard_normal(v.vertices.shape)
-    assert curvature.first_variation_residual(v, phi) == 0.0
+    assert first_variation_residual(v, phi) == 0.0
 
 
 def test_first_variation_residual_flat_disk(rng):
     disk = generators.gen_flat_disk(1.0, 3).varifold
     for _ in range(3):
         phi = rng.normal(size=disk.vertices.shape)
-        assert curvature.first_variation_residual(disk, phi) < 1e-10
+        assert first_variation_residual(disk, phi) < 1e-10
 
 
 def test_first_variation_residual_accepts_callable(sphere3):
-    res = curvature.first_variation_residual(sphere3.varifold, lambda x: x.copy())
+    res = first_variation_residual(sphere3.varifold, lambda x: x.copy())
     assert res < 1e-10
 
 
@@ -318,7 +295,7 @@ def test_junction_residual_shrinks_under_refinement():
     vals = []
     for level in (3, 4):
         v = generators.gen_double_bubble(0.7, 1.0, level).varifold
-        vals.append(curvature.first_variation_residual(v, v.vertices.copy()))
+        vals.append(first_variation_residual(v, v.vertices.copy()))
     assert vals[0] > 1e-8  # junction really is untreated
     assert vals[1] < vals[0]
 

@@ -13,6 +13,14 @@ from varifold_lab import _kernels, generators
 KERNELS = [_kernels]
 
 
+def disk_tri_area_2d(impl, ax, ay, bx, by, cx, cy, rho) -> float:
+    """Area of the CCW triangle (a, b, c) within the disk |p| <= rho, by ``impl``'s batch kernel."""
+    if rho <= 0.0:
+        return 0.0
+    cols = (np.array([c], dtype=np.float64) for c in (ax, ay, bx, by, cx, cy, rho))
+    return float(impl._disk_tri_areas(*cols)[0])
+
+
 def grid_area(ax, ay, bx, by, cx, cy, rho, n=800):
     """Brute-force area(T ∩ D) on a regular grid, the independent oracle."""
     xs = np.linspace(min(ax, bx, cx, -rho), max(ax, bx, cx, rho), n)
@@ -32,22 +40,22 @@ def grid_area(ax, ay, bx, by, cx, cy, rho, n=800):
 @pytest.mark.parametrize("impl", KERNELS, ids=lambda m: m.BACKEND)
 class TestDiskTriArea:
     def test_triangle_inside_disk(self, impl):
-        area = impl.disk_tri_area_2d(0.1, 0.1, 0.3, 0.1, 0.1, 0.3, 5.0)
+        area = disk_tri_area_2d(impl, 0.1, 0.1, 0.3, 0.1, 0.1, 0.3, 5.0)
         assert area == pytest.approx(0.02, abs=1e-14)
 
     def test_disk_inside_triangle(self, impl):
-        area = impl.disk_tri_area_2d(-10, -10, 10, -10, 0, 10, 0.5)
+        area = disk_tri_area_2d(impl, -10, -10, 10, -10, 0, 10, 0.5)
         assert area == pytest.approx(math.pi * 0.25, abs=1e-12)
 
     def test_disjoint(self, impl):
-        assert impl.disk_tri_area_2d(2, 2, 3, 2, 2, 3, 0.5) == pytest.approx(0.0, abs=1e-14)
+        assert disk_tri_area_2d(impl, 2, 2, 3, 2, 2, 3, 0.5) == pytest.approx(0.0, abs=1e-14)
 
     def test_quarter_disk_at_right_corner(self, impl):
-        area = impl.disk_tri_area_2d(0, 0, 2, 0, 0, 2, 0.5)
+        area = disk_tri_area_2d(impl, 0, 0, 2, 0, 0, 2, 0.5)
         assert area == pytest.approx(math.pi * 0.25 / 4, abs=1e-12)
 
     def test_zero_radius(self, impl):
-        assert impl.disk_tri_area_2d(0, 0, 1, 0, 0, 1, 0.0) == 0.0
+        assert disk_tri_area_2d(impl, 0, 0, 1, 0, 0, 1, 0.0) == 0.0
 
     def test_against_grid_oracle(self, impl):
         rng = np.random.default_rng(7)
@@ -58,7 +66,7 @@ class TestDiskTriArea:
             if e1[0] * e2[1] - e1[1] * e2[0] < 0:
                 pts = pts[::-1]
             rho = float(rng.uniform(0.3, 1.5))
-            exact = impl.disk_tri_area_2d(*pts.ravel(), rho)
+            exact = disk_tri_area_2d(impl, *pts.ravel(), rho)
             approx = grid_area(*pts.ravel(), rho)
             assert exact == pytest.approx(approx, abs=5e-3)
 
@@ -115,7 +123,7 @@ def test_disk_tri_areas_pinned_bits():
         "8201c680e9ee0a6923d4f491c93ffbd473da1ffe781bbb519a98450b6583318e"
     )
     for i in range(0, 400, 37):
-        assert _kernels.disk_tri_area_2d(*pts[i].ravel(), rho[i]) == areas[i]
+        assert disk_tri_area_2d(_kernels, *pts[i].ravel(), rho[i]) == areas[i]
 
 
 #: ball_masses at fixed centres, as float.hex(), for radii <= 0, a ball

@@ -14,7 +14,7 @@ from varifold_lab import _grid, blowup, boundary, curvature, generators, mesh
 from varifold_lab.cli import main
 from varifold_lab.mesh import DiscreteVarifold, MeshError, make_varifold
 
-from conftest import triple_fan, two_triangle_square
+from conftest import first_variation_residual, triple_fan, two_triangle_square
 
 
 def test_make_varifold_defaults_multiplicity_to_one():
@@ -87,7 +87,7 @@ def test_topology_and_curvature_are_built_once_per_mesh(monkeypatch, build):
             curvature.euler_characteristic(v)
     curvature.second_fundamental_norm(v)
     boundary.boundary_measure(v)
-    curvature.first_variation_residual(v, v.vertices)
+    first_variation_residual(v, v.vertices)
     for i in range(50):
         blowup.monotonicity_check(v, v.vertices[i], 0.1, 0.4)
         blowup.spherical_link(v, v.vertices[i], 0.3)
@@ -101,7 +101,7 @@ def test_cached_arrays_are_read_only(sphere3):
     arrays = [getattr(topo, f.name) for f in dataclasses.fields(topo)]
     arrays += [getattr(field, f.name) for f in dataclasses.fields(field)
                if getattr(field, f.name) is not None]
-    arrays.append(curvature.gauss_curvature(v).H)  # shares the cached array
+    arrays.append(curvature.second_fundamental_norm(v).H)  # shares the cached array
     arrays += [getattr(grid, f.name) for f in dataclasses.fields(grid)
                if isinstance(getattr(grid, f.name), np.ndarray)]
     assert len(arrays) == 23
@@ -367,24 +367,6 @@ def test_load_keeps_face_patches(tmp_path):
     var, _ = mesh.load_mesh_file(_write_square(tmp_path / "p.json", face_patches=[0, 3]))
     assert var.face_patches.tolist() == [0, 3]
     assert var.oriented is True
-
-
-def test_load_obj(tmp_path):
-    path = tmp_path / "tri.obj"
-    path.write_text(
-        "# comment\nv 0 0 0\nv 1 0 0\nv 0 1 0\nv 1 1 0\nf 1 2 3\nf 2 4 3\n"
-    )
-    var = mesh.load_obj(str(path))
-    assert var.num_vertices == 4 and var.num_faces == 2
-    assert mesh.total_mass(var) == pytest.approx(1.0)
-
-
-def test_load_obj_triangulates_quads(tmp_path):
-    path = tmp_path / "quad.obj"
-    path.write_text("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3 4\n")
-    var = mesh.load_obj(str(path))
-    assert var.num_faces == 2
-    assert mesh.total_mass(var) == pytest.approx(1.0)
 
 
 def test_mesh_scale_is_bbox_diagonal():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from varifold_lab import nets
+from varifold_lab.cli import main
 from varifold_lab.nets import (
     NetError,
     arc_length,
@@ -424,3 +425,16 @@ def test_load_rejects_missing_keys(tmp_path):
     path.write_text('{"vertices": []}')
     with pytest.raises(NetError, match="needs"):
         load_net(str(path))
+
+
+@pytest.mark.parametrize("text", ["5", '["vertices", "arcs"]', '{"vertices": [[1, 0, 0]], "arcs": 5}'],
+                         ids=["number", "list", "arcs-not-a-list"])
+def test_load_rejects_a_document_that_is_not_an_object_with_an_arcs_list(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    message = f"net file {str(path)!r} needs an object with 'vertices' and an 'arcs' list"
+    with pytest.raises(NetError) as info:
+        load_net(str(path))
+    assert str(info.value) == message
+    assert main(["net", "relax", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"

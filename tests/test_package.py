@@ -86,8 +86,17 @@ def test_public_names_are_their_home_modules_attributes():
             home = getattr(importlib.import_module(f"varifold_lab.{varifold_lab._HOME[name]}"), name)
         assert getattr(varifold_lab, name) is home, name
         assert namespace[name] is home, name
-    assert len(varifold_lab.__all__) == len(set(varifold_lab.__all__)) == 56
+    assert len(varifold_lab.__all__) == len(set(varifold_lab.__all__)) == 52
     assert set(varifold_lab.__all__) <= set(dir(varifold_lab))
+
+
+def test_the_package_table_is_the_one_list_of_public_names():
+    for module in SUBMODULES:
+        assert not hasattr(importlib.import_module(f"varifold_lab.{module}"), "__all__"), module
+    for name, home in varifold_lab._HOME.items():
+        obj = getattr(varifold_lab, name)
+        if callable(obj):
+            assert obj.__module__ == f"varifold_lab.{home}", name
 
 
 def test_unknown_name_raises_attribute_error():
