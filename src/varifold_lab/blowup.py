@@ -72,7 +72,10 @@ def local_edge_scale(v: DiscreteVarifold, x0) -> float:
     bits of ``v.vertices[v.faces].mean(axis=1)``.
     """
     _require_faces(v)
-    w = v.face_grid.centroids - np.asarray(x0, dtype=np.float64)
+    x0 = np.asarray(x0, dtype=np.float64)
+    if not np.isfinite(x0).all():
+        raise ValueError(f"edge-scale center must be finite, got {x0.tolist()}")
+    w = v.face_grid.centroids - x0
     d2 = np.einsum("ij,ij->i", w, w)
     k = min(32, len(d2))
     idx = np.argpartition(d2, k - 1)[:k] if k < len(d2) else np.arange(len(d2))
@@ -113,9 +116,10 @@ def density(v: DiscreteVarifold, x0, r_max: float | None = None) -> DensityRepor
     length).
     """
     x0 = np.asarray(x0, dtype=np.float64)
-    h = local_edge_scale(v, x0)
+    finite = bool(np.isfinite(x0).all())  # a point at infinity is on no support
+    h = local_edge_scale(v, x0) if finite else math.nan
     warnings: list[str] = []
-    if not point_surface_distance(v, x0) <= 0.5 * h:
+    if not (finite and point_surface_distance(v, x0) <= 0.5 * h):
         raise MeshError(f"point {x0.tolist()} is not on the support of the varifold")
     if r_max is None:
         r_max = 10.0 * h

@@ -225,9 +225,13 @@ def cmd_analyze(args) -> int:
         blocks["link"] = rows
 
     if args.topology:
-        rep = curvature.euler_characteristic(v)
-        blocks["topology"] = {**rep.to_dict(), "tolerance": 1e-6,
-                              "passed": bool(abs(rep.defect_chi - rep.chi) <= 1e-6)}
+        try:
+            rep = curvature.euler_characteristic(v)
+        except mesh.MeshError as exc:  # a boundary or junction edge
+            blocks["topology"] = {"status": "not_applicable", "reason": str(exc)}
+        else:
+            blocks["topology"] = {**rep.to_dict(), "tolerance": 1e-6,
+                                  "passed": bool(abs(rep.defect_chi - rep.chi) <= 1e-6)}
 
     if args.liyau:
         pts = [dp["point"] for dp in (analytic or {}).get("density_points", [])]

@@ -427,6 +427,8 @@ def point_surface_distance(v: DiscreteVarifold, x0: np.ndarray) -> float:
     every face left out is farther than that. At worst every face is searched.
     """
     p = np.asarray(x0, dtype=np.float64)
+    if not np.isfinite(p).all():
+        raise ValueError(f"distance center must be finite, got {p.tolist()}")
     grid = v.face_grid
     r = grid.pitch
     while True:

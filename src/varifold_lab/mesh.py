@@ -219,53 +219,72 @@ def _boundary_conormals(v: DiscreteVarifold, nhat: np.ndarray) -> tuple[np.ndarr
     return edges, f, evec, nu
 
 
+#: The weld's sweep direction: a fixed unit vector normal to no coordinate or
+#: symmetry plane of the reference meshes.
+_SWEEP = np.array([1.0, math.sqrt(2.0), math.sqrt(3.0)]) / math.sqrt(6.0)
+
+
 def _weld(points: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Node ids of the points and the nodes' first points, as (ids (P,), nodes (N, 3)).
 
     Taken in order, a point joins the lowest-numbered node whose first point
     lies within ``tol`` of it (Euclidean, rounded like a 1-D
-    ``np.linalg.norm``), or else starts the next node. Exact duplicates always
-    share a node, so only the distinct points are welded. Candidate pairs come
-    from 8 grids of pitch 3·tol, offset by half a cell along each axis: two
-    points within ``tol`` share a cell of at least one. Python only loops over
-    the candidate pairs.
+    ``np.linalg.norm``), or else starts the next node.
+
+    Exact duplicates always share a node, so only the distinct points are
+    welded: one stable ``np.lexsort`` of the rows groups equal values (-0.0
+    equals 0.0), and each group keeps its first point's bytes. The near pairs
+    come from one stable sort of the projections ``p·u`` on the fixed unit
+    vector ``u = _SWEEP``, swept at offsets 1, 2, ... while some gap between
+    sorted projections is at most ``tol·(1 + 1e-6)`` plus ``1e-14·max|p|∞``.
+    Since ``|u·(p − q)| ≤ |p − q|``, every pair within ``tol`` is a candidate;
+    the slack covers the rounding of the projections and of the distance, and
+    can only add candidates, which the exact distance test then drops. Gaps
+    grow with the offset, so the sweep stops at the first offset with none
+    small enough. Its cost is the largest number of points in one
+    ``2·tol`` window of projections: points on a plane normal to ``u`` are
+    all candidates of each other, which is quadratic. Python only loops over
+    the pairs within ``tol``.
     """
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    _, first, inv = np.unique(points, axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(first)
+    order = np.lexsort(points.T[::-1])
+    srt = points[order]
+    new = np.ones(len(points), dtype=bool)
+    new[1:] = (srt[1:] != srt[:-1]).any(axis=1)
+    first = order[new]  # each distinct value's first point, the sort being stable
+    by_first = np.argsort(first)
     rank = np.empty(len(first), dtype=np.int64)
-    rank[order] = np.arange(len(first))
-    pts = points[first[order]]  # distinct points in order of first occurrence
-    n = len(pts)
-    pairs = []
-    for shift in itertools.product((0.0, 0.5), repeat=3):
-        c = np.floor(pts / (3.0 * tol) + shift).astype(np.int64)
-        key = c[:, 0] * 73856093 ^ c[:, 1] * 19349663 ^ c[:, 2] * 83492791  # collisions only add candidates
-        by_key = np.argsort(key)
-        key = key[by_key]
-        for d in range(1, n):
-            same = key[d:] == key[:-d]
-            if not same.any():
-                break
-            a, b = by_key[:-d][same], by_key[d:][same]
-            pairs.append(np.maximum(a, b) * n + np.minimum(a, b))
-    if not pairs:
-        return rank[inv], pts
-    # ascending later point, then earlier; a sort and a drop of repeats, since
-    # a plain np.unique imports numpy.ma
-    pairs = np.sort(np.concatenate(pairs))
-    pairs = pairs[np.diff(pairs, prepend=-1) != 0]
-    later, earlier = pairs // n, pairs % n
-    d = pts[earlier] - pts[later]
-    near = np.sqrt(_dot(d, d)) <= tol
-    founder = [True] * n
-    parent = list(range(n))
-    for i, j in zip(later[near].tolist(), earlier[near].tolist()):
-        if founder[i] and founder[j]:
-            parent[i] = j
-            founder[i] = False
+    rank[by_first] = np.arange(len(first))
+    distinct = np.empty(len(points), dtype=np.int64)
+    distinct[order] = rank[np.cumsum(new) - 1]
+    pts = points[first[by_first]]  # distinct points in order of first occurrence
+
+    proj = pts @ _SWEEP
+    by_proj = np.argsort(proj, kind="stable")
+    proj = proj[by_proj]
+    gap = tol * (1.0 + 1e-6) + 1e-14 * float(np.abs(pts).max(initial=0.0))
+    later, earlier = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for d in range(1, len(pts)):
+        cand = np.flatnonzero(proj[d:] - proj[:-d] <= gap)
+        if not len(cand):
+            break
+        a, b = by_proj[cand], by_proj[cand + d]
+        i, j = np.maximum(a, b), np.minimum(a, b)
+        diff = pts[j] - pts[i]
+        near = np.sqrt(_dot(diff, diff)) <= tol
+        later.append(i[near])
+        earlier.append(j[near])
+    later, earlier = np.concatenate(later), np.concatenate(earlier)
+    by_pair = np.lexsort((earlier, later))  # ascending later point, then earlier
+    joined: dict[int, int] = {}
+    for i, j in zip(later[by_pair].tolist(), earlier[by_pair].tolist()):
+        if i not in joined and j not in joined:  # both still found their own nodes
+            joined[i] = j
+    parent = np.arange(len(pts))
+    parent[list(joined)] = list(joined.values())
+    founder = parent == np.arange(len(pts))
     node = np.cumsum(founder) - 1
-    return node[parent][rank[inv]], pts[founder]
+    return node[parent][distinct], pts[founder]
 
 
 def total_mass(v: DiscreteVarifold) -> float:

@@ -143,6 +143,14 @@ def test_non_finite_input_is_rejected(sphere3, call, message):
         call(sphere3.varifold)
 
 
+@pytest.mark.parametrize("x", [NAN, INF, -INF], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("call", [curvature.point_surface_distance, blowup.local_edge_scale],
+                         ids=["distance", "edge-scale"])
+def test_non_finite_center_is_rejected(sphere3, call, x):
+    with pytest.raises(ValueError, match=r"center must be finite, got \[(nan|-?inf), 0.0, 0.0\]"):
+        call(sphere3.varifold, [x, 0.0, 0.0])
+
+
 def test_li_yau_on_sphere(sphere4):
     pts = [p["point"] for p in sphere4.analytic["density_points"]]
     rep = blowup.li_yau_check(sphere4.varifold, pts)
@@ -449,18 +457,20 @@ def test_link_lists_closed_arcs_before_open_ones():
     assert got == want
 
 
-def _merge_ends_oracle(points, tol):
-    """The linear scan: each point joins the lowest-index node within tol."""
-    centers, nodes = [], []
-    for p in points:
-        for j, c in enumerate(centers):
+def _weld_oracle(points, tol):
+    """``mesh._weld``'s rule by a linear scan, as (ids, nodes): taken in order,
+    a point joins the lowest-numbered node whose first point lies within tol,
+    else it starts the next node."""
+    ids, nodes = [], []
+    for p in np.asarray(points, dtype=np.float64):
+        for j, c in enumerate(nodes):
             if np.linalg.norm(c - p) <= tol:
-                nodes.append(j)
+                ids.append(j)
                 break
         else:
-            nodes.append(len(centers))
-            centers.append(p)
-    return nodes
+            ids.append(len(nodes))
+            nodes.append(p)
+    return ids, np.array(nodes).reshape(-1, 3)
 
 
 def test_merge_ends_picks_lowest_index_node_within_tol():
@@ -472,9 +482,76 @@ def test_merge_ends_picks_lowest_index_node_within_tol():
         corners = rng.integers(-3, 4, size=(6, 3)) * tol
         points = corners[rng.integers(0, 6, size=80)] + rng.uniform(-1.5, 1.5, size=(80, 3)) * tol
         points[::7] = points[1::7][: len(points[::7])]  # exact repeats
-        want = _merge_ends_oracle(points, tol)
+        want = _weld_oracle(points, tol)[0]
         assert mesh._weld(points, tol)[0].tolist() == want
         assert len(set(want)) < len(points)
+
+
+#: unit vectors: the weld's sweep direction, two directions normal to it, the axes
+_U = mesh._SWEEP
+_V1 = np.cross(_U, [1.0, 0.0, 0.0]) / np.linalg.norm(np.cross(_U, [1.0, 0.0, 0.0]))
+_V2 = np.cross(_U, _V1)
+_DIRECTIONS = [_U, -_U, _V1, _V2, (_V1 - _V2) / math.sqrt(2.0), *np.eye(3)]
+
+
+@st.composite
+def _clustered_points(draw):
+    """(points, tol): seeds with signed zeros, then points made from earlier ones:
+    exact repeats, repeats with the signs of their zeros flipped, points at
+    tol·(1 ± 1e-9) and other fractions of tol, chains a–b–c with |a − c| > tol,
+    and lattices on the plane through a point normal to the sweep direction;
+    the order is shuffled."""
+    tol = draw(st.sampled_from([1e-9, 1e-5, 0.3]))
+    scale = draw(st.sampled_from([1.0, 1e3]))
+    coord = st.sampled_from([0.0, -0.0]) | st.floats(-2.0, 2.0)
+    points = [np.array(draw(st.tuples(coord, coord, coord))) * scale]
+    for _ in range(draw(st.integers(0, 12))):
+        p = points[draw(st.integers(0, len(points) - 1))]
+        e = _DIRECTIONS[draw(st.integers(0, len(_DIRECTIONS) - 1))]
+        kind = draw(st.sampled_from(["seed", "repeat", "zeros", "near", "chain", "plane"]))
+        if kind == "seed":
+            points.append(np.array(draw(st.tuples(coord, coord, coord))) * scale)
+        elif kind == "repeat":
+            points.append(p.copy())
+        elif kind == "zeros":
+            points.append(np.where(p == 0.0, -p, p))
+        elif kind == "near":
+            f = draw(st.sampled_from([1.0 - 1e-9, 1.0, 1.0 + 1e-9, 0.5, 1.5]))
+            points.append(p + tol * f * e)
+        elif kind == "chain":
+            points += [p + 0.9 * tol * e, p + 1.8 * tol * e]
+        else:
+            k = draw(st.integers(1, 4))
+            grid = np.arange(-k, k + 1) * draw(st.sampled_from([0.4, 0.7, 1.0])) * tol
+            points += [p + a * _V1 + b * _V2 for a in grid for b in grid]
+    return draw(st.permutations(points)), tol
+
+
+@settings(max_examples=200, deadline=None)
+@given(draw=_clustered_points())
+def test_weld_matches_the_linear_scan(draw):
+    points, tol = draw
+    ids, nodes = mesh._weld(np.array(points), tol)
+    want_ids, want_nodes = _weld_oracle(points, tol)
+    assert ids.tolist() == want_ids
+    assert nodes.tobytes() == want_nodes.tobytes()
+
+
+def test_weld_finds_pairs_whose_projections_round_apart():
+    """Pairs p, p + tol·u far from the origin: the rounding of the projections
+    on the sweep direction u can set a pair within tol more than tol apart."""
+    rng = np.random.default_rng(7)
+    tol = 1e-9
+    p = rng.uniform(-1e3, 1e3, size=(500, 3))
+    q = p + tol * mesh._SWEEP
+    points = np.vstack([p, q])
+    near = np.array([np.linalg.norm(b - a) <= tol for a, b in zip(p, q)])
+    apart = (q @ mesh._SWEEP) - (p @ mesh._SWEEP) > tol
+    assert (near & apart).any() and not near.all()
+    ids, nodes = mesh._weld(points, tol)
+    want = np.where(near, np.arange(500), 500 + np.cumsum(~near) - 1)
+    assert ids.tolist() == list(range(500)) + want.tolist()
+    assert nodes.tobytes() == np.vstack([p, q[~near]]).tobytes()
 
 
 def test_weld_of_no_points_is_empty():

@@ -156,6 +156,29 @@ def test_analyze_link_that_misses_the_support_is_not_applicable(sphere_file, tmp
     assert "passed" not in row
 
 
+def test_readme_quick_start_writes_its_report(tmp_path, capsys):
+    """The double bubble has junction edges, so --topology does not apply;
+    the README's other analyses still run and pass."""
+    path, report = str(tmp_path / "db.json"), str(tmp_path / "report.json")
+    assert main(["generate", "double-bubble", "--theta2", "0.7", "--level", "3", "-o", path]) == 0
+    code = main(["analyze", path, "--energy", "--topology", "--liyau",
+                 "--density=1,0,0", "--link=1,0,0:0.35", "-o", report])
+    assert code == 0, capsys.readouterr().out
+    blocks = read_json(report)["analyses"]
+    assert blocks["topology"] == {"status": "not_applicable",
+                                  "reason": "mesh is not manifold: edge (0, 1) has 3+ faces"}
+    assert set(blocks) == {"energy", "topology", "liyau", "density", "link"}
+    assert blocks["liyau"]["passed"] and blocks["density"][0]["passed"] and blocks["link"][0]["passed"]
+
+
+def test_topology_of_a_mesh_with_boundary_is_not_applicable(tmp_path):
+    path, report = str(tmp_path / "cap.json"), str(tmp_path / "report.json")
+    assert main(["generate", "cap", "--level", "2", "-o", path]) == 0
+    assert main(["analyze", path, "--topology", "-o", report]) == 0
+    block = read_json(report)["analyses"]["topology"]
+    assert block["status"] == "not_applicable" and block["reason"].startswith("mesh is not closed: edge (")
+
+
 def test_analyze_failure_exits_one(tmp_path, capsys):
     # a flat disk has zero bending energy, so demanding the sphere's
     # printed value fails the energy check

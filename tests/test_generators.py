@@ -480,3 +480,27 @@ def test_weld_matches_point_pool_on_triple_bubble(level, monkeypatch):
     ids, nodes = weld(points, tol)
     assert ids.tolist() == want
     assert nodes.tobytes() == np.asarray(pool.points).tobytes() == v.vertices.tobytes()
+
+
+#: sha256 of gen_triple_bubble(level).varifold's vertices and faces bytes, by level
+_TRIPLE_BUBBLE_SHA256 = {
+    0: ("93577bb2f2eb5aff656904096303bf1d698dfef385d914748cbafd7f6d106f93",
+        "bc8b93a6403f1dea35b1ab1cd3e5ee56d24d7a83936ebbe0905e37b6eba962bf"),
+    1: ("5ecbff1dd7554ab9e860a22a381aa39599f060970cf508af7cd5049580140c7a",
+        "654f9db701065c7f313bb1e8e6c20369fa7f4bfe5909209c4b92e434ae41eecd"),
+    2: ("2ff0812740735777c496ca61c07405117587cbdca2626537a3ce7486eb7348b9",
+        "f88907db0feb7f3637e8fa3885173f7d8fb64c985656117ac2a04e2128b76c93"),
+    3: ("7bfe2f074a890e9540733c53149281fcd12767bd794ab5c3107a7ff64c59bffe",
+        "054e6790f2fa428584742cfc9b97e388d95caa82c9337368af910fd8ad6e239a"),
+    4: ("05757910627d9ea65887ad57bde39ec74919045f88e5cf9770fe4b194afccc0d",
+        "31f1eac8cb33cc2c1056344b30cdb282ac0eb21bc785d86af0b8ed8089f42a78"),
+    5: ("abea8468fb828d22fcbf0aa1e1d784acd78f56a0deeab67c9ea399c8f70d9222",
+        "11a75286fbfbd026a0b9b8be634ef6571da738b147db6e7371fcf9d0c8e0a991"),
+}
+
+
+@pytest.mark.parametrize("level", sorted(_TRIPLE_BUBBLE_SHA256))
+def test_triple_bubble_bytes_are_pinned(level):
+    v = gen_triple_bubble(level).varifold
+    got = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (v.vertices, v.faces))
+    assert got == _TRIPLE_BUBBLE_SHA256[level]
