@@ -28,8 +28,9 @@ _EXPORTS = {
                    "gen_torus", "gen_triple_bubble"),
     "mesh": ("DiscreteVarifold", "MeshError", "edge_topology", "load_mesh_file", "make_varifold",
              "refine", "save_varifold", "total_mass"),
-    "nets": ("GeodesicNet", "NetError", "balance_residual", "catalogue", "load_net", "make_net",
-             "match_link", "relax", "save_net", "total_length"),
+    "netmatch": ("NetError", "match_link"),
+    "nets": ("GeodesicNet", "balance_residual", "catalogue", "load_net", "make_net", "relax", "save_net",
+             "total_length"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_HOME) + ["__version__"]

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ._kernels import _sq
-from .mesh import _frozen
+from ._values import _frozen
 
 if TYPE_CHECKING:
     from .mesh import DiscreteVarifold

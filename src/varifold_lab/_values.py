@@ -1,0 +1,63 @@
+"""Checks of the values the readers take: arrays and JSON values are never coerced.
+
+The mesh, net and boundary readers share these, each passing its own error
+type, so a net or boundary command need not load the mesh module.
+"""
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """Read-only contiguous ``a``; a view is copied, so its base cannot change it."""
+    a = np.ascontiguousarray(a)
+    if not a.flags.owndata:
+        a = a.copy()
+    a.setflags(write=False)
+    return a
+
+
+def _numeric(x, kinds: str, where: str, error: type[ValueError]) -> np.ndarray:
+    """``x`` as an array of dtype kind in ``kinds`` ("iu" or "iuf"), never coerced, else ``error``
+    naming ``where``. A sequence is also scanned for booleans, which NumPy reads as 1 and 0."""
+    a = np.asarray(x)
+    want = "integers" if kinds == "iu" else "numbers"
+    if not isinstance(x, np.ndarray):
+        rows = itertools.chain.from_iterable(x) if a.ndim == 2 else x if a.ndim == 1 else ()
+        if {bool, np.bool_} & set(map(type, rows)):
+            raise error(f"{where} must hold {want}, not booleans")
+    if a.size and a.dtype.kind not in kinds:
+        raise error(f"{where} must hold {want}, not {a.dtype}")
+    return a
+
+
+def _is_int(x) -> bool:
+    """A Python or NumPy integer; booleans are not integers here."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    """A Python or NumPy integer or float; booleans are not numbers here."""
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+
+
+#: Tests of a JSON value for ``_check_rows``, each with what it asks for.
+_NUMBER = (_is_number, "a number")
+_INTEGER = (_is_int, "an integer")
+_POINT = (lambda x: isinstance(x, list) and len(x) == 3 and all(map(_is_number, x)), "3 numbers")
+
+
+def _check_rows(rows, spec: dict, where: str, error: type[ValueError]) -> None:
+    """``error`` naming the entry and key unless ``rows`` is a list of objects whose keys pass
+    ``spec``'s tests (key -> (test, what it asks for)); only a key ending in "?" may be missing."""
+    if not (isinstance(rows, list) and all(isinstance(r, dict) for r in rows)):
+        raise error(f"{where} must be a list of objects")
+    for k, row in enumerate(rows):
+        for name, (ok, what) in spec.items():
+            key = name.rstrip("?")
+            if key == name and key not in row:
+                raise error(f"{where} entry {k} is missing {key!r}")
+            if key in row and not ok(row[key]):
+                raise error(f"{where} entry {k}: {key!r} must be {what}, not {row[key]!r}")

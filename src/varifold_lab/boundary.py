@@ -11,12 +11,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .mesh import (_INTEGER, _NUMBER, _POINT, DiscreteVarifold, MeshError, _boundary_conormals, _check_rows,
-                   _is_int, _is_number, _numeric, face_normals)
+from . import mesh  # run only by boundary_measure and the singular-basepoint errors
+from ._values import _INTEGER, _NUMBER, _POINT, _check_rows, _is_int, _is_number, _numeric
 from .reports import Record, save_json
+
+if TYPE_CHECKING:
+    from .mesh import DiscreteVarifold
 
 _FOUR_PI = 4.0 * math.pi
 
@@ -127,7 +131,7 @@ def boundary_measure(v: DiscreteVarifold) -> DiscreteBoundary:
     in-plane unit normal to the edge pointing out of that face.  A closed mesh
     yields an empty boundary.
     """
-    edges, fidx, vec, conormals = _boundary_conormals(v, face_normals(v)[0])
+    edges, fidx, vec, conormals = mesh._boundary_conormals(v, v.face_geometry[0])
     lengths = np.linalg.norm(vec, axis=1)
     conormals /= np.linalg.norm(conormals, axis=1, keepdims=True)
     mult = v.multiplicity[fidx]
@@ -161,7 +165,7 @@ def circle_conormal_integral(circle: CircleSpec, x0) -> float:
     """Closed-form conormal integral of one circle at basepoint x0 (see ``_circle_eval``)."""
     val = float(_circle_eval(circle, np.asarray(x0, dtype=np.float64).reshape(1, 3))[0])
     if val == -math.inf:
-        raise MeshError("integrand singular: x0 lies on the circle")
+        raise mesh.MeshError("integrand singular: x0 lies on the circle")
     return val
 
 
@@ -188,7 +192,7 @@ def circle_conormal_integral_quad(circle: CircleSpec, x0, n_samples: int = 256) 
     d = pts - x0
     dd = np.einsum("ij,ij->i", d, d)
     if math.sqrt(float(dd.min())) < 1e-12 * circle.radius:
-        raise MeshError("integrand singular: x0 lies on the circle")
+        raise mesh.MeshError("integrand singular: x0 lies on the circle")
     vals = (d @ nu) / dd
     return circle.m * float(vals.mean()) * 2.0 * math.pi * circle.radius
 

@@ -31,6 +31,12 @@ def finite(text: str) -> float:
     return x
 
 
+def _quote(value, limit: int = 60) -> str:
+    """``repr(value)`` for an error message, cut to ``limit`` characters."""
+    text = repr(value)
+    return text if len(text) <= limit else text[:limit - 3] + "..."
+
+
 def _parse_point(text: str):
     import numpy as np
 
@@ -137,7 +143,7 @@ def cmd_analyze(args) -> int:
     import numpy as np
 
     from . import boundary as bnd
-    from . import blowup, curvature, mesh, nets
+    from . import blowup, curvature, mesh, netmatch
 
     requested = (
         args.energy or args.density or args.link or args.topology
@@ -205,7 +211,7 @@ def cmd_analyze(args) -> int:
                     "reason": "the sphere misses the support, so the link is empty",
                 })
                 continue
-            m = nets.match_link(link)
+            m = netmatch.match_link(link)
             rows.append({
                 "point": p.tolist(),
                 "radius": r,
@@ -317,7 +323,7 @@ def cmd_net_relax(args) -> int:
 
 
 def cmd_net_match(args) -> int:
-    from . import nets
+    from . import netmatch
 
     try:
         length = float(args.link)
@@ -326,10 +332,16 @@ def cmd_net_match(args) -> int:
             doc = json.load(fh)
         length = doc.get("total_length") if isinstance(doc, dict) else None
         if not isinstance(length, (int, float)) or isinstance(length, bool):
-            raise nets.NetError(
-                f"link file {args.link!r} needs an object with 'total_length' as a number, not {doc!r}"
+            if not isinstance(doc, dict):
+                found = f"not a {type(doc).__name__}"
+            elif "total_length" in doc:
+                found = f"not {_quote(length)}"
+            else:
+                found = "and this object has none"
+            raise netmatch.NetError(
+                f"link file {args.link!r} needs an object with 'total_length' as a number, {found}"
             ) from None
-    m = nets.match_link(length)
+    m = netmatch.match_link(length)
     print(f"{m['match']}, density {m['density']:g}")
     if args.out:
         write_report(m, args.out)

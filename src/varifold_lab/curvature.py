@@ -22,13 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._kernels import _dot
-from .mesh import (
-    DiscreteVarifold,
-    MeshError,
-    _boundary_conormals,
-    _require,
-    face_normals,
-)
+from .mesh import DiscreteVarifold, MeshError, _boundary_conormals, _require
 from .reports import Record
 
 
@@ -120,7 +114,7 @@ def mean_curvature(v: DiscreteVarifold) -> CurvatureField:
 
     Computed afresh on each call; ``v.curvature`` keeps one read-only copy."""
     topo = v.topology
-    nhat, areas = face_normals(v)
+    nhat, areas = v.face_geometry
     grad = _area_gradients(v, nhat)
     force = _boundary_force(v, nhat)
     area = _vertex_areas(v, areas)
@@ -290,7 +284,7 @@ def second_fundamental_norm(v: DiscreteVarifold) -> CurvatureField:
     """
     topo = v.topology
     base = v.curvature
-    nhat, areas = face_normals(v)
+    nhat, areas = v.face_geometry
     area_geom = _vertex_areas(v, areas, weighted=False)
     nv = v.num_vertices
     ok = ~base.boundary_mask & ~base.junction_mask & ~base.isolated_mask & (area_geom > 0)
@@ -382,7 +376,7 @@ def _require_consistent_orientation(v: DiscreteVarifold) -> None:
 def oriented_vertex_normals(v: DiscreteVarifold) -> np.ndarray:
     """Area-and-multiplicity-weighted unit vertex normals of an oriented mesh."""
     _require_consistent_orientation(v)
-    nhat, areas = face_normals(v)
+    nhat, areas = v.face_geometry
     w = (areas * v.multiplicity)[:, None] * nhat
     acc = _vertex_sum(v.faces, w[:, None], v.num_vertices)
     nrm = np.linalg.norm(acc, axis=1)
@@ -413,7 +407,7 @@ def enclosed_volume(v: DiscreteVarifold) -> float:
     """
     _require_consistent_orientation(v)
     _require(v, closed=True)
-    nhat, areas = face_normals(v)
+    nhat, areas = v.face_geometry
     cen = v.vertices[v.faces].mean(axis=1)
     vals = (areas * v.multiplicity) * np.einsum("ij,ij->i", cen, nhat)
     return math.fsum(vals) / 3.0

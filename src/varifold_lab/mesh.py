@@ -7,7 +7,6 @@ legal inputs everywhere unless an operation documents otherwise.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field, fields, replace
@@ -17,6 +16,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ._kernels import _dot
+from ._values import _NUMBER, _POINT, _check_rows, _frozen, _is_number, _numeric
 from .reports import save_json
 
 if TYPE_CHECKING:
@@ -25,15 +25,6 @@ if TYPE_CHECKING:
 
 class MeshError(ValueError):
     """Raised for structurally invalid meshes (bad indices, degenerate faces, ...)."""
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """Read-only contiguous ``a``; a view is copied, so its base cannot change it."""
-    a = np.ascontiguousarray(a)
-    if not a.flags.owndata:
-        a = a.copy()
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)
@@ -51,8 +42,8 @@ class DiscreteVarifold:
         the JSON format stores them, but no analysis reads them
 
     The arrays are read-only (views are copied first), and so are those of
-    ``topology``, ``curvature`` and ``face_grid``, which are derived on first
-    use and kept.
+    ``topology``, ``face_geometry``, ``curvature`` and ``face_grid``, which are
+    derived on first use and kept.
     """
 
     vertices: np.ndarray
@@ -80,6 +71,11 @@ class DiscreteVarifold:
     def topology(self) -> EdgeTopology:
         """``edge_topology(self)``, built once."""
         return edge_topology(self)
+
+    @cached_property
+    def face_geometry(self) -> tuple[np.ndarray, np.ndarray]:
+        """``face_normals(self)``, unit normals and areas, read-only and computed once."""
+        return tuple(map(_frozen, face_normals(self)))
 
     @cached_property
     def curvature(self):
@@ -138,15 +134,15 @@ def make_varifold(
     shape is left for ``validate`` to reject, never reshaped. Nothing is coerced:
     vertices must be numbers, the other arrays integers (MeshError otherwise).
     """
-    vertices = _numeric(vertices, "iuf", "vertices")
-    faces = _numeric(faces, "iu", "faces")
+    vertices = _numeric(vertices, "iuf", "vertices", MeshError)
+    faces = _numeric(faces, "iu", "faces", MeshError)
     if faces.shape == (0,):
         faces = faces.reshape(0, 3)
     if multiplicity is None:
         multiplicity = np.ones(len(faces), dtype=np.int64)
-    multiplicity = _numeric(multiplicity, "iu", "multiplicity")
+    multiplicity = _numeric(multiplicity, "iu", "multiplicity", MeshError)
     if face_patches is not None:
-        face_patches = _numeric(face_patches, "iu", "face_patches")
+        face_patches = _numeric(face_patches, "iu", "face_patches", MeshError)
     v = DiscreteVarifold(vertices, faces, multiplicity, oriented, face_patches)
     validate(v)
     return v
@@ -176,6 +172,7 @@ def validate(v: DiscreteVarifold) -> None:
         bad = int(np.nonzero(v.multiplicity < 1)[0][0])
         raise MeshError(f"face {bad} has multiplicity < 1")
     scale = mesh_scale(v)
+    # not v.face_geometry: kept from here, it would hold every built mesh's normals
     tiny = face_normals(v)[1] / scale / scale < 1e-14  # scale * scale may underflow to 0
     if tiny.any():
         raise MeshError(f"face {int(np.nonzero(tiny)[0][0])} is degenerate (zero area)")
@@ -289,7 +286,7 @@ def _weld(points: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
 
 def total_mass(v: DiscreteVarifold) -> float:
     """Total measure: sum of multiplicity-weighted face areas."""
-    return math.fsum(v.multiplicity.astype(np.float64) * face_normals(v)[1])
+    return math.fsum(v.multiplicity.astype(np.float64) * v.face_geometry[1])
 
 
 def mesh_scale(v: DiscreteVarifold) -> float:
@@ -422,50 +419,6 @@ def save_varifold(v: DiscreteVarifold, path: str, analytic: dict | None = None) 
     save_json(doc, path)
 
 
-def _numeric(x, kinds: str, where: str, error: type[ValueError] = MeshError) -> np.ndarray:
-    """``x`` as an array of dtype kind in ``kinds`` ("iu" or "iuf"), never coerced, else ``error``
-    naming ``where``. A sequence is also scanned for booleans, which NumPy reads as 1 and 0."""
-    a = np.asarray(x)
-    want = "integers" if kinds == "iu" else "numbers"
-    if not isinstance(x, np.ndarray):
-        rows = itertools.chain.from_iterable(x) if a.ndim == 2 else x if a.ndim == 1 else ()
-        if {bool, np.bool_} & set(map(type, rows)):
-            raise error(f"{where} must hold {want}, not booleans")
-    if a.size and a.dtype.kind not in kinds:
-        raise error(f"{where} must hold {want}, not {a.dtype}")
-    return a
-
-
-def _is_int(x) -> bool:
-    """A Python or NumPy integer; booleans are not integers here."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
-def _is_number(x) -> bool:
-    """A Python or NumPy integer or float; booleans are not numbers here."""
-    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
-
-
-#: Tests of a JSON value for ``_check_rows``, each with what it asks for.
-_NUMBER = (_is_number, "a number")
-_INTEGER = (_is_int, "an integer")
-_POINT = (lambda x: isinstance(x, list) and len(x) == 3 and all(map(_is_number, x)), "3 numbers")
-
-
-def _check_rows(rows, spec: dict, where: str, error: type[ValueError] = MeshError) -> None:
-    """``error`` naming the entry and key unless ``rows`` is a list of objects whose keys pass
-    ``spec``'s tests (key -> (test, what it asks for)); only a key ending in "?" may be missing."""
-    if not (isinstance(rows, list) and all(isinstance(r, dict) for r in rows)):
-        raise error(f"{where} must be a list of objects")
-    for k, row in enumerate(rows):
-        for name, (ok, what) in spec.items():
-            key = name.rstrip("?")
-            if key == name and key not in row:
-                raise error(f"{where} entry {k} is missing {key!r}")
-            if key in row and not ok(row[key]):
-                raise error(f"{where} entry {k}: {key!r} must be {what}, not {row[key]!r}")
-
-
 def load_mesh_file(path: str) -> tuple[DiscreteVarifold, dict | None]:
     """Load a mesh JSON file; returns (varifold, analytic-block-or-None).
 
@@ -490,17 +443,17 @@ def load_mesh_file(path: str) -> tuple[DiscreteVarifold, dict | None]:
     for key, spec in (("density_points", {"point": _POINT, "density": _NUMBER, "r_max?": _NUMBER}),
                       ("junction_circles", {"center": _POINT, "normal": _POINT, "radius": _NUMBER,
                                             "density?": _NUMBER})):  # the lists that analyses read
-        _check_rows((analytic or {}).get(key, []), spec, f"{where}: {key!r}")
-    faces = _numeric(doc["faces"], "iu", f"file {path!r}: 'faces'")
+        _check_rows((analytic or {}).get(key, []), spec, f"{where}: {key!r}", MeshError)
+    faces = _numeric(doc["faces"], "iu", f"file {path!r}: 'faces'", MeshError)
     if faces.size and (faces.ndim != 2 or faces.shape[1] != 3):
         raise MeshError(f"mesh file {path!r}: 'faces' must be rows of 3 indices, not shape {faces.shape}")
     patches = None
     if doc.get("face_patches") is not None:
-        patches = _numeric(doc["face_patches"], "iu", f"file {path!r}: 'face_patches'")
+        patches = _numeric(doc["face_patches"], "iu", f"file {path!r}: 'face_patches'", MeshError)
     v = make_varifold(
-        _numeric(doc["vertices"], "iuf", f"file {path!r}: 'vertices'"),
+        _numeric(doc["vertices"], "iuf", f"file {path!r}: 'vertices'", MeshError),
         faces,
-        _numeric(doc["multiplicity"], "iu", f"file {path!r}: 'multiplicity'"),
+        _numeric(doc["multiplicity"], "iu", f"file {path!r}: 'multiplicity'", MeshError),
         oriented=oriented,
         face_patches=patches,
     )

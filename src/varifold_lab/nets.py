@@ -4,7 +4,8 @@ A net is a set of unit vertices joined by great-circle arcs with integer
 multiplicities. Stationarity means the multiplicity-weighted unit tangents of
 the incident arcs cancel at every vertex; the classification of such nets
 comprises exactly ten families, reproduced here with their closed-form total
-lengths and, for the first seven, explicit balanced coordinates.
+lengths (from ``netmatch``) and, for the first seven, explicit balanced
+coordinates.
 """
 from __future__ import annotations
 
@@ -15,12 +16,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .mesh import _frozen, _numeric
+from ._values import _frozen, _numeric
+from .netmatch import CATALOGUE, NetError, match_link  # noqa: F401  (nets' public names too)
 from .reports import NOT_RECORDED, Record, save_json
-
-
-class NetError(ValueError):
-    """Raised for structurally invalid nets or ambiguous geodesics."""
 
 
 @dataclass(frozen=True)
@@ -393,147 +391,37 @@ def catalogue() -> tuple[CatalogueEntry, ...]:
     """The ten stationary nets on the unit sphere, with printed closed forms,
     built on first use and shared (the entries are frozen).
 
+    Names, closed forms and lengths come from ``netmatch.CATALOGUE``.
     Entries 1–7 carry explicit balanced coordinates; 8–10 are length-only
     (no coordinates are printed in the classification; reconstructing them is
     out of scope). Entry 10's printed formula contains arcsin of an argument
     larger than one and is flagged invalid; its intended comparison (> 25,
     hence > 4*pi) is kept as a note.
     """
-    acos, asin, sqrt, pi = math.acos, math.asin, math.sqrt, math.pi
-    e8 = (
-        16 * asin(1 / sqrt(3))
-        + 16 * asin(sqrt(2 - sqrt(2)) / sqrt(3))
-        + 16 * asin(sqrt((2 ** 0.25 - 1) ** 2 / 6 + (2 - sqrt(2)) ** 2 / 12))
+    details = (
+        ("one great circle sampled at 4 points, 4 quarter arcs", {"net": _net_great_circle()}),
+        ("three meridians sharing both poles, split at the equator", {"net": _net_three_half_circles()}),
+        ("1-skeleton of the regular tetrahedron, radially projected", {"net": _net_tetrahedron()}),
+        ("1-skeleton of the cube, radially projected", {"net": _net_cube()}),
+        ("prism over a regular pentagon: two rings of 5 plus 5 uprights",
+         {"net": _net_prism(5, 2.0 * (5.0 - math.sqrt(5.0)) / 15.0)}),
+        ("prism over a regular triangle: two rings of 3 plus 3 uprights", {"net": _net_prism(3, 8.0 / 9.0)}),
+        ("1-skeleton of the regular dodecahedron, radially projected", {"net": _net_dodecahedron()}),
+        ("24 arcs forming 2 regular quadrilaterals and 8 equal pentagons; each"
+         " quadrilateral surrounded by 4 pentagons, each pentagon by 4 pentagons"
+         " and one quadrilateral", {"n_arcs": 24}),
+        ("18 arcs forming 4 equal pentagons and 4 equal quadrilaterals; each"
+         " quadrilateral surrounded by 3 pentagons and 1 quadrilateral, each"
+         " pentagon by 3 quadrilaterals and 2 pentagons", {"n_arcs": 18}),
+        ("21 arcs forming 3 regular quadrilaterals and 6 equal pentagons; each"
+         " quadrilateral surrounded by 4 pentagons, each pentagon by 2"
+         " quadrilaterals and 3 pentagons",
+         {"n_arcs": 21, "note": "the middle arcsin argument sqrt(3 - sqrt(6)/6) ≈ 1.61 exceeds 1, so"
+                                " the printed formula cannot be evaluated; the intended comparison"
+                                " (> 25, hence > 4*pi) is recorded here"}),
     )
-    e9 = (6 * 83.80167087 + 8 * 58.25684287 + 4 * 13.55944752) * pi / 180.0
-    return (
-        CatalogueEntry(
-            name="great circle",
-            closed_form="2*pi",
-            length=2 * pi,
-            combinatorics="one great circle sampled at 4 points, 4 quarter arcs",
-            net=_net_great_circle(),
-        ),
-        CatalogueEntry(
-            name="three half circles",
-            closed_form="3*pi",
-            length=3 * pi,
-            combinatorics="three meridians sharing both poles, split at the equator",
-            net=_net_three_half_circles(),
-        ),
-        CatalogueEntry(
-            name="tetrahedron",
-            closed_form="6*acos(-1/3)",
-            length=6 * acos(-1.0 / 3.0),
-            combinatorics="1-skeleton of the regular tetrahedron, radially projected",
-            net=_net_tetrahedron(),
-        ),
-        CatalogueEntry(
-            name="cube",
-            closed_form="12*acos(1/3)",
-            length=12 * acos(1.0 / 3.0),
-            combinatorics="1-skeleton of the cube, radially projected",
-            net=_net_cube(),
-        ),
-        CatalogueEntry(
-            name="pentagon prism",
-            closed_form="10*acos(sqrt(5)/3) + 5*acos((3 - 5*sqrt(5)/3)/(5 - sqrt(5)))",
-            length=10 * acos(sqrt(5) / 3) + 5 * acos((3 - 5 * sqrt(5) / 3) / (5 - sqrt(5))),
-            combinatorics="prism over a regular pentagon: two rings of 5 plus 5 uprights",
-            net=_net_prism(5, 2.0 * (5.0 - math.sqrt(5.0)) / 15.0),
-        ),
-        CatalogueEntry(
-            name="triangle prism",
-            closed_form="6*acos(-1/3) + 3*acos(7/9)",
-            length=6 * acos(-1.0 / 3.0) + 3 * acos(7.0 / 9.0),
-            combinatorics="prism over a regular triangle: two rings of 3 plus 3 uprights",
-            net=_net_prism(3, 8.0 / 9.0),
-        ),
-        CatalogueEntry(
-            name="dodecahedron",
-            closed_form="30*acos(1 - 8/(3*(1 + sqrt(5))**2))",
-            length=30 * acos(1 - 8 / (3 * (1 + sqrt(5)) ** 2)),
-            combinatorics="1-skeleton of the regular dodecahedron, radially projected",
-            net=_net_dodecahedron(),
-        ),
-        CatalogueEntry(
-            name="two squares and eight pentagons",
-            n_arcs=24,
-            closed_form=(
-                "8*2*asin(1/sqrt(3)) + 8*2*asin(sqrt(2 - sqrt(2))/sqrt(3))"
-                " + 8*2*asin(sqrt((2**(1/4) - 1)**2/6 + (2 - sqrt(2))**2/12))"
-            ),
-            length=e8,
-            combinatorics=(
-                "24 arcs forming 2 regular quadrilaterals and 8 equal pentagons; each"
-                " quadrilateral surrounded by 4 pentagons, each pentagon by 4 pentagons"
-                " and one quadrilateral"
-            ),
-        ),
-        CatalogueEntry(
-            name="four pentagons and four quadrilaterals",
-            n_arcs=18,
-            closed_form="(6*83.80167087 + 8*58.25684287 + 4*13.55944752)*2*pi/360",
-            length=e9,
-            combinatorics=(
-                "18 arcs forming 4 equal pentagons and 4 equal quadrilaterals; each"
-                " quadrilateral surrounded by 3 pentagons and 1 quadrilateral, each"
-                " pentagon by 3 quadrilaterals and 2 pentagons"
-            ),
-        ),
-        CatalogueEntry(
-            name="three squares and six pentagons",
-            n_arcs=21,
-            closed_form=(
-                "12*2*asin(1/sqrt(3)) + 6*2*asin(sqrt(3 - sqrt(6)/6))"
-                " + 3*2*asin((sqrt(3) - sqrt(2))/(2*sqrt(3)))"
-            ),
-            length=None,
-            combinatorics=(
-                "21 arcs forming 3 regular quadrilaterals and 6 equal pentagons; each"
-                " quadrilateral surrounded by 4 pentagons, each pentagon by 2"
-                " quadrilaterals and 3 pentagons"
-            ),
-            note=(
-                "the middle arcsin argument sqrt(3 - sqrt(6)/6) ≈ 1.61 exceeds 1, so"
-                " the printed formula cannot be evaluated; the intended comparison"
-                " (> 25, hence > 4*pi) is recorded here"
-            ),
-        ),
-    )
-
-
-def match_link(link) -> dict:
-    """Classify a spherical link (or a bare length) against the catalogue.
-
-    Nearest catalogue length wins; residuals above 5% of 2*pi are reported as
-    composite/unknown (sums of catalogue lengths are not decomposed).
-    """
-    length = float(getattr(link, "total_length", link))
-    if not math.isfinite(length):
-        raise NetError(f"cannot match a link of length {length}")
-    if length <= 0:
-        raise NetError("cannot match an empty link")
-    best: CatalogueEntry | None = None
-    best_err = math.inf
-    for entry in catalogue():
-        if entry.length is None:
-            continue
-        err = abs(length - entry.length)
-        if err < best_err:
-            best, best_err = entry, err
-    assert best is not None
-    result = {
-        "length": length,
-        "density": length / (2.0 * math.pi),
-        "match": best.name,
-        "matched_length": best.length,
-        "residual": best_err,
-    }
-    if best_err > 0.05 * 2.0 * math.pi:
-        result["match"] = "composite/unknown"
-        result["matched_length"] = None
-    return result
+    return tuple(CatalogueEntry(name, closed_form, length, combinatorics, **kw)
+                 for (name, closed_form, length), (combinatorics, kw) in zip(CATALOGUE, details))
 
 
 # ---------------------------------------------------------------------------
@@ -555,8 +443,8 @@ def save_net(net: GeodesicNet, path: str) -> None:
 def load_net(path: str) -> GeodesicNet:
     """Load a net file (the ``save_net`` format); values are never coerced.
 
-    The vertices must be numbers, as in a mesh file (MeshError otherwise), and
-    each arc row 3 integers, or 4 whose last is 1 on a major arc and 0 on a minor one.
+    The vertices must be numbers and each arc row 3 integers, or 4 whose last
+    is 1 on a major arc and 0 on a minor one (NetError otherwise).
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -570,4 +458,4 @@ def load_net(path: str) -> GeodesicNet:
                            f" not {r!r}")
     arcs = np.asarray([r[:3] for r in rows], dtype=np.int64)
     major = [r[3:] == [1] for r in rows]
-    return make_net(_numeric(doc["vertices"], "iuf", f"file {path!r}: 'vertices'"), arcs, major)
+    return make_net(_numeric(doc["vertices"], "iuf", f"file {path!r}: 'vertices'", NetError), arcs, major)

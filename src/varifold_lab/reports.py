@@ -59,29 +59,30 @@ class Record:
 
 
 def sanitize(obj):
-    """Recursively convert to JSON-encodable values with explicit non-finites."""
-    import numpy as np  # deferred: the CLI caps thread pools before loading numpy
+    """Recursively convert to JSON-encodable values with explicit non-finites.
 
+    NumPy values are converted only if NumPy is loaded: before that there are
+    none, and a command that writes plain values never loads it."""
+    np = sys.modules.get("numpy")
     if isinstance(obj, Record):
         return obj.to_dict()
     if isinstance(obj, dict):
         return {str(k): sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [sanitize(x) for x in obj]
-    if isinstance(obj, np.ndarray):
-        return [sanitize(x) for x in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        obj = float(obj)
+    if np is not None:
+        if isinstance(obj, np.ndarray):
+            return [sanitize(x) for x in obj.tolist()]
+        if isinstance(obj, (np.integer, np.bool_)):
+            return obj.item()
+        if isinstance(obj, np.floating):
+            obj = float(obj)
     if isinstance(obj, float):
         if math.isnan(obj):
             return "nan"
         if math.isinf(obj):
             return "inf" if obj > 0 else "-inf"
         return obj
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
     return obj
 
 

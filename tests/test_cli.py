@@ -272,6 +272,21 @@ def test_net_match_does_not_coerce_the_length(tmp_path, capsys, doc):
     assert "'total_length' as a number" in capsys.readouterr().err
 
 
+def test_net_match_on_a_mesh_file_names_what_it_found(sphere_file, tmp_path, capsys):
+    assert main(["net", "match", sphere_file]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: link file {sphere_file!r} needs an object with 'total_length' as a number,"
+                   " and this object has none\n")
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"total_length": list(range(10**5))}))
+    assert main(["net", "match", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith("as a number, not [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16...\n")
+    path.write_text("[3.14]")
+    assert main(["net", "match", str(path)]) == 2
+    assert capsys.readouterr().err.endswith("'total_length' as a number, not a list\n")
+
+
 def test_net_relax_roundtrip(tmp_path, capsys):
     tetra = nets.catalogue()[2]
     rng = np.random.default_rng(42)
@@ -616,10 +631,11 @@ def _thread_cap_at_numpy_load(extra_env: dict, argv: list[str]) -> list[str]:
 
 
 def test_thread_cap_env_applies_before_numpy():
-    got = _thread_cap_at_numpy_load({"VARIFOLD_LAB_THREADS": "2"}, ["net", "match", "6.283185307179586"])
+    # `net catalogue` builds the nets, so it loads NumPy; `net match` no longer does
+    got = _thread_cap_at_numpy_load({"VARIFOLD_LAB_THREADS": "2"}, ["net", "catalogue"])
     assert got == ["before=False", "at-load=2", "after=True"]
 
 
 def test_serial_applies_before_numpy():
-    got = _thread_cap_at_numpy_load({}, ["--serial", "net", "match", "6.283185307179586"])
+    got = _thread_cap_at_numpy_load({}, ["--serial", "net", "catalogue"])
     assert got == ["before=False", "at-load=1", "after=True"]

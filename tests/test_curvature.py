@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from varifold_lab import curvature, generators, mesh
+from varifold_lab import boundary, curvature, generators, mesh
 from varifold_lab.mesh import DiscreteVarifold, MeshError, make_varifold
 
 from conftest import first_variation_residual, triple_fan
@@ -141,8 +141,9 @@ def test_vertex_normals_flip_faces_against_the_first_and_skip_unused_vertices():
     np.testing.assert_array_equal(n, _vertex_normals_loop(v, *fn))
 
 
-def test_face_normals_are_computed_once_per_curvature_call(monkeypatch):
-    v = generators.gen_cap(1.0, 1.2, 3).varifold  # fresh, and open: the conormals run too
+def test_face_normals_are_computed_once_per_mesh(monkeypatch):
+    cap = generators.gen_cap(1.0, 1.2, 3).varifold  # open: the conormals run too
+    v = DiscreteVarifold(cap.vertices, cap.faces, cap.multiplicity)  # fresh, not yet validated
     calls = []
     face_normals = mesh.face_normals
 
@@ -151,13 +152,17 @@ def test_face_normals_are_computed_once_per_curvature_call(monkeypatch):
         return face_normals(w)
 
     monkeypatch.setattr(mesh, "face_normals", counting)
-    monkeypatch.setattr(curvature, "face_normals", counting)
+    mesh.validate(v)  # computes its own areas and keeps nothing
+    assert len(calls) == 1 and "face_geometry" not in vars(v)
+    calls.clear()
     v.curvature
-    assert len(calls) == 1
-    for fn in (curvature.mean_curvature, curvature.second_fundamental_norm):
-        calls.clear()
+    for fn in (curvature.mean_curvature, curvature.second_fundamental_norm, mesh.total_mass,
+               boundary.boundary_measure):
         fn(v)
-        assert len(calls) == 1, fn.__name__
+    assert len(calls) == 1 and calls[0] is v
+    for cached, fresh in zip(v.face_geometry, face_normals(v)):
+        assert not cached.flags.writeable
+        assert cached.tobytes() == fresh.tobytes()
 
 
 def test_curvature_fields_keep_their_bits():

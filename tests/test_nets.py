@@ -5,7 +5,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from varifold_lab import nets
+import varifold_lab
+from varifold_lab import netmatch, nets
 from varifold_lab.cli import main
 from varifold_lab.nets import (
     NetError,
@@ -363,6 +364,21 @@ def test_match_composite_far_from_catalogue():
     assert got["match"] == "composite/unknown"
     assert got["matched_length"] is None
     assert got["density"] == pytest.approx(13.12 / (2 * math.pi), abs=1e-12)
+
+
+def test_match_link_reads_the_floats_the_catalogue_holds(entries):
+    assert [(e.name, e.closed_form) for e in entries] == [row[:2] for row in netmatch.CATALOGUE]
+    for entry, (_, _, length) in zip(entries, netmatch.CATALOGUE):
+        assert entry.length is length  # one table, the same float objects
+        if length is not None:
+            got = match_link(entry.length)
+            assert (got["match"], got["residual"]) == (entry.name, 0.0)
+            assert got["matched_length"].hex() == entry.length.hex()
+
+
+def test_nets_binds_the_matching_modules_names():
+    assert nets.match_link is netmatch.match_link is varifold_lab.match_link
+    assert nets.NetError is netmatch.NetError is varifold_lab.NetError
 
 
 def test_match_rejects_empty_link():

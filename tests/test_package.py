@@ -1,6 +1,7 @@
 """The package import: lazy submodules, the public names, and what a command loads."""
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 import varifold_lab
 from varifold_lab.cli import main
 
-SUBMODULES = ("reports", "_kernels", "mesh", "curvature", "blowup", "generators", "nets",
+SUBMODULES = ("reports", "_kernels", "mesh", "curvature", "blowup", "generators", "netmatch", "nets",
               "boundary")
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -55,6 +56,81 @@ def test_report_command_never_loads_numpy(tmp_path):
     )
     assert "[PASS]" in proc.stdout
     assert proc.stdout.splitlines()[-1] == "numpy=False"
+
+
+def command_loads(*argv: str) -> dict:
+    """Run the CLI with ``argv`` in a fresh interpreter: its exit code, whether NumPy
+    loaded, and for each package module whether it is still unexecuted."""
+    proc = run_python(
+        "-c",
+        "import importlib.util, json, sys\n"
+        "from varifold_lab.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "lazy = {n: type(m) is importlib.util._LazyModule for n, m in sys.modules.items()\n"
+        "        if n.startswith('varifold_lab.')}\n"
+        "print(json.dumps({'code': code, 'numpy': 'numpy' in sys.modules, 'lazy': lazy}))\n",
+        *argv,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.fixture
+def inputs(tmp_path):
+    """A net, a boundary datum, a link file and a sphere mesh with a point on it."""
+    paths = {k: str(tmp_path / f"{k}.json") for k in ("net", "datum", "link", "sphere", "report")}
+    varifold_lab.save_net(varifold_lab.catalogue()[2].net, paths["net"])
+    circle = varifold_lab.CircleSpec(center=[0.0, 0.0, 0.0], radius=1.0, normal=[0.0, 0.0, 1.0])
+    varifold_lab.save_datum(varifold_lab.make_datum([circle]), paths["datum"])
+    Path(paths["link"]).write_text(json.dumps({"total_length": 3 * math.pi}))
+    out = varifold_lab.gen_sphere(1.0, 2)
+    varifold_lab.save_varifold(out.varifold, paths["sphere"], analytic=out.analytic)
+    paths["point"] = ",".join(map(repr, out.analytic["density_points"][0]["point"]))
+    return paths
+
+
+@pytest.mark.parametrize("argv", [["net", "match", "6.283185307179586"], ["net", "match", "{link}"]],
+                         ids=["length", "file"])
+def test_net_match_never_loads_numpy(inputs, argv):
+    seen = command_loads(*[a.format(**inputs) for a in argv])
+    assert seen["code"] == 0
+    assert seen["numpy"] is False
+    assert seen["lazy"]["varifold_lab.netmatch"] is False and seen["lazy"]["varifold_lab.nets"] is True
+
+
+@pytest.mark.parametrize("argv", [["net", "relax", "{net}"], ["boundary", "sup", "{datum}"],
+                                  ["boundary", "admissible", "{datum}", "--p", "1"]],
+                         ids=["net-relax", "boundary-sup", "boundary-admissible"])
+def test_net_and_boundary_commands_leave_the_mesh_module_unexecuted(inputs, argv):
+    seen = command_loads(*[a.format(**inputs) for a in argv])
+    assert seen["code"] == 0
+    assert seen["lazy"]["varifold_lab.mesh"] is True
+    assert seen["lazy"]["varifold_lab._kernels"] is True
+
+
+def test_analyze_link_leaves_the_nets_module_unexecuted(inputs):
+    seen = command_loads("analyze", inputs["sphere"], f"--link={inputs['point']}:0.3", "-o", inputs["report"])
+    assert seen["code"] == 0
+    assert json.loads(Path(inputs["report"]).read_text())["analyses"]["link"][0]["match"] == "great circle"
+    assert seen["lazy"]["varifold_lab.netmatch"] is False
+    assert seen["lazy"]["varifold_lab.nets"] is True
+
+
+def test_sanitize_gives_the_same_plain_values_with_and_without_numpy():
+    proc = run_python(
+        "-c",
+        "import json, sys\n"
+        "from varifold_lab.reports import canonical_dumps\n"
+        "doc = {'a': [1, 2.5, -0.0, float('nan'), float('inf'), -float('inf')],\n"
+        "       'b': (True, None, 'x', [[]]), 3: {'c': {'d': 1e300}}}\n"
+        "without = canonical_dumps(doc), 'numpy' in sys.modules\n"
+        "import numpy\n"
+        "print(json.dumps([without, (canonical_dumps(doc), 'numpy' in sys.modules)]))\n",
+    )
+    (without, before), (with_numpy, after) = json.loads(proc.stdout)
+    assert (before, after) == (False, True)
+    assert without == with_numpy
+    assert without == ('{"3":{"c":{"d":1e+300}},"a":[1,2.5,-0.0,"nan","inf","-inf"],'
+                       '"b":[true,null,"x",[[]]]}\n')
 
 
 def test_generate_and_analyze_never_load_numpy_ma(tmp_path):
