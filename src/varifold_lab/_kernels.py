@@ -96,13 +96,18 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _cross(e: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Row-wise cross products of (k, 3) arrays, with the bits of ``np.cross``."""
+    """Row-wise cross products of (k, 3) arrays, formed as ``np.cross`` forms
+    them (one product written into each column, the other subtracted in
+    place), so with its bits and one (k,) temporary at a time."""
     out = np.empty((len(e), 3))
     e0, e1, e2 = e.T
     f0, f1, f2 = f.T
-    out[:, 0] = e1 * f2 - e2 * f1
-    out[:, 1] = e2 * f0 - e0 * f2
-    out[:, 2] = e0 * f1 - e1 * f0
+    np.multiply(e1, f2, out=out[:, 0])
+    out[:, 0] -= e2 * f1
+    np.multiply(e2, f0, out=out[:, 1])
+    out[:, 1] -= e0 * f2
+    np.multiply(e0, f1, out=out[:, 2])
+    out[:, 2] -= e1 * f0
     return out
 
 

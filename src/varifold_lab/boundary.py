@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import _kernels  # run only by the quadrature's circle frame
 from . import mesh  # run only by boundary_measure and the singular-basepoint errors
 from ._values import _INTEGER, _NUMBER, _POINT, _check_rows, _is_int, _is_number, _numeric
 from .reports import Record, save_json
@@ -41,6 +42,8 @@ class CircleSpec(Record):
     numbers and ``radius`` a number, ``m`` an integer >= 1 and
     ``conormal_sign`` the integer +1 or -1 (Python or NumPy numbers, not
     booleans or strings); ``m`` and ``conormal_sign`` are stored as Python ints.
+    ``normal`` is scaled to unit length unless its norm is within 4 ulps of 1
+    already, so a saved circle loads back with the same bits.
     """
 
     center: np.ndarray
@@ -56,7 +59,7 @@ class CircleSpec(Record):
                 raise ValueError(f"circle {name} must be 3 numbers, not {getattr(self, name)!r}")
             if not np.isfinite(value).all():
                 raise ValueError(f"circle {name} must be finite, not {value.tolist()}")
-            if name == "normal":
+            if name == "normal" and not abs(float(np.linalg.norm(value)) - 1.0) <= 4.0 * math.ulp(1.0):
                 value = _unit(value)
             value.flags.writeable = False
             object.__setattr__(self, name, value)
@@ -173,8 +176,8 @@ def _circle_frame(circle: CircleSpec) -> tuple[np.ndarray, np.ndarray]:
     n = circle.normal
     pick = np.zeros(3)
     pick[int(np.argmin(np.abs(n)))] = 1.0
-    e1 = _unit(np.cross(n, pick))
-    e2 = np.cross(n, e1)
+    e1 = _unit(_kernels._cross(n[None], pick[None])[0])
+    e2 = _kernels._cross(n[None], e1[None])[0]
     return e1, e2
 
 

@@ -176,7 +176,11 @@ def cmd_analyze(args) -> int:
         for spec in args.density:
             p = _parse_point(spec)
             ref = _expected_density(analytic, p)
-            rep = blowup.density(v, p, r_max=(ref or {}).get("r_max"))
+            try:
+                rep = blowup.density(v, p, r_max=(ref or {}).get("r_max"))
+            except ValueError as exc:  # off the support, or no varifold density there
+                rows.append({"point": p.tolist(), "status": "not_applicable", "reason": str(exc)})
+                continue
             row = {
                 "point": p.tolist(),
                 "theta": rep.theta,

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._kernels import _dot
+from ._kernels import _cross, _dot
 from .mesh import DiscreteVarifold, MeshError, _boundary_conormals, _require
 from .reports import Record
 
@@ -90,7 +90,7 @@ def _area_gradients(v: DiscreteVarifold, nhat: np.ndarray) -> np.ndarray:
     p1 = v.vertices[v.faces[:, 1]]
     p2 = v.vertices[v.faces[:, 2]]
     m = v.multiplicity[:, None].astype(np.float64)
-    g = np.stack([np.cross(nhat, p2 - p1), np.cross(nhat, p0 - p2), np.cross(nhat, p1 - p0)], axis=1)
+    g = np.stack([_cross(nhat, p2 - p1), _cross(nhat, p0 - p2), _cross(nhat, p1 - p0)], axis=1)
     g *= 0.5
     g *= m[:, None]
     return _vertex_sum(v.faces, g, v.num_vertices)
@@ -157,7 +157,7 @@ def _corner_angles(v: DiscreteVarifold) -> np.ndarray:
         b = p[:, (k + 1) % 3]
         c = p[:, (k + 2) % 3]
         u, w = b - a, c - a
-        cr = np.linalg.norm(np.cross(u, w), axis=1)
+        cr = np.linalg.norm(_cross(u, w), axis=1)
         dt = np.einsum("ij,ij->i", u, w)
         out[:, k] = np.arctan2(cr, dt)
     return out
@@ -306,7 +306,7 @@ def second_fundamental_norm(v: DiscreteVarifold) -> CurvatureField:
     # signed dihedral: angle from n0 to n1 around the edge as f0 traverses it
     ef0 = ebar * s0[:, None]
     n0, n1 = nhat[f0], nhat[f1]
-    beta = np.arctan2(np.einsum("ij,ij->i", np.cross(n0, n1), ef0),
+    beta = np.arctan2(np.einsum("ij,ij->i", _cross(n0, n1), ef0),
                       np.einsum("ij,ij->i", n0, n1))
     w = beta * elen / 2.0
     t = np.stack(
@@ -338,9 +338,9 @@ def second_fundamental_norm(v: DiscreteVarifold) -> CurvatureField:
     pick = np.where(np.abs(n[:, 0]) < 0.9, 0, 1)
     seed = np.zeros_like(n)
     seed[np.arange(len(idx)), pick] = 1.0
-    t1 = np.cross(n, seed)
+    t1 = _cross(n, seed)
     t1 /= np.linalg.norm(t1, axis=1)[:, None]
-    t2 = np.cross(n, t1)
+    t2 = _cross(n, t1)
     p = np.einsum("ni,nij,nj->n", t1, Sm, t1)
     r = np.einsum("ni,nij,nj->n", t2, Sm, t2)
     q = np.einsum("ni,nij,nj->n", t1, Sm, t2)

@@ -413,7 +413,9 @@ def gen_triple_bubble(level: int) -> GeneratorOutput:
     # flat disks: transfinite patch between arc A and the axis chord x2 -> x1.
     # Arc A on circle(12) runs x2 .. N .. x1 along the rims of the first two
     # sheets; the first sheet's rim row comes first among all points, so the
-    # shared point N keeps its coordinates there.
+    # shared point N keeps its coordinates there. Every layer ends on x2 and
+    # x1, so only the interior columns are built; the end columns take the
+    # nodes of the arc's ends.
     arc = np.vstack([sheets[1][n:0:-1], quarter[:n + 1]])
     K = len(arc) - 1  # = 2m
     L = max(4, math.ceil(0.4 * n))
@@ -422,10 +424,8 @@ def gen_triple_bubble(level: int) -> GeneratorOutput:
     q_pts[:, 0] = half * (2.0 * np.arange(K + 1) / K - 1.0)
     q_pts[:, 1] = _TB_G[1]
     t = (np.arange(L + 1) / L)[:, None, None]
-    layers = (1.0 - t) * arc + t * q_pts
-    layers[:, 0] = q_pts[0]
-    layers[:, -1] = q_pts[-1]
-    layers[L] = q_pts
+    layers = (1.0 - t) * arc[1:-1] + t * q_pts[1:-1]
+    layers[L] = q_pts[1:-1]
     flat = layers.reshape(-1, 3)
     flats = [flat, flat * np.array([1.0, 1.0, -1.0]), _tb_rotate(flat, 1)]
 
@@ -435,7 +435,9 @@ def gen_triple_bubble(level: int) -> GeneratorOutput:
         f = ids[s * len(quarter) + quarter_faces]
         faces.append(f[:, ::-1] if flip else f)
         patches.append(s // 4)
-    flat_ids = ids[12 * len(quarter):].reshape(3, L + 1, K + 1)
+    x2, x1 = ids[len(quarter) + n], ids[n]
+    flat_ids = np.pad(ids[12 * len(quarter):].reshape(3, L + 1, K - 1), ((0, 0), (0, 0), (1, 1)),
+                      constant_values=((0, 0), (0, 0), (x2, x1)))
     for s, flip in enumerate((False, True, False)):
         f = _quad_sweep(flat_ids[s])
         faces.append(f[:, ::-1] if flip else f)

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._kernels import _dot
+from ._kernels import _cross, _dot
 from ._values import _NUMBER, _POINT, _check_rows, _frozen, _is_number, _numeric
 from .reports import save_json
 
@@ -193,7 +193,7 @@ def _require(v: DiscreteVarifold, closed: bool = False, manifold: bool = False) 
 def face_normals(v: DiscreteVarifold) -> tuple[np.ndarray, np.ndarray]:
     """Unit face normals and face areas, as (normals (F,3), areas (F,))."""
     a = v.vertices[v.faces[:, 0]]
-    n = np.cross(v.vertices[v.faces[:, 1]] - a, v.vertices[v.faces[:, 2]] - a)
+    n = _cross(v.vertices[v.faces[:, 1]] - a, v.vertices[v.faces[:, 2]] - a)
     nn = np.linalg.norm(n, axis=1)
     areas = 0.5 * nn
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -212,7 +212,7 @@ def _boundary_conormals(v: DiscreteVarifold, nhat: np.ndarray) -> tuple[np.ndarr
     f = topo.inc_faces[topo.offsets[be]]
     s = topo.inc_signs[topo.offsets[be]].astype(np.float64)
     evec = (v.vertices[edges[:, 1]] - v.vertices[edges[:, 0]]) * s[:, None]
-    nu = np.cross(evec, nhat[f])
+    nu = _cross(evec, nhat[f])
     return edges, f, evec, nu
 
 
@@ -228,34 +228,21 @@ def _weld(points: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     lies within ``tol`` of it (Euclidean, rounded like a 1-D
     ``np.linalg.norm``), or else starts the next node.
 
-    Exact duplicates always share a node, so only the distinct points are
-    welded: one stable ``np.lexsort`` of the rows groups equal values (-0.0
-    equals 0.0), and each group keeps its first point's bytes. The near pairs
-    come from one stable sort of the projections ``p·u`` on the fixed unit
-    vector ``u = _SWEEP``, swept at offsets 1, 2, ... while some gap between
-    sorted projections is at most ``tol·(1 + 1e-6)`` plus ``1e-14·max|p|∞``.
-    Since ``|u·(p − q)| ≤ |p − q|``, every pair within ``tol`` is a candidate;
-    the slack covers the rounding of the projections and of the distance, and
-    can only add candidates, which the exact distance test then drops. Gaps
-    grow with the offset, so the sweep stops at the first offset with none
-    small enough. Its cost is the largest number of points in one
-    ``2·tol`` window of projections: points on a plane normal to ``u`` are
-    all candidates of each other, which is quadratic. Python only loops over
-    the pairs within ``tol``.
+    The candidate pairs come from one stable sort of the projections ``p·u``
+    on the fixed unit vector ``u = _SWEEP``, swept at offsets 1, 2, ... while
+    some gap between sorted projections is at most ``tol·(1 + 1e-6)`` plus
+    ``1e-14·max|p|∞``. Since ``|u·(p − q)| ≤ |p − q|``, every pair within
+    ``tol`` is a candidate; the slack covers the rounding of the projections
+    and of the distance, and can only add candidates, which the exact
+    distance test then drops. Gaps grow with the offset, so the sweep stops
+    at the first offset with none small enough. Its cost is the largest
+    number of points in one ``2·tol`` window of projections: a point repeated
+    k times costs k sweep offsets, and points on a plane normal to ``u`` are
+    all candidates of each other, which is quadratic. Exact repeats are pairs
+    at distance 0, so they share a node whose point is the first copy's bytes
+    (-0.0 and 0.0 included). Python only loops over the pairs within ``tol``.
     """
-    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    order = np.lexsort(points.T[::-1])
-    srt = points[order]
-    new = np.ones(len(points), dtype=bool)
-    new[1:] = (srt[1:] != srt[:-1]).any(axis=1)
-    first = order[new]  # each distinct value's first point, the sort being stable
-    by_first = np.argsort(first)
-    rank = np.empty(len(first), dtype=np.int64)
-    rank[by_first] = np.arange(len(first))
-    distinct = np.empty(len(points), dtype=np.int64)
-    distinct[order] = rank[np.cumsum(new) - 1]
-    pts = points[first[by_first]]  # distinct points in order of first occurrence
-
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     proj = pts @ _SWEEP
     by_proj = np.argsort(proj, kind="stable")
     proj = proj[by_proj]
@@ -281,7 +268,7 @@ def _weld(points: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     parent[list(joined)] = list(joined.values())
     founder = parent == np.arange(len(pts))
     node = np.cumsum(founder) - 1
-    return node[parent][distinct], pts[founder]
+    return node[parent], pts[founder]
 
 
 def total_mass(v: DiscreteVarifold) -> float:

@@ -25,21 +25,18 @@ TOLERANCE_PROFILES: dict[str, dict[str, float]] = {
         "density_abs": 0.02,
         "link_match_abs": 0.02 * 2.0 * math.pi,
         "liyau_gap": 0.02,
-        "monotonicity_slack": -0.01,
     },
     "default": {
         "energy_rel": 0.02,
         "density_abs": 0.05,
         "link_match_abs": 0.05 * 2.0 * math.pi,
         "liyau_gap": 0.05,
-        "monotonicity_slack": -0.02,
     },
     "coarse": {
         "energy_rel": 0.05,
         "density_abs": 0.10,
         "link_match_abs": 0.10 * 2.0 * math.pi,
         "liyau_gap": 0.10,
-        "monotonicity_slack": -0.05,
     },
 }
 

@@ -554,6 +554,22 @@ def test_weld_finds_pairs_whose_projections_round_apart():
     assert nodes.tobytes() == np.vstack([p, q[~near]]).tobytes()
 
 
+def test_weld_of_a_point_repeated_200_times_matches_the_linear_scan():
+    """200 copies of one point, half of them with the signs of their zeros
+    flipped, among points near it: the sweep pairs the copies at 199 offsets."""
+    rng = np.random.default_rng(11)
+    tol = 1e-5
+    base = np.array([0.0, -0.0, 0.5])
+    copies = np.tile(base, (200, 1))
+    copies[rng.random(200) < 0.5, :2] *= -1.0
+    near = base + rng.uniform(-2.0, 2.0, size=(60, 3)) * tol
+    points = np.vstack([copies, near])[rng.permutation(260)]
+    ids, nodes = mesh._weld(points, tol)
+    want_ids, want_nodes = _weld_oracle(points, tol)
+    assert ids.tolist() == want_ids
+    assert nodes.tobytes() == want_nodes.tobytes()
+
+
 def test_weld_of_no_points_is_empty():
     ids, nodes = mesh._weld(np.zeros((0, 3)), 1e-5)
     assert ids.shape == (0,) and nodes.shape == (0, 3)

@@ -107,6 +107,30 @@ def test_datum_roundtrip_keeps_the_integral_bits(tmp_path):
     assert want == pytest.approx(2.0 * math.pi)  # m * (-pi) * conormal_sign
 
 
+def test_datum_roundtrip_keeps_the_bits_of_random_normals(tmp_path):
+    """A normal that CircleSpec made unit loads back as it was saved; scaling
+    it again moved the last bit of about a third of such normals."""
+    rng = np.random.default_rng(3)
+    circles = [CircleSpec(rng.normal(size=3), float(rng.uniform(0.2, 2.0)), rng.normal(size=3),
+                          conormal_sign=int(rng.choice([-1, 1]))) for _ in range(200)]
+    path = str(tmp_path / "datum.json")
+    save_datum(make_datum(circles), path)
+    back = load_datum(path).circles
+    assert [c.normal.tobytes() for c in back] == [c.normal.tobytes() for c in circles]
+    x0 = rng.normal(size=(20, 3))
+    for got, want in zip(back, circles):
+        assert (boundary._datum_eval(make_datum([got]), x0).tobytes()
+                == boundary._datum_eval(make_datum([want]), x0).tobytes())
+
+
+def test_circle_spec_keeps_a_normal_within_four_ulps_of_unit():
+    normal = CircleSpec([0, 0, 0], 1.0, [1.0, 1.0, 0.0]).normal
+    assert float(np.linalg.norm(normal)) == 1.0 - math.ulp(1.0) / 2.0  # dividing by it moves bits
+    assert CircleSpec([0, 0, 0], 1.0, normal).normal.tobytes() == normal.tobytes()
+    longer = [0.0, 0.0, 1.0 + 8.0 * math.ulp(1.0)]
+    assert CircleSpec([0, 0, 0], 1.0, longer).normal.tolist() == [0.0, 0.0, 1.0]
+
+
 # ---------------------------------------------------------------------------
 # the closed form
 
@@ -280,8 +304,7 @@ def test_datum_roundtrip(tmp_path):
     for got, want in zip(back.circles, datum.circles):
         np.testing.assert_array_equal(got.center, want.center)
         assert got.radius == want.radius
-        # loading re-normalizes the normal, which can move the last bit
-        np.testing.assert_allclose(got.normal, want.normal, atol=1e-15)
+        assert got.normal.tobytes() == want.normal.tobytes()
         assert got.m == want.m and got.conormal_sign == want.conormal_sign
 
 

@@ -156,6 +156,31 @@ def test_analyze_link_that_misses_the_support_is_not_applicable(sphere_file, tmp
     assert "passed" not in row
 
 
+def test_analyze_density_off_the_support_is_not_applicable(sphere_file, tmp_path):
+    report = str(tmp_path / "report.json")
+    code = main(["analyze", sphere_file, "--density=0,0,3", "--density=0,0,1", "--energy", "-o", report])
+    assert code == 0
+    blocks = read_json(report)["analyses"]
+    assert blocks["energy"]["passed"] is True
+    off, on = blocks["density"]
+    assert off == {"point": [0.0, 0.0, 3.0], "status": "not_applicable",
+                   "reason": "point [0.0, 0.0, 3.0] is not on the support of the varifold"}
+    assert on["theta"] == pytest.approx(1.0, abs=0.05)
+
+
+def test_analyze_density_below_one_half_is_not_applicable(tmp_path):
+    """On the cap's rim the ladder extrapolates to theta < 1/2, which is no
+    varifold density; the boundary analysis still runs."""
+    path, report = str(tmp_path / "cap.json"), str(tmp_path / "report.json")
+    assert main(["generate", "cap", "--level", "3", "-o", path]) == 0
+    assert main(["analyze", path, "--density=1,0,0", "--boundary", "-o", report]) == 0
+    blocks = read_json(report)["analyses"]
+    (row,) = blocks["density"]
+    assert set(row) == {"point", "status", "reason"} and row["status"] == "not_applicable"
+    assert row["reason"].endswith("is not a varifold density (need theta >= 0.5)")
+    assert blocks["boundary"]["edge_count"] == 48
+
+
 def test_readme_quick_start_writes_its_report(tmp_path, capsys):
     """The double bubble has junction edges, so --topology does not apply;
     the README's other analyses still run and pass."""

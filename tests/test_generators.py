@@ -482,6 +482,24 @@ def test_weld_matches_point_pool_on_triple_bubble(level, monkeypatch):
     assert nodes.tobytes() == np.asarray(pool.points).tobytes() == v.vertices.tobytes()
 
 
+@pytest.mark.parametrize("level", range(6))
+def test_triple_bubble_passes_each_point_to_the_weld_at_most_six_times(level, monkeypatch):
+    """The flats' collapsed end columns are not built, so the tetrahedral
+    points x1 and x2 no longer come once per layer of every flat."""
+    calls = []
+    weld = generators._weld
+
+    def spy(points, tol):
+        calls.append(points)
+        return weld(points, tol)
+
+    monkeypatch.setattr(generators, "_weld", spy)
+    gen_triple_bubble(level)
+    (points,) = calls
+    _, counts = np.unique(points + 0.0, axis=0, return_counts=True)  # + 0.0 makes -0.0 equal 0.0
+    assert counts.max() <= 6
+
+
 #: sha256 of gen_triple_bubble(level).varifold's vertices and faces bytes, by level
 _TRIPLE_BUBBLE_SHA256 = {
     0: ("93577bb2f2eb5aff656904096303bf1d698dfef385d914748cbafd7f6d106f93",

@@ -208,3 +208,10 @@ def test_benchmark_tracer_wraps_the_lazily_loaded_modules():
     seen = json.loads(proc.stdout)
     assert seen["theta"] == pytest.approx(1.0, abs=0.05)  # sphere L2 gives 1.023
     assert {"generators.gen_sphere", "blowup.density", "kernels.ball_masses"} <= set(seen["spans"])
+
+
+def test_every_cross_product_is_the_kernels_one():
+    """``_kernels._cross`` forms the products and differences of ``np.cross``
+    without its broadcasting set-up; no module calls ``np.cross`` itself."""
+    src = Path(varifold_lab.__file__).parent
+    assert [p.name for p in sorted(src.glob("*.py")) if "np.cross(" in p.read_text()] == []

@@ -82,10 +82,7 @@ def test_tolerance_profiles_are_nested():
         assert set(prof) == keys, name
     for key in keys:
         s, d, c = (TOLERANCE_PROFILES[p][key] for p in ("strict", "default", "coarse"))
-        if key == "monotonicity_slack":  # allowed slack is negative
-            assert s >= d >= c
-        else:
-            assert s <= d <= c
+        assert s <= d <= c
 
 
 def test_collect_flags_walks_nested_paths():
