@@ -8,7 +8,6 @@ sup-over-basepoints search and the admissibility threshold report built on it.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -18,7 +17,7 @@ import numpy as np
 from . import _kernels  # run only by the quadrature's circle frame
 from . import mesh  # run only by boundary_measure and the singular-basepoint errors
 from ._values import _INTEGER, _NUMBER, _POINT, _check_rows, _is_int, _is_number, _numeric
-from .reports import Record, save_json
+from .reports import Record, load_json, save_json
 
 if TYPE_CHECKING:
     from .mesh import DiscreteVarifold
@@ -103,8 +102,7 @@ def load_datum(path: str) -> BoundaryDatum:
     1) JSON integers, booleans excluded. A missing key or a value of the wrong
     type raises ValueError naming it.
     """
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = load_json(path, "datum file")
     if not isinstance(doc, dict) or not isinstance(doc.get("circles"), list):
         raise ValueError(f"datum file {path!r} needs a 'circles' list")
     _check_rows(doc["circles"], _CIRCLE_KEYS, f"datum file {path!r}: 'circles'", ValueError)

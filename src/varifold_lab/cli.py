@@ -1,7 +1,8 @@
 """Command-line front end: generate example surfaces, run analyses, emit reports.
 
 Exit codes: 0 success, 1 a requested pass/fail check failed, 2 usage or input
-error.  Reports are canonical JSON (see reports.py) and byte-identical across
+error; an analysis the mesh does not admit gives a "not_applicable" block
+instead.  Reports are canonical JSON (see reports.py) and byte-identical across
 runs for identical inputs; ``--serial`` (or the VARIFOLD_LAB_THREADS env var)
 caps the BLAS thread pools before the numeric stack loads.
 """
@@ -9,15 +10,18 @@ caps the BLAS thread pools before the numeric stack loads.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
 
+# the package's submodules load lazily: binding them here runs none of them
+from . import blowup, curvature, generators, mesh, netmatch, nets
+from . import boundary as bnd
 from .reports import (
     TOLERANCE_PROFILES,
     TOOL_NAME,
     collect_flags,
+    load_json,
     new_report,
     write_report,
 )
@@ -60,7 +64,7 @@ def _parse_link_spec(text: str):
         raise ValueError(f"malformed link spec {text!r}: bad radius {tail!r}") from None
     if r <= 0:
         raise ValueError(f"malformed link spec {text!r}: radius must be positive")
-    return point, r
+    return {"point": point.tolist(), "radius": r}
 
 
 def _parse_disk_spec(text: str):
@@ -94,15 +98,12 @@ GENERATOR_OPTIONS = {
 
 
 def cmd_generate(args) -> int:
-    from .generators import GENERATORS
-    from .mesh import save_varifold
-
     kwargs = {key: getattr(args, opt) for key, opt in GENERATOR_OPTIONS[args.name].items()}
     if args.name == "singular-pair":
         disks = [_parse_disk_spec(d) for d in (args.disk or [])]
         kwargs.update(disk_centers=[d[0] for d in disks], disk_radii=[d[1] for d in disks])
-    out = GENERATORS[args.name](**kwargs)
-    save_varifold(out.varifold, args.out, analytic=out.analytic)
+    out = generators.GENERATORS[args.name](**kwargs)
+    mesh.save_varifold(out.varifold, args.out, analytic=out.analytic)
     v = out.varifold
     print(f"wrote {args.out}: {v.num_vertices} vertices, {v.num_faces} faces")
     return 0
@@ -139,139 +140,139 @@ def _expected_density(analytic: dict | None, point) -> dict | None:
     return None
 
 
-def cmd_analyze(args) -> int:
+def _verdict(err: float, tol: float) -> dict:
+    """The one pass/fail stanza: the tolerance, and whether ``err`` is within it."""
+    return {"tolerance": tol, "passed": bool(err <= tol)}
+
+
+def _energy(v, analytic, tol, _) -> dict:
+    w = curvature.willmore_energy(v)
+    block: dict = {"willmore_energy": w, "area": mesh.total_mass(v)}
+    ref = (analytic or {}).get("willmore_energy")
+    if ref is not None:
+        err = abs(w - ref) / abs(ref) if ref else abs(w)
+        block.update(analytic_willmore=float(ref), rel_error=err, **_verdict(err, tol["energy_rel"]))
+    return block
+
+
+def _density_spec(text: str) -> dict:
+    return {"point": _parse_point(text).tolist()}
+
+
+def _density(v, analytic, tol, spec) -> dict:
+    ref = _expected_density(analytic, spec["point"])
+    rep = blowup.density(v, spec["point"], r_max=(ref or {}).get("r_max"))
+    row = {
+        "theta": rep.theta,
+        "error_bar": rep.error_bar,
+        "model": rep.model,
+        "classification": rep.classification,
+        "ladder": {"radii": rep.radii.tolist(), "ratios": rep.ratios.tolist()},
+    }
+    if ref is not None:
+        err = abs(rep.theta - float(ref["density"]))
+        row.update(expected=float(ref["density"]), abs_error=err, **_verdict(err, tol["density_abs"]))
+    return row
+
+
+def _link(v, analytic, tol, spec) -> dict:
+    link = blowup.spherical_link(v, spec["point"], spec["radius"])
+    if link.total_length <= 0:
+        return {
+            "total_length": link.total_length,
+            "components": len(link.polylines),
+            "status": "not_applicable",
+            "reason": "the sphere misses the support, so the link is empty",
+        }
+    m = netmatch.match_link(link)
+    return {
+        "total_length": link.total_length,
+        "junction_count": link.junction_count,
+        "density_estimate": link.density_estimate,
+        "components": len(link.polylines),
+        "match": m["match"],
+        "matched_length": m["matched_length"],
+        "residual": m["residual"],
+        "tolerance": tol["link_match_abs"],
+        "passed": bool(m["matched_length"] is not None and m["residual"] <= tol["link_match_abs"]),
+    }
+
+
+def _topology(v, analytic, tol, _) -> dict:
+    rep = curvature.euler_characteristic(v)
+    return {**rep.to_dict(), **_verdict(abs(rep.defect_chi - rep.chi), 1e-6)}
+
+
+def _liyau(v, analytic, tol, _) -> dict:
     import numpy as np
 
-    from . import boundary as bnd
-    from . import blowup, curvature, mesh, netmatch
+    pts = [dp["point"] for dp in (analytic or {}).get("density_points", [])]
+    if not pts:
+        idx = np.linspace(0, v.num_vertices - 1, 8).astype(int)  # ascending
+        idx = idx[np.diff(idx, prepend=-1) != 0]  # np.unique would import numpy.ma
+        pts = [v.vertices[i] for i in idx]
+    rep = blowup.li_yau_check(v, pts, eps=tol["liyau_gap"])
+    return {
+        "n_samples": len(pts),
+        "theta_max": rep.theta_max,
+        "willmore_over_4pi": rep.willmore_over_4pi,
+        "gap": rep.gap,
+        "tolerance": tol["liyau_gap"],
+        "passed": rep.passed,
+    }
 
-    requested = (
-        args.energy or args.density or args.link or args.topology
-        or args.liyau or args.helfrich is not None or args.boundary
-    )
+
+def _helfrich(v, analytic, tol, c0) -> dict:
+    return {"c0": c0, "value": curvature.helfrich_energy(v, c0)}
+
+
+def _boundary(v, analytic, tol, _) -> dict:
+    b = bnd.boundary_measure(v)
+    return {"edge_count": int(len(b.edges)), "total_length": b.total_length, "closed": bool(len(b.edges) == 0)}
+
+
+#: Each ``analyze`` option (its ``args`` name): the builder of its block,
+#: called as ``build(v, analytic, tol, value)`` with the option's value, and
+#: for a repeatable option the parser of one spec; such an option gets one
+#: row per spec, built from the parsed spec and starting with it.
+ANALYSES = {
+    "energy": (_energy, None),
+    "density": (_density, _density_spec),
+    "link": (_link, _parse_link_spec),
+    "topology": (_topology, None),
+    "liyau": (_liyau, None),
+    "helfrich": (_helfrich, None),
+    "boundary": (_boundary, None),
+}
+
+
+def cmd_analyze(args) -> int:
+    """Run each requested analysis into one report, under one rule: a block,
+    or one row, whose library call raises ValueError (MeshError and NetError
+    included) becomes ``{"status": "not_applicable", "reason": ...}``, a row
+    after its spec, and the other analyses still run. Every spec is parsed
+    before the mesh is read, so a malformed one exits 2."""
+    requested = {}
+    for name, (_, parse) in ANALYSES.items():
+        value = getattr(args, name)
+        if value is not None and value is not False:  # --helfrich 0 is requested
+            requested[name] = [parse(text) for text in value] if parse else value
     if not requested:
         raise ValueError("no analyses requested (try --energy, --topology, ...)")
 
     v, analytic = mesh.load_mesh_file(args.mesh)
     tol = TOLERANCE_PROFILES[args.tolerance_profile]
     doc = new_report(args.mesh, args.tolerance_profile)
-    blocks = doc["analyses"]
 
-    if args.energy:
-        w = curvature.willmore_energy(v)
-        block: dict = {"willmore_energy": w, "area": mesh.total_mass(v)}
-        ref = (analytic or {}).get("willmore_energy")
-        if ref is not None:
-            err = abs(w - ref) / abs(ref) if ref else abs(w)
-            block.update(
-                analytic_willmore=float(ref),
-                rel_error=err,
-                tolerance=tol["energy_rel"],
-                passed=bool(err <= tol["energy_rel"]),
-            )
-        blocks["energy"] = block
-
-    if args.density:
-        rows = []
-        for spec in args.density:
-            p = _parse_point(spec)
-            ref = _expected_density(analytic, p)
-            try:
-                rep = blowup.density(v, p, r_max=(ref or {}).get("r_max"))
-            except ValueError as exc:  # off the support, or no varifold density there
-                rows.append({"point": p.tolist(), "status": "not_applicable", "reason": str(exc)})
-                continue
-            row = {
-                "point": p.tolist(),
-                "theta": rep.theta,
-                "error_bar": rep.error_bar,
-                "model": rep.model,
-                "classification": rep.classification,
-                "ladder": {"radii": rep.radii.tolist(), "ratios": rep.ratios.tolist()},
-            }
-            if ref is not None:
-                err = abs(rep.theta - float(ref["density"]))
-                row.update(
-                    expected=float(ref["density"]),
-                    abs_error=err,
-                    tolerance=tol["density_abs"],
-                    passed=bool(err <= tol["density_abs"]),
-                )
-            rows.append(row)
-        blocks["density"] = rows
-
-    if args.link:
-        rows = []
-        for spec in args.link:
-            p, r = _parse_link_spec(spec)
-            link = blowup.spherical_link(v, p, r)
-            if link.total_length <= 0:
-                rows.append({
-                    "point": p.tolist(),
-                    "radius": r,
-                    "total_length": link.total_length,
-                    "components": len(link.polylines),
-                    "status": "not_applicable",
-                    "reason": "the sphere misses the support, so the link is empty",
-                })
-                continue
-            m = netmatch.match_link(link)
-            rows.append({
-                "point": p.tolist(),
-                "radius": r,
-                "total_length": link.total_length,
-                "junction_count": link.junction_count,
-                "density_estimate": link.density_estimate,
-                "components": len(link.polylines),
-                "match": m["match"],
-                "matched_length": m["matched_length"],
-                "residual": m["residual"],
-                "tolerance": tol["link_match_abs"],
-                "passed": bool(
-                    m["matched_length"] is not None
-                    and m["residual"] <= tol["link_match_abs"]
-                ),
-            })
-        blocks["link"] = rows
-
-    if args.topology:
+    def entry(build, value, spec: dict) -> dict:
         try:
-            rep = curvature.euler_characteristic(v)
-        except mesh.MeshError as exc:  # a boundary or junction edge
-            blocks["topology"] = {"status": "not_applicable", "reason": str(exc)}
-        else:
-            blocks["topology"] = {**rep.to_dict(), "tolerance": 1e-6,
-                                  "passed": bool(abs(rep.defect_chi - rep.chi) <= 1e-6)}
+            return {**spec, **build(v, analytic, tol, value)}
+        except ValueError as exc:  # the mesh does not admit this analysis
+            return {**spec, "status": "not_applicable", "reason": str(exc)}
 
-    if args.liyau:
-        pts = [dp["point"] for dp in (analytic or {}).get("density_points", [])]
-        if not pts:
-            idx = np.linspace(0, v.num_vertices - 1, 8).astype(int)  # ascending
-            idx = idx[np.diff(idx, prepend=-1) != 0]  # np.unique would import numpy.ma
-            pts = [v.vertices[i] for i in idx]
-        rep = blowup.li_yau_check(v, pts, eps=tol["liyau_gap"])
-        blocks["liyau"] = {
-            "n_samples": len(pts),
-            "theta_max": rep.theta_max,
-            "willmore_over_4pi": rep.willmore_over_4pi,
-            "gap": rep.gap,
-            "tolerance": tol["liyau_gap"],
-            "passed": rep.passed,
-        }
-
-    if args.helfrich is not None:
-        blocks["helfrich"] = {
-            "c0": args.helfrich,
-            "value": curvature.helfrich_energy(v, args.helfrich),
-        }
-
-    if args.boundary:
-        b = bnd.boundary_measure(v)
-        blocks["boundary"] = {
-            "edge_count": int(len(b.edges)),
-            "total_length": b.total_length,
-            "closed": bool(len(b.edges) == 0),
-        }
+    for name, value in requested.items():
+        build, parse = ANALYSES[name]
+        doc["analyses"][name] = [entry(build, s, s) for s in value] if parse else entry(build, value, {})
 
     write_report(doc, args.out)
     flags = collect_flags(doc)
@@ -287,9 +288,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_net_catalogue(args) -> int:
-    from .nets import catalogue
-
-    entries = catalogue()
+    entries = nets.catalogue()
     if args.json:
         write_report({"entries": [e.to_dict() for e in entries]}, args.out)
         return 0
@@ -304,8 +303,6 @@ def cmd_net_catalogue(args) -> int:
 
 
 def cmd_net_relax(args) -> int:
-    from . import nets
-
     net = nets.load_net(args.net)
     res = nets.relax(net, max_iter=args.max_iter, tol=args.tol)
     final_len = nets.total_length(res.net)
@@ -327,13 +324,10 @@ def cmd_net_relax(args) -> int:
 
 
 def cmd_net_match(args) -> int:
-    from . import netmatch
-
     try:
         length = float(args.link)
     except ValueError:
-        with open(args.link) as fh:
-            doc = json.load(fh)
+        doc = load_json(args.link, "link file")
         length = doc.get("total_length") if isinstance(doc, dict) else None
         if not isinstance(length, (int, float)) or isinstance(length, bool):
             if not isinstance(doc, dict):
@@ -357,8 +351,6 @@ def cmd_net_match(args) -> int:
 
 
 def cmd_boundary_circle_integral(args) -> int:
-    from . import boundary as bnd
-
     datum = bnd.load_datum(args.datum)
     x0 = _parse_point(args.point)
     per = [bnd.circle_conormal_integral(c, x0) for c in datum.circles]
@@ -379,8 +371,6 @@ def cmd_boundary_circle_integral(args) -> int:
 
 
 def cmd_boundary_sup(args) -> int:
-    from . import boundary as bnd
-
     datum = bnd.load_datum(args.datum)
     sup = bnd.sup_conormal_integral(datum, grid_n=args.grid)
     x = sup.argmax
@@ -391,8 +381,6 @@ def cmd_boundary_sup(args) -> int:
 
 
 def cmd_boundary_admissible(args) -> int:
-    from . import boundary as bnd
-
     datum = bnd.load_datum(args.datum)
     threshold = {"6pi": 6.0 * math.pi, "8pi": 8.0 * math.pi}[args.threshold]
     rep = bnd.admissibility_check(args.p, datum, threshold)
@@ -410,8 +398,7 @@ def cmd_boundary_admissible(args) -> int:
 
 
 def cmd_report(args) -> int:
-    with open(args.report) as fh:
-        doc = json.load(fh)
+    doc = load_json(args.report, "report file")
     if not (isinstance(doc, dict) and isinstance(doc.get("input", {}), dict)):
         raise ValueError(f"report file {args.report!r}: the report and its 'input' must be objects")
     tool = doc.get("tool", "?")
@@ -529,7 +516,7 @@ def main(argv=None) -> int:
         cap = "1"
     if cap:
         # must happen before the numeric stack spins up its thread pools,
-        # which is why command handlers import the library lazily
+        # which is why the package's modules run only when a command uses them
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                     "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
             os.environ.setdefault(var, cap)

@@ -7,7 +7,6 @@ legal inputs everywhere unless an operation documents otherwise.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
@@ -17,7 +16,7 @@ import numpy as np
 
 from ._kernels import _cross, _dot
 from ._values import _NUMBER, _POINT, _check_rows, _frozen, _is_number, _numeric
-from .reports import save_json
+from .reports import load_json, save_json
 
 if TYPE_CHECKING:
     from ._grid import FaceGrid
@@ -414,8 +413,7 @@ def load_mesh_file(path: str) -> tuple[DiscreteVarifold, dict | None]:
     a non-boolean ``oriented``, or an ``analytic`` block whose keys that
     analyses read have the wrong type raises MeshError naming the key.
     """
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = load_json(path, "mesh file")
     for key in ("vertices", "faces", "multiplicity"):
         if not isinstance(doc, dict) or key not in doc:
             raise MeshError(f"mesh file {path!r} is missing the {key!r} array")

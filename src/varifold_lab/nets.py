@@ -10,7 +10,6 @@ coordinates.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field, replace
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from ._values import _frozen, _numeric
 from .netmatch import CATALOGUE, NetError, match_link  # noqa: F401  (nets' public names too)
-from .reports import NOT_RECORDED, Record, save_json
+from .reports import NOT_RECORDED, Record, load_json, save_json
 
 
 @dataclass(frozen=True)
@@ -175,8 +174,13 @@ def relax(net: GeodesicNet, max_iter: int = 1000, tol: float = 1e-10) -> RelaxRe
     dropped on return and the combinatorics is the input one. Stops when the
     largest per-vertex force norm drops below tol or after max_iter steps,
     and returns the net with its length and residual histories.
-    Aborts with NetError if any (sub)arc collapses below 1e-6.
+    Raises NetError for max_iter < 0 or tol <= 0 (a tolerance no residual
+    can meet), and aborts with NetError if any (sub)arc collapses below 1e-6.
     """
+    if max_iter < 0:
+        raise NetError(f"max_iter must be at least 0, not {max_iter}")
+    if not tol > 0:
+        raise NetError(f"tol must be positive, not {tol!r}")
     _validate(net)
     work_x, work_arcs, n_master = _subdivide(net)
     lengths: list[float] = []
@@ -446,8 +450,7 @@ def load_net(path: str) -> GeodesicNet:
     The vertices must be numbers and each arc row 3 integers, or 4 whose last
     is 1 on a major arc and 0 on a minor one (NetError otherwise).
     """
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = load_json(path, "net file")
     if not (isinstance(doc, dict) and "vertices" in doc and isinstance(doc.get("arcs"), list)):
         raise NetError(f"net file {path!r} needs an object with 'vertices' and an 'arcs' list")
     rows = doc["arcs"]

@@ -5,6 +5,7 @@ goes through one encoder: sorted keys, compact separators, a trailing newline,
 no timestamps, so identical inputs produce byte-identical files.  Report
 values pass through ``sanitize`` first, which encodes non-finite floats as the
 strings "nan"/"inf"/"-inf" (strict JSON has no representation for them).
+Every JSON file it reads goes through ``load_json``, which names the file.
 """
 
 from __future__ import annotations
@@ -98,6 +99,16 @@ def save_json(doc: dict, path: str) -> None:
     text = _encode(doc)
     with open(path, "w") as fh:
         fh.write(text)
+
+
+def load_json(path: str, what: str):
+    """The JSON value in ``path``; a file that is not JSON raises ValueError
+    naming ``what`` and the path."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise ValueError(f"{what} {path!r} is not JSON: {exc}") from None
 
 
 def file_digest(path: str) -> str:

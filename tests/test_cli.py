@@ -9,7 +9,7 @@ import pytest
 
 import varifold_lab
 from varifold_lab import nets
-from varifold_lab.cli import main
+from varifold_lab.cli import ANALYSES, build_parser, main
 from varifold_lab.reports import canonical_dumps
 
 
@@ -48,6 +48,38 @@ def test_no_analyses_requested_is_input_error(sphere_file, capsys):
 def test_malformed_point_spec_is_input_error(sphere_file, capsys):
     assert main(["analyze", sphere_file, "--density", "1,2"]) == 2
     assert "malformed point spec" in capsys.readouterr().err
+
+
+def test_link_specs_are_parsed_before_the_mesh_is_read(capsys):
+    assert main(["analyze", "no-such-file.json", "--energy", "--link=0,0,1"]) == 2
+    assert capsys.readouterr().err == "error: malformed link spec '0,0,1': need x,y,z:r\n"
+
+
+def test_the_analysis_table_names_every_analyze_option():
+    """Every analysis runs under cmd_analyze's one not-applicable rule only if
+    the table names it; an option left at its default is not requested."""
+    defaults = vars(build_parser().parse_args(["analyze", "mesh.json"]))
+    options = set(defaults) - {"serial", "command", "func", "mesh", "tolerance_profile", "out"}
+    assert options == set(ANALYSES)
+    assert all(defaults[name] is None or defaults[name] is False for name in ANALYSES)
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["analyze", "{path}", "--energy"], "mesh file"),
+    (["net", "relax", "{path}"], "net file"),
+    (["boundary", "sup", "{path}"], "datum file"),
+    (["report", "{path}"], "report file"),
+    (["net", "match", "{path}"], "link file"),
+], ids=["analyze", "net-relax", "boundary-sup", "report", "net-match"])
+@pytest.mark.parametrize("content", [b"not json", b"\xff\xfe{}"], ids=["text", "bytes"])
+def test_input_file_that_is_not_json_is_named(tmp_path, capsys, argv, what, content):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    assert main([a.format(path=path) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {what} {str(path)!r} is not JSON: ")
+    if content == b"not json":
+        assert err.endswith(" is not JSON: Expecting value: line 1 column 1 (char 0)\n")
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +228,28 @@ def test_readme_quick_start_writes_its_report(tmp_path, capsys):
     assert blocks["liyau"]["passed"] and blocks["density"][0]["passed"] and blocks["link"][0]["passed"]
 
 
+def test_analyze_helfrich_on_an_unoriented_mesh_is_not_applicable(tmp_path):
+    """The double bubble is unoriented, so --helfrich does not apply; the
+    Li-Yau check in the same report still runs and passes."""
+    path, report = str(tmp_path / "db.json"), str(tmp_path / "report.json")
+    assert main(["generate", "double-bubble", "--theta2", "0.7", "--level", "3", "-o", path]) == 0
+    assert main(["analyze", path, "--liyau", "--helfrich", "0", "-o", report]) == 0
+    blocks = read_json(report)["analyses"]
+    assert blocks["helfrich"] == {"status": "not_applicable",
+                                  "reason": "operation requires an oriented mesh (oriented=True)"}
+    assert blocks["liyau"]["passed"] is True
+
+
+def test_analyze_liyau_on_a_mesh_with_boundary_is_not_applicable(tmp_path):
+    path, report = str(tmp_path / "cap.json"), str(tmp_path / "report.json")
+    assert main(["generate", "cap", "--level", "3", "-o", path]) == 0
+    assert main(["analyze", path, "--liyau", "--boundary", "-o", report]) == 0
+    blocks = read_json(report)["analyses"]
+    assert blocks["liyau"] == {"status": "not_applicable",
+                               "reason": "mesh is not closed: edge (0, 1) bounds one face"}
+    assert blocks["boundary"]["edge_count"] == 48
+
+
 def test_topology_of_a_mesh_with_boundary_is_not_applicable(tmp_path):
     path, report = str(tmp_path / "cap.json"), str(tmp_path / "report.json")
     assert main(["generate", "cap", "--level", "2", "-o", path]) == 0
@@ -330,6 +384,26 @@ def test_net_relax_roundtrip(tmp_path, capsys):
 
     assert main(["net", "relax", in_path, "--max-iter", "1"]) == 1
     assert "converged False" in capsys.readouterr().out
+
+
+@pytest.fixture()
+def tetra_net_file(tmp_path):
+    path = str(tmp_path / "tetra.json")
+    nets.save_net(nets.catalogue()[2].net, path)
+    return path
+
+
+def test_net_relax_rejects_a_negative_max_iter(tetra_net_file, capsys):
+    assert main(["net", "relax", tetra_net_file, "--max-iter", "-3"]) == 2
+    assert capsys.readouterr().err == "error: max_iter must be at least 0, not -3\n"
+    assert main(["net", "relax", tetra_net_file, "--max-iter", "0"]) == 1  # no step, as before
+    assert "iterations 0  converged False" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tol", ["-1", "0"])
+def test_net_relax_rejects_a_tolerance_no_residual_can_meet(tetra_net_file, capsys, tol):
+    assert main(["net", "relax", tetra_net_file, "--tol", tol]) == 2
+    assert capsys.readouterr().err == f"error: tol must be positive, not {float(tol)!r}\n"
 
 
 def test_net_relax_writes_arc_rows_like_save_net(tmp_path, capsys):
