@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._kernels import _dot
-from .mesh import DiscreteVarifold, _weld, make_varifold
+from .mesh import DiscreteVarifold, _split, _weld, make_varifold
 
 log = logging.getLogger(__name__)
 
@@ -99,20 +99,9 @@ def _icosphere(radius: float, level: int) -> tuple[np.ndarray, np.ndarray]:
     verts = _unit_rows(_ICO_VERTS.copy())
     faces = _ICO_FACES.copy()
     for _ in range(level):
-        # half-edges (a, b), (b, c), (c, a) per face; midpoints are numbered in
-        # the order their edge is first met
-        he = faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-        key = np.minimum(he[:, 0], he[:, 1]) * len(verts) + np.maximum(he[:, 0], he[:, 1])
-        _, first, inv = np.unique(key, return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        e = he[first[order]]
+        e, faces = _split(faces, len(verts))
         m = verts[e[:, 0]] + verts[e[:, 1]]
         m /= np.sqrt(_dot(m, m))[:, None]  # rounds like the norm of each row alone
-        ab, bc, ca = (len(verts) + rank[inv]).reshape(-1, 3).T
-        a, b, c = faces.T
-        faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1).reshape(-1, 3)
         verts = np.vstack([verts, m])
     return radius * verts, faces
 

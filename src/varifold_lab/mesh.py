@@ -100,8 +100,6 @@ class EdgeTopology:
     ``edges[i]`` is a sorted vertex pair. The faces incident to edge ``i`` are
     ``inc_faces[offsets[i]:offsets[i+1]]``; ``inc_signs`` says whether that
     face traverses the edge as (lo, hi) (+1) or (hi, lo) (-1) in its winding.
-    ``half_edge_edge[3*f + k]`` is the edge under corner pair k of face f, with
-    pairs ordered (c0, c1), (c1, c2), (c2, c0).
     """
 
     edges: np.ndarray
@@ -114,7 +112,6 @@ class EdgeTopology:
     junction_edges: np.ndarray = field(repr=False)
     boundary_vertex_mask: np.ndarray = field(repr=False)
     junction_vertex_mask: np.ndarray = field(repr=False)
-    half_edge_edge: np.ndarray = field(repr=False)
 
     def faces_of_edge(self, i: int) -> np.ndarray:
         return self.inc_faces[self.offsets[i]:self.offsets[i + 1]]
@@ -305,8 +302,6 @@ def edge_topology(v: DiscreteVarifold) -> EdgeTopology:
     edges = np.stack([lo_s[starts], hi[order[starts]]], axis=1)
     offsets = np.append(starts, len(order)).astype(np.int64)
     counts = np.diff(offsets)
-    inv = np.empty(len(order), dtype=np.int64)
-    inv[order] = np.cumsum(first) - 1
     inc_faces = (order // 3).astype(np.int64)
     inc_signs = np.where(he[order, 0] == lo_s, 1, -1).astype(np.int64)
 
@@ -328,39 +323,44 @@ def edge_topology(v: DiscreteVarifold) -> EdgeTopology:
         junction_edges=_frozen(junction),
         boundary_vertex_mask=_frozen(bmask),
         junction_vertex_mask=_frozen(jmask),
-        half_edge_edge=_frozen(inv),
     )
+
+
+def _split(faces: np.ndarray, num_vertices: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 4-to-1 midpoint split of ``faces``, as (ends (E, 2), children (4F, 3)).
+
+    The half-edges (a, b), (b, c), (c, a) of each face are keyed
+    min·V + max, and the midpoints are numbered from V in the order their
+    edge is first met: midpoint V + i lies on ``ends[i]``, that half-edge.
+    Face f's children [a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]
+    are rows 4f..4f+3, each wound like f.
+    """
+    he = faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    key = np.minimum(he[:, 0], he[:, 1]) * num_vertices + np.maximum(he[:, 0], he[:, 1])
+    _, first, inv = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    ab, bc, ca = (num_vertices + rank[inv]).reshape(-1, 3).T
+    a, b, c = faces.T
+    children = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1).reshape(-1, 3)
+    return he[first[order]], children
 
 
 def refine(v: DiscreteVarifold) -> DiscreteVarifold:
-    """Split every face 4-to-1 at edge midpoints (midpoints welded across faces).
+    """Split every face 4-to-1 at edge midpoints 0.5·(a + b), numbered and
+    laid out as ``_split`` says (midpoints welded across faces).
 
     Children inherit the parent multiplicity, patch label, and winding.
     """
-    topo = v.topology
-    e = topo.edges
-    mids = 0.5 * (v.vertices[e[:, 0]] + v.vertices[e[:, 1]])
-    # index of the midpoint vertex for each (face, corner pair)
-    mid_idx = (v.num_vertices + topo.half_edge_edge).reshape(-1, 3)  # per face: [m01, m12, m20]
-
-    f = v.faces
-    a, b, c = f[:, 0], f[:, 1], f[:, 2]
-    mab, mbc, mca = mid_idx[:, 0], mid_idx[:, 1], mid_idx[:, 2]
-    new_faces = np.concatenate(
-        [
-            np.stack([a, mab, mca], axis=1),
-            np.stack([b, mbc, mab], axis=1),
-            np.stack([c, mca, mbc], axis=1),
-            np.stack([mab, mbc, mca], axis=1),
-        ]
-    )
-    tile = lambda arr: np.concatenate([arr, arr, arr, arr])  # noqa: E731
+    ends, children = _split(v.faces, v.num_vertices)
+    mids = 0.5 * (v.vertices[ends[:, 0]] + v.vertices[ends[:, 1]])
     return DiscreteVarifold(
         vertices=np.vstack([v.vertices, mids]),
-        faces=new_faces,
-        multiplicity=tile(v.multiplicity),
+        faces=children,
+        multiplicity=np.repeat(v.multiplicity, 4),
         oriented=v.oriented,
-        face_patches=tile(v.face_patches) if v.face_patches is not None else None,
+        face_patches=None if v.face_patches is None else np.repeat(v.face_patches, 4),
     )
 
 

@@ -84,19 +84,6 @@ def _validate(net: GeodesicNet) -> None:
         raise NetError("arc multiplicities must be >= 1")
 
 
-def arc_length(p, q, major: bool = False) -> float:
-    """Great-circle distance arccos<p, q>, or 2*pi minus it for the major arc.
-
-    Antipodal endpoints leave the minor geodesic undetermined and raise
-    NetError("ambiguous geodesic"); the major-arc length is still pi and is
-    returned without complaint.
-    """
-    x = np.asarray([p, q], dtype=np.float64)
-    if not major and np.linalg.norm(x[0] + x[1]) < 1e-9:
-        raise NetError("ambiguous geodesic: endpoints are antipodal")
-    return float(_arc_geometry(x, np.array([[0, 1, 1]]), np.array([major]))[0][0])
-
-
 def _arc_geometry(x: np.ndarray, arcs: np.ndarray, major: np.ndarray):
     """Angle of each arc and its unit tangents at both ends, pointing into the arc.
 
@@ -171,9 +158,11 @@ def relax(net: GeodesicNet, max_iter: int = 1000, tol: float = 1e-10) -> RelaxRe
     temporary slave vertices so the minor-arc parametrization stays
     well-posed; a slave is 2-valent, so zero force there means its two
     tangents are collinear and its chain is a single geodesic. Slaves are
-    dropped on return and the combinatorics is the input one. Stops when the
-    largest per-vertex force norm drops below tol or after max_iter steps,
-    and returns the net with its length and residual histories.
+    dropped on return and the combinatorics is the input one. Each state
+    reached, the start included, is measured before the next step, so the
+    loop stops when the largest per-vertex force norm is below tol or after
+    max_iter steps, and the length and residual histories hold
+    iterations + 1 entries.
     Raises NetError for max_iter < 0 or tol <= 0 (a tolerance no residual
     can meet), and aborts with NetError if any (sub)arc collapses below 1e-6.
     """
@@ -221,13 +210,14 @@ def relax(net: GeodesicNet, max_iter: int = 1000, tol: float = 1e-10) -> RelaxRe
     L = length_of(x)
     lam = 1e-3
     converged = False
-    it = 0
-    for it in range(max_iter):
+    for it in range(max_iter + 1):  # record the state reached, then stop or step
         res = float(np.linalg.norm(r.reshape(-1, 3), axis=1).max())
         lengths.append(L)
         residuals.append(res)
         if res < tol:
             converged = True
+            break
+        if it == max_iter:
             break
         jac = jacobian(x)
         lhs = jac.T @ jac
@@ -250,8 +240,6 @@ def relax(net: GeodesicNet, max_iter: int = 1000, tol: float = 1e-10) -> RelaxRe
         lam = max(0.5 * lam, 1e-12)
         x, r = x_new, r_new
         L = length_of(x)
-    else:
-        it = max_iter
 
     out = replace(net, vertices=x[:n_master])
     return RelaxResult(net=out, lengths=lengths, residuals=residuals,

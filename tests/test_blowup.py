@@ -143,6 +143,12 @@ def test_non_finite_input_is_rejected(sphere3, call, message):
         call(sphere3.varifold)
 
 
+def test_spherical_link_rejects_a_zero_radius(sphere3):
+    v = sphere3.varifold
+    with pytest.raises(ValueError, match="^link radius must be positive$"):
+        blowup.spherical_link(v, v.vertices[0], 0.0)
+
+
 @pytest.mark.parametrize("x", [NAN, INF, -INF], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("call", [curvature.point_surface_distance, blowup.local_edge_scale],
                          ids=["distance", "edge-scale"])

@@ -55,6 +55,19 @@ def test_link_specs_are_parsed_before_the_mesh_is_read(capsys):
     assert capsys.readouterr().err == "error: malformed link spec '0,0,1': need x,y,z:r\n"
 
 
+@pytest.mark.parametrize("radius", ["0", "-1"])
+def test_link_spec_with_a_radius_that_is_not_positive_is_input_error(sphere_file, capsys, radius):
+    assert main(["analyze", sphere_file, f"--link=0,0,0:{radius}"]) == 2
+    assert capsys.readouterr().err == f"error: malformed link spec '0,0,0:{radius}': radius must be positive\n"
+
+
+def test_disk_spec_with_three_center_coordinates_is_input_error(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    assert main(["generate", "singular-pair", "--disk", "1,2,3:0.3", "-o", str(path)]) == 2
+    assert capsys.readouterr().err == "error: malformed disk spec '1,2,3:0.3': need cx,cy:r\n"
+    assert not path.exists()
+
+
 def test_the_analysis_table_names_every_analyze_option():
     """Every analysis runs under cmd_analyze's one not-applicable rule only if
     the table names it; an option left at its default is not requested."""
@@ -284,6 +297,20 @@ def test_analyze_liyau_without_an_analytic_block_samples_eight_vertices(tmp_path
     assert block["theta_max"] == 0.9975459219046342
 
 
+def test_analyze_density_without_an_analytic_block_has_no_expected_value(tmp_path):
+    from varifold_lab import generators
+    from varifold_lab.mesh import save_varifold
+
+    v = generators.gen_sphere(1.0, 3).varifold
+    path, report = str(tmp_path / "bare.json"), str(tmp_path / "r.json")
+    save_varifold(v, path)
+    spec = ",".join(repr(c) for c in v.vertices[0].tolist())
+    assert main(["analyze", path, f"--density={spec}", "-o", report]) == 0
+    row = read_json(report)["analyses"]["density"][0]
+    assert row["theta"] == pytest.approx(1.0, abs=0.05)
+    assert not {"expected", "abs_error", "tolerance", "passed"} & set(row)
+
+
 def test_analyze_writes_to_stdout_without_out(sphere_file, capsys):
     assert main(["analyze", sphere_file, "--energy"]) == 0
     out = capsys.readouterr().out
@@ -396,8 +423,8 @@ def tetra_net_file(tmp_path):
 def test_net_relax_rejects_a_negative_max_iter(tetra_net_file, capsys):
     assert main(["net", "relax", tetra_net_file, "--max-iter", "-3"]) == 2
     assert capsys.readouterr().err == "error: max_iter must be at least 0, not -3\n"
-    assert main(["net", "relax", tetra_net_file, "--max-iter", "0"]) == 1  # no step, as before
-    assert "iterations 0  converged False" in capsys.readouterr().out
+    assert main(["net", "relax", tetra_net_file, "--max-iter", "0"]) == 0  # stationary as given
+    assert "iterations 0  converged True" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("tol", ["-1", "0"])

@@ -1,4 +1,5 @@
 import hashlib
+import logging
 import math
 
 import numpy as np
@@ -340,6 +341,31 @@ def test_singular_pair_validation():
         gen_singular_pair([[0.0, 0.0]], [0.3, 0.2], 0.2, level=2)
     with pytest.raises(ValueError):
         gen_singular_pair([[0.9, 0.0]], [0.3], 0.2, level=2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: gen_cap(0.0, 1.2, 2), "R must be positive"),
+    (lambda: gen_cap(-1.0, 1.2, 2), "R must be positive"),
+    (lambda: gen_double_bubble_flat(0.0, 2), "rho must be positive"),
+    (lambda: gen_flat_disk(-1.0, 2), "rho must be positive"),
+    (lambda: gen_triple_bubble(-1), "level must be >= 0"),
+    (lambda: gen_singular_pair([[0.0, 0.0]], [0.0], 0.2, level=2), "disk radii must be positive"),
+    (lambda: gen_singular_pair([[0.0, 0.0]], [-0.3], 0.2, level=2), "disk radii must be positive"),
+], ids=["cap-zero-R", "cap-negative-R", "double-bubble-flat-rho", "flat-disk-rho",
+        "triple-bubble-level", "singular-pair-zero-radius", "singular-pair-negative-radius"])
+def test_generator_parameter_checks(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+@pytest.mark.parametrize("centers, radii, message", [
+    ([], [], "no disks given: the contact set A is empty"),
+    ([[0.7, 0.0]], [0.28], "a disk reaches into the rim cutoff band |x| >= 0.95"),
+], ids=["no-disks", "rim-band"])
+def test_singular_pair_warnings(caplog, centers, radii, message):
+    with caplog.at_level(logging.WARNING, logger="varifold_lab.generators"):
+        gen_singular_pair(centers, radii, 0.2, level=1)
+    assert [(r.levelname, r.getMessage()) for r in caplog.records] == [("WARNING", message)]
 
 
 # ---------------------------------------------------------------------------

@@ -104,7 +104,7 @@ def test_cached_arrays_are_read_only(sphere3):
     arrays.append(curvature.second_fundamental_norm(v).H)  # shares the cached array
     arrays += [getattr(grid, f.name) for f in dataclasses.fields(grid)
                if isinstance(getattr(grid, f.name), np.ndarray)]
-    assert len(arrays) == 23
+    assert len(arrays) == 22
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
@@ -159,6 +159,12 @@ def test_make_varifold_rejects_face_rows_that_are_not_triples():
     v, _ = two_triangle_square()
     with pytest.raises(MeshError, match=r"faces must be \(F, 3\)"):
         make_varifold(v, [[0, 1], [2, 0], [1, 2]])
+
+
+def test_make_varifold_rejects_vertices_that_are_not_triples():
+    v, f = two_triangle_square()
+    with pytest.raises(MeshError, match=r"^vertices must be \(V, 3\), got \(4, 2\)$"):
+        make_varifold(v[:, :2], f)
 
 
 def test_make_varifold_accepts_no_faces():
@@ -272,17 +278,35 @@ def test_edge_topology_matches_dict_oracle(build):
         lo, hi = topo.offsets[i], topo.offsets[i + 1]
         got = list(zip(topo.inc_faces[lo:hi].tolist(), topo.inc_signs[lo:hi].tolist()))
         assert got == oracle[k]
-    pairs = np.stack([var.faces, np.roll(var.faces, -1, axis=1)], axis=2).reshape(-1, 2)
-    np.testing.assert_array_equal(topo.edges[topo.half_edge_edge], np.sort(pairs, axis=1))
 
 
 def test_refine_places_midpoints_on_their_parent_edges(torus3):
     var = torus3.varifold
     fine = mesh.refine(var)
     corners = var.vertices[var.faces]  # (F, 3, 3)
-    child = fine.vertices[fine.faces[: var.num_faces]]  # corner-0 children [a, mab, mca]
+    child = fine.vertices[fine.faces[::4]]  # corner-0 children [a, mab, mca]
     np.testing.assert_array_equal(child[:, 1], 0.5 * (corners[:, 0] + corners[:, 1]))
     np.testing.assert_array_equal(child[:, 2], 0.5 * (corners[:, 2] + corners[:, 0]))
+
+
+def test_refine_lays_out_each_faces_children_in_four_rows(torus3):
+    var = torus3.varifold
+    kids = mesh.refine(var).faces.reshape(-1, 4, 3)  # kids[f] = rows 4f..4f+3
+    a, b, c = var.faces.T
+    ab, bc, ca = kids[:, 3].T
+    for f in range(var.num_faces):
+        assert kids[f].tolist() == [[a[f], ab[f], ca[f]], [b[f], bc[f], ab[f]],
+                                    [c[f], ca[f], bc[f]], [ab[f], bc[f], ca[f]]]
+    met = np.stack([ab, bc, ca], axis=1).ravel()  # midpoint ids, half-edges in the order met
+    ids, first = np.unique(met, return_index=True)
+    assert ids[0] == var.num_vertices and np.all(np.diff(ids) == 1)
+    assert np.all(np.diff(first) > 0)  # midpoints numbered in first-met order
+
+
+def test_refine_reads_no_topology(torus3):
+    var = _fresh(torus3.varifold)
+    mesh.refine(var)
+    assert "topology" not in vars(var)
 
 
 @pytest.mark.parametrize("fixture, chi", [("sphere3", 2), ("torus3", 0)])

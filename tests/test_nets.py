@@ -10,7 +10,6 @@ from varifold_lab import netmatch, nets
 from varifold_lab.cli import main
 from varifold_lab.nets import (
     NetError,
-    arc_length,
     balance_residual,
     catalogue,
     load_net,
@@ -176,18 +175,19 @@ def test_balance_is_rotation_invariant(entries):
 # primitives
 
 
-def test_arc_length_quarter_and_major():
-    p = np.array([1.0, 0.0, 0.0])
-    q = np.array([0.0, 1.0, 0.0])
-    assert arc_length(p, q) == pytest.approx(math.pi / 2, abs=1e-15)
-    assert arc_length(p, q, major=True) == pytest.approx(3 * math.pi / 2, abs=1e-15)
+def test_total_length_of_one_quarter_arc_and_its_major_arc():
+    verts = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+    assert total_length(make_net(verts, [[0, 1, 1]])) == pytest.approx(math.pi / 2, abs=1e-15)
+    major = make_net(verts, [[0, 1, 1]], major=[True])
+    assert total_length(major) == pytest.approx(3 * math.pi / 2, abs=1e-15)
 
 
-def test_arc_length_antipodal():
-    p = np.array([0.0, 0.0, 1.0])
-    with pytest.raises(NetError, match="antipodal"):
-        arc_length(p, -p)
-    assert arc_length(p, -p, major=True) == pytest.approx(math.pi, abs=1e-15)
+@pytest.mark.parametrize("major", [False, True])
+def test_relax_rejects_an_arc_with_antipodal_endpoints(major):
+    net = make_net([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]], [[0, 1, 1]], major=[major])
+    assert total_length(net) == pytest.approx(math.pi, abs=1e-15)
+    with pytest.raises(NetError, match=r"^cannot relax an arc with antipodal endpoints \(ambiguous geodesic\)$"):
+        relax(net)
 
 
 @pytest.mark.parametrize(
@@ -222,6 +222,11 @@ def test_make_net_rejects_arcs_that_are_not_rows_of_three(arcs):
     verts = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-1.0, 0.0, 0.0]])
     with pytest.raises(NetError, match=r"arcs must be \(M, 3\)"):
         make_net(verts, arcs)
+
+
+def test_make_net_rejects_vertices_that_are_not_triples():
+    with pytest.raises(NetError, match=r"^vertices must be \(N, 3\), got \(2, 2\)$"):
+        make_net([[1.0, 0.0], [0.0, 1.0]], [[0, 1, 1]])
 
 
 def test_make_net_empty_arcs_means_no_arcs():
@@ -323,8 +328,17 @@ def test_relax_reports_non_convergence(entries):
     res = relax(_perturbed(entries[2].net, 0.1, 42), max_iter=1)
     assert not res.converged
     assert res.iterations == 1
-    assert len(res.residuals) == 1
+    assert len(res.residuals) == 2
     assert res.residuals[0] > 1e-10
+
+
+def test_relax_measures_the_state_its_last_step_reached(entries):
+    net = _perturbed(entries[2].net, 0.05, 42)
+    free = relax(net)
+    capped = relax(net, max_iter=free.iterations)
+    assert free.converged and free.iterations > 0
+    assert capped.converged and capped.iterations == free.iterations
+    assert capped.residuals == free.residuals and capped.lengths == free.lengths
 
 
 def test_relax_aborts_on_collapsing_arc():

@@ -1,5 +1,7 @@
 """The package import: lazy submodules, the public names, and what a command loads."""
 import importlib
+import importlib.util
+import inspect
 import json
 import math
 import os
@@ -208,6 +210,19 @@ def test_benchmark_tracer_wraps_the_lazily_loaded_modules():
     seen = json.loads(proc.stdout)
     assert seen["theta"] == pytest.approx(1.0, abs=0.05)  # sphere L2 gives 1.023
     assert {"generators.gen_sphere", "blowup.density", "kernels.ball_masses"} <= set(seen["spans"])
+
+
+def test_every_traced_name_is_a_function_of_its_module():
+    """The benchmark's tracer wraps library functions by module and name, so a
+    function it names may be renamed or deleted only together with its entry."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [f"{modname}.{fname}" for modname, fnames in tracing.TRACED.items()
+               for fname in fnames
+               if not inspect.isfunction(getattr(importlib.import_module(f"varifold_lab.{modname}"),
+                                                 fname, None))]
+    assert missing == []
 
 
 def test_every_cross_product_is_the_kernels_one():
