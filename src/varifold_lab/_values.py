@@ -47,6 +47,7 @@ def _is_number(x) -> bool:
 _NUMBER = (_is_number, "a number")
 _INTEGER = (_is_int, "an integer")
 _POINT = (lambda x: isinstance(x, list) and len(x) == 3 and all(map(_is_number, x)), "3 numbers")
+_DIRECTION = (lambda x: _POINT[0](x) and any(x), "3 numbers, not all zero")
 
 
 def _check_rows(rows, spec: dict, where: str, error: type[ValueError]) -> None:

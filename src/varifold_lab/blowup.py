@@ -191,8 +191,9 @@ def monotonicity_check(
 ) -> MonotonicityReport:
     """Check μ(B_r)/(πr²) ≤ μ(B_s)/(πs²) + (1/16π) ∫_{B_s} |H|² dμ for r < s.
 
-    The curvature integral is the lumped sum over vertices inside B_s. The
-    check passes when slack = RHS - LHS ≥ -eps (discretization allowance).
+    The curvature integral sums the Willmore integrand ``v.curvature.willmore``
+    over the vertices inside B_s. The check passes when slack = RHS - LHS ≥
+    -eps (discretization allowance).
     """
     if not 0 < r < s:
         raise ValueError(f"need 0 < r < s, got r={r}, s={s}")
@@ -200,11 +201,8 @@ def monotonicity_check(
     m_r, m_s = ball_mass_ladder(v, x0, [r, s])
     lhs = m_r / (math.pi * r * r)
     ratio_s = m_s / (math.pi * s * s)
-    f = v.curvature
     inside = np.linalg.norm(v.vertices - x0, axis=1) <= s
-    keep = inside & ~f.boundary_mask & ~f.isolated_mask
-    h2 = np.einsum("ij,ij->i", f.H, f.H)
-    w_term = _kernels.fsum((h2 * f.vertex_area)[keep]) / (16.0 * math.pi)
+    w_term = _kernels.fsum(v.curvature.willmore[inside]) / (16.0 * math.pi)
     rhs = ratio_s + w_term
     slack = rhs - lhs
     return MonotonicityReport(

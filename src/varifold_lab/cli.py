@@ -289,7 +289,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_net_catalogue(args) -> int:
     entries = nets.catalogue()
-    if args.json:
+    if args.json or args.out:
         write_report({"entries": [e.to_dict() for e in entries]}, args.out)
         return 0
     print(f"{'#':>2}  {'name':<42} {'arcs':>4}  {'length':>12}")
@@ -356,7 +356,7 @@ def cmd_boundary_circle_integral(args) -> int:
     per = [bnd.circle_conormal_integral(c, x0) for c in datum.circles]
     total = math.fsum(per)
     doc: dict = {"point": x0.tolist(), "per_circle": per, "total": total}
-    if args.quad:
+    if args.quad is not None:
         quad = [
             bnd.circle_conormal_integral_quad(c, x0, n_samples=args.quad)
             for c in datum.circles
@@ -467,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     nsub = n.add_subparsers(dest="net_command", required=True)
     nc = nsub.add_parser("catalogue", help="print the ten-entry stationary net table")
     nc.add_argument("--json", action="store_true", help="emit JSON instead of a table")
-    nc.add_argument("-o", "--out", help="JSON output path (with --json)")
+    nc.add_argument("-o", "--out", help="write the JSON entries to this path")
     nc.set_defaults(func=cmd_net_catalogue)
     nr = nsub.add_parser("relax", help="drive a net to stationarity")
     nr.add_argument("net", help="net JSON path")

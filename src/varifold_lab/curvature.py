@@ -33,17 +33,17 @@ class CurvatureField:
     H is the mean curvature vector (sum-of-principal-curvatures convention,
     pointing away from the center of an outward-oriented sphere's curvature,
     i.e. inward for a round sphere). vertex_area is the multiplicity-weighted
-    lumped area. Vertices under boundary_mask carry the conormal-corrected H;
-    junction_mask marks vertices on edges with three or more sheets. K,
+    lumped area; boundary vertices carry the conormal-corrected H. willmore
+    is the Willmore integrand |H_v|^2 A_v at the vertices that carry bending
+    energy (``_bending_vertices``) and 0.0 at every other vertex. K,
     angle_defect, B2 and gauss_relation_residual are filled by
-    second_fundamental_norm; all but angle_defect are NaN on masked vertices.
+    second_fundamental_norm; all but angle_defect are NaN on boundary,
+    junction and unused vertices.
     """
 
     H: np.ndarray
     vertex_area: np.ndarray
-    boundary_mask: np.ndarray
-    junction_mask: np.ndarray
-    isolated_mask: np.ndarray
+    willmore: np.ndarray
     K: np.ndarray | None = None
     angle_defect: np.ndarray | None = None
     B2: np.ndarray | None = None
@@ -109,39 +109,35 @@ def _boundary_force(v: DiscreteVarifold, nhat: np.ndarray) -> np.ndarray:
     return _vertex_sum(edges, (nu * w[:, None])[:, None], v.num_vertices)
 
 
+def _bending_vertices(v: DiscreteVarifold, vertex_area: np.ndarray) -> np.ndarray:
+    """The vertices that carry bending energy: off the boundary and on some face.
+
+    Junction vertices count: the balancing of sheets keeps H bounded there,
+    and their collar carries genuine energy. Boundary vertices do not; their
+    first-variation mass belongs to the conormal boundary term.
+    """
+    return ~v.topology.boundary_vertex_mask & (vertex_area > 0.0)
+
+
 def mean_curvature(v: DiscreteVarifold) -> CurvatureField:
     """First-variation mean curvature vectors H_v with lumped vertex areas.
 
     Computed afresh on each call; ``v.curvature`` keeps one read-only copy."""
-    topo = v.topology
     nhat, areas = v.face_geometry
     grad = _area_gradients(v, nhat)
     force = _boundary_force(v, nhat)
     area = _vertex_areas(v, areas)
-    isolated = area <= 0.0
     H = np.zeros_like(grad)
-    ok = ~isolated
+    ok = area > 0.0
     H[ok] = (force[ok] - grad[ok]) / area[ok, None]
-    return CurvatureField(
-        H=H,
-        vertex_area=area,
-        boundary_mask=topo.boundary_vertex_mask.copy(),
-        junction_mask=topo.junction_vertex_mask.copy(),
-        isolated_mask=isolated,
-    )
+    h2 = np.einsum("ij,ij->i", H, H)
+    willmore = np.where(_bending_vertices(v, area), h2 * area, 0.0)
+    return CurvatureField(H=H, vertex_area=area, willmore=willmore)
 
 
 def willmore_energy(v: DiscreteVarifold) -> float:
-    """(1/4) sum |H_v|^2 A_v over non-boundary vertices.
-
-    Junction vertices are included: the balancing of sheets keeps H bounded
-    there, and their collar carries genuine energy. Boundary vertices are
-    excluded; their first-variation mass belongs to the conormal boundary term.
-    """
-    field = v.curvature
-    keep = ~field.boundary_mask & ~field.isolated_mask
-    h2 = np.einsum("ij,ij->i", field.H, field.H)
-    return 0.25 * math.fsum((h2 * field.vertex_area)[keep])
+    """W = (1/4) sum of the Willmore integrand |H_v|^2 A_v over the bending vertices."""
+    return 0.25 * math.fsum(v.curvature.willmore)
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +265,14 @@ def _vertex_normals_unoriented(v: DiscreteVarifold, nhat: np.ndarray, areas: np.
     return ref
 
 
+#: The six entries of a symmetric 3x3 tensor, in the order xx, yy, zz, xy,
+#: xz, yz: entry k sits at row _SYM_ROW[k] and column _SYM_COL[k], and
+#: _SYM_ENTRY[i, j] is the entry at (i, j) and at (j, i).
+_SYM_ROW, _SYM_COL = np.array([[0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]])
+_SYM_ENTRY = np.empty((3, 3), dtype=np.intp)
+_SYM_ENTRY[_SYM_ROW, _SYM_COL] = _SYM_ENTRY[_SYM_COL, _SYM_ROW] = np.arange(6)
+
+
 def second_fundamental_norm(v: DiscreteVarifold) -> CurvatureField:
     """|B|^2 from the edge-based (dihedral-angle) curvature tensor.
 
@@ -287,12 +291,11 @@ def second_fundamental_norm(v: DiscreteVarifold) -> CurvatureField:
     nhat, areas = v.face_geometry
     area_geom = _vertex_areas(v, areas, weighted=False)
     nv = v.num_vertices
-    ok = ~base.boundary_mask & ~base.junction_mask & ~base.isolated_mask & (area_geom > 0)
+    ok = _bending_vertices(v, base.vertex_area) & ~topo.junction_vertex_mask & (area_geom > 0)
     defect = _angle_defects(v)
     K = np.full(nv, np.nan)
     K[ok] = defect[ok] / area_geom[ok]
 
-    S = np.zeros((nv, 6))  # xx, yy, zz, xy, xz, yz
     ie = topo.interior_edges
     o = topo.offsets[ie]
     f0 = topo.inc_faces[o]
@@ -309,29 +312,13 @@ def second_fundamental_norm(v: DiscreteVarifold) -> CurvatureField:
     beta = np.arctan2(np.einsum("ij,ij->i", _cross(n0, n1), ef0),
                       np.einsum("ij,ij->i", n0, n1))
     w = beta * elen / 2.0
-    t = np.stack(
-        [
-            w * ebar[:, 0] * ebar[:, 0],
-            w * ebar[:, 1] * ebar[:, 1],
-            w * ebar[:, 2] * ebar[:, 2],
-            w * ebar[:, 0] * ebar[:, 1],
-            w * ebar[:, 0] * ebar[:, 2],
-            w * ebar[:, 1] * ebar[:, 2],
-        ],
-        axis=1,
-    )
-    S += _vertex_sum(topo.edges[ie], t[:, None], nv)
+    t = w[:, None] * ebar[:, _SYM_ROW] * ebar[:, _SYM_COL]
+    S = _vertex_sum(topo.edges[ie], t[:, None], nv)
 
     normals = _vertex_normals_unoriented(v, nhat, areas)
     B2 = np.full(nv, np.nan)
     idx = np.nonzero(ok)[0]
-    Sm = np.empty((len(idx), 3, 3))
-    Sm[:, 0, 0] = S[idx, 0]
-    Sm[:, 1, 1] = S[idx, 1]
-    Sm[:, 2, 2] = S[idx, 2]
-    Sm[:, 0, 1] = Sm[:, 1, 0] = S[idx, 3]
-    Sm[:, 0, 2] = Sm[:, 2, 0] = S[idx, 4]
-    Sm[:, 1, 2] = Sm[:, 2, 1] = S[idx, 5]
+    Sm = S[idx[:, None, None], _SYM_ENTRY]
     Sm /= area_geom[idx, None, None]
     n = normals[idx]
     # tangent frame
@@ -393,7 +380,7 @@ def helfrich_energy(v: DiscreteVarifold, c0: float) -> float:
     """
     normals = oriented_vertex_normals(v)
     field = v.curvature
-    keep = ~field.boundary_mask & ~field.isolated_mask
+    keep = _bending_vertices(v, field.vertex_area)
     d = field.H - c0 * normals
     vals = np.einsum("ij,ij->i", d, d) * field.vertex_area
     return 0.25 * math.fsum(vals[keep])
@@ -452,12 +439,13 @@ def _distance_to_faces(vertices: np.ndarray, faces: np.ndarray, p: np.ndarray) -
     vb = d5 * d2 - d1 * d6
     vc = d1 * d4 - d3 * d2
     denom = va + vb + vc
+    # face region: the projection is on the face only where all three
+    # barycentric weights va, vb, vc (over denom > 0) are >= 0
+    over = (va >= 0.0) & (vb >= 0.0) & (vc >= 0.0) & (denom > 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        w1 = np.clip(np.where(denom != 0, vb / denom, 0.0), 0.0, 1.0)
-        w2 = np.clip(np.where(denom != 0, vc / denom, 0.0), 0.0, 1.0)
-    cand = a + w1[:, None] * ab + w2[:, None] * ac
-    best = np.linalg.norm(cand - p, axis=1)
-    # edge and vertex regions: clamp barycentric projections on each edge
+        cand = a + (vb / denom)[:, None] * ab + (vc / denom)[:, None] * ac
+    best = np.where(over, np.linalg.norm(cand - p, axis=1), math.inf)
+    # edge and vertex regions: the nearest clamped projection on the three edges
     for (s, evec) in ((a, ab), (a, ac), (b, c - b)):
         t = np.einsum("ij,ij->i", p - s, evec) / np.einsum("ij,ij->i", evec, evec)
         t = np.clip(t, 0.0, 1.0)

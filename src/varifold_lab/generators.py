@@ -31,6 +31,12 @@ class GeneratorOutput:
     analytic: dict
 
 
+def _check_level(level: int) -> None:
+    """The one check of every generator's refinement ``level``."""
+    if level < 0:
+        raise ValueError("level must be >= 0")
+
+
 def _unit_rows(a: np.ndarray) -> np.ndarray:
     return a / np.linalg.norm(a, axis=-1, keepdims=True)
 
@@ -110,8 +116,7 @@ def gen_sphere(R: float, level: int) -> GeneratorOutput:
     """Icosphere of radius R with 20*4^level faces, oriented outward."""
     if R <= 0.0:
         raise ValueError("R must be positive")
-    if level < 0:
-        raise ValueError("level must be >= 0")
+    _check_level(level)
     verts, faces = _icosphere(float(R), int(level))
     v = make_varifold(verts, faces, oriented=True)
     analytic = {
@@ -178,6 +183,7 @@ def gen_cap(R: float, theta: float, level: int) -> GeneratorOutput:
     The cap meets the base plane at angle theta. The closed sphere is
     :func:`gen_sphere`.
     """
+    _check_level(level)
     if R <= 0.0:
         raise ValueError("R must be positive")
     if not 0.0 < theta < math.pi:
@@ -224,6 +230,7 @@ def gen_double_bubble(theta2: float, rho: float, level: int) -> GeneratorOutput:
     whichever side keeps the three enclosed regions disjoint).  The junction
     circle has radius rho in the plane z=0 and carries density 3/2.
     """
+    _check_level(level)
     if rho <= 0.0:
         raise ValueError("rho must be positive")
     t1, t2, t3 = _bubble_angles(theta2)
@@ -271,6 +278,7 @@ def gen_double_bubble_flat(rho: float, level: int) -> GeneratorOutput:
     This is the finite stand-in for the degenerate theta2 = pi/3 parameter of
     :func:`gen_double_bubble`, where one cap radius diverges.  W is still 6pi.
     """
+    _check_level(level)
     if rho <= 0.0:
         raise ValueError("rho must be positive")
     beta = 2.0 * math.pi / 3.0
@@ -360,8 +368,7 @@ def gen_triple_bubble(level: int) -> GeneratorOutput:
     segment, so junction edges are shared vertex-for-vertex (3 faces each).
     The two tetrahedral points x1, x2 carry density 3*arccos(-1/3)/pi.
     """
-    if level < 0:
-        raise ValueError("level must be >= 0")
+    _check_level(level)
     n = 3 * 2**level
 
     # Quarter-patch rows (theta ascending from the rim at pi/3).  The patch
@@ -465,6 +472,7 @@ def gen_branched_patch(delta: float, rho0: float, level: int) -> GeneratorOutput
     outer annulus) are kept as distinct mesh vertices: the overlap is a
     property of the image, not of the parametrizing surface.
     """
+    _check_level(level)
     if delta < 0.0:
         raise ValueError("delta must be >= 0")
     if rho0 <= 0.0:
@@ -509,6 +517,7 @@ def gen_singular_pair(
     that union; eta tapers the sheets to zero across |x| >= 0.95 so they close
     up into a pillow.
     """
+    _check_level(level)
     if delta <= 0.0:
         raise ValueError("delta must be positive")
     centers = np.asarray(disk_centers, dtype=np.float64).reshape(-1, 2)
@@ -593,6 +602,7 @@ def gen_flat_disk(rho: float, level: int) -> GeneratorOutput:
     has the same area as the round disk; refinement keeps the polygon, hence
     the area, unchanged.
     """
+    _check_level(level)
     if rho <= 0.0:
         raise ValueError("rho must be positive")
     M = 8 * 2**level
@@ -618,6 +628,7 @@ def gen_flat_disk(rho: float, level: int) -> GeneratorOutput:
 
 def gen_torus(R: float, r: float, level: int) -> GeneratorOutput:
     """Torus of revolution (major R, minor r), oriented outward; chi = 0."""
+    _check_level(level)
     if not 0.0 < r < R:
         raise ValueError("need 0 < r < R")
     nu = 8 * 2**level

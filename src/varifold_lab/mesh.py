@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ._kernels import _cross, _dot
-from ._values import _NUMBER, _POINT, _check_rows, _frozen, _is_number, _numeric
+from ._values import _DIRECTION, _NUMBER, _POINT, _check_rows, _frozen, _is_number, _numeric
 from .reports import load_json, save_json
 
 if TYPE_CHECKING:
@@ -411,7 +411,8 @@ def load_mesh_file(path: str) -> tuple[DiscreteVarifold, dict | None]:
     Values are never coerced: a non-integer face index, multiplicity or patch
     label, a boolean among numbers, a face row without exactly three indices,
     a non-boolean ``oriented``, or an ``analytic`` block whose keys that
-    analyses read have the wrong type raises MeshError naming the key.
+    analyses read have the wrong type (or a junction circle whose normal is
+    zero) raises MeshError naming the key.
     """
     doc = load_json(path, "mesh file")
     for key in ("vertices", "faces", "multiplicity"):
@@ -426,7 +427,7 @@ def load_mesh_file(path: str) -> tuple[DiscreteVarifold, dict | None]:
     if not _is_number((analytic or {}).get("willmore_energy", 0)):
         raise MeshError(f"{where}: 'willmore_energy' must be a number, not {analytic['willmore_energy']!r}")
     for key, spec in (("density_points", {"point": _POINT, "density": _NUMBER, "r_max?": _NUMBER}),
-                      ("junction_circles", {"center": _POINT, "normal": _POINT, "radius": _NUMBER,
+                      ("junction_circles", {"center": _POINT, "normal": _DIRECTION, "radius": _NUMBER,
                                             "density?": _NUMBER})):  # the lists that analyses read
         _check_rows((analytic or {}).get(key, []), spec, f"{where}: {key!r}", MeshError)
     faces = _numeric(doc["faces"], "iu", f"file {path!r}: 'faces'", MeshError)

@@ -55,6 +55,13 @@ def test_density_off_support_raises(sphere3):
         blowup.density(sphere3.varifold, [0.0, 0.0, 0.0])
 
 
+def test_density_off_support_beyond_a_face_edge_raises(double_bubble4):
+    # distance 0.0513 > 0.5h = 0.0477; read as the plane distance 0.0463
+    # beyond a face's edge, the point passed as on the support
+    with pytest.raises(MeshError, match="not on the support"):
+        blowup.density(double_bubble4.varifold, [-0.961, 0.132, 0.264])
+
+
 def test_density_trims_sub_resolution_ladder(sphere3):
     x0 = sphere3.varifold.vertices[0]
     h = blowup.local_edge_scale(sphere3.varifold, x0)
@@ -117,6 +124,23 @@ def test_monotonicity_on_sphere(sphere3, rng):
         r = float(rng.uniform(0.1, 0.9)) * s
         rep = blowup.monotonicity_check(v, x0, r, s)
         assert rep.passed, rep.slack
+
+
+def test_monotonicity_reports_keep_their_bytes():
+    # sha256 of 30 seeded reports, recorded while monotonicity_check formed
+    # |H|^2 A and its own vertex mask on every call
+    rng = np.random.default_rng(20)
+    reports = []
+    for v in (generators.gen_cap(1.0, 1.2, 3).varifold, generators.gen_double_bubble(0.7, 1.0, 3).varifold,
+              generators.gen_triple_bubble(2).varifold):
+        diag = float(np.linalg.norm(v.vertices.max(axis=0) - v.vertices.min(axis=0)))
+        for _ in range(10):
+            x0 = v.vertices[rng.integers(v.num_vertices)]
+            s = float(rng.uniform(0.05, 0.8)) * diag
+            r = float(rng.uniform(0.01, 0.99)) * s
+            reports.append(blowup.monotonicity_check(v, x0, r, s).to_dict())
+    digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
+    assert digest == "6c3f47ff430ce53757356b41bf7558e4cd887f6eb73fcc5bb7e5190c47bd081c"
 
 
 def test_monotonicity_rejects_bad_radii(sphere3):

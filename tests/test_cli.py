@@ -132,6 +132,14 @@ def test_generate_rejects_bad_parameters(tmp_path, capsys):
     assert not os.path.exists(path)
 
 
+@pytest.mark.parametrize("name", sorted(varifold_lab.GENERATORS))
+def test_generate_rejects_a_negative_level(tmp_path, capsys, name):
+    path = str(tmp_path / "m.json")
+    assert main(["generate", name, "--level", "-1", "-o", path]) == 2
+    assert capsys.readouterr().err == "error: level must be >= 0\n"
+    assert not os.path.exists(path)
+
+
 def test_analyze_energy_topology(sphere_file, tmp_path, capsys):
     report = str(tmp_path / "report.json")
     code = main(["analyze", sphere_file, "--energy", "--topology", "-o", report])
@@ -341,6 +349,16 @@ def test_net_catalogue_json(tmp_path):
     assert entries[0]["length"] == pytest.approx(2 * math.pi)
 
 
+def test_net_catalogue_out_without_json_writes_the_entries(tmp_path, capsys):
+    path = str(tmp_path / "cat.json")
+    assert main(["net", "catalogue", "-o", path]) == 0
+    assert capsys.readouterr().out == ""
+    entries = read_json(path)["entries"]
+    assert [e["name"] for e in entries] == [e.name for e in nets.catalogue()]
+    assert main(["net", "catalogue", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"entries": entries}
+
+
 def test_net_match_bare_number(capsys):
     assert main(["net", "match", "6.283185307179586"]) == 0
     assert "great circle, density 1" in capsys.readouterr().out
@@ -490,6 +508,15 @@ def test_boundary_circle_integral(datum_file, tmp_path, capsys):
     doc = read_json(out_path)
     assert doc["total"] == pytest.approx(-math.pi, abs=1e-15)
     assert doc["closed_vs_quad"] < 1e-10
+
+
+@pytest.mark.parametrize("quad", ["0", "8"])
+def test_boundary_circle_integral_rejects_too_few_quadrature_samples(datum_file, tmp_path, capsys, quad):
+    out_path = str(tmp_path / "integral.json")
+    assert main(["boundary", "circle-integral", datum_file, "--point", "0,0,1",
+                 "--quad", quad, "-o", out_path]) == 2
+    assert capsys.readouterr().err == "error: n_samples must be >= 16\n"
+    assert not os.path.exists(out_path)
 
 
 def test_boundary_sup(datum_file, capsys):
@@ -681,6 +708,17 @@ def test_analytic_block_of_the_wrong_shape_is_input_error(sphere_file, tmp_path,
     assert main(["analyze", str(path), option, "-o", str(tmp_path / "r.json")]) == 2
     err = capsys.readouterr().err
     assert f"mesh file {str(path)!r}: {message}" in err
+
+
+def test_junction_circle_with_a_zero_normal_is_input_error(sphere_file, tmp_path, capsys):
+    doc = read_json(sphere_file)
+    doc["analytic"] = {"junction_circles": [{"center": [0, 0, 0], "normal": [0, 0, 0], "radius": 1}]}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path), "--density=1,0,0", "-o", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: mesh file {str(path)!r}: 'analytic': 'junction_circles' entry 0: "
+        "'normal' must be 3 numbers, not all zero, not [0, 0, 0]\n")
 
 
 def test_analytic_block_may_leave_out_optional_keys(sphere_file, tmp_path):

@@ -24,6 +24,22 @@ from varifold_lab.mesh import junction_sheet_angles, make_varifold, total_mass
 TETRA_DENSITY = 3.0 * math.acos(-1.0 / 3.0) / math.pi
 
 
+#: Valid arguments other than the level, per generator.
+_ARGS = {
+    "sphere": {"R": 1.0}, "cap": {"R": 1.0, "theta": 1.2}, "double-bubble": {"theta2": 0.7, "rho": 1.0},
+    "double-bubble-flat": {"rho": 1.0}, "triple-bubble": {}, "branched-patch": {"delta": 0.1, "rho0": 1.0},
+    "singular-pair": {"disk_centers": [[0.0, 0.0]], "disk_radii": [0.3], "delta": 0.1},
+    "flat-disk": {"rho": 1.0}, "torus": {"R": 1.0, "r": 0.4},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ARGS))
+def test_every_generator_rejects_a_negative_level(name):
+    assert GENERATORS[name](**_ARGS[name], level=0).varifold.num_faces > 0
+    with pytest.raises(ValueError, match="^level must be >= 0$"):
+        GENERATORS[name](**_ARGS[name], level=-1)
+
+
 def test_registry_names():
     assert sorted(GENERATORS) == [
         "branched-patch",

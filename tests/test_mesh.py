@@ -104,7 +104,7 @@ def test_cached_arrays_are_read_only(sphere3):
     arrays.append(curvature.second_fundamental_norm(v).H)  # shares the cached array
     arrays += [getattr(grid, f.name) for f in dataclasses.fields(grid)
                if isinstance(getattr(grid, f.name), np.ndarray)]
-    assert len(arrays) == 22
+    assert len(arrays) == 20
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
@@ -517,6 +517,74 @@ def test_point_surface_distance_matches_a_scan_of_every_face(v, x0):
     x0 = np.array(x0)
     want = curvature._distance_to_faces(v.vertices, v.faces, x0)
     assert float(curvature.point_surface_distance(v, x0)).hex() == float(want).hex()
+
+
+def _closest_point_on_triangle(p, a, b, c) -> list[float]:
+    """Ericson's closest point on triangle abc to p (Real-Time Collision
+    Detection, 5.1.5), one Voronoi region test at a time, in scalar floats."""
+    def sub(u, w):
+        return [u[0] - w[0], u[1] - w[1], u[2] - w[2]]
+
+    def dot(u, w):
+        return u[0] * w[0] + u[1] * w[1] + u[2] * w[2]
+
+    def along(o, u, t):
+        return [o[0] + t * u[0], o[1] + t * u[1], o[2] + t * u[2]]
+
+    ab, ac, ap = sub(b, a), sub(c, a), sub(p, a)
+    d1, d2 = dot(ab, ap), dot(ac, ap)
+    if d1 <= 0 and d2 <= 0:
+        return list(a)
+    bp = sub(p, b)
+    d3, d4 = dot(ab, bp), dot(ac, bp)
+    if d3 >= 0 and d4 <= d3:
+        return list(b)
+    vc = d1 * d4 - d3 * d2
+    if vc <= 0 and d1 >= 0 and d3 <= 0:
+        return along(a, ab, d1 / (d1 - d3))
+    cp = sub(p, c)
+    d5, d6 = dot(ab, cp), dot(ac, cp)
+    if d6 >= 0 and d5 <= d6:
+        return list(c)
+    vb = d5 * d2 - d1 * d6
+    if vb <= 0 and d2 >= 0 and d6 <= 0:
+        return along(a, ac, d2 / (d2 - d6))
+    va = d3 * d6 - d5 * d4
+    if va <= 0 and d4 - d3 >= 0 and d5 - d6 >= 0:
+        return along(b, sub(c, b), (d4 - d3) / ((d4 - d3) + (d5 - d6)))
+    denom = va + vb + vc
+    return along(along(a, ab, vb / denom), ac, vc / denom)
+
+
+def _oracle_distance(v: DiscreteVarifold, p) -> float:
+    p = [float(x) for x in p]
+    return min(math.dist(p, _closest_point_on_triangle(p, *v.vertices[f].tolist())) for f in v.faces)
+
+
+@settings(max_examples=150, deadline=None)
+@given(v=_soups(), x0=st.tuples(*[st.floats(-40.0, 40.0)] * 3))
+def test_point_surface_distance_matches_the_closest_point_oracle(v, x0):
+    try:
+        mesh.validate(v)
+    except MeshError:
+        assume(False)
+    got = curvature.point_surface_distance(v, np.array(x0))
+    scale = max(1.0, max(map(abs, x0)), float(np.abs(v.vertices).max()))
+    assert abs(got - _oracle_distance(v, x0)) <= 1e-9 * scale
+
+
+def test_point_surface_distance_beyond_an_edge_is_not_the_plane_distance(sphere3):
+    # the projection of (0.6, 0.6, 0) lies in the triangle's plane beyond edge
+    # bc, where each weight alone is in [0, 1]; the nearest point is (0.5, 0.5, 0)
+    tri = make_varifold([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]])
+    p = np.array([0.6, 0.6, 0.0])
+    assert curvature.point_surface_distance(tri, p) == pytest.approx(math.sqrt(0.02), rel=1e-15)
+    assert curvature.point_surface_distance(tri, p) == pytest.approx(_oracle_distance(tri, p), rel=1e-15)
+    # the icosphere lies inside the unit sphere, so no point is nearer than |p| - 1
+    v, p = sphere3.varifold, np.array([40.0, -30.0, 12.0])
+    d = curvature.point_surface_distance(v, p)
+    assert d >= math.sqrt(40.0**2 + 30.0**2 + 12.0**2) - 1.0
+    assert d == pytest.approx(_oracle_distance(v, p), rel=1e-14)
 
 
 def test_zero_area_face_at_a_tiny_scale_is_degenerate():
