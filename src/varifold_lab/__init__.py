@@ -21,8 +21,8 @@ _EXPORTS = {
                  "make_datum", "save_datum", "sup_conormal_integral"),
     "curvature": ("enclosed_volume", "euler_characteristic", "helfrich_energy", "mean_curvature",
                   "second_fundamental_norm", "willmore_energy"),
-    "blowup": ("ball_mass", "ball_mass_ladder", "classify_density", "density", "li_yau_check",
-               "monotonicity_check", "spherical_link"),
+    "blowup": ("ball_mass_ladder", "classify_density", "density", "li_yau_check", "monotonicity_check",
+               "spherical_link"),
     "generators": ("GENERATORS", "gen_branched_patch", "gen_cap", "gen_double_bubble",
                    "gen_double_bubble_flat", "gen_flat_disk", "gen_singular_pair", "gen_sphere",
                    "gen_torus", "gen_triple_bubble"),

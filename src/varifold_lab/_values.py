@@ -11,8 +11,8 @@ import numpy as np
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    """Read-only contiguous ``a``; a view is copied, so its base cannot change it."""
-    a = np.ascontiguousarray(a)
+    """Read-only C-contiguous ``a`` of the same shape; a view is copied, so its base cannot change it."""
+    a = np.asarray(a, order="C")
     if not a.flags.owndata:
         a = a.copy()
     a.setflags(write=False)

@@ -28,11 +28,6 @@ ADMISSIBLE_DENSITIES: tuple[tuple[str, float], ...] = (
 )
 
 
-def ball_mass(v: DiscreteVarifold, x0, r: float) -> float:
-    """Mass of v restricted to the closed ball B(x0, r), by exact clipping."""
-    return float(ball_mass_ladder(v, x0, [r])[0])
-
-
 def ball_mass_ladder(v: DiscreteVarifold, x0, radii) -> np.ndarray:
     """Ball masses for several radii at once (one pass over the nearby faces)."""
     x0 = np.asarray(x0, dtype=np.float64)
@@ -305,48 +300,32 @@ def _circle_arcs(P: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray
 def spherical_link(v: DiscreteVarifold, x0, r: float) -> SphericalLink:
     """Intersection of spt v with the sphere ∂B_r(x0), rescaled to the unit sphere.
 
-    The faces the face grid finds near the sphere are screened by their vertex
-    distances; per remaining face the circle–triangle intersection is then
-    computed exactly in the face plane, as arrays over the faces (dot
-    products rounded like a 1-D ``a @ b``, angles from ``math.atan2``).
-    Lengths are summed from arc angles (multiplicity-weighted) with
-    ``math.fsum``, then the arcs are sampled and chained into polylines. Arc
-    ends crossing the same mesh edge coincide to round-off, so endpoint
-    merging uses a small scale-free tolerance; nodes where three or more ends
-    meet are junctions; at four-end nodes (transversal crossings) the
-    chaining continues straight through, onto the end that best continues
-    the arc, and stops if that end is already chained. A sphere that misses
-    the support gives the empty link.
+    The faces are those whose bounding sphere the face grid finds meeting the
+    sphere, less those with every vertex inside the ball; per face the
+    circle–triangle intersection is then computed exactly in the face plane,
+    as arrays over the faces (dot products rounded like a 1-D ``a @ b``,
+    angles from ``math.atan2``). Lengths are summed from arc angles
+    (multiplicity-weighted) with ``math.fsum``, then the arcs are sampled and
+    chained into polylines. Arc ends crossing the same mesh edge coincide to
+    round-off, so endpoint merging uses a small scale-free tolerance; nodes
+    where three or more ends meet are junctions; at four-end nodes
+    (transversal crossings) the chaining continues straight through, onto the
+    end that best continues the arc, and stops if that end is already
+    chained. A sphere that misses the support gives the empty link.
     """
     x0 = np.asarray(x0, dtype=np.float64)
     if not (np.isfinite(x0).all() and math.isfinite(r)):
         raise ValueError(f"link center and radius must be finite, got {x0.tolist()} and {r}")
     if not r > 0:
         raise ValueError("link radius must be positive")
-    grid = v.face_grid
-    # the shell query returns every face the screen below keeps. Such a face
-    # f has a vertex farther than r(1 - 1e-12) from x0, within f's spread s_f
-    # of its centroid, so |centroid - x0| + s_f > r(1 - 1e-12): the query's
-    # tolerance (at least 1e-9·r) covers the gap to the inner radius r. f
-    # also has a vertex within r + its longest edge of x0, and that edge is
-    # at most 2·s_f <= 2·spread, so f's bounding sphere meets B(x0, r + 2·spread)
-    fi = grid.query(x0, r + 2.0 * grid.spread, inner=r)
+    fi = v.face_grid.query(x0, r, inner=r)
     faces = np.take(v.faces, fi, axis=0)
     va = v.vertices[faces[:, 0]] - x0
     vb = v.vertices[faces[:, 1]] - x0
     vc = v.vertices[faces[:, 2]] - x0
-    norms = np.stack([np.linalg.norm(va, axis=1), np.linalg.norm(vb, axis=1), np.linalg.norm(vc, axis=1)])
-    dmin_v = norms.min(axis=0)
-    dmax_v = norms.max(axis=0)
-    # the max of |x - x0| over a triangle sits at a vertex, so the dmax test is
-    # exact; the min can undershoot the vertices by up to the longest edge
-    # (the circle may enter through an edge with all three vertices outside)
-    emax = np.max(np.stack([
-        np.linalg.norm(vb - va, axis=1),
-        np.linalg.norm(vc - vb, axis=1),
-        np.linalg.norm(va - vc, axis=1),
-    ]), axis=0)
-    keep = (dmin_v < r + emax) & (dmax_v > r * (1 - 1e-12))
+    # the max of |x - x0| over a triangle sits at a vertex, so this test is exact
+    dmax_v = np.linalg.norm(np.stack([va, vb, vc]), axis=2).max(axis=0)
+    keep = dmax_v > r * (1 - 1e-12)
     fi, va, vb, vc = fi[keep], va[keep], vb[keep], vc[keep]
     n = _kernels._cross(vb - va, vc - va)
     nn = np.sqrt(_kernels._dot(n, n))

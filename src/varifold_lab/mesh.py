@@ -113,9 +113,6 @@ class EdgeTopology:
     boundary_vertex_mask: np.ndarray = field(repr=False)
     junction_vertex_mask: np.ndarray = field(repr=False)
 
-    def faces_of_edge(self, i: int) -> np.ndarray:
-        return self.inc_faces[self.offsets[i]:self.offsets[i + 1]]
-
 
 def make_varifold(
     vertices: np.ndarray,
@@ -152,8 +149,10 @@ def validate(v: DiscreteVarifold) -> None:
         raise MeshError(f"faces must be (F, 3), got {v.faces.shape}")
     if not np.all(np.isfinite(v.vertices)):
         raise MeshError("vertices contain non-finite coordinates")
-    if len(v.multiplicity) != len(v.faces):
-        raise MeshError("multiplicity length does not match face count")
+    for key in ("multiplicity", "face_patches"):
+        a = getattr(v, key)
+        if a is not None and a.shape != (len(v.faces),):
+            raise MeshError(f"{key} shape {a.shape} does not match (F,) = ({len(v.faces)},)")
     if v.faces.min(initial=0) < 0 or v.faces.max(initial=-1) >= len(v.vertices):
         bad = int(np.nonzero((v.faces < 0) | (v.faces >= len(v.vertices)))[0][0])
         raise MeshError(f"face {bad} has a vertex index out of range")

@@ -153,7 +153,7 @@ def test_07_branched_point_density():
         assert rep.theta == pytest.approx(2.0, abs=0.03), delta
     flat = gen_branched_patch(0.0, 1.0, 5).varifold
     for r in (0.1, 0.25, 0.5):
-        assert blowup.ball_mass(flat, np.zeros(3), r) == pytest.approx(
+        assert blowup.ball_mass_ladder(flat, np.zeros(3), [r])[0] == pytest.approx(
             2 * math.pi * r * r, rel=1e-6
         )
 

@@ -18,7 +18,7 @@ TETRA_DENSITY = 3.0 * math.acos(-1.0 / 3.0) / math.pi  # ≈ 1.8245203439081783
 
 def test_ball_mass_rejects_nonpositive_radius(sphere3):
     with pytest.raises(ValueError):
-        blowup.ball_mass(sphere3.varifold, np.zeros(3), 0.0)
+        blowup.ball_mass_ladder(sphere3.varifold, np.zeros(3), [0.0])[0]
 
 
 def test_ball_mass_monotone_and_additive(sphere3):
@@ -157,7 +157,7 @@ NAN, INF = float("nan"), float("inf")
     (lambda v: blowup.spherical_link(v, [NAN, 0.0, 0.0], 0.3), "must be finite"),
     (lambda v: blowup.spherical_link(v, v.vertices[0], NAN), "must be finite"),
     (lambda v: blowup.spherical_link(v, v.vertices[0], INF), "must be finite"),
-    (lambda v: blowup.ball_mass(v, 0, NAN), "must be finite"),
+    (lambda v: blowup.ball_mass_ladder(v, 0, [NAN])[0], "must be finite"),
     (lambda v: blowup.ball_mass_ladder(v, v.vertices[0], [0.1, INF]), "must be finite"),
     (lambda v: blowup.density(v, [NAN, 0.0, 0.0]), "not on the support"),
 ], ids=["classify-nan", "monotonicity-nan-center", "link-nan-center", "link-nan-radius",
@@ -737,26 +737,29 @@ def test_face_grid_changes_no_bits_on_a_sparse_cloud(monkeypatch):
     assert run() == got
 
 
-def test_link_shell_query_holds_every_face_the_screen_keeps(monkeypatch):
+def test_link_query_holds_every_face_with_an_arc(monkeypatch):
     """On triple bubble L3, at x1, x2, a triple-line point and 50 seeded random
-    points, every face that passes ``spherical_link``'s vertex screen (over all
-    faces) is among the faces its grid query returns."""
+    points, ``_circle_arcs`` finds no arc on the faces that ``spherical_link``'s
+    grid query leaves out, so every face with an arc, over all faces, is among
+    those it returns; at the three closed-form points it returns under 4% of
+    the faces."""
     v = generators.gen_triple_bubble(3).varifold
     rng = np.random.default_rng(11)
     cases = [(np.array(p), 0.3) for p in (_X1, _X2, (0.0, 0.0, 1.0))]
     cases += [(v.vertices[rng.integers(v.num_vertices)] + rng.normal(scale=0.05, size=3),
                float(rng.uniform(0.05, 1.5))) for _ in range(50)]
-    returned = []
-    query = _grid.FaceGrid.query
+    query, circle_arcs = _grid.FaceGrid.query, blowup._circle_arcs
+    seen = {}  # a query returns seen["faces"] if it is set
     monkeypatch.setattr(_grid.FaceGrid, "query",
-                        lambda self, *args, **kwargs: returned.append(query(self, *args, **kwargs)) or returned[-1])
-    p = v.vertices[v.faces]
-    edges = np.linalg.norm(p - np.roll(p, -1, axis=1), axis=2).max(axis=1)
+                        lambda self, *args, **kwargs: seen.setdefault("faces", query(self, *args, **kwargs)))
+    monkeypatch.setattr(blowup, "_circle_arcs", lambda P, rho: seen.setdefault("arcs", circle_arcs(P, rho)))
     for i, (x0, r) in enumerate(cases):
-        norms = np.linalg.norm(p - x0, axis=2)
-        screened = np.flatnonzero((norms.min(axis=1) < r + edges) & (norms.max(axis=1) > r * (1 - 1e-12)))
+        seen.clear()
         blowup.spherical_link(v, x0, r)
-        got = returned.pop()
-        assert set(screened.tolist()) <= set(got.tolist())
+        got, rows = seen["faces"], seen["arcs"][0]
+        seen.clear()
+        seen["faces"] = np.setdiff1d(np.arange(v.num_faces), got)
+        blowup.spherical_link(v, x0, r)
+        assert len(seen["arcs"][0]) == 0
         if i < 3:  # the closed-form points: a link, from a small part of the mesh
-            assert 0 < len(screened) and len(got) < v.num_faces / 4
+            assert 0 < len(rows) and len(got) < v.num_faces / 25

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -184,8 +185,17 @@ _TRIANGLE = [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
     ((_TRIANGLE, [[0, 1, 2]]), {"face_patches": [True]}, "face_patches must hold integers, not booleans"),
     ((np.array(_TRIANGLE, dtype=bool), [[0, 1, 2]]), {}, "vertices must hold numbers, not bool"),
     ((_TRIANGLE, np.array([[0.0, 1.0, 2.0]])), {}, "faces must hold integers, not float64"),
+    ((_TRIANGLE, [[0, 1, 2]]), {"multiplicity": [[1]]},
+     r"multiplicity shape \(1, 1\) does not match \(F,\) = \(1,\)"),
+    ((_TRIANGLE, [[0, 1, 2]]), {"multiplicity": [[]]},
+     r"multiplicity shape \(1, 0\) does not match \(F,\) = \(1,\)"),
+    ((_TRIANGLE, [[0, 1, 2]]), {"face_patches": 0},
+     r"face_patches shape \(\) does not match \(F,\) = \(1,\)"),
+    ((_TRIANGLE, [[0, 1, 2]]), {"face_patches": [[0]]},
+     r"face_patches shape \(1, 1\) does not match \(F,\) = \(1,\)"),
 ], ids=["float-face", "float-multiplicity", "bool-vertex", "bool-face", "bool-patch",
-        "bool-vertex-array", "float-face-array"])
+        "bool-vertex-array", "float-face-array", "column-multiplicity", "empty-rows-multiplicity",
+        "scalar-patch", "column-patch"])
 def test_make_varifold_coerces_nothing(args, kwargs, message):
     with pytest.raises(MeshError, match=f"^{message}$"):
         make_varifold(*args, **kwargs)
@@ -235,7 +245,8 @@ def test_edge_topology_triple_junction():
     assert len(topo.junction_edges) == 1
     shared = topo.edges[topo.junction_edges[0]]
     assert sorted(shared.tolist()) == [0, 1]
-    assert len(topo.faces_of_edge(int(topo.junction_edges[0]))) == 3
+    i = topo.junction_edges[0]
+    assert len(topo.inc_faces[topo.offsets[i]:topo.offsets[i + 1]]) == 3
     assert topo.junction_vertex_mask[[0, 1]].all()
     assert not topo.junction_vertex_mask[2:].any()
 
@@ -385,6 +396,25 @@ def test_load_rejects_booleans_among_numbers(tmp_path, capsys, overrides, key, f
         mesh.load_mesh_file(path)
     assert main(["analyze", path, flag]) == 2
     assert f"'{key}' must hold" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides, key, shape",
+    [
+        ({"multiplicity": [[1], [2]]}, "multiplicity", "(2, 1)"),
+        ({"multiplicity": [[], []]}, "multiplicity", "(2, 0)"),
+        ({"face_patches": 0}, "face_patches", "()"),
+        ({"face_patches": [[0], [1]]}, "face_patches", "(2, 1)"),
+    ],
+    ids=["column-multiplicity", "empty-rows-multiplicity", "scalar-patch", "column-patch"],
+)
+def test_load_rejects_per_face_arrays_of_another_shape(tmp_path, capsys, overrides, key, shape):
+    path = _write_square(tmp_path / "bad.json", **overrides)
+    message = f"{key} shape {shape} does not match (F,) = (2,)"
+    with pytest.raises(MeshError, match=f"^{re.escape(message)}$"):
+        mesh.load_mesh_file(path)
+    assert main(["analyze", path, "--energy"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_load_keeps_face_patches(tmp_path):
