@@ -16,9 +16,9 @@ import sys
 
 #: Each public name's home module; ``__all__`` and ``__getattr__`` read this table.
 _EXPORTS = {
-    "boundary": ("BoundaryDatum", "CircleSpec", "admissibility_check", "boundary_measure",
-                 "circle_conormal_integral", "circle_conormal_integral_quad", "load_datum",
-                 "make_datum", "save_datum", "sup_conormal_integral"),
+    "boundary": ("BoundaryDatum", "CircleSpec", "admissibility_check", "circle_conormal_integral",
+                 "circle_conormal_integral_quad", "load_datum", "make_datum", "save_datum",
+                 "sup_conormal_integral"),
     "curvature": ("enclosed_volume", "euler_characteristic", "helfrich_energy", "mean_curvature",
                   "second_fundamental_norm", "willmore_energy"),
     "blowup": ("ball_mass_ladder", "classify_density", "density", "li_yau_check", "monotonicity_check",
@@ -26,8 +26,8 @@ _EXPORTS = {
     "generators": ("GENERATORS", "gen_branched_patch", "gen_cap", "gen_double_bubble",
                    "gen_double_bubble_flat", "gen_flat_disk", "gen_singular_pair", "gen_sphere",
                    "gen_torus", "gen_triple_bubble"),
-    "mesh": ("DiscreteVarifold", "MeshError", "edge_topology", "load_mesh_file", "make_varifold",
-             "refine", "save_varifold", "total_mass"),
+    "mesh": ("DiscreteVarifold", "MeshError", "boundary_measure", "edge_topology", "load_mesh_file",
+             "make_varifold", "refine", "save_varifold", "total_mass"),
     "netmatch": ("NetError", "match_link"),
     "nets": ("GeodesicNet", "balance_residual", "catalogue", "load_net", "make_net", "relax", "save_net",
              "total_length"),

@@ -1,17 +1,26 @@
 """Checks of the values the readers take: arrays and JSON values are never coerced.
 
 The mesh, net and boundary readers share these, each passing its own error
-type, so a net or boundary command need not load the mesh module.
+type, so a net or boundary command need not load the mesh module. NumPy is
+imported only inside the two array helpers, so the scalar checks do not load it.
 """
 from __future__ import annotations
 
 import itertools
+import numbers
 
-import numpy as np
+
+class MeshError(ValueError):
+    """Raised for structurally invalid meshes (bad indices, degenerate faces, ...)
+    and at singular basepoints of a boundary integrand."""
+
+    __module__ = "varifold_lab.mesh"  # its public home, which re-exports it
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
+def _frozen(a):
     """Read-only C-contiguous ``a`` of the same shape; a view is copied, so its base cannot change it."""
+    import numpy as np
+
     a = np.asarray(a, order="C")
     if not a.flags.owndata:
         a = a.copy()
@@ -19,9 +28,11 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _numeric(x, kinds: str, where: str, error: type[ValueError]) -> np.ndarray:
+def _numeric(x, kinds: str, where: str, error: type[ValueError]):
     """``x`` as an array of dtype kind in ``kinds`` ("iu" or "iuf"), never coerced, else ``error``
     naming ``where``. A sequence is also scanned for booleans, which NumPy reads as 1 and 0."""
+    import numpy as np
+
     a = np.asarray(x)
     want = "integers" if kinds == "iu" else "numbers"
     if not isinstance(x, np.ndarray):
@@ -35,12 +46,12 @@ def _numeric(x, kinds: str, where: str, error: type[ValueError]) -> np.ndarray:
 
 def _is_int(x) -> bool:
     """A Python or NumPy integer; booleans are not integers here."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def _is_number(x) -> bool:
     """A Python or NumPy integer or float; booleans are not numbers here."""
-    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 #: Tests of a JSON value for ``_check_rows``, each with what it asks for.

@@ -1,35 +1,58 @@
-"""Boundary measures and circle conormal integrals.
+"""Circle conormal integrals and the admissibility threshold, in ``math``.
 
-The discrete side extracts per-edge outward conormals from a mesh with
-boundary.  The analytic side evaluates the conormal integral of a circle with
-plane-orthogonal conormal, in closed form and by spectral quadrature, plus the
-sup-over-basepoints search and the admissibility threshold report built on it.
+The conormal integral of a circle with plane-orthogonal conormal has a closed
+form and a spectral quadrature; the sup over basepoints of a datum's total is
+found from the closed form's structure, and the admissibility report is built
+on it. Every value is a per-point scalar: 3-vector products are written out in
+one fixed order and totals are ``math.fsum``s, so no command here loads NumPy
+and a value does not depend on what is evaluated with it. The discrete
+boundary of a mesh (``boundary_measure``) lives in ``mesh``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import _kernels  # run only by the quadrature's circle frame
-from . import mesh  # run only by boundary_measure and the singular-basepoint errors
-from ._values import _INTEGER, _NUMBER, _POINT, _check_rows, _is_int, _is_number, _numeric
+from ._values import _INTEGER, _NUMBER, _POINT, MeshError, _check_rows, _is_int, _is_number, _numeric
 from .reports import Record, load_json, save_json
-
-if TYPE_CHECKING:
-    from .mesh import DiscreteVarifold
 
 _FOUR_PI = 4.0 * math.pi
 
 
-def _unit(a: np.ndarray) -> np.ndarray:
-    n = float(np.linalg.norm(a))
+def _dot(a, b) -> float:
+    return (a[0] * b[0] + a[1] * b[1]) + a[2] * b[2]
+
+
+def _cross(a, b) -> tuple[float, float, float]:
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _unit(a) -> tuple[float, float, float]:
+    n = math.sqrt(_dot(a, a))
     if n == 0.0:
         raise ValueError("zero vector cannot be normalized")
-    return a / n
+    return (a[0] / n, a[1] / n, a[2] / n)
+
+
+def _vector(x, where: str) -> tuple[float, float, float]:
+    """``x`` as 3 finite floats; anything but 3 numbers raises ValueError naming ``where``."""
+    if not (isinstance(x, (list, tuple)) and len(x) == 3 and all(map(_is_number, x))):
+        a = _numeric(x, "iuf", where, ValueError)  # an array, or a message naming what is wrong
+        if a.shape != (3,):
+            raise ValueError(f"{where} must be 3 numbers, not {x!r}")
+        x = a.tolist()
+    v = (float(x[0]), float(x[1]), float(x[2]))
+    if not all(map(math.isfinite, v)):
+        raise ValueError(f"{where} must be finite, not {list(v)}")
+    return v
+
+
+def _point(x0) -> tuple[float, float, float]:
+    x = tuple(map(float, x0))
+    if len(x) != 3:
+        raise ValueError(f"a basepoint must be 3 numbers, not {x0!r}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -40,28 +63,25 @@ class CircleSpec(Record):
     (the closed-form lemma's hypothesis). ``center`` and ``normal`` must be 3
     numbers and ``radius`` a number, ``m`` an integer >= 1 and
     ``conormal_sign`` the integer +1 or -1 (Python or NumPy numbers, not
-    booleans or strings); ``m`` and ``conormal_sign`` are stored as Python ints.
-    ``normal`` is scaled to unit length unless its norm is within 4 ulps of 1
-    already, so a saved circle loads back with the same bits.
+    booleans or strings). ``center`` and ``normal`` are stored as tuples of 3
+    floats, ``radius`` as a float, ``m`` and ``conormal_sign`` as ints.
+    ``normal`` is scaled to unit length unless its norm, sqrt((x² + y²) + z²),
+    is within 4 ulps of 1 already, so a saved circle loads back with the same
+    bits.
     """
 
-    center: np.ndarray
+    center: tuple[float, float, float]
     radius: float
-    normal: np.ndarray
+    normal: tuple[float, float, float]
     m: int = 1
     conormal_sign: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("center", "normal"):
-            value = _numeric(getattr(self, name), "iuf", f"circle {name}", ValueError).astype(np.float64)
-            if value.shape != (3,):
-                raise ValueError(f"circle {name} must be 3 numbers, not {getattr(self, name)!r}")
-            if not np.isfinite(value).all():
-                raise ValueError(f"circle {name} must be finite, not {value.tolist()}")
-            if name == "normal" and not abs(float(np.linalg.norm(value)) - 1.0) <= 4.0 * math.ulp(1.0):
-                value = _unit(value)
-            value.flags.writeable = False
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "center", _vector(self.center, "circle center"))
+        normal = _vector(self.normal, "circle normal")
+        if not abs(math.sqrt(_dot(normal, normal)) - 1.0) <= 4.0 * math.ulp(1.0):
+            normal = _unit(normal)
+        object.__setattr__(self, "normal", normal)
         if not _is_number(self.radius):
             raise ValueError(f"circle radius must be a number, not {self.radius!r}")
         radius = float(self.radius)
@@ -112,90 +132,85 @@ def load_datum(path: str) -> BoundaryDatum:
 
 
 # ---------------------------------------------------------------------------
-# discrete boundary of a mesh
-
-@dataclass(frozen=True)
-class DiscreteBoundary:
-    """Boundary edges of a mesh with their lengths and outward conormals."""
-
-    edges: np.ndarray       # (B, 2) vertex indices
-    lengths: np.ndarray     # (B,)
-    conormals: np.ndarray   # (B, 3) unit, in the incident face plane, outward
-    multiplicity: np.ndarray  # (B,) of the incident face
-    total_length: float
-
-
-def boundary_measure(v: DiscreteVarifold) -> DiscreteBoundary:
-    """Per-edge outward conormals on the boundary of ``v``.
-
-    Each boundary edge has exactly one incident face; the conormal is the
-    in-plane unit normal to the edge pointing out of that face.  A closed mesh
-    yields an empty boundary.
-    """
-    edges, fidx, vec, conormals = mesh._boundary_conormals(v, v.face_geometry[0])
-    lengths = np.linalg.norm(vec, axis=1)
-    conormals /= np.linalg.norm(conormals, axis=1, keepdims=True)
-    mult = v.multiplicity[fidx]
-    total = float(np.dot(mult.astype(np.float64), lengths))
-    return DiscreteBoundary(edges, lengths, conormals, mult, total)
-
-
-# ---------------------------------------------------------------------------
 # circle conormal integral: closed form and quadrature
 
-def _circle_eval(circle: CircleSpec, pts: np.ndarray) -> np.ndarray:
-    """Closed-form conormal integral of one circle at each basepoint of ``pts`` (N, 3).
+#: A basepoint within this distance of a circle, in radii, is on it: the
+#: closed form's denominator is twice that distance there.
+_ON_CIRCLE = 1e-9
 
-    After reduction to the unit circle with conormal e3 and x0 = (a, 0, c),
-    the value is m * (I(a) + I(-a)) with
-    I(a) = -c*pi / (sqrt((1+a)^2+c^2) * sqrt((1-a)^2+c^2)); the two terms
-    coincide. A basepoint on the circle, where the integrand is singular,
+
+def _terms(circle: CircleSpec, x) -> tuple[tuple[float, float, float], float, float, float]:
+    """``(w, h, u, d)`` at basepoint x: w = (x - center) / radius, h = w·normal,
+    u = 1 - |w|² and d = sqrt(u² + 4h²)."""
+    c, r = circle.center, circle.radius
+    w = ((x[0] - c[0]) / r, (x[1] - c[1]) / r, (x[2] - c[2]) / r)
+    h = _dot(w, circle.normal)
+    u = 1.0 - _dot(w, w)
+    return w, h, u, math.sqrt(u * u + 4.0 * h * h)
+
+
+def _circle_eval(circle: CircleSpec, x) -> float:
+    """Closed-form conormal integral of one circle at basepoint x.
+
+    In units of the radius, with w = (x - center) / radius and h = w·normal,
+    the value is -2π·m·sign·h / sqrt((1 - |w|²)² + 4h²): at most m·π in
+    absolute value, and exactly m·π on the open hemisphere |w| = 1,
+    sign·h < 0. A basepoint on the circle, where the integrand is singular,
     gets -inf.
     """
-    w = (pts - circle.center) / circle.radius
-    h = w @ circle.normal
-    a = np.linalg.norm(w - h[:, None] * circle.normal, axis=1)
-    sing = np.sqrt((a - 1.0) ** 2 + h * h) < 1e-9
-    denom = np.sqrt((1.0 + a) ** 2 + h * h) * np.sqrt((1.0 - a) ** 2 + h * h)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        val = -2.0 * h * math.pi / denom
-    return np.where(sing, -np.inf, circle.m * circle.conormal_sign * val)
+    _, h, _, d = _terms(circle, x)
+    if d < 2.0 * _ON_CIRCLE:
+        return -math.inf
+    return -2.0 * math.pi * (circle.m * circle.conormal_sign) * (h / d)
+
+
+def _circle_grad(circle: CircleSpec, x) -> tuple[float, float, float]:
+    """Gradient in x of ``_circle_eval``: -2π·m·sign·u / (radius·d³) · (u·normal + 2h·w)."""
+    w, h, u, d = _terms(circle, x)
+    k = -2.0 * math.pi * (circle.m * circle.conormal_sign) * u / (circle.radius * d * d * d)
+    n = circle.normal
+    return (k * (u * n[0] + 2.0 * h * w[0]), k * (u * n[1] + 2.0 * h * w[1]), k * (u * n[2] + 2.0 * h * w[2]))
 
 
 def circle_conormal_integral(circle: CircleSpec, x0) -> float:
     """Closed-form conormal integral of one circle at basepoint x0 (see ``_circle_eval``)."""
-    val = float(_circle_eval(circle, np.asarray(x0, dtype=np.float64).reshape(1, 3))[0])
+    val = _circle_eval(circle, _point(x0))
     if val == -math.inf:
-        raise mesh.MeshError("integrand singular: x0 lies on the circle")
+        raise MeshError("integrand singular: x0 lies on the circle")
     return val
 
 
-def _circle_frame(circle: CircleSpec) -> tuple[np.ndarray, np.ndarray]:
+def _circle_frame(circle: CircleSpec) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Unit e1, e2 with (e1, e2, normal) right-handed; e1 ⊥ the axis where |normal| is least."""
     n = circle.normal
-    pick = np.zeros(3)
-    pick[int(np.argmin(np.abs(n)))] = 1.0
-    e1 = _unit(_kernels._cross(n[None], pick[None])[0])
-    e2 = _kernels._cross(n[None], e1[None])[0]
-    return e1, e2
+    k = min(range(3), key=lambda i: abs(n[i]))
+    e1 = _unit(_cross(n, [1.0 if i == k else 0.0 for i in range(3)]))
+    return e1, _cross(n, e1)
+
+
+def _circle_point(circle: CircleSpec, frame, t: float) -> tuple[float, float, float]:
+    """center + radius·(cos t·e1 + sin t·e2)."""
+    (e1, e2), c, r = frame, circle.center, circle.radius
+    ct, st = r * math.cos(t), r * math.sin(t)
+    return (c[0] + ct * e1[0] + st * e2[0], c[1] + ct * e1[1] + st * e2[1], c[2] + ct * e1[2] + st * e2[2])
 
 
 def circle_conormal_integral_quad(circle: CircleSpec, x0, n_samples: int = 256) -> float:
     """Trapezoid-rule conormal integral (spectrally accurate: periodic smooth)."""
     if n_samples < 16:
         raise ValueError("n_samples must be >= 16")
-    x0 = np.asarray(x0, dtype=np.float64).reshape(3)
-    nu = circle.conormal_sign * circle.normal
-    e1, e2 = _circle_frame(circle)
-    t = 2.0 * math.pi * np.arange(n_samples) / n_samples
-    pts = (circle.center
-           + circle.radius * np.outer(np.cos(t), e1)
-           + circle.radius * np.outer(np.sin(t), e2))
-    d = pts - x0
-    dd = np.einsum("ij,ij->i", d, d)
-    if math.sqrt(float(dd.min())) < 1e-12 * circle.radius:
-        raise mesh.MeshError("integrand singular: x0 lies on the circle")
-    vals = (d @ nu) / dd
-    return circle.m * float(vals.mean()) * 2.0 * math.pi * circle.radius
+    x0 = _point(x0)
+    nu = tuple(circle.conormal_sign * a for a in circle.normal)
+    frame = _circle_frame(circle)
+    vals = []
+    for k in range(n_samples):
+        p = _circle_point(circle, frame, 2.0 * math.pi * k / n_samples)
+        d = (p[0] - x0[0], p[1] - x0[1], p[2] - x0[2])
+        dd = _dot(d, d)
+        if math.sqrt(dd) < 1e-12 * circle.radius:
+            raise MeshError("integrand singular: x0 lies on the circle")
+        vals.append(_dot(d, nu) / dd)
+    return circle.m * (math.fsum(vals) / n_samples) * 2.0 * math.pi * circle.radius
 
 
 # ---------------------------------------------------------------------------
@@ -203,67 +218,180 @@ def circle_conormal_integral_quad(circle: CircleSpec, x0, n_samples: int = 256) 
 
 @dataclass(frozen=True)
 class ConormalSup(Record):
+    """The sup of a datum's total integral, and where it is reached.
+
+    ``kind`` is "circle" when the sup is the limit along circle ``circle``:
+    ``argmax`` is then a point on that circle and ``value`` is
+    m·π + the other circles' integrals there. It is "interior" when the sup
+    is a local maximum off the circles: ``argmax`` is that basepoint, the
+    total there is ``value``, and ``circle`` is None.
+    """
+
     value: float
-    argmax: np.ndarray
-    grid_shape: tuple[int, int, int]
+    argmax: tuple[float, float, float]
+    kind: str
+    circle: int | None
 
 
-def _datum_eval(datum: BoundaryDatum, pts: np.ndarray) -> np.ndarray:
-    """Total integral at many basepoints (singular points -> -inf)."""
-    total = np.zeros(len(pts))
-    for c in datum.circles:
-        total = total + _circle_eval(c, pts)
-    return total
+def _total(datum: BoundaryDatum, x) -> float:
+    return math.fsum([_circle_eval(c, x) for c in datum.circles])
 
 
-def sup_conormal_integral(datum: BoundaryDatum, grid_n: int = 24) -> ConormalSup:
-    """Sup over basepoints of the total conormal integral.
+def _datum_eval(datum: BoundaryDatum, pts) -> list[float]:
+    """Total integral at each basepoint of ``pts`` (singular points -> -inf)."""
+    return [_total(datum, x) for x in pts]
 
-    Coarse grid of ``grid_n`` >= 2 points per axis over the circles' bounding
-    box padded by two diameters (the integrand decays like 1/dist^2, so the
-    sup lies inside), then a deterministic pattern-search polish.  Grid ties
-    resolve to the first point in C scan order; the polish shrinks its step by
-    half on failure, down to 1e-9 of the diameter.
+
+def _total_grad(datum: BoundaryDatum, x) -> tuple[float, float, float]:
+    grads = [_circle_grad(c, x) for c in datum.circles]
+    return tuple(math.fsum([g[k] for g in grads]) for k in range(3))
+
+
+#: Samples of the 1-D search along a circle, and how many of its sampled
+#: local maxima are refined by golden-section search.
+_CIRCLE_SAMPLES = 64
+_CIRCLE_REFINED = 4
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _circle_limit(datum: BoundaryDatum, i: int) -> tuple[float, tuple[float, float, float]]:
+    """Max over p on circle i of m_i·π + the other circles' total at p, and its p.
+
+    The others are sampled at ``_CIRCLE_SAMPLES`` angles, and the best of the
+    sampled local maxima are refined by golden-section search between their
+    neighbours. With one circle the value is m·π, at angle 0.
+    """
+    circle = datum.circles[i]
+    others = [c for j, c in enumerate(datum.circles) if j != i]
+    frame = _circle_frame(circle)
+
+    def limit(t: float) -> tuple[float, tuple[float, float, float]]:
+        p = _circle_point(circle, frame, t)
+        return math.fsum([circle.m * math.pi] + [_circle_eval(c, p) for c in others]), p
+
+    if not others:
+        return limit(0.0)
+    step = 2.0 * math.pi / _CIRCLE_SAMPLES
+    vals = [limit(k * step)[0] for k in range(_CIRCLE_SAMPLES)]
+    peaks = [k for k in range(_CIRCLE_SAMPLES)
+             if vals[k] >= vals[k - 1] and vals[k] >= vals[(k + 1) % _CIRCLE_SAMPLES]]
+    best = limit(0.0)
+    for k in sorted(peaks, key=lambda k: -vals[k])[:_CIRCLE_REFINED]:
+        a, b = (k - 1) * step, (k + 1) * step
+        s, t = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+        fs, ft = limit(s)[0], limit(t)[0]
+        while b - a > 1e-10:
+            if fs < ft:
+                a, s, fs = s, t, ft
+                t = a + _GOLDEN * (b - a)
+                ft = limit(t)[0]
+            else:
+                b, t, ft = t, s, fs
+                s = b - _GOLDEN * (b - a)
+                fs = limit(s)[0]
+        best = max(best, limit(k * step), limit(0.5 * (a + b)), key=lambda vp: vp[0])
+    return best
+
+
+#: Steps of one local ascent, and the Armijo fraction of its line search.
+_ASCENT_STEPS = 200
+_ARMIJO = 1e-4
+
+
+def _ascend(datum: BoundaryDatum, x, scale: float) -> tuple[float, tuple[float, float, float]]:
+    """A local maximum of the total from x: BFGS ascent with the analytic
+    gradient and a backtracking line search, first step ``scale`` long.
+    Returns (total, point) at the last accepted point."""
+    fx = _total(datum, x)
+    g = _total_grad(datum, x)
+    inv = None  # the inverse Hessian estimate of -total, rows of 3
+    for _ in range(_ASCENT_STEPS):
+        if inv is None:
+            gn = math.sqrt(_dot(g, g))
+            if gn == 0.0:
+                break
+            p = tuple(scale / gn * a for a in g)
+        else:
+            p = tuple(_dot(row, g) for row in inv)
+        slope = _dot(g, p)
+        if not slope > 0.0:
+            if inv is None:
+                break
+            inv = None
+            continue
+        t = 1.0
+        while True:
+            y = (x[0] + t * p[0], x[1] + t * p[1], x[2] + t * p[2])
+            fy = _total(datum, y)
+            if fy >= fx + _ARMIJO * t * slope:
+                break
+            t *= 0.5
+            if t < 1e-12:
+                return fx, x
+        gy = _total_grad(datum, y)
+        s = (y[0] - x[0], y[1] - x[1], y[2] - x[2])
+        dg = (g[0] - gy[0], g[1] - gy[1], g[2] - gy[2])  # the change of -grad
+        done = fy - fx <= 1e-15 * abs(fy) or math.sqrt(_dot(s, s)) <= 1e-14 * scale
+        x, fx, g = y, fy, gy
+        if done:
+            break
+        sy = _dot(s, dg)
+        if sy > 0.0:
+            if inv is None:
+                inv = [[sy / _dot(dg, dg) if i == j else 0.0 for j in range(3)] for i in range(3)]
+            # H <- (I - ρ s yᵀ) H (I - ρ y sᵀ) + ρ s sᵀ, ρ = 1 / sᵀy
+            rho = 1.0 / sy
+            hy = [_dot(row, dg) for row in inv]
+            yhy = _dot(dg, hy)
+            inv = [[inv[i][j] - rho * (hy[i] * s[j] + s[i] * hy[j]) + (rho * rho * yhy + rho) * s[i] * s[j]
+                    for j in range(3)] for i in range(3)]
+    return fx, x
+
+
+#: Points per axis of the grid that seeds the interior ascents, and how many
+#: of its best points seed one.
+_GRID_N = 8
+_GRID_SEEDS = 4
+
+
+def sup_conormal_integral(datum: BoundaryDatum) -> ConormalSup:
+    """Sup over basepoints of the total conormal integral, from its structure.
+
+    One circle's integral is at most m·π, reached on a whole open hemisphere,
+    and its limits at the circle fill [-m·π, m·π]; the others are smooth
+    there. So the total's sup is either the limit along a circle i, the max
+    over p on it of m_i·π + the other circles' total (``_circle_limit``), or
+    a local maximum off the circles. The latter are found by ascents
+    (``_ascend``) seeded at each circle's axis points center ± radius·normal,
+    which lie on the hemispheres, and at the best points of a coarse grid
+    over the circles' spheres, padded by the largest radius. The largest
+    candidate wins; a maximum an ascent reached, which is attained, wins over
+    a circle limit that only ties it.
     """
     if not datum.circles:
         raise ValueError("datum has no circles")
-    if grid_n < 2:
-        raise ValueError(f"the sup grid needs at least 2 points per axis, not {grid_n}")
-    centers = np.array([c.center for c in datum.circles])
-    radii = np.array([c.radius for c in datum.circles])
-    lo = (centers - radii[:, None]).min(axis=0)
-    hi = (centers + radii[:, None]).max(axis=0)
-    diam = float(max(np.max(hi - lo), 2.0 * radii.max()))
-    lo = lo - 2.0 * diam
-    hi = hi + 2.0 * diam
-    axes = [np.linspace(lo[k], hi[k], grid_n) for k in range(3)]
-    gx, gy, gz = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
-    vals = _datum_eval(datum, pts)
-    best = int(np.argmax(vals))
-    x = pts[best].copy()
-    fx = float(vals[best])
-
-    step = float((hi - lo).max() / (grid_n - 1))
-    dirs = np.array([
-        [1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1],
-    ], dtype=np.float64)
-    while step > 1e-9 * diam:
-        cand = x + step * dirs
-        cv = _datum_eval(datum, cand)
-        k = int(np.argmax(cv))
-        if cv[k] > fx:
-            x, fx = cand[k].copy(), float(cv[k])
-        else:
-            step *= 0.5
-    return ConormalSup(fx, x, (grid_n, grid_n, grid_n))
+    rmax = max(c.radius for c in datum.circles)
+    lo = [min(c.center[k] - c.radius for c in datum.circles) - rmax for k in range(3)]
+    hi = [max(c.center[k] + c.radius for c in datum.circles) + rmax for k in range(3)]
+    axes = [[lo[k] + (hi[k] - lo[k]) * i / (_GRID_N - 1) for i in range(_GRID_N)] for k in range(3)]
+    grid = [(a, b, c) for a in axes[0] for b in axes[1] for c in axes[2]]
+    vals = _datum_eval(datum, grid)
+    order = sorted(range(len(grid)), key=lambda k: -vals[k])[:_GRID_SEEDS]
+    seeds = [tuple(c.center[k] + sign * c.radius * c.normal[k] for k in range(3))
+             for c in datum.circles for sign in (1.0, -1.0)]
+    seeds += [grid[k] for k in order]
+    scale = 0.1 * min(c.radius for c in datum.circles)
+    cands = [(*_ascend(datum, x, scale), "interior", None) for x in seeds]
+    cands += [(*_circle_limit(datum, i), "circle", i) for i in range(len(datum.circles))]
+    value, argmax, kind, circle = max(cands, key=lambda cand: cand[0])
+    return ConormalSup(value, argmax, kind, circle)
 
 
 @dataclass(frozen=True)
 class AdmissibilityReport(Record):
     p_estimate: float
     sup_value: float
-    sup_argmax: np.ndarray
+    sup_argmax: tuple[float, float, float]
     total: float
     threshold: float
     slack: float

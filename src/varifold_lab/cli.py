@@ -41,14 +41,12 @@ def _quote(value, limit: int = 60) -> str:
     return text if len(text) <= limit else text[:limit - 3] + "..."
 
 
-def _parse_point(text: str):
-    import numpy as np
-
+def _parse_point(text: str) -> tuple[float, float, float]:
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError(f"malformed point spec {text!r}: need x,y,z")
     try:
-        return np.array([finite(p) for p in parts])
+        return tuple(finite(p) for p in parts)
     except ValueError:
         raise ValueError(f"malformed point spec {text!r}: need three finite numbers") from None
 
@@ -64,7 +62,7 @@ def _parse_link_spec(text: str):
         raise ValueError(f"malformed link spec {text!r}: bad radius {tail!r}") from None
     if r <= 0:
         raise ValueError(f"malformed link spec {text!r}: radius must be positive")
-    return {"point": point.tolist(), "radius": r}
+    return {"point": list(point), "radius": r}
 
 
 def _parse_disk_spec(text: str):
@@ -156,7 +154,7 @@ def _energy(v, analytic, tol, _) -> dict:
 
 
 def _density_spec(text: str) -> dict:
-    return {"point": _parse_point(text).tolist()}
+    return {"point": list(_parse_point(text))}
 
 
 def _density(v, analytic, tol, spec) -> dict:
@@ -227,7 +225,7 @@ def _helfrich(v, analytic, tol, c0) -> dict:
 
 
 def _boundary(v, analytic, tol, _) -> dict:
-    b = bnd.boundary_measure(v)
+    b = mesh.boundary_measure(v)
     return {"edge_count": int(len(b.edges)), "total_length": b.total_length, "closed": bool(len(b.edges) == 0)}
 
 
@@ -355,7 +353,7 @@ def cmd_boundary_circle_integral(args) -> int:
     x0 = _parse_point(args.point)
     per = [bnd.circle_conormal_integral(c, x0) for c in datum.circles]
     total = math.fsum(per)
-    doc: dict = {"point": x0.tolist(), "per_circle": per, "total": total}
+    doc: dict = {"point": list(x0), "per_circle": per, "total": total}
     if args.quad is not None:
         quad = [
             bnd.circle_conormal_integral_quad(c, x0, n_samples=args.quad)
@@ -372,9 +370,10 @@ def cmd_boundary_circle_integral(args) -> int:
 
 def cmd_boundary_sup(args) -> int:
     datum = bnd.load_datum(args.datum)
-    sup = bnd.sup_conormal_integral(datum, grid_n=args.grid)
+    sup = bnd.sup_conormal_integral(datum)
     x = sup.argmax
-    print(f"sup {sup.value:.12f} at ({x[0]:.9f}, {x[1]:.9f}, {x[2]:.9f})")
+    where = "an interior maximum" if sup.kind == "interior" else f"the limit along circle {sup.circle}"
+    print(f"sup {sup.value:.12f} at ({x[0]:.9f}, {x[1]:.9f}, {x[2]:.9f}), {where}")
     if args.out:
         write_report(sup.to_dict(), args.out)
     return 0
@@ -491,7 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
     bc.set_defaults(func=cmd_boundary_circle_integral)
     bs = bsub.add_parser("sup", help="sup of the integral over basepoints")
     bs.add_argument("datum", help="boundary datum JSON path")
-    bs.add_argument("--grid", type=int, default=24, help="coarse grid points per axis")
     bs.add_argument("-o", "--out", help="JSON output path")
     bs.set_defaults(func=cmd_boundary_sup)
     ba = bsub.add_parser("admissible", help="check P + 2*sup against a threshold")

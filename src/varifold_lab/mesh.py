@@ -1,4 +1,4 @@
-"""Triangle-soup varifolds: immutable mesh container, topology, refinement.
+"""Triangle-soup varifolds: immutable mesh container, topology, boundary measure, refinement.
 
 A discrete 2-varifold is a triangle soup with a positive integer multiplicity
 per face. Edges may bound one face (boundary), two faces (manifold interior),
@@ -15,15 +15,11 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ._kernels import _cross, _dot
-from ._values import _DIRECTION, _NUMBER, _POINT, _check_rows, _frozen, _is_number, _numeric
+from ._values import _DIRECTION, _NUMBER, _POINT, MeshError, _check_rows, _frozen, _is_number, _numeric
 from .reports import load_json, save_json
 
 if TYPE_CHECKING:
     from ._grid import FaceGrid
-
-
-class MeshError(ValueError):
-    """Raised for structurally invalid meshes (bad indices, degenerate faces, ...)."""
 
 
 @dataclass(frozen=True)
@@ -209,6 +205,32 @@ def _boundary_conormals(v: DiscreteVarifold, nhat: np.ndarray) -> tuple[np.ndarr
     evec = (v.vertices[edges[:, 1]] - v.vertices[edges[:, 0]]) * s[:, None]
     nu = _cross(evec, nhat[f])
     return edges, f, evec, nu
+
+
+@dataclass(frozen=True)
+class DiscreteBoundary:
+    """Boundary edges of a mesh with their lengths and outward conormals."""
+
+    edges: np.ndarray       # (B, 2) vertex indices
+    lengths: np.ndarray     # (B,)
+    conormals: np.ndarray   # (B, 3) unit, in the incident face plane, outward
+    multiplicity: np.ndarray  # (B,) of the incident face
+    total_length: float
+
+
+def boundary_measure(v: DiscreteVarifold) -> DiscreteBoundary:
+    """Per-edge outward conormals on the boundary of ``v``.
+
+    Each boundary edge has exactly one incident face; the conormal is the
+    in-plane unit normal to the edge pointing out of that face.  A closed mesh
+    yields an empty boundary.
+    """
+    edges, fidx, vec, conormals = _boundary_conormals(v, v.face_geometry[0])
+    lengths = np.linalg.norm(vec, axis=1)
+    conormals /= np.linalg.norm(conormals, axis=1, keepdims=True)
+    mult = v.multiplicity[fidx]
+    total = float(np.dot(mult.astype(np.float64), lengths))
+    return DiscreteBoundary(edges, lengths, conormals, mult, total)
 
 
 #: The weld's sweep direction: a fixed unit vector normal to no coordinate or

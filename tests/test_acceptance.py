@@ -185,7 +185,7 @@ def test_08_conormal_closed_form():
         x0 = 3.0 * rng.standard_normal(3)
         w = (x0 - circle.center) / circle.radius
         c = w @ circle.normal
-        a = np.linalg.norm(w - c * circle.normal)
+        a = np.linalg.norm(w - c * np.asarray(circle.normal))
         if math.hypot(a - 1.0, c) < 1e-3:
             continue
         checked += 1

@@ -524,11 +524,19 @@ def test_boundary_sup(datum_file, capsys):
     assert "sup 3.14159" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("grid", ["1", "0", "-2"])
-def test_boundary_sup_rejects_a_grid_below_two(datum_file, capsys, grid):
-    # --grid 1 made the polish step infinite, so the search never ended
-    assert main(["boundary", "sup", datum_file, "--grid", grid]) == 2
-    assert f"at least 2 points per axis, not {grid}" in capsys.readouterr().err
+def test_circle_integral_at_an_interior_argmax_reproduces_the_sup(tmp_path, capsys):
+    # two circles whose sup is a maximum off both, 0.72 above either circle's limit
+    path, sup_path, at_path = (str(tmp_path / f"{k}.json") for k in ("datum", "sup", "at"))
+    (tmp_path / "datum.json").write_text(json.dumps({"circles": [
+        {"center": [1, 2, 3], "radius": 1, "normal": [1, -1, -1]},
+        {"center": [3, 3, 2], "radius": 1, "normal": [0, 1, 0], "conormal_sign": -1}]}))
+    assert main(["boundary", "sup", path, "-o", sup_path]) == 0
+    assert capsys.readouterr().out.endswith(", an interior maximum\n")
+    sup = read_json(sup_path)
+    assert (sup["kind"], sup["circle"]) == ("interior", None)
+    assert main(["boundary", "circle-integral", path, "--point", ",".join(map(repr, sup["argmax"])),
+                 "-o", at_path]) == 0
+    assert read_json(at_path)["total"].hex() == sup["value"].hex()
 
 
 @pytest.mark.parametrize("key, value, message", [

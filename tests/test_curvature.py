@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from varifold_lab import boundary, curvature, generators, mesh
+from varifold_lab import curvature, generators, mesh
 from varifold_lab.mesh import DiscreteVarifold, MeshError, make_varifold
 
 from conftest import first_variation_residual, triple_fan
@@ -157,7 +157,7 @@ def test_face_normals_are_computed_once_per_mesh(monkeypatch):
     calls.clear()
     v.curvature
     for fn in (curvature.mean_curvature, curvature.second_fundamental_norm, mesh.total_mass,
-               boundary.boundary_measure):
+               mesh.boundary_measure):
         fn(v)
     assert len(calls) == 1 and calls[0] is v
     for cached, fresh in zip(v.face_geometry, face_normals(v)):

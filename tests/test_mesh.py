@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from varifold_lab import _grid, blowup, boundary, curvature, generators, mesh
+from varifold_lab import _grid, blowup, curvature, generators, mesh
 from varifold_lab.cli import main
 from varifold_lab.mesh import DiscreteVarifold, MeshError, make_varifold
 
@@ -87,7 +87,7 @@ def test_topology_and_curvature_are_built_once_per_mesh(monkeypatch, build):
         with pytest.raises(MeshError, match="not closed"):
             curvature.euler_characteristic(v)
     curvature.second_fundamental_norm(v)
-    boundary.boundary_measure(v)
+    mesh.boundary_measure(v)
     first_variation_residual(v, v.vertices)
     for i in range(50):
         blowup.monotonicity_check(v, v.vertices[i], 0.1, 0.4)

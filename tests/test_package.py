@@ -109,6 +109,28 @@ def test_net_and_boundary_commands_leave_the_mesh_module_unexecuted(inputs, argv
     assert seen["lazy"]["varifold_lab._kernels"] is True
 
 
+@pytest.mark.parametrize("argv", [["boundary", "sup", "{datum}"], ["boundary", "admissible", "{datum}", "--p", "1"],
+                                  ["boundary", "circle-integral", "{datum}", "--point", "0,0,1", "--quad", "256"]],
+                         ids=["sup", "admissible", "circle-integral"])
+def test_boundary_commands_never_load_numpy(inputs, argv):
+    seen = command_loads(*[a.format(**inputs) for a in argv])
+    assert seen["code"] == 0
+    assert seen["numpy"] is False
+    assert seen["lazy"]["varifold_lab.mesh"] is True and seen["lazy"]["varifold_lab._kernels"] is True
+
+
+def test_the_sup_of_two_circles_never_loads_numpy():
+    proc = run_python(
+        "-c",
+        "import sys\n"
+        "from varifold_lab import boundary as b\n"
+        "d = b.make_datum([b.CircleSpec([0.1, 0.2, 0.3], 2.0, [0, 1, 1], m=2, conormal_sign=-1),\n"
+        "                  b.CircleSpec([1, -2, 0.5], 0.75, [0.3, -0.2, 0.9])])\n"
+        "print(b.sup_conormal_integral(d).kind, 'numpy' in sys.modules)\n",
+    )
+    assert proc.stdout.split() == ["circle", "False"]
+
+
 def test_analyze_link_leaves_the_nets_module_unexecuted(inputs):
     seen = command_loads("analyze", inputs["sphere"], f"--link={inputs['point']}:0.3", "-o", inputs["report"])
     assert seen["code"] == 0
