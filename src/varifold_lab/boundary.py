@@ -48,13 +48,6 @@ def _vector(x, where: str) -> tuple[float, float, float]:
     return v
 
 
-def _point(x0) -> tuple[float, float, float]:
-    x = tuple(map(float, x0))
-    if len(x) != 3:
-        raise ValueError(f"a basepoint must be 3 numbers, not {x0!r}")
-    return x
-
-
 @dataclass(frozen=True)
 class CircleSpec(Record):
     """One boundary circle: center, radius, plane normal, multiplicity, sign.
@@ -174,7 +167,7 @@ def _circle_grad(circle: CircleSpec, x) -> tuple[float, float, float]:
 
 def circle_conormal_integral(circle: CircleSpec, x0) -> float:
     """Closed-form conormal integral of one circle at basepoint x0 (see ``_circle_eval``)."""
-    val = _circle_eval(circle, _point(x0))
+    val = _circle_eval(circle, _vector(x0, "basepoint"))
     if val == -math.inf:
         raise MeshError("integrand singular: x0 lies on the circle")
     return val
@@ -199,7 +192,7 @@ def circle_conormal_integral_quad(circle: CircleSpec, x0, n_samples: int = 256) 
     """Trapezoid-rule conormal integral (spectrally accurate: periodic smooth)."""
     if n_samples < 16:
         raise ValueError("n_samples must be >= 16")
-    x0 = _point(x0)
+    x0 = _vector(x0, "basepoint")
     nu = tuple(circle.conormal_sign * a for a in circle.normal)
     frame = _circle_frame(circle)
     vals = []

@@ -5,7 +5,10 @@ multiplicities. Stationarity means the multiplicity-weighted unit tangents of
 the incident arcs cancel at every vertex; the classification of such nets
 comprises exactly ten families, reproduced here with their closed-form total
 lengths (from ``netmatch``) and, for the first seven, explicit balanced
-coordinates.
+coordinates. ``relax`` moves a net's vertices, its arcs and major flags fixed,
+until it balances; every iterate is a geodesic net on the input's arcs, so the
+last residual and length it records are ``balance_residual`` and
+``total_length`` of the net it returns.
 """
 from __future__ import annotations
 
@@ -152,77 +155,51 @@ def relax(net: GeodesicNet, max_iter: int = 1000, tol: float = 1e-10) -> RelaxRe
     sliding all its vertices toward a common point — so descending length
     cannot return a perturbed net to balance. This solves the first-order
     balance system instead: the residual stacks the multiplicity-weighted
-    tangential force at every vertex, and damped Gauss-Newton steps,
-    renormalized to the sphere and accepted only when the residual norm
-    decreases, drive it to zero. Arcs longer than pi/2 are subdivided with
-    temporary slave vertices so the minor-arc parametrization stays
-    well-posed; a slave is 2-valent, so zero force there means its two
-    tangents are collinear and its chain is a single geodesic. Slaves are
-    dropped on return and the combinatorics is the input one. Each state
-    reached, the start included, is measured before the next step, so the
-    loop stops when the largest per-vertex force norm is below tol or after
-    max_iter steps, and the length and residual histories hold
-    iterations + 1 entries.
+    tangential force at every vertex, and damped Gauss-Newton
+    (Levenberg-Marquardt) steps, renormalized to the sphere and accepted only
+    when the residual norm decreases, drive it to zero. Every arc keeps its
+    endpoints and its major flag, so each iterate is a geodesic net with the
+    input's arcs. Each state reached, the start included, is measured before
+    the next step, so the loop stops when the largest per-vertex force norm
+    is below tol or after max_iter steps, and the length and residual
+    histories hold iterations + 1 entries; the last entries are
+    ``total_length(res.net)`` and ``balance_residual(res.net)``, bit for bit.
     Raises NetError for max_iter < 0 or tol <= 0 (a tolerance no residual
-    can meet), and aborts with NetError if any (sub)arc collapses below 1e-6.
+    can meet) and for an arc with antipodal endpoints, and aborts with
+    NetError if the endpoints of any arc, major or minor, come closer than
+    1e-6 in angle.
     """
     if max_iter < 0:
         raise NetError(f"max_iter must be at least 0, not {max_iter}")
     if not tol > 0:
         raise NetError(f"tol must be positive, not {tol!r}")
     _validate(net)
-    work_x, work_arcs, n_master = _subdivide(net)
+    arcs, major = net.arcs, net.major
+    ends = net.vertices[arcs[:, 0]] + net.vertices[arcs[:, 1]]
+    if (np.linalg.norm(ends, axis=1) < 1e-9).any():
+        raise NetError("cannot relax an arc with antipodal endpoints (ambiguous geodesic)")
+    x, r, ang = _state(net.vertices, arcs, major)
     lengths: list[float] = []
     residuals: list[float] = []
-
-    minor = np.zeros(len(work_arcs), dtype=bool)
-
-    def length_of(x: np.ndarray) -> float:
-        return math.fsum(work_arcs[:, 2] * _arc_geometry(x, work_arcs, minor)[0])
-
-    def forces(x: np.ndarray) -> np.ndarray:
-        ang, tp, tq = _arc_geometry(x, work_arcs, minor)
-        if (ang < 1e-6).any():
-            bad = int(np.nonzero(ang < 1e-6)[0][0])
-            raise NetError(
-                f"arc collapse during relaxation: sub-arc {bad} shrank below 1e-6"
-            )
-        return _forces(x, work_arcs, tp, tq)
-
-    def residual_of(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        x = z / np.linalg.norm(z, axis=1)[:, None]
-        return forces(x).ravel(), x
-
-    def jacobian(x: np.ndarray) -> np.ndarray:
-        n = x.size
-        jac = np.empty((n, n))
-        h = 1e-7
-        flat = x.ravel()
-        for k in range(n):
-            step = np.zeros(n)
-            step[k] = h
-            rp, _ = residual_of((flat + step).reshape(-1, 3))
-            rm, _ = residual_of((flat - step).reshape(-1, 3))
-            jac[:, k] = (rp - rm) / (2.0 * h)
-        return jac
-
-    r, x = residual_of(work_x.copy())
-    L = length_of(x)
     lam = 1e-3
     converged = False
     for it in range(max_iter + 1):  # record the state reached, then stop or step
-        res = float(np.linalg.norm(r.reshape(-1, 3), axis=1).max())
-        lengths.append(L)
-        residuals.append(res)
-        if res < tol:
+        lengths.append(math.fsum(arcs[:, 2] * ang))
+        residuals.append(float(np.linalg.norm(r.reshape(-1, 3), axis=1).max()))
+        if residuals[-1] < tol:
             converged = True
             break
         if it == max_iter:
             break
-        jac = jacobian(x)
+        n, h = r.size, 1e-7
+        jac = np.empty((n, n))
+        for k in range(n):  # central differences, one coordinate at a time
+            step = np.zeros_like(x)
+            step.flat[k] = h
+            jac[:, k] = (_state(x + step, arcs, major)[1] - _state(x - step, arcs, major)[1]) / (2.0 * h)
         lhs = jac.T @ jac
         rhs = jac.T @ r
-        eye = np.eye(lhs.shape[0])
+        eye = np.eye(n)
         accepted = False
         for _ in range(40):
             try:
@@ -230,7 +207,7 @@ def relax(net: GeodesicNet, max_iter: int = 1000, tol: float = 1e-10) -> RelaxRe
             except np.linalg.LinAlgError:
                 lam *= 4.0
                 continue
-            r_new, x_new = residual_of(x + d.reshape(-1, 3))
+            x_new, r_new, ang_new = _state(x + d.reshape(-1, 3), arcs, major)
             if r_new @ r_new < r @ r:
                 accepted = True
                 break
@@ -238,40 +215,22 @@ def relax(net: GeodesicNet, max_iter: int = 1000, tol: float = 1e-10) -> RelaxRe
         if not accepted:
             break
         lam = max(0.5 * lam, 1e-12)
-        x, r = x_new, r_new
-        L = length_of(x)
+        x, r, ang = x_new, r_new, ang_new
 
-    out = replace(net, vertices=x[:n_master])
-    return RelaxResult(net=out, lengths=lengths, residuals=residuals,
+    return RelaxResult(net=replace(net, vertices=x), lengths=lengths, residuals=residuals,
                        iterations=it, converged=converged)
 
 
-def _subdivide(net: GeodesicNet) -> tuple[np.ndarray, np.ndarray, int]:
-    """Split arcs longer than pi/2 with slave vertices along the great circle."""
-    verts = [net.vertices[i].copy() for i in range(net.num_vertices)]
-    rows: list[list[int]] = []
-    for (i, j, m), major in zip(net.arcs.tolist(), net.major.tolist()):
-        p, q = net.vertices[i], net.vertices[j]
-        c = float(np.clip(p @ q, -1.0, 1.0))
-        if np.linalg.norm(p + q) < 1e-9:
-            raise NetError("cannot relax an arc with antipodal endpoints (ambiguous geodesic)")
-        ang = math.acos(c)
-        length = 2.0 * math.pi - ang if major else ang
-        k = max(1, int(math.ceil(length / (0.5 * math.pi) - 1e-12)))
-        if k == 1:
-            rows.append([i, j, m])
-            continue
-        w = q - c * p
-        w /= np.linalg.norm(w)
-        step = (-(2.0 * math.pi - ang) if major else ang) / k
-        last = i
-        for t in range(1, k):
-            phi = step * t
-            verts.append(math.cos(phi) * p + math.sin(phi) * w)
-            rows.append([last, len(verts) - 1, m])
-            last = len(verts) - 1
-        rows.append([last, j, m])
-    return np.asarray(verts), np.asarray(rows, dtype=np.int64), net.num_vertices
+def _state(z: np.ndarray, arcs: np.ndarray, major: np.ndarray):
+    """The rows of ``z`` scaled to unit length, the forces there stacked into one
+    vector, and the arc angles; NetError if an arc's endpoints come within 1e-6."""
+    x = z / np.linalg.norm(z, axis=1)[:, None]
+    ang, tp, tq = _arc_geometry(x, arcs, major)
+    gap = np.minimum(ang, 2.0 * math.pi - ang)  # arccos(p·q), for a major arc too
+    if (gap < 1e-6).any():
+        bad = int(np.nonzero(gap < 1e-6)[0][0])
+        raise NetError(f"arc collapse during relaxation: the endpoints of arc {bad} came within 1e-6")
+    return x, _forces(x, arcs, tp, tq).ravel(), ang
 
 
 # ---------------------------------------------------------------------------

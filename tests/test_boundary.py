@@ -142,6 +142,18 @@ def test_value_at_the_poles():
     assert circle_conormal_integral(c, [0, 0, -1]) == pytest.approx(math.pi, abs=1e-15)
 
 
+@pytest.mark.parametrize("integral", [circle_conormal_integral, circle_conormal_integral_quad])
+@pytest.mark.parametrize("x0, message", [
+    ((0, 0, True), "basepoint must hold numbers, not booleans"),
+    ((0.0, 0.0, math.nan), r"basepoint must be finite, not \[0.0, 0.0, nan\]"),
+    ((0.0, math.inf, 1.0), r"basepoint must be finite, not \[0.0, inf, 1.0\]"),
+    ((0.0, 1.0), r"basepoint must be 3 numbers, not \(0.0, 1.0\)"),
+], ids=["boolean", "nan", "inf", "two-numbers"])
+def test_a_basepoint_is_three_finite_numbers(integral, x0, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        integral(unit_circle(), x0)
+
+
 def test_closed_form_matches_quadrature(rng):
     rng = np.random.default_rng(7)
     for _ in range(20):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import varifold_lab
-from varifold_lab import nets
+from varifold_lab import boundary, nets
 from varifold_lab.cli import ANALYSES, build_parser, main
 from varifold_lab.reports import canonical_dumps
 
@@ -560,6 +561,17 @@ def test_boundary_admissible_pass_and_fail(datum_file, capsys):
     four_pi = repr(4 * math.pi)
     assert main(["boundary", "admissible", datum_file, "--p", four_pi]) == 1
     assert "[FAIL] P < 4*pi" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("p, code", [("3", 0), (repr(4 * math.pi), 1)])
+def test_boundary_admissible_writes_its_report(datum_file, tmp_path, capsys, p, code):
+    out_path = str(tmp_path / "admissible.json")
+    assert main(["boundary", "admissible", datum_file, "--p", p, "-o", out_path]) == code
+    doc = read_json(out_path)
+    assert set(doc) == {f.name for f in dataclasses.fields(boundary.AdmissibilityReport)}
+    assert doc["p_estimate"] == float(p)
+    assert doc["total"] == doc["p_estimate"] + 2.0 * doc["sup_value"]
+    assert doc["admissible"] is (code == 0)
 
 
 def test_boundary_admissible_flag_alias_and_threshold(datum_file, capsys):

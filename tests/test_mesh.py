@@ -429,6 +429,14 @@ def test_mesh_scale_is_bbox_diagonal():
     assert mesh.mesh_scale(var) == pytest.approx(math.sqrt(2))
 
 
+def test_an_empty_mesh_validates_with_unit_scale_and_no_mass():
+    var = make_varifold(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
+    mesh.validate(var)
+    assert (var.num_vertices, var.num_faces) == (0, 0)
+    assert mesh.mesh_scale(var) == 1.0
+    assert mesh.total_mass(var) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # face grid
 

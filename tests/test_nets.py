@@ -351,6 +351,59 @@ def test_relax_aborts_on_collapsing_arc():
         relax(net)
 
 
+def test_relax_aborts_when_the_endpoints_of_a_major_arc_meet():
+    # a major arc whose endpoints coincide lies on no defined great circle
+    a = np.array([1.0, 0.0, 0.0])
+    b = np.array([1.0, 5e-8, 0.0])
+    b /= np.linalg.norm(b)
+    verts = np.vstack([a, b, [0.0, 0.0, 1.0]])
+    net = make_net(verts, [[0, 1, 1], [0, 2, 1], [1, 2, 1]], major=[True, False, False])
+    with pytest.raises(NetError, match="^arc collapse during relaxation"):
+        relax(net)
+
+
+def test_relax_takes_damped_steps_and_still_converges(entries, monkeypatch):
+    # at this perturbation some Gauss-Newton trial steps raise the residual,
+    # so relax rejects them, raises the damping and solves again
+    prism = entries[4]
+    solves = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(1) or solve(*a))
+    res = relax(_perturbed(prism.net, 0.2, 8))
+    assert len(solves) > res.iterations
+    assert res.converged
+    assert total_length(res.net) == pytest.approx(prism.length, abs=1e-8)
+
+
+def test_relax_stops_where_no_damped_step_lowers_the_residual(entries, monkeypatch):
+    # from this start the residual norm settles above zero: 40 ever more
+    # damped trial steps all fail to lower it, and relax returns that net
+    cube = entries[3]
+    solves = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(1) or solve(*a))
+    res = relax(_perturbed(cube.net, 0.5, 19))
+    assert not res.converged and res.iterations < 1000
+    assert len(solves) >= res.iterations + 40
+    assert res.residuals[-1] == balance_residual(res.net) > 0.1
+    assert res.lengths[-1] == total_length(res.net)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("k", range(7))
+def test_relax_rebuilds_every_constructible_net(entries, k, seed):
+    # the perturbation that `net relax` serves: 0.05 N(0, 1) per coordinate, renormalized
+    e = entries[k]
+    res = relax(_perturbed(e.net, 0.05, seed))
+    assert res.converged
+    assert total_length(res.net) == pytest.approx(e.length, abs=1e-8)
+    assert balance_residual(res.net) <= 1e-8
+    np.testing.assert_array_equal(res.net.arcs, e.net.arcs)
+    np.testing.assert_array_equal(res.net.major, e.net.major)
+    assert res.residuals[-1] == balance_residual(res.net)
+    assert res.lengths[-1] == total_length(res.net)
+
+
 # ---------------------------------------------------------------------------
 # link matching
 
