@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import _kernels
 from ._kernels import _cross, _dot
 from .mesh import DiscreteVarifold, MeshError, _boundary_conormals, _require
 from .reports import Record
@@ -96,10 +97,9 @@ def _area_gradients(v: DiscreteVarifold, nhat: np.ndarray) -> np.ndarray:
     return _vertex_sum(v.faces, g, v.num_vertices)
 
 
-def _vertex_areas(v: DiscreteVarifold, areas: np.ndarray, weighted: bool = True) -> np.ndarray:
-    """Lumped one-third vertex areas from the face areas, multiplicity-weighted unless weighted=False."""
-    w = areas * v.multiplicity if weighted else areas
-    return _vertex_sum(v.faces, (w / 3.0)[:, None], v.num_vertices)
+def _vertex_areas(v: DiscreteVarifold, areas: np.ndarray) -> np.ndarray:
+    """Lumped one-third vertex areas: a third of each given face area at each of its corners."""
+    return _vertex_sum(v.faces, (areas / 3.0)[:, None], v.num_vertices)
 
 
 def _boundary_force(v: DiscreteVarifold, nhat: np.ndarray) -> np.ndarray:
@@ -126,7 +126,7 @@ def mean_curvature(v: DiscreteVarifold) -> CurvatureField:
     nhat, areas = v.face_geometry
     grad = _area_gradients(v, nhat)
     force = _boundary_force(v, nhat)
-    area = _vertex_areas(v, areas)
+    area = _vertex_areas(v, areas * v.multiplicity)
     H = np.zeros_like(grad)
     ok = area > 0.0
     H[ok] = (force[ok] - grad[ok]) / area[ok, None]
@@ -137,7 +137,7 @@ def mean_curvature(v: DiscreteVarifold) -> CurvatureField:
 
 def willmore_energy(v: DiscreteVarifold) -> float:
     """W = (1/4) sum of the Willmore integrand |H_v|^2 A_v over the bending vertices."""
-    return 0.25 * math.fsum(v.curvature.willmore)
+    return 0.25 * _kernels.fsum(v.curvature.willmore)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +184,7 @@ def euler_characteristic(v: DiscreteVarifold) -> TopologyReport:
     ne = len(topo.edges)
     nf = v.num_faces
     chi = nv - ne + nf
-    defect_chi = math.fsum(_angle_defects(v)) / (2.0 * math.pi)
+    defect_chi = _kernels.fsum(_angle_defects(v)) / (2.0 * math.pi)
 
     orientable, components = _orient_scan(v)
     genus: int | None = None
@@ -202,38 +202,35 @@ def euler_characteristic(v: DiscreteVarifold) -> TopologyReport:
     )
 
 
-def _orient_scan(v: DiscreteVarifold) -> tuple[bool, int]:
-    """BFS over face adjacency: orientability parity and component count."""
+def _cover_labels(v: DiscreteVarifold) -> np.ndarray:
+    """Labels (2F,) of the components of the orientation double cover: node
+    2f + s is face f flipped s times, and each interior edge joins the nodes
+    of its two faces that wind alike across it. Rounds hook every root to the
+    least root across an edge, then compress paths, until every edge joins
+    equal labels: each node's label is the least node of its component. No
+    junction or boundary edge joins faces, so min(label[2f], label[2f + 1]) labels sheets."""
     topo = v.topology
-    nf = v.num_faces
-    adj_f: list[list[tuple[int, int]]] = [[] for _ in range(nf)]
-    for ei in topo.interior_edges:
-        o = topo.offsets[ei]
-        f0, f1 = int(topo.inc_faces[o]), int(topo.inc_faces[o + 1])
-        s0, s1 = int(topo.inc_signs[o]), int(topo.inc_signs[o + 1])
-        # windings are compatible when the two faces traverse the edge oppositely
-        parity = 0 if s0 != s1 else 1
-        adj_f[f0].append((f1, parity))
-        adj_f[f1].append((f0, parity))
-    flip = np.full(nf, -1, dtype=np.int8)
-    orientable = True
-    components = 0
-    for start in range(nf):
-        if flip[start] >= 0:
-            continue
-        components += 1
-        flip[start] = 0
-        stack = [start]
-        while stack:
-            fcur = stack.pop()
-            for fnext, parity in adj_f[fcur]:
-                want = flip[fcur] ^ parity
-                if flip[fnext] < 0:
-                    flip[fnext] = want
-                    stack.append(fnext)
-                elif flip[fnext] != want:
-                    orientable = False
-    return orientable, components
+    o = topo.offsets[topo.interior_edges]
+    f0, f1 = topo.inc_faces[o], topo.inc_faces[o + 1]
+    alike = topo.inc_signs[o] != topo.inc_signs[o + 1]
+    a = np.concatenate([2 * f0, 2 * f0 + 1])
+    b = np.concatenate([2 * f1 + ~alike, 2 * f1 + alike])
+    label = np.arange(2 * v.num_faces)
+    while True:
+        la, lb = label[a], label[b]
+        if np.array_equal(la, lb):
+            return label
+        np.minimum.at(label, la, lb)
+        np.minimum.at(label, lb, la)
+        up = label[label]
+        while not np.array_equal(up, label):
+            label, up = up, up[up]
+
+
+def _orient_scan(v: DiscreteVarifold) -> tuple[bool, int]:
+    """Orientable when no face shares a cover component with its flip; one component per sheet label."""
+    label = _cover_labels(v).reshape(-1, 2)
+    return bool((label[:, 0] != label[:, 1]).all()), len(np.unique(label.min(axis=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -265,31 +262,23 @@ def _vertex_normals_unoriented(v: DiscreteVarifold, nhat: np.ndarray, areas: np.
     return ref
 
 
-#: The six entries of a symmetric 3x3 tensor, in the order xx, yy, zz, xy,
-#: xz, yz: entry k sits at row _SYM_ROW[k] and column _SYM_COL[k], and
-#: _SYM_ENTRY[i, j] is the entry at (i, j) and at (j, i).
-_SYM_ROW, _SYM_COL = np.array([[0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]])
-_SYM_ENTRY = np.empty((3, 3), dtype=np.intp)
-_SYM_ENTRY[_SYM_ROW, _SYM_COL] = _SYM_ENTRY[_SYM_COL, _SYM_ROW] = np.arange(6)
-
-
 def second_fundamental_norm(v: DiscreteVarifold) -> CurvatureField:
     """|B|^2 from the edge-based (dihedral-angle) curvature tensor.
 
     Per vertex, S_v = (1/area) sum over incident interior edges of
-    beta_e (|e|/2) ē ēᵀ with beta_e the signed dihedral angle; the two
-    tangent-plane eigenvalues approximate the principal curvatures up to the
-    known eigenvector swap, which |B|^2 = k1^2 + k2^2 does not see. Boundary
-    and junction vertices are flagged NaN. Also fills the angle-defect Gauss
-    curvature K_v = defect_v / (geometric vertex area), NaN on the same
-    vertices, the defects themselves at every vertex (their total satisfies
-    Gauss--Bonnet on closed manifolds), and the residual
-    |K - (|H|^2 - |B|^2)/2| of the trace identity.
+    beta_e (|e|/2) ē ēᵀ with beta_e the signed dihedral angle. The tangential
+    part of S_v (n the vertex normal) has the principal curvatures as
+    eigenvalues, up to the known eigenvector swap, so |B|^2 = k1^2 + k2^2 is
+    its squared norm ‖S‖² − 2‖S n‖² + (n·S n)². Boundary and junction vertices are flagged NaN.
+    Also fills the angle-defect Gauss curvature K_v = defect_v / (geometric
+    vertex area), NaN on the same vertices, the defects themselves at every
+    vertex (their total satisfies Gauss--Bonnet on closed manifolds), and the
+    residual |K - (|H|^2 - |B|^2)/2| of the trace identity.
     """
     topo = v.topology
     base = v.curvature
     nhat, areas = v.face_geometry
-    area_geom = _vertex_areas(v, areas, weighted=False)
+    area_geom = _vertex_areas(v, areas)
     nv = v.num_vertices
     ok = _bending_vertices(v, base.vertex_area) & ~topo.junction_vertex_mask & (area_geom > 0)
     defect = _angle_defects(v)
@@ -312,29 +301,14 @@ def second_fundamental_norm(v: DiscreteVarifold) -> CurvatureField:
     beta = np.arctan2(np.einsum("ij,ij->i", _cross(n0, n1), ef0),
                       np.einsum("ij,ij->i", n0, n1))
     w = beta * elen / 2.0
-    t = w[:, None] * ebar[:, _SYM_ROW] * ebar[:, _SYM_COL]
-    S = _vertex_sum(topo.edges[ie], t[:, None], nv)
-
-    normals = _vertex_normals_unoriented(v, nhat, areas)
+    t = w[:, None, None] * (ebar[:, :, None] * ebar[:, None, :])
+    S = _vertex_sum(topo.edges[ie], t.reshape(-1, 1, 9), nv)[ok].reshape(-1, 3, 3)
+    S /= area_geom[ok, None, None]
+    n = _vertex_normals_unoriented(v, nhat, areas)[ok]
+    Sn = np.einsum("nij,nj->ni", S, n)
     B2 = np.full(nv, np.nan)
-    idx = np.nonzero(ok)[0]
-    Sm = S[idx[:, None, None], _SYM_ENTRY]
-    Sm /= area_geom[idx, None, None]
-    n = normals[idx]
-    # tangent frame
-    pick = np.where(np.abs(n[:, 0]) < 0.9, 0, 1)
-    seed = np.zeros_like(n)
-    seed[np.arange(len(idx)), pick] = 1.0
-    t1 = _cross(n, seed)
-    t1 /= np.linalg.norm(t1, axis=1)[:, None]
-    t2 = _cross(n, t1)
-    p = np.einsum("ni,nij,nj->n", t1, Sm, t1)
-    r = np.einsum("ni,nij,nj->n", t2, Sm, t2)
-    q = np.einsum("ni,nij,nj->n", t1, Sm, t2)
-    mean = 0.5 * (p + r)
-    dev = np.sqrt(np.maximum(0.25 * (p - r) ** 2 + q * q, 0.0))
-    l1, l2 = mean + dev, mean - dev
-    B2[idx] = l1 * l1 + l2 * l2
+    B2[ok] = (np.einsum("nij,nij->n", S, S) - 2.0 * np.einsum("ni,ni->n", Sn, Sn)
+              + np.einsum("ni,ni->n", n, Sn) ** 2)
 
     resid = np.full(nv, np.nan)
     h2 = np.einsum("ij,ij->i", base.H, base.H)
@@ -383,7 +357,7 @@ def helfrich_energy(v: DiscreteVarifold, c0: float) -> float:
     keep = _bending_vertices(v, field.vertex_area)
     d = field.H - c0 * normals
     vals = np.einsum("ij,ij->i", d, d) * field.vertex_area
-    return 0.25 * math.fsum(vals[keep])
+    return 0.25 * _kernels.fsum(vals[keep])
 
 
 def enclosed_volume(v: DiscreteVarifold) -> float:
@@ -397,7 +371,7 @@ def enclosed_volume(v: DiscreteVarifold) -> float:
     nhat, areas = v.face_geometry
     cen = v.vertices[v.faces].mean(axis=1)
     vals = (areas * v.multiplicity) * np.einsum("ij,ij->i", cen, nhat)
-    return math.fsum(vals) / 3.0
+    return _kernels.fsum(vals) / 3.0
 
 
 def point_surface_distance(v: DiscreteVarifold, x0: np.ndarray) -> float:

@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import _kernels
 from ._kernels import _cross, _dot
 from ._values import _DIRECTION, _NUMBER, _POINT, MeshError, _check_rows, _frozen, _is_number, _numeric
 from .reports import load_json, save_json
@@ -290,7 +291,7 @@ def _weld(points: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
 
 def total_mass(v: DiscreteVarifold) -> float:
     """Total measure: sum of multiplicity-weighted face areas."""
-    return math.fsum(v.multiplicity.astype(np.float64) * v.face_geometry[1])
+    return _kernels.fsum(v.multiplicity.astype(np.float64) * v.face_geometry[1])
 
 
 def mesh_scale(v: DiscreteVarifold) -> float:

@@ -90,28 +90,30 @@ def _validate(net: GeodesicNet) -> None:
 def _arc_geometry(x: np.ndarray, arcs: np.ndarray, major: np.ndarray):
     """Angle of each arc and its unit tangents at both ends, pointing into the arc.
 
-    Returns (angle (M,), t_start (M,3), t_end (M,3)) for arcs [i, j, mult] on
-    the unit vectors ``x``. Major arcs are 2*pi minus the minor angle long and
-    leave each endpoint in the direction opposite the minor arc.
+    Returns (angle (..., M), t_start (..., M, 3), t_end (..., M, 3)) for arcs
+    [i, j, mult] on the unit vectors ``x`` (..., N, 3), one net per leading
+    index. Major arcs are 2*pi minus the minor angle long and leave each
+    endpoint in the direction opposite the minor arc.
     """
-    p = x[arcs[:, 0]]
-    q = x[arcs[:, 1]]
-    c = np.clip(np.einsum("ij,ij->i", p, q), -1.0, 1.0)
+    p = x[..., arcs[:, 0], :]
+    q = x[..., arcs[:, 1], :]
+    c = np.clip(np.einsum("...ij,...ij->...i", p, q), -1.0, 1.0)
     ang = np.arccos(c)
     ang = np.where(major, 2.0 * math.pi - ang, ang)
-    s = np.sqrt(np.maximum(1.0 - c * c, 1e-30))[:, None]
+    s = np.sqrt(np.maximum(1.0 - c * c, 1e-30))[..., None]
     sign = np.where(major, -1.0, 1.0)[:, None]
-    return ang, (q - c[:, None] * p) / s * sign, (p - c[:, None] * q) / s * sign
+    return ang, (q - c[..., None] * p) / s * sign, (p - c[..., None] * q) / s * sign
 
 
 def _forces(x: np.ndarray, arcs: np.ndarray, tp: np.ndarray, tq: np.ndarray) -> np.ndarray:
-    """Multiplicity-weighted sum of the incident tangents at each vertex,
-    projected to the tangent plane of the sphere; zero at a vertex without arcs."""
+    """Multiplicity-weighted sum of the incident tangents at each vertex of each
+    net (leading axes), projected to the sphere's tangent plane; zero without arcs."""
     w = arcs[:, 2].astype(np.float64)[:, None]
     f = np.zeros_like(x)
-    np.add.at(f, arcs[:, 0], w * tp)
-    np.add.at(f, arcs[:, 1], w * tq)
-    f -= np.einsum("ij,ij->i", f, x)[:, None] * x
+    by_vertex = np.moveaxis(f, -2, 0)  # a view with vertices first
+    np.add.at(by_vertex, arcs[:, 0], np.moveaxis(w * tp, -2, 0))
+    np.add.at(by_vertex, arcs[:, 1], np.moveaxis(w * tq, -2, 0))
+    f -= np.einsum("...ij,...ij->...i", f, x)[..., None] * x
     return f
 
 
@@ -157,17 +159,18 @@ def relax(net: GeodesicNet, max_iter: int = 1000, tol: float = 1e-10) -> RelaxRe
     balance system instead: the residual stacks the multiplicity-weighted
     tangential force at every vertex, and damped Gauss-Newton
     (Levenberg-Marquardt) steps, renormalized to the sphere and accepted only
-    when the residual norm decreases, drive it to zero. Every arc keeps its
-    endpoints and its major flag, so each iterate is a geodesic net with the
-    input's arcs. Each state reached, the start included, is measured before
-    the next step, so the loop stops when the largest per-vertex force norm
-    is below tol or after max_iter steps, and the length and residual
-    histories hold iterations + 1 entries; the last entries are
-    ``total_length(res.net)`` and ``balance_residual(res.net)``, bit for bit.
-    Raises NetError for max_iter < 0 or tol <= 0 (a tolerance no residual
-    can meet) and for an arc with antipodal endpoints, and aborts with
-    NetError if the endpoints of any arc, major or minor, come closer than
-    1e-6 in angle.
+    when the residual norm decreases, drive it to zero; the Jacobian takes
+    central differences in all 3N coordinates from one ``_state`` call on the
+    2·3N perturbed nets. Every arc keeps its endpoints and its major flag, so
+    each iterate is a geodesic net with the input's arcs. Each state reached,
+    the start included, is measured before the next step, so the loop stops
+    when the largest per-vertex force norm is below tol or after max_iter
+    steps, and the length and residual histories hold iterations + 1 entries;
+    the last entries are ``total_length(res.net)`` and
+    ``balance_residual(res.net)``, bit for bit. Raises NetError for
+    max_iter < 0 or tol <= 0 (a tolerance no residual can meet) and for an arc
+    with antipodal endpoints, and aborts with NetError if the endpoints of any
+    arc, major or minor, come closer than 1e-6 in angle.
     """
     if max_iter < 0:
         raise NetError(f"max_iter must be at least 0, not {max_iter}")
@@ -192,11 +195,9 @@ def relax(net: GeodesicNet, max_iter: int = 1000, tol: float = 1e-10) -> RelaxRe
         if it == max_iter:
             break
         n, h = r.size, 1e-7
-        jac = np.empty((n, n))
-        for k in range(n):  # central differences, one coordinate at a time
-            step = np.zeros_like(x)
-            step.flat[k] = h
-            jac[:, k] = (_state(x + step, arcs, major)[1] - _state(x - step, arcs, major)[1]) / (2.0 * h)
+        step = h * np.eye(n).reshape(n, *x.shape)  # central differences, all coordinates at once
+        f = _state(np.stack([x + step, x - step], axis=1), arcs, major)[1]
+        jac = ((f[:, 0] - f[:, 1]) / (2.0 * h)).T.copy()  # C order fixes how jac.T @ jac rounds
         lhs = jac.T @ jac
         rhs = jac.T @ r
         eye = np.eye(n)
@@ -222,15 +223,16 @@ def relax(net: GeodesicNet, max_iter: int = 1000, tol: float = 1e-10) -> RelaxRe
 
 
 def _state(z: np.ndarray, arcs: np.ndarray, major: np.ndarray):
-    """The rows of ``z`` scaled to unit length, the forces there stacked into one
-    vector, and the arc angles; NetError if an arc's endpoints come within 1e-6."""
-    x = z / np.linalg.norm(z, axis=1)[:, None]
+    """The rows of ``z`` (..., N, 3) scaled to unit length, the forces there
+    stacked into one vector per net (..., 3N), and the arc angles (..., M);
+    NetError if an arc's endpoints come within 1e-6 in any of the nets."""
+    x = z / np.linalg.norm(z, axis=-1)[..., None]
     ang, tp, tq = _arc_geometry(x, arcs, major)
     gap = np.minimum(ang, 2.0 * math.pi - ang)  # arccos(p·q), for a major arc too
     if (gap < 1e-6).any():
-        bad = int(np.nonzero(gap < 1e-6)[0][0])
+        bad = int(np.argwhere(gap < 1e-6)[0, -1])
         raise NetError(f"arc collapse during relaxation: the endpoints of arc {bad} came within 1e-6")
-    return x, _forces(x, arcs, tp, tq).ravel(), ang
+    return x, _forces(x, arcs, tp, tq).reshape(*x.shape[:-2], -1), ang
 
 
 # ---------------------------------------------------------------------------

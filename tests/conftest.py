@@ -5,7 +5,7 @@ import pytest
 
 from varifold_lab import generators
 from varifold_lab.curvature import _area_gradients
-from varifold_lab.mesh import _boundary_conormals, face_normals
+from varifold_lab.mesh import _boundary_conormals, face_normals, make_varifold
 
 
 @pytest.fixture(scope="session")
@@ -49,6 +49,20 @@ def triple_fan():
     )
     faces = np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4]])
     return vertices, faces
+
+
+def projective_plane():
+    """The 6-vertex real projective plane: closed, manifold, not orientable."""
+    faces = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
+             (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3)]
+    return make_varifold(np.random.default_rng(0).standard_normal((6, 3)), faces)
+
+
+def two_spheres():
+    """Two disjoint unit spheres at level 3: chi 4, two components."""
+    s = generators.gen_sphere(1.0, 3).varifold
+    return make_varifold(np.vstack([s.vertices, s.vertices + 5.0]),
+                         np.vstack([s.faces, s.faces + s.num_vertices]))
 
 
 def first_variation_residual(v, phi) -> float:

@@ -7,7 +7,7 @@ import pytest
 from varifold_lab import curvature, generators, mesh
 from varifold_lab.mesh import DiscreteVarifold, MeshError, make_varifold
 
-from conftest import first_variation_residual, triple_fan
+from conftest import first_variation_residual, projective_plane, triple_fan, two_spheres
 
 
 def test_sphere_mean_curvature_magnitude(sphere4):
@@ -129,6 +129,62 @@ def test_vertex_normals_match_the_loop_oracle(request, monkeypatch, fixture):
     np.testing.assert_allclose(b2, curvature.second_fundamental_norm(v).B2, rtol=0, atol=1e-12)
 
 
+def _b2_eigenvalues(v):
+    """Eigenvalue oracle for second_fundamental_norm's B2: the same edge tensor
+    S_v, restricted to a tangent frame of the vertex normal, and k1² + k2²
+    from the closed-form eigenvalues of that 2×2 form."""
+    topo = v.topology
+    nhat, areas = v.face_geometry
+    rows, cols = np.array([[0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]])
+    entry = np.empty((3, 3), dtype=np.intp)
+    entry[rows, cols] = entry[cols, rows] = np.arange(6)
+    area = curvature._vertex_areas(v, areas)
+    ok = curvature._bending_vertices(v, v.curvature.vertex_area) & ~topo.junction_vertex_mask & (area > 0)
+    ie = topo.interior_edges
+    o = topo.offsets[ie]
+    f0, f1 = topo.inc_faces[o], topo.inc_faces[o + 1]
+    evec = v.vertices[topo.edges[ie, 1]] - v.vertices[topo.edges[ie, 0]]
+    elen = np.linalg.norm(evec, axis=1)
+    ebar = evec / elen[:, None]
+    ef0 = ebar * topo.inc_signs[o].astype(np.float64)[:, None]
+    n0, n1 = nhat[f0], nhat[f1]
+    beta = np.arctan2(np.einsum("ij,ij->i", np.cross(n0, n1), ef0), np.einsum("ij,ij->i", n0, n1))
+    t = (beta * elen / 2.0)[:, None] * ebar[:, rows] * ebar[:, cols]
+    S = curvature._vertex_sum(topo.edges[ie], t[:, None], v.num_vertices)
+    idx = np.nonzero(ok)[0]
+    Sm = S[idx[:, None, None], entry] / area[idx, None, None]
+    n = curvature._vertex_normals_unoriented(v, nhat, areas)[idx]
+    seed = np.zeros_like(n)
+    seed[np.arange(len(idx)), np.where(np.abs(n[:, 0]) < 0.9, 0, 1)] = 1.0
+    t1 = np.cross(n, seed)
+    t1 /= np.linalg.norm(t1, axis=1)[:, None]
+    t2 = np.cross(n, t1)
+    p = np.einsum("ni,nij,nj->n", t1, Sm, t1)
+    r = np.einsum("ni,nij,nj->n", t2, Sm, t2)
+    q = np.einsum("ni,nij,nj->n", t1, Sm, t2)
+    dev = np.sqrt(np.maximum(0.25 * (p - r) ** 2 + q * q, 0.0))
+    l1, l2 = 0.5 * (p + r) + dev, 0.5 * (p + r) - dev
+    B2 = np.full(v.num_vertices, np.nan)
+    B2[idx] = l1 * l1 + l2 * l2
+    return B2
+
+
+@pytest.mark.parametrize("make", [lambda: generators.gen_cap(1.0, 1.2, 3),
+                                  lambda: generators.gen_sphere(1.0, 4),
+                                  lambda: generators.gen_torus(2.0, 0.7, 3),
+                                  lambda: generators.gen_double_bubble(0.7, 1.0, 4)],
+                         ids=["cap3", "sphere4", "torus3", "double_bubble4"])
+def test_b2_is_the_sum_of_the_squared_tangent_eigenvalues(make):
+    # the norm of S's tangential part rounds in another order than the
+    # eigenvalues of its 2×2 form; 16 ulps bounds the difference
+    v = make().varifold
+    b2, want = curvature.second_fundamental_norm(v).B2, _b2_eigenvalues(v)
+    np.testing.assert_array_equal(np.isnan(b2), np.isnan(want))
+    ok = ~np.isnan(want)
+    assert ok.sum() > 0
+    assert (np.abs(b2[ok] - want[ok]) <= 16 * np.spacing(want[ok])).all()
+
+
 def test_vertex_normals_flip_faces_against_the_first_and_skip_unused_vertices():
     # Faces 0 (normal +z) and 1 (normal -z) share vertices 0 and 2, whose
     # first face is face 0; vertex 3 is on face 1 only; vertex 4 is unused.
@@ -167,15 +223,17 @@ def test_face_normals_are_computed_once_per_mesh(monkeypatch):
 
 def test_curvature_fields_keep_their_bits():
     # sha256 of each array of second_fundamental_norm on a cap, recorded
-    # before the face normals were passed between the helpers
+    # before the face normals were passed between the helpers; B2 and the
+    # residual re-recorded when |B|² became the norm of S's tangential part
+    # (within 8 ulps of the eigenvalue form's B2 here)
     f = curvature.second_fundamental_norm(generators.gen_cap(1.0, 1.2, 3).varifold)
     want = {
         "H": "894606aa55b32203214cb95aeafa8be2fc3d4082863339f3a39b6df8462ddb93",
         "vertex_area": "7557a20ab597ec0e7c22ae557004de433989baad115d0edb319a839c1f1e32ec",
         "K": "93743b0d6169e0bd4cd35fbbf8620cb19aa0c9d685801b64b9b29241402cb65c",
         "angle_defect": "c62972aef3d517711051f1d1648794fcd39db7541e3eb0f785d12d6743b08411",
-        "B2": "3349c6635f818335b0bcf0602b4b04e0c991742207986f2e160a9ba80c026a3a",
-        "gauss_relation_residual": "4f6dcd402ab485b389ca7ad80ba1ab56858a47f49a1e1d03263536ba893e7eea",
+        "B2": "a37226abb27a88386b200da95e933b7936046f282951941ae550bbd7a8c3e49a",
+        "gauss_relation_residual": "6427c22bcb6477de94c6bfd383cd56033755e2cf12b950b358e38b8cc3a0fd13",
     }
     assert {k: hashlib.sha256(getattr(f, k).tobytes()).hexdigest() for k in want} == want
 
@@ -243,6 +301,80 @@ def test_euler_characteristic_of_the_projective_plane():
     var = make_varifold(np.random.default_rng(0).standard_normal((6, 3)), faces)
     t = curvature.euler_characteristic(var)
     assert (t.chi, t.defect_chi, t.orientable, t.connected_components, t.genus) == (1, 1.0, False, 1, None)
+
+
+def _orient_scan_bfs(v):
+    """Face-by-face BFS oracle for curvature._orient_scan: (orientable, components)."""
+    topo = v.topology
+    adj_f = [[] for _ in range(v.num_faces)]
+    for ei in topo.interior_edges:
+        o = topo.offsets[ei]
+        f0, f1 = int(topo.inc_faces[o]), int(topo.inc_faces[o + 1])
+        # windings are compatible when the two faces traverse the edge oppositely
+        parity = int(topo.inc_signs[o] == topo.inc_signs[o + 1])
+        adj_f[f0].append((f1, parity))
+        adj_f[f1].append((f0, parity))
+    flip = np.full(v.num_faces, -1, dtype=np.int8)
+    orientable, components = True, 0
+    for start in range(v.num_faces):
+        if flip[start] >= 0:
+            continue
+        components += 1
+        flip[start] = 0
+        stack = [start]
+        while stack:
+            fcur = stack.pop()
+            for fnext, parity in adj_f[fcur]:
+                want = flip[fcur] ^ parity
+                if flip[fnext] < 0:
+                    flip[fnext] = want
+                    stack.append(fnext)
+                elif flip[fnext] != want:
+                    orientable = False
+    return orientable, components
+
+
+@pytest.mark.parametrize("make, want", [
+    (lambda: generators.gen_sphere(1.0, 3).varifold, (True, 1)),
+    (lambda: generators.gen_torus(2.0, 0.7, 3).varifold, (True, 1)),
+    (projective_plane, (False, 1)),
+    (two_spheres, (True, 2)),
+], ids=["sphere3", "torus3", "projective_plane", "two_spheres"])
+def test_orientation_union_find_matches_the_bfs_oracle(make, want):
+    v = make()
+    assert curvature._orient_scan(v) == _orient_scan_bfs(v) == want
+
+
+def test_euler_characteristic_of_two_disjoint_spheres():
+    t = curvature.euler_characteristic(two_spheres())
+    assert (t.chi, t.orientable, t.connected_components, t.genus) == (4, True, 2, None)
+    assert abs(t.defect_chi - 4.0) < 1e-9
+
+
+def _same_partition(a, b):
+    pairs = {(int(x), int(y)) for x, y in zip(a, b)}
+    return len(pairs) == len(set(a.tolist())) == len(set(b.tolist()))
+
+
+@pytest.mark.parametrize("make, sheets", [
+    (lambda: generators.gen_cap(1.0, 1.2, 3), 1),
+    (lambda: generators.gen_double_bubble(0.7, 1.0, 4), 3),
+    (lambda: generators.gen_double_bubble_flat(1.0, 3), 3),
+    (lambda: generators.gen_triple_bubble(4), 6),
+], ids=["cap3", "double_bubble4", "double_bubble_flat3", "triple_bubble4"])
+def test_cover_components_are_the_generator_patches(make, sheets):
+    # faces joined across edges with exactly two faces: the sheets between junctions
+    v = make().varifold
+    label = curvature._cover_labels(v).reshape(-1, 2).min(axis=1)
+    assert len(set(label.tolist())) == sheets
+    assert _same_partition(label, v.face_patches)
+
+
+def test_singular_pair_is_one_sheet_with_two_patches():
+    # its two graph sheets are welded at the rim into one pillow
+    v = generators.gen_singular_pair([[0.0, 0.0]], [0.3], 0.1, 3).varifold
+    label = curvature._cover_labels(v).reshape(-1, 2).min(axis=1)
+    assert set(label.tolist()) == {0} and len(set(v.face_patches.tolist())) == 2
 
 
 def test_enclosed_volume_unit_sphere(sphere4):

@@ -1,15 +1,18 @@
-"""Metamorphic properties of ball masses, densities and links: scaling the
-mesh, doubling its multiplicities, relabelling its faces and vertices and
-moving it rigidly change the outputs in known ways."""
+"""Metamorphic properties of ball masses, densities, links and topology:
+scaling the mesh, doubling its multiplicities, relabelling its faces and
+vertices and moving it rigidly change the outputs in known ways."""
 import functools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from varifold_lab import blowup, generators
+from varifold_lab import blowup, curvature, generators
 from varifold_lab.mesh import DiscreteVarifold
+
+from conftest import projective_plane, two_spheres
 
 MESHES = [(name, level) for name in ("sphere", "double_bubble", "triple_bubble") for level in (2, 3)]
 
@@ -82,6 +85,31 @@ def test_relabelling_faces_and_vertices_keeps_density_and_link_length(mesh, i, r
                                                                   rel=1e-12, abs=0)
     assert blowup.spherical_link(relabelled, x0, r).total_length == pytest.approx(
         blowup.spherical_link(v, x0, r).total_length, rel=1e-12, abs=0)
+
+
+CLOSED = {"sphere": lambda: generators.gen_sphere(1.0, 2).varifold,
+          "torus": lambda: generators.gen_torus(2.0, 0.7, 2).varifold,
+          "projective_plane": projective_plane, "two_spheres": two_spheres}
+
+
+@functools.cache
+def _closed(name: str) -> DiscreteVarifold:
+    return CLOSED[name]()
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(sorted(CLOSED)), seed=st.integers(0, 2**32 - 1))
+def test_relabelling_faces_and_vertices_keeps_the_topology_report(name, seed):
+    v = _closed(name)
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(v.num_vertices)
+    label = np.argsort(order)
+    shuffle = rng.permutation(v.num_faces)
+    relabelled = DiscreteVarifold(v.vertices[order], label[v.faces][shuffle], v.multiplicity[shuffle])
+    want = curvature.euler_characteristic(v)
+    got = curvature.euler_characteristic(relabelled)
+    assert got.defect_chi == pytest.approx(want.defect_chi, rel=0, abs=1e-12)
+    assert got == replace(want, defect_chi=got.defect_chi)
 
 
 #: Relative agreement asked of a rigidly moved mesh: rotating and translating
