@@ -55,20 +55,22 @@ class FaceGrid:
 
     @classmethod
     def build(cls, v: DiscreteVarifold) -> FaceGrid:
-        a, b, c = (v.vertices[v.faces[:, k]] for k in range(3))
-        cen = (a + b + c) / 3.0
-        spreads = np.sqrt(np.maximum(np.maximum(_sq(a - cen), _sq(b - cen)), _sq(c - cen)))
+        abc = np.take(v.vertices, v.faces.T, axis=0)  # (3, F, 3): each face's corners a, b, c
+        cen = abc.sum(axis=0) / 3.0
+        abc -= cen  # in place: a temporary of shape (3, F, 3) would raise the peak memory by half
+        spreads = np.sqrt(_sq(abc).max(axis=0))
         if not len(cen):
             return cls(_frozen(np.zeros(3)), 1.0, _frozen(np.zeros(3, dtype=np.int32)),
                        _frozen(np.zeros((0, 3), dtype=np.int32)), _frozen(np.zeros(0, dtype=np.int32)), 0.0,
                        _frozen(cen), _frozen(spreads))
-        origin = cen.min(axis=0)
-        extent = float((cen.max(axis=0) - origin).max())
+        origin = np.array([col.min() for col in cen.T])  # one column at a time: faster than axis 0
+        top = np.array([col.max() for col in cen.T])
+        extent = float((top - origin).max())
         pitch = max(_PITCH_SPREADS * float(spreads.mean()), extent / (_MAX_CELLS - 1))
         if not pitch > 0.0:  # one face, or every centroid in one point
             pitch = 1.0
         ijk = np.floor((cen - origin) / pitch).astype(np.int64)
-        n = ijk.max(axis=0) + 1
+        n = np.floor((top - origin) / pitch).astype(np.int64) + 1  # floor is monotone: the top cell
         keys, face_cell = np.unique((ijk[:, 0] * n[1] + ijk[:, 1]) * n[2] + ijk[:, 2], return_inverse=True)
         cells = np.stack([keys // (n[1] * n[2]), keys // n[2] % n[1], keys % n[2]], axis=1)
         return cls(_frozen(origin), pitch, _frozen(n.astype(np.int32)), _frozen(cells.astype(np.int32)),

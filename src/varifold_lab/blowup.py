@@ -215,15 +215,17 @@ class LiYauReport(Record):
     passed: bool
 
 
-def li_yau_check(v: DiscreteVarifold, sample_points, eps: float = 0.05) -> LiYauReport:
+def li_yau_check(v: DiscreteVarifold, sample_points, eps: float = 0.05, r_max=None) -> LiYauReport:
     """Li–Yau bound: max over samples of Θ(x) must not exceed W/(4π) + eps.
 
     Requires a closed varifold (no boundary edges). The gap reported is
     theta_max - W/(4π); sampling the maximizing points of the density makes
-    the gap |·| ≈ 0 exactly when the bound is saturated.
+    the gap |·| ≈ 0 exactly when the bound is saturated. ``r_max``, if given,
+    holds one ladder cap per sample (None for the default), passed to ``density``.
     """
     _require(v, closed=True)
-    thetas = np.array([density(v, p).theta for p in sample_points])
+    caps = [None] * len(sample_points) if r_max is None else r_max
+    thetas = np.array([density(v, p, r_max=r).theta for p, r in zip(sample_points, caps, strict=True)])
     w = willmore_energy(v)
     bound = w / (4.0 * math.pi)
     theta_max = float(thetas.max()) if len(thetas) else 0.0

@@ -204,12 +204,13 @@ def _topology(v, analytic, tol, _) -> dict:
 def _liyau(v, analytic, tol, _) -> dict:
     import numpy as np
 
-    pts = [dp["point"] for dp in (analytic or {}).get("density_points", [])]
+    dps = (analytic or {}).get("density_points", [])
+    pts, caps = [dp["point"] for dp in dps], [dp.get("r_max") for dp in dps]  # the --density caps
     if not pts:
         idx = np.linspace(0, v.num_vertices - 1, 8).astype(int)  # ascending
         idx = idx[np.diff(idx, prepend=-1) != 0]  # np.unique would import numpy.ma
-        pts = [v.vertices[i] for i in idx]
-    rep = blowup.li_yau_check(v, pts, eps=tol["liyau_gap"])
+        pts, caps = [v.vertices[i] for i in idx], None
+    rep = blowup.li_yau_check(v, pts, eps=tol["liyau_gap"], r_max=caps)
     return {
         "n_samples": len(pts),
         "theta_max": rep.theta_max,

@@ -82,14 +82,8 @@ def _mesh(verts, faces, patches=None, oriented: bool = False) -> DiscreteVarifol
 # sphere
 
 _ICO_T = (1.0 + math.sqrt(5.0)) / 2.0
-_ICO_VERTS = np.array(
-    [
-        (-1, _ICO_T, 0), (1, _ICO_T, 0), (-1, -_ICO_T, 0), (1, -_ICO_T, 0),
-        (0, -1, _ICO_T), (0, 1, _ICO_T), (0, -1, -_ICO_T), (0, 1, -_ICO_T),
-        (_ICO_T, 0, -1), (_ICO_T, 0, 1), (-_ICO_T, 0, -1), (-_ICO_T, 0, 1),
-    ],
-    dtype=np.float64,
-)
+# the cyclic shifts of (±1, ±t, 0): three orthogonal golden rectangles
+_ICO_VERTS = np.array([np.roll((a, b, 0.0), c) for c in range(3) for b in (_ICO_T, -_ICO_T) for a in (-1, 1)])
 _ICO_FACES = np.array(  # wound outward; the 4-to-1 split keeps each child's winding
     [
         (0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),

@@ -265,78 +265,22 @@ class CatalogueEntry(Record):
         object.__setattr__(self, "invalid_as_printed", self.length is None)
 
 
-def _arcs_by_dot(verts: np.ndarray, target: float, tol: float = 1e-9) -> np.ndarray:
-    rows = []
-    n = len(verts)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(float(verts[i] @ verts[j]) - target) < tol:
-                rows.append([i, j, 1])
-    return np.asarray(rows, dtype=np.int64)
+def _net(vertices, *dots: float) -> GeodesicNet:
+    """The net on the unit vectors ``vertices`` with one arc [i, j, 1] for each
+    pair i < j, in pair order, whose dot product lies within 1e-9 of one of ``dots``."""
+    x = np.asarray(vertices, dtype=np.float64)
+    i, j = np.triu_indices(len(x), 1)
+    near = (np.abs((x @ x.T)[i, j, None] - dots) < 1e-9).any(axis=1)
+    return make_net(x, np.stack([i, j, np.ones_like(i)], axis=1)[near])
 
 
-def _net_great_circle() -> GeodesicNet:
-    verts = np.array([[1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]], dtype=np.float64)
-    arcs = np.array([[0, 1, 1], [1, 2, 1], [2, 3, 1], [3, 0, 1]], dtype=np.int64)
-    return make_net(verts, arcs)
-
-
-def _net_three_half_circles() -> GeodesicNet:
-    verts = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]
-    arcs = []
-    for k in range(3):
-        a = 2.0 * math.pi * k / 3.0
-        verts.append([math.cos(a), math.sin(a), 0.0])
-        arcs.append([0, 2 + k, 1])
-        arcs.append([2 + k, 1, 1])
-    return make_net(np.asarray(verts), np.asarray(arcs, dtype=np.int64))
-
-
-def _net_tetrahedron() -> GeodesicNet:
-    verts = np.array(
-        [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=np.float64
-    ) / math.sqrt(3.0)
-    return make_net(verts, _arcs_by_dot(verts, -1.0 / 3.0))
-
-
-def _net_cube() -> GeodesicNet:
-    verts = np.array(
-        [[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)],
-        dtype=np.float64,
-    ) / math.sqrt(3.0)
-    return make_net(verts, _arcs_by_dot(verts, 1.0 / 3.0))
-
-
-def _net_prism(sides: int, rho2: float) -> GeodesicNet:
-    rho = math.sqrt(rho2)
-    h = math.sqrt(1.0 - rho2)
-    verts = []
-    for sz in (h, -h):
-        for k in range(sides):
-            a = 2.0 * math.pi * k / sides
-            verts.append([rho * math.cos(a), rho * math.sin(a), sz])
-    verts = np.asarray(verts)
-    arcs = []
-    for k in range(sides):  # two rings
-        arcs.append([k, (k + 1) % sides, 1])
-        arcs.append([sides + k, sides + (k + 1) % sides, 1])
-    for k in range(sides):  # uprights
-        arcs.append([k, sides + k, 1])
-    return make_net(verts, np.asarray(arcs, dtype=np.int64))
-
-
-def _net_dodecahedron() -> GeodesicNet:
-    phi = (1.0 + math.sqrt(5.0)) / 2.0
-    pts = [[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)]
-    for a in (-1.0 / phi, 1.0 / phi):
-        for b in (-phi, phi):
-            pts.append([0.0, a, b])
-            pts.append([a, b, 0.0])
-            pts.append([b, 0.0, a])
-    verts = np.asarray(pts, dtype=np.float64) / math.sqrt(3.0)
-    arcs = _arcs_by_dot(verts, math.sqrt(5.0) / 3.0)
-    assert len(arcs) == 30, f"dodecahedron edge scan found {len(arcs)} arcs"
-    return make_net(verts, arcs)
+def _prism(sides: int, rho2: float) -> GeodesicNet:
+    """Two regular rings of ``sides`` vertices at heights h and -h, h² = 1 - rho2,
+    joined along each ring and by one upright per vertex."""
+    rho, h = math.sqrt(rho2), math.sqrt(1.0 - rho2)
+    ring = [2.0 * math.pi * k / sides for k in range(sides)]
+    verts = [[rho * math.cos(a), rho * math.sin(a), sz] for sz in (h, -h) for a in ring]
+    return _net(verts, rho2 * math.cos(2.0 * math.pi / sides) + h * h, rho2 - h * h)
 
 
 @functools.cache
@@ -345,21 +289,33 @@ def catalogue() -> tuple[CatalogueEntry, ...]:
     built on first use and shared (the entries are frozen).
 
     Names, closed forms and lengths come from ``netmatch.CATALOGUE``.
-    Entries 1–7 carry explicit balanced coordinates; 8–10 are length-only
-    (no coordinates are printed in the classification; reconstructing them is
-    out of scope). Entry 10's printed formula contains arcsin of an argument
-    larger than one and is flagged invalid; its intended comparison (> 25,
-    hence > 4*pi) is kept as a note.
+    Entries 1–7 carry explicit balanced coordinates: each is a vertex set and
+    its edge dots, and an arc joins two vertices whose dot product is an edge
+    dot. Entries 8–10 are length-only (no coordinates are printed in the
+    classification; reconstructing them is out of scope). Entry 10's printed
+    formula contains arcsin of an argument larger than one and is flagged
+    invalid; its intended comparison (> 25, hence > 4*pi) is kept as a note.
     """
+    phi = (1.0 + math.sqrt(5.0)) / 2.0
+    signs = [[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)]
+    golden = [p for a in (-1.0 / phi, 1.0 / phi) for b in (-phi, phi)
+              for p in ([0.0, a, b], [a, b, 0.0], [b, 0.0, a])]
+    equator = [[math.cos(a), math.sin(a), 0.0] for a in (2.0 * math.pi * k / 3.0 for k in range(3))]
     details = (
-        ("one great circle sampled at 4 points, 4 quarter arcs", {"net": _net_great_circle()}),
-        ("three meridians sharing both poles, split at the equator", {"net": _net_three_half_circles()}),
-        ("1-skeleton of the regular tetrahedron, radially projected", {"net": _net_tetrahedron()}),
-        ("1-skeleton of the cube, radially projected", {"net": _net_cube()}),
+        ("one great circle sampled at 4 points, 4 quarter arcs",
+         {"net": _net([[1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]], 0.0)}),
+        ("three meridians sharing both poles, split at the equator",
+         {"net": _net([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]] + equator, 0.0)}),
+        ("1-skeleton of the regular tetrahedron, radially projected",
+         {"net": _net(np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=np.float64)
+                      / math.sqrt(3.0), -1.0 / 3.0)}),
+        ("1-skeleton of the cube, radially projected",
+         {"net": _net(np.array(signs, dtype=np.float64) / math.sqrt(3.0), 1.0 / 3.0)}),
         ("prism over a regular pentagon: two rings of 5 plus 5 uprights",
-         {"net": _net_prism(5, 2.0 * (5.0 - math.sqrt(5.0)) / 15.0)}),
-        ("prism over a regular triangle: two rings of 3 plus 3 uprights", {"net": _net_prism(3, 8.0 / 9.0)}),
-        ("1-skeleton of the regular dodecahedron, radially projected", {"net": _net_dodecahedron()}),
+         {"net": _prism(5, 2.0 * (5.0 - math.sqrt(5.0)) / 15.0)}),
+        ("prism over a regular triangle: two rings of 3 plus 3 uprights", {"net": _prism(3, 8.0 / 9.0)}),
+        ("1-skeleton of the regular dodecahedron, radially projected",
+         {"net": _net(np.asarray(signs + golden, dtype=np.float64) / math.sqrt(3.0), math.sqrt(5.0) / 3.0)}),
         ("24 arcs forming 2 regular quadrilaterals and 8 equal pentagons; each"
          " quadrilateral surrounded by 4 pentagons, each pentagon by 4 pentagons"
          " and one quadrilateral", {"n_arcs": 24}),

@@ -306,6 +306,28 @@ def test_analyze_liyau_without_an_analytic_block_samples_eight_vertices(tmp_path
     assert block["theta_max"] == 0.9975459219046342
 
 
+@pytest.mark.parametrize("disk", [[], ["--disk", "0,0:0.3"]], ids=["no-disk", "one-disk"])
+def test_analyze_liyau_reads_each_density_point_as_its_density_row(tmp_path, disk):
+    """On singular-pair L3 the sheet points carry an ``r_max`` hint below the
+    sheets' separation; ``--liyau`` honours it as ``--density`` does, so each
+    θ that ``li_yau_check`` reads equals the ``--density`` row at its point."""
+    from varifold_lab import blowup
+    from varifold_lab.mesh import load_mesh_file
+
+    path, report = str(tmp_path / "pair.json"), str(tmp_path / "r.json")
+    assert main(["generate", "singular-pair", "--level", "3", *disk, "-o", path]) == 0
+    v, analytic = load_mesh_file(path)
+    dps = analytic["density_points"]
+    assert sum("r_max" in dp for dp in dps) == 2
+    assert main(["analyze", path, "--liyau", "-o", report,
+                 *(f"--density={','.join(map(repr, dp['point']))}" for dp in dps)]) in (0, 1)
+    blocks = read_json(report)["analyses"]
+    rows = [row["theta"] for row in blocks["density"]]
+    rep = blowup.li_yau_check(v, [dp["point"] for dp in dps], r_max=[dp.get("r_max") for dp in dps])
+    assert rep.thetas.tolist() == rows
+    assert blocks["liyau"]["theta_max"] == rep.theta_max == max(rows)
+
+
 def test_analyze_density_without_an_analytic_block_has_no_expected_value(tmp_path):
     from varifold_lab import generators
     from varifold_lab.mesh import save_varifold

@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from varifold_lab import _grid, blowup, curvature, generators, mesh
+from varifold_lab._kernels import _sq
 from varifold_lab.cli import main
 from varifold_lab.mesh import DiscreteVarifold, MeshError, make_varifold
 
@@ -534,6 +535,42 @@ def test_face_grid_single_face_and_flat_mesh(r):
     assert _near_faces(flat, x0, r) <= set(got.tolist())
     far = flat.face_grid.query(x0 + [0.0, 0.0, 5.0], r)
     assert len(far) == (flat.num_faces if r >= 4.0 else 0)
+
+
+def _face_grid_axis0(v: DiscreteVarifold) -> _grid.FaceGrid:
+    """The face grid as it was built with axis-0 reductions: three corner
+    gathers, their sum and the largest of three spreads, and the origin and
+    cell counts from ``min``/``max`` over the centroid rows."""
+    a, b, c = (v.vertices[v.faces[:, k]] for k in range(3))
+    cen = (a + b + c) / 3.0
+    spreads = np.sqrt(np.maximum(np.maximum(_sq(a - cen), _sq(b - cen)), _sq(c - cen)))
+    if not len(cen):
+        return _grid.FaceGrid(np.zeros(3), 1.0, np.zeros(3, dtype=np.int32), np.zeros((0, 3), dtype=np.int32),
+                              np.zeros(0, dtype=np.int32), 0.0, cen, spreads)
+    origin = cen.min(axis=0)
+    extent = float((cen.max(axis=0) - origin).max())
+    pitch = max(_grid._PITCH_SPREADS * float(spreads.mean()), extent / (_grid._MAX_CELLS - 1))
+    if not pitch > 0.0:
+        pitch = 1.0
+    ijk = np.floor((cen - origin) / pitch).astype(np.int64)
+    n = ijk.max(axis=0) + 1
+    keys, face_cell = np.unique((ijk[:, 0] * n[1] + ijk[:, 1]) * n[2] + ijk[:, 2], return_inverse=True)
+    cells = np.stack([keys // (n[1] * n[2]), keys // n[2] % n[1], keys % n[2]], axis=1)
+    return _grid.FaceGrid(origin, pitch, n.astype(np.int32), cells.astype(np.int32),
+                          face_cell.astype(np.int32), float(spreads.max()), cen, spreads)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: generators.gen_triple_bubble(3).varifold,
+    lambda: generators.gen_double_bubble(0.7, 1.0, 4).varifold,
+    lambda: make_varifold(np.eye(3), np.zeros((0, 3), dtype=np.int64)),
+], ids=["triple_bubble3", "double_bubble4", "no-faces"])
+def test_face_grid_build_matches_the_axis0_oracle(make):
+    v = make()
+    got, want = _grid.FaceGrid.build(v), _face_grid_axis0(v)
+    for f in dataclasses.fields(_grid.FaceGrid):
+        g, w = np.asarray(getattr(got, f.name)), np.asarray(getattr(want, f.name))
+        assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes()), f.name
 
 
 def test_face_grid_large_or_unbounded_balls_give_every_face(sphere3):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from types import SimpleNamespace
@@ -104,6 +105,62 @@ def test_catalogue_lengths_frozen(entries):
             assert entry.length is None
         else:
             assert entry.length == pytest.approx(expected, abs=1e-12)
+
+
+_PENTAGON_RHO2 = 2.0 * (5.0 - math.sqrt(5.0)) / 15.0
+
+#: Each constructible net: its arc count, its edge dots, and the sha256 of its
+#: vertex bytes and of its undirected arcs (rows [min(i, j), max(i, j),
+#: multiplicity], ascending), recorded while every net had its own constructor.
+NET_PINS = {
+    "great circle": (4, [0.0],
+        "67590978e9f3a8b90214163788a3d63cdc41b9d6f24ca6b4d7de0218e86f01a5",
+        "20ab7c1d1c66765eaf896cc0afa024fcda001972aea662f1349a83669c095837"),
+    "three half circles": (6, [0.0],
+        "5771359147762ed8c9527b4c0ac90dbcf2c055464632d7295efe761cabe5c4e1",
+        "e5786990f9f224646b55e0fe96584e69df571228aafcfd83d3d35c97320de870"),
+    "tetrahedron": (6, [-1.0 / 3.0],
+        "14e17820655757015663ce95decfb735b1ecdb28520923bd693a0e10e4549169",
+        "eb1f654c1d7b7fd78963be898b9a4d412d1eae8650b698ecc0e86e3cc7405d08"),
+    "cube": (12, [1.0 / 3.0],
+        "d5f0f943aa6c9763c36e4de2fca7c9a99417ad6f23e057acbc09ea74f740502c",
+        "e175e911c3ea3ea9cc344d58a37397aa0b2d7f225750068d32b2e04186f6be59"),
+    "pentagon prism": (15, [_PENTAGON_RHO2 * math.cos(0.4 * math.pi) + 1.0 - _PENTAGON_RHO2,
+                            2.0 * _PENTAGON_RHO2 - 1.0],
+        "a4bdd474917ad040fcc11b720861c1795f65c61983df5d6efe0c4ad0925feb70",
+        "5a935ffebbe82bbe57a21657a5cac0033bf5ad0064bef0c552ea49a18cac182c"),
+    "triangle prism": (9, [-1.0 / 3.0, 7.0 / 9.0],
+        "5e301cac7446faee46526427350bc7074fa4c44c74336c42da5adf8a544a504c",
+        "0e6f9c3d59e2ad849c8774bd1c7e94eb68947e37e2615ccbea3ae594b04e0763"),
+    "dodecahedron": (30, [math.sqrt(5.0) / 3.0],
+        "6f371e73f8d6da53484707f8598f412d43d3ecae23b117bd4e1962784f2afc8b",
+        "c4da57b770979ac48271462c779906b8057dd0ceaa5c8e22516f6087780312a7"),
+}
+
+
+def _undirected(net):
+    ends = np.sort(net.arcs[:, :2], axis=1)
+    rows = np.column_stack([ends, net.arcs[:, 2]])
+    return rows[np.lexsort(rows.T[::-1])]
+
+
+@pytest.mark.parametrize("name", list(NET_PINS))
+def test_catalogue_nets_keep_their_vertices_and_arcs(entries, name):
+    """Each net is its vertex set plus the arcs at its edge dots: the vertex
+    bytes and the set of undirected arcs are the pinned ones, every arc joins
+    two vertices at an edge dot, and the regular solids, whose arcs come in
+    pair order, keep their arc rows."""
+    net = {e.name: e.net for e in entries}[name]
+    count, dots, vertex_hash, arc_hash = NET_PINS[name]
+    rows = _undirected(net)
+    assert net.num_arcs == count
+    assert hashlib.sha256(net.vertices.tobytes()).hexdigest() == vertex_hash
+    assert hashlib.sha256(rows.tobytes()).hexdigest() == arc_hash
+    assert not net.major.any() and (net.arcs[:, 2] == 1).all()
+    at = np.einsum("ij,ij->i", net.vertices[net.arcs[:, 0]], net.vertices[net.arcs[:, 1]])
+    assert (np.abs(at[:, None] - dots).min(axis=1) < 1e-12).all()
+    if name in ("tetrahedron", "cube", "dodecahedron"):
+        np.testing.assert_array_equal(net.arcs, rows)
 
 
 def test_exactly_first_three_below_4pi(entries):
