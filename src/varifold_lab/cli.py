@@ -304,11 +304,10 @@ def cmd_net_catalogue(args) -> int:
 def cmd_net_relax(args) -> int:
     net = nets.load_net(args.net)
     res = nets.relax(net, max_iter=args.max_iter, tol=args.tol)
-    final_len = nets.total_length(res.net)
-    final_res = nets.balance_residual(res.net)
+    final_len, final_res = res.lengths[-1], res.residuals[-1]  # the returned net's, bit for bit
     if args.out:
         write_report({
-            "vertices": res.net.vertices.tolist(),
+            "vertices": res.net.points,
             "arcs": nets._arc_rows(res.net),
             "total_length": final_len,
             "balance_residual": final_res,

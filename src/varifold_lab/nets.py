@@ -9,117 +9,190 @@ coordinates. ``relax`` moves a net's vertices, its arcs and major flags fixed,
 until it balances; every iterate is a geodesic net on the input's arcs, so the
 last residual and length it records are ``balance_residual`` and
 ``total_length`` of the net it returns.
+
+Every value is computed in ``math``, one vertex or arc at a time: 3-vector
+dots are written out in one fixed order, totals are ``math.fsum``s, angles
+come from ``math.acos``, and ``relax`` solves its normal equations by a
+Cholesky factorization in a fixed order. So the net commands never load
+NumPy, and a relaxed net's bits do not depend on the host's BLAS core or SIMD
+level. A net's NumPy arrays are built only when they are read.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass, field, replace
+from operator import mul
 
-import numpy as np
-
-from ._values import _frozen, _numeric
+from ._values import _frozen, _is_int, _numeric
 from .netmatch import CATALOGUE, NetError, match_link  # noqa: F401  (nets' public names too)
 from .reports import NOT_RECORDED, Record, load_json, save_json
+
+_Vec = tuple[float, float, float]
+
+
+def _dot(a, b) -> float:
+    return (a[0] * b[0] + a[1] * b[1]) + a[2] * b[2]
 
 
 @dataclass(frozen=True)
 class GeodesicNet:
-    """Unit-sphere net: vertices (N, 3) unit vectors; arcs (M, 3) int rows
-    [i, j, multiplicity]; major (M,) bool flags selecting the long way round.
-    An empty ``arcs`` array stands for no arcs; any other shape but (M, 3) is
-    left for validation to reject, never reshaped."""
+    """Unit-sphere net: ``points`` holds N unit vectors as 3-tuples of floats,
+    ``rows`` M arcs (i, j, multiplicity) as 3-tuples of ints, and ``flags`` one
+    bool per arc, True where the arc takes the major (long) way round.
+    ``vertices`` (N, 3) float64, ``arcs`` (M, 3) int64 and ``major`` (M,) bool
+    are the same values as read-only NumPy arrays, built on first read.
+    ``make_net`` and ``load_net`` build validated nets."""
 
-    vertices: np.ndarray
-    arcs: np.ndarray
-    major: np.ndarray
+    points: tuple[_Vec, ...]
+    rows: tuple[tuple[int, int, int], ...]
+    flags: tuple[bool, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "vertices", _frozen(np.asarray(self.vertices, dtype=np.float64)))
-        arcs = np.asarray(self.arcs, dtype=np.int64)
-        if arcs.shape == (0,):
-            arcs = arcs.reshape(0, 3)
-        object.__setattr__(self, "arcs", _frozen(arcs))
-        m = self.major if self.major is not None else np.zeros(len(self.arcs), dtype=bool)
-        object.__setattr__(self, "major", _frozen(np.asarray(m, dtype=bool)))
+    @functools.cached_property
+    def vertices(self):
+        return _array(self.points, "float64", 3)
+
+    @functools.cached_property
+    def arcs(self):
+        return _array(self.rows, "int64", 3)
+
+    @functools.cached_property
+    def major(self):
+        return _array(self.flags, "bool")
 
     @property
     def num_vertices(self) -> int:
-        return int(self.vertices.shape[0])
+        return len(self.points)
 
     @property
     def num_arcs(self) -> int:
-        return int(self.arcs.shape[0])
+        return len(self.rows)
+
+
+def _array(rows, dtype: str, *width: int):
+    """``rows`` as a read-only NumPy array of ``dtype`` and shape (len(rows), *width)."""
+    import numpy as np
+
+    return _frozen(np.array(rows, dtype=dtype).reshape(len(rows), *width))
+
+
+def _is_int64(x) -> bool:
+    return _is_int(x) and -2**63 <= x < 2**63
+
+
+def _is_coordinate(x) -> bool:
+    return isinstance(x, float) or _is_int64(x)
+
+
+def _rows_of_3(x, ok, kinds: str, where: str):
+    """``x`` as it is if it is a non-empty list (or tuple) of rows of 3 values that pass ``ok``;
+    anything else goes through ``_numeric`` (an array, or NetError naming ``where``)."""
+    if (isinstance(x, (list, tuple)) and x
+            and all(isinstance(r, (list, tuple)) and len(r) == 3 and all(map(ok, r)) for r in x)):
+        return x
+    return _numeric(x, kinds, where, NetError)
 
 
 def make_net(vertices, arcs, major=None) -> GeodesicNet:
     """A validated net: numbers as vertices, integers as arcs, one boolean or 0/1 per arc as
-    ``major``; nothing coerced (NetError)."""
-    net = GeodesicNet(_numeric(vertices, "iuf", "vertices", NetError),
-                      _numeric(arcs, "iu", "arcs", NetError), None)
-    _validate(net)
+    ``major``; nothing coerced (NetError). Lists of Python numbers are read without NumPy;
+    anything else (arrays, booleans, strings) is checked through it."""
+    v = _rows_of_3(vertices, _is_coordinate, "iuf", "vertices")
+    a = _rows_of_3(arcs, _is_int64, "iu", "arcs")
+    if not isinstance(v, (list, tuple)):
+        if v.ndim != 2 or v.shape[1] != 3:
+            raise NetError(f"vertices must be (N, 3), got {v.shape}")
+        v = v.astype("float64").tolist()
+    if not isinstance(a, (list, tuple)):
+        if a.shape == (0,):  # no arcs; any other shape but (M, 3) is rejected, never reshaped
+            a = a.reshape(0, 3)
+        if a.ndim != 2 or a.shape[1] != 3:
+            raise NetError(f"arcs must be (M, 3) rows [i, j, multiplicity], got {a.shape}")
+        a = a.astype("int64").tolist()
+    points = tuple((float(x), float(y), float(z)) for x, y, z in v)
+    rows = tuple((int(i), int(j), int(m)) for i, j, m in a)
+    _validate(points, rows)
+    return GeodesicNet(points, rows, _flags(major, len(rows)))
+
+
+def _flags(major, m: int) -> tuple[bool, ...]:
+    """One flag per arc from ``major``: None (all minor), or m booleans or 0/1 integers."""
     if major is None:
-        return net
+        return (False,) * m
+    if (isinstance(major, (list, tuple)) and len(major) == m
+            and all(type(f) in (bool, int) and f in (0, 1) for f in major)):
+        return tuple(map(bool, major))
+    import numpy as np
+
     flags = np.asarray(major)
-    if (flags.shape != (net.num_arcs,) or (flags.size and flags.dtype.kind not in "biu")
+    if (flags.shape != (m,) or (flags.size and flags.dtype.kind not in "biu")
             or not np.isin(flags, (0, 1)).all()):
-        raise NetError(f"major must be {net.num_arcs} booleans or 0/1 integers, one per arc, not {major!r}")
-    return replace(net, major=flags)
+        raise NetError(f"major must be {m} booleans or 0/1 integers, one per arc, not {major!r}")
+    return tuple(flags.astype(bool).tolist())
 
 
-def _validate(net: GeodesicNet) -> None:
-    if net.vertices.ndim != 2 or net.vertices.shape[1] != 3:
-        raise NetError(f"vertices must be (N, 3), got {net.vertices.shape}")
-    if net.arcs.ndim != 2 or net.arcs.shape[1] != 3:
-        raise NetError(f"arcs must be (M, 3) rows [i, j, multiplicity], got {net.arcs.shape}")
-    bad = np.nonzero(~np.isfinite(net.vertices).all(axis=1))[0]
-    if len(bad):
-        raise NetError(f"vertex {int(bad[0])} is not finite: {net.vertices[bad[0]].tolist()}")
-    off = np.abs(np.linalg.norm(net.vertices, axis=1) - 1.0)
-    if len(off) and off.max() > 1e-12:
-        raise NetError(f"vertex {int(off.argmax())} is off the unit sphere by {off.max():.2e}")
-    if net.arcs[:, :2].min(initial=0) < 0 or net.arcs[:, :2].max(initial=-1) >= net.num_vertices:
+def _validate(points, rows) -> None:
+    for k, p in enumerate(points):
+        if not all(map(math.isfinite, p)):
+            raise NetError(f"vertex {k} is not finite: {list(p)}")
+    off = [abs(math.sqrt(_dot(p, p)) - 1.0) for p in points]
+    if off and max(off) > 1e-12:
+        raise NetError(f"vertex {off.index(max(off))} is off the unit sphere by {max(off):.2e}")
+    n = len(points)
+    if not all(0 <= i < n and 0 <= j < n for i, j, _ in rows):
         raise NetError("arc endpoint index out of range")
-    if (net.arcs[:, 0] == net.arcs[:, 1]).any():
-        bad = int(np.nonzero(net.arcs[:, 0] == net.arcs[:, 1])[0][0])
-        raise NetError(f"arc {bad} has identical endpoints")
-    if (net.arcs[:, 2] < 1).any():
+    for k, (i, j, _) in enumerate(rows):
+        if i == j:
+            raise NetError(f"arc {k} has identical endpoints")
+    if any(m < 1 for _, _, m in rows):
         raise NetError("arc multiplicities must be >= 1")
 
 
-def _arc_geometry(x: np.ndarray, arcs: np.ndarray, major: np.ndarray):
-    """Angle of each arc and its unit tangents at both ends, pointing into the arc.
+def _arc_geometry(x, rows, flags) -> list[tuple]:
+    """Each arc's (angle, c, s, tp, tq) on the unit vectors ``x``: c = p·q of its
+    endpoints p and q, clipped to [-1, 1], s = √(1 − c²) (at least 1e-15), and
+    its unit tangents tp at p and tq at q, pointing into the arc. A major arc is
+    2π minus the minor angle long and leaves each endpoint in the direction
+    opposite the minor arc."""
+    out = []
+    for (i, j, _), major in zip(rows, flags):
+        p, q = x[i], x[j]
+        c = min(max(_dot(p, q), -1.0), 1.0)
+        s = math.sqrt(max(1.0 - c * c, 1e-30))
+        e = -1.0 if major else 1.0
+        out.append((2.0 * math.pi - math.acos(c) if major else math.acos(c), c, s,
+                    tuple((q[k] - c * p[k]) / s * e for k in range(3)),
+                    tuple((p[k] - c * q[k]) / s * e for k in range(3))))
+    return out
 
-    Returns (angle (..., M), t_start (..., M, 3), t_end (..., M, 3)) for arcs
-    [i, j, mult] on the unit vectors ``x`` (..., N, 3), one net per leading
-    index. Major arcs are 2*pi minus the minor angle long and leave each
-    endpoint in the direction opposite the minor arc.
-    """
-    p = x[..., arcs[:, 0], :]
-    q = x[..., arcs[:, 1], :]
-    c = np.clip(np.einsum("...ij,...ij->...i", p, q), -1.0, 1.0)
-    ang = np.arccos(c)
-    ang = np.where(major, 2.0 * math.pi - ang, ang)
-    s = np.sqrt(np.maximum(1.0 - c * c, 1e-30))[..., None]
-    sign = np.where(major, -1.0, 1.0)[:, None]
-    return ang, (q - c[..., None] * p) / s * sign, (p - c[..., None] * q) / s * sign
+
+def _forces(x, rows, arcs) -> tuple[list[list[float]], list[_Vec]]:
+    """At each vertex, the multiplicity-weighted sum g of the incident tangents and
+    its projection f = g − (g·x)x to the sphere's tangent plane; zero without arcs."""
+    g = [[0.0, 0.0, 0.0] for _ in x]
+    for (i, j, m), (_, _, _, tp, tq) in zip(rows, arcs):
+        gi, gj = g[i], g[j]
+        for k in range(3):
+            gi[k] += m * tp[k]
+            gj[k] += m * tq[k]
+    f = []
+    for gv, xv in zip(g, x):
+        d = _dot(gv, xv)
+        f.append((gv[0] - d * xv[0], gv[1] - d * xv[1], gv[2] - d * xv[2]))
+    return g, f
 
 
-def _forces(x: np.ndarray, arcs: np.ndarray, tp: np.ndarray, tq: np.ndarray) -> np.ndarray:
-    """Multiplicity-weighted sum of the incident tangents at each vertex of each
-    net (leading axes), projected to the sphere's tangent plane; zero without arcs."""
-    w = arcs[:, 2].astype(np.float64)[:, None]
-    f = np.zeros_like(x)
-    by_vertex = np.moveaxis(f, -2, 0)  # a view with vertices first
-    np.add.at(by_vertex, arcs[:, 0], np.moveaxis(w * tp, -2, 0))
-    np.add.at(by_vertex, arcs[:, 1], np.moveaxis(w * tq, -2, 0))
-    f -= np.einsum("...ij,...ij->...i", f, x)[..., None] * x
-    return f
+def _length(rows, arcs) -> float:
+    return math.fsum(m * arc[0] for (_, _, m), arc in zip(rows, arcs))
+
+
+def _residual(f) -> float:
+    return max((math.sqrt(_dot(v, v)) for v in f), default=0.0)
 
 
 def total_length(net: GeodesicNet) -> float:
     """Sum of multiplicity-weighted arc lengths."""
-    return math.fsum(net.arcs[:, 2] * _arc_geometry(net.vertices, net.arcs, net.major)[0])
+    return _length(net.rows, _arc_geometry(net.points, net.rows, net.flags))
 
 
 def balance_residual(net: GeodesicNet) -> float:
@@ -128,13 +201,11 @@ def balance_residual(net: GeodesicNet) -> float:
     The sums are projected to the tangent plane of the sphere (they already
     are, up to round-off). Zero characterizes stationarity.
     """
-    ang, tp, tq = _arc_geometry(net.vertices, net.arcs, net.major)
-    flat = np.abs(np.sin(ang)) < 1e-12  # the angle is 0 or pi: no tangent plane
-    if flat.any():
-        bad = int(np.nonzero(flat)[0][0])
-        raise NetError(f"arc {bad} joins (nearly) parallel or antipodal points")
-    force = _forces(net.vertices, net.arcs, tp, tq)
-    return float(np.linalg.norm(force, axis=1).max()) if net.num_vertices else 0.0
+    arcs = _arc_geometry(net.points, net.rows, net.flags)
+    for k, arc in enumerate(arcs):
+        if abs(math.sin(arc[0])) < 1e-12:  # the angle is 0 or pi: no tangent plane
+            raise NetError(f"arc {k} joins (nearly) parallel or antipodal points")
+    return _residual(_forces(net.points, net.rows, arcs)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -159,14 +230,15 @@ def relax(net: GeodesicNet, max_iter: int = 1000, tol: float = 1e-10) -> RelaxRe
     balance system instead: the residual stacks the multiplicity-weighted
     tangential force at every vertex, and damped Gauss-Newton
     (Levenberg-Marquardt) steps, renormalized to the sphere and accepted only
-    when the residual norm decreases, drive it to zero; the Jacobian takes
-    central differences in all 3N coordinates from one ``_state`` call on the
-    2·3N perturbed nets. Every arc keeps its endpoints and its major flag, so
-    each iterate is a geodesic net with the input's arcs. Each state reached,
-    the start included, is measured before the next step, so the loop stops
-    when the largest per-vertex force norm is below tol or after max_iter
-    steps, and the length and residual histories hold iterations + 1 entries;
-    the last entries are ``total_length(res.net)`` and
+    when the residual norm decreases, drive it to zero. The Jacobian is the
+    closed form (``_jacobian``) on two tangent directions per vertex, and each
+    damped system is solved by ``_solve``'s fixed-order Cholesky factorization;
+    one that does not factor is damped more. Every arc keeps its endpoints and
+    its major flag, so each iterate is a geodesic net with the input's arcs.
+    Each state reached, the start included, is measured before the next step,
+    so the loop stops when the largest per-vertex force norm is below tol or
+    after max_iter steps, and the length and residual histories hold
+    iterations + 1 entries; the last entries are ``total_length(res.net)`` and
     ``balance_residual(res.net)``, bit for bit. Raises NetError for
     max_iter < 0 or tol <= 0 (a tolerance no residual can meet) and for an arc
     with antipodal endpoints, and aborts with NetError if the endpoints of any
@@ -176,63 +248,152 @@ def relax(net: GeodesicNet, max_iter: int = 1000, tol: float = 1e-10) -> RelaxRe
         raise NetError(f"max_iter must be at least 0, not {max_iter}")
     if not tol > 0:
         raise NetError(f"tol must be positive, not {tol!r}")
-    _validate(net)
-    arcs, major = net.arcs, net.major
-    ends = net.vertices[arcs[:, 0]] + net.vertices[arcs[:, 1]]
-    if (np.linalg.norm(ends, axis=1) < 1e-9).any():
-        raise NetError("cannot relax an arc with antipodal endpoints (ambiguous geodesic)")
-    x, r, ang = _state(net.vertices, arcs, major)
+    _validate(net.points, net.rows)
+    rows, flags = net.rows, net.flags
+    for i, j, _ in rows:
+        ends = [a + b for a, b in zip(net.points[i], net.points[j])]
+        if math.sqrt(_dot(ends, ends)) < 1e-9:
+            raise NetError("cannot relax an arc with antipodal endpoints (ambiguous geodesic)")
+    state = _state(net.points, rows, flags)
     lengths: list[float] = []
     residuals: list[float] = []
     lam = 1e-3
     converged = False
     for it in range(max_iter + 1):  # record the state reached, then stop or step
-        lengths.append(math.fsum(arcs[:, 2] * ang))
-        residuals.append(float(np.linalg.norm(r.reshape(-1, 3), axis=1).max()))
+        x, arcs, g, f, norm2 = state
+        lengths.append(_length(rows, arcs))
+        residuals.append(_residual(f))
         if residuals[-1] < tol:
             converged = True
             break
         if it == max_iter:
             break
-        n, h = r.size, 1e-7
-        step = h * np.eye(n).reshape(n, *x.shape)  # central differences, all coordinates at once
-        f = _state(np.stack([x + step, x - step], axis=1), arcs, major)[1]
-        jac = ((f[:, 0] - f[:, 1]) / (2.0 * h)).T.copy()  # C order fixes how jac.T @ jac rounds
-        lhs = jac.T @ jac
-        rhs = jac.T @ r
-        eye = np.eye(n)
-        accepted = False
+        frames = [_frame(p) for p in x]
+        lower, rhs = _normal_equations(_jacobian(x, rows, flags, arcs, g, frames), f)
         for _ in range(40):
-            try:
-                d = np.linalg.solve(lhs + lam * eye, -rhs)
-            except np.linalg.LinAlgError:
-                lam *= 4.0
-                continue
-            x_new, r_new, ang_new = _state(x + d.reshape(-1, 3), arcs, major)
-            if r_new @ r_new < r @ r:
-                accepted = True
-                break
+            d = _solve(lower, lam, rhs)
+            if d is not None:  # step along each vertex's frame, then back onto the sphere
+                z = [[p[k] + (d[2 * v] * e1[k] + d[2 * v + 1] * e2[k]) for k in range(3)]
+                     for v, (p, (e1, e2)) in enumerate(zip(x, frames))]
+                state = _state(z, rows, flags)
+                if state[-1] < norm2:
+                    break
             lam *= 4.0
-        if not accepted:
+        else:  # no damped step lowers the residual norm: stay at x
             break
         lam = max(0.5 * lam, 1e-12)
-        x, r, ang = x_new, r_new, ang_new
 
-    return RelaxResult(net=replace(net, vertices=x), lengths=lengths, residuals=residuals,
+    return RelaxResult(net=replace(net, points=tuple(x)), lengths=lengths, residuals=residuals,
                        iterations=it, converged=converged)
 
 
-def _state(z: np.ndarray, arcs: np.ndarray, major: np.ndarray):
-    """The rows of ``z`` (..., N, 3) scaled to unit length, the forces there
-    stacked into one vector per net (..., 3N), and the arc angles (..., M);
-    NetError if an arc's endpoints come within 1e-6 in any of the nets."""
-    x = z / np.linalg.norm(z, axis=-1)[..., None]
-    ang, tp, tq = _arc_geometry(x, arcs, major)
-    gap = np.minimum(ang, 2.0 * math.pi - ang)  # arccos(p·q), for a major arc too
-    if (gap < 1e-6).any():
-        bad = int(np.argwhere(gap < 1e-6)[0, -1])
-        raise NetError(f"arc collapse during relaxation: the endpoints of arc {bad} came within 1e-6")
-    return x, _forces(x, arcs, tp, tq).reshape(*x.shape[:-2], -1), ang
+def _state(z, rows, flags) -> tuple:
+    """The rows x of ``z`` scaled to unit length, with ``_arc_geometry``'s arcs
+    and ``_forces``' g and f there, and the squared norm of all the forces (one
+    ``math.fsum``); NetError if an arc's endpoints come within 1e-6."""
+    x = []
+    for p in z:
+        n = math.sqrt(_dot(p, p))
+        x.append((p[0] / n, p[1] / n, p[2] / n))
+    arcs = _arc_geometry(x, rows, flags)
+    for k, arc in enumerate(arcs):
+        if min(arc[0], 2.0 * math.pi - arc[0]) < 1e-6:  # arccos(p·q), for a major arc too
+            raise NetError(f"arc collapse during relaxation: the endpoints of arc {k} came within 1e-6")
+    g, f = _forces(x, rows, arcs)
+    return x, arcs, g, f, math.fsum(c * c for v in f for c in v)
+
+
+def _frame(x: _Vec) -> tuple[_Vec, _Vec]:
+    """Two orthonormal tangent vectors at the unit vector ``x``: e1, the coordinate
+    axis x is least along (the first of equals) made tangent and unit, and x × e1."""
+    k = min(range(3), key=lambda i: abs(x[i]))
+    a = [-x[k] * c for c in x]
+    a[k] += 1.0
+    n = math.sqrt(_dot(a, a))
+    e = (a[0] / n, a[1] / n, a[2] / n)
+    return e, (x[1] * e[2] - x[2] * e[1], x[2] * e[0] - x[0] * e[2], x[0] * e[1] - x[1] * e[0])
+
+
+def _jacobian(x, rows, flags, arcs, g, frames) -> list[dict[int, list[list[float]]]]:
+    """The closed-form derivative of the forces f of ``_state(z)`` at z = x, in
+    blocks: for each vertex v, {u: the columns ∂f_v/∂z_u · e for e in frames[u]}
+    over the u with a nonzero block. Each frame vector must be tangent at its
+    vertex, so the chain factor I − x xᵀ of the renormalization leaves it.
+
+    For the tangent t = (q − c·p)/s at p toward q, c = p·q and s = √(1 − c²):
+    ∂t/∂q = (I − p pᵀ)/s + (c/s³)(q − c·p)pᵀ and
+    ∂t/∂p = −(c·I + p qᵀ)/s + (c/s³)(q − c·p)qᵀ. The projection P = I − p pᵀ
+    fixes t, so on a vector e tangent at q, P ∂t/∂q e = (e − p(p·e))/s + (c/s²)(p·e)t,
+    and on one tangent at p, P ∂t/∂p e = −(c/s)e + (c/s²)(q·e)t. The projection
+    f_v = g_v − (g_v·x_v)x_v itself adds −(g_v·e)x_v at u = v; its other term,
+    −(g_v·x_v)e, is zero, as every tangent at x_v is orthogonal to x_v.
+    """
+    blocks: list[dict] = [{} for _ in x]
+
+    def add(v, u, alpha, y, w):  # blocks[v][u] += alpha·E_u + y (w·E_u)ᵀ, E_u = frames[u]
+        cols = blocks[v].setdefault(u, [[0.0, 0.0, 0.0] for _ in frames[u]])
+        for col, e in zip(cols, frames[u]):
+            beta = _dot(w, e)
+            col[0] += alpha * e[0] + beta * y[0]
+            col[1] += alpha * e[1] + beta * y[1]
+            col[2] += alpha * e[2] + beta * y[2]
+
+    for (i, j, m), major, (_, c, s, tp, tq) in zip(rows, flags, arcs):
+        a = -m / s if major else m / s  # a major arc's tangents are the minor ones negated
+        b = m * c / (s * s)
+        p, q = x[i], x[j]
+        add(i, j, a, [b * tp[k] - a * p[k] for k in range(3)], p)
+        add(i, i, -a * c, [b * t for t in tp], q)
+        add(j, i, a, [b * tq[k] - a * q[k] for k in range(3)], q)
+        add(j, j, -a * c, [b * t for t in tq], p)
+    for v, (xv, gv) in enumerate(zip(x, g)):
+        add(v, v, 0.0, [-t for t in xv], gv)
+    return blocks
+
+
+def _normal_equations(blocks, f) -> tuple[list[list[float]], list[float]]:
+    """The lower triangle of JᵀJ, row by row, and Jᵀf, for the Jacobian J in
+    ``_jacobian``'s blocks and the forces f; unknown b of vertex u is u·k + b for
+    k columns per block. Sums run over the vertices in order."""
+    k = len(next(iter(blocks[0].values())))
+    n = k * len(f)
+    lower = [[0.0] * (i + 1) for i in range(n)]
+    rhs = [0.0] * n
+    for row, fv in zip(blocks, f):
+        cols = sorted((u * k + b, col) for u, block in row.items() for b, col in enumerate(block))
+        for a, (i, ci) in enumerate(cols):
+            rhs[i] += _dot(ci, fv)
+            li = lower[i]
+            for j, cj in cols[:a + 1]:
+                li[j] += _dot(ci, cj)
+    return lower, rhs
+
+
+def _solve(lower, lam: float, rhs):
+    """d with (A + lam·I) d = −rhs for the symmetric A whose lower triangle is
+    ``lower``, by a Cholesky factorization in a fixed order (each inner product
+    one ``math.fsum``); None where a pivot is not positive, so A + lam·I is not
+    positive definite in floating point."""
+    chol: list[list[float]] = []
+    for i, row in enumerate(lower):
+        li: list[float] = []
+        for j in range(i):
+            lj = chol[j]
+            li.append((row[j] - math.fsum(map(mul, li, lj))) / lj[j])
+        pivot = row[i] + lam - math.fsum(map(mul, li, li))
+        if not pivot > 0.0:
+            return None
+        li.append(math.sqrt(pivot))
+        chol.append(li)
+    d: list[float] = []
+    for li, b in zip(chol, rhs):  # L y = −rhs
+        d.append((-b - math.fsum(map(mul, li, d))) / li[-1])
+    for i in reversed(range(len(chol))):  # Lᵀ d = y, one row of L at a time
+        li = chol[i]
+        d[i] /= li[i]
+        for j in range(i):
+            d[j] -= li[j] * d[i]
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -266,12 +427,12 @@ class CatalogueEntry(Record):
 
 
 def _net(vertices, *dots: float) -> GeodesicNet:
-    """The net on the unit vectors ``vertices`` with one arc [i, j, 1] for each
-    pair i < j, in pair order, whose dot product lies within 1e-9 of one of ``dots``."""
-    x = np.asarray(vertices, dtype=np.float64)
-    i, j = np.triu_indices(len(x), 1)
-    near = (np.abs((x @ x.T)[i, j, None] - dots) < 1e-9).any(axis=1)
-    return make_net(x, np.stack([i, j, np.ones_like(i)], axis=1)[near])
+    """The net on the unit vectors ``vertices`` (lists of 3 floats) with one arc
+    [i, j, 1] for each pair i < j, in pair order, whose dot product lies within
+    1e-9 of one of ``dots``."""
+    n = len(vertices)
+    return make_net(vertices, [[i, j, 1] for i in range(n) for j in range(i + 1, n)
+                               if any(abs(_dot(vertices[i], vertices[j]) - d) < 1e-9 for d in dots)])
 
 
 def _prism(sides: int, rho2: float) -> GeodesicNet:
@@ -297,6 +458,11 @@ def catalogue() -> tuple[CatalogueEntry, ...]:
     invalid; its intended comparison (> 25, hence > 4*pi) is kept as a note.
     """
     phi = (1.0 + math.sqrt(5.0)) / 2.0
+    root3 = math.sqrt(3.0)
+
+    def radial(points):  # onto the unit sphere from the radius-√3 sphere
+        return [[c / root3 for c in p] for p in points]
+
     signs = [[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)]
     golden = [p for a in (-1.0 / phi, 1.0 / phi) for b in (-phi, phi)
               for p in ([0.0, a, b], [a, b, 0.0], [b, 0.0, a])]
@@ -307,15 +473,14 @@ def catalogue() -> tuple[CatalogueEntry, ...]:
         ("three meridians sharing both poles, split at the equator",
          {"net": _net([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]] + equator, 0.0)}),
         ("1-skeleton of the regular tetrahedron, radially projected",
-         {"net": _net(np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=np.float64)
-                      / math.sqrt(3.0), -1.0 / 3.0)}),
+         {"net": _net(radial([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]), -1.0 / 3.0)}),
         ("1-skeleton of the cube, radially projected",
-         {"net": _net(np.array(signs, dtype=np.float64) / math.sqrt(3.0), 1.0 / 3.0)}),
+         {"net": _net(radial(signs), 1.0 / 3.0)}),
         ("prism over a regular pentagon: two rings of 5 plus 5 uprights",
          {"net": _prism(5, 2.0 * (5.0 - math.sqrt(5.0)) / 15.0)}),
         ("prism over a regular triangle: two rings of 3 plus 3 uprights", {"net": _prism(3, 8.0 / 9.0)}),
         ("1-skeleton of the regular dodecahedron, radially projected",
-         {"net": _net(np.asarray(signs + golden, dtype=np.float64) / math.sqrt(3.0), math.sqrt(5.0) / 3.0)}),
+         {"net": _net(radial(signs + golden), math.sqrt(5.0) / 3.0)}),
         ("24 arcs forming 2 regular quadrilaterals and 8 equal pentagons; each"
          " quadrilateral surrounded by 4 pentagons, each pentagon by 4 pentagons"
          " and one quadrilateral", {"n_arcs": 24}),
@@ -339,14 +504,13 @@ def catalogue() -> tuple[CatalogueEntry, ...]:
 
 def _arc_rows(net: GeodesicNet) -> list[list[int]]:
     """Arcs as file rows [i, j, mult], with a fourth element 1 on a major arc."""
-    return [[i, j, m, 1] if major else [i, j, m]
-            for (i, j, m), major in zip(net.arcs.tolist(), net.major.tolist())]
+    return [[i, j, m, 1] if major else [i, j, m] for (i, j, m), major in zip(net.rows, net.flags)]
 
 
 def save_net(net: GeodesicNet, path: str) -> None:
     """Net JSON: {"vertices": [[x,y,z],...], "arcs": [[i,j,mult],...]};
     arcs that take the major way round get a fourth element 1."""
-    save_json({"vertices": net.vertices.tolist(), "arcs": _arc_rows(net)}, path)
+    save_json({"vertices": net.points, "arcs": _arc_rows(net)}, path)
 
 
 def load_net(path: str) -> GeodesicNet:
@@ -364,6 +528,5 @@ def load_net(path: str) -> GeodesicNet:
                 and all(isinstance(x, int) and not isinstance(x, bool) for x in r)):
             raise NetError(f"net file {path!r}: arc {k} must be 3 or 4 integers, the fourth 0 or 1,"
                            f" not {r!r}")
-    arcs = np.asarray([r[:3] for r in rows], dtype=np.int64)
-    major = [r[3:] == [1] for r in rows]
-    return make_net(_numeric(doc["vertices"], "iuf", f"file {path!r}: 'vertices'", NetError), arcs, major)
+    vertices = _rows_of_3(doc["vertices"], _is_coordinate, "iuf", f"file {path!r}: 'vertices'")
+    return make_net(vertices, [r[:3] for r in rows], [r[3:] == [1] for r in rows])

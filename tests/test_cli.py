@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -806,6 +807,33 @@ def test_serial_reports_are_byte_identical(sphere_file, tmp_path):
         assert fa.read() == fb.read()
 
 
+def test_relaxed_nets_do_not_depend_on_the_blas_core_or_the_simd_level(tmp_path):
+    # relax runs in math, in a fixed order: the bytes are the same under every
+    # BLAS core and NumPy dispatch level, and pinned (the vertices use only
+    # +, -, *, /, sqrt and fsum, which round the same on every IEEE host)
+    dodeca = nets.catalogue()[6].net
+    x = dodeca.vertices + 0.05 * np.random.default_rng(41).standard_normal(dodeca.vertices.shape)
+    x /= np.linalg.norm(x, axis=1)[:, None]
+    net = str(tmp_path / "net.json")
+    nets.save_net(nets.make_net(x, dodeca.arcs), net)
+    hosts = ({}, {"OPENBLAS_CORETYPE": "Haswell"}, {"OPENBLAS_CORETYPE": "Prescott"},
+             {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"})
+    outs = []
+    for k, host in enumerate(hosts):
+        env = {name: value for name, value in _child_env(**host).items()
+               if name in host or name not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
+        out = tmp_path / f"relaxed-{k}.json"
+        proc = subprocess.run([sys.executable, "-m", "varifold_lab.cli", "net", "relax", net, "-o", str(out)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outs.append((proc.stdout, out.read_bytes()))
+    assert outs[1:] == outs[:1] * 3
+    doc = json.loads(outs[0][1])
+    assert doc["converged"] and doc["iterations"] == 4
+    assert hashlib.sha256(json.dumps(doc["vertices"]).encode()).hexdigest() == (
+        "5e27e83962e935e68bb6b7d3a136bf294ea83fa2cab4f77bc1fe57302f6bf643")
+
+
 def _thread_cap_at_numpy_load(extra_env: dict, argv: list[str]) -> list[str]:
     """Run ``main(argv)`` in a child Python with ``extra_env`` and no thread caps set.
 
@@ -836,12 +864,14 @@ def _thread_cap_at_numpy_load(extra_env: dict, argv: list[str]) -> list[str]:
     return proc.stdout.splitlines()[-1].split()[1:]
 
 
-def test_thread_cap_env_applies_before_numpy():
-    # `net catalogue` builds the nets, so it loads NumPy; `net match` no longer does
-    got = _thread_cap_at_numpy_load({"VARIFOLD_LAB_THREADS": "2"}, ["net", "catalogue"])
+def test_thread_cap_env_applies_before_numpy(tmp_path):
+    # `generate` builds a mesh, so it loads NumPy; the net commands no longer do
+    argv = ["generate", "sphere", "--level", "0", "-o", str(tmp_path / "sphere.json")]
+    got = _thread_cap_at_numpy_load({"VARIFOLD_LAB_THREADS": "2"}, argv)
     assert got == ["before=False", "at-load=2", "after=True"]
 
 
-def test_serial_applies_before_numpy():
-    got = _thread_cap_at_numpy_load({}, ["--serial", "net", "catalogue"])
+def test_serial_applies_before_numpy(tmp_path):
+    argv = ["generate", "sphere", "--level", "0", "-o", str(tmp_path / "sphere.json")]
+    got = _thread_cap_at_numpy_load({}, ["--serial", *argv])
     assert got == ["before=False", "at-load=1", "after=True"]

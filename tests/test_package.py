@@ -99,6 +99,24 @@ def test_net_match_never_loads_numpy(inputs, argv):
     assert seen["lazy"]["varifold_lab.netmatch"] is False and seen["lazy"]["varifold_lab.nets"] is True
 
 
+@pytest.mark.parametrize("argv", [["net", "relax", "{moved}", "-o", "{report}"], ["net", "catalogue"],
+                                  ["net", "catalogue", "--json"]], ids=["relax", "catalogue", "catalogue-json"])
+def test_net_relax_and_catalogue_never_load_numpy(inputs, tmp_path, argv):
+    # the tetrahedron with each vertex moved off balance: relax takes Gauss-Newton steps
+    tetra, moved = varifold_lab.catalogue()[2].net, []
+    for k, p in enumerate(tetra.points):
+        q = [c + 0.05 * math.sin(3 * k + i + 1) for i, c in enumerate(p)]
+        moved.append([c / math.hypot(*q) for c in q])
+    inputs["moved"] = str(tmp_path / "moved.json")
+    varifold_lab.save_net(varifold_lab.make_net(moved, tetra.rows), inputs["moved"])
+    seen = command_loads(*[a.format(**inputs) for a in argv])
+    assert seen["code"] == 0
+    assert seen["numpy"] is False
+    assert seen["lazy"]["varifold_lab.nets"] is False and seen["lazy"]["varifold_lab.mesh"] is True
+    if argv[1] == "relax":
+        assert json.loads(Path(inputs["report"]).read_text())["iterations"] > 1
+
+
 @pytest.mark.parametrize("argv", [["net", "relax", "{net}"], ["boundary", "sup", "{datum}"],
                                   ["boundary", "admissible", "{datum}", "--p", "1"]],
                          ids=["net-relax", "boundary-sup", "boundary-admissible"])
