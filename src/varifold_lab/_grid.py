@@ -2,13 +2,16 @@
 
 Local queries (density ladders, spherical links, distances to the support)
 need only the faces near a small ball, yet a mesh has up to ~10^5 faces. The
-grid finds a superset of those faces with a few array operations, so the
-exact computations run on the superset instead of on every face: first the
-faces whose centroid lies in a cell near the ball, then, of those, the faces
-whose own bounding sphere (centroid and spread) meets the ball or, for a
-spherical link, the shell around the sphere. It is built once per mesh, as
-``DiscreteVarifold.face_grid``; this module is imported only when a grid is
-first needed.
+grid finds a superset of those faces at a cost set by the cells near the
+ball, not by the mesh. The occupied cells are kept sorted, each with its
+faces as one run of ``order`` and the largest spread of those faces. A query
+reads only the slab of cells whose first index meets the ball's box, drops
+each cell that its own spread cannot bring near the ball (or, for a
+spherical link, the shell around the sphere), keeps every face of a cell
+that lies wholly inside, and tests the faces of the other cells one by one:
+a face is kept when its own bounding sphere (centroid and spread) meets the
+ball or shell. It is built once per mesh, as ``DiscreteVarifold.face_grid``;
+this module is imported only when a grid is first needed.
 """
 from __future__ import annotations
 
@@ -33,22 +36,24 @@ _MAX_CELLS = 1 << 20
 class FaceGrid:
     """Uniform grid of cubic cells over the face centroids, for local queries.
 
-    Each face sits in the cell of its centroid. ``cells`` holds the integer
-    coordinates of the occupied cells, ``face_cell[f]`` the row of face f's
-    cell in ``cells``, and ``spread`` the largest distance from a face's
-    centroid to its corners, so every face lies within ``spread`` of its
-    centroid. Cell (i, j, k) is the cube ``origin + pitch * [i, i+1) x ...``,
-    and ``shape`` is the number of cells along each axis. ``centroids[f]``
-    and ``spreads[f]`` are face f's centroid, ``(a + b + c) / 3``, and the
-    largest distance from it to f's corners: f lies in the ball of radius
-    ``spreads[f]`` about ``centroids[f]``.
+    Each face sits in the cell of its centroid. Cell (i, j, k) is the cube
+    ``origin + pitch * [i, i+1) x ...``, and ``shape`` is the number of cells
+    along each axis. ``cells`` holds the integer coordinates of the occupied
+    cells in ascending (i, j, k) order; the faces of cell row c are
+    ``order[start[c]:start[c + 1]]``, and ``cell_spread[c]`` is the largest
+    spread among them. ``centroids[f]`` and ``spreads[f]`` are face f's
+    centroid, ``(a + b + c) / 3``, and the largest distance from it to f's
+    corners: f lies in the ball of radius ``spreads[f]`` about
+    ``centroids[f]``. ``spread`` is the largest spread of all.
     """
 
     origin: np.ndarray
     pitch: float
     shape: np.ndarray
     cells: np.ndarray
-    face_cell: np.ndarray
+    start: np.ndarray
+    order: np.ndarray
+    cell_spread: np.ndarray
     spread: float
     centroids: np.ndarray
     spreads: np.ndarray
@@ -61,7 +66,8 @@ class FaceGrid:
         spreads = np.sqrt(_sq(abc).max(axis=0))
         if not len(cen):
             return cls(_frozen(np.zeros(3)), 1.0, _frozen(np.zeros(3, dtype=np.int32)),
-                       _frozen(np.zeros((0, 3), dtype=np.int32)), _frozen(np.zeros(0, dtype=np.int32)), 0.0,
+                       _frozen(np.zeros((0, 3), dtype=np.int32)), _frozen(np.zeros(1, dtype=np.int64)),
+                       _frozen(np.zeros(0, dtype=np.int32)), _frozen(np.zeros(0)), 0.0,
                        _frozen(cen), _frozen(spreads))
         origin = np.array([col.min() for col in cen.T])  # one column at a time: faster than axis 0
         top = np.array([col.max() for col in cen.T])
@@ -69,23 +75,35 @@ class FaceGrid:
         pitch = max(_PITCH_SPREADS * float(spreads.mean()), extent / (_MAX_CELLS - 1))
         if not pitch > 0.0:  # one face, or every centroid in one point
             pitch = 1.0
-        ijk = np.floor((cen - origin) / pitch).astype(np.int64)
+        ijk = cen - origin
+        ijk /= pitch
+        ijk = np.floor(ijk, out=ijk).astype(np.int64)
         n = np.floor((top - origin) / pitch).astype(np.int64) + 1  # floor is monotone: the top cell
-        keys, face_cell = np.unique((ijk[:, 0] * n[1] + ijk[:, 1]) * n[2] + ijk[:, 2], return_inverse=True)
+        keys = (ijk[:, 0] * n[1] + ijk[:, 1]) * n[2] + ijk[:, 2]
+        order = np.argsort(keys)  # the faces of a cell in no particular order: queries sort what they keep
+        keys = keys[order]
+        start = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1], [True])))
+        keys = keys[start[:-1]]
         cells = np.stack([keys // (n[1] * n[2]), keys // n[2] % n[1], keys % n[2]], axis=1)
         return cls(_frozen(origin), pitch, _frozen(n.astype(np.int32)), _frozen(cells.astype(np.int32)),
-                   _frozen(face_cell.astype(np.int32)), float(spreads.max()), _frozen(cen), _frozen(spreads))
+                   _frozen(start), _frozen(order.astype(np.int32)),
+                   _frozen(np.maximum.reduceat(spreads[order], start[:-1])), float(spreads.max()),
+                   _frozen(cen), _frozen(spreads))
 
     def query(self, x0, r: float, inner: float = 0.0) -> np.ndarray:
         """Ascending indices of a superset of the faces that can meet the shell
         ``inner <= |x - x0| <= r`` (the ball B(x0, r) for ``inner = 0``).
 
         The cells that meet the box of half-width ``r + spread`` around x0
-        give the candidates; of those, a face is kept when its bounding
-        sphere meets the shell. Box and shell are widened by the same
-        absolute tolerance, 1e-9 × (r + spread + |x0|∞ + |origin|∞), so that
-        round-off never drops a face. A box that covers every cell, or is not
-        finite (NaN or infinite x0 or r), gives every face, untested.
+        are found in the sorted slab of their first index. A cell is dropped
+        when its cube, widened by its own largest spread, misses the shell,
+        and all its faces are kept when its cube lies inside the shell; of
+        the other cells, a face is kept when its bounding sphere meets the
+        shell. Box, cubes and shell are widened by the same absolute
+        tolerance, 1e-9 × (r + spread + |x0|∞ + |origin|∞), far above the
+        round-off of these tests, so the faces kept are exactly those of a
+        test of every face in the box. A box that covers every cell, or is
+        not finite (NaN or infinite x0 or r), gives every face, untested.
         """
         x0 = np.asarray(x0, dtype=np.float64)
         reach = r + self.spread
@@ -95,10 +113,26 @@ class FaceGrid:
         hi = np.floor((x0 + reach - self.origin) / self.pitch)
         covers = (lo <= 0).all() and (hi >= self.shape - 1).all()
         if covers or not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-            return np.arange(len(self.face_cell))
+            return np.arange(len(self.order))
         lo, hi = (np.clip(b, -1, _MAX_CELLS).astype(np.int32) for b in (lo, hi))
-        ok = ((self.cells >= lo) & (self.cells <= hi)).all(axis=1)
-        idx = np.flatnonzero(np.take(ok, self.face_cell))
-        d = np.sqrt(_sq(np.take(self.centroids, idx, axis=0) - x0))
-        s = np.take(self.spreads, idx)
-        return idx[(d <= r + s + tol) & (d + s >= inner - tol)]
+        first, last = np.searchsorted(self.cells[:, 0], (lo[0], hi[0] + 1))
+        run = self.cells[first:last]
+        c = first + np.flatnonzero(((run >= lo) & (run <= hi)).all(axis=1))
+        # a face of cell c has its centroid in the cube, up to round-off, and
+        # its bounding sphere within cell_spread[c] of the cube: near and far
+        # are the least and largest distances from x0 to the cube
+        w = np.abs(self.origin + self.pitch * (self.cells[c] + 0.5) - x0)
+        near = np.sqrt(_sq(np.maximum(w - 0.5 * self.pitch, 0.0)))
+        far = np.sqrt(_sq(w + 0.5 * self.pitch))
+        pad = self.cell_spread[c] + 2.0 * tol  # one tol more than the face test's
+        keep = (near <= r + pad) & (far + pad >= inner)
+        whole = (far <= r) & (near >= inner)  # every face of the cell passes the face test
+        c, whole = c[keep], whole[keep]
+        first, count = self.start[c], self.start[c + 1] - self.start[c]
+        idx = self.order[np.repeat(first - (np.cumsum(count) - count), count) + np.arange(count.sum())]
+        ok = np.repeat(whole, count)
+        test = np.flatnonzero(~ok)
+        d = np.sqrt(_sq(np.take(self.centroids, idx[test], axis=0) - x0))
+        s = np.take(self.spreads, idx[test])
+        ok[test] = (d <= r + s + tol) & (d + s >= inner - tol)
+        return np.sort(idx[ok]).astype(np.intp)

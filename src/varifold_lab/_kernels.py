@@ -15,8 +15,12 @@ scalar evaluation of the same formulas would round it, and each mass is the
 correctly rounded exact sum of its terms (what ``math.fsum`` returns), so
 the masses do not depend on face order. These rules keep the bits:
 
-- corners are gathered with ``np.take`` from the vertices shifted once by the
-  center, which rounds each row like the shift of a gathered corner;
+- corners are shifted by the center row by row, so a corner's shift and
+  squared norm have the same bits whether the corners are gathered first and
+  then shifted (a call on few faces: their 3F corner rows are fewer than the
+  V vertices) or every vertex is shifted and squared once and the corners
+  gathered from the result (a call on most of the mesh, such as a large
+  ball's);
 - cross products are written out (``_cross``), the products and differences
   ``np.cross`` forms;
 - squared norms (``_sq``) are summed in one fixed order, (x² + z²) + y²;
@@ -156,11 +160,17 @@ def ball_masses(
     x0 = np.asarray(x0, dtype=np.float64)
     radii = np.asarray(radii, dtype=np.float64)
 
-    d = vertices - x0
     corners = np.ascontiguousarray(faces.T)
-    abc = np.take(d, corners, axis=0)  # (3, F, 3): each face's corners, shifted
+    if 3 * len(faces) < len(vertices):  # few faces: shift and square only their corners
+        abc = np.take(vertices, corners, axis=0)  # (3, F, 3): each face's corners, shifted
+        abc -= x0
+        d2 = _sq(abc)
+    else:  # most of the mesh: shift and square each vertex once
+        d = vertices - x0
+        abc = np.take(d, corners, axis=0)
+        d2 = _sq(d).take(corners)
     va, vb, vc = abc
-    d_max = np.sqrt(_sq(d).take(corners).max(axis=0))
+    d_max = np.sqrt(d2.max(axis=0))
     # conservative lower bound on the distance from x0 to the face
     cen = (va + vb + vc) / 3.0
     spread = np.sqrt(_sq(abc - cen).max(axis=0))

@@ -377,15 +377,19 @@ def enclosed_volume(v: DiscreteVarifold) -> float:
 def point_surface_distance(v: DiscreteVarifold, x0: np.ndarray) -> float:
     """Exact distance from x0 to the union of the triangles.
 
-    The face grid is searched in balls of doubling radius, starting at one
-    cell pitch, until the nearest face found lies within the searched radius:
-    every face left out is farther than that. At worst every face is searched.
+    The face grid is searched in balls of doubling radius, starting at a
+    quarter of the cell pitch (the mean face spread, unless the cap on cells
+    per axis widened the cells), until the nearest face found lies within
+    the searched radius: every face left out is farther than that. At worst
+    every face is searched.
     """
     p = np.asarray(x0, dtype=np.float64)
     if not np.isfinite(p).all():
         raise ValueError(f"distance center must be finite, got {p.tolist()}")
+    from ._grid import _PITCH_SPREADS  # loaded by v.face_grid all the same
+
     grid = v.face_grid
-    r = grid.pitch
+    r = grid.pitch / _PITCH_SPREADS
     while True:
         idx = grid.query(p, r)
         d = _distance_to_faces(v.vertices, np.take(v.faces, idx, axis=0), p)

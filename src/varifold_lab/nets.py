@@ -240,9 +240,11 @@ def relax(net: GeodesicNet, max_iter: int = 1000, tol: float = 1e-10) -> RelaxRe
     after max_iter steps, and the length and residual histories hold
     iterations + 1 entries; the last entries are ``total_length(res.net)`` and
     ``balance_residual(res.net)``, bit for bit. Raises NetError for
-    max_iter < 0 or tol <= 0 (a tolerance no residual can meet) and for an arc
-    with antipodal endpoints, and aborts with NetError if the endpoints of any
-    arc, major or minor, come closer than 1e-6 in angle.
+    max_iter < 0 or tol <= 0 (a tolerance no residual can meet), for an arc
+    with antipodal endpoints, and for a start with an arc, major or minor,
+    whose endpoints are closer than 1e-6 in angle; a trial step that brings
+    an arc's endpoints that close is rejected, like one that does not lower
+    the residual norm.
     """
     if max_iter < 0:
         raise NetError(f"max_iter must be at least 0, not {max_iter}")
@@ -275,8 +277,12 @@ def relax(net: GeodesicNet, max_iter: int = 1000, tol: float = 1e-10) -> RelaxRe
             if d is not None:  # step along each vertex's frame, then back onto the sphere
                 z = [[p[k] + (d[2 * v] * e1[k] + d[2 * v + 1] * e2[k]) for k in range(3)]
                      for v, (p, (e1, e2)) in enumerate(zip(x, frames))]
-                state = _state(z, rows, flags)
-                if state[-1] < norm2:
+                try:
+                    trial = _state(z, rows, flags)
+                except NetError:  # the trial collapses an arc
+                    trial = None
+                if trial is not None and trial[-1] < norm2:
+                    state = trial
                     break
             lam *= 4.0
         else:  # no damped step lowers the residual norm: stay at x

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from varifold_lab import _grid, blowup, curvature, generators, mesh, nets
 from varifold_lab.blowup import ADMISSIBLE_DENSITIES
 from varifold_lab.mesh import DiscreteVarifold, MeshError
+from varifold_lab.reports import canonical_dumps
 
 TETRA_DENSITY = 3.0 * math.acos(-1.0 / 3.0) / math.pi  # ≈ 1.8245203439081783
 
@@ -296,7 +297,7 @@ def test_no_faces_is_a_mesh_error(call, capfd):
 
 def test_spherical_link_of_no_faces_is_empty():
     v = _no_faces()
-    assert len(v.face_grid.cells) == 0 and len(v.face_grid.face_cell) == 0
+    assert len(v.face_grid.cells) == 0 and len(v.face_grid.order) == 0
     link = blowup.spherical_link(v, np.zeros(3), 0.5)
     assert link.polylines == () and link.total_length == 0.0 and link.junction_count == 0
 
@@ -655,20 +656,40 @@ LOCAL_LINK_DIGESTS = [
 ]
 
 
+@functools.cache
+def _local_mesh(name: str, level: int) -> DiscreteVarifold:
+    if name == "double_bubble":
+        return generators.gen_double_bubble(0.7, 1.0, level).varifold
+    return generators.gen_triple_bubble(level).varifold
+
+
 def _local_link_digests() -> list[str]:
-    built = {}
-    out = []
-    for name, level, x0, r in LOCAL_LINKS:
-        if (name, level) not in built:
-            gen = (lambda lv: generators.gen_double_bubble(0.7, 1.0, lv)) if name == "double_bubble" \
-                else generators.gen_triple_bubble
-            built[name, level] = gen(level).varifold
-        out.append(_link_digest(blowup.spherical_link(built[name, level], np.array(x0), r)))
-    return out
+    return [_link_digest(blowup.spherical_link(_local_mesh(name, level), np.array(x0), r))
+            for name, level, x0, r in LOCAL_LINKS]
 
 
 def test_benchmark_links_keep_their_bytes():
     assert _local_link_digests() == LOCAL_LINK_DIGESTS
+
+
+#: sha256 of canonical_dumps(report.to_dict()) for the density reports at the
+#: points of LOCAL_LINKS, the bytes the benchmark's density digests hash.
+LOCAL_DENSITY_DIGESTS = [
+    "38d53000209bcb6b41c1ace7aca5d56f8a9b3efe8d78daf5d06dc921505eb633",
+    "2d034615436b87e4ff426b04a9e9aede538e289b758a664d590aa11c88e4019a",
+    "72544e10f224bfe7dbc734ab42ef32dcfbd9c8acb321ff1836f1a90f4489b77a",
+    "5dcf63c8625f4728300e07074af0df7e067aad9055c0502123193a0373585bcc",
+    "70d480a16c2d691aa0a580d54d72d217f1209e03aaa3d844c790c8544af57092",
+    "a0092914752f412b9fa68a4797e33b17918f74c66eb56c6a0ae3a3c62055ccd0",
+    "43a624ad26d8c63944a708ea3ddcb939591604f31c43e7abcd8954c1dd1397ab",
+    "e847d17c9692cfeecca59a68eb17b87ae1add5bfe7de2240e7c10bff5f2bd632",
+]
+
+
+def test_benchmark_densities_keep_their_bytes():
+    got = [hashlib.sha256(canonical_dumps(blowup.density(_local_mesh(name, level), np.array(x0)).to_dict())
+                          .encode()).hexdigest() for name, level, x0, _ in LOCAL_LINKS]
+    assert got == LOCAL_DENSITY_DIGESTS
 
 
 #: sha256 of json.dumps(link.to_dict()) at seeded random points near the
@@ -733,7 +754,7 @@ def test_face_grid_changes_no_bits_on_a_sparse_cloud(monkeypatch):
                 for x0, r in queries]
 
     got = run()
-    monkeypatch.setattr(_grid.FaceGrid, "query", lambda self, x0, r, inner=0.0: np.arange(len(self.face_cell)))
+    monkeypatch.setattr(_grid.FaceGrid, "query", lambda self, x0, r, inner=0.0: np.arange(len(self.order)))
     assert run() == got
 
 

@@ -269,12 +269,19 @@ def _soups(draw):
 
 @st.composite
 def _ball_cases(draw):
-    if draw(st.booleans()):
+    surface = draw(st.booleans())
+    if surface:
         v = draw(st.sampled_from(_surfaces()))
         verts, faces, mult = v.vertices, v.faces, v.multiplicity.astype(np.float64)
     else:
         verts, faces, mult = draw(_soups())
     near = verts[draw(st.integers(0, len(verts) - 1))]
+    if surface and draw(st.booleans()):
+        # the faces nearest a vertex, as a grid query passes them: fewer than
+        # V/3 take the kernel's corner-first branch, more its vertex-first one
+        k = draw(st.integers(1, len(verts) // 3 - 1) | st.integers(len(verts) // 3, len(faces)))
+        keep = np.sort(np.argsort(_ref_sq(verts[faces].mean(axis=1) - near), kind="stable")[:k])
+        faces, mult = faces[keep], mult[keep]
     offset = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3)))
     scale = draw(st.sampled_from([0.0, 0.01, 0.3, 5.0]))
     x0 = near + scale * offset

@@ -106,7 +106,7 @@ def test_cached_arrays_are_read_only(sphere3):
     arrays.append(curvature.second_fundamental_norm(v).H)  # shares the cached array
     arrays += [getattr(grid, f.name) for f in dataclasses.fields(grid)
                if isinstance(getattr(grid, f.name), np.ndarray)]
-    assert len(arrays) == 20
+    assert len(arrays) == 22
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
@@ -524,6 +524,91 @@ def test_face_grid_query_returns_only_faces_near_the_shell(v, x0, r, t, k):
         assert set(got.tolist()) <= _near_faces(v, x0, r, inner, slack)
 
 
+def _query_oracle(grid: _grid.FaceGrid, x0: np.ndarray, r: float, inner: float) -> np.ndarray:
+    """``FaceGrid.query`` by a test of every face: each face whose bounding
+    sphere meets the shell widened by the query's tolerance, or every face
+    when the query box covers the grid or is not finite."""
+    reach = r + grid.spread
+    tol = 1e-9 * (reach + np.abs(x0).max() + np.abs(grid.origin).max())
+    lo = np.floor((x0 - (reach + tol) - grid.origin) / grid.pitch)
+    hi = np.floor((x0 + (reach + tol) - grid.origin) / grid.pitch)
+    if not np.isfinite(np.concatenate([lo, hi])).all() or ((lo <= 0).all() and (hi >= grid.shape - 1).all()):
+        return np.arange(len(grid.spreads))
+    d = np.sqrt(_sq(grid.centroids - x0))
+    s = grid.spreads
+    return np.flatnonzero((d <= r + s + tol) & (d + s >= inner - tol))
+
+
+@settings(max_examples=300, deadline=None)
+@given(**_query_draws)
+def test_face_grid_query_is_the_test_of_every_face(v, x0, r, t, k):
+    """Reading only the cells near the shell, and of those only the cells
+    whose own spread can reach it, drops no face that a test of every face
+    keeps, and keeps no other."""
+    x0 = np.array(x0)
+    r, inner = _shell(v, x0, r, t, k)
+    got = v.face_grid.query(x0, r, inner=inner)
+    want = _query_oracle(v.face_grid, x0, r, inner)
+    assert (got.dtype, got.tolist()) == (want.dtype, want.tolist())
+
+
+def _corner_face(scale: float) -> DiscreteVarifold:
+    """Face 0, of spread 0.559 × scale, has its centroid at the grid's origin,
+    the corner of its cell nearest to or farthest from a point x0 = ±(2, 2, 2);
+    three faces of spread 0.559 lie 20 away along the axes."""
+    tri = scale * np.array([[0.5, 0.0, 0.0], [-0.25, 0.5, 0.0], [-0.25, -0.5, 0.0]])
+    far = [tri / scale + np.array(p) for p in [(20.0, 0.0, 0.0), (0.0, 20.0, 0.0), (0.0, 0.0, 20.0)]]
+    v = make_varifold(np.vstack([tri] + far), np.arange(12).reshape(-1, 3))
+    assert v.face_grid.centroids[0].tolist() == v.face_grid.origin.tolist() == [0.0, 0.0, 0.0]
+    assert v.face_grid.pitch < 4.0  # so ±(2, 2, 2) lies beyond the middle of face 0's cell
+    return v
+
+
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+def test_face_grid_query_keeps_a_cell_its_face_reaches_within_the_tolerance(side):
+    """The ball's sphere (side -1) or the shell's inner sphere (side 1)
+    passes face 0's bounding sphere by half the query's tolerance: the face
+    test keeps the face, and so the cell test must keep its cell."""
+    grid = _corner_face(1.0).face_grid
+    x0 = np.full(3, 2.0 * side)
+    d, s = math.sqrt(12.0), grid.spreads[0]
+    r = 5.0 if side > 0 else d - s
+    tol = 1e-9 * (r + grid.spread + 2.0)
+    r, inner = (r, d + s + 0.5 * tol) if side > 0 else (r - 0.5 * tol, 0.0)
+    want = _query_oracle(grid, x0, r, inner)
+    assert want.tolist() == [0]
+    np.testing.assert_array_equal(grid.query(x0, r, inner=inner), want)
+
+
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+def test_face_grid_query_tests_the_faces_of_a_cell_the_sphere_cuts(side):
+    """Face 0 (spread 0.0056) misses the shell by 1e-6, so its cell, whose
+    corner is face 0's centroid, reaches past the ball's sphere (side 1) or
+    the shell's inner sphere (side -1): the cell is not wholly inside the
+    shell, its faces are tested, and face 0 is left out."""
+    grid = _corner_face(0.01).face_grid
+    x0 = np.full(3, 2.0 * side)
+    d, s = math.sqrt(12.0), grid.spreads[0]
+    r, inner = (d - s - 1e-6, 0.0) if side > 0 else (8.0, d + s + 1e-6)
+    want = _query_oracle(grid, x0, r, inner)
+    assert want.tolist() == []
+    np.testing.assert_array_equal(grid.query(x0, r, inner=inner), want)
+
+
+def test_face_grid_query_is_the_test_of_every_face_on_a_triple_bubble():
+    """At a tetrahedral point, a triple-line point, and points off the
+    support, for balls and shells from one face wide to most of the mesh."""
+    v = generators.gen_triple_bubble(3).varifold
+    for point in [(0.8164965809277261, -0.5773502691896258, 0.0), (0.0, 0.0, 1.0), (0.3, 0.2, 0.1),
+                  (0.0, -0.6, 0.9)]:
+        x0 = np.array(point)
+        for r in (0.01, 0.05, 0.3, 0.8):
+            for inner in (0.0, 0.5 * r, r):
+                want = _query_oracle(v.face_grid, x0, r, inner)
+                assert len(want) < v.num_faces
+                np.testing.assert_array_equal(v.face_grid.query(x0, r, inner=inner), want)
+
+
 @pytest.mark.parametrize("r", [1e-9, 0.2, 1e6, math.inf])
 def test_face_grid_single_face_and_flat_mesh(r):
     one = make_varifold([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]])
@@ -540,13 +625,15 @@ def test_face_grid_single_face_and_flat_mesh(r):
 def _face_grid_axis0(v: DiscreteVarifold) -> _grid.FaceGrid:
     """The face grid as it was built with axis-0 reductions: three corner
     gathers, their sum and the largest of three spreads, and the origin and
-    cell counts from ``min``/``max`` over the centroid rows."""
+    cell counts from ``min``/``max`` over the centroid rows; the cells and
+    each face's cell row from ``np.unique``, each cell's faces ascending."""
     a, b, c = (v.vertices[v.faces[:, k]] for k in range(3))
     cen = (a + b + c) / 3.0
     spreads = np.sqrt(np.maximum(np.maximum(_sq(a - cen), _sq(b - cen)), _sq(c - cen)))
     if not len(cen):
         return _grid.FaceGrid(np.zeros(3), 1.0, np.zeros(3, dtype=np.int32), np.zeros((0, 3), dtype=np.int32),
-                              np.zeros(0, dtype=np.int32), 0.0, cen, spreads)
+                              np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int32), np.zeros(0), 0.0,
+                              cen, spreads)
     origin = cen.min(axis=0)
     extent = float((cen.max(axis=0) - origin).max())
     pitch = max(_grid._PITCH_SPREADS * float(spreads.mean()), extent / (_grid._MAX_CELLS - 1))
@@ -556,8 +643,11 @@ def _face_grid_axis0(v: DiscreteVarifold) -> _grid.FaceGrid:
     n = ijk.max(axis=0) + 1
     keys, face_cell = np.unique((ijk[:, 0] * n[1] + ijk[:, 1]) * n[2] + ijk[:, 2], return_inverse=True)
     cells = np.stack([keys // (n[1] * n[2]), keys // n[2] % n[1], keys % n[2]], axis=1)
-    return _grid.FaceGrid(origin, pitch, n.astype(np.int32), cells.astype(np.int32),
-                          face_cell.astype(np.int32), float(spreads.max()), cen, spreads)
+    start = np.concatenate([[0], np.cumsum(np.bincount(face_cell))])
+    order = np.argsort(face_cell, kind="stable")
+    cell_spread = np.array([spreads[face_cell == c].max() for c in range(len(cells))])
+    return _grid.FaceGrid(origin, pitch, n.astype(np.int32), cells.astype(np.int32), start,
+                          order.astype(np.int32), cell_spread, float(spreads.max()), cen, spreads)
 
 
 @pytest.mark.parametrize("make", [
@@ -570,6 +660,8 @@ def test_face_grid_build_matches_the_axis0_oracle(make):
     got, want = _grid.FaceGrid.build(v), _face_grid_axis0(v)
     for f in dataclasses.fields(_grid.FaceGrid):
         g, w = np.asarray(getattr(got, f.name)), np.asarray(getattr(want, f.name))
+        if f.name == "order":  # a cell's faces come in no set order: sort each run
+            g = np.concatenate([np.sort(g[a:b]) for a, b in zip(want.start[:-1], want.start[1:])] or [g])
         assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes()), f.name
 
 

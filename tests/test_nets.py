@@ -428,6 +428,27 @@ def test_relax_aborts_when_the_endpoints_of_a_major_arc_meet():
         relax(net)
 
 
+def test_relax_rejects_a_trial_step_that_collapses_an_arc(entries, monkeypatch):
+    # from this start an undamped trial step brings the ends of an arc within
+    # 1e-6; relax rejects that trial, as it does one that raises the residual,
+    # and goes on from the net it had
+    collapses = []
+    state = nets._state
+
+    def counting(*args):
+        try:
+            return state(*args)
+        except NetError:
+            collapses.append(1)
+            raise
+
+    monkeypatch.setattr(nets, "_state", counting)
+    res = relax(_perturbed(entries[3].net, 0.5, 19))
+    assert collapses and res.iterations > 0
+    assert res.residuals[-1] == balance_residual(res.net) < res.residuals[0]
+    assert res.lengths[-1] == total_length(res.net)
+
+
 def test_relax_takes_damped_steps_and_still_converges(entries, monkeypatch):
     # at this perturbation some Gauss-Newton trial steps raise the residual,
     # so relax rejects them, raises the damping and solves again
