@@ -14,7 +14,7 @@ import numpy as np
 
 from . import _kernels
 from .curvature import point_surface_distance, willmore_energy
-from .mesh import DiscreteVarifold, MeshError, _require, _weld
+from .mesh import DiscreteVarifold, MeshError, _require
 from .reports import Record
 
 log = logging.getLogger(__name__)
@@ -253,14 +253,16 @@ class SphericalLink(Record):
     density_estimate: float
 
 
-def _circle_arcs(P: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _circle_arcs(P: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Angular intervals of the circles |p| = rho inside the CCW triangles P.
 
-    P is (m, 3, 2), one triangle per circle. Returns (row, theta0, dtheta)
-    per arc, ordered by row and then by start angle: the circle's crossings
-    of the triangle's edges are sorted, and each span between consecutive
-    crossings whose midpoint lies inside the triangle is an arc; a circle
-    that crosses no edge is one whole arc or none.
+    P is (m, 3, 2), one triangle per circle. Returns (row, theta0, dtheta,
+    ends) per arc, ordered by row and then by start angle: the circle's
+    crossings of the triangle's edges are sorted, and each span between
+    consecutive crossings whose midpoint lies inside the triangle is an arc;
+    a circle that crosses no edge is one whole arc or none. ``ends`` (n, 2)
+    names the crossings where an open arc starts and ends: 2k + j is the j-th
+    root, in the order of t, on edge k from corner k to corner k + 1.
     """
     m = len(rho)
     ang = np.full((m, 6), np.inf)
@@ -279,7 +281,8 @@ def _circle_arcs(P: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray
                 qy = p0[hit, 1] + t[hit] * d[hit, 1]
                 ang[hit, 2 * k + j] = np.fromiter(map(math.atan2, qy.tolist(), qx.tolist()),
                                                   dtype=np.float64, count=len(hit))
-    ang = np.sort(ang, axis=1, kind="stable")
+    order = np.argsort(ang, axis=1, kind="stable")
+    ang = np.take_along_axis(ang, order, axis=1)
     count = np.isfinite(ang).sum(axis=1)
     # a circle that crosses no edge is one arc from 0 to 2π, probed at angle 0
     whole = count == 0
@@ -289,6 +292,7 @@ def _circle_arcs(P: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray
     nxt = np.where(slot == (count - 1)[:, None], ang[:, :1] + 2.0 * math.pi, np.roll(ang, -1, axis=1))
     row, col = np.nonzero(slot < count[:, None])
     a0, a1 = ang[row, col], nxt[row, col]
+    ends = np.stack([order[row, col], order[row, (col + 1) % count[row]]], axis=1)
     mid = np.where(whole[row], 0.0, 0.5 * (a0 + a1))
     qx = rho[row] * np.fromiter(map(math.cos, mid.tolist()), dtype=np.float64, count=len(mid))
     qy = rho[row] * np.fromiter(map(math.sin, mid.tolist()), dtype=np.float64, count=len(mid))
@@ -296,7 +300,7 @@ def _circle_arcs(P: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray
     for k in range(3):
         a, b = P[row, k], P[row, (k + 1) % 3]
         inside &= ~((b[:, 0] - a[:, 0]) * (qy - a[:, 1]) - (b[:, 1] - a[:, 1]) * (qx - a[:, 0]) < -1e-12)
-    return row[inside], a0[inside], a1[inside] - a0[inside]
+    return row[inside], a0[inside], a1[inside] - a0[inside], ends[inside]
 
 
 def spherical_link(v: DiscreteVarifold, x0, r: float) -> SphericalLink:
@@ -308,12 +312,12 @@ def spherical_link(v: DiscreteVarifold, x0, r: float) -> SphericalLink:
     as arrays over the faces (dot products rounded like a 1-D ``a @ b``,
     angles from ``math.atan2``). Lengths are summed from arc angles
     (multiplicity-weighted) with ``math.fsum``, then the arcs are sampled and
-    chained into polylines. Arc ends crossing the same mesh edge coincide to
-    round-off, so endpoint merging uses a small scale-free tolerance; nodes
-    where three or more ends meet are junctions; at four-end nodes
-    (transversal crossings) the chaining continues straight through, onto the
-    end that best continues the arc, and stops if that end is already
-    chained. A sphere that misses the support gives the empty link.
+    chained into polylines. Arc ends meet at a node when they cross the same
+    mesh edge at the same root, or lie within 1e-5·r of the same vertex
+    (``_end_keys``); nodes where three or more ends meet are junctions; at
+    four-end nodes (transversal crossings) the chaining continues straight
+    through, onto the end that best continues the arc, and stops if that end
+    is already chained. A sphere that misses the support gives the empty link.
     """
     x0 = np.asarray(x0, dtype=np.float64)
     if not (np.isfinite(x0).all() and math.isfinite(r)):
@@ -344,11 +348,13 @@ def spherical_link(v: DiscreteVarifold, x0, r: float) -> SphericalLink:
     foot = d[:, None] * nhat  # circle centers relative to x0
     P = np.stack([np.stack([_kernels._dot(p - foot, e1), _kernels._dot(p - foot, e2)], axis=1)
                   for p in (va, vb, vc)], axis=1)
-    row, theta0, dtheta = _circle_arcs(P, rho)
+    row, theta0, dtheta, ends = _circle_arcs(P, rho)
     mult = v.multiplicity[fi[row]].astype(np.float64)
     total_length = math.fsum((mult * rho[row] * dtheta / r).tolist())
     pts, off = _sample_arcs(rho[row], foot[row], e1[row], e2[row], theta0, dtheta, r)
-    polylines, junction_count = _chain_arcs(pts, off, dtheta >= 2.0 * math.pi - 1e-9)
+    tips = pts[np.stack([off[:-1], off[1:] - 1], axis=1)]  # (n, 2, 3): each arc's end samples
+    key = _end_keys(v, x0, r, v.faces[fi[row]], ends, tips)
+    polylines, junction_count = _chain_arcs(pts, off, dtheta >= 2.0 * math.pi - 1e-9, key)
     return SphericalLink(
         polylines=tuple(polylines),
         total_length=total_length,
@@ -375,18 +381,38 @@ def _sample_arcs(rho, foot, e1, e2, theta0, dtheta, r) -> tuple[np.ndarray, np.n
     return u, off
 
 
-def _chain_arcs(pts: np.ndarray, off: np.ndarray, closed: np.ndarray) -> tuple[list[np.ndarray], int]:
-    """Weld the open arcs' ends into nodes and walk maximal polylines.
+def _end_keys(v: DiscreteVarifold, x0, r, corners, ends, tips) -> np.ndarray:
+    """Node key (n, 2) of each arc end, given its face's vertex ids ``corners``
+    (n, 3), its crossings ``ends`` named as by ``_circle_arcs`` and its samples
+    ``tips`` (n, 2, 3): (lo·V + hi)·2 + j at the j-th root from lo of edge
+    (lo, hi), alike in every face on the edge, or (c·V + c)·2 within 1e-5·r
+    of the edge's vertex c (that vertex's crossing)."""
+    nv = v.num_vertices
+    k = ends // 2
+    a = np.take_along_axis(corners, k, axis=1)
+    b = np.take_along_axis(corners, (k + 1) % 3, axis=1)
+    key = (np.minimum(a, b) * nv + np.maximum(a, b)) * 2 + (ends % 2 ^ (a > b))
+    for c in (b, a):
+        d = ((v.vertices[c] - x0) / r - tips).reshape(-1, 3)
+        key = np.where(np.sqrt(_kernels._dot(d, d)).reshape(c.shape) <= 1e-5, c * (nv + 1) * 2, key)
+    return key
 
-    End 2a is the first sample of arc a and end 2a + 1 its last. A walk that
-    arrives at end e goes on at end ``nxt[e]``: the other end of a two-end
-    node, or at a four-end node the end whose heading best continues the
-    arrival (the first of equals); it stops where ``nxt`` is -1 (other nodes)
-    or at an arc already walked.
+
+def _chain_arcs(pts: np.ndarray, off: np.ndarray, closed: np.ndarray,
+                key: np.ndarray) -> tuple[list[np.ndarray], int]:
+    """Join the open arcs' ends into nodes and walk maximal polylines.
+
+    End 2a is the first sample of arc a and end 2a + 1 its last, and ends
+    with equal ``key`` (n, 2) share a node. A walk that arrives at end e goes
+    on at end ``nxt[e]``: the other end of a two-end node, or at a four-end
+    node the end whose heading best continues the arrival (the first of
+    equals); it stops where ``nxt`` is -1 (other nodes) or at an arc already
+    walked.
     """
     tip = np.stack([off[:-1], off[1:] - 1], axis=1).ravel()  # each end's sample
     ends = np.flatnonzero(np.repeat(~closed, 2))
-    node = _weld(pts[tip[ends]], 1e-5)[0]
+    _, seen, inv = np.unique(key.ravel()[ends], return_index=True, return_inverse=True)
+    node = np.argsort(np.argsort(seen))[inv]  # numbered in the order of their first end
     degree = np.bincount(node)
     by_node = ends[np.argsort(node, kind="stable")]  # each node's ends, in end order
     first = np.cumsum(degree) - degree

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import _cross, _dot
-from .mesh import DiscreteVarifold, MeshError, _boundary_conormals, _require
+from .mesh import DiscreteVarifold, MeshError, _boundary_conormals, _min_labels, _require
 from .reports import Record
 
 
@@ -205,26 +205,16 @@ def euler_characteristic(v: DiscreteVarifold) -> TopologyReport:
 def _cover_labels(v: DiscreteVarifold) -> np.ndarray:
     """Labels (2F,) of the components of the orientation double cover: node
     2f + s is face f flipped s times, and each interior edge joins the nodes
-    of its two faces that wind alike across it. Rounds hook every root to the
-    least root across an edge, then compress paths, until every edge joins
-    equal labels: each node's label is the least node of its component. No
-    junction or boundary edge joins faces, so min(label[2f], label[2f + 1]) labels sheets."""
+    of its two faces that wind alike across it; each node's label is the least
+    node of its component (``_min_labels``). No junction or boundary edge
+    joins faces, so min(label[2f], label[2f + 1]) labels sheets."""
     topo = v.topology
     o = topo.offsets[topo.interior_edges]
     f0, f1 = topo.inc_faces[o], topo.inc_faces[o + 1]
     alike = topo.inc_signs[o] != topo.inc_signs[o + 1]
     a = np.concatenate([2 * f0, 2 * f0 + 1])
     b = np.concatenate([2 * f1 + ~alike, 2 * f1 + alike])
-    label = np.arange(2 * v.num_faces)
-    while True:
-        la, lb = label[a], label[b]
-        if np.array_equal(la, lb):
-            return label
-        np.minimum.at(label, la, lb)
-        np.minimum.at(label, lb, la)
-        up = label[label]
-        while not np.array_equal(up, label):
-            label, up = up, up[up]
+    return _min_labels(2 * v.num_faces, a, b)
 
 
 def _orient_scan(v: DiscreteVarifold) -> tuple[bool, int]:

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._kernels import _dot
-from .mesh import DiscreteVarifold, _split, _weld, make_varifold
+from .mesh import DiscreteVarifold, _min_labels, _split, make_varifold
 
 log = logging.getLogger(__name__)
 
@@ -419,20 +419,37 @@ def gen_triple_bubble(level: int) -> GeneratorOutput:
     flat = layers.reshape(-1, 3)
     flats = [flat, flat * np.array([1.0, 1.0, -1.0]), _tb_rotate(flat, 1)]
 
-    ids, verts = _weld(np.vstack(sheets + flats), 1e-9)
+    # the pieces share the points that the construction makes twice, by index:
+    # each sheet's x = 0 seam (first column) and z = 0 seam (last column) with
+    # its mirror's, the rims of sheets (t, m) and (t + 1, m + 2) for m = 0, 1,
+    # each flat's first layer with arc A on its two sheets, and the flats' last
+    # layers (the axis chord); each point takes the least index of its class
+    Q = len(quarter)
+    sheet = Q * np.arange(12).reshape(3, 4, 1)  # sheet (t, m) starts at sheet[t, m]
+    first, last, rim = start[:-1], start[1:] - 1, np.arange(n + 1)
+    layer = 12 * Q + np.arange(3 * (L + 1) * (K - 1)).reshape(3, L + 1, K - 1)
+    arc_ids = np.concatenate([Q + np.arange(n - 1, 0, -1), np.arange(n)])  # arc[1:-1] on sheets 1 and 0
+    pairs = [(sheet[:, [0, 2]] + first, sheet[:, [1, 3]] + first),
+             (sheet[:, [0, 1]] + last, sheet[:, [2, 3]] + last),
+             (sheet[:, [0, 1]] + rim, np.roll(sheet, -1, axis=0)[:, [2, 3]] + rim),
+             (layer[:, 0], arc_ids + 2 * Q * np.arange(3)[:, None]),
+             (layer[1:, L], layer[:-1, L])]
+    points = np.vstack(sheets + flats)
+    a, b = (np.concatenate([x.ravel() for x in side]) for side in zip(*pairs))
+    founders, ids = np.unique(_min_labels(len(points), a, b), return_inverse=True)
     faces, patches = [], []
     for s, (_, flip) in enumerate(mirrors * 3):
-        f = ids[s * len(quarter) + quarter_faces]
+        f = ids[s * Q + quarter_faces]
         faces.append(f[:, ::-1] if flip else f)
         patches.append(s // 4)
-    x2, x1 = ids[len(quarter) + n], ids[n]
-    flat_ids = np.pad(ids[12 * len(quarter):].reshape(3, L + 1, K - 1), ((0, 0), (0, 0), (1, 1)),
+    x2, x1 = ids[Q + n], ids[n]
+    flat_ids = np.pad(ids[layer], ((0, 0), (0, 0), (1, 1)),
                       constant_values=((0, 0), (0, 0), (x2, x1)))
     for s, flip in enumerate((False, True, False)):
         f = _quad_sweep(flat_ids[s])
         faces.append(f[:, ::-1] if flip else f)
         patches.append(3 + s)
-    v = _mesh([verts], faces, patches)
+    v = _mesh([points[founders]], faces, patches)
     w = 12.0 * math.acos(-1.0 / 3.0)
     lam_seg = math.acos(1.0 / 3.0)
     flat_area = math.pi * 0.75 - 0.75 * (lam_seg - math.sin(lam_seg) * math.cos(lam_seg))

@@ -7,7 +7,6 @@ legal inputs everywhere unless an operation documents otherwise.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -15,7 +14,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import _kernels
-from ._kernels import _cross, _dot
+from ._kernels import _cross
 from ._values import _DIRECTION, _NUMBER, _POINT, MeshError, _check_rows, _frozen, _is_number, _numeric
 from .reports import load_json, save_json
 
@@ -234,59 +233,20 @@ def boundary_measure(v: DiscreteVarifold) -> DiscreteBoundary:
     return DiscreteBoundary(edges, lengths, conormals, mult, total)
 
 
-#: The weld's sweep direction: a fixed unit vector normal to no coordinate or
-#: symmetry plane of the reference meshes.
-_SWEEP = np.array([1.0, math.sqrt(2.0), math.sqrt(3.0)]) / math.sqrt(6.0)
-
-
-def _weld(points: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Node ids of the points and the nodes' first points, as (ids (P,), nodes (N, 3)).
-
-    Taken in order, a point joins the lowest-numbered node whose first point
-    lies within ``tol`` of it (Euclidean, rounded like a 1-D
-    ``np.linalg.norm``), or else starts the next node.
-
-    The candidate pairs come from one stable sort of the projections ``p·u``
-    on the fixed unit vector ``u = _SWEEP``, swept at offsets 1, 2, ... while
-    some gap between sorted projections is at most ``tol·(1 + 1e-6)`` plus
-    ``1e-14·max|p|∞``. Since ``|u·(p − q)| ≤ |p − q|``, every pair within
-    ``tol`` is a candidate; the slack covers the rounding of the projections
-    and of the distance, and can only add candidates, which the exact
-    distance test then drops. Gaps grow with the offset, so the sweep stops
-    at the first offset with none small enough. Its cost is the largest
-    number of points in one ``2·tol`` window of projections: a point repeated
-    k times costs k sweep offsets, and points on a plane normal to ``u`` are
-    all candidates of each other, which is quadratic. Exact repeats are pairs
-    at distance 0, so they share a node whose point is the first copy's bytes
-    (-0.0 and 0.0 included). Python only loops over the pairs within ``tol``.
-    """
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    proj = pts @ _SWEEP
-    by_proj = np.argsort(proj, kind="stable")
-    proj = proj[by_proj]
-    gap = tol * (1.0 + 1e-6) + 1e-14 * float(np.abs(pts).max(initial=0.0))
-    later, earlier = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for d in range(1, len(pts)):
-        cand = np.flatnonzero(proj[d:] - proj[:-d] <= gap)
-        if not len(cand):
-            break
-        a, b = by_proj[cand], by_proj[cand + d]
-        i, j = np.maximum(a, b), np.minimum(a, b)
-        diff = pts[j] - pts[i]
-        near = np.sqrt(_dot(diff, diff)) <= tol
-        later.append(i[near])
-        earlier.append(j[near])
-    later, earlier = np.concatenate(later), np.concatenate(earlier)
-    by_pair = np.lexsort((earlier, later))  # ascending later point, then earlier
-    joined: dict[int, int] = {}
-    for i, j in zip(later[by_pair].tolist(), earlier[by_pair].tolist()):
-        if i not in joined and j not in joined:  # both still found their own nodes
-            joined[i] = j
-    parent = np.arange(len(pts))
-    parent[list(joined)] = list(joined.values())
-    founder = parent == np.arange(len(pts))
-    node = np.cumsum(founder) - 1
-    return node[parent], pts[founder]
+def _min_labels(size: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Label (size,) of each node of the graph whose edges join a[i] and b[i]:
+    the least node of its component. Rounds hook every root to the least root
+    across an edge, then compress paths, until every edge joins equal labels."""
+    label = np.arange(size)
+    while True:
+        la, lb = label[a], label[b]
+        if np.array_equal(la, lb):
+            return label
+        np.minimum.at(label, la, lb)
+        np.minimum.at(label, lb, la)
+        up = label[label]
+        while not np.array_equal(up, label):
+            label, up = up, up[up]
 
 
 def total_mass(v: DiscreteVarifold) -> float:
@@ -371,7 +331,7 @@ def _split(faces: np.ndarray, num_vertices: int) -> tuple[np.ndarray, np.ndarray
 
 def refine(v: DiscreteVarifold) -> DiscreteVarifold:
     """Split every face 4-to-1 at edge midpoints 0.5·(a + b), numbered and
-    laid out as ``_split`` says (midpoints welded across faces).
+    laid out as ``_split`` says (one midpoint per edge, shared by its faces).
 
     Children inherit the parent multiplicity, patch label, and winding.
     """

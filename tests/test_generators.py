@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from varifold_lab import blowup, generators
+from varifold_lab import blowup
 from varifold_lab.cli import main
 from varifold_lab.generators import (
     GENERATORS,
@@ -506,40 +506,12 @@ class _GridWeldOracle:
 
 
 @pytest.mark.parametrize("level", [0, 1, 2, 3])
-def test_weld_matches_point_pool_on_triple_bubble(level, monkeypatch):
-    calls = []
-    weld = generators._weld
-
-    def spy(points, tol):
-        calls.append((points, tol))
-        return weld(points, tol)
-
-    monkeypatch.setattr(generators, "_weld", spy)
-    v = gen_triple_bubble(level).varifold
-    (points, tol), = calls
-    pool = _GridWeldOracle(tol)
-    want = [pool.add(p) for p in points]
-    ids, nodes = weld(points, tol)
-    assert ids.tolist() == want
-    assert nodes.tobytes() == np.asarray(pool.points).tobytes() == v.vertices.tobytes()
-
-
-@pytest.mark.parametrize("level", range(6))
-def test_triple_bubble_passes_each_point_to_the_weld_at_most_six_times(level, monkeypatch):
-    """The flats' collapsed end columns are not built, so the tetrahedral
-    points x1 and x2 no longer come once per layer of every flat."""
-    calls = []
-    weld = generators._weld
-
-    def spy(points, tol):
-        calls.append(points)
-        return weld(points, tol)
-
-    monkeypatch.setattr(generators, "_weld", spy)
-    gen_triple_bubble(level)
-    (points,) = calls
-    _, counts = np.unique(points + 0.0, axis=0, return_counts=True)  # + 0.0 makes -0.0 equal 0.0
-    assert counts.max() <= 6
+def test_triple_bubble_shares_every_coincident_point(level):
+    """The index pairs join every point that the construction makes twice: no
+    two vertices lie within 1e-9 of each other in every coordinate."""
+    vertices = gen_triple_bubble(level).varifold.vertices
+    pool = _GridWeldOracle(1e-9)
+    assert [pool.add(p) for p in vertices] == list(range(len(vertices)))
 
 
 #: sha256 of gen_triple_bubble(level).varifold's vertices and faces bytes, by level

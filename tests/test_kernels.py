@@ -324,8 +324,9 @@ def _float_arrays(draw):
     else:
         lo = draw(st.integers(-1074, 1023))
         hi = draw(st.integers(lo, min(lo + draw(st.sampled_from([0, 3, 60, 200])), 1023)))
-        mant = st.integers(-(2**53) + 1, 2**53 - 1)
-        xs = [math.ldexp(draw(mant), draw(st.integers(lo, hi)) - 52) for _ in range(n)]
+        mants = draw(st.lists(st.integers(-(2**53) + 1, 2**53 - 1), min_size=n, max_size=n))
+        exps = draw(st.lists(st.integers(lo, hi), min_size=n, max_size=n))
+        xs = [math.ldexp(m, e - 52) for m, e in zip(mants, exps)]
         xs = [x if math.isfinite(x) else 0.0 for x in xs]
     xs += [-x for x in draw(st.lists(st.sampled_from(xs), max_size=len(xs)))] if xs else []
     xs += draw(st.lists(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]), max_size=3))
