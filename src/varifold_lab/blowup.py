@@ -74,7 +74,7 @@ def local_edge_scale(v: DiscreteVarifold, x0) -> float:
     d2 = np.einsum("ij,ij->i", w, w)
     k = min(32, len(d2))
     idx = np.argpartition(d2, k - 1)[:k] if k < len(d2) else np.arange(len(d2))
-    p = v.vertices[v.faces[idx]]
+    p = np.take(v.vertices, np.take(v.faces, idx, axis=0), axis=0)
     e = np.concatenate([p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]])
     return float(np.linalg.norm(e, axis=1).mean())
 
@@ -326,9 +326,7 @@ def spherical_link(v: DiscreteVarifold, x0, r: float) -> SphericalLink:
         raise ValueError("link radius must be positive")
     fi = v.face_grid.query(x0, r, inner=r)
     faces = np.take(v.faces, fi, axis=0)
-    va = v.vertices[faces[:, 0]] - x0
-    vb = v.vertices[faces[:, 1]] - x0
-    vc = v.vertices[faces[:, 2]] - x0
+    va, vb, vc = (np.take(v.vertices, faces[:, k], axis=0) - x0 for k in range(3))
     # the max of |x - x0| over a triangle sits at a vertex, so this test is exact
     dmax_v = np.linalg.norm(np.stack([va, vb, vc]), axis=2).max(axis=0)
     keep = dmax_v > r * (1 - 1e-12)
@@ -393,7 +391,7 @@ def _end_keys(v: DiscreteVarifold, x0, r, corners, ends, tips) -> np.ndarray:
     b = np.take_along_axis(corners, (k + 1) % 3, axis=1)
     key = (np.minimum(a, b) * nv + np.maximum(a, b)) * 2 + (ends % 2 ^ (a > b))
     for c in (b, a):
-        d = ((v.vertices[c] - x0) / r - tips).reshape(-1, 3)
+        d = ((np.take(v.vertices, c, axis=0) - x0) / r - tips).reshape(-1, 3)
         key = np.where(np.sqrt(_kernels._dot(d, d)).reshape(c.shape) <= 1e-5, c * (nv + 1) * 2, key)
     return key
 

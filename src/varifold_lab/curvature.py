@@ -87,9 +87,7 @@ def _vertex_sum(idx: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
 
 def _area_gradients(v: DiscreteVarifold, nhat: np.ndarray) -> np.ndarray:
     """Gradient of total mass with respect to each vertex position, (V, 3)."""
-    p0 = v.vertices[v.faces[:, 0]]
-    p1 = v.vertices[v.faces[:, 1]]
-    p2 = v.vertices[v.faces[:, 2]]
+    p0, p1, p2 = (np.take(v.vertices, v.faces[:, k], axis=0) for k in range(3))
     m = v.multiplicity[:, None].astype(np.float64)
     g = np.stack([_cross(nhat, p2 - p1), _cross(nhat, p0 - p2), _cross(nhat, p1 - p0)], axis=1)
     g *= 0.5
@@ -146,7 +144,7 @@ def willmore_energy(v: DiscreteVarifold) -> float:
 
 def _corner_angles(v: DiscreteVarifold) -> np.ndarray:
     """Interior angles (F, 3) at each face corner."""
-    p = v.vertices[v.faces]  # (F, 3, 3)
+    p = np.take(v.vertices, v.faces, axis=0)  # (F, 3, 3)
     out = np.empty((v.num_faces, 3))
     for k in range(3):
         a = p[:, k]
@@ -242,9 +240,9 @@ def _vertex_normals_unoriented(v: DiscreteVarifold, nhat: np.ndarray, areas: np.
     first = np.ones(len(order), dtype=bool)
     first[1:] = vert_of[1:] != vert_of[:-1]
     ref = np.zeros((nv, 3))
-    ref[vert_of[first]] = nhat[face_of[first]]
-    fn = nhat[face_of]
-    sgn = np.where(_dot(fn, ref[vert_of]) >= 0.0, 1.0, -1.0)
+    fn = np.take(nhat, face_of, axis=0)
+    ref[vert_of[first]] = fn[first]
+    sgn = np.where(_dot(fn, np.take(ref, vert_of, axis=0)) >= 0.0, 1.0, -1.0)
     acc = _vertex_sum(vert_of[:, None], (fn * (areas[face_of] * sgn)[:, None])[:, None], nv)
     nrm = np.sqrt(_dot(acc, acc))  # rounds like the norm of each row alone
     ok = nrm > 0
@@ -282,12 +280,12 @@ def second_fundamental_norm(v: DiscreteVarifold) -> CurvatureField:
     s0 = topo.inc_signs[o].astype(np.float64)
     lo = topo.edges[ie, 0]
     hi = topo.edges[ie, 1]
-    evec = v.vertices[hi] - v.vertices[lo]
+    evec = np.take(v.vertices, hi, axis=0) - np.take(v.vertices, lo, axis=0)
     elen = np.linalg.norm(evec, axis=1)
     ebar = evec / elen[:, None]
     # signed dihedral: angle from n0 to n1 around the edge as f0 traverses it
     ef0 = ebar * s0[:, None]
-    n0, n1 = nhat[f0], nhat[f1]
+    n0, n1 = np.take(nhat, f0, axis=0), np.take(nhat, f1, axis=0)
     beta = np.arctan2(np.einsum("ij,ij->i", _cross(n0, n1), ef0),
                       np.einsum("ij,ij->i", n0, n1))
     w = beta * elen / 2.0
@@ -359,7 +357,7 @@ def enclosed_volume(v: DiscreteVarifold) -> float:
     _require_consistent_orientation(v)
     _require(v, closed=True)
     nhat, areas = v.face_geometry
-    cen = v.vertices[v.faces].mean(axis=1)
+    cen = np.take(v.vertices, v.faces, axis=0).mean(axis=1)
     vals = (areas * v.multiplicity) * np.einsum("ij,ij->i", cen, nhat)
     return _kernels.fsum(vals) / 3.0
 
@@ -390,9 +388,7 @@ def point_surface_distance(v: DiscreteVarifold, x0: np.ndarray) -> float:
 
 def _distance_to_faces(vertices: np.ndarray, faces: np.ndarray, p: np.ndarray) -> float:
     """Exact distance from p to the nearest of the given triangles (inf for none)."""
-    a = vertices[faces[:, 0]]
-    b = vertices[faces[:, 1]]
-    c = vertices[faces[:, 2]]
+    a, b, c = (np.take(vertices, faces[:, k], axis=0) for k in range(3))
     # Ericson-style closest point on triangle, vectorized over faces
     ab, ac, ap = b - a, c - a, p - a
     d1 = np.einsum("ij,ij->i", ab, ap)

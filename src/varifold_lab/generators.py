@@ -100,7 +100,8 @@ def _icosphere(radius: float, level: int) -> tuple[np.ndarray, np.ndarray]:
     faces = _ICO_FACES.copy()
     for _ in range(level):
         e, faces = _split(faces, len(verts))
-        m = verts[e[:, 0]] + verts[e[:, 1]]
+        m = np.take(verts, e[:, 0], axis=0)
+        m += np.take(verts, e[:, 1], axis=0)
         m /= np.sqrt(_dot(m, m))[:, None]  # rounds like the norm of each row alone
         verts = np.vstack([verts, m])
     return radius * verts, faces
@@ -439,17 +440,17 @@ def gen_triple_bubble(level: int) -> GeneratorOutput:
     founders, ids = np.unique(_min_labels(len(points), a, b), return_inverse=True)
     faces, patches = [], []
     for s, (_, flip) in enumerate(mirrors * 3):
-        f = ids[s * Q + quarter_faces]
+        f = np.take(ids, s * Q + quarter_faces)
         faces.append(f[:, ::-1] if flip else f)
         patches.append(s // 4)
     x2, x1 = ids[Q + n], ids[n]
-    flat_ids = np.pad(ids[layer], ((0, 0), (0, 0), (1, 1)),
+    flat_ids = np.pad(np.take(ids, layer), ((0, 0), (0, 0), (1, 1)),
                       constant_values=((0, 0), (0, 0), (x2, x1)))
     for s, flip in enumerate((False, True, False)):
         f = _quad_sweep(flat_ids[s])
         faces.append(f[:, ::-1] if flip else f)
         patches.append(3 + s)
-    v = _mesh([points[founders]], faces, patches)
+    v = _mesh([np.take(points, founders, axis=0)], faces, patches)
     w = 12.0 * math.acos(-1.0 / 3.0)
     lam_seg = math.acos(1.0 / 3.0)
     flat_area = math.pi * 0.75 - 0.75 * (lam_seg - math.sin(lam_seg) * math.cos(lam_seg))

@@ -4,6 +4,15 @@ A discrete 2-varifold is a triangle soup with a positive integer multiplicity
 per face. Edges may bound one face (boundary), two faces (manifold interior),
 or three and more (junctions, e.g. soap-film triple lines); all of these are
 legal inputs everywhere unless an operation documents otherwise.
+
+Whole-mesh gathers of vertex rows by face or edge indices take one index
+column at a time, ``np.take(v.vertices, v.faces[:, k], axis=0)``: a copy with
+the bits of the fancy index ``v.vertices[v.faces[:, k]]``, and faster on a
+strided column. One (3, F, 3) gather of every corner is no faster and holds
+all corners at once; code that needs them at once, as (F, 3, 3), takes
+``v.faces`` whole. Bounding boxes reduce one coordinate column at a time:
+the exact minima and maxima of an ``axis=0`` reduction, which is slow on a
+C-order (V, 3) array.
 """
 from __future__ import annotations
 
@@ -183,14 +192,15 @@ def _require(v: DiscreteVarifold, closed: bool = False, manifold: bool = False) 
 
 def face_normals(v: DiscreteVarifold) -> tuple[np.ndarray, np.ndarray]:
     """Unit face normals and face areas, as (normals (F,3), areas (F,))."""
-    a = v.vertices[v.faces[:, 0]]
-    n = _cross(v.vertices[v.faces[:, 1]] - a, v.vertices[v.faces[:, 2]] - a)
+    a = np.take(v.vertices, v.faces[:, 0], axis=0)
+    n = _cross(np.take(v.vertices, v.faces[:, 1], axis=0) - a,
+               np.take(v.vertices, v.faces[:, 2], axis=0) - a)
     nn = np.linalg.norm(n, axis=1)
     areas = 0.5 * nn
     with np.errstate(invalid="ignore", divide="ignore"):
-        unit = n / nn[:, None]
-    unit[nn == 0.0] = 0.0
-    return unit, areas
+        n /= nn[:, None]
+    n[nn == 0.0] = 0.0
+    return n, areas
 
 
 def _boundary_conormals(v: DiscreteVarifold, nhat: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -202,8 +212,9 @@ def _boundary_conormals(v: DiscreteVarifold, nhat: np.ndarray) -> tuple[np.ndarr
     edges = topo.edges[be]
     f = topo.inc_faces[topo.offsets[be]]
     s = topo.inc_signs[topo.offsets[be]].astype(np.float64)
-    evec = (v.vertices[edges[:, 1]] - v.vertices[edges[:, 0]]) * s[:, None]
-    nu = _cross(evec, nhat[f])
+    evec = np.take(v.vertices, edges[:, 1], axis=0) - np.take(v.vertices, edges[:, 0], axis=0)
+    evec *= s[:, None]
+    nu = _cross(evec, np.take(nhat, f, axis=0))
     return edges, f, evec, nu
 
 
@@ -258,7 +269,7 @@ def mesh_scale(v: DiscreteVarifold) -> float:
     """Bounding-box diagonal, the length scale used in relative tolerances."""
     if v.num_vertices == 0:
         return 1.0
-    ext = v.vertices.max(axis=0) - v.vertices.min(axis=0)
+    ext = np.array([col.max() - col.min() for col in v.vertices.T])
     d = float(np.linalg.norm(ext))
     return d if d > 0.0 else 1.0
 
@@ -336,7 +347,9 @@ def refine(v: DiscreteVarifold) -> DiscreteVarifold:
     Children inherit the parent multiplicity, patch label, and winding.
     """
     ends, children = _split(v.faces, v.num_vertices)
-    mids = 0.5 * (v.vertices[ends[:, 0]] + v.vertices[ends[:, 1]])
+    mids = np.take(v.vertices, ends[:, 0], axis=0)
+    mids += np.take(v.vertices, ends[:, 1], axis=0)
+    mids *= 0.5
     return DiscreteVarifold(
         vertices=np.vstack([v.vertices, mids]),
         faces=children,
