@@ -27,7 +27,7 @@ _EXPORTS = {
                    "gen_double_bubble_flat", "gen_flat_disk", "gen_singular_pair", "gen_sphere",
                    "gen_torus", "gen_triple_bubble"),
     "mesh": ("DiscreteVarifold", "MeshError", "boundary_measure", "edge_topology", "load_mesh_file",
-             "make_varifold", "refine", "save_varifold", "total_mass"),
+             "refine", "save_varifold", "total_mass"),
     "netmatch": ("NetError", "match_link"),
     "nets": ("GeodesicNet", "balance_residual", "catalogue", "load_net", "make_net", "relax", "save_net",
              "total_length"),

@@ -72,9 +72,8 @@ class FaceGrid:
         origin = np.array([col.min() for col in cen.T])  # one column at a time: faster than axis 0
         top = np.array([col.max() for col in cen.T])
         extent = float((top - origin).max())
+        # positive: a face of a built varifold has positive area, so a positive spread
         pitch = max(_PITCH_SPREADS * float(spreads.mean()), extent / (_MAX_CELLS - 1))
-        if not pitch > 0.0:  # one face, or every centroid in one point
-            pitch = 1.0
         ijk = cen - origin
         ijk /= pitch
         ijk = np.floor(ijk, out=ijk).astype(np.int64)

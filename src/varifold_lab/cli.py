@@ -182,7 +182,7 @@ def _link(v, analytic, tol, spec) -> dict:
             "status": "not_applicable",
             "reason": "the sphere misses the support, so the link is empty",
         }
-    m = netmatch.match_link(link)
+    m = netmatch.match_link(link, tol["link_match_abs"])
     return {
         "total_length": link.total_length,
         "junction_count": link.junction_count,
@@ -192,7 +192,7 @@ def _link(v, analytic, tol, spec) -> dict:
         "matched_length": m["matched_length"],
         "residual": m["residual"],
         "tolerance": tol["link_match_abs"],
-        "passed": bool(m["matched_length"] is not None and m["residual"] <= tol["link_match_abs"]),
+        "passed": m["matched_length"] is not None,
     }
 
 

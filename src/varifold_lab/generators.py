@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._kernels import _dot
-from .mesh import DiscreteVarifold, _min_labels, _split, make_varifold
+from .mesh import DiscreteVarifold, _min_labels, _split
 
 log = logging.getLogger(__name__)
 
@@ -75,7 +75,7 @@ def _mesh(verts, faces, patches=None, oriented: bool = False) -> DiscreteVarifol
     labels = None
     if patches is not None:
         labels = np.concatenate([np.full(len(f), p, dtype=np.int64) for f, p in zip(faces, patches)])
-    return make_varifold(np.vstack(verts), np.vstack(faces), oriented=oriented, face_patches=labels)
+    return DiscreteVarifold(np.vstack(verts), np.vstack(faces), oriented=oriented, face_patches=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +113,7 @@ def gen_sphere(R: float, level: int) -> GeneratorOutput:
         raise ValueError("R must be positive")
     _check_level(level)
     verts, faces = _icosphere(float(R), int(level))
-    v = make_varifold(verts, faces, oriented=True)
+    v = DiscreteVarifold(verts, faces, oriented=True)
     analytic = {
         "area": 4.0 * math.pi * R * R,
         "willmore_energy": 4.0 * math.pi,
@@ -551,7 +551,8 @@ def gen_singular_pair(
             t = np.einsum("ij,ij->i", xy - c, xy - c) - r * r
             f = np.zeros_like(t)
             pos = t > 0.0
-            f[pos] = np.exp(-1.0 / t[pos])
+            # math.exp, not np.exp, whose last bits depend on the host's SIMD level
+            f[pos] = [math.exp(-1.0 / x) for x in t[pos].tolist()]
             vals *= f
         return vals
 

@@ -3,7 +3,10 @@
 A discrete 2-varifold is a triangle soup with a positive integer multiplicity
 per face. Edges may bound one face (boundary), two faces (manifold interior),
 or three and more (junctions, e.g. soap-film triple lines); all of these are
-legal inputs everywhere unless an operation documents otherwise.
+legal inputs everywhere unless an operation documents otherwise. A
+``DiscreteVarifold`` checks itself when it is built, so every instance,
+whether from a generator, ``refine``, ``load_mesh_file`` or a caller, holds
+valid, uncoerced arrays.
 
 Whole-mesh gathers of vertex rows by face or edge indices take one index
 column at a time, ``np.take(v.vertices, v.faces[:, k], axis=0)``: a copy with
@@ -33,35 +36,48 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class DiscreteVarifold:
-    """Immutable triangle soup with per-face multiplicity.
+    """Immutable triangle soup with per-face multiplicity, checked when built.
 
     Attributes
     ----------
     vertices : (V, 3) float64
-    faces : (F, 3) int64, indices into vertices
-    multiplicity : (F,) int64, each >= 1
+    faces : (F, 3) int64, indices into vertices; an empty array stands for no faces
+    multiplicity : (F,) int64, each >= 1; None stands for ones
     oriented : whether face windings are declared globally consistent
     face_patches : optional (F,) int64 labels of the smooth pieces a generator
         built the mesh from; refine hands each child its parent's label and
         the JSON format stores them, but no analysis reads them
 
-    The arrays are read-only (views are copied first), and so are those of
-    ``topology``, ``face_geometry``, ``curvature`` and ``face_grid``, which are
-    derived on first use and kept.
+    Nothing is coerced: vertices must be numbers, the other arrays integers,
+    and ``oriented`` a bool; then ``validate`` checks the structure. Any
+    failure raises MeshError naming the key or the first offending face, also
+    from ``dataclasses.replace``. The arrays are read-only (views are copied
+    first), and so are those of ``topology``, ``face_geometry``,
+    ``curvature`` and ``face_grid``, which are derived on first use and kept.
     """
 
     vertices: np.ndarray
     faces: np.ndarray
-    multiplicity: np.ndarray
+    multiplicity: np.ndarray | None = None
     oriented: bool = False
     face_patches: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "vertices", _frozen(np.asarray(self.vertices, dtype=np.float64)))
-        object.__setattr__(self, "faces", _frozen(np.asarray(self.faces, dtype=np.int64)))
-        object.__setattr__(self, "multiplicity", _frozen(np.asarray(self.multiplicity, dtype=np.int64)))
+        def put(key, a, kinds="iu", dtype=np.int64):  # checked, never coerced, then frozen
+            a = _numeric(a, kinds, key, MeshError)
+            if key == "faces" and a.shape == (0,):  # no faces; any other shape is left to validate
+                a = a.reshape(0, 3)
+            object.__setattr__(self, key, _frozen(np.asarray(a, dtype=dtype)))
+
+        put("vertices", self.vertices, "iuf", np.float64)
+        put("faces", self.faces)
+        put("multiplicity", np.ones(len(self.faces), dtype=np.int64) if self.multiplicity is None
+            else self.multiplicity)
         if self.face_patches is not None:
-            object.__setattr__(self, "face_patches", _frozen(np.asarray(self.face_patches, dtype=np.int64)))
+            put("face_patches", self.face_patches)
+        if not isinstance(self.oriented, bool):
+            raise MeshError(f"oriented must be a bool, not {self.oriented!r}")
+        validate(self)
 
     @property
     def num_vertices(self) -> int:
@@ -117,33 +133,6 @@ class EdgeTopology:
     junction_edges: np.ndarray = field(repr=False)
     boundary_vertex_mask: np.ndarray = field(repr=False)
     junction_vertex_mask: np.ndarray = field(repr=False)
-
-
-def make_varifold(
-    vertices: np.ndarray,
-    faces: np.ndarray,
-    multiplicity: np.ndarray | None = None,
-    oriented: bool = False,
-    face_patches: np.ndarray | None = None,
-) -> DiscreteVarifold:
-    """Build a DiscreteVarifold and validate its structure.
-
-    ``faces`` must be (F, 3); an empty array stands for no faces. Any other
-    shape is left for ``validate`` to reject, never reshaped. Nothing is coerced:
-    vertices must be numbers, the other arrays integers (MeshError otherwise).
-    """
-    vertices = _numeric(vertices, "iuf", "vertices", MeshError)
-    faces = _numeric(faces, "iu", "faces", MeshError)
-    if faces.shape == (0,):
-        faces = faces.reshape(0, 3)
-    if multiplicity is None:
-        multiplicity = np.ones(len(faces), dtype=np.int64)
-    multiplicity = _numeric(multiplicity, "iu", "multiplicity", MeshError)
-    if face_patches is not None:
-        face_patches = _numeric(face_patches, "iu", "face_patches", MeshError)
-    v = DiscreteVarifold(vertices, faces, multiplicity, oriented, face_patches)
-    validate(v)
-    return v
 
 
 def validate(v: DiscreteVarifold) -> None:
@@ -403,19 +392,16 @@ def save_varifold(v: DiscreteVarifold, path: str, analytic: dict | None = None) 
 def load_mesh_file(path: str) -> tuple[DiscreteVarifold, dict | None]:
     """Load a mesh JSON file; returns (varifold, analytic-block-or-None).
 
-    Values are never coerced: a non-integer face index, multiplicity or patch
-    label, a boolean among numbers, a face row without exactly three indices,
-    a non-boolean ``oriented``, or an ``analytic`` block whose keys that
+    The arrays and ``oriented`` go to the ``DiscreteVarifold`` constructor,
+    which coerces nothing; any MeshError it raises is re-raised as
+    ``mesh file '<path>': <message>``. An ``analytic`` block whose keys that
     analyses read have the wrong type (or a junction circle whose normal is
-    zero) raises MeshError naming the key.
+    zero) raises MeshError naming the file and the key.
     """
     doc = load_json(path, "mesh file")
     for key in ("vertices", "faces", "multiplicity"):
         if not isinstance(doc, dict) or key not in doc:
             raise MeshError(f"mesh file {path!r} is missing the {key!r} array")
-    oriented = doc.get("oriented", False)
-    if not isinstance(oriented, bool):
-        raise MeshError(f"mesh file {path!r}: 'oriented' must be true or false, not {oriented!r}")
     analytic, where = doc.get("analytic"), f"mesh file {path!r}: 'analytic'"
     if analytic is not None and not isinstance(analytic, dict):
         raise MeshError(f"{where} must be an object, not {type(analytic).__name__}")
@@ -425,18 +411,9 @@ def load_mesh_file(path: str) -> tuple[DiscreteVarifold, dict | None]:
                       ("junction_circles", {"center": _POINT, "normal": _DIRECTION, "radius": _NUMBER,
                                             "density?": _NUMBER})):  # the lists that analyses read
         _check_rows((analytic or {}).get(key, []), spec, f"{where}: {key!r}", MeshError)
-    faces = _numeric(doc["faces"], "iu", f"file {path!r}: 'faces'", MeshError)
-    if faces.size and (faces.ndim != 2 or faces.shape[1] != 3):
-        raise MeshError(f"mesh file {path!r}: 'faces' must be rows of 3 indices, not shape {faces.shape}")
-    patches = None
-    if doc.get("face_patches") is not None:
-        patches = _numeric(doc["face_patches"], "iu", f"file {path!r}: 'face_patches'", MeshError)
-    v = make_varifold(
-        _numeric(doc["vertices"], "iuf", f"file {path!r}: 'vertices'", MeshError),
-        faces,
-        _numeric(doc["multiplicity"], "iu", f"file {path!r}: 'multiplicity'", MeshError),
-        oriented=oriented,
-        face_patches=patches,
-    )
+    try:
+        v = DiscreteVarifold(doc["vertices"], doc["faces"], doc["multiplicity"], doc.get("oriented", False),
+                             doc.get("face_patches"))
+    except MeshError as e:
+        raise MeshError(f"mesh file {path!r}: {e}") from None
     return v, analytic
-

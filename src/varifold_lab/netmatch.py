@@ -1,13 +1,15 @@
 """The ten-net catalogue's closed-form lengths, and matching a link against them.
 
 Matching compares one length with nine numbers, so this module needs
-``math`` only: ``net match`` never loads NumPy, and ``analyze --link`` never
-runs the net code. ``nets.catalogue()`` builds its entries from ``CATALOGUE``,
+``math`` and the tolerance profiles only: ``net match`` never loads NumPy,
+and ``analyze --link`` never runs the net code. ``nets.catalogue()`` builds its entries from ``CATALOGUE``,
 so the catalogue and the matching read the same floats.
 """
 from __future__ import annotations
 
 import math
+
+from .reports import TOLERANCE_PROFILES
 
 
 class NetError(ValueError):
@@ -43,12 +45,12 @@ def _table() -> tuple[tuple[str, str, float | None], ...]:
 CATALOGUE = _table()
 
 
-def match_link(link) -> dict:
+def match_link(link, tol: float = TOLERANCE_PROFILES["default"]["link_match_abs"]) -> dict:
     """Classify a spherical link (or a bare length) against the catalogue.
 
-    Nearest catalogue length wins, the first of equals; residuals above 5% of
-    2*pi are reported as composite/unknown (sums of catalogue lengths are not
-    decomposed).
+    Nearest catalogue length wins, the first of equals; a residual above
+    ``tol`` (by default the default profile's 5% of 2*pi) is reported as
+    composite/unknown (sums of catalogue lengths are not decomposed).
     """
     length = float(getattr(link, "total_length", link))
     if not math.isfinite(length):
@@ -64,7 +66,7 @@ def match_link(link) -> dict:
         "matched_length": matched,
         "residual": residual,
     }
-    if residual > 0.05 * 2.0 * math.pi:
+    if residual > tol:
         result["match"] = "composite/unknown"
         result["matched_length"] = None
     return result

@@ -42,11 +42,31 @@ class GeodesicNet:
     bool per arc, True where the arc takes the major (long) way round.
     ``vertices`` (N, 3) float64, ``arcs`` (M, 3) int64 and ``major`` (M,) bool
     are the same values as read-only NumPy arrays, built on first read.
-    ``make_net`` and ``load_net`` build validated nets."""
+    A net checks itself when built, by ``dataclasses.replace`` too (NetError).
+    ``make_net`` and ``load_net`` build nets from looser input."""
 
     points: tuple[_Vec, ...]
     rows: tuple[tuple[int, int, int], ...]
     flags: tuple[bool, ...]
+
+    def __post_init__(self) -> None:
+        points, rows = self.points, self.rows
+        for k, p in enumerate(points):
+            if not all(map(math.isfinite, p)):
+                raise NetError(f"vertex {k} is not finite: {list(p)}")
+        off = [abs(math.sqrt(_dot(p, p)) - 1.0) for p in points]
+        if off and max(off) > 1e-12:
+            raise NetError(f"vertex {off.index(max(off))} is off the unit sphere by {max(off):.2e}")
+        n = len(points)
+        if not all(0 <= i < n and 0 <= j < n for i, j, _ in rows):
+            raise NetError("arc endpoint index out of range")
+        for k, (i, j, _) in enumerate(rows):
+            if i == j:
+                raise NetError(f"arc {k} has identical endpoints")
+        if any(m < 1 for _, _, m in rows):
+            raise NetError("arc multiplicities must be >= 1")
+        if len(self.flags) != len(rows):
+            raise NetError(f"a net needs one flag per arc, not {len(self.flags)} for {len(rows)} arcs")
 
     @functools.cached_property
     def vertices(self):
@@ -94,7 +114,7 @@ def _rows_of_3(x, ok, kinds: str, where: str):
 
 
 def make_net(vertices, arcs, major=None) -> GeodesicNet:
-    """A validated net: numbers as vertices, integers as arcs, one boolean or 0/1 per arc as
+    """A net from loose input: numbers as vertices, integers as arcs, one boolean or 0/1 per arc as
     ``major``; nothing coerced (NetError). Lists of Python numbers are read without NumPy;
     anything else (arrays, booleans, strings) is checked through it."""
     v = _rows_of_3(vertices, _is_coordinate, "iuf", "vertices")
@@ -111,7 +131,6 @@ def make_net(vertices, arcs, major=None) -> GeodesicNet:
         a = a.astype("int64").tolist()
     points = tuple((float(x), float(y), float(z)) for x, y, z in v)
     rows = tuple((int(i), int(j), int(m)) for i, j, m in a)
-    _validate(points, rows)
     return GeodesicNet(points, rows, _flags(major, len(rows)))
 
 
@@ -129,23 +148,6 @@ def _flags(major, m: int) -> tuple[bool, ...]:
             or not np.isin(flags, (0, 1)).all()):
         raise NetError(f"major must be {m} booleans or 0/1 integers, one per arc, not {major!r}")
     return tuple(flags.astype(bool).tolist())
-
-
-def _validate(points, rows) -> None:
-    for k, p in enumerate(points):
-        if not all(map(math.isfinite, p)):
-            raise NetError(f"vertex {k} is not finite: {list(p)}")
-    off = [abs(math.sqrt(_dot(p, p)) - 1.0) for p in points]
-    if off and max(off) > 1e-12:
-        raise NetError(f"vertex {off.index(max(off))} is off the unit sphere by {max(off):.2e}")
-    n = len(points)
-    if not all(0 <= i < n and 0 <= j < n for i, j, _ in rows):
-        raise NetError("arc endpoint index out of range")
-    for k, (i, j, _) in enumerate(rows):
-        if i == j:
-            raise NetError(f"arc {k} has identical endpoints")
-    if any(m < 1 for _, _, m in rows):
-        raise NetError("arc multiplicities must be >= 1")
 
 
 def _arc_geometry(x, rows, flags) -> list[tuple]:
@@ -250,7 +252,6 @@ def relax(net: GeodesicNet, max_iter: int = 1000, tol: float = 1e-10) -> RelaxRe
         raise NetError(f"max_iter must be at least 0, not {max_iter}")
     if not tol > 0:
         raise NetError(f"tol must be positive, not {tol!r}")
-    _validate(net.points, net.rows)
     rows, flags = net.rows, net.flags
     for i, j, _ in rows:
         ends = [a + b for a, b in zip(net.points[i], net.points[j])]

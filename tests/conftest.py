@@ -1,11 +1,21 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
+import varifold_lab
 from varifold_lab import generators
 from varifold_lab.curvature import _area_gradients
-from varifold_lab.mesh import _boundary_conormals, face_normals, make_varifold
+from varifold_lab.mesh import DiscreteVarifold, _boundary_conormals, face_normals
+
+
+def _child_env(**extra) -> dict:
+    """This environment, with the imported package findable by a child Python."""
+    env = dict(os.environ, **extra)
+    src = os.path.dirname(os.path.dirname(varifold_lab.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.fixture(scope="session")
@@ -55,13 +65,13 @@ def projective_plane():
     """The 6-vertex real projective plane: closed, manifold, not orientable."""
     faces = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
              (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3)]
-    return make_varifold(np.random.default_rng(0).standard_normal((6, 3)), faces)
+    return DiscreteVarifold(np.random.default_rng(0).standard_normal((6, 3)), faces)
 
 
 def two_spheres():
     """Two disjoint unit spheres at level 3: chi 4, two components."""
     s = generators.gen_sphere(1.0, 3).varifold
-    return make_varifold(np.vstack([s.vertices, s.vertices + 5.0]),
+    return DiscreteVarifold(np.vstack([s.vertices, s.vertices + 5.0]),
                          np.vstack([s.faces, s.faces + s.num_vertices]))
 
 

@@ -281,7 +281,7 @@ def test_circle_arcs_match_the_scalar_loop_bit_for_bit():
 
 
 def _no_faces() -> DiscreteVarifold:
-    return mesh.make_varifold(np.eye(3), np.zeros((0, 3), dtype=np.int64))
+    return mesh.DiscreteVarifold(np.eye(3), np.zeros((0, 3), dtype=np.int64))
 
 
 @pytest.mark.parametrize("call", [
@@ -324,7 +324,7 @@ def _four_half_planes(n: int = 10, dirs=((1, 0), (0, 1), (-1, 0), (0, -1))) -> D
         verts.append(np.stack([dx * tt.ravel(), dy * tt.ravel(), zz.ravel()], axis=1))
         a, b, c, d = idx[:-1, :-1], idx[:-1, 1:], idx[1:, 1:], idx[1:, :-1]
         faces += [np.stack([a, b, c], axis=-1).reshape(-1, 3), np.stack([a, c, d], axis=-1).reshape(-1, 3)]
-    return mesh.make_varifold(np.vstack(verts), np.vstack(faces))
+    return mesh.DiscreteVarifold(np.vstack(verts), np.vstack(faces))
 
 
 def test_link_walk_goes_straight_through_four_end_nodes():
@@ -525,7 +525,7 @@ _BIG_TRIANGLE = [[-2.0, -2.0, 0.0], [3.0, -1.0, 0.0], [0.0, 3.0, 0.0]]
 
 def test_link_of_a_circle_inside_one_face_is_one_closed_polyline():
     """The sphere meets the plane z = 0 in a circle that crosses no edge."""
-    v = mesh.make_varifold(np.array(_BIG_TRIANGLE), np.array([[0, 1, 2]]))
+    v = mesh.DiscreteVarifold(np.array(_BIG_TRIANGLE), np.array([[0, 1, 2]]))
     link = blowup.spherical_link(v, np.array([0.0, 0.0, 0.1]), 0.2)
     assert [len(p) for p in link.polylines] == [64] and link.junction_count == 0
     assert link.total_length == pytest.approx(2.0 * math.pi * math.sqrt(0.03) / 0.2, rel=1e-15)
@@ -538,7 +538,7 @@ def test_link_lists_closed_arcs_before_open_ones():
     open polylines; the big triangle (face 2) holds one closed circle, which
     comes first although its face comes last."""
     square = [[0.1, -0.15, -0.05], [0.1, 0.15, -0.05], [0.1, 0.15, 0.25], [0.1, -0.15, 0.25]]
-    v = mesh.make_varifold(np.array(square + _BIG_TRIANGLE), np.array([[0, 1, 2], [0, 2, 3], [4, 5, 6]]))
+    v = mesh.DiscreteVarifold(np.array(square + _BIG_TRIANGLE), np.array([[0, 1, 2], [0, 2, 3], [4, 5, 6]]))
     link = blowup.spherical_link(v, np.array([0.0, 0.0, 0.1]), 0.2)
     assert [len(p) for p in link.polylines] == [64, 7, 7, 7, 7] and link.junction_count == 0
     assert _link_digest(link) == "1d015088e47bb44dd52909960e9dc948840eb1f64e9868884178d70ae5e240d9"
@@ -676,7 +676,7 @@ def test_face_grid_changes_no_bits_on_a_sparse_cloud(monkeypatch):
     found first is often not the nearest one."""
     rng = np.random.default_rng(3)
     tri = rng.uniform(0.0, 10.0, size=(300, 1, 3)) + rng.normal(scale=0.1, size=(300, 3, 3))
-    v = mesh.make_varifold(tri.reshape(-1, 3), np.arange(900).reshape(-1, 3))
+    v = mesh.DiscreteVarifold(tri.reshape(-1, 3), np.arange(900).reshape(-1, 3))
     queries = list(zip(rng.uniform(-1.0, 11.0, size=(100, 3)), rng.uniform(0.05, 3.0, size=100)))
 
     def run():

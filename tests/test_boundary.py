@@ -19,7 +19,7 @@ from varifold_lab.boundary import (
 )
 from varifold_lab.curvature import _boundary_force
 from varifold_lab.generators import gen_cap, gen_flat_disk
-from varifold_lab.mesh import MeshError, boundary_measure, face_normals, make_varifold
+from varifold_lab.mesh import DiscreteVarifold, MeshError, boundary_measure, face_normals
 from varifold_lab.reports import canonical_dumps
 
 from conftest import first_variation_residual, two_triangle_square
@@ -471,7 +471,7 @@ def _sha(a):
 
 
 def test_conormal_bits_on_the_square():
-    v = make_varifold(*two_triangle_square())
+    v = DiscreteVarifold(*two_triangle_square())
     h, z = "0x1.0000000000000p-1", "0x0.0p+0"
     force = [["-" + h, "-" + h, z], [h, "-" + h, z], [h, h, z], ["-" + h, h, z]]
     assert [[x.hex() for x in row] for row in _boundary_force(v, face_normals(v)[0]).tolist()] == force

@@ -14,6 +14,8 @@ from varifold_lab import boundary, nets
 from varifold_lab.cli import ANALYSES, build_parser, main
 from varifold_lab.reports import canonical_dumps
 
+from conftest import _child_env
+
 
 @pytest.fixture()
 def sphere_file(tmp_path):
@@ -209,6 +211,25 @@ def test_analyze_link_that_misses_the_support_is_not_applicable(sphere_file, tmp
     assert row["total_length"] == 0 and row["components"] == 0
     assert row["status"] == "not_applicable" and "misses the support" in row["reason"]
     assert "passed" not in row
+
+
+def test_analyze_link_matches_within_the_profile_tolerance(tmp_path):
+    # sphere L4, vertex 0, r = 0.735: the link is 7.0% of 2*pi shorter than a
+    # great circle, within "coarse" (10%) but not "default" (5%)
+    path = str(tmp_path / "sphere.json")
+    assert main(["generate", "sphere", "--level", "4", "-o", path]) == 0
+    spec = ",".join(map(repr, read_json(path)["vertices"][0])) + ":0.735"
+    rows = {}
+    for profile, code in (("default", 1), ("coarse", 0)):
+        report = str(tmp_path / f"{profile}.json")
+        assert main(["analyze", path, f"--link={spec}", "--tolerance-profile", profile, "-o", report]) == code
+        (rows[profile],) = read_json(report)["analyses"]["link"]
+    assert 0.05 < rows["default"]["residual"] / (2.0 * math.pi) < 0.10
+    assert rows["default"]["residual"] == rows["coarse"]["residual"]
+    assert (rows["default"]["match"], rows["default"]["matched_length"], rows["default"]["passed"]) == (
+        "composite/unknown", None, False)
+    assert (rows["coarse"]["match"], rows["coarse"]["matched_length"], rows["coarse"]["passed"]) == (
+        "great circle", 2.0 * math.pi, True)
 
 
 def test_analyze_density_off_the_support_is_not_applicable(sphere_file, tmp_path):
@@ -782,14 +803,6 @@ def test_mesh_file_of_the_wrong_shape_is_input_error(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # determinism and thread caps
-
-
-def _child_env(**extra) -> dict:
-    """This environment, with the imported package findable by a child Python."""
-    env = dict(os.environ, **extra)
-    src = os.path.dirname(os.path.dirname(varifold_lab.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return env
 
 
 def test_serial_reports_are_byte_identical(sphere_file, tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from varifold_lab import curvature, generators, mesh
-from varifold_lab.mesh import DiscreteVarifold, MeshError, make_varifold
+from varifold_lab.mesh import DiscreteVarifold, MeshError
 
 from conftest import first_variation_residual, projective_plane, triple_fan, two_spheres
 
@@ -49,7 +49,7 @@ def test_helfrich_at_zero_equals_willmore(sphere3):
 
 def test_helfrich_needs_orientation():
     vertices, faces = triple_fan()
-    var = make_varifold(vertices, faces)
+    var = DiscreteVarifold(vertices, faces)
     with pytest.raises(MeshError):
         curvature.helfrich_energy(var, 0.0)
 
@@ -58,7 +58,7 @@ def test_helfrich_names_the_first_edge_where_windings_disagree():
     v = generators.gen_sphere(1.0, 2).varifold
     faces = v.faces.copy()
     faces[0] = faces[0, ::-1]
-    flipped = make_varifold(v.vertices, faces, oriented=True)
+    flipped = DiscreteVarifold(v.vertices, faces, oriented=True)
     with pytest.raises(MeshError, match=r"^face windings disagree across edge \(0, 42\)$"):
         curvature.helfrich_energy(flipped, 0.0)
 
@@ -66,7 +66,7 @@ def test_helfrich_names_the_first_edge_where_windings_disagree():
 def test_helfrich_on_one_oriented_triangle_is_zero():
     # no interior edge and only boundary vertices; recorded while an empty
     # interior took a special case
-    tri = make_varifold([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]], oriented=True)
+    tri = DiscreteVarifold([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]], oriented=True)
     assert curvature.helfrich_energy(tri, 0.0) == 0.0
     assert curvature.helfrich_energy(tri, 1.0) == 0.0
 
@@ -189,7 +189,7 @@ def test_vertex_normals_flip_faces_against_the_first_and_skip_unused_vertices():
     # Faces 0 (normal +z) and 1 (normal -z) share vertices 0 and 2, whose
     # first face is face 0; vertex 3 is on face 1 only; vertex 4 is unused.
     verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [-1, 0, 0], [5, 5, 5]], dtype=float)
-    v = make_varifold(verts, [[0, 1, 2], [0, 3, 2]])
+    v = DiscreteVarifold(verts, [[0, 1, 2], [0, 3, 2]])
     fn = mesh.face_normals(v)
     n = curvature._vertex_normals_unoriented(v, *fn)
     np.testing.assert_array_equal(n[:4], [[0, 0, 1], [0, 0, 1], [0, 0, 1], [0, 0, -1]])
@@ -199,7 +199,6 @@ def test_vertex_normals_flip_faces_against_the_first_and_skip_unused_vertices():
 
 def test_face_normals_are_computed_once_per_mesh(monkeypatch):
     cap = generators.gen_cap(1.0, 1.2, 3).varifold  # open: the conormals run too
-    v = DiscreteVarifold(cap.vertices, cap.faces, cap.multiplicity)  # fresh, not yet validated
     calls = []
     face_normals = mesh.face_normals
 
@@ -208,7 +207,7 @@ def test_face_normals_are_computed_once_per_mesh(monkeypatch):
         return face_normals(w)
 
     monkeypatch.setattr(mesh, "face_normals", counting)
-    mesh.validate(v)  # computes its own areas and keeps nothing
+    v = DiscreteVarifold(cap.vertices, cap.faces, cap.multiplicity)  # validate: its own areas, kept nowhere
     assert len(calls) == 1 and "face_geometry" not in vars(v)
     calls.clear()
     v.curvature
@@ -240,7 +239,7 @@ def test_curvature_fields_keep_their_bits():
 
 def test_willmore_integrand_is_kept_off_the_boundary():
     cap = generators.gen_cap(1.0, 1.2, 3).varifold
-    v = make_varifold(np.vstack([cap.vertices, [[3.0, 0.0, 0.0]]]), cap.faces)  # one unused vertex
+    v = DiscreteVarifold(np.vstack([cap.vertices, [[3.0, 0.0, 0.0]]]), cap.faces)  # one unused vertex
     f = v.curvature
     off = ~v.topology.boundary_vertex_mask
     off[-1] = False
@@ -258,7 +257,7 @@ def test_willmore_integrand_is_kept_off_the_boundary():
 def test_second_fundamental_norm_of_one_triangle():
     # no interior edge and no vertex off the boundary; recorded while both
     # took a special case
-    tri = make_varifold([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]])
+    tri = DiscreteVarifold([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]])
     f = curvature.second_fundamental_norm(tri)
     np.testing.assert_array_equal(f.H, np.zeros((3, 3)))
     np.testing.assert_array_equal(f.vertex_area, [1 / 6, 1 / 6, 1 / 6])
@@ -282,7 +281,7 @@ def test_euler_characteristic_torus(torus3):
 
 
 def test_euler_characteristic_rejects_junctions():
-    var = make_varifold(*triple_fan())
+    var = DiscreteVarifold(*triple_fan())
     with pytest.raises(MeshError):
         curvature.euler_characteristic(var)
 
@@ -298,7 +297,7 @@ def test_euler_characteristic_of_the_projective_plane():
     # the 6-vertex real projective plane: closed, manifold, not orientable
     faces = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
              (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3)]
-    var = make_varifold(np.random.default_rng(0).standard_normal((6, 3)), faces)
+    var = DiscreteVarifold(np.random.default_rng(0).standard_normal((6, 3)), faces)
     t = curvature.euler_characteristic(var)
     assert (t.chi, t.defect_chi, t.orientable, t.connected_components, t.genus) == (1, 1.0, False, 1, None)
 

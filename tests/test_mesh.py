@@ -14,21 +14,21 @@ from hypothesis import strategies as st
 from varifold_lab import _grid, blowup, curvature, generators, mesh
 from varifold_lab._kernels import _sq
 from varifold_lab.cli import main
-from varifold_lab.mesh import DiscreteVarifold, MeshError, make_varifold
+from varifold_lab.mesh import DiscreteVarifold, MeshError
 
 from conftest import first_variation_residual, triple_fan, two_triangle_square
 
 
 def test_make_varifold_defaults_multiplicity_to_one():
     v, f = two_triangle_square()
-    var = make_varifold(v, f)
+    var = DiscreteVarifold(v, f)
     assert var.multiplicity.tolist() == [1, 1]
     assert var.num_vertices == 4 and var.num_faces == 2
 
 
 def test_arrays_are_frozen():
     v, f = two_triangle_square()
-    var = make_varifold(v, f)
+    var = DiscreteVarifold(v, f)
     with pytest.raises(ValueError):
         var.vertices[0, 0] = 5.0
 
@@ -38,8 +38,8 @@ def test_input_views_are_copied_before_freezing():
     vbase = np.vstack([[9.0, 9.0, 9.0], sphere.vertices])
     fbase = np.vstack([[0, 1, 2], sphere.faces])
     mbase = np.concatenate([[1], sphere.multiplicity])
-    ref = make_varifold(vbase[1:].copy(), fbase[1:].copy(), mbase[1:].copy())
-    var = make_varifold(vbase[1:], fbase[1:], mbase[1:])
+    ref = DiscreteVarifold(vbase[1:].copy(), fbase[1:].copy(), mbase[1:].copy())
+    var = DiscreteVarifold(vbase[1:], fbase[1:], mbase[1:])
     h = var.curvature.H.copy()
     vbase[1:] *= 2.0
     fbase[1:] = fbase[1:, ::-1]
@@ -154,24 +154,26 @@ def test_validate_rejects_bad_meshes(mutate, fragment):
     v, f = two_triangle_square()
     bad_v, bad_f, bad_m = mutate(v, f, np.array([1, 1]))
     with pytest.raises(MeshError, match=fragment):
-        make_varifold(bad_v, bad_f, bad_m)
+        DiscreteVarifold(bad_v, bad_f, bad_m)
+    with pytest.raises(MeshError, match=fragment):  # a changed copy is checked too
+        dataclasses.replace(DiscreteVarifold(v, f), vertices=bad_v, faces=bad_f, multiplicity=bad_m)
 
 
 def test_make_varifold_rejects_face_rows_that_are_not_triples():
     v, _ = two_triangle_square()
     with pytest.raises(MeshError, match=r"faces must be \(F, 3\)"):
-        make_varifold(v, [[0, 1], [2, 0], [1, 2]])
+        DiscreteVarifold(v, [[0, 1], [2, 0], [1, 2]])
 
 
 def test_make_varifold_rejects_vertices_that_are_not_triples():
     v, f = two_triangle_square()
     with pytest.raises(MeshError, match=r"^vertices must be \(V, 3\), got \(4, 2\)$"):
-        make_varifold(v[:, :2], f)
+        DiscreteVarifold(v[:, :2], f)
 
 
 def test_make_varifold_accepts_no_faces():
     v, _ = two_triangle_square()
-    var = make_varifold(v, [])
+    var = DiscreteVarifold(v, [])
     assert var.faces.shape == (0, 3) and var.num_faces == 0
 
 
@@ -194,16 +196,21 @@ _TRIANGLE = [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
      r"face_patches shape \(\) does not match \(F,\) = \(1,\)"),
     ((_TRIANGLE, [[0, 1, 2]]), {"face_patches": [[0]]},
      r"face_patches shape \(1, 1\) does not match \(F,\) = \(1,\)"),
+    ((_TRIANGLE, [[0, 1, 2]]), {"oriented": 1}, "oriented must be a bool, not 1"),
+    ((_TRIANGLE, [[0, 1, 2]]), {"oriented": "true"}, "oriented must be a bool, not 'true'"),
 ], ids=["float-face", "float-multiplicity", "bool-vertex", "bool-face", "bool-patch",
         "bool-vertex-array", "float-face-array", "column-multiplicity", "empty-rows-multiplicity",
-        "scalar-patch", "column-patch"])
+        "scalar-patch", "column-patch", "int-oriented", "string-oriented"])
 def test_make_varifold_coerces_nothing(args, kwargs, message):
     with pytest.raises(MeshError, match=f"^{message}$"):
-        make_varifold(*args, **kwargs)
+        DiscreteVarifold(*args, **kwargs)
+    with pytest.raises(MeshError, match=f"^{message}$"):  # a changed copy is checked too
+        dataclasses.replace(DiscreteVarifold(_TRIANGLE, [[0, 1, 2]]), **dict(zip(("vertices", "faces"), args)),
+                            **kwargs)
 
 
 def test_make_varifold_takes_integer_and_float_arrays_of_any_width():
-    v = make_varifold(np.array(_TRIANGLE, dtype=np.float32), np.array([[0, 1, 2]], dtype=np.uint8),
+    v = DiscreteVarifold(np.array(_TRIANGLE, dtype=np.float32), np.array([[0, 1, 2]], dtype=np.uint8),
                       np.array([3], dtype=np.int32), face_patches=np.array([7], dtype=np.int16))
     assert (v.vertices.dtype, v.faces.dtype, v.multiplicity.dtype, v.face_patches.dtype) == (
         np.float64, np.int64, np.int64, np.int64)
@@ -213,13 +220,13 @@ def test_make_varifold_takes_integer_and_float_arrays_of_any_width():
 def test_total_mass_counts_multiplicity():
     vertices = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float)
     faces = np.array([[0, 1, 2]])
-    assert mesh.total_mass(make_varifold(vertices, faces)) == pytest.approx(0.5)
-    doubled = make_varifold(vertices, faces, np.array([2]))
+    assert mesh.total_mass(DiscreteVarifold(vertices, faces)) == pytest.approx(0.5)
+    doubled = DiscreteVarifold(vertices, faces, np.array([2]))
     assert mesh.total_mass(doubled) == pytest.approx(1.0)
 
 
 def test_edge_topology_square():
-    var = make_varifold(*two_triangle_square())
+    var = DiscreteVarifold(*two_triangle_square())
     topo = mesh.edge_topology(var)
     assert len(topo.edges) == 5
     assert len(topo.boundary_edges) == 4
@@ -230,7 +237,7 @@ def test_edge_topology_square():
 
 def test_edge_topology_without_boundary_or_junction_edges(sphere3):
     # recorded while empty edge classes took a special case
-    for v in (sphere3.varifold, make_varifold(*two_triangle_square())):
+    for v in (sphere3.varifold, DiscreteVarifold(*two_triangle_square())):
         topo = mesh.edge_topology(v)
         assert (topo.junction_edges.shape, topo.junction_edges.dtype) == ((0,), np.int64)
         assert topo.junction_vertex_mask.dtype == bool
@@ -241,7 +248,7 @@ def test_edge_topology_without_boundary_or_junction_edges(sphere3):
 
 
 def test_edge_topology_triple_junction():
-    var = make_varifold(*triple_fan())
+    var = DiscreteVarifold(*triple_fan())
     topo = mesh.edge_topology(var)
     assert len(topo.junction_edges) == 1
     shared = topo.edges[topo.junction_edges[0]]
@@ -253,7 +260,7 @@ def test_edge_topology_triple_junction():
 
 
 def test_refine_quadruples_faces_and_preserves_flat_mass():
-    var = make_varifold(*two_triangle_square())
+    var = DiscreteVarifold(*two_triangle_square())
     fine = mesh.refine(var)
     assert fine.num_faces == 4 * var.num_faces
     assert mesh.total_mass(fine) == pytest.approx(mesh.total_mass(var), abs=1e-14)
@@ -275,7 +282,7 @@ def _double_bubble3():
 
 @pytest.mark.parametrize(
     "build",
-    [lambda: make_varifold(*triple_fan()), _double_bubble3,
+    [lambda: DiscreteVarifold(*triple_fan()), _double_bubble3,
      lambda: generators.gen_torus(2.0, 0.7, 3).varifold],
     ids=["triple_fan", "double_bubble3", "torus3"],
 )
@@ -328,13 +335,13 @@ def test_refine_keeps_euler_characteristic(request, fixture, chi):
 
 
 def test_refine_doubles_boundary_edges():
-    var = make_varifold(*two_triangle_square())
+    var = DiscreteVarifold(*two_triangle_square())
     before = len(mesh.edge_topology(var).boundary_edges)
     assert len(mesh.edge_topology(mesh.refine(var)).boundary_edges) == 2 * before
 
 
 @pytest.mark.parametrize(
-    "build", [lambda: make_varifold(*triple_fan()), _double_bubble3],
+    "build", [lambda: DiscreteVarifold(*triple_fan()), _double_bubble3],
     ids=["triple_fan", "double_bubble3"],
 )
 def test_refine_doubles_junction_edges(build):
@@ -362,41 +369,48 @@ def _write_square(path, **overrides):
     return str(path)
 
 
+def _rejected(path: str, message: str) -> str:
+    """A regex for exactly the MeshError that loading ``path`` raises when the
+    constructor rejects its arrays with ``message``."""
+    return f"^{re.escape(f'mesh file {path!r}: {message}')}$"
+
+
 @pytest.mark.parametrize(
-    "overrides, key",
+    "overrides, message",
     [
-        ({"multiplicity": [1, 1.7]}, "multiplicity"),
-        ({"faces": [[0, 1, 2.9], [0, 2, 3]]}, "faces"),
-        ({"oriented": "false"}, "oriented"),
-        ({"faces": [[0, 1], [2, 0], [1, 2]]}, "faces"),
+        ({"multiplicity": [1, 1.7]}, "multiplicity must hold integers, not float64"),
+        ({"faces": [[0, 1, 2.9], [0, 2, 3]]}, "faces must hold integers, not float64"),
+        ({"oriented": "false"}, "oriented must be a bool, not 'false'"),
+        ({"faces": [[0, 1], [2, 0], [1, 2]]}, "faces must be (F, 3), got (3, 2)"),
     ],
     ids=["fractional_multiplicity", "fractional_face_index", "string_oriented",
          "two_index_faces"],
 )
-def test_load_rejects_values_it_would_have_to_coerce(tmp_path, capsys, overrides, key):
+def test_load_rejects_values_it_would_have_to_coerce(tmp_path, capsys, overrides, message):
     path = _write_square(tmp_path / "bad.json", **overrides)
-    with pytest.raises(MeshError, match=f"'{key}'"):
+    with pytest.raises(MeshError, match=_rejected(path, message)):
         mesh.load_mesh_file(path)
     assert main(["analyze", path, "--energy"]) == 2
-    assert f"'{key}'" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: mesh file {path!r}: {message}\n"
 
 
 @pytest.mark.parametrize(
-    "overrides, key, flag",
+    "overrides, message, flag",
     [
-        ({"vertices": [[0, 0, 0], [1, 0, 0], [True, 1, 0], [0, 1, 0]]}, "vertices", "--boundary"),
-        ({"faces": [[0, True, 2], [0, 2, 3]]}, "faces", "--energy"),
-        ({"multiplicity": [1, True]}, "multiplicity", "--energy"),
-        ({"face_patches": [False, 3]}, "face_patches", "--energy"),
+        ({"vertices": [[0, 0, 0], [1, 0, 0], [True, 1, 0], [0, 1, 0]]}, "vertices must hold numbers",
+         "--boundary"),
+        ({"faces": [[0, True, 2], [0, 2, 3]]}, "faces must hold integers", "--energy"),
+        ({"multiplicity": [1, True]}, "multiplicity must hold integers", "--energy"),
+        ({"face_patches": [False, 3]}, "face_patches must hold integers", "--energy"),
     ],
     ids=["vertices", "faces", "multiplicity", "face_patches"],
 )
-def test_load_rejects_booleans_among_numbers(tmp_path, capsys, overrides, key, flag):
+def test_load_rejects_booleans_among_numbers(tmp_path, capsys, overrides, message, flag):
     path = _write_square(tmp_path / "bad.json", **overrides)
-    with pytest.raises(MeshError, match=f"'{key}' must hold .* not booleans"):
+    with pytest.raises(MeshError, match=_rejected(path, f"{message}, not booleans")):
         mesh.load_mesh_file(path)
     assert main(["analyze", path, flag]) == 2
-    assert f"'{key}' must hold" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: mesh file {path!r}: {message}, not booleans\n"
 
 
 @pytest.mark.parametrize(
@@ -412,10 +426,18 @@ def test_load_rejects_booleans_among_numbers(tmp_path, capsys, overrides, key, f
 def test_load_rejects_per_face_arrays_of_another_shape(tmp_path, capsys, overrides, key, shape):
     path = _write_square(tmp_path / "bad.json", **overrides)
     message = f"{key} shape {shape} does not match (F,) = (2,)"
-    with pytest.raises(MeshError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(MeshError, match=_rejected(path, message)):
         mesh.load_mesh_file(path)
     assert main(["analyze", path, "--energy"]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: mesh file {path!r}: {message}\n"
+
+
+def test_load_names_the_file_for_structural_errors(tmp_path, capsys):
+    path = _write_square(tmp_path / "bad.json", faces=[[0, 1, 9], [0, 2, 3]])
+    with pytest.raises(MeshError, match=_rejected(path, "face 0 has a vertex index out of range")):
+        mesh.load_mesh_file(path)
+    assert main(["analyze", path, "--energy"]) == 2
+    assert capsys.readouterr().err == f"error: mesh file {path!r}: face 0 has a vertex index out of range\n"
 
 
 def test_load_keeps_face_patches(tmp_path):
@@ -426,12 +448,12 @@ def test_load_keeps_face_patches(tmp_path):
 
 def test_mesh_scale_is_bbox_diagonal():
     vertices = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float)
-    var = make_varifold(vertices, np.array([[0, 1, 2]]))
+    var = DiscreteVarifold(vertices, np.array([[0, 1, 2]]))
     assert mesh.mesh_scale(var) == pytest.approx(math.sqrt(2))
 
 
 def test_an_empty_mesh_validates_with_unit_scale_and_no_mass():
-    var = make_varifold(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
+    var = DiscreteVarifold(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
     mesh.validate(var)
     assert (var.num_vertices, var.num_faces) == (0, 0)
     assert mesh.mesh_scale(var) == 1.0
@@ -444,6 +466,15 @@ def test_an_empty_mesh_validates_with_unit_scale_and_no_mass():
 _coord = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 
 
+def _built(vertices, faces) -> DiscreteVarifold:
+    """The soup on these arrays; a draw the constructor rejects (a degenerate
+    face) is assumed away."""
+    try:
+        return DiscreteVarifold(vertices, faces)
+    except MeshError:
+        assume(False)
+
+
 @st.composite
 def _soups(draw) -> DiscreteVarifold:
     """Triangle soups of 1-12 faces, some flat (one axis of zero extent)."""
@@ -453,7 +484,7 @@ def _soups(draw) -> DiscreteVarifold:
         pts[:, draw(st.integers(0, 2))] = draw(_coord)
     nf = draw(st.integers(1, 12))
     faces = [draw(st.permutations(range(nv)))[:3] for _ in range(nf)]
-    return DiscreteVarifold(pts, faces, np.ones(nf, dtype=np.int64))
+    return _built(pts, faces)
 
 
 @st.composite
@@ -464,7 +495,7 @@ def _scattered(draw) -> DiscreteVarifold:
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     size = np.exp(rng.uniform(math.log(1e-3), 0.0, size=(nf, 1, 1)))
     tri = rng.uniform(-10.0, 10.0, size=(nf, 1, 3)) + size * rng.normal(size=(nf, 3, 3))
-    return DiscreteVarifold(tri.reshape(-1, 3), np.arange(3 * nf).reshape(-1, 3), np.ones(nf, dtype=np.int64))
+    return _built(tri.reshape(-1, 3), np.arange(3 * nf).reshape(-1, 3))
 
 
 def _sphere_distances(v: DiscreteVarifold, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -558,7 +589,7 @@ def _corner_face(scale: float) -> DiscreteVarifold:
     three faces of spread 0.559 lie 20 away along the axes."""
     tri = scale * np.array([[0.5, 0.0, 0.0], [-0.25, 0.5, 0.0], [-0.25, -0.5, 0.0]])
     far = [tri / scale + np.array(p) for p in [(20.0, 0.0, 0.0), (0.0, 20.0, 0.0), (0.0, 0.0, 20.0)]]
-    v = make_varifold(np.vstack([tri] + far), np.arange(12).reshape(-1, 3))
+    v = DiscreteVarifold(np.vstack([tri] + far), np.arange(12).reshape(-1, 3))
     assert v.face_grid.centroids[0].tolist() == v.face_grid.origin.tolist() == [0.0, 0.0, 0.0]
     assert v.face_grid.pitch < 4.0  # so ±(2, 2, 2) lies beyond the middle of face 0's cell
     return v
@@ -611,7 +642,7 @@ def test_face_grid_query_is_the_test_of_every_face_on_a_triple_bubble():
 
 @pytest.mark.parametrize("r", [1e-9, 0.2, 1e6, math.inf])
 def test_face_grid_single_face_and_flat_mesh(r):
-    one = make_varifold([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]])
+    one = DiscreteVarifold([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]])
     assert one.face_grid.query([0.3, 0.3, 0.0], r).tolist() == [0]
     flat = generators.gen_flat_disk(1.0, 2).varifold
     assert np.ptp(flat.vertices[:, 2]) == 0.0
@@ -653,7 +684,7 @@ def _face_grid_axis0(v: DiscreteVarifold) -> _grid.FaceGrid:
 @pytest.mark.parametrize("make", [
     lambda: generators.gen_triple_bubble(3).varifold,
     lambda: generators.gen_double_bubble(0.7, 1.0, 4).varifold,
-    lambda: make_varifold(np.eye(3), np.zeros((0, 3), dtype=np.int64)),
+    lambda: DiscreteVarifold(np.eye(3), np.zeros((0, 3), dtype=np.int64)),
 ], ids=["triple_bubble3", "double_bubble4", "no-faces"])
 def test_face_grid_build_matches_the_axis0_oracle(make):
     v = make()
@@ -677,10 +708,6 @@ def test_face_grid_large_or_unbounded_balls_give_every_face(sphere3):
 @settings(max_examples=150, deadline=None)
 @given(v=_soups(), x0=st.tuples(*[st.floats(-40.0, 40.0)] * 3))
 def test_point_surface_distance_matches_a_scan_of_every_face(v, x0):
-    try:
-        mesh.validate(v)
-    except MeshError:
-        assume(False)  # degenerate faces have no closest point
     x0 = np.array(x0)
     want = curvature._distance_to_faces(v.vertices, v.faces, x0)
     assert float(curvature.point_surface_distance(v, x0)).hex() == float(want).hex()
@@ -731,10 +758,6 @@ def _oracle_distance(v: DiscreteVarifold, p) -> float:
 @settings(max_examples=150, deadline=None)
 @given(v=_soups(), x0=st.tuples(*[st.floats(-40.0, 40.0)] * 3))
 def test_point_surface_distance_matches_the_closest_point_oracle(v, x0):
-    try:
-        mesh.validate(v)
-    except MeshError:
-        assume(False)
     got = curvature.point_surface_distance(v, np.array(x0))
     scale = max(1.0, max(map(abs, x0)), float(np.abs(v.vertices).max()))
     assert abs(got - _oracle_distance(v, x0)) <= 1e-9 * scale
@@ -743,7 +766,7 @@ def test_point_surface_distance_matches_the_closest_point_oracle(v, x0):
 def test_point_surface_distance_beyond_an_edge_is_not_the_plane_distance(sphere3):
     # the projection of (0.6, 0.6, 0) lies in the triangle's plane beyond edge
     # bc, where each weight alone is in [0, 1]; the nearest point is (0.5, 0.5, 0)
-    tri = make_varifold([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]])
+    tri = DiscreteVarifold([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]])
     p = np.array([0.6, 0.6, 0.0])
     assert curvature.point_surface_distance(tri, p) == pytest.approx(math.sqrt(0.02), rel=1e-15)
     assert curvature.point_surface_distance(tri, p) == pytest.approx(_oracle_distance(tri, p), rel=1e-15)
@@ -758,7 +781,7 @@ def test_zero_area_face_at_a_tiny_scale_is_degenerate():
     # hypothesis draw (seed 54): the area 0 was compared with 1e-14 * scale**2,
     # which underflows to 0, and point_surface_distance then divided by zero
     with pytest.raises(MeshError, match="face 0 is degenerate"):
-        make_varifold([[0, 0, 0], [0, 0, 0], [0, 0, 2.03584332e-156]], [[0, 1, 2]])
+        DiscreteVarifold([[0, 0, 0], [0, 0, 0], [0, 0, 2.03584332e-156]], [[0, 1, 2]])
 
 
 def test_a_failing_hypothesis_test_does_not_end_the_session(tmp_path):

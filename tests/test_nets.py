@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -288,6 +289,18 @@ def test_make_net_rejects_arcs_that_are_not_rows_of_three(arcs):
     verts = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-1.0, 0.0, 0.0]])
     with pytest.raises(NetError, match=r"arcs must be \(M, 3\)"):
         make_net(verts, arcs)
+
+
+def test_a_net_checks_itself_when_built():
+    net = make_net(np.eye(3), [[0, 1, 1], [1, 2, 1]])
+    off = ((2.0, 0.0, 0.0),) + net.points[1:]
+    for build in (lambda: nets.GeodesicNet(off, net.rows, net.flags),
+                  lambda: dataclasses.replace(net, points=off)):
+        with pytest.raises(NetError, match=r"^vertex 0 is off the unit sphere by 1\.00e\+00$"):
+            build()
+    for flags in ((False,), (False, True, False)):
+        with pytest.raises(NetError, match=f"^a net needs one flag per arc, not {len(flags)} for 2 arcs$"):
+            nets.GeodesicNet(net.points, net.rows, flags)
 
 
 def test_make_net_rejects_vertices_that_are_not_triples():

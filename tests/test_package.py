@@ -204,7 +204,7 @@ def test_public_names_are_their_home_modules_attributes():
             home = getattr(importlib.import_module(f"varifold_lab.{varifold_lab._HOME[name]}"), name)
         assert getattr(varifold_lab, name) is home, name
         assert namespace[name] is home, name
-    assert len(varifold_lab.__all__) == len(set(varifold_lab.__all__)) == 51
+    assert len(varifold_lab.__all__) == len(set(varifold_lab.__all__)) == 50
     assert set(varifold_lab.__all__) <= set(dir(varifold_lab))
 
 
