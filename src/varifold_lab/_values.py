@@ -29,16 +29,21 @@ def _frozen(a):
 
 
 def _numeric(x, kinds: str, where: str, error: type[ValueError]):
-    """``x`` as an array of dtype kind in ``kinds`` ("iu" or "iuf"), never coerced, else ``error``
-    naming ``where``. A sequence is also scanned for booleans, which NumPy reads as 1 and 0."""
+    """``x`` as an array of dtype kind in ``kinds`` ("iu": integers within int64, or "iuf"), never
+    coerced, else ``error`` naming ``where``: the mesh constructor's check of its large arrays. A
+    sequence is also scanned for booleans and for integers beyond int64, which NumPy reads as 1
+    and 0, or as uint64, float64 or objects."""
     import numpy as np
 
     a = np.asarray(x)
     want = "integers" if kinds == "iu" else "numbers"
-    if not isinstance(x, np.ndarray):
-        rows = itertools.chain.from_iterable(x) if a.ndim == 2 else x if a.ndim == 1 else ()
-        if {bool, np.bool_} & set(map(type, rows)):
-            raise error(f"{where} must hold {want}, not booleans")
+    rows = x if a.ndim == 1 else itertools.chain.from_iterable(x) if a.ndim == 2 else ()
+    types = set() if isinstance(x, np.ndarray) else set(map(type, rows))
+    if {bool, np.bool_} & types:
+        raise error(f"{where} must hold {want}, not booleans")
+    if kinds == "iu" and a.size and (types == {int} and a.dtype.kind != "i"
+                                     or a.dtype == np.uint64 and a.max() >= 2**63):
+        raise error(f"{where} holds integers beyond int64")
     if a.size and a.dtype.kind not in kinds:
         raise error(f"{where} must hold {want}, not {a.dtype}")
     return a

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._values import _INTEGER, _NUMBER, _POINT, MeshError, _check_rows, _is_int, _is_number, _numeric
+from ._values import _INTEGER, _NUMBER, _POINT, MeshError, _check_rows, _is_int, _is_number
 from .reports import Record, load_json, save_json
 
 _FOUR_PI = 4.0 * math.pi
@@ -36,12 +36,10 @@ def _unit(a) -> tuple[float, float, float]:
 
 
 def _vector(x, where: str) -> tuple[float, float, float]:
-    """``x`` as 3 finite floats; anything but 3 numbers raises ValueError naming ``where``."""
+    """``x``, 3 numbers in a list, a tuple or an array (read through ``tolist()``), as 3 finite floats."""
+    x = x.tolist() if hasattr(x, "tolist") else x
     if not (isinstance(x, (list, tuple)) and len(x) == 3 and all(map(_is_number, x))):
-        a = _numeric(x, "iuf", where, ValueError)  # an array, or a message naming what is wrong
-        if a.shape != (3,):
-            raise ValueError(f"{where} must be 3 numbers, not {x!r}")
-        x = a.tolist()
+        raise ValueError(f"{where} must be 3 numbers, not {x!r}")
     v = (float(x[0]), float(x[1]), float(x[2]))
     if not all(map(math.isfinite, v)):
         raise ValueError(f"{where} must be finite, not {list(v)}")

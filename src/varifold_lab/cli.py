@@ -423,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "with junctions.",
     )
     parser.add_argument("--serial", action="store_true",
-                        help="force single-threaded, bit-deterministic mode")
+                        help="cap the BLAS thread pools at one thread; reports stay byte-identical")
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="write an example mesh with its analytic block")

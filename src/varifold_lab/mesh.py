@@ -223,14 +223,13 @@ def boundary_measure(v: DiscreteVarifold) -> DiscreteBoundary:
 
     Each boundary edge has exactly one incident face; the conormal is the
     in-plane unit normal to the edge pointing out of that face.  A closed mesh
-    yields an empty boundary.
+    yields an empty boundary. The total length is a correctly rounded sum.
     """
     edges, fidx, vec, conormals = _boundary_conormals(v, v.face_geometry[0])
     lengths = np.linalg.norm(vec, axis=1)
     conormals /= np.linalg.norm(conormals, axis=1, keepdims=True)
     mult = v.multiplicity[fidx]
-    total = float(np.dot(mult.astype(np.float64), lengths))
-    return DiscreteBoundary(edges, lengths, conormals, mult, total)
+    return DiscreteBoundary(edges, lengths, conormals, mult, _kernels.fsum(mult * lengths))
 
 
 def _min_labels(size: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -22,9 +22,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 from operator import mul
 
-from ._values import _frozen, _is_int, _numeric
+from ._values import _frozen, _is_int, _is_number
 from .netmatch import CATALOGUE, NetError, match_link  # noqa: F401  (nets' public names too)
 from .reports import NOT_RECORDED, Record, load_json, save_json
 
@@ -100,54 +101,41 @@ def _is_int64(x) -> bool:
     return _is_int(x) and -2**63 <= x < 2**63
 
 
-def _is_coordinate(x) -> bool:
-    return isinstance(x, float) or _is_int64(x)
+def _is_coordinate(x) -> bool:  # an integer within int64, or a Python or NumPy float
+    return _is_int64(x) if _is_int(x) else isinstance(x, float) or _is_number(x) and hasattr(x, "dtype")
 
 
-def _rows_of_3(x, ok, kinds: str, where: str):
-    """``x`` as it is if it is a non-empty list (or tuple) of rows of 3 values that pass ``ok``;
-    anything else goes through ``_numeric`` (an array, or NetError naming ``where``)."""
-    if (isinstance(x, (list, tuple)) and x
-            and all(isinstance(r, (list, tuple)) and len(r) == 3 and all(map(ok, r)) for r in x)):
-        return x
-    return _numeric(x, kinds, where, NetError)
+def _rows_of_3(x, ok, convert, what: str, where: str, empty: bool) -> tuple[tuple, ...]:
+    """The rows of the list or tuple ``x`` (an array, or a row that is one, read through ``tolist()``)
+    through ``convert``, each 3 values that pass ``ok``; else NetError naming ``where`` and the row."""
+    rows = x.tolist() if hasattr(x, "tolist") else x
+    if not (isinstance(rows, (list, tuple)) and (rows or empty)):
+        raise NetError(f"{where} must be a {'list' if empty else 'non-empty list'} of rows of 3 {what},"
+                       f" not {rows!r}")
+    rows = [r.tolist() if hasattr(r, "tolist") else r for r in rows]
+    for k, r in enumerate(rows):
+        if not (isinstance(r, (list, tuple)) and len(r) == 3 and all(map(ok, r))):
+            raise NetError(f"{where} row {k} must be 3 {what}, not {r!r}")
+    return tuple(tuple(map(convert, r)) for r in rows)
 
 
 def make_net(vertices, arcs, major=None) -> GeodesicNet:
-    """A net from loose input: numbers as vertices, integers as arcs, one boolean or 0/1 per arc as
-    ``major``; nothing coerced (NetError). Lists of Python numbers are read without NumPy;
-    anything else (arrays, booleans, strings) is checked through it."""
-    v = _rows_of_3(vertices, _is_coordinate, "iuf", "vertices")
-    a = _rows_of_3(arcs, _is_int64, "iu", "arcs")
-    if not isinstance(v, (list, tuple)):
-        if v.ndim != 2 or v.shape[1] != 3:
-            raise NetError(f"vertices must be (N, 3), got {v.shape}")
-        v = v.astype("float64").tolist()
-    if not isinstance(a, (list, tuple)):
-        if a.shape == (0,):  # no arcs; any other shape but (M, 3) is rejected, never reshaped
-            a = a.reshape(0, 3)
-        if a.ndim != 2 or a.shape[1] != 3:
-            raise NetError(f"arcs must be (M, 3) rows [i, j, multiplicity], got {a.shape}")
-        a = a.astype("int64").tolist()
-    points = tuple((float(x), float(y), float(z)) for x, y, z in v)
-    rows = tuple((int(i), int(j), int(m)) for i, j, m in a)
+    """A net from rows of 3 numbers as ``vertices``, rows [i, j, multiplicity] as ``arcs`` and
+    ``_flags``' ``major``, in lists, tuples or arrays, checked in Python and never coerced."""
+    points = _rows_of_3(vertices, _is_coordinate, float, "numbers", "vertices", empty=False)
+    rows = _rows_of_3(arcs, _is_int64, int, "integers", "arcs", empty=True)
     return GeodesicNet(points, rows, _flags(major, len(rows)))
 
 
 def _flags(major, m: int) -> tuple[bool, ...]:
-    """One flag per arc from ``major``: None (all minor), or m booleans or 0/1 integers."""
+    """One flag per arc from ``major``: None (all minor), or m Python or NumPy booleans or 0/1 integers."""
     if major is None:
         return (False,) * m
-    if (isinstance(major, (list, tuple)) and len(major) == m
-            and all(type(f) in (bool, int) and f in (0, 1) for f in major)):
-        return tuple(map(bool, major))
-    import numpy as np
-
-    flags = np.asarray(major)
-    if (flags.shape != (m,) or (flags.size and flags.dtype.kind not in "biu")
-            or not np.isin(flags, (0, 1)).all()):
+    flags = major.tolist() if hasattr(major, "tolist") else major
+    if not (isinstance(flags, (list, tuple)) and len(flags) == m and all(
+            f in (0, 1) and (isinstance(f, Integral) or getattr(f, "dtype", 0) == bool) for f in flags)):
         raise NetError(f"major must be {m} booleans or 0/1 integers, one per arc, not {major!r}")
-    return tuple(flags.astype(bool).tolist())
+    return tuple(map(bool, flags))
 
 
 def _arc_geometry(x, rows, flags) -> list[tuple]:
@@ -214,6 +202,10 @@ def balance_residual(net: GeodesicNet) -> float:
 # relaxation
 
 
+#: A stall: the last ``_STALL_STEPS`` steps together lowered the residual norm by a fraction < ``_STALL``.
+_STALL_STEPS, _STALL = 10, 1e-5
+
+
 @dataclass(frozen=True)
 class RelaxResult:
     net: GeodesicNet
@@ -238,15 +230,15 @@ def relax(net: GeodesicNet, max_iter: int = 1000, tol: float = 1e-10) -> RelaxRe
     one that does not factor is damped more. Every arc keeps its endpoints and
     its major flag, so each iterate is a geodesic net with the input's arcs.
     Each state reached, the start included, is measured before the next step,
-    so the loop stops when the largest per-vertex force norm is below tol or
-    after max_iter steps, and the length and residual histories hold
-    iterations + 1 entries; the last entries are ``total_length(res.net)`` and
-    ``balance_residual(res.net)``, bit for bit. Raises NetError for
-    max_iter < 0 or tol <= 0 (a tolerance no residual can meet), for an arc
-    with antipodal endpoints, and for a start with an arc, major or minor,
-    whose endpoints are closer than 1e-6 in angle; a trial step that brings
-    an arc's endpoints that close is rejected, like one that does not lower
-    the residual norm.
+    so the loop stops when the largest per-vertex force norm is below tol,
+    after max_iter steps, or on a stall (``_STALL``), and the length and
+    residual histories hold iterations + 1 entries; the last entries are
+    ``total_length(res.net)`` and ``balance_residual(res.net)``, bit for
+    bit. Raises NetError for max_iter < 0 or tol <= 0 (a tolerance no
+    residual can meet), for an arc with antipodal endpoints, and for a start
+    with an arc, major or minor, whose endpoints are closer than 1e-6 in
+    angle; a trial step that brings an arc's endpoints that close is
+    rejected, like one that does not lower the residual norm.
     """
     if max_iter < 0:
         raise NetError(f"max_iter must be at least 0, not {max_iter}")
@@ -260,16 +252,18 @@ def relax(net: GeodesicNet, max_iter: int = 1000, tol: float = 1e-10) -> RelaxRe
     state = _state(net.points, rows, flags)
     lengths: list[float] = []
     residuals: list[float] = []
+    norms2: list[float] = []
     lam = 1e-3
     converged = False
     for it in range(max_iter + 1):  # record the state reached, then stop or step
         x, arcs, g, f, norm2 = state
         lengths.append(_length(rows, arcs))
         residuals.append(_residual(f))
+        norms2.append(norm2)
         if residuals[-1] < tol:
             converged = True
             break
-        if it == max_iter:
+        if it == max_iter or it >= _STALL_STEPS and norm2 > (1.0 - _STALL) ** 2 * norms2[it - _STALL_STEPS]:
             break
         frames = [_frame(p) for p in x]
         lower, rhs = _normal_equations(_jacobian(x, rows, flags, arcs, g, frames), f)
@@ -524,16 +518,17 @@ def load_net(path: str) -> GeodesicNet:
     """Load a net file (the ``save_net`` format); values are never coerced.
 
     The vertices must be numbers and each arc row 3 integers, or 4 whose last
-    is 1 on a major arc and 0 on a minor one (NetError otherwise).
+    is 1 on a major arc and 0 on a minor one (NetError otherwise, naming the file).
     """
     doc = load_json(path, "net file")
     if not (isinstance(doc, dict) and "vertices" in doc and isinstance(doc.get("arcs"), list)):
         raise NetError(f"net file {path!r} needs an object with 'vertices' and an 'arcs' list")
     rows = doc["arcs"]
-    for k, r in enumerate(rows):
-        if not (isinstance(r, list) and len(r) in (3, 4) and r[3:] in ([], [0], [1])
-                and all(isinstance(x, int) and not isinstance(x, bool) for x in r)):
-            raise NetError(f"net file {path!r}: arc {k} must be 3 or 4 integers, the fourth 0 or 1,"
-                           f" not {r!r}")
-    vertices = _rows_of_3(doc["vertices"], _is_coordinate, "iuf", f"file {path!r}: 'vertices'")
-    return make_net(vertices, [r[:3] for r in rows], [r[3:] == [1] for r in rows])
+    try:
+        for k, r in enumerate(rows):
+            if not (isinstance(r, list) and len(r) in (3, 4) and r[3:] in ([], [0], [1])
+                    and all(isinstance(x, int) and not isinstance(x, bool) for x in r)):
+                raise NetError(f"arc {k} must be 3 or 4 integers, the fourth 0 or 1, not {r!r}")
+        return make_net(doc["vertices"], [r[:3] for r in rows], [r[3:] == [1] for r in rows])
+    except NetError as e:
+        raise NetError(f"net file {path!r}: {e}") from None

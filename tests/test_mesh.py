@@ -209,6 +209,28 @@ def test_make_varifold_coerces_nothing(args, kwargs, message):
                             **kwargs)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("faces", [[0, 1, 2**63]]),
+    ("faces", np.array([[0, 1, 2**63]], dtype=np.uint64)),
+    ("multiplicity", [2**63 + 1]),
+    ("multiplicity", [2**64]),
+    ("face_patches", [2**63]),
+    ("face_patches", np.array([2**64 - 1], dtype=np.uint64)),
+], ids=["face-list-read-as-float64", "face-uint64-array", "multiplicity-list-read-as-uint64",
+        "multiplicity-list-read-as-objects", "patch-list-read-as-uint64", "patch-uint64-array"])
+def test_integers_beyond_int64_are_rejected(key, value):
+    # cast to int64, 2**63 was stored as -2**63, and 2**63 + 1 as a negative multiplicity
+    kwargs = {"vertices": _TRIANGLE, "faces": [[0, 1, 2]], key: value}
+    with pytest.raises(MeshError, match=f"^{key} holds integers beyond int64$"):
+        DiscreteVarifold(**kwargs)
+
+
+def test_integers_at_the_ends_of_int64_are_kept():
+    v = DiscreteVarifold(_TRIANGLE, np.array([[0, 1, 2]], dtype=np.uint64), [2**63 - 1], face_patches=[-2**63])
+    assert (v.faces.tolist(), v.multiplicity.tolist(), v.face_patches.tolist()) == (
+        [[0, 1, 2]], [2**63 - 1], [-2**63])
+
+
 def test_make_varifold_takes_integer_and_float_arrays_of_any_width():
     v = DiscreteVarifold(np.array(_TRIANGLE, dtype=np.float32), np.array([[0, 1, 2]], dtype=np.uint8),
                       np.array([3], dtype=np.int32), face_patches=np.array([7], dtype=np.int16))
@@ -382,9 +404,10 @@ def _rejected(path: str, message: str) -> str:
         ({"faces": [[0, 1, 2.9], [0, 2, 3]]}, "faces must hold integers, not float64"),
         ({"oriented": "false"}, "oriented must be a bool, not 'false'"),
         ({"faces": [[0, 1], [2, 0], [1, 2]]}, "faces must be (F, 3), got (3, 2)"),
+        ({"face_patches": [0, 2**63]}, "face_patches holds integers beyond int64"),
     ],
     ids=["fractional_multiplicity", "fractional_face_index", "string_oriented",
-         "two_index_faces"],
+         "two_index_faces", "face_patch_beyond_int64"],
 )
 def test_load_rejects_values_it_would_have_to_coerce(tmp_path, capsys, overrides, message):
     path = _write_square(tmp_path / "bad.json", **overrides)

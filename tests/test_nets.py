@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,13 +27,27 @@ FOUR_PI = 4.0 * math.pi
 
 
 @pytest.mark.parametrize("vertices, arcs, message", [
-    ([[1, 0, 0], [0, 1, 0]], [[0, 1, 1.9]], "arcs must hold integers, not float64"),
-    ([[1, 0, 0], [0, 1, 0]], [[0, 1, True]], "arcs must hold integers, not booleans"),
-    ([[True, 0, 0], [0, 1, 0]], [[0, 1, 1]], "vertices must hold numbers, not booleans"),
-    ([["1", "0", "0"], [0, 1, 0]], [[0, 1, 1]], "vertices must hold numbers, not <U"),
-], ids=["float-multiplicity", "bool-multiplicity", "bool-vertex", "string-vertex"])
+    ([[1, 0, 0], [0, 1, 0]], [[0, 1, 1.9]], "arcs row 0 must be 3 integers, not [0, 1, 1.9]"),
+    ([[1, 0, 0], [0, 1, 0]], [[0, 1, True]], "arcs row 0 must be 3 integers, not [0, 1, True]"),
+    ([[True, 0, 0], [0, 1, 0]], [[0, 1, 1]], "vertices row 0 must be 3 numbers, not [True, 0, 0]"),
+    ([["1", "0", "0"], [0, 1, 0]], [[0, 1, 1]], "vertices row 0 must be 3 numbers, not ['1', '0', '0']"),
+    (np.array([[1, 0, 0], [0, 1, 0]], dtype=bool), [],
+     "vertices row 0 must be 3 numbers, not [True, False, False]"),
+    ([[1, 0, 0], [0, 1, 0]], [[0, "1", 1]], "arcs row 0 must be 3 integers, not [0, '1', 1]"),
+    ([[1, 0, 0], [0, 1, 0]], np.array([[0.0, 1.0, 1.0]]),
+     "arcs row 0 must be 3 integers, not [0.0, 1.0, 1.0]"),
+    ([[1, 0, 0], [0, 1, 0]], np.array([[0, 1, 2**63]], dtype=np.uint64),
+     f"arcs row 0 must be 3 integers, not [0, 1, {2**63}]"),
+    ([[[1, 0, 0]], [[0, 1, 0]]], [], "vertices row 0 must be 3 numbers, not [[1, 0, 0]]"),
+    (1.0, [], "vertices must be a non-empty list of rows of 3 numbers, not 1.0"),
+    (np.float64(1.0), [], "vertices must be a non-empty list of rows of 3 numbers, not 1.0"),
+    ([], [], "vertices must be a non-empty list of rows of 3 numbers, not []"),
+    ([[1, 0, 0], [0, 1, 0]], 5, "arcs must be a list of rows of 3 integers, not 5"),
+], ids=["float-multiplicity", "bool-multiplicity", "bool-vertex", "string-vertex", "bool-vertex-array",
+        "string-arc", "float-arc-array", "uint64-arc-beyond-int64", "nested-rows", "scalar", "numpy-scalar",
+        "no-vertices", "scalar-arcs"])
 def test_make_net_coerces_nothing(vertices, arcs, message):
-    with pytest.raises(NetError, match=f"^{message}"):
+    with pytest.raises(NetError, match=f"^{re.escape(message)}$"):
         make_net(vertices, arcs)
 
 
@@ -277,17 +292,18 @@ def test_make_net_validation(mutate, message):
 
 
 @pytest.mark.parametrize(
-    "arcs",
+    "arcs, row",
     [
-        [[0, 1], [2, 0], [1, 2]],  # (3, 2): reshaping would make two arcs of it
-        [0, 1, 1],
-        [[0, 1, 1, 1]],
-        np.zeros((1, 3, 1), dtype=np.int64),
+        ([[0, 1], [2, 0], [1, 2]], "[0, 1]"),  # (3, 2): reshaping would make two arcs of it
+        ([0, 1, 1], "0"),
+        ([[0, 1, 1, 1]], "[0, 1, 1, 1]"),
+        (np.zeros((1, 3, 1), dtype=np.int64), "[[0], [0], [0]]"),
     ],
+    ids=["arcs0", "arcs1", "arcs2", "arcs3"],
 )
-def test_make_net_rejects_arcs_that_are_not_rows_of_three(arcs):
+def test_make_net_rejects_arcs_that_are_not_rows_of_three(arcs, row):
     verts = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-1.0, 0.0, 0.0]])
-    with pytest.raises(NetError, match=r"arcs must be \(M, 3\)"):
+    with pytest.raises(NetError, match=f"^{re.escape(f'arcs row 0 must be 3 integers, not {row}')}$"):
         make_net(verts, arcs)
 
 
@@ -304,13 +320,13 @@ def test_a_net_checks_itself_when_built():
 
 
 def test_make_net_rejects_vertices_that_are_not_triples():
-    with pytest.raises(NetError, match=r"^vertices must be \(N, 3\), got \(2, 2\)$"):
+    with pytest.raises(NetError, match=r"^vertices row 0 must be 3 numbers, not \[1\.0, 0\.0\]$"):
         make_net([[1.0, 0.0], [0.0, 1.0]], [[0, 1, 1]])
 
 
 def test_make_net_empty_arcs_means_no_arcs():
     verts = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    for arcs in ([], np.zeros(0, dtype=np.int64)):
+    for arcs in ([], (), np.zeros(0, dtype=np.int64), np.zeros((0, 3))):
         net = make_net(verts, arcs)
         assert net.arcs.shape == (0, 3)
         assert net.major.shape == (0,)
@@ -326,7 +342,8 @@ def test_make_net_takes_one_flag_per_arc(major):
         make_net(np.eye(3), [[0, 1, 1], [1, 2, 1]], major=major)
 
 
-@pytest.mark.parametrize("major", [[True, False], [1, 0], np.array([1, 0], dtype=np.uint8)])
+@pytest.mark.parametrize("major", [[True, False], [1, 0], np.array([1, 0], dtype=np.uint8), (True, 0),
+                                   [np.True_, np.False_], [np.int64(1), np.uint8(0)], np.array([True, False])])
 def test_make_net_takes_booleans_or_zero_one_integers(major):
     net = make_net(np.eye(3), [[0, 1, 1], [1, 2, 1]], major=major)
     assert net.major.dtype == bool and net.major.tolist() == [True, False]
@@ -488,6 +505,22 @@ def test_relax_stops_where_no_damped_step_lowers_the_residual(entries, monkeypat
     assert len(solves) >= res.iterations + 40
     assert res.residuals[-1] == balance_residual(res.net) > 0.1
     assert res.lengths[-1] == total_length(res.net)
+
+
+def test_relax_stops_on_a_stall(entries, tmp_path):
+    # from this start the residual norm falls by about 1e-6 a step near 2.9e-6
+    # and relax ran all 1000 iterations; it stops once 10 steps lower the
+    # norm by less than 1e-5 of it, and `net relax` exits 1
+    net = _perturbed(entries[3].net, 0.5, 21)
+    res = relax(net)
+    assert not res.converged and res.iterations < 100
+    assert res.residuals[-1] == balance_residual(res.net) == pytest.approx(2.9e-6, rel=1e-3)
+    assert res.lengths[-1] == total_length(res.net)
+    path, out = str(tmp_path / "net.json"), tmp_path / "relaxed.json"
+    save_net(net, path)
+    assert main(["net", "relax", path, "-o", str(out)]) == 1
+    doc = json.loads(out.read_text())
+    assert (doc["converged"], doc["iterations"]) == (False, res.iterations)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -653,7 +686,12 @@ def test_save_net_of_a_perturbed_net_keeps_its_bytes(tmp_path, entries, k, diges
     (((1.0, 0.0, 0.0), (0, 1, 0), (0.0, 0.0, 1.0)), ((0, 1, 1), (1, 2, 2), (2, 0, 1))),
     (np.eye(3), np.array([[0, 1, 1], [1, 2, 2], [2, 0, 1]], dtype=np.uint8)),
     ([[np.float32(1.0), 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, np.int64(1)], [1, 2, 2], [2, 0, 1]]),
-], ids=["lists", "tuples", "arrays", "numpy-scalars"])
+    (np.eye(3, dtype=np.float16), np.array([[0, 1, 1], [1, 2, 2], [2, 0, 1]], dtype=np.int16)),
+    (np.eye(3, dtype=np.longdouble), np.array([[0, 1, 1], [1, 2, 2], [2, 0, 1]], dtype=np.uint64)),
+    (np.eye(3, dtype=np.int8), [[0, 1, 1], [1, 2, 2], [2, 0, 1]]),
+    (list(np.eye(3)), [np.array([0, 1, 1]), [1, 2, 2], (2, 0, 1)]),
+], ids=["lists", "tuples", "arrays", "numpy-scalars", "narrow-arrays", "wide-arrays", "int-vertex-array",
+        "array-rows"])
 def test_make_net_reads_lists_and_arrays_alike(vertices, arcs):
     net = make_net(vertices, arcs, [True, 0, False])
     assert net.points == ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
@@ -665,11 +703,19 @@ def test_make_net_reads_lists_and_arrays_alike(vertices, arcs):
     assert net.major.tolist() == [True, False, False]
 
 
-def test_make_net_leaves_integers_beyond_int64_to_numpy():
-    with pytest.raises(NetError, match="^arcs must hold integers, not object$"):
+def test_make_net_rejects_integers_beyond_int64():
+    with pytest.raises(NetError, match=f"^arcs row 0 must be 3 integers, not \\[0, 1, {2**64}\\]$"):
         make_net(np.eye(3), [[0, 1, 2**64], [1, 2, 1], [2, 0, 1]])
-    with pytest.raises(NetError, match="^vertices must hold numbers, not object$"):
+    with pytest.raises(NetError, match=f"^vertices row 0 must be 3 numbers, not \\[{10**400}, 0, 0\\]$"):
         make_net([[10**400, 0, 0], [0, 1, 0]], [[0, 1, 1]])
+
+
+def test_a_net_file_error_names_the_file(tmp_path):
+    path = tmp_path / "net.json"
+    path.write_text('{"vertices": [[1, 0, 0], [0, 2, 0]], "arcs": [[0, 1, 1]]}')
+    message = f"net file {str(path)!r}: vertex 1 is off the unit sphere by 1.00e+00"
+    with pytest.raises(NetError, match=f"^{re.escape(message)}$"):
+        load_net(str(path))
 
 
 def test_save_load_keeps_major_flags(tmp_path):

@@ -1,4 +1,5 @@
 """The package import: lazy submodules, the public names, and what a command loads."""
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -270,3 +271,28 @@ def test_every_cross_product_is_the_kernels_one():
     without its broadcasting set-up; no module calls ``np.cross`` itself."""
     src = Path(varifold_lab.__file__).parent
     assert [p.name for p in sorted(src.glob("*.py")) if "np.cross(" in p.read_text()] == []
+
+
+def test_nets_and_circles_check_their_input_without_numpy():
+    """``boundary``, ``netmatch`` and ``nets`` check their input in Python: no
+    module imports ``_values._numeric``, and NumPy is imported only inside
+    ``nets._array``, which builds a net's arrays when they are read."""
+    src = Path(varifold_lab.__file__).parent
+    numeric, numpy = [], []
+    for name in ("boundary", "netmatch", "nets"):
+        tree = ast.parse((src / f"{name}.py").read_text())
+        owner = {}  # node -> the innermost function that holds it
+        for f in ast.walk(tree):
+            if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update(dict.fromkeys(map(id, ast.walk(f)), f.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                numeric += [name] * any(a.name == "_numeric" for a in node.names)
+                modules = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            else:
+                continue
+            numpy += [(name, owner.get(id(node))) for m in modules if m.split(".")[0] == "numpy"]
+    assert numeric == []
+    assert numpy == [("nets", "_array")]
