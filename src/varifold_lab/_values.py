@@ -1,12 +1,15 @@
-"""Checks of the values the readers take: arrays and JSON values are never coerced.
+"""The plain-Python value vocabulary: one number rule, fixed-order 3-vector helpers, and checks
+of the values the readers take, which never coerce an array or a JSON value.
 
-The mesh, net and boundary readers share these, each passing its own error
-type, so a net or boundary command need not load the mesh module. NumPy is
-imported only inside the two array helpers, so the scalar checks do not load it.
+The mesh, net and boundary readers and the CLI share these, each passing its own error type.
+``_is_int`` is a Python or NumPy integer within int64, and ``_is_number`` such an integer or a
+Python or NumPy float, never a bool or a ``Fraction``. ``_dot`` sums (a₀b₀ + a₁b₁) + a₂b₂, and
+``_unit`` divides by its square root. NumPy is imported only inside the two array helpers.
 """
 from __future__ import annotations
 
 import itertools
+import math
 import numbers
 
 
@@ -35,7 +38,10 @@ def _numeric(x, kinds: str, where: str, error: type[ValueError]):
     and 0, or as uint64, float64 or objects."""
     import numpy as np
 
-    a = np.asarray(x)
+    try:
+        a = np.asarray(x)
+    except ValueError:  # NumPy's "inhomogeneous shape"
+        raise error(f"{where} must be a rectangular array, not ragged rows") from None
     want = "integers" if kinds == "iu" else "numbers"
     rows = x if a.ndim == 1 else itertools.chain.from_iterable(x) if a.ndim == 2 else ()
     types = set() if isinstance(x, np.ndarray) else set(map(type, rows))
@@ -50,13 +56,37 @@ def _numeric(x, kinds: str, where: str, error: type[ValueError]):
 
 
 def _is_int(x) -> bool:
-    """A Python or NumPy integer; booleans are not integers here."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+    """A Python or NumPy integer within int64; booleans are not integers here."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool) and -2**63 <= x < 2**63
 
 
 def _is_number(x) -> bool:
-    """A Python or NumPy integer or float; booleans are not numbers here."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+    """An ``_is_int`` integer, or a Python or NumPy float; booleans are not numbers here."""
+    if isinstance(x, numbers.Integral):
+        return _is_int(x)
+    return isinstance(x, float) or isinstance(x, numbers.Real) and hasattr(x, "dtype")
+
+
+def _quote(value, limit: int = 60) -> str:
+    """``repr(value)`` for an error message, cut to ``limit`` characters."""
+    text = repr(value)
+    return text if len(text) <= limit else text[:limit - 3] + "..."
+
+
+def _dot(a, b) -> float:
+    return (a[0] * b[0] + a[1] * b[1]) + a[2] * b[2]
+
+
+def _cross(a, b) -> tuple[float, float, float]:
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _unit(a) -> tuple[float, float, float]:
+    """``a`` divided by sqrt(``_dot(a, a)``); ValueError if that is 0."""
+    n = math.sqrt(_dot(a, a))
+    if n == 0.0:
+        raise ValueError("zero vector cannot be normalized")
+    return (a[0] / n, a[1] / n, a[2] / n)
 
 
 #: Tests of a JSON value for ``_check_rows``, each with what it asks for.
@@ -77,4 +107,4 @@ def _check_rows(rows, spec: dict, where: str, error: type[ValueError]) -> None:
             if key == name and key not in row:
                 raise error(f"{where} entry {k} is missing {key!r}")
             if key in row and not ok(row[key]):
-                raise error(f"{where} entry {k}: {key!r} must be {what}, not {row[key]!r}")
+                raise error(f"{where} entry {k}: {key!r} must be {what}, not {_quote(row[key])}")

@@ -3,10 +3,12 @@
 The conormal integral of a circle with plane-orthogonal conormal has a closed
 form and a spectral quadrature; the sup over basepoints of a datum's total is
 found from the closed form's structure, and the admissibility report is built
-on it. Every value is a per-point scalar: 3-vector products are written out in
-one fixed order and totals are ``math.fsum``s, so no command here loads NumPy
-and a value does not depend on what is evaluated with it. The discrete
-boundary of a mesh (``boundary_measure``) lives in ``mesh``.
+on it. Every value is a per-point scalar: 3-vector products are ``_values``'
+fixed-order ``_dot``, ``_cross`` and ``_unit``, and totals are ``math.fsum``s,
+so no command here loads NumPy and a value does not depend on what is
+evaluated with it. Input passes ``_values``' number rule and is never
+coerced. The discrete boundary of a mesh (``boundary_measure``) lives in
+``mesh``.
 """
 
 from __future__ import annotations
@@ -14,32 +16,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._values import _INTEGER, _NUMBER, _POINT, MeshError, _check_rows, _is_int, _is_number
+from ._values import (_INTEGER, _NUMBER, _POINT, MeshError, _check_rows, _cross, _dot, _is_int, _is_number,
+                      _quote, _unit)
 from .reports import Record, load_json, save_json
 
 _FOUR_PI = 4.0 * math.pi
-
-
-def _dot(a, b) -> float:
-    return (a[0] * b[0] + a[1] * b[1]) + a[2] * b[2]
-
-
-def _cross(a, b) -> tuple[float, float, float]:
-    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
-
-
-def _unit(a) -> tuple[float, float, float]:
-    n = math.sqrt(_dot(a, a))
-    if n == 0.0:
-        raise ValueError("zero vector cannot be normalized")
-    return (a[0] / n, a[1] / n, a[2] / n)
 
 
 def _vector(x, where: str) -> tuple[float, float, float]:
     """``x``, 3 numbers in a list, a tuple or an array (read through ``tolist()``), as 3 finite floats."""
     x = x.tolist() if hasattr(x, "tolist") else x
     if not (isinstance(x, (list, tuple)) and len(x) == 3 and all(map(_is_number, x))):
-        raise ValueError(f"{where} must be 3 numbers, not {x!r}")
+        raise ValueError(f"{where} must be 3 numbers, not {_quote(x)}")
     v = (float(x[0]), float(x[1]), float(x[2]))
     if not all(map(math.isfinite, v)):
         raise ValueError(f"{where} must be finite, not {list(v)}")
@@ -74,15 +62,15 @@ class CircleSpec(Record):
             normal = _unit(normal)
         object.__setattr__(self, "normal", normal)
         if not _is_number(self.radius):
-            raise ValueError(f"circle radius must be a number, not {self.radius!r}")
+            raise ValueError(f"circle radius must be a number, not {_quote(self.radius)}")
         radius = float(self.radius)
         if not (radius > 0.0 and math.isfinite(radius)):
             raise ValueError(f"circle radius must be positive and finite, not {radius}")
         object.__setattr__(self, "radius", radius)
         if not (_is_int(self.m) and self.m >= 1):
-            raise ValueError(f"multiplicity m must be a positive integer, not {self.m!r}")
+            raise ValueError(f"multiplicity m must be a positive integer, not {_quote(self.m)}")
         if not (_is_int(self.conormal_sign) and self.conormal_sign in (-1, 1)):
-            raise ValueError(f"conormal_sign must be the integer +1 or -1, not {self.conormal_sign!r}")
+            raise ValueError(f"conormal_sign must be the integer +1 or -1, not {_quote(self.conormal_sign)}")
         object.__setattr__(self, "m", int(self.m))
         object.__setattr__(self, "conormal_sign", int(self.conormal_sign))
 

@@ -17,6 +17,7 @@ import sys
 # the package's submodules load lazily: binding them here runs none of them
 from . import blowup, curvature, generators, mesh, netmatch, nets
 from . import boundary as bnd
+from ._values import _dot, _is_number, _quote, _unit
 from .reports import (
     TOLERANCE_PROFILES,
     TOOL_NAME,
@@ -33,12 +34,6 @@ def finite(text: str) -> float:
     if not math.isfinite(x):
         raise ValueError(f"{text!r} is not a finite number")
     return x
-
-
-def _quote(value, limit: int = 60) -> str:
-    """``repr(value)`` for an error message, cut to ``limit`` characters."""
-    text = repr(value)
-    return text if len(text) <= limit else text[:limit - 3] + "..."
 
 
 def _parse_point(text: str) -> tuple[float, float, float]:
@@ -116,24 +111,24 @@ def _expected_density(analytic: dict | None, point) -> dict | None:
 
     Returns a dict with "density" and optionally "r_max" (a ladder cap for
     points where coarser radii would see more sheets than the limit does).
+    Distances are formed with ``_values._dot`` and compared with a relative
+    tolerance of 1e-9, squared for a point; a junction circle whose normal's
+    squared norm underflows to 0 matches no point.
     """
-    import numpy as np
-
     if not analytic:
         return None
-    p = np.asarray(point, dtype=np.float64)
     for dp in analytic.get("density_points", []):
-        q = np.asarray(dp["point"], dtype=np.float64)
-        if np.linalg.norm(p - q) < 1e-9 * max(1.0, float(np.linalg.norm(q))):
+        d = [a - b for a, b in zip(point, dp["point"])]
+        if _dot(d, d) < 1e-18 * max(1.0, _dot(dp["point"], dp["point"])):
             return dp
     for jc in analytic.get("junction_circles", []):
-        c = np.asarray(jc["center"], dtype=np.float64)
-        n = np.asarray(jc["normal"], dtype=np.float64)
-        n = n / np.linalg.norm(n)
-        w = p - c
-        h = float(w @ n)
-        a = float(np.linalg.norm(w - h * n))
-        if math.hypot(a - float(jc["radius"]), h) < 1e-9 * max(1.0, float(jc["radius"])):
+        if _dot(jc["normal"], jc["normal"]) == 0:
+            continue
+        n, r = _unit(jc["normal"]), float(jc["radius"])
+        w = [a - c for a, c in zip(point, jc["center"])]
+        h = _dot(w, n)
+        d = [a - h * b for a, b in zip(w, n)]
+        if math.hypot(math.sqrt(_dot(d, d)) - r, h) < 1e-9 * max(1.0, r):
             return {"density": float(jc.get("density", 1.5))}
     return None
 
@@ -202,14 +197,11 @@ def _topology(v, analytic, tol, _) -> dict:
 
 
 def _liyau(v, analytic, tol, _) -> dict:
-    import numpy as np
-
     dps = (analytic or {}).get("density_points", [])
     pts, caps = [dp["point"] for dp in dps], [dp.get("r_max") for dp in dps]  # the --density caps
-    if not pts:
-        idx = np.linspace(0, v.num_vertices - 1, 8).astype(int)  # ascending
-        idx = idx[np.diff(idx, prepend=-1) != 0]  # np.unique would import numpy.ma
-        pts, caps = [v.vertices[i] for i in idx], None
+    if not pts:  # the distinct vertices of np.linspace(0, V - 1, 8).astype(int), ascending
+        last = v.num_vertices - 1
+        pts, caps = [v.vertices[i] for i in sorted({int(k * (last / 7)) for k in range(7)} | {last})], None
     rep = blowup.li_yau_check(v, pts, eps=tol["liyau_gap"], r_max=caps)
     return {
         "n_samples": len(pts),
@@ -327,7 +319,7 @@ def cmd_net_match(args) -> int:
     except ValueError:
         doc = load_json(args.link, "link file")
         length = doc.get("total_length") if isinstance(doc, dict) else None
-        if not isinstance(length, (int, float)) or isinstance(length, bool):
+        if not _is_number(length):
             if not isinstance(doc, dict):
                 found = f"not a {type(doc).__name__}"
             elif "total_length" in doc:

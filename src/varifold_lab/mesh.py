@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import _cross
-from ._values import _DIRECTION, _NUMBER, _POINT, MeshError, _check_rows, _frozen, _is_number, _numeric
+from ._values import _DIRECTION, _NUMBER, _POINT, MeshError, _check_rows, _frozen, _is_number, _numeric, _quote
 from .reports import load_json, save_json
 
 if TYPE_CHECKING:
@@ -404,8 +404,8 @@ def load_mesh_file(path: str) -> tuple[DiscreteVarifold, dict | None]:
     analytic, where = doc.get("analytic"), f"mesh file {path!r}: 'analytic'"
     if analytic is not None and not isinstance(analytic, dict):
         raise MeshError(f"{where} must be an object, not {type(analytic).__name__}")
-    if not _is_number((analytic or {}).get("willmore_energy", 0)):
-        raise MeshError(f"{where}: 'willmore_energy' must be a number, not {analytic['willmore_energy']!r}")
+    if not _is_number(energy := (analytic or {}).get("willmore_energy", 0)):
+        raise MeshError(f"{where}: 'willmore_energy' must be a number, not {_quote(energy)}")
     for key, spec in (("density_points", {"point": _POINT, "density": _NUMBER, "r_max?": _NUMBER}),
                       ("junction_circles", {"center": _POINT, "normal": _DIRECTION, "radius": _NUMBER,
                                             "density?": _NUMBER})):  # the lists that analyses read

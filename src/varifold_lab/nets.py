@@ -11,29 +11,26 @@ last residual and length it records are ``balance_residual`` and
 ``total_length`` of the net it returns.
 
 Every value is computed in ``math``, one vertex or arc at a time: 3-vector
-dots are written out in one fixed order, totals are ``math.fsum``s, angles
+dots, cross products and normalizations are ``_values``' fixed-order ``_dot``,
+``_cross`` and ``_unit``, totals are ``math.fsum``s, angles
 come from ``math.acos``, and ``relax`` solves its normal equations by a
 Cholesky factorization in a fixed order. So the net commands never load
 NumPy, and a relaxed net's bits do not depend on the host's BLAS core or SIMD
-level. A net's NumPy arrays are built only when they are read.
+level. A net's NumPy arrays are built only when they are read. Input passes
+``_values``' number rule and is never coerced.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass, field, replace
-from numbers import Integral
 from operator import mul
 
-from ._values import _frozen, _is_int, _is_number
+from ._values import _cross, _dot, _frozen, _is_int, _is_number, _quote, _unit
 from .netmatch import CATALOGUE, NetError, match_link  # noqa: F401  (nets' public names too)
 from .reports import NOT_RECORDED, Record, load_json, save_json
 
 _Vec = tuple[float, float, float]
-
-
-def _dot(a, b) -> float:
-    return (a[0] * b[0] + a[1] * b[1]) + a[2] * b[2]
 
 
 @dataclass(frozen=True)
@@ -97,33 +94,25 @@ def _array(rows, dtype: str, *width: int):
     return _frozen(np.array(rows, dtype=dtype).reshape(len(rows), *width))
 
 
-def _is_int64(x) -> bool:
-    return _is_int(x) and -2**63 <= x < 2**63
-
-
-def _is_coordinate(x) -> bool:  # an integer within int64, or a Python or NumPy float
-    return _is_int64(x) if _is_int(x) else isinstance(x, float) or _is_number(x) and hasattr(x, "dtype")
-
-
 def _rows_of_3(x, ok, convert, what: str, where: str, empty: bool) -> tuple[tuple, ...]:
     """The rows of the list or tuple ``x`` (an array, or a row that is one, read through ``tolist()``)
     through ``convert``, each 3 values that pass ``ok``; else NetError naming ``where`` and the row."""
     rows = x.tolist() if hasattr(x, "tolist") else x
     if not (isinstance(rows, (list, tuple)) and (rows or empty)):
         raise NetError(f"{where} must be a {'list' if empty else 'non-empty list'} of rows of 3 {what},"
-                       f" not {rows!r}")
+                       f" not {_quote(rows)}")
     rows = [r.tolist() if hasattr(r, "tolist") else r for r in rows]
     for k, r in enumerate(rows):
         if not (isinstance(r, (list, tuple)) and len(r) == 3 and all(map(ok, r))):
-            raise NetError(f"{where} row {k} must be 3 {what}, not {r!r}")
+            raise NetError(f"{where} row {k} must be 3 {what}, not {_quote(r)}")
     return tuple(tuple(map(convert, r)) for r in rows)
 
 
 def make_net(vertices, arcs, major=None) -> GeodesicNet:
     """A net from rows of 3 numbers as ``vertices``, rows [i, j, multiplicity] as ``arcs`` and
     ``_flags``' ``major``, in lists, tuples or arrays, checked in Python and never coerced."""
-    points = _rows_of_3(vertices, _is_coordinate, float, "numbers", "vertices", empty=False)
-    rows = _rows_of_3(arcs, _is_int64, int, "integers", "arcs", empty=True)
+    points = _rows_of_3(vertices, _is_number, float, "numbers", "vertices", empty=False)
+    rows = _rows_of_3(arcs, _is_int, int, "integers", "arcs", empty=True)
     return GeodesicNet(points, rows, _flags(major, len(rows)))
 
 
@@ -133,8 +122,9 @@ def _flags(major, m: int) -> tuple[bool, ...]:
         return (False,) * m
     flags = major.tolist() if hasattr(major, "tolist") else major
     if not (isinstance(flags, (list, tuple)) and len(flags) == m and all(
-            f in (0, 1) and (isinstance(f, Integral) or getattr(f, "dtype", 0) == bool) for f in flags)):
-        raise NetError(f"major must be {m} booleans or 0/1 integers, one per arc, not {major!r}")
+            f in (0, 1) and (isinstance(f, bool) or _is_int(f) or getattr(f, "dtype", 0) == bool)
+            for f in flags)):
+        raise NetError(f"major must be {m} booleans or 0/1 integers, one per arc, not {_quote(major)}")
     return tuple(map(bool, flags))
 
 
@@ -292,10 +282,7 @@ def _state(z, rows, flags) -> tuple:
     """The rows x of ``z`` scaled to unit length, with ``_arc_geometry``'s arcs
     and ``_forces``' g and f there, and the squared norm of all the forces (one
     ``math.fsum``); NetError if an arc's endpoints come within 1e-6."""
-    x = []
-    for p in z:
-        n = math.sqrt(_dot(p, p))
-        x.append((p[0] / n, p[1] / n, p[2] / n))
+    x = [_unit(p) for p in z]
     arcs = _arc_geometry(x, rows, flags)
     for k, arc in enumerate(arcs):
         if min(arc[0], 2.0 * math.pi - arc[0]) < 1e-6:  # arccos(p·q), for a major arc too
@@ -310,9 +297,8 @@ def _frame(x: _Vec) -> tuple[_Vec, _Vec]:
     k = min(range(3), key=lambda i: abs(x[i]))
     a = [-x[k] * c for c in x]
     a[k] += 1.0
-    n = math.sqrt(_dot(a, a))
-    e = (a[0] / n, a[1] / n, a[2] / n)
-    return e, (x[1] * e[2] - x[2] * e[1], x[2] * e[0] - x[0] * e[2], x[0] * e[1] - x[1] * e[0])
+    e = _unit(a)
+    return e, _cross(x, e)
 
 
 def _jacobian(x, rows, flags, arcs, g, frames) -> list[dict[int, list[list[float]]]]:
@@ -527,8 +513,8 @@ def load_net(path: str) -> GeodesicNet:
     try:
         for k, r in enumerate(rows):
             if not (isinstance(r, list) and len(r) in (3, 4) and r[3:] in ([], [0], [1])
-                    and all(isinstance(x, int) and not isinstance(x, bool) for x in r)):
-                raise NetError(f"arc {k} must be 3 or 4 integers, the fourth 0 or 1, not {r!r}")
+                    and all(map(_is_int, r))):
+                raise NetError(f"arc {k} must be 3 or 4 integers, the fourth 0 or 1, not {_quote(r)}")
         return make_net(doc["vertices"], [r[:3] for r in rows], [r[3:] == [1] for r in rows])
     except NetError as e:
         raise NetError(f"net file {path!r}: {e}") from None

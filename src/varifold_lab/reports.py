@@ -10,8 +10,6 @@ Every JSON file it reads goes through ``load_json``, which names the file.
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
 import json
 import math
 import sys
@@ -52,6 +50,7 @@ class Record:
     ``NOT_RECORDED``."""
 
     def to_dict(self) -> dict:
+        import dataclasses  # here, so that report and net match load neither it nor hashlib
         return {f.name: sanitize(getattr(self, f.name)) for f in dataclasses.fields(self)
                 if f.metadata.get("recorded", True)}
 
@@ -113,6 +112,7 @@ def load_json(path: str, what: str):
 
 def file_digest(path: str) -> str:
     """sha256 hex digest of a file's bytes."""
+    import hashlib
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):

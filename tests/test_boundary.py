@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -408,9 +409,14 @@ def test_closed_mesh_boundary_logs_nothing(sphere3, caplog):
     ({"center": np.zeros((1, 3))}, r"circle center must be 3 numbers, not \[\[0\.0, 0\.0, 0\.0\]\]"),
     ({"normal": 1.0}, r"circle normal must be 3 numbers, not 1\.0"),
     ({"normal": np.float64(1.0)}, r"circle normal must be 3 numbers, not 1\.0"),
+    ({"radius": Fraction(1, 2)}, r"circle radius must be a number, not Fraction\(1, 2\)"),
+    ({"center": [2**63, 0, 0]}, rf"circle center must be 3 numbers, not \[{2**63}, 0, 0\]"),
+    ({"m": 2**63}, f"multiplicity m must be a positive integer, not {2**63}"),
+    ({"radius": 10**400}, rf"circle radius must be a number, not 1{'0' * 56}\.\.\."),
 ], ids=["string-center", "bool-radius", "string-radius", "bool-normal", "bool-center-array",
         "short-center", "long-normal", "nested-center", "string-center-array", "nested-center-array",
-        "scalar-normal", "numpy-scalar-normal"])
+        "scalar-normal", "numpy-scalar-normal", "fraction-radius", "center-beyond-int64", "m-beyond-int64",
+        "long-radius"])
 def test_circle_spec_coerces_nothing(kwargs, message):
     args = {"center": [1, 0, 0], "radius": 1.0, "normal": [0, 0, 1], **kwargs}
     with pytest.raises(ValueError, match=f"^{message}$"):

@@ -198,9 +198,11 @@ _TRIANGLE = [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
      r"face_patches shape \(1, 1\) does not match \(F,\) = \(1,\)"),
     ((_TRIANGLE, [[0, 1, 2]]), {"oriented": 1}, "oriented must be a bool, not 1"),
     ((_TRIANGLE, [[0, 1, 2]]), {"oriented": "true"}, "oriented must be a bool, not 'true'"),
+    (([[0, 0, 0], [1, 0, 0], [0, 1]], [[0, 1, 2]]), {}, "vertices must be a rectangular array, not ragged rows"),
+    ((_TRIANGLE, [[0, 1, 2], [0, 1]]), {}, "faces must be a rectangular array, not ragged rows"),
 ], ids=["float-face", "float-multiplicity", "bool-vertex", "bool-face", "bool-patch",
         "bool-vertex-array", "float-face-array", "column-multiplicity", "empty-rows-multiplicity",
-        "scalar-patch", "column-patch", "int-oriented", "string-oriented"])
+        "scalar-patch", "column-patch", "int-oriented", "string-oriented", "ragged-vertices", "ragged-faces"])
 def test_make_varifold_coerces_nothing(args, kwargs, message):
     with pytest.raises(MeshError, match=f"^{message}$"):
         DiscreteVarifold(*args, **kwargs)
@@ -405,9 +407,10 @@ def _rejected(path: str, message: str) -> str:
         ({"oriented": "false"}, "oriented must be a bool, not 'false'"),
         ({"faces": [[0, 1], [2, 0], [1, 2]]}, "faces must be (F, 3), got (3, 2)"),
         ({"face_patches": [0, 2**63]}, "face_patches holds integers beyond int64"),
+        ({"faces": [[0, 1, 2], [0, 2]]}, "faces must be a rectangular array, not ragged rows"),
     ],
     ids=["fractional_multiplicity", "fractional_face_index", "string_oriented",
-         "two_index_faces", "face_patch_beyond_int64"],
+         "two_index_faces", "face_patch_beyond_int64", "ragged_faces"],
 )
 def test_load_rejects_values_it_would_have_to_coerce(tmp_path, capsys, overrides, message):
     path = _write_square(tmp_path / "bad.json", **overrides)

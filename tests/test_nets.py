@@ -706,7 +706,7 @@ def test_make_net_reads_lists_and_arrays_alike(vertices, arcs):
 def test_make_net_rejects_integers_beyond_int64():
     with pytest.raises(NetError, match=f"^arcs row 0 must be 3 integers, not \\[0, 1, {2**64}\\]$"):
         make_net(np.eye(3), [[0, 1, 2**64], [1, 2, 1], [2, 0, 1]])
-    with pytest.raises(NetError, match=f"^vertices row 0 must be 3 numbers, not \\[{10**400}, 0, 0\\]$"):
+    with pytest.raises(NetError, match=f"^vertices row 0 must be 3 numbers, not \\[1{'0' * 55}\\.\\.\\.$"):
         make_net([[10**400, 0, 0], [0, 1, 0]], [[0, 1, 1]])
 
 

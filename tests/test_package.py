@@ -61,6 +61,21 @@ def test_report_command_never_loads_numpy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "numpy=False"
 
 
+@pytest.mark.parametrize("argv", [["report", "{report}"], ["net", "match", "{link}"]], ids=["report", "net-match"])
+def test_report_and_net_match_load_neither_dataclasses_nor_hashlib(inputs, argv):
+    assert main(["analyze", inputs["sphere"], "--topology", "-o", inputs["report"]]) == 0
+    proc = run_python(
+        "-c",
+        "import sys\n"
+        "from varifold_lab.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(sorted(m for m in ('dataclasses', 'hashlib') if m in sys.modules))\n"
+        "sys.exit(code)\n",
+        *[a.format(**inputs) for a in argv],
+    )
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def command_loads(*argv: str) -> dict:
     """Run the CLI with ``argv`` in a fresh interpreter: its exit code, whether NumPy
     loaded, and for each package module whether it is still unexecuted."""
@@ -296,3 +311,29 @@ def test_nets_and_circles_check_their_input_without_numpy():
             numpy += [(name, owner.get(id(node))) for m in modules if m.split(".")[0] == "numpy"]
     assert numeric == []
     assert numpy == [("nets", "_array")]
+
+
+def test_values_is_the_one_home_of_plain_python_numbers_and_vectors():
+    """Only ``_values`` defines the plain-Python ``_dot``, ``_cross``, ``_unit``,
+    ``_is_int`` and ``_is_number`` (``_kernels``' ``_dot`` and ``_cross`` are the
+    NumPy ones); ``cli`` imports no NumPy; and ``boundary``, ``cli`` and ``nets``
+    test no value against a number type of their own."""
+    src = Path(varifold_lab.__file__).parent
+    homes, imports, own = {}, {}, []
+    vocabulary = ("_dot", "_cross", "_unit", "_is_int", "_is_number")
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name in vocabulary:
+                homes.setdefault(node.name, []).append(path.stem)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [node.module or ""] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+                imports.setdefault(path.stem, []).extend(n.split(".")[0] for n in names)
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+                own += [(path.stem, ast.unparse(k)) for k in kinds
+                        if ast.unparse(k).split(".")[-1] in ("int", "float", "Integral", "Real", "Number")]
+    assert homes == {"_dot": ["_kernels", "_values"], "_cross": ["_kernels", "_values"], "_unit": ["_values"],
+                     "_is_int": ["_values"], "_is_number": ["_values"]}
+    assert "numpy" not in imports["cli"]
+    assert [m for m in ("boundary", "cli", "nets") if "numbers" in imports[m]] == []
+    assert [(m, k) for m, k in own if m in ("boundary", "cli", "nets")] == []
