@@ -35,7 +35,7 @@ def _numeric(x, kinds: str, where: str, error: type[ValueError]):
     """``x`` as an array of dtype kind in ``kinds`` ("iu": integers within int64, or "iuf"), never
     coerced, else ``error`` naming ``where``: the mesh constructor's check of its large arrays. A
     sequence is also scanned for booleans and for integers beyond int64, which NumPy reads as 1
-    and 0, or as uint64, float64 or objects."""
+    and 0, or as uint64, float64 (also among floats) or objects."""
     import numpy as np
 
     try:
@@ -43,12 +43,17 @@ def _numeric(x, kinds: str, where: str, error: type[ValueError]):
     except ValueError:  # NumPy's "inhomogeneous shape"
         raise error(f"{where} must be a rectangular array, not ragged rows") from None
     want = "integers" if kinds == "iu" else "numbers"
-    rows = x if a.ndim == 1 else itertools.chain.from_iterable(x) if a.ndim == 2 else ()
-    types = set() if isinstance(x, np.ndarray) else set(map(type, rows))
+
+    def values():
+        return x if a.ndim == 1 else itertools.chain.from_iterable(x) if a.ndim == 2 else ()
+
+    types = set() if isinstance(x, np.ndarray) else set(map(type, values()))
     if {bool, np.bool_} & types:
         raise error(f"{where} must hold {want}, not booleans")
-    if kinds == "iu" and a.size and (types == {int} and a.dtype.kind != "i"
-                                     or a.dtype == np.uint64 and a.max() >= 2**63):
+    # NumPy reads integers as a signed dtype only when they all fit int64
+    ints = {t for t in types if issubclass(t, numbers.Integral)}
+    if (ints and a.dtype.kind != "i" and not all(_is_int(v) for v in values() if type(v) in ints)
+            or a.dtype == np.uint64 and a.size and a.max() >= 2**63):
         raise error(f"{where} holds integers beyond int64")
     if a.size and a.dtype.kind not in kinds:
         raise error(f"{where} must hold {want}, not {a.dtype}")

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -304,6 +305,67 @@ def test_ball_masses_bits_equal_the_reference(case):
     got = _kernels.ball_masses(verts, faces, mult, x0, radii)
     want = reference_ball_masses(verts, faces, mult, x0, radii)
     assert [m.hex() for m in got.tolist()] == [m.hex() for m in want.tolist()]
+
+
+@pytest.mark.parametrize("block", [1, 2, 7])
+@settings(max_examples=25, deadline=None)
+@given(case=_ball_cases())
+def test_ball_masses_bits_equal_the_reference_across_blocks(block, case):
+    # the drawn meshes fit one block of the default size; small blocks split them anywhere
+    verts, faces, mult, x0, radii = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_BLOCK", block)
+        got = _kernels.ball_masses(verts, faces, mult, x0, radii)
+    want = reference_ball_masses(verts, faces, mult, x0, radii)
+    assert [m.hex() for m in got.tolist()] == [m.hex() for m in want.tolist()]
+
+
+@pytest.mark.parametrize("block", [1, 2, 7])
+def test_ball_masses_blocks_keep_the_bits_of_both_branches(block, monkeypatch):
+    monkeypatch.setattr(_kernels, "_BLOCK", block)
+    for v in _surfaces():
+        verts, mult = v.vertices, v.multiplicity.astype(np.float64)
+        x0 = verts[len(verts) // 2] + np.array([0.03, -0.02, 0.01])
+        corner = np.sqrt(_ref_sq(verts - x0))
+        radii = np.array([0.05, 0.4, float(corner[3]), 1.1, 2.0, 100.0, 0.0])
+        order = np.argsort(_ref_sq(verts[v.faces].mean(axis=1) - x0), kind="stable")
+        near = np.sort(order[:len(verts) // 3 - 1])
+        for keep, few in ((near, True), (slice(None), False)):
+            faces = v.faces[keep]
+            assert (3 * len(faces) < len(verts)) == few  # corner-first or vertex-first
+            got = _kernels.ball_masses(verts, faces, mult[keep], x0, radii)
+            want = reference_ball_masses(verts, faces, mult[keep], x0, radii)
+            assert [m.hex() for m in got.tolist()] == [m.hex() for m in want.tolist()]
+
+
+@functools.cache
+def _triple_bubble4():
+    return generators.gen_triple_bubble(4).varifold
+
+
+def test_ball_masses_of_a_whole_mesh_of_many_blocks_equal_the_reference():
+    v = _triple_bubble4()
+    assert v.num_faces > 9 * _kernels._BLOCK
+    mult, x0 = v.multiplicity.astype(np.float64), v.vertices[0] + np.array([0.01, 0.02, -0.03])
+    radii = np.array([0.7, 1.6])
+    got = _kernels.ball_masses(v.vertices, v.faces, mult, x0, radii)
+    want = reference_ball_masses(v.vertices, v.faces, mult, x0, radii)
+    assert [m.hex() for m in got.tolist()] == [m.hex() for m in want.tolist()]
+
+
+def test_a_whole_mesh_call_makes_no_whole_mesh_temporaries():
+    # one ball cuts the mesh and one holds all of it; F-sized (3, F, 3) corner arrays took the
+    # peak above 10 MB
+    v = _triple_bubble4()
+    mult, x0 = v.multiplicity.astype(np.float64), v.vertices[0]
+    _kernels.ball_masses(v.vertices, v.faces, mult, x0, np.array([1.0]))  # first-call allocations
+    tracemalloc.start()
+    try:
+        _kernels.ball_masses(v.vertices, v.faces, mult, x0, np.array([1.0, 5.0]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def _outcome(f, x):

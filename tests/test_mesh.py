@@ -218,10 +218,15 @@ def test_make_varifold_coerces_nothing(args, kwargs, message):
     ("multiplicity", [2**64]),
     ("face_patches", [2**63]),
     ("face_patches", np.array([2**64 - 1], dtype=np.uint64)),
+    ("vertices", [[2**63, 0, 0], [2**63, 2**62, 0], [2**63, 0, 2**62]]),
+    ("vertices", [[2**64, 0, 0], [2**64, 2**62, 0], [2**64, 0, 2**62]]),
+    ("vertices", [[1.5, 0, 2**63], [0, 1, 0], [0, 0, 1]]),
 ], ids=["face-list-read-as-float64", "face-uint64-array", "multiplicity-list-read-as-uint64",
-        "multiplicity-list-read-as-objects", "patch-list-read-as-uint64", "patch-uint64-array"])
+        "multiplicity-list-read-as-objects", "patch-list-read-as-uint64", "patch-uint64-array",
+        "vertex-list-read-as-uint64", "vertex-list-read-as-objects", "vertex-row-among-floats"])
 def test_integers_beyond_int64_are_rejected(key, value):
-    # cast to int64, 2**63 was stored as -2**63, and 2**63 + 1 as a negative multiplicity
+    # cast to int64, 2**63 was stored as -2**63, and 2**63 + 1 as a negative multiplicity; a
+    # vertex coordinate of 2**63 was read as the float 9.223372036854776e+18
     kwargs = {"vertices": _TRIANGLE, "faces": [[0, 1, 2]], key: value}
     with pytest.raises(MeshError, match=f"^{key} holds integers beyond int64$"):
         DiscreteVarifold(**kwargs)
