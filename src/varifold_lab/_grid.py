@@ -131,7 +131,7 @@ class FaceGrid:
         idx = self.order[np.repeat(first - (np.cumsum(count) - count), count) + np.arange(count.sum())]
         ok = np.repeat(whole, count)
         test = np.flatnonzero(~ok)
-        d = np.sqrt(_sq(np.take(self.centroids, idx[test], axis=0) - x0))
+        d = np.sqrt(_sq(np.take(self.centroids, idx[test], axis=0), x0))
         s = np.take(self.spreads, idx[test])
         ok[test] = (d <= r + s + tol) & (d + s >= inner - tol)
         return np.sort(idx[ok]).astype(np.intp)

@@ -29,11 +29,18 @@ ADMISSIBLE_DENSITIES: tuple[tuple[str, float], ...] = (
 
 
 def ball_mass_ladder(v: DiscreteVarifold, x0, radii) -> np.ndarray:
-    """Ball masses for several radii at once (one pass over the nearby faces)."""
-    x0 = np.asarray(x0, dtype=np.float64)
-    radii = np.asarray(radii, dtype=np.float64)
+    """Ball masses for several radii at once (one pass over the nearby faces).
+
+    ``x0`` must be 3 numbers and ``radii`` a 1-D array of them, finite and positive.
+    """
+    x0 = _kernels._numbers(x0, "ball_mass_ladder: x0")
+    radii = _kernels._numbers(radii, "ball_mass_ladder: radii")
+    # the finite check comes first, so its message names non-finite values whatever their shapes
     if not (np.isfinite(x0).all() and np.isfinite(radii).all()):
         raise ValueError(f"ball center and radii must be finite, got {x0.tolist()} and {radii.tolist()}")
+    x0 = _kernels._point(x0, "ball_mass_ladder: x0")
+    if radii.ndim != 1:
+        raise ValueError(f"ball_mass_ladder: radii must be 1-D, got shape {radii.shape}")
     if (radii <= 0).any():
         raise ValueError(f"ball radii must be positive, got {radii.tolist()}")
     _require_faces(v)
@@ -67,16 +74,15 @@ def local_edge_scale(v: DiscreteVarifold, x0) -> float:
     bits of ``v.vertices[v.faces].mean(axis=1)``.
     """
     _require_faces(v)
-    x0 = np.asarray(x0, dtype=np.float64)
+    x0 = _kernels._point(x0, "local_edge_scale: x0")
     if not np.isfinite(x0).all():
         raise ValueError(f"edge-scale center must be finite, got {x0.tolist()}")
-    w = v.face_grid.centroids - x0
-    d2 = np.einsum("ij,ij->i", w, w)
+    d2 = _kernels._sq(v.face_grid.centroids, x0)
     k = min(32, len(d2))
     idx = np.argpartition(d2, k - 1)[:k] if k < len(d2) else np.arange(len(d2))
     p = np.take(v.vertices, np.take(v.faces, idx, axis=0), axis=0)
     e = np.concatenate([p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]])
-    return float(np.linalg.norm(e, axis=1).mean())
+    return float(_kernels._norm(e).mean())
 
 
 @dataclass(frozen=True)
@@ -110,7 +116,7 @@ def density(v: DiscreteVarifold, x0, r_max: float | None = None) -> DensityRepor
     the winning model. x0 must lie on the support (within half a local edge
     length).
     """
-    x0 = np.asarray(x0, dtype=np.float64)
+    x0 = _kernels._point(x0, "density: x0")
     finite = bool(np.isfinite(x0).all())  # a point at infinity is on no support
     h = local_edge_scale(v, x0) if finite else math.nan
     warnings: list[str] = []
@@ -192,11 +198,11 @@ def monotonicity_check(
     """
     if not 0 < r < s:
         raise ValueError(f"need 0 < r < s, got r={r}, s={s}")
-    x0 = np.asarray(x0, dtype=np.float64)
+    x0 = _kernels._point(x0, "monotonicity_check: x0")
     m_r, m_s = ball_mass_ladder(v, x0, [r, s])
     lhs = m_r / (math.pi * r * r)
     ratio_s = m_s / (math.pi * s * s)
-    inside = np.linalg.norm(v.vertices - x0, axis=1) <= s
+    inside = _kernels._norm(v.vertices, x0) <= s
     w_term = _kernels.fsum(v.curvature.willmore[inside]) / (16.0 * math.pi)
     rhs = ratio_s + w_term
     slack = rhs - lhs
@@ -223,9 +229,10 @@ def li_yau_check(v: DiscreteVarifold, sample_points, eps: float = 0.05, r_max=No
     the gap |·| ≈ 0 exactly when the bound is saturated. ``r_max``, if given,
     holds one ladder cap per sample (None for the default), passed to ``density``.
     """
+    points = [_kernels._point(p, f"li_yau_check: sample_points[{i}]") for i, p in enumerate(sample_points)]
     _require(v, closed=True)
-    caps = [None] * len(sample_points) if r_max is None else r_max
-    thetas = np.array([density(v, p, r_max=r).theta for p, r in zip(sample_points, caps, strict=True)])
+    caps = [None] * len(points) if r_max is None else r_max
+    thetas = np.array([density(v, p, r_max=r).theta for p, r in zip(points, caps, strict=True)])
     w = willmore_energy(v)
     bound = w / (4.0 * math.pi)
     theta_max = float(thetas.max()) if len(thetas) else 0.0
@@ -319,7 +326,7 @@ def spherical_link(v: DiscreteVarifold, x0, r: float) -> SphericalLink:
     through, onto the end that best continues the arc, and stops if that end
     is already chained. A sphere that misses the support gives the empty link.
     """
-    x0 = np.asarray(x0, dtype=np.float64)
+    x0 = _kernels._point(x0, "spherical_link: x0")
     if not (np.isfinite(x0).all() and math.isfinite(r)):
         raise ValueError(f"link center and radius must be finite, got {x0.tolist()} and {r}")
     if not r > 0:
@@ -328,7 +335,7 @@ def spherical_link(v: DiscreteVarifold, x0, r: float) -> SphericalLink:
     faces = np.take(v.faces, fi, axis=0)
     va, vb, vc = (np.take(v.vertices, faces[:, k], axis=0) - x0 for k in range(3))
     # the max of |x - x0| over a triangle sits at a vertex, so this test is exact
-    dmax_v = np.linalg.norm(np.stack([va, vb, vc]), axis=2).max(axis=0)
+    dmax_v = np.maximum(np.maximum(_kernels._norm(va), _kernels._norm(vb)), _kernels._norm(vc))
     keep = dmax_v > r * (1 - 1e-12)
     fi, va, vb, vc = fi[keep], va[keep], vb[keep], vc[keep]
     n = _kernels._cross(vb - va, vc - va)
@@ -375,7 +382,7 @@ def _sample_arcs(rho, foot, e1, e2, theta0, dtheta, r) -> tuple[np.ndarray, np.n
     t = theta0[arc] + np.where(k == n[arc] - 1, dtheta[arc], k * (dtheta / (n - 1))[arc])
     pts = foot[arc] + rho[arc, None] * (np.cos(t)[:, None] * e1[arc] + np.sin(t)[:, None] * e2[arc])
     u = pts / r
-    u /= np.linalg.norm(u, axis=1)[:, None]
+    u /= _kernels._norm(u)[:, None]
     return u, off
 
 

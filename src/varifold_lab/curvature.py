@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _kernels
-from ._kernels import _cross, _dot
+from ._kernels import _cross, _dot, _inner, _norm, _point, _sq
 from .mesh import DiscreteVarifold, MeshError, _boundary_conormals, _min_labels, _require
 from .reports import Record
 
@@ -128,7 +128,7 @@ def mean_curvature(v: DiscreteVarifold) -> CurvatureField:
     H = np.zeros_like(grad)
     ok = area > 0.0
     H[ok] = (force[ok] - grad[ok]) / area[ok, None]
-    h2 = np.einsum("ij,ij->i", H, H)
+    h2 = _sq(H)
     willmore = np.where(_bending_vertices(v, area), h2 * area, 0.0)
     return CurvatureField(H=H, vertex_area=area, willmore=willmore)
 
@@ -151,8 +151,8 @@ def _corner_angles(v: DiscreteVarifold) -> np.ndarray:
         b = p[:, (k + 1) % 3]
         c = p[:, (k + 2) % 3]
         u, w = b - a, c - a
-        cr = np.linalg.norm(_cross(u, w), axis=1)
-        dt = np.einsum("ij,ij->i", u, w)
+        cr = _norm(_cross(u, w))
+        dt = _inner(u, w)
         out[:, k] = np.arctan2(cr, dt)
     return out
 
@@ -281,13 +281,12 @@ def second_fundamental_norm(v: DiscreteVarifold) -> CurvatureField:
     lo = topo.edges[ie, 0]
     hi = topo.edges[ie, 1]
     evec = np.take(v.vertices, hi, axis=0) - np.take(v.vertices, lo, axis=0)
-    elen = np.linalg.norm(evec, axis=1)
+    elen = _norm(evec)
     ebar = evec / elen[:, None]
     # signed dihedral: angle from n0 to n1 around the edge as f0 traverses it
     ef0 = ebar * s0[:, None]
     n0, n1 = np.take(nhat, f0, axis=0), np.take(nhat, f1, axis=0)
-    beta = np.arctan2(np.einsum("ij,ij->i", _cross(n0, n1), ef0),
-                      np.einsum("ij,ij->i", n0, n1))
+    beta = np.arctan2(_inner(_cross(n0, n1), ef0), _inner(n0, n1))
     w = beta * elen / 2.0
     t = w[:, None, None] * (ebar[:, :, None] * ebar[:, None, :])
     S = _vertex_sum(topo.edges[ie], t.reshape(-1, 1, 9), nv)[ok].reshape(-1, 3, 3)
@@ -295,11 +294,10 @@ def second_fundamental_norm(v: DiscreteVarifold) -> CurvatureField:
     n = _vertex_normals_unoriented(v, nhat, areas)[ok]
     Sn = np.einsum("nij,nj->ni", S, n)
     B2 = np.full(nv, np.nan)
-    B2[ok] = (np.einsum("nij,nij->n", S, S) - 2.0 * np.einsum("ni,ni->n", Sn, Sn)
-              + np.einsum("ni,ni->n", n, Sn) ** 2)
+    B2[ok] = np.einsum("nij,nij->n", S, S) - 2.0 * _sq(Sn) + _inner(n, Sn) ** 2
 
     resid = np.full(nv, np.nan)
-    h2 = np.einsum("ij,ij->i", base.H, base.H)
+    h2 = _sq(base.H)
     resid[ok] = np.abs(K[ok] - 0.5 * (h2[ok] - B2[ok]))
     return replace(base, K=K, angle_defect=defect, B2=B2, gauss_relation_residual=resid)
 
@@ -328,7 +326,7 @@ def oriented_vertex_normals(v: DiscreteVarifold) -> np.ndarray:
     nhat, areas = v.face_geometry
     w = (areas * v.multiplicity)[:, None] * nhat
     acc = _vertex_sum(v.faces, w[:, None], v.num_vertices)
-    nrm = np.linalg.norm(acc, axis=1)
+    nrm = _norm(acc)
     ok = nrm > 0
     acc[ok] /= nrm[ok, None]
     return acc
@@ -344,7 +342,7 @@ def helfrich_energy(v: DiscreteVarifold, c0: float) -> float:
     field = v.curvature
     keep = _bending_vertices(v, field.vertex_area)
     d = field.H - c0 * normals
-    vals = np.einsum("ij,ij->i", d, d) * field.vertex_area
+    vals = _sq(d) * field.vertex_area
     return 0.25 * _kernels.fsum(vals[keep])
 
 
@@ -358,7 +356,7 @@ def enclosed_volume(v: DiscreteVarifold) -> float:
     _require(v, closed=True)
     nhat, areas = v.face_geometry
     cen = np.take(v.vertices, v.faces, axis=0).mean(axis=1)
-    vals = (areas * v.multiplicity) * np.einsum("ij,ij->i", cen, nhat)
+    vals = (areas * v.multiplicity) * _inner(cen, nhat)
     return _kernels.fsum(vals) / 3.0
 
 
@@ -371,7 +369,7 @@ def point_surface_distance(v: DiscreteVarifold, x0: np.ndarray) -> float:
     the searched radius: every face left out is farther than that. At worst
     every face is searched.
     """
-    p = np.asarray(x0, dtype=np.float64)
+    p = _point(x0, "point_surface_distance: x0")
     if not np.isfinite(p).all():
         raise ValueError(f"distance center must be finite, got {p.tolist()}")
     from ._grid import _PITCH_SPREADS  # loaded by v.face_grid all the same
@@ -391,14 +389,11 @@ def _distance_to_faces(vertices: np.ndarray, faces: np.ndarray, p: np.ndarray) -
     a, b, c = (np.take(vertices, faces[:, k], axis=0) for k in range(3))
     # Ericson-style closest point on triangle, vectorized over faces
     ab, ac, ap = b - a, c - a, p - a
-    d1 = np.einsum("ij,ij->i", ab, ap)
-    d2 = np.einsum("ij,ij->i", ac, ap)
+    d1, d2 = _inner(ab, ap), _inner(ac, ap)
     bp = p - b
-    d3 = np.einsum("ij,ij->i", ab, bp)
-    d4 = np.einsum("ij,ij->i", ac, bp)
+    d3, d4 = _inner(ab, bp), _inner(ac, bp)
     cp = p - c
-    d5 = np.einsum("ij,ij->i", ab, cp)
-    d6 = np.einsum("ij,ij->i", ac, cp)
+    d5, d6 = _inner(ab, cp), _inner(ac, cp)
     va = d3 * d6 - d5 * d4
     vb = d5 * d2 - d1 * d6
     vc = d1 * d4 - d3 * d2
@@ -408,11 +403,11 @@ def _distance_to_faces(vertices: np.ndarray, faces: np.ndarray, p: np.ndarray) -
     over = (va >= 0.0) & (vb >= 0.0) & (vc >= 0.0) & (denom > 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         cand = a + (vb / denom)[:, None] * ab + (vc / denom)[:, None] * ac
-    best = np.where(over, np.linalg.norm(cand - p, axis=1), math.inf)
+    best = np.where(over, _norm(cand, p), math.inf)
     # edge and vertex regions: the nearest clamped projection on the three edges
     for (s, evec) in ((a, ab), (a, ac), (b, c - b)):
-        t = np.einsum("ij,ij->i", p - s, evec) / np.einsum("ij,ij->i", evec, evec)
+        t = _inner(p - s, evec) / _sq(evec)
         t = np.clip(t, 0.0, 1.0)
-        best = np.minimum(best, np.linalg.norm(s + t[:, None] * evec - p, axis=1))
+        best = np.minimum(best, _norm(s + t[:, None] * evec, p))
     return float(best.min()) if len(best) else math.inf
 

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._kernels import _dot
+from ._kernels import _dot, _norm
 from .mesh import DiscreteVarifold, _min_labels, _split
 
 log = logging.getLogger(__name__)
@@ -38,7 +38,7 @@ def _check_level(level: int) -> None:
 
 
 def _unit_rows(a: np.ndarray) -> np.ndarray:
-    return a / np.linalg.norm(a, axis=-1, keepdims=True)
+    return a / _norm(a)[..., None]
 
 
 def _circle(M: int) -> tuple[np.ndarray, np.ndarray]:

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import _kernels
-from ._kernels import _cross
+from ._kernels import _cross, _norm
 from ._values import _DIRECTION, _NUMBER, _POINT, MeshError, _check_rows, _frozen, _is_number, _numeric, _quote
 from .reports import load_json, save_json
 
@@ -184,7 +184,7 @@ def face_normals(v: DiscreteVarifold) -> tuple[np.ndarray, np.ndarray]:
     a = np.take(v.vertices, v.faces[:, 0], axis=0)
     n = _cross(np.take(v.vertices, v.faces[:, 1], axis=0) - a,
                np.take(v.vertices, v.faces[:, 2], axis=0) - a)
-    nn = np.linalg.norm(n, axis=1)
+    nn = _norm(n)
     areas = 0.5 * nn
     with np.errstate(invalid="ignore", divide="ignore"):
         n /= nn[:, None]
@@ -226,8 +226,8 @@ def boundary_measure(v: DiscreteVarifold) -> DiscreteBoundary:
     yields an empty boundary. The total length is a correctly rounded sum.
     """
     edges, fidx, vec, conormals = _boundary_conormals(v, v.face_geometry[0])
-    lengths = np.linalg.norm(vec, axis=1)
-    conormals /= np.linalg.norm(conormals, axis=1, keepdims=True)
+    lengths = _norm(vec)
+    conormals /= _norm(conormals)[:, None]
     mult = v.multiplicity[fidx]
     return DiscreteBoundary(edges, lengths, conormals, mult, _kernels.fsum(mult * lengths))
 

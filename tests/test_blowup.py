@@ -3,6 +3,7 @@ import functools
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -180,6 +181,47 @@ def test_spherical_link_rejects_a_zero_radius(sphere3):
 def test_non_finite_center_is_rejected(sphere3, call, x):
     with pytest.raises(ValueError, match=r"center must be finite, got \[(nan|-?inf), 0.0, 0.0\]"):
         call(sphere3.varifold, [x, 0.0, 0.0])
+
+
+CENTER_CALLS = {
+    "ball_mass_ladder": lambda v, x: blowup.ball_mass_ladder(v, x, [0.1]),
+    "density": blowup.density,
+    "monotonicity_check": lambda v, x: blowup.monotonicity_check(v, x, 0.1, 0.5),
+    "spherical_link": lambda v, x: blowup.spherical_link(v, x, 0.3),
+    "local_edge_scale": blowup.local_edge_scale,
+    "point_surface_distance": curvature.point_surface_distance,
+}
+
+
+@pytest.mark.parametrize("x, message", [
+    ([0.0, 1.0], "must be 3 numbers, got shape \\(2,\\)"),
+    ([[0.0, 0.0, 1.0]], "must be 3 numbers, got shape \\(1, 3\\)"),
+    (0.5, "must be 3 numbers, got shape \\(\\)"),
+    ([1.0, 0.0, 0.0, 0.0], "must be 3 numbers, got shape \\(4,\\)"),
+    ([True, False, False], "must hold numbers, not booleans"),
+    (["1", "0", "0"], "must hold numbers, not <U1"),
+], ids=["two", "one-row", "scalar", "four", "booleans", "strings"])
+@pytest.mark.parametrize("name", CENTER_CALLS)
+def test_a_center_that_is_not_3_numbers_is_rejected_by_name(sphere3, name, x, message):
+    with pytest.raises(ValueError, match=f"^{name}: x0 {message}$"):
+        CENTER_CALLS[name](sphere3.varifold, x)
+
+
+@pytest.mark.parametrize("points, where", [
+    ([[1.0, 0.0, 0.0], [0.0, 1.0]], "sample_points\\[1\\]"),
+    ([[[1.0, 0.0, 0.0]]], "sample_points\\[0\\]"),
+])
+def test_li_yau_rejects_a_sample_point_that_is_not_3_numbers(sphere3, points, where):
+    with pytest.raises(ValueError, match=f"^li_yau_check: {where} must be 3 numbers"):
+        blowup.li_yau_check(sphere3.varifold, points)
+
+
+@pytest.mark.parametrize("radii, shape", [(0.1, "()"), ([[0.1, 0.2]], "(1, 2)"), ([[0.1], [0.2]], "(2, 1)")],
+                         ids=["scalar", "row", "column"])
+def test_ball_mass_ladder_rejects_radii_that_are_not_1d(sphere3, radii, shape):
+    v = sphere3.varifold
+    with pytest.raises(ValueError, match=f"^ball_mass_ladder: radii must be 1-D, got shape {re.escape(shape)}$"):
+        blowup.ball_mass_ladder(v, v.vertices[0], radii)
 
 
 def test_li_yau_on_sphere(sphere4):

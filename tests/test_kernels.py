@@ -432,8 +432,83 @@ def test_cross_has_the_bits_of_np_cross():
     assert np.array_equal(_kernels._cross(e, f).view(np.int64), np.cross(e, f).view(np.int64))
 
 
+# ---------------------------------------------------------------------------
+# row helpers: _sq, _norm, _inner
+
+_ROW_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e-300, 1e300, -1e300, 1.0,
+               -3.5, math.inf, -math.inf, math.nan]
+
+
+def _bits(a) -> np.ndarray:
+    """The bits of float array ``a``, with every NaN read as one NaN."""
+    a = np.array(a, dtype=np.float64, ndmin=1)
+    return np.where(np.isnan(a), np.int64(0x7FF8000000000000), a.view(np.int64))
+
+
+def _same(a, b) -> bool:
+    return np.shape(a) == np.shape(b) and np.array_equal(_bits(a), _bits(b))
+
+
+@st.composite
+def _rows(draw, n=None):
+    """(n, 3) rows of any floats, special values (±0, subnormals, 1e±300, inf, NaN) or ordinary ones."""
+    n = draw(st.integers(0, 12)) if n is None else n
+    value = st.one_of(st.floats(), st.sampled_from(_ROW_VALUES), st.floats(-4.0, 4.0))
+    return np.array(draw(st.lists(value, min_size=3 * n, max_size=3 * n)), dtype=np.float64).reshape(n, 3)
+
+
+def _layouts(w: np.ndarray) -> list[np.ndarray]:
+    """w C-ordered, as a strided view (every other row of a wider array), and Fortran-ordered."""
+    wide = np.zeros((2 * len(w), 5))
+    wide[::2, 1:4] = w
+    return [np.ascontiguousarray(w), wide[::2, 1:4], np.asfortranarray(w)]
+
+
+def _sq_row(x, y, z):
+    return (x * x + z * z) + y * y
+
+
+def _norm_row(x, y, z):
+    return math.sqrt((x * x + y * y) + z * z)
+
+
+def _inner_row(a, b):
+    return (a[0] * b[0] + a[2] * b[2]) + a[1] * b[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(w=_rows(), u=_rows(), center=_rows(1))
+def test_row_helpers_equal_their_python_row_formulas_in_every_layout(w, u, center):
+    """``_sq``, ``_norm`` and ``_inner`` have the bits of their row formulas, for C-ordered,
+    strided and Fortran-ordered input alike, and ``_norm`` those of ``np.linalg.norm``."""
+    n = min(len(w), len(u))
+    w, u, center = w[:n], u[:n], center[0]
+    rows = w.tolist()
+    for a, b in zip(_layouts(w), _layouts(u)):
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN rows are cases here
+            assert _same(_kernels._sq(a), [_sq_row(*r) for r in rows])
+            assert _same(_kernels._norm(a), [_norm_row(*r) for r in rows])
+            assert _same(_kernels._inner(a, b), [_inner_row(r, s) for r, s in zip(rows, u.tolist())])
+            assert _same(_kernels._norm(a), np.linalg.norm(a, axis=-1))
+            # a center is subtracted as the explicit difference would be
+            assert _same(_kernels._sq(a, center), _kernels._sq(w - center))
+            assert _same(_kernels._norm(a, center), _kernels._norm(w - center))
+
+
+@pytest.mark.parametrize("helper", [_kernels._sq, _kernels._norm], ids=["sq", "norm"])
+def test_row_helpers_keep_the_leading_shape(helper):
+    w = np.random.default_rng(5).standard_normal((4, 5, 3))
+    assert helper(w).shape == (4, 5)
+    assert helper(np.zeros((0, 3))).shape == (0,)
+    row = helper(w[0, 0])
+    assert np.shape(row) == () and _same(row, helper(w[:1, 0])[0])
+    assert _same(helper(w, w[1, 1]), helper(w - w[1, 1]))
+    assert _kernels._inner(w, w).shape == (4, 5) and np.shape(_kernels._inner(w[0, 0], w[0, 0])) == ()
+
+
 def test_sq_sums_in_a_fixed_order():
-    # the first of these seeded rows rounds differently in the order (x² + y²) + z²
+    # the first of these seeded rows rounds differently in the order (x² + y²) + z²,
+    # which is _norm's: each helper keeps its own order
     w = np.random.default_rng(5).standard_normal((20, 3))
     x, y, z = w[0]
     assert (x * x + y * y) + z * z != (x * x + z * z) + y * y
@@ -441,3 +516,4 @@ def test_sq_sums_in_a_fixed_order():
     assert got.shape == (4, 5)
     x, y, z = w.T
     assert np.array_equal(got.ravel().view(np.int64), ((x * x + z * z) + y * y).view(np.int64))
+    assert np.array_equal(_kernels._norm(w).view(np.int64), np.sqrt((x * x + y * y) + z * z).view(np.int64))

@@ -288,6 +288,35 @@ def test_every_cross_product_is_the_kernels_one():
     assert [p.name for p in sorted(src.glob("*.py")) if "np.cross(" in p.read_text()] == []
 
 
+def test_rows_of_3_vectors_are_reduced_by_the_kernels_helpers():
+    """Squared norms, norms and dots of rows of 3-vectors are ``_kernels._sq``, ``_norm`` and
+    ``_inner``, whose summation order is fixed. The ``np.einsum`` and ``np.linalg.norm`` calls
+    left are these, by module and top-level function: the 3×3 products of
+    ``second_fundamental_norm``; ``junction_sheet_angles``, which a planned rewrite replaces;
+    the 2-D disk tests of ``gen_singular_pair``; and ``mesh_scale``'s norm of one 3-vector,
+    the square root of a BLAS dot product like ``_kernels._dot``'s."""
+    src = Path(varifold_lab.__file__).parent
+    calls = []
+    for path in sorted(src.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            calls += [(path.stem, getattr(top, "name", None), ast.unparse(node.func))
+                      for node in ast.walk(top) if isinstance(node, ast.Call)
+                      and ast.unparse(node.func) in ("np.einsum", "np.linalg.norm")]
+    assert sorted(calls) == [
+        ("curvature", "second_fundamental_norm", "np.einsum"),
+        ("curvature", "second_fundamental_norm", "np.einsum"),
+        ("generators", "gen_singular_pair", "np.einsum"),
+        ("generators", "gen_singular_pair", "np.linalg.norm"),
+        ("generators", "gen_singular_pair", "np.linalg.norm"),
+        ("generators", "gen_singular_pair", "np.linalg.norm"),
+        ("mesh", "junction_sheet_angles", "np.einsum"),
+        ("mesh", "junction_sheet_angles", "np.einsum"),
+        ("mesh", "junction_sheet_angles", "np.linalg.norm"),
+        ("mesh", "junction_sheet_angles", "np.linalg.norm"),
+        ("mesh", "mesh_scale", "np.linalg.norm"),
+    ]
+
+
 def test_nets_and_circles_check_their_input_without_numpy():
     """``boundary``, ``netmatch`` and ``nets`` check their input in Python: no
     module imports ``_values._numeric``, and NumPy is imported only inside
