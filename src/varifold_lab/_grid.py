@@ -11,7 +11,12 @@ spherical link, the shell around the sphere), keeps every face of a cell
 that lies wholly inside, and tests the faces of the other cells one by one:
 a face is kept when its own bounding sphere (centroid and spread) meets the
 ball or shell. It is built once per mesh, as ``DiscreteVarifold.face_grid``;
-this module is imported only when a grid is first needed.
+this module is imported only when a grid is first needed. Like every
+whole-mesh per-face pass, the build works through the faces in blocks of
+``_kernels._BLOCK``: each block's corners are gathered, and its centroids,
+spreads and cell keys written into the (F,)-sized outputs, so no corner
+array of the whole mesh is formed. Only the sort of the keys and the
+per-cell reductions read whole arrays.
 """
 from __future__ import annotations
 
@@ -20,7 +25,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._kernels import _sq
+from ._kernels import _blocks, _sq
 from ._values import _frozen
 
 if TYPE_CHECKING:
@@ -60,10 +65,13 @@ class FaceGrid:
 
     @classmethod
     def build(cls, v: DiscreteVarifold) -> FaceGrid:
-        abc = np.take(v.vertices, v.faces.T, axis=0)  # (3, F, 3): each face's corners a, b, c
-        cen = abc.sum(axis=0) / 3.0
-        abc -= cen  # in place: a temporary of shape (3, F, 3) would raise the peak memory by half
-        spreads = np.sqrt(_sq(abc).max(axis=0))
+        cen, spreads = np.empty((v.num_faces, 3)), np.empty(v.num_faces)
+        blocks = _blocks(v.num_faces)
+        for b in blocks:
+            abc = np.take(v.vertices, v.faces[b].T, axis=0)  # (3, B, 3): each face's corners a, b, c
+            np.divide(abc.sum(axis=0), 3.0, out=cen[b])
+            abc -= cen[b]
+            spreads[b] = np.sqrt(_sq(abc).max(axis=0))
         if not len(cen):
             return cls(_frozen(np.zeros(3)), 1.0, _frozen(np.zeros(3, dtype=np.int32)),
                        _frozen(np.zeros((0, 3), dtype=np.int32)), _frozen(np.zeros(1, dtype=np.int64)),
@@ -74,11 +82,13 @@ class FaceGrid:
         extent = float((top - origin).max())
         # positive: a face of a built varifold has positive area, so a positive spread
         pitch = max(_PITCH_SPREADS * float(spreads.mean()), extent / (_MAX_CELLS - 1))
-        ijk = cen - origin
-        ijk /= pitch
-        ijk = np.floor(ijk, out=ijk).astype(np.int64)
         n = np.floor((top - origin) / pitch).astype(np.int64) + 1  # floor is monotone: the top cell
-        keys = (ijk[:, 0] * n[1] + ijk[:, 1]) * n[2] + ijk[:, 2]
+        keys = np.empty(v.num_faces, dtype=np.int64)
+        for b in blocks:
+            ijk = cen[b] - origin
+            ijk /= pitch
+            ijk = np.floor(ijk, out=ijk).astype(np.int64)
+            keys[b] = (ijk[:, 0] * n[1] + ijk[:, 1]) * n[2] + ijk[:, 2]
         order = np.argsort(keys)  # the faces of a cell in no particular order: queries sort what they keep
         keys = keys[order]
         start = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1], [True])))

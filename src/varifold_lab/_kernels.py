@@ -38,10 +38,11 @@ These rules keep the bits:
   contribute; ``np.arctan2`` may take a SIMD path that differs in the last
   bit;
 - sums are exact (``fsum``): mantissas are binned by exponent in integer
-  halves, combined in a Python int and rounded once; non-finite input, a
-  zero total and sums near overflow go to ``math.fsum``. A face's whole mass
-  is added to the shell of the smallest radius whose ball holds the face,
-  and each mass takes the shells of the radii up to its own.
+  halves, a block of terms at a time, combined in a Python int and rounded
+  once; non-finite input, a zero total and sums near overflow go to
+  ``math.fsum``. A face's whole mass is added to the shell of the smallest
+  radius whose ball holds the face, and each mass takes the shells of the
+  radii up to its own.
 
 Every other reduction over rows of 3-vectors in the package goes through
 three helpers that read the coordinate columns and never form an (N, 3)
@@ -77,10 +78,16 @@ BACKEND = "fallback"
 
 _DISC_EPS = 1e-12
 
-#: Faces per block of ``ball_masses``: a (_BLOCK, 3) float64 array is 96 KiB, below glibc's
-#: default mmap threshold of 128 KiB. On the calls of the ``global-monotonicity`` benchmark,
-#: 2,048 ran about 10% slower, and 8,192 or 16,384 no faster.
+#: Rows per block of ``ball_masses``, of the exact sums and of every whole-mesh per-face pass
+#: (``_blocks``): a (_BLOCK, 3) float64 array is 96 KiB, below glibc's default mmap threshold
+#: of 128 KiB. On the calls of the ``global-monotonicity`` benchmark, 2,048 ran about 10%
+#: slower, and 8,192 or 16,384 no faster.
 _BLOCK = 4096
+
+
+def _blocks(n: int) -> list[slice]:
+    """Slices of at most ``_BLOCK`` rows that cover range(n) in order, ``_BLOCK`` read per call."""
+    return [slice(s, s + _BLOCK) for s in range(0, n, _BLOCK)]
 
 
 def _disk_tri_areas(ax, ay, bx, by, cx, cy, rho) -> np.ndarray:
@@ -205,8 +212,8 @@ def ball_masses(
     else:  # most of the mesh: shift and square each vertex once
         points = vertices - x0
         sq = _sq(points)
-    blocks = [_block_terms(points, sq, x0, faces[s:s + _BLOCK], mult[s:s + _BLOCK], rs)
-              for s in range(0, len(faces) or 1, _BLOCK)]  # no faces: one empty block
+    blocks = [_block_terms(points, sq, x0, faces[b], mult[b], rs)
+              for b in _blocks(len(faces) or 1)]  # no faces: one empty block
     whole_mass, shell, *cut = zip(*blocks)  # each a tuple of per-block arrays
     va, vb, vc, n, two_area, cut_mult, k = map(np.concatenate, cut)
     del points, sq, blocks, cut  # the sums are the call's peak: free what they do not read
@@ -291,21 +298,35 @@ def _exact_sums(x: np.ndarray, group: np.ndarray | int, n: int) -> tuple[list[in
     """Exact sums of x by group (each in 0..n-1), as ints t_g with sum = t_g · 2**(e0 − 53).
 
     Returns (t, e0), or None when x holds a non-finite value or is large
-    enough that ``math.fsum`` might overflow on the way.
+    enough that ``math.fsum`` might overflow on the way. The guards, e0 and
+    the exponent width are taken over all of x first; then each block of
+    ``_BLOCK`` terms is binned and its bins added to the totals, exactly.
     """
     if not len(x):
         return [0] * n, 0
-    if len(x) > 2**26 or not np.abs(x).max() < 2.0 ** (1021 - len(x).bit_length()):
+    if len(x) > 2**26:
         return None
-    m, e = np.frexp(x)
-    e0 = int(e.min())
-    width = int(e.max()) - e0 + 1
-    key = group * width + (e - e0)
+    blocks = _blocks(len(x))
+    limit = 2.0 ** (1021 - len(x).bit_length())
+    lows, highs = [], []
+    for b in blocks:
+        if not np.abs(x[b]).max() < limit:
+            return None
+        e = np.frexp(x[b])[1]
+        lows.append(int(e.min()))
+        highs.append(int(e.max()))
+    e0 = min(lows)
+    width = max(highs) - e0 + 1
     # x = mant · 2**(e − 53) with |mant| < 2**53: halves of 27 and 26 bits
-    # have bin sums below 2**53, exact in float64
-    mant = (m * 2.0**53).astype(np.int64)
-    hi = np.bincount(key, weights=mant >> 26, minlength=n * width)
-    lo = np.bincount(key, weights=mant & (2**26 - 1), minlength=n * width)
+    # have bin sums below 2**53 over all of x (at most 2**26 terms), so every
+    # bin and every running total of the blocks' bins is an exact float64
+    hi, lo = np.zeros(n * width), np.zeros(n * width)
+    for b in blocks:
+        m, e = np.frexp(x[b])
+        key = (group if np.ndim(group) == 0 else group[b]) * width + (e - e0)
+        mant = (m * 2.0**53).astype(np.int64)
+        hi += np.bincount(key, weights=mant >> 26, minlength=n * width)
+        lo += np.bincount(key, weights=mant & (2**26 - 1), minlength=n * width)
     nz = np.flatnonzero((hi != 0.0) | (lo != 0.0))
     sums = [0] * n
     for i, h, l in zip(nz.tolist(), hi[nz].tolist(), lo[nz].tolist()):

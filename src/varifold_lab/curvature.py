@@ -87,11 +87,13 @@ def _vertex_sum(idx: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
 
 def _area_gradients(v: DiscreteVarifold, nhat: np.ndarray) -> np.ndarray:
     """Gradient of total mass with respect to each vertex position, (V, 3)."""
-    p0, p1, p2 = (np.take(v.vertices, v.faces[:, k], axis=0) for k in range(3))
-    m = v.multiplicity[:, None].astype(np.float64)
-    g = np.stack([_cross(nhat, p2 - p1), _cross(nhat, p0 - p2), _cross(nhat, p1 - p0)], axis=1)
-    g *= 0.5
-    g *= m[:, None]
+    g = np.empty((v.num_faces, 3, 3))
+    for b in _kernels._blocks(v.num_faces):
+        p0, p1, p2 = (np.take(v.vertices, v.faces[b, k], axis=0) for k in range(3))
+        n, gb = nhat[b], g[b]
+        gb[:, 0], gb[:, 1], gb[:, 2] = _cross(n, p2 - p1), _cross(n, p0 - p2), _cross(n, p1 - p0)
+        gb *= 0.5
+        gb *= v.multiplicity[b, None, None].astype(np.float64)
     return _vertex_sum(v.faces, g, v.num_vertices)
 
 
@@ -144,16 +146,17 @@ def willmore_energy(v: DiscreteVarifold) -> float:
 
 def _corner_angles(v: DiscreteVarifold) -> np.ndarray:
     """Interior angles (F, 3) at each face corner."""
-    p = np.take(v.vertices, v.faces, axis=0)  # (F, 3, 3)
     out = np.empty((v.num_faces, 3))
-    for k in range(3):
-        a = p[:, k]
-        b = p[:, (k + 1) % 3]
-        c = p[:, (k + 2) % 3]
-        u, w = b - a, c - a
-        cr = _norm(_cross(u, w))
-        dt = _inner(u, w)
-        out[:, k] = np.arctan2(cr, dt)
+    for blk in _kernels._blocks(v.num_faces):
+        p = np.take(v.vertices, v.faces[blk], axis=0)  # (B, 3, 3)
+        for k in range(3):
+            a = p[:, k]
+            b = p[:, (k + 1) % 3]
+            c = p[:, (k + 2) % 3]
+            u, w = b - a, c - a
+            cr = _norm(_cross(u, w))
+            dt = _inner(u, w)
+            out[blk, k] = np.arctan2(cr, dt)
     return out
 
 

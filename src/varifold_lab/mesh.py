@@ -8,14 +8,18 @@ legal inputs everywhere unless an operation documents otherwise. A
 whether from a generator, ``refine``, ``load_mesh_file`` or a caller, holds
 valid, uncoerced arrays.
 
-Whole-mesh gathers of vertex rows by face or edge indices take one index
-column at a time, ``np.take(v.vertices, v.faces[:, k], axis=0)``: a copy with
-the bits of the fancy index ``v.vertices[v.faces[:, k]]``, and faster on a
-strided column. One (3, F, 3) gather of every corner is no faster and holds
-all corners at once; code that needs them at once, as (F, 3, 3), takes
-``v.faces`` whole. Bounding boxes reduce one coordinate column at a time:
-the exact minima and maxima of an ``axis=0`` reduction, which is slow on a
-C-order (V, 3) array.
+Every elementwise whole-mesh per-face pass (``face_normals``, the degenerate
+face check of ``validate``, ``FaceGrid.build``'s centroids, spreads and cell
+keys, the area gradients and corner angles in ``curvature``) works through
+the faces in blocks of ``_kernels._BLOCK`` (``_kernels._blocks``): it writes
+each block into its F-sized outputs, so its temporaries, corner gathers
+among them, stay block-sized. Every step is per face, so the blocks keep
+every bit; sums over faces (``np.bincount``, means) still run over whole
+arrays in row order. Gathers of vertex rows take one index column at a
+time, ``np.take(v.vertices, f[:, k], axis=0)``: a copy with the bits of the
+fancy index ``v.vertices[f[:, k]]``, and faster on a strided column.
+Bounding boxes reduce one coordinate column at a time: the exact minima and
+maxima of an ``axis=0`` reduction, which is slow on a C-order (V, 3) array.
 """
 from __future__ import annotations
 
@@ -161,10 +165,10 @@ def validate(v: DiscreteVarifold) -> None:
         bad = int(np.nonzero(v.multiplicity < 1)[0][0])
         raise MeshError(f"face {bad} has multiplicity < 1")
     scale = mesh_scale(v)
-    # not v.face_geometry: kept from here, it would hold every built mesh's normals
-    tiny = face_normals(v)[1] / scale / scale < 1e-14  # scale * scale may underflow to 0
-    if tiny.any():
-        raise MeshError(f"face {int(np.nonzero(tiny)[0][0])} is degenerate (zero area)")
+    for b in _kernels._blocks(v.num_faces):  # the areas of face_normals, a block at a time, kept nowhere
+        tiny = 0.5 * _face_cross(v, b)[1] / scale / scale < 1e-14  # scale * scale may underflow to 0
+        if tiny.any():
+            raise MeshError(f"face {b.start + int(np.flatnonzero(tiny)[0])} is degenerate (zero area)")
 
 
 def _require(v: DiscreteVarifold, closed: bool = False, manifold: bool = False) -> None:
@@ -179,17 +183,25 @@ def _require(v: DiscreteVarifold, closed: bool = False, manifold: bool = False) 
         raise MeshError(f"mesh is not manifold: edge ({a}, {b}) has 3+ faces")
 
 
+def _face_cross(v: DiscreteVarifold, b: slice) -> tuple[np.ndarray, np.ndarray]:
+    """The cross products (b - a) x (c - a) of the faces ``v.faces[b]`` and their norms."""
+    f = v.faces[b]
+    a = np.take(v.vertices, f[:, 0], axis=0)
+    n = _cross(np.take(v.vertices, f[:, 1], axis=0) - a, np.take(v.vertices, f[:, 2], axis=0) - a)
+    return n, _norm(n)
+
+
 def face_normals(v: DiscreteVarifold) -> tuple[np.ndarray, np.ndarray]:
     """Unit face normals and face areas, as (normals (F,3), areas (F,))."""
-    a = np.take(v.vertices, v.faces[:, 0], axis=0)
-    n = _cross(np.take(v.vertices, v.faces[:, 1], axis=0) - a,
-               np.take(v.vertices, v.faces[:, 2], axis=0) - a)
-    nn = _norm(n)
-    areas = 0.5 * nn
-    with np.errstate(invalid="ignore", divide="ignore"):
-        n /= nn[:, None]
-    n[nn == 0.0] = 0.0
-    return n, areas
+    normals, areas = np.empty((v.num_faces, 3)), np.empty(v.num_faces)
+    for b in _kernels._blocks(v.num_faces):
+        n, nn = _face_cross(v, b)
+        areas[b] = 0.5 * nn
+        with np.errstate(invalid="ignore", divide="ignore"):
+            n /= nn[:, None]
+        n[nn == 0.0] = 0.0
+        normals[b] = n
+    return normals, areas
 
 
 def _boundary_conormals(v: DiscreteVarifold, nhat: np.ndarray) -> tuple[np.ndarray, ...]:

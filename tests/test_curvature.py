@@ -207,8 +207,8 @@ def test_face_normals_are_computed_once_per_mesh(monkeypatch):
         return face_normals(w)
 
     monkeypatch.setattr(mesh, "face_normals", counting)
-    v = DiscreteVarifold(cap.vertices, cap.faces, cap.multiplicity)  # validate: its own areas, kept nowhere
-    assert len(calls) == 1 and "face_geometry" not in vars(v)
+    v = DiscreteVarifold(cap.vertices, cap.faces, cap.multiplicity)  # validate: block areas, kept nowhere
+    assert not calls and "face_geometry" not in vars(v)
     calls.clear()
     v.curvature
     for fn in (curvature.mean_curvature, curvature.second_fundamental_norm, mesh.total_mass,

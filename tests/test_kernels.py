@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from varifold_lab import _kernels, generators
+from varifold_lab import _grid, _kernels, generators
+from varifold_lab.mesh import DiscreteVarifold
 
 # One kernel; the test ids keep its name, ``BACKEND``.
 KERNELS = [_kernels]
@@ -368,6 +369,38 @@ def test_a_whole_mesh_call_makes_no_whole_mesh_temporaries():
     assert peak < 4e6
 
 
+def _traced_peak(f, *args) -> int:
+    """The tracemalloc peak, in bytes, of ``f(*args)`` after a first call."""
+    f(*args)
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_constructing_a_mesh_makes_no_whole_mesh_temporaries():
+    # validation takes the face areas a block at a time and keeps none: 0.47 MB here (the
+    # multiplicity check and the (F,) masks of repeated corners); whole-mesh face normals
+    # took the peak to 4.1 MB
+    v = _triple_bubble4()
+    assert _traced_peak(DiscreteVarifold, v.vertices, v.faces, v.multiplicity) < 1e6
+
+
+def test_a_face_grid_build_holds_its_outputs_and_no_whole_mesh_corners():
+    # 2.4 MB here: the centroids (0.94 MB), spreads, cell keys and the sort's order and
+    # sorted keys; (3, F, 3) corner arrays of the whole mesh took the peak to 5.9 MB
+    assert _traced_peak(_grid.FaceGrid.build, _triple_bubble4()) < 3.5e6
+
+
+def test_fsum_of_a_long_array_makes_no_copies_of_it():
+    # the terms are binned a block at a time: 0.24 MB here; the mantissas, exponents, keys
+    # and bincount weights of the whole array took the peak to 48 MB
+    x = np.random.default_rng(0).standard_normal(10**6)
+    assert _traced_peak(_kernels.fsum, x) < 1e6
+
+
 def _outcome(f, x):
     try:
         return f(x).hex()
@@ -407,6 +440,18 @@ def _float_arrays(draw):
 @example(x=np.array([1.0, 2.0**-53, 2.0**-105]))
 def test_fsum_equals_math_fsum(x):
     assert _outcome(_kernels.fsum, x) == _outcome(math.fsum, x.tolist())
+
+
+@pytest.mark.parametrize("block", [1, 2, 7])
+@settings(max_examples=30, deadline=None)
+@given(x=_float_arrays())
+@example(x=np.array([1e308, 1e308, -1e308]))
+@example(x=np.array([1.0] * 6 + [math.nan]))
+def test_fsum_equals_math_fsum_across_blocks(block, x):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_BLOCK", block)
+        got = _outcome(_kernels.fsum, x)
+    assert got == _outcome(math.fsum, x.tolist())
 
 
 @pytest.mark.parametrize("x", [

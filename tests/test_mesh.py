@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from varifold_lab import _grid, blowup, curvature, generators, mesh
+from varifold_lab import _grid, _kernels, blowup, curvature, generators, mesh
 from varifold_lab._kernels import _sq
 from varifold_lab.cli import main
 from varifold_lab.mesh import DiscreteVarifold, MeshError
@@ -813,6 +813,40 @@ def test_zero_area_face_at_a_tiny_scale_is_degenerate():
     # which underflows to 0, and point_surface_distance then divided by zero
     with pytest.raises(MeshError, match="face 0 is degenerate"):
         DiscreteVarifold([[0, 0, 0], [0, 0, 0], [0, 0, 2.03584332e-156]], [[0, 1, 2]])
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, None])
+def test_a_degenerate_face_after_the_first_block_is_named_by_its_index(block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(_kernels, "_BLOCK", block)
+    v = generators.gen_sphere(1.0, 4).varifold
+    bad = 4100
+    assert bad > _kernels._BLOCK
+    a, b, _ = v.faces[bad]
+    faces = v.faces.copy()
+    faces[bad, 2] = len(v.vertices)  # a new corner on the edge (a, b): zero area
+    vertices = np.vstack([v.vertices, 0.5 * (v.vertices[a] + v.vertices[b])])
+    with pytest.raises(MeshError, match=f"^face {bad} is degenerate"):
+        DiscreteVarifold(vertices, faces)
+
+
+def _face_passes(v: DiscreteVarifold) -> list[bytes]:
+    """The outputs of every blocked per-face pass on a new instance of ``v``, as bytes."""
+    w = DiscreteVarifold(v.vertices, v.faces, v.multiplicity)
+    grid = _grid.FaceGrid.build(w)
+    field = curvature.mean_curvature(w)
+    arrays = (*mesh.face_normals(w), *(getattr(grid, k.name) for k in dataclasses.fields(grid)),
+              field.H, field.vertex_area, field.willmore, curvature._corner_angles(w))
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("block", [1, 2, 7])
+def test_face_passes_keep_their_bits_across_blocks(block, monkeypatch):
+    surfaces = [generators.gen_sphere(1.0, 2).varifold, generators.gen_cap(1.0, 1.2, 2).varifold,
+                generators.gen_torus(2.0, 0.7, 2).varifold, generators.gen_triple_bubble(1).varifold]
+    want = [_face_passes(v) for v in surfaces]  # one default block holds each of these meshes
+    monkeypatch.setattr(_kernels, "_BLOCK", block)
+    assert [_face_passes(v) for v in surfaces] == want
 
 
 def test_a_failing_hypothesis_test_does_not_end_the_session(tmp_path):
