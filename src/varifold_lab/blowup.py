@@ -80,8 +80,8 @@ def local_edge_scale(v: DiscreteVarifold, x0) -> float:
     d2 = _kernels._sq(v.face_grid.centroids, x0)
     k = min(32, len(d2))
     idx = np.argpartition(d2, k - 1)[:k] if k < len(d2) else np.arange(len(d2))
-    p = np.take(v.vertices, np.take(v.faces, idx, axis=0), axis=0)
-    e = np.concatenate([p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]])
+    p = np.take(v.vertices, np.take(v.faces, idx, axis=0).T, axis=0)
+    e = np.concatenate([p[1] - p[0], p[2] - p[1], p[0] - p[2]])
     return float(_kernels._norm(e).mean())
 
 
@@ -333,7 +333,7 @@ def spherical_link(v: DiscreteVarifold, x0, r: float) -> SphericalLink:
         raise ValueError("link radius must be positive")
     fi = v.face_grid.query(x0, r, inner=r)
     faces = np.take(v.faces, fi, axis=0)
-    va, vb, vc = (np.take(v.vertices, faces[:, k], axis=0) - x0 for k in range(3))
+    va, vb, vc = np.take(v.vertices, faces.T, axis=0) - x0
     # the max of |x - x0| over a triangle sits at a vertex, so this test is exact
     dmax_v = np.maximum(np.maximum(_kernels._norm(va), _kernels._norm(vb)), _kernels._norm(vc))
     keep = dmax_v > r * (1 - 1e-12)

@@ -86,15 +86,18 @@ def _vertex_sum(idx: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
 
 
 def _area_gradients(v: DiscreteVarifold, nhat: np.ndarray) -> np.ndarray:
-    """Gradient of total mass with respect to each vertex position, (V, 3)."""
-    g = np.empty((v.num_faces, 3, 3))
-    for b in _kernels._blocks(v.num_faces):
-        p0, p1, p2 = (np.take(v.vertices, v.faces[b, k], axis=0) for k in range(3))
-        n, gb = nhat[b], g[b]
-        gb[:, 0], gb[:, 1], gb[:, 2] = _cross(n, p2 - p1), _cross(n, p0 - p2), _cross(n, p1 - p0)
-        gb *= 0.5
-        gb *= v.multiplicity[b, None, None].astype(np.float64)
-    return _vertex_sum(v.faces, g, v.num_vertices)
+    """Gradient of total mass with respect to each vertex position, (V, 3). One corner's
+    (3, F) terms at a time, built block by block and summed as ``_vertex_sum`` sums the
+    (F, 3, 3) terms of all corners: corners outer, coordinates inner, rows in order."""
+    out, terms = np.zeros((v.num_vertices, 3)), np.empty((3, v.num_faces))
+    for j in range(3):
+        for b in _kernels._blocks(v.num_faces):
+            p = np.take(v.vertices, v.faces[b].T, axis=0)  # (3, B, 3): corners a, b, c
+            t = _cross(nhat[b], p[(j + 2) % 3] - p[(j + 1) % 3]) * 0.5
+            terms[:, b] = (t * v.multiplicity[b, None]).T
+        for c in range(3):
+            out[:, c] += np.bincount(v.faces[:, j], weights=terms[c], minlength=v.num_vertices)
+    return out
 
 
 def _vertex_areas(v: DiscreteVarifold, areas: np.ndarray) -> np.ndarray:
@@ -148,12 +151,9 @@ def _corner_angles(v: DiscreteVarifold) -> np.ndarray:
     """Interior angles (F, 3) at each face corner."""
     out = np.empty((v.num_faces, 3))
     for blk in _kernels._blocks(v.num_faces):
-        p = np.take(v.vertices, v.faces[blk], axis=0)  # (B, 3, 3)
+        p = np.take(v.vertices, v.faces[blk].T, axis=0)  # (3, B, 3): corners a, b, c
         for k in range(3):
-            a = p[:, k]
-            b = p[:, (k + 1) % 3]
-            c = p[:, (k + 2) % 3]
-            u, w = b - a, c - a
+            u, w = p[(k + 1) % 3] - p[k], p[(k + 2) % 3] - p[k]
             cr = _norm(_cross(u, w))
             dt = _inner(u, w)
             out[blk, k] = np.arctan2(cr, dt)
@@ -358,7 +358,7 @@ def enclosed_volume(v: DiscreteVarifold) -> float:
     _require_consistent_orientation(v)
     _require(v, closed=True)
     nhat, areas = v.face_geometry
-    cen = np.take(v.vertices, v.faces, axis=0).mean(axis=1)
+    cen = np.take(v.vertices, v.faces.T, axis=0).mean(axis=0)
     vals = (areas * v.multiplicity) * _inner(cen, nhat)
     return _kernels.fsum(vals) / 3.0
 
@@ -389,7 +389,7 @@ def point_surface_distance(v: DiscreteVarifold, x0: np.ndarray) -> float:
 
 def _distance_to_faces(vertices: np.ndarray, faces: np.ndarray, p: np.ndarray) -> float:
     """Exact distance from p to the nearest of the given triangles (inf for none)."""
-    a, b, c = (np.take(vertices, faces[:, k], axis=0) for k in range(3))
+    a, b, c = np.take(vertices, faces.T, axis=0)
     # Ericson-style closest point on triangle, vectorized over faces
     ab, ac, ap = b - a, c - a, p - a
     d1, d2 = _inner(ab, ap), _inner(ac, ap)
