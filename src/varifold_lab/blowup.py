@@ -14,7 +14,7 @@ import numpy as np
 
 from . import _kernels
 from .curvature import point_surface_distance, willmore_energy
-from .mesh import DiscreteVarifold, MeshError, _require
+from .mesh import DiscreteVarifold, MeshError, _edge_keys, _require
 from .reports import Record
 
 log = logging.getLogger(__name__)
@@ -224,18 +224,21 @@ class LiYauReport(Record):
 def li_yau_check(v: DiscreteVarifold, sample_points, eps: float = 0.05, r_max=None) -> LiYauReport:
     """Li–Yau bound: max over samples of Θ(x) must not exceed W/(4π) + eps.
 
-    Requires a closed varifold (no boundary edges). The gap reported is
+    Requires a closed varifold (no boundary edges) and at least one sample,
+    since a maximum over none is no evidence. The gap reported is
     theta_max - W/(4π); sampling the maximizing points of the density makes
     the gap |·| ≈ 0 exactly when the bound is saturated. ``r_max``, if given,
     holds one ladder cap per sample (None for the default), passed to ``density``.
     """
     points = [_kernels._point(p, f"li_yau_check: sample_points[{i}]") for i, p in enumerate(sample_points)]
+    if not points:
+        raise ValueError("li_yau_check: sample_points is empty")
     _require(v, closed=True)
     caps = [None] * len(points) if r_max is None else r_max
     thetas = np.array([density(v, p, r_max=r).theta for p, r in zip(points, caps, strict=True)])
     w = willmore_energy(v)
     bound = w / (4.0 * math.pi)
-    theta_max = float(thetas.max()) if len(thetas) else 0.0
+    theta_max = float(thetas.max())
     gap = theta_max - bound
     return LiYauReport(
         thetas=thetas,
@@ -396,7 +399,7 @@ def _end_keys(v: DiscreteVarifold, x0, r, corners, ends, tips) -> np.ndarray:
     k = ends // 2
     a = np.take_along_axis(corners, k, axis=1)
     b = np.take_along_axis(corners, (k + 1) % 3, axis=1)
-    key = (np.minimum(a, b) * nv + np.maximum(a, b)) * 2 + (ends % 2 ^ (a > b))
+    key = np.take_along_axis(_edge_keys(corners, nv), k, axis=1) * 2 + (ends % 2 ^ (a > b))
     for c in (b, a):
         d = ((np.take(v.vertices, c, axis=0) - x0) / r - tips).reshape(-1, 3)
         key = np.where(np.sqrt(_kernels._dot(d, d)).reshape(c.shape) <= 1e-5, c * (nv + 1) * 2, key)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import _cross, _dot, _inner, _norm, _point, _sq
-from .mesh import DiscreteVarifold, MeshError, _boundary_conormals, _min_labels, _require
+from .mesh import DiscreteVarifold, MeshError, _boundary_conormals, _incidences, _min_labels, _require
 from .reports import Record
 
 
@@ -87,7 +87,7 @@ def _vertex_sum(idx: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
 
 def _area_gradients(v: DiscreteVarifold, nhat: np.ndarray) -> np.ndarray:
     """Gradient of total mass with respect to each vertex position, (V, 3). One corner's
-    (3, F) terms at a time, built block by block and summed as ``_vertex_sum`` sums the
+    (3, F) terms at a time, built block by block and summed by ``_vertex_sum`` as it sums the
     (F, 3, 3) terms of all corners: corners outer, coordinates inner, rows in order."""
     out, terms = np.zeros((v.num_vertices, 3)), np.empty((3, v.num_faces))
     for j in range(3):
@@ -95,8 +95,7 @@ def _area_gradients(v: DiscreteVarifold, nhat: np.ndarray) -> np.ndarray:
             p = np.take(v.vertices, v.faces[b].T, axis=0)  # (3, B, 3): corners a, b, c
             t = _cross(nhat[b], p[(j + 2) % 3] - p[(j + 1) % 3]) * 0.5
             terms[:, b] = (t * v.multiplicity[b, None]).T
-        for c in range(3):
-            out[:, c] += np.bincount(v.faces[:, j], weights=terms[c], minlength=v.num_vertices)
+        out += _vertex_sum(v.faces[:, j:j + 1], terms.T[:, None, :], v.num_vertices)
     return out
 
 
@@ -209,12 +208,10 @@ def _cover_labels(v: DiscreteVarifold) -> np.ndarray:
     of its two faces that wind alike across it; each node's label is the least
     node of its component (``_min_labels``). No junction or boundary edge
     joins faces, so min(label[2f], label[2f + 1]) labels sheets."""
-    topo = v.topology
-    o = topo.offsets[topo.interior_edges]
-    f0, f1 = topo.inc_faces[o], topo.inc_faces[o + 1]
-    alike = topo.inc_signs[o] != topo.inc_signs[o + 1]
-    a = np.concatenate([2 * f0, 2 * f0 + 1])
-    b = np.concatenate([2 * f1 + ~alike, 2 * f1 + alike])
+    f, s = _incidences(v.topology, v.topology.interior_edges, 2)
+    alike = s[:, 0] != s[:, 1]
+    a = np.concatenate([2 * f[:, 0], 2 * f[:, 0] + 1])
+    b = np.concatenate([2 * f[:, 1] + ~alike, 2 * f[:, 1] + alike])
     return _min_labels(2 * v.num_faces, a, b)
 
 
@@ -277,18 +274,14 @@ def second_fundamental_norm(v: DiscreteVarifold) -> CurvatureField:
     K[ok] = defect[ok] / area_geom[ok]
 
     ie = topo.interior_edges
-    o = topo.offsets[ie]
-    f0 = topo.inc_faces[o]
-    f1 = topo.inc_faces[o + 1]
-    s0 = topo.inc_signs[o].astype(np.float64)
-    lo = topo.edges[ie, 0]
-    hi = topo.edges[ie, 1]
+    f, s = _incidences(topo, ie, 2)
+    lo, hi = topo.edges[ie].T
     evec = np.take(v.vertices, hi, axis=0) - np.take(v.vertices, lo, axis=0)
     elen = _norm(evec)
     ebar = evec / elen[:, None]
     # signed dihedral: angle from n0 to n1 around the edge as f0 traverses it
-    ef0 = ebar * s0[:, None]
-    n0, n1 = np.take(nhat, f0, axis=0), np.take(nhat, f1, axis=0)
+    ef0 = ebar * s[:, :1]
+    n0, n1 = np.take(nhat, f[:, 0], axis=0), np.take(nhat, f[:, 1], axis=0)
     beta = np.arctan2(_inner(_cross(n0, n1), ef0), _inner(n0, n1))
     w = beta * elen / 2.0
     t = w[:, None, None] * (ebar[:, :, None] * ebar[:, None, :])
@@ -314,12 +307,10 @@ def _require_consistent_orientation(v: DiscreteVarifold) -> None:
         raise MeshError("operation requires an oriented mesh (oriented=True)")
     _require(v, manifold=True)
     topo = v.topology
-    ie = topo.interior_edges
-    s0 = topo.inc_signs[topo.offsets[ie]]
-    s1 = topo.inc_signs[topo.offsets[ie] + 1]
-    bad = np.nonzero(s0 == s1)[0]
+    s = _incidences(topo, topo.interior_edges, 2)[1]
+    bad = topo.interior_edges[s[:, 0] == s[:, 1]]
     if len(bad):
-        e = topo.edges[ie[bad[0]]]
+        e = topo.edges[bad[0]]
         raise MeshError(f"face windings disagree across edge ({e[0]}, {e[1]})")
 
 

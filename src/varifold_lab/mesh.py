@@ -20,11 +20,15 @@ call, ``np.take(v.vertices, faces.T, axis=0)``: a (3, B, 3) copy whose
 corner k is a C-ordered (B, 3) array with the bits of ``v.vertices[faces[:, k]]``.
 Bounding boxes reduce one coordinate column at a time: the exact minima and
 maxima of an ``axis=0`` reduction, which is slow on a C-order (V, 3) array.
-``edge_topology`` is one sort, not a block pass: it writes the half-edge keys
-from the face columns and peaks at about 1.15 times the bytes it returns.
+``edge_topology`` is one sort, not a block pass, and peaks at about 1.15 times
+the bytes it returns. The edge structure has one owner: ``_edge_keys`` forms
+every edge key min·V + max, ``_incidences`` is the one reader of the CSR
+incidence arrays outside ``edge_topology``, and ``_conormals`` gives each
+incidence's face, edge vector and conormal.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -32,7 +36,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import _kernels
-from ._kernels import _cross, _norm
+from ._kernels import _cross, _inner, _norm
 from ._values import _DIRECTION, _NUMBER, _POINT, MeshError, _check_rows, _frozen, _is_number, _numeric, _quote
 from .reports import load_json, save_json
 
@@ -205,19 +209,35 @@ def face_normals(v: DiscreteVarifold) -> tuple[np.ndarray, np.ndarray]:
     return normals, areas
 
 
+def _edge_keys(faces: np.ndarray, n: int) -> np.ndarray:
+    """Key (F, 3) min·n + max of the edge from ``faces[:, k]`` to ``faces[:, (k + 1) % 3]``."""
+    key = np.empty(faces.shape, dtype=np.int64)
+    for k in range(3):
+        a, b = faces[:, k], faces[:, (k + 1) % 3]
+        key[:, k] = np.minimum(a, b) * n + np.maximum(a, b)
+    return key
+
+
+def _incidences(topo: EdgeTopology, e: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The faces and signs (len(e), k) of the first ``k`` incidences of each edge in ``e``."""
+    i = topo.offsets[e][:, None] + np.arange(k)
+    return topo.inc_faces[i], topo.inc_signs[i]
+
+
+def _conormals(v: DiscreteVarifold, nhat: np.ndarray, e: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
+    """Per incidence of the first ``k`` of each edge in ``e``, given the unit face normals
+    ``nhat``: the face (len(e), k), the edge vector x_hi - x_lo as that face traverses it and
+    ``nu = evec x n_f`` (len(e), k, 3); ``nu`` has length |e| and points out of the face, in its plane."""
+    f, s = _incidences(v.topology, e, k)
+    lo, hi = v.topology.edges[e].T
+    evec = (np.take(v.vertices, hi, axis=0) - np.take(v.vertices, lo, axis=0))[:, None] * s[..., None]
+    return f, evec, _cross(evec.reshape(-1, 3), np.take(nhat, f.ravel(), axis=0)).reshape(evec.shape)
+
+
 def _boundary_conormals(v: DiscreteVarifold, nhat: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Boundary ``(edges, faces, evec, nu)`` given the unit face normals ``nhat``:
-    ``evec`` is x_hi - x_lo as the edge's face traverses it; ``nu = evec x n_f``
-    has length |e| and points out of the face, in its plane."""
-    topo = v.topology
-    be = topo.boundary_edges
-    edges = topo.edges[be]
-    f = topo.inc_faces[topo.offsets[be]]
-    s = topo.inc_signs[topo.offsets[be]].astype(np.float64)
-    evec = np.take(v.vertices, edges[:, 1], axis=0) - np.take(v.vertices, edges[:, 0], axis=0)
-    evec *= s[:, None]
-    nu = _cross(evec, np.take(nhat, f, axis=0))
-    return edges, f, evec, nu
+    """Boundary ``(edges, faces, evec, nu)``: ``_conormals`` of the boundary edges' one face."""
+    be = v.topology.boundary_edges
+    return (v.topology.edges[be], *(a[:, 0] for a in _conormals(v, nhat, be, 1)))
 
 
 @dataclass(frozen=True)
@@ -283,10 +303,7 @@ def edge_topology(v: DiscreteVarifold) -> EdgeTopology:
     and their incidences in face order. Peak: about 1.15 times the bytes returned.
     """
     f, n = v.faces, v.num_vertices
-    key = np.empty(f.shape, dtype=np.int64)
-    for k in range(3):
-        a, b = f[:, k], f[:, (k + 1) % 3]
-        key[:, k] = np.minimum(a, b) * n + np.maximum(a, b)
+    key = _edge_keys(f, n)
     order = np.argsort(key, axis=None, kind="stable")
     key = np.take(key, order)
     offsets = np.append(np.flatnonzero(np.diff(key, prepend=-1)), len(key))  # keys are >= 0
@@ -322,13 +339,12 @@ def _split(faces: np.ndarray, num_vertices: int) -> tuple[np.ndarray, np.ndarray
     """The 4-to-1 midpoint split of ``faces``, as (ends (E, 2), children (4F, 3)).
 
     The half-edges (a, b), (b, c), (c, a) of each face are keyed
-    min·V + max, and the midpoints are numbered from V in the order their
-    edge is first met: midpoint V + i lies on ``ends[i]``, that half-edge.
+    min·V + max (``_edge_keys``), and the midpoints are numbered from V in the order
+    their edge is first met: midpoint V + i lies on ``ends[i]``, its key's (lo, hi).
     Face f's children [a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]
     are rows 4f..4f+3, each wound like f.
     """
-    he = faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-    key = np.minimum(he[:, 0], he[:, 1]) * num_vertices + np.maximum(he[:, 0], he[:, 1])
+    key = _edge_keys(faces, num_vertices).ravel()
     _, first, inv = np.unique(key, return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
@@ -336,7 +352,7 @@ def _split(faces: np.ndarray, num_vertices: int) -> tuple[np.ndarray, np.ndarray
     ab, bc, ca = (num_vertices + rank[inv]).reshape(-1, 3).T
     a, b, c = faces.T
     children = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1).reshape(-1, 3)
-    return he[first[order]], children
+    return np.stack(np.divmod(key[first[order]], num_vertices), axis=1), children
 
 
 def refine(v: DiscreteVarifold) -> DiscreteVarifold:
@@ -359,25 +375,15 @@ def refine(v: DiscreteVarifold) -> DiscreteVarifold:
 
 
 def junction_sheet_angles(v: DiscreteVarifold) -> np.ndarray:
-    """Pairwise angles (degrees) between the sheets at each 3-sheet junction edge.
-
-    Returns an array (J, 3): for every junction edge with exactly three
-    incident faces, the sorted angles between the in-plane directions that
-    point from the edge into each face. Junction edges with more than three
-    sheets are skipped.
-    """
+    """Sorted pairwise angles (degrees) between the sheets at each 3-sheet junction edge, (J, 3):
+    atan2(|νᵢ × νⱼ|, νᵢ·νⱼ) of the edge's three conormals (``_conormals``), which point out of
+    each face in its plane. Junction edges with more than three sheets are skipped."""
     topo = v.topology
     je = topo.junction_edges[topo.counts[topo.junction_edges] == 3]
-    fs = topo.inc_faces[topo.offsets[je][:, None] + np.arange(3)]  # (J, 3)
-    lo, hi = topo.edges[je, 0], topo.edges[je, 1]
-    p, q = v.vertices[lo], v.vertices[hi]
-    ehat = (q - p) / np.linalg.norm(q - p, axis=1)[:, None]
-    opp = v.faces[fs].sum(axis=2) - (lo + hi)[:, None]  # each face's corner off the edge
-    w = v.vertices[opp] - 0.5 * (p + q)[:, None]
-    w -= np.einsum("jfk,jk->jf", w, ehat)[..., None] * ehat[:, None]
-    w /= np.linalg.norm(w, axis=2)[..., None]
-    dots = np.einsum("jfk,jgk->jfg", w, w)[:, [0, 0, 1], [1, 2, 2]]
-    return np.sort(np.degrees(np.arccos(np.clip(dots, -1.0, 1.0))), axis=1)
+    nu = _conormals(v, v.face_geometry[0], je, 3)[2]
+    a, b = nu[:, [0, 0, 1]].reshape(-1, 3), nu[:, [1, 2, 2]].reshape(-1, 3)
+    ang = list(map(math.atan2, _norm(_cross(a, b)).tolist(), _inner(a, b).tolist()))
+    return np.sort(np.degrees(np.array(ang, dtype=np.float64)).reshape(-1, 3), axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -216,6 +216,13 @@ def test_li_yau_rejects_a_sample_point_that_is_not_3_numbers(sphere3, points, wh
         blowup.li_yau_check(sphere3.varifold, points)
 
 
+@pytest.mark.parametrize("points", [[], np.empty((0, 3))], ids=["list", "array"])
+def test_li_yau_rejects_no_sample_points(sphere3, points):
+    # a maximum over no samples is no evidence for the bound
+    with pytest.raises(ValueError, match="^li_yau_check: sample_points is empty$"):
+        blowup.li_yau_check(sphere3.varifold, points)
+
+
 @pytest.mark.parametrize("radii, shape", [(0.1, "()"), ([[0.1, 0.2]], "(1, 2)"), ([[0.1], [0.2]], "(2, 1)")],
                          ids=["scalar", "row", "column"])
 def test_ball_mass_ladder_rejects_radii_that_are_not_1d(sphere3, radii, shape):

@@ -292,9 +292,9 @@ def test_rows_of_3_vectors_are_reduced_by_the_kernels_helpers():
     """Squared norms, norms and dots of rows of 3-vectors are ``_kernels._sq``, ``_norm`` and
     ``_inner``, whose summation order is fixed. The ``np.einsum`` and ``np.linalg.norm`` calls
     left are these, by module and top-level function: the 3×3 products of
-    ``second_fundamental_norm``; ``junction_sheet_angles``, which a planned rewrite replaces;
-    the 2-D disk tests of ``gen_singular_pair``; and ``mesh_scale``'s norm of one 3-vector,
-    the square root of a BLAS dot product like ``_kernels._dot``'s."""
+    ``second_fundamental_norm``; the 2-D disk tests of ``gen_singular_pair``; and
+    ``mesh_scale``'s norm of one 3-vector, the square root of a BLAS dot product like
+    ``_kernels._dot``'s."""
     src = Path(varifold_lab.__file__).parent
     calls = []
     for path in sorted(src.glob("*.py")):
@@ -309,12 +309,29 @@ def test_rows_of_3_vectors_are_reduced_by_the_kernels_helpers():
         ("generators", "gen_singular_pair", "np.linalg.norm"),
         ("generators", "gen_singular_pair", "np.linalg.norm"),
         ("generators", "gen_singular_pair", "np.linalg.norm"),
-        ("mesh", "junction_sheet_angles", "np.einsum"),
-        ("mesh", "junction_sheet_angles", "np.einsum"),
-        ("mesh", "junction_sheet_angles", "np.linalg.norm"),
-        ("mesh", "junction_sheet_angles", "np.linalg.norm"),
         ("mesh", "mesh_scale", "np.linalg.norm"),
     ]
+
+
+def test_the_mesh_module_is_the_one_owner_of_edge_structure():
+    """Edge keys min·V + max are formed by ``mesh._edge_keys`` and the CSR incidence
+    arrays ``offsets``, ``inc_faces`` and ``inc_signs`` are read by ``mesh._incidences``
+    (``edge_topology`` builds them); every other function calls these helpers."""
+    src = Path(varifold_lab.__file__).parent
+    keys, reads = [], []
+    for path in sorted(src.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            where = (path.stem, getattr(top, "name", None))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and node.attr in ("offsets", "inc_faces", "inc_signs"):
+                    reads.append(where)
+                elif (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+                      and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.Mult)
+                      and ast.unparse(node.left.left).startswith("np.minimum(")
+                      and ast.unparse(node.right).startswith("np.maximum(")):
+                    keys.append(where)
+    assert keys == [("mesh", "_edge_keys")]
+    assert sorted(set(reads)) == [("mesh", "_incidences")]
 
 
 def test_nets_and_circles_check_their_input_without_numpy():
