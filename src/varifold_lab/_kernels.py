@@ -46,8 +46,9 @@ These rules keep the bits:
 
 Every other reduction over rows of 3-vectors in the package goes through
 three helpers that read the coordinate columns and never form an (N, 3)
-temporary; with a ``center`` (3 numbers, see ``_point``) they subtract it
-column by column, with the bits of the explicit difference:
+temporary; with a ``center`` (3 finite numbers: ``_point``, a float64 array
+of ``_values._point``) they subtract it column by column, with the bits of
+the explicit difference:
 
 - ``_sq(w, center)`` sums (x·x + z·z) + y·y;
 - ``_norm(w, center)`` is sqrt((x·x + y·y) + z·z);
@@ -71,7 +72,7 @@ import math
 
 import numpy as np
 
-from ._values import _numeric
+from . import _values
 
 #: Name of the clipping kernel, recorded in benchmark provenance.
 BACKEND = "fallback"
@@ -350,19 +351,9 @@ def _round(t: int, e0: int) -> float | None:
         return None
 
 
-def _numbers(x, where: str) -> np.ndarray:
-    """``x`` as a float64 array of any shape, or ValueError naming ``where`` unless it holds
-    numbers by ``_values``' rule: no booleans, strings or objects."""
-    return np.asarray(_numeric(x, "iuf", where, ValueError), dtype=np.float64)
-
-
 def _point(x, where: str) -> np.ndarray:
-    """``_numbers(x, where)`` of shape (3,), else ValueError naming ``where``: a center as
-    the row helpers read it, 3 numbers."""
-    a = _numbers(x, where)
-    if a.shape != (3,):
-        raise ValueError(f"{where} must be 3 numbers, got shape {a.shape}")
-    return a
+    """``_values._point(x, where)`` as a float64 array: a center as the row helpers read it."""
+    return np.array(_values._point(x, where))
 
 
 def _sum_of_squares(w: np.ndarray, center, order: tuple[int, int, int]) -> np.ndarray:

@@ -5,6 +5,9 @@ The mesh, net and boundary readers and the CLI share these, each passing its own
 ``_is_int`` is a Python or NumPy integer within int64, and ``_is_number`` such an integer or a
 Python or NumPy float, never a bool or a ``Fraction``. ``_dot`` sums (a₀b₀ + a₁b₁) + a₂b₂, and
 ``_unit`` divides by its square root. NumPy is imported only inside the two array helpers.
+Each point, length and tolerance argument of the API has one reader, which returns floats or
+raises a ValueError naming the parameter: ``_point`` (3 finite numbers), ``_length`` (a
+positive finite number) and ``_nonnegative`` (a non-negative finite number).
 """
 from __future__ import annotations
 
@@ -76,6 +79,33 @@ def _quote(value, limit: int = 60) -> str:
     """``repr(value)`` for an error message, cut to ``limit`` characters."""
     text = repr(value)
     return text if len(text) <= limit else text[:limit - 3] + "..."
+
+
+def _point(x, where: str) -> tuple[float, float, float]:
+    """``x``, 3 numbers in a list, a tuple or an array (read through ``tolist()``), as 3 finite floats."""
+    x = x.tolist() if hasattr(x, "tolist") else x
+    if not (isinstance(x, (list, tuple)) and len(x) == 3 and all(map(_is_number, x))):
+        raise ValueError(f"{where} must be 3 numbers, not {_quote(x)}")
+    v = (float(x[0]), float(x[1]), float(x[2]))
+    if not all(map(math.isfinite, v)):
+        raise ValueError(f"{where} must be finite, not {list(v)}")
+    return v
+
+
+def _length(x, where: str) -> float:
+    """``x``, a positive finite number (a radius, a scale or a length), as a float."""
+    if not _is_number(x):
+        raise ValueError(f"{where} must be a number, not {_quote(x)}")
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"{where} must be positive and finite, not {float(x)}")
+    return float(x)
+
+
+def _nonnegative(x, where: str, error: type[ValueError] = ValueError) -> float:
+    """``x``, a non-negative finite number (a tolerance, an estimate of P, an amplitude), as a float."""
+    if not (_is_number(x) and 0.0 <= x < math.inf):
+        raise error(f"{where} must be finite and >= 0, not {_quote(x)}")
+    return float(x)
 
 
 def _dot(a, b) -> float:

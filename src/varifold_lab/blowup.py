@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, _values
 from .curvature import point_surface_distance, willmore_energy
 from .mesh import DiscreteVarifold, MeshError, _edge_keys, _require
 from .reports import Record
@@ -33,16 +33,13 @@ def ball_mass_ladder(v: DiscreteVarifold, x0, radii) -> np.ndarray:
 
     ``x0`` must be 3 numbers and ``radii`` a 1-D array of them, finite and positive.
     """
-    x0 = _kernels._numbers(x0, "ball_mass_ladder: x0")
-    radii = _kernels._numbers(radii, "ball_mass_ladder: radii")
-    # the finite check comes first, so its message names non-finite values whatever their shapes
-    if not (np.isfinite(x0).all() and np.isfinite(radii).all()):
-        raise ValueError(f"ball center and radii must be finite, got {x0.tolist()} and {radii.tolist()}")
+    radii = np.asarray(_values._numeric(radii, "iuf", "ball_mass_ladder: radii", ValueError), dtype=np.float64)
+    # the value check comes first, so its message names non-finite radii whatever their shape
+    if not ((radii > 0.0) & (radii < np.inf)).all():
+        raise ValueError(f"ball_mass_ladder: radii must be finite and positive, not {radii.tolist()}")
     x0 = _kernels._point(x0, "ball_mass_ladder: x0")
     if radii.ndim != 1:
         raise ValueError(f"ball_mass_ladder: radii must be 1-D, got shape {radii.shape}")
-    if (radii <= 0).any():
-        raise ValueError(f"ball radii must be positive, got {radii.tolist()}")
     _require_faces(v)
     return _ball_masses(v, x0, radii)
 
@@ -75,8 +72,6 @@ def local_edge_scale(v: DiscreteVarifold, x0) -> float:
     """
     _require_faces(v)
     x0 = _kernels._point(x0, "local_edge_scale: x0")
-    if not np.isfinite(x0).all():
-        raise ValueError(f"edge-scale center must be finite, got {x0.tolist()}")
     d2 = _kernels._sq(v.face_grid.centroids, x0)
     k = min(32, len(d2))
     idx = np.argpartition(d2, k - 1)[:k] if k < len(d2) else np.arange(len(d2))
@@ -114,13 +109,13 @@ def density(v: DiscreteVarifold, x0, r_max: float | None = None) -> DensityRepor
     (conical junction points); the better-fitting model supplies theta. The
     error bar is the half-spread of the pairwise Richardson extrapolants of
     the winning model. x0 must lie on the support (within half a local edge
-    length).
+    length); ``r_max``, if given, is read by ``_values._length``.
     """
     x0 = _kernels._point(x0, "density: x0")
-    finite = bool(np.isfinite(x0).all())  # a point at infinity is on no support
-    h = local_edge_scale(v, x0) if finite else math.nan
+    r_max = r_max if r_max is None else _values._length(r_max, "density: r_max")
+    h = local_edge_scale(v, x0)
     warnings: list[str] = []
-    if not (finite and point_surface_distance(v, x0) <= 0.5 * h):
+    if not point_surface_distance(v, x0) <= 0.5 * h:
         raise MeshError(f"point {x0.tolist()} is not on the support of the varifold")
     if r_max is None:
         r_max = 10.0 * h
@@ -194,10 +189,13 @@ def monotonicity_check(
 
     The curvature integral sums the Willmore integrand ``v.curvature.willmore``
     over the vertices inside B_s. The check passes when slack = RHS - LHS ≥
-    -eps (discretization allowance).
+    -eps (discretization allowance). r and s are read by ``_values._length``,
+    eps by ``_values._nonnegative``.
     """
-    if not 0 < r < s:
+    r, s = _values._length(r, "monotonicity_check: r"), _values._length(s, "monotonicity_check: s")
+    if not r < s:
         raise ValueError(f"need 0 < r < s, got r={r}, s={s}")
+    eps = _values._nonnegative(eps, "monotonicity_check: eps")
     x0 = _kernels._point(x0, "monotonicity_check: x0")
     m_r, m_s = ball_mass_ladder(v, x0, [r, s])
     lhs = m_r / (math.pi * r * r)
@@ -233,6 +231,7 @@ def li_yau_check(v: DiscreteVarifold, sample_points, eps: float = 0.05, r_max=No
     points = [_kernels._point(p, f"li_yau_check: sample_points[{i}]") for i, p in enumerate(sample_points)]
     if not points:
         raise ValueError("li_yau_check: sample_points is empty")
+    eps = _values._nonnegative(eps, "li_yau_check: eps")
     _require(v, closed=True)
     caps = [None] * len(points) if r_max is None else r_max
     thetas = np.array([density(v, p, r_max=r).theta for p, r in zip(points, caps, strict=True)])
@@ -330,10 +329,7 @@ def spherical_link(v: DiscreteVarifold, x0, r: float) -> SphericalLink:
     is already chained. A sphere that misses the support gives the empty link.
     """
     x0 = _kernels._point(x0, "spherical_link: x0")
-    if not (np.isfinite(x0).all() and math.isfinite(r)):
-        raise ValueError(f"link center and radius must be finite, got {x0.tolist()} and {r}")
-    if not r > 0:
-        raise ValueError("link radius must be positive")
+    r = _values._length(r, "spherical_link: r")
     fi = v.face_grid.query(x0, r, inner=r)
     faces = np.take(v.faces, fi, axis=0)
     va, vb, vc = np.take(v.vertices, faces.T, axis=0) - x0

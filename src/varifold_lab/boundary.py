@@ -6,9 +6,9 @@ found from the closed form's structure, and the admissibility report is built
 on it. Every value is a per-point scalar: 3-vector products are ``_values``'
 fixed-order ``_dot``, ``_cross`` and ``_unit``, and totals are ``math.fsum``s,
 so no command here loads NumPy and a value does not depend on what is
-evaluated with it. Input passes ``_values``' number rule and is never
-coerced. The discrete boundary of a mesh (``boundary_measure``) lives in
-``mesh``.
+evaluated with it. Input passes ``_values``' readers and is never coerced:
+``_point`` reads basepoints, circle centers and normals, ``_length`` radii.
+The discrete boundary of a mesh (``boundary_measure``) lives in ``mesh``.
 """
 
 from __future__ import annotations
@@ -16,22 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._values import (_INTEGER, _NUMBER, _POINT, MeshError, _check_rows, _cross, _dot, _is_int, _is_number,
-                      _quote, _unit)
+from ._values import (_INTEGER, _NUMBER, _POINT, MeshError, _check_rows, _cross, _dot, _is_int, _length,
+                      _nonnegative, _point, _quote, _unit)
 from .reports import Record, load_json, save_json
 
 _FOUR_PI = 4.0 * math.pi
-
-
-def _vector(x, where: str) -> tuple[float, float, float]:
-    """``x``, 3 numbers in a list, a tuple or an array (read through ``tolist()``), as 3 finite floats."""
-    x = x.tolist() if hasattr(x, "tolist") else x
-    if not (isinstance(x, (list, tuple)) and len(x) == 3 and all(map(_is_number, x))):
-        raise ValueError(f"{where} must be 3 numbers, not {_quote(x)}")
-    v = (float(x[0]), float(x[1]), float(x[2]))
-    if not all(map(math.isfinite, v)):
-        raise ValueError(f"{where} must be finite, not {list(v)}")
-    return v
 
 
 @dataclass(frozen=True)
@@ -56,17 +45,12 @@ class CircleSpec(Record):
     conormal_sign: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "center", _vector(self.center, "circle center"))
-        normal = _vector(self.normal, "circle normal")
+        object.__setattr__(self, "center", _point(self.center, "circle center"))
+        normal = _point(self.normal, "circle normal")
         if not abs(math.sqrt(_dot(normal, normal)) - 1.0) <= 4.0 * math.ulp(1.0):
             normal = _unit(normal)
         object.__setattr__(self, "normal", normal)
-        if not _is_number(self.radius):
-            raise ValueError(f"circle radius must be a number, not {_quote(self.radius)}")
-        radius = float(self.radius)
-        if not (radius > 0.0 and math.isfinite(radius)):
-            raise ValueError(f"circle radius must be positive and finite, not {radius}")
-        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "radius", _length(self.radius, "circle radius"))
         if not (_is_int(self.m) and self.m >= 1):
             raise ValueError(f"multiplicity m must be a positive integer, not {_quote(self.m)}")
         if not (_is_int(self.conormal_sign) and self.conormal_sign in (-1, 1)):
@@ -153,7 +137,7 @@ def _circle_grad(circle: CircleSpec, x) -> tuple[float, float, float]:
 
 def circle_conormal_integral(circle: CircleSpec, x0) -> float:
     """Closed-form conormal integral of one circle at basepoint x0 (see ``_circle_eval``)."""
-    val = _circle_eval(circle, _vector(x0, "basepoint"))
+    val = _circle_eval(circle, _point(x0, "basepoint"))
     if val == -math.inf:
         raise MeshError("integrand singular: x0 lies on the circle")
     return val
@@ -178,7 +162,7 @@ def circle_conormal_integral_quad(circle: CircleSpec, x0, n_samples: int = 256) 
     """Trapezoid-rule conormal integral (spectrally accurate: periodic smooth)."""
     if n_samples < 16:
         raise ValueError("n_samples must be >= 16")
-    x0 = _vector(x0, "basepoint")
+    x0 = _point(x0, "basepoint")
     nu = tuple(circle.conormal_sign * a for a in circle.normal)
     frame = _circle_frame(circle)
     vals = []
@@ -280,9 +264,10 @@ _ARMIJO = 1e-4
 def _ascend(datum: BoundaryDatum, x, scale: float) -> tuple[float, tuple[float, float, float]]:
     """A local maximum of the total from x: BFGS ascent with the analytic
     gradient and a backtracking line search, first step ``scale`` long.
-    Returns (total, point) at the last accepted point."""
+    Returns (total, point) at the last accepted point; a start on a circle,
+    where the total is -inf and has no gradient, is returned as it is."""
     fx = _total(datum, x)
-    g = _total_grad(datum, x)
+    g = _total_grad(datum, x) if fx > -math.inf else (0.0, 0.0, 0.0)
     inv = None  # the inverse Hessian estimate of -total, rows of 3
     for _ in range(_ASCENT_STEPS):
         if inv is None:
@@ -386,8 +371,7 @@ def admissibility_check(
 
     ``threshold`` must be 6*pi or 8*pi — the two regimes with a guarantee.
     """
-    if not 0.0 <= p_estimate < math.inf:
-        raise ValueError(f"p_estimate must be finite and >= 0, not {p_estimate}")
+    p_estimate = _nonnegative(p_estimate, "p_estimate")
     if not (abs(threshold - 6.0 * math.pi) < 1e-12 or abs(threshold - 8.0 * math.pi) < 1e-12):
         raise ValueError("threshold must be 6*pi or 8*pi")
     sup = sup_conormal_integral(datum)

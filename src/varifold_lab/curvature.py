@@ -364,8 +364,6 @@ def point_surface_distance(v: DiscreteVarifold, x0: np.ndarray) -> float:
     every face is searched.
     """
     p = _point(x0, "point_surface_distance: x0")
-    if not np.isfinite(p).all():
-        raise ValueError(f"distance center must be finite, got {p.tolist()}")
     from ._grid import _PITCH_SPREADS  # loaded by v.face_grid all the same
 
     grid = v.face_grid

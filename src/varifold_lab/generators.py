@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._kernels import _dot, _norm
+from ._values import _is_int, _length, _nonnegative, _quote
 from .mesh import DiscreteVarifold, _min_labels, _split
 
 log = logging.getLogger(__name__)
@@ -32,9 +33,10 @@ class GeneratorOutput:
 
 
 def _check_level(level: int) -> None:
-    """The one check of every generator's refinement ``level``."""
-    if level < 0:
-        raise ValueError("level must be >= 0")
+    """The one check of every generator's refinement ``level``: an integer >= 0, not a bool."""
+    if not (_is_int(level) and level >= 0):
+        what = ">= 0" if _is_int(level) else f"an integer, not {_quote(level)}"
+        raise ValueError(f"level must be {what}")
 
 
 def _unit_rows(a: np.ndarray) -> np.ndarray:
@@ -109,10 +111,9 @@ def _icosphere(radius: float, level: int) -> tuple[np.ndarray, np.ndarray]:
 
 def gen_sphere(R: float, level: int) -> GeneratorOutput:
     """Icosphere of radius R with 20*4^level faces, oriented outward."""
-    if R <= 0.0:
-        raise ValueError("R must be positive")
+    R = _length(R, "R")
     _check_level(level)
-    verts, faces = _icosphere(float(R), int(level))
+    verts, faces = _icosphere(R, level)
     v = DiscreteVarifold(verts, faces, oriented=True)
     analytic = {
         "area": 4.0 * math.pi * R * R,
@@ -179,8 +180,7 @@ def gen_cap(R: float, theta: float, level: int) -> GeneratorOutput:
     :func:`gen_sphere`.
     """
     _check_level(level)
-    if R <= 0.0:
-        raise ValueError("R must be positive")
+    R = _length(R, "R")
     if not 0.0 < theta < math.pi:
         raise ValueError(f"theta must lie in (0, pi), not {theta}; "
                          "for the closed sphere use gen_sphere ('generate sphere')")
@@ -226,8 +226,7 @@ def gen_double_bubble(theta2: float, rho: float, level: int) -> GeneratorOutput:
     circle has radius rho in the plane z=0 and carries density 3/2.
     """
     _check_level(level)
-    if rho <= 0.0:
-        raise ValueError("rho must be positive")
+    rho = _length(rho, "rho")
     t1, t2, t3 = _bubble_angles(theta2)
     if not (0.0 < theta2 < 2.0 * math.pi / 3.0):
         raise ValueError("theta2 must lie in (0, 2*pi/3)")
@@ -274,8 +273,7 @@ def gen_double_bubble_flat(rho: float, level: int) -> GeneratorOutput:
     :func:`gen_double_bubble`, where one cap radius diverges.  W is still 6pi.
     """
     _check_level(level)
-    if rho <= 0.0:
-        raise ValueError("rho must be positive")
+    rho = _length(rho, "rho")
     beta = 2.0 * math.pi / 3.0
     R = rho / math.sin(beta)
     M = 4 * 2**level
@@ -485,10 +483,8 @@ def gen_branched_patch(delta: float, rho0: float, level: int) -> GeneratorOutput
     property of the image, not of the parametrizing surface.
     """
     _check_level(level)
-    if delta < 0.0:
-        raise ValueError("delta must be >= 0")
-    if rho0 <= 0.0:
-        raise ValueError("rho0 must be positive")
+    delta = _nonnegative(delta, "delta")
+    rho0 = _length(rho0, "rho0")
     M = 8 * 2**level
     n = 4 * 2**level
     thetas = TAU * np.arange(M) / M
@@ -530,13 +526,14 @@ def gen_singular_pair(
     up into a pillow.
     """
     _check_level(level)
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
+    delta = _length(delta, "delta")
     centers = np.asarray(disk_centers, dtype=np.float64).reshape(-1, 2)
     radii = np.asarray(disk_radii, dtype=np.float64).reshape(-1)
     if len(centers) != len(radii):
         raise ValueError("disk_centers and disk_radii must have equal length")
-    if np.any(radii <= 0.0):
+    if not np.isfinite(centers).all():
+        raise ValueError("disk centers must be finite")
+    if not (radii > 0.0).all():  # NaN is not; an infinite radius fails the next check
         raise ValueError("disk radii must be positive")
     if np.any(np.linalg.norm(centers, axis=1) + radii > 1.0 + 1e-12):
         raise ValueError("every disk must be contained in the unit disk")
@@ -616,8 +613,7 @@ def gen_flat_disk(rho: float, level: int) -> GeneratorOutput:
     the area, unchanged.
     """
     _check_level(level)
-    if rho <= 0.0:
-        raise ValueError("rho must be positive")
+    rho = _length(rho, "rho")
     M = 8 * 2**level
     n = max(2, round(M / TAU))
     lam = math.sqrt((TAU / M) / math.sin(TAU / M))
@@ -642,7 +638,8 @@ def gen_flat_disk(rho: float, level: int) -> GeneratorOutput:
 def gen_torus(R: float, r: float, level: int) -> GeneratorOutput:
     """Torus of revolution (major R, minor r), oriented outward; chi = 0."""
     _check_level(level)
-    if not 0.0 < r < R:
+    R, r = _length(R, "R"), _length(r, "r")
+    if not r < R:
         raise ValueError("need 0 < r < R")
     nu = 8 * 2**level
     nv = max(6, round(nu * r / R))

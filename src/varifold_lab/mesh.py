@@ -203,9 +203,7 @@ def face_normals(v: DiscreteVarifold) -> tuple[np.ndarray, np.ndarray]:
         n, nn = _face_cross(v, b)
         areas[b] = 0.5 * nn
         with np.errstate(invalid="ignore", divide="ignore"):
-            n /= nn[:, None]
-        n[nn == 0.0] = 0.0
-        normals[b] = n
+            np.divide(n, nn[:, None], out=normals[b])
     return normals, areas
 
 

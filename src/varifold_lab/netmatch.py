@@ -1,7 +1,7 @@
 """The ten-net catalogue's closed-form lengths, and matching a link against them.
 
 Matching compares one length with nine numbers, so this module needs
-``math`` and the tolerance profiles only: ``net match`` never loads NumPy,
+``math``, the tolerance profiles and ``_values`` only: ``net match`` never loads NumPy,
 and ``analyze --link`` never runs the net code. ``nets.catalogue()`` builds its entries from ``CATALOGUE``,
 so the catalogue and the matching read the same floats.
 """
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 
+from ._values import _nonnegative
 from .reports import TOLERANCE_PROFILES
 
 
@@ -52,6 +53,7 @@ def match_link(link, tol: float = TOLERANCE_PROFILES["default"]["link_match_abs"
     ``tol`` (by default the default profile's 5% of 2*pi) is reported as
     composite/unknown (sums of catalogue lengths are not decomposed).
     """
+    tol = _nonnegative(tol, "tol", NetError)
     length = float(getattr(link, "total_length", link))
     if not math.isfinite(length):
         raise NetError(f"cannot match a link of length {length}")

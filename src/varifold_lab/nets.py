@@ -162,7 +162,7 @@ def _forces(x, rows, arcs) -> tuple[list[list[float]], list[_Vec]]:
     return g, f
 
 
-def _length(rows, arcs) -> float:
+def _net_length(rows, arcs) -> float:
     return math.fsum(m * arc[0] for (_, _, m), arc in zip(rows, arcs))
 
 
@@ -172,7 +172,7 @@ def _residual(f) -> float:
 
 def total_length(net: GeodesicNet) -> float:
     """Sum of multiplicity-weighted arc lengths."""
-    return _length(net.rows, _arc_geometry(net.points, net.rows, net.flags))
+    return _net_length(net.rows, _arc_geometry(net.points, net.rows, net.flags))
 
 
 def balance_residual(net: GeodesicNet) -> float:
@@ -224,14 +224,15 @@ def relax(net: GeodesicNet, max_iter: int = 1000, tol: float = 1e-10) -> RelaxRe
     after max_iter steps, or on a stall (``_STALL``), and the length and
     residual histories hold iterations + 1 entries; the last entries are
     ``total_length(res.net)`` and ``balance_residual(res.net)``, bit for
-    bit. Raises NetError for max_iter < 0 or tol <= 0 (a tolerance no
-    residual can meet), for an arc with antipodal endpoints, and for a start
-    with an arc, major or minor, whose endpoints are closer than 1e-6 in
-    angle; a trial step that brings an arc's endpoints that close is
-    rejected, like one that does not lower the residual norm.
+    bit. Raises NetError for a max_iter that is not an integer >= 0 or tol <= 0
+    (a tolerance no residual can meet), for an arc with antipodal endpoints,
+    and for a start with an arc, major or minor, whose endpoints are closer
+    than 1e-6 in angle; a trial step that brings an arc's endpoints that
+    close is rejected, like one that does not lower the residual norm.
     """
-    if max_iter < 0:
-        raise NetError(f"max_iter must be at least 0, not {max_iter}")
+    if not (_is_int(max_iter) and max_iter >= 0):
+        what = "at least 0" if _is_int(max_iter) else "an integer"
+        raise NetError(f"max_iter must be {what}, not {_quote(max_iter)}")
     if not tol > 0:
         raise NetError(f"tol must be positive, not {tol!r}")
     rows, flags = net.rows, net.flags
@@ -247,7 +248,7 @@ def relax(net: GeodesicNet, max_iter: int = 1000, tol: float = 1e-10) -> RelaxRe
     converged = False
     for it in range(max_iter + 1):  # record the state reached, then stop or step
         x, arcs, g, f, norm2 = state
-        lengths.append(_length(rows, arcs))
+        lengths.append(_net_length(rows, arcs))
         residuals.append(_residual(f))
         norms2.append(norm2)
         if residuals[-1] < tol:

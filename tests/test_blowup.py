@@ -157,11 +157,11 @@ NAN, INF = float("nan"), float("inf")
     (lambda v: blowup.classify_density(NAN), "theta=nan is not a varifold density"),
     (lambda v: blowup.monotonicity_check(v, [NAN, 0.0, 0.0], 0.1, 0.5), "must be finite"),
     (lambda v: blowup.spherical_link(v, [NAN, 0.0, 0.0], 0.3), "must be finite"),
-    (lambda v: blowup.spherical_link(v, v.vertices[0], NAN), "must be finite"),
-    (lambda v: blowup.spherical_link(v, v.vertices[0], INF), "must be finite"),
+    (lambda v: blowup.spherical_link(v, v.vertices[0], NAN), "must be positive and finite"),
+    (lambda v: blowup.spherical_link(v, v.vertices[0], INF), "must be positive and finite"),
     (lambda v: blowup.ball_mass_ladder(v, 0, [NAN])[0], "must be finite"),
     (lambda v: blowup.ball_mass_ladder(v, v.vertices[0], [0.1, INF]), "must be finite"),
-    (lambda v: blowup.density(v, [NAN, 0.0, 0.0]), "not on the support"),
+    (lambda v: blowup.density(v, [NAN, 0.0, 0.0]), "must be finite"),
 ], ids=["classify-nan", "monotonicity-nan-center", "link-nan-center", "link-nan-radius",
         "link-inf-radius", "ball-mass-nan-radius", "ladder-inf-radius", "density-nan-center"])
 def test_non_finite_input_is_rejected(sphere3, call, message):
@@ -171,40 +171,64 @@ def test_non_finite_input_is_rejected(sphere3, call, message):
 
 def test_spherical_link_rejects_a_zero_radius(sphere3):
     v = sphere3.varifold
-    with pytest.raises(ValueError, match="^link radius must be positive$"):
+    with pytest.raises(ValueError, match="^spherical_link: r must be positive and finite, not 0.0$"):
         blowup.spherical_link(v, v.vertices[0], 0.0)
 
 
-@pytest.mark.parametrize("x", [NAN, INF, -INF], ids=["nan", "inf", "-inf"])
-@pytest.mark.parametrize("call", [curvature.point_surface_distance, blowup.local_edge_scale],
-                         ids=["distance", "edge-scale"])
-def test_non_finite_center_is_rejected(sphere3, call, x):
-    with pytest.raises(ValueError, match=r"center must be finite, got \[(nan|-?inf), 0.0, 0.0\]"):
-        call(sphere3.varifold, [x, 0.0, 0.0])
+@pytest.mark.parametrize("call, message", [
+    (lambda v, x: blowup.spherical_link(v, x, True), "spherical_link: r must be a number, not True"),
+    (lambda v, x: blowup.spherical_link(v, x, "0.3"), "spherical_link: r must be a number, not '0.3'"),
+    (lambda v, x: blowup.density(v, x, r_max=True), "density: r_max must be a number, not True"),
+    (lambda v, x: blowup.density(v, x, r_max=-1.0), "density: r_max must be positive and finite, not -1.0"),
+    (lambda v, x: blowup.monotonicity_check(v, x, NAN, 0.5),
+     "monotonicity_check: r must be positive and finite, not nan"),
+    (lambda v, x: blowup.monotonicity_check(v, x, 0.1, INF),
+     "monotonicity_check: s must be positive and finite, not inf"),
+    (lambda v, x: blowup.monotonicity_check(v, x, 0.1, 0.5, eps=NAN),
+     "monotonicity_check: eps must be finite and >= 0, not nan"),
+    (lambda v, x: blowup.li_yau_check(v, [x], eps=NAN),
+     "li_yau_check: eps must be finite and >= 0, not nan"),
+    (lambda v, x: blowup.li_yau_check(v, [[NAN, 0.0, 0.0]]),
+     "li_yau_check: sample_points[0] must be finite, not [nan, 0.0, 0.0]"),
+], ids=["link-bool-radius", "link-string-radius", "density-bool-r-max", "density-negative-r-max",
+        "monotonicity-nan-r", "monotonicity-inf-s", "monotonicity-nan-eps", "li-yau-nan-eps", "li-yau-nan-point"])
+def test_a_length_or_tolerance_out_of_range_is_rejected_by_name(sphere3, caplog, call, message):
+    v = sphere3.varifold
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(v, v.vertices[0])
+    assert caplog.records == []  # rejected before any warning, such as density's under-resolved ladder
 
 
+#: The functions that take a center, each with the short name of its rows below.
 CENTER_CALLS = {
-    "ball_mass_ladder": lambda v, x: blowup.ball_mass_ladder(v, x, [0.1]),
-    "density": blowup.density,
-    "monotonicity_check": lambda v, x: blowup.monotonicity_check(v, x, 0.1, 0.5),
-    "spherical_link": lambda v, x: blowup.spherical_link(v, x, 0.3),
-    "local_edge_scale": blowup.local_edge_scale,
-    "point_surface_distance": curvature.point_surface_distance,
+    "ball_mass_ladder": ("ball-mass", lambda v, x: blowup.ball_mass_ladder(v, x, [0.1])),
+    "density": ("density", blowup.density),
+    "monotonicity_check": ("monotonicity", lambda v, x: blowup.monotonicity_check(v, x, 0.1, 0.5)),
+    "spherical_link": ("link", lambda v, x: blowup.spherical_link(v, x, 0.3)),
+    "local_edge_scale": ("edge-scale", blowup.local_edge_scale),
+    "point_surface_distance": ("distance", curvature.point_surface_distance),
 }
 
 
+@pytest.mark.parametrize("x", [NAN, INF, -INF], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", CENTER_CALLS, ids=[short for short, _ in CENTER_CALLS.values()])
+def test_non_finite_center_is_rejected(sphere3, name, x):
+    with pytest.raises(ValueError, match=rf"^{name}: x0 must be finite, not \[{x}, 0.0, 0.0\]$"):
+        CENTER_CALLS[name][1](sphere3.varifold, [x, 0.0, 0.0])
+
+
 @pytest.mark.parametrize("x, message", [
-    ([0.0, 1.0], "must be 3 numbers, got shape \\(2,\\)"),
-    ([[0.0, 0.0, 1.0]], "must be 3 numbers, got shape \\(1, 3\\)"),
-    (0.5, "must be 3 numbers, got shape \\(\\)"),
-    ([1.0, 0.0, 0.0, 0.0], "must be 3 numbers, got shape \\(4,\\)"),
-    ([True, False, False], "must hold numbers, not booleans"),
-    (["1", "0", "0"], "must hold numbers, not <U1"),
+    ([0.0, 1.0], "must be 3 numbers, not [0.0, 1.0]"),
+    ([[0.0, 0.0, 1.0]], "must be 3 numbers, not [[0.0, 0.0, 1.0]]"),
+    (0.5, "must be 3 numbers, not 0.5"),
+    ([1.0, 0.0, 0.0, 0.0], "must be 3 numbers, not [1.0, 0.0, 0.0, 0.0]"),
+    ([True, False, False], "must be 3 numbers, not [True, False, False]"),
+    (["1", "0", "0"], "must be 3 numbers, not ['1', '0', '0']"),
 ], ids=["two", "one-row", "scalar", "four", "booleans", "strings"])
 @pytest.mark.parametrize("name", CENTER_CALLS)
 def test_a_center_that_is_not_3_numbers_is_rejected_by_name(sphere3, name, x, message):
-    with pytest.raises(ValueError, match=f"^{name}: x0 {message}$"):
-        CENTER_CALLS[name](sphere3.varifold, x)
+    with pytest.raises(ValueError, match=f"^{name}: x0 {re.escape(message)}$"):
+        CENTER_CALLS[name][1](sphere3.varifold, x)
 
 
 @pytest.mark.parametrize("points, where", [

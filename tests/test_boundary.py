@@ -241,6 +241,15 @@ def test_sup_two_parallel_circles_stays_below_two_pi():
     assert math.pi < sup.value < 2 * math.pi - 1e-3
 
 
+def test_sup_of_two_perpendicular_circles_whose_axis_points_lie_on_each_other():
+    # the seed center + radius * normal of each circle lies on the other, where
+    # the total is -inf and its gradient divides by zero
+    datum = make_datum([CircleSpec([0, 0, 0], 1.0, [0, 0, 1], conormal_sign=-1),
+                        CircleSpec([0, 0, 0], 1.0, [0, 1, 0], conormal_sign=-1)])
+    sup = sup_conormal_integral(datum)
+    assert sup.value == pytest.approx(2 * math.pi, abs=1e-9)  # pi + pi on the open quarter sphere y, z > 0
+
+
 def test_sup_requires_circles():
     with pytest.raises(ValueError):
         sup_conormal_integral(make_datum([]))

@@ -3,6 +3,7 @@ import logging
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -265,24 +266,43 @@ def test_junction_sheets_meet_at_120_degrees(build, levels, edges, max_err):
 
 
 def _junction_sheet_angles_oracle(v):
-    """Sheet angles at each 3-face junction edge, one edge and one face at a time."""
+    """Sheet angles at each 3-face junction edge, one edge and one face at a time, in exact
+    rationals: each opposite vertex w (less an edge end) is projected off the edge vector e as
+    u = w - ((w·e)/(e·e))·e, and the angle of u, u' is atan2(sqrt(|u × u'|²), u·u'), rounded to
+    float only in its last steps."""
     topo = v.topology
+    exact = {}
+
+    def point(i):
+        if i not in exact:
+            exact[i] = [Fraction(c) for c in v.vertices[i].tolist()]
+        return exact[i]
+
+    def dot(a, b):
+        return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+    def cross(a, b):
+        return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+
     rows = []
-    for ei in topo.junction_edges:
-        fs = topo.inc_faces[topo.offsets[ei]:topo.offsets[ei + 1]]
+    for ei in topo.junction_edges.tolist():
+        fs = topo.inc_faces[topo.offsets[ei]:topo.offsets[ei + 1]].tolist()
         if len(fs) != 3:
             continue
-        p, q = v.vertices[topo.edges[ei, 0]], v.vertices[topo.edges[ei, 1]]
-        ehat = (q - p) / np.linalg.norm(q - p)
-        m = 0.5 * (p + q)
-        dirs = []
+        a, b = topo.edges[ei].tolist()
+        p, q = point(a), point(b)
+        e = [qi - pi for pi, qi in zip(p, q)]
+        us = []
         for fi in fs:
-            opp = [x for x in v.faces[fi] if x not in topo.edges[ei]][0]
-            w = v.vertices[opp] - m
-            w = w - (w @ ehat) * ehat
-            dirs.append(w / np.linalg.norm(w))
-        rows.append(sorted(math.degrees(math.acos(float(np.clip(dirs[i] @ dirs[j], -1.0, 1.0))))
-                           for i, j in ((0, 1), (0, 2), (1, 2))))
+            opp = [x for x in v.faces[fi].tolist() if x not in (a, b)][0]
+            w = [oi - pi for pi, oi in zip(p, point(opp))]
+            t = dot(w, e) / dot(e, e)
+            us.append([wk - t * ek for wk, ek in zip(w, e)])
+        angles = []
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            c = cross(us[i], us[j])
+            angles.append(math.degrees(math.atan2(math.sqrt(dot(c, c)), dot(us[i], us[j]))))
+        rows.append(sorted(angles))
     return np.asarray(rows, dtype=np.float64).reshape(-1, 3)
 
 
@@ -297,9 +317,10 @@ def _fans():
 
 @pytest.mark.parametrize("build", [
     lambda: gen_double_bubble(0.7, 1.0, 3), lambda: gen_double_bubble(0.7, 1.0, 4),
-    lambda: gen_triple_bubble(2), lambda: gen_triple_bubble(3),
-    lambda: gen_sphere(1.0, 2), _fans,
-], ids=["double-bubble-3", "double-bubble-4", "triple-bubble-2", "triple-bubble-3", "sphere-2", "fans"])
+    lambda: gen_triple_bubble(2), lambda: gen_triple_bubble(3), lambda: gen_triple_bubble(4),
+    lambda: gen_triple_bubble(5), lambda: gen_sphere(1.0, 2), _fans,
+], ids=["double-bubble-3", "double-bubble-4", "triple-bubble-2", "triple-bubble-3", "triple-bubble-4",
+        "triple-bubble-5", "sphere-2", "fans"])
 def test_junction_sheet_angles_match_the_loop_oracle(build):
     out = build()
     v = getattr(out, "varifold", out)
@@ -364,15 +385,28 @@ def test_singular_pair_validation():
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: gen_cap(0.0, 1.2, 2), "R must be positive"),
-    (lambda: gen_cap(-1.0, 1.2, 2), "R must be positive"),
-    (lambda: gen_double_bubble_flat(0.0, 2), "rho must be positive"),
-    (lambda: gen_flat_disk(-1.0, 2), "rho must be positive"),
+    (lambda: gen_cap(0.0, 1.2, 2), "R must be positive and finite, not 0.0"),
+    (lambda: gen_cap(-1.0, 1.2, 2), "R must be positive and finite, not -1.0"),
+    (lambda: gen_double_bubble_flat(0.0, 2), "rho must be positive and finite, not 0.0"),
+    (lambda: gen_flat_disk(-1.0, 2), "rho must be positive and finite, not -1.0"),
     (lambda: gen_triple_bubble(-1), "level must be >= 0"),
     (lambda: gen_singular_pair([[0.0, 0.0]], [0.0], 0.2, level=2), "disk radii must be positive"),
     (lambda: gen_singular_pair([[0.0, 0.0]], [-0.3], 0.2, level=2), "disk radii must be positive"),
+    (lambda: gen_sphere(math.nan, 1), "R must be positive and finite, not nan"),
+    (lambda: gen_sphere(1.0, 1.5), "level must be an integer, not 1.5"),
+    (lambda: gen_torus(1.0, 0.3, True), "level must be an integer, not True"),
+    (lambda: gen_torus(1.0, math.nan, 2), "r must be positive and finite, not nan"),
+    (lambda: gen_double_bubble(0.7, math.nan, 2), "rho must be positive and finite, not nan"),
+    (lambda: gen_branched_patch(math.nan, 1.0, 2), "delta must be finite and >= 0, not nan"),
+    (lambda: gen_branched_patch(0.1, math.nan, 2), "rho0 must be positive and finite, not nan"),
+    (lambda: gen_singular_pair([[0.0, 0.0]], [0.3], math.nan, level=2), "delta must be positive and finite, not nan"),
+    (lambda: gen_singular_pair([[0.0, 0.0]], [math.nan], 0.2, level=2), "disk radii must be positive"),
+    (lambda: gen_singular_pair([[math.nan, 0.0]], [0.3], 0.2, level=2), "disk centers must be finite"),
 ], ids=["cap-zero-R", "cap-negative-R", "double-bubble-flat-rho", "flat-disk-rho",
-        "triple-bubble-level", "singular-pair-zero-radius", "singular-pair-negative-radius"])
+        "triple-bubble-level", "singular-pair-zero-radius", "singular-pair-negative-radius",
+        "sphere-nan-R", "sphere-fractional-level", "torus-boolean-level", "torus-nan-r", "double-bubble-nan-rho",
+        "branched-patch-nan-delta", "branched-patch-nan-rho0", "singular-pair-nan-delta",
+        "singular-pair-nan-radius", "singular-pair-nan-center"])
 def test_generator_parameter_checks(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()

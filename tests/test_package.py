@@ -361,12 +361,13 @@ def test_nets_and_circles_check_their_input_without_numpy():
 
 def test_values_is_the_one_home_of_plain_python_numbers_and_vectors():
     """Only ``_values`` defines the plain-Python ``_dot``, ``_cross``, ``_unit``,
-    ``_is_int`` and ``_is_number`` (``_kernels``' ``_dot`` and ``_cross`` are the
-    NumPy ones); ``cli`` imports no NumPy; and ``boundary``, ``cli`` and ``nets``
-    test no value against a number type of their own."""
+    ``_is_int`` and ``_is_number``, and the argument readers ``_point``, ``_length``
+    and ``_nonnegative`` (``_kernels``' ``_dot`` and ``_cross`` are the NumPy ones, and
+    its ``_point`` the array of ``_values._point``); ``cli`` imports no NumPy; and
+    ``boundary``, ``cli`` and ``nets`` test no value against a number type of their own."""
     src = Path(varifold_lab.__file__).parent
     homes, imports, own = {}, {}, []
-    vocabulary = ("_dot", "_cross", "_unit", "_is_int", "_is_number")
+    vocabulary = ("_dot", "_cross", "_unit", "_is_int", "_is_number", "_point", "_length", "_nonnegative")
     for path in sorted(src.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.FunctionDef) and node.name in vocabulary:
@@ -379,7 +380,8 @@ def test_values_is_the_one_home_of_plain_python_numbers_and_vectors():
                 own += [(path.stem, ast.unparse(k)) for k in kinds
                         if ast.unparse(k).split(".")[-1] in ("int", "float", "Integral", "Real", "Number")]
     assert homes == {"_dot": ["_kernels", "_values"], "_cross": ["_kernels", "_values"], "_unit": ["_values"],
-                     "_is_int": ["_values"], "_is_number": ["_values"]}
+                     "_is_int": ["_values"], "_is_number": ["_values"],
+                     "_point": ["_kernels", "_values"], "_length": ["_values"], "_nonnegative": ["_values"]}
     assert "numpy" not in imports["cli"]
     assert [m for m in ("boundary", "cli", "nets") if "numbers" in imports[m]] == []
     assert [(m, k) for m, k in own if m in ("boundary", "cli", "nets")] == []
