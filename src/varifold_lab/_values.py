@@ -6,7 +6,7 @@ The mesh, net and boundary readers and the CLI share these, each passing its own
 Python or NumPy float, never a bool or a ``Fraction``. ``_dot`` sums (a₀b₀ + a₁b₁) + a₂b₂, and
 ``_unit`` divides by its square root. NumPy is imported only inside the two array helpers.
 Each point, length and tolerance argument of the API has one reader, which returns floats or
-raises a ValueError naming the parameter: ``_point`` (3 finite numbers), ``_length`` (a
+raises a ValueError naming the parameter: ``_point`` (n finite numbers, 3 by default), ``_length`` (a
 positive finite number) and ``_nonnegative`` (a non-negative finite number).
 """
 from __future__ import annotations
@@ -81,12 +81,12 @@ def _quote(value, limit: int = 60) -> str:
     return text if len(text) <= limit else text[:limit - 3] + "..."
 
 
-def _point(x, where: str) -> tuple[float, float, float]:
-    """``x``, 3 numbers in a list, a tuple or an array (read through ``tolist()``), as 3 finite floats."""
+def _point(x, where: str, n: int = 3) -> tuple[float, ...]:
+    """``x``, n numbers in a list, a tuple or an array (read through ``tolist()``), as n finite floats."""
     x = x.tolist() if hasattr(x, "tolist") else x
-    if not (isinstance(x, (list, tuple)) and len(x) == 3 and all(map(_is_number, x))):
-        raise ValueError(f"{where} must be 3 numbers, not {_quote(x)}")
-    v = (float(x[0]), float(x[1]), float(x[2]))
+    if not (isinstance(x, (list, tuple)) and len(x) == n and all(map(_is_number, x))):
+        raise ValueError(f"{where} must be {n} numbers, not {_quote(x)}")
+    v = tuple(map(float, x))
     if not all(map(math.isfinite, v)):
         raise ValueError(f"{where} must be finite, not {list(v)}")
     return v

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import _cross, _dot, _inner, _norm, _point, _sq
+from ._values import _is_number, _quote
 from .mesh import DiscreteVarifold, MeshError, _boundary_conormals, _incidences, _min_labels, _require
 from .reports import Record
 
@@ -332,6 +333,8 @@ def helfrich_energy(v: DiscreteVarifold, c0: float) -> float:
     At c0 = 0 this reduces to the same sum as willmore_energy, term for term.
     Requires a consistently oriented manifold mesh.
     """
+    if not (_is_number(c0) and math.isfinite(c0)):
+        raise ValueError(f"c0 must be a finite number, not {_quote(c0)}")
     normals = oriented_vertex_normals(v)
     field = v.curvature
     keep = _bending_vertices(v, field.vertex_area)

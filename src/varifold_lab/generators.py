@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._kernels import _dot, _norm
-from ._values import _is_int, _length, _nonnegative, _quote
+from ._values import _is_int, _length, _nonnegative, _point, _quote
 from .mesh import DiscreteVarifold, _min_labels, _split
 
 log = logging.getLogger(__name__)
@@ -37,10 +37,6 @@ def _check_level(level: int) -> None:
     if not (_is_int(level) and level >= 0):
         what = ">= 0" if _is_int(level) else f"an integer, not {_quote(level)}"
         raise ValueError(f"level must be {what}")
-
-
-def _unit_rows(a: np.ndarray) -> np.ndarray:
-    return a / _norm(a)[..., None]
 
 
 def _circle(M: int) -> tuple[np.ndarray, np.ndarray]:
@@ -72,6 +68,19 @@ def _fan(center: int, row: np.ndarray) -> np.ndarray:
     return np.stack([np.full(len(row), center), row, np.roll(row, -1)], axis=1)
 
 
+def _dome(ring: np.ndarray, start: int, rings: list, tip) -> tuple[np.ndarray, np.ndarray]:
+    """Point rings closed by a tip, meshed onto the row ``ring`` of M vertex indices.
+
+    The (M, 3) blocks of ``rings`` are numbered from ``start``, outside in, and
+    the point ``tip`` comes last. Consecutive rows are joined by strips, outer
+    row first, and the last row by a fan onto the tip. Returns (vertices, faces).
+    """
+    M = len(ring)
+    rows = np.vstack([ring, start + np.arange(M * len(rings)).reshape(-1, M)])
+    fan = _fan(start + M * len(rings), rows[-1])[:, [1, 2, 0]]
+    return np.vstack([*rings, tip]), np.vstack([_strips(rows, outer_first=True), fan])
+
+
 def _mesh(verts, faces, patches=None, oriented: bool = False) -> DiscreteVarifold:
     """Varifold from vertex blocks and face blocks, with one patch label per face block."""
     labels = None
@@ -98,7 +107,7 @@ _ICO_FACES = np.array(  # wound outward; the 4-to-1 split keeps each child's win
 
 
 def _icosphere(radius: float, level: int) -> tuple[np.ndarray, np.ndarray]:
-    verts = _unit_rows(_ICO_VERTS.copy())
+    verts = _ICO_VERTS / _norm(_ICO_VERTS)[:, None]
     faces = _ICO_FACES.copy()
     for _ in range(level):
         e, faces = _split(faces, len(verts))
@@ -132,9 +141,9 @@ def gen_sphere(R: float, level: int) -> GeneratorOutput:
 # ---------------------------------------------------------------------------
 # spherical caps and bubbles
 
-def _smoothstep(s: np.ndarray) -> np.ndarray:
+def _smoothstep(s: float) -> float:
     """Quintic smoothstep: 0 at s<=0, 1 at s>=1, C^2 across the ends."""
-    s = np.clip(s, 0.0, 1.0)
+    s = min(max(s, 0.0), 1.0)
     return s * s * s * (s * (6.0 * s - 15.0) + 10.0)
 
 
@@ -166,11 +175,8 @@ def _cap(ring: np.ndarray, start: int, beta: float, R: float, side: int, first_f
     phis = _meridian_ladder(beta, first, base)
     cz = -side * R * math.cos(beta)
     cs = _circle(M)
-    verts = [_ring(R * math.sin(phi), cz + side * R * math.cos(phi), cs) for phi in phis[1:]]
-    verts.append(np.array([[0.0, 0.0, cz + side * R]]))
-    rows = np.vstack([ring, start + np.arange(M * (len(phis) - 1)).reshape(-1, M)])
-    tip = _fan(start + M * (len(phis) - 1), rows[-1])[:, [1, 2, 0]]
-    return np.vstack(verts), np.vstack([_strips(rows, outer_first=True), tip])
+    rings = [_ring(R * math.sin(phi), cz + side * R * math.cos(phi), cs) for phi in phis[1:]]
+    return _dome(ring, start, rings, (0.0, 0.0, cz + side * R))
 
 
 def gen_cap(R: float, theta: float, level: int) -> GeneratorOutput:
@@ -181,7 +187,8 @@ def gen_cap(R: float, theta: float, level: int) -> GeneratorOutput:
     """
     _check_level(level)
     R = _length(R, "R")
-    if not 0.0 < theta < math.pi:
+    theta = _length(theta, "theta")
+    if not theta < math.pi:
         raise ValueError(f"theta must lie in (0, pi), not {theta}; "
                          "for the closed sphere use gen_sphere ('generate sphere')")
     M = max(6, 6 * 2**level)
@@ -191,7 +198,7 @@ def gen_cap(R: float, theta: float, level: int) -> GeneratorOutput:
     analytic = {
         "area": TAU * R * R * (1.0 - math.cos(theta)),
         "willmore_energy": TAU * (1.0 - math.cos(theta)),
-        "conormal_plane_angle": float(theta),
+        "conormal_plane_angle": theta,
         "density_points": [
             {"point": [0.0, 0.0, R - R * math.cos(theta)], "density": 1.0, "label": "apex"}
         ],
@@ -213,8 +220,22 @@ def _junction_caps(rho: float, M: int, caps) -> tuple[list, list]:
     return verts, faces
 
 
-def _bubble_angles(theta2: float) -> tuple[float, float, float]:
-    return 2.0 * math.pi / 3.0 - theta2, theta2, theta2 + 2.0 * math.pi / 3.0
+def _junction_analytic(rho: float, M: int, apex, label: str) -> dict:
+    """The analytic entries both double bubbles share: W = 6pi, the junction
+    circle (radius rho in z=0, on vertices 0..M-1) and its density point, the
+    density point ``apex`` named ``label``, and Li-Yau's equality at 3/2."""
+    return {
+        "willmore_energy": 6.0 * math.pi,
+        "junction_circles": [
+            {"center": [0.0, 0.0, 0.0], "radius": rho, "normal": [0.0, 0.0, 1.0],
+             "density": 1.5, "vertex_indices": list(range(M))}
+        ],
+        "density_points": [
+            {"point": [rho, 0.0, 0.0], "density": 1.5, "label": "junction circle"},
+            {"point": [float(c) for c in apex], "density": 1.0, "label": label},
+        ],
+        "li_yau": {"theta_max": 1.5, "w_over_4pi": 1.5},
+    }
 
 
 def gen_double_bubble(theta2: float, rho: float, level: int) -> GeneratorOutput:
@@ -227,9 +248,10 @@ def gen_double_bubble(theta2: float, rho: float, level: int) -> GeneratorOutput:
     """
     _check_level(level)
     rho = _length(rho, "rho")
-    t1, t2, t3 = _bubble_angles(theta2)
-    if not (0.0 < theta2 < 2.0 * math.pi / 3.0):
+    theta2 = _length(theta2, "theta2")
+    if not theta2 < 2.0 * math.pi / 3.0:
         raise ValueError("theta2 must lie in (0, 2*pi/3)")
+    t1, t2, t3 = 2.0 * math.pi / 3.0 - theta2, theta2, theta2 + 2.0 * math.pi / 3.0
     if min(abs(math.sin(t1)), abs(math.sin(t2)), abs(math.sin(t3))) < 1e-9:
         raise ValueError("flat-interface case; use gen_double_bubble_flat")
 
@@ -251,16 +273,7 @@ def gen_double_bubble(theta2: float, rho: float, level: int) -> GeneratorOutput:
         "cos_sum": math.cos(t1) + math.cos(t2) + math.cos(t3),
         "cap_areas": cap_areas,
         "area": math.fsum(cap_areas),
-        "willmore_energy": 6.0 * math.pi,
-        "junction_circles": [
-            {"center": [0.0, 0.0, 0.0], "radius": float(rho), "normal": [0.0, 0.0, 1.0],
-             "density": 1.5, "vertex_indices": list(range(M))}
-        ],
-        "density_points": [
-            {"point": [float(rho), 0.0, 0.0], "density": 1.5, "label": "junction circle"},
-            {"point": [float(c) for c in verts[1][-1]], "density": 1.0, "label": "cap 1 apex"},
-        ],
-        "li_yau": {"theta_max": 1.5, "w_over_4pi": 1.5},
+        **_junction_analytic(rho, M, verts[1][-1], "cap 1 apex"),
     }
 
     return GeneratorOutput(v, analytic)
@@ -281,28 +294,15 @@ def gen_double_bubble_flat(rho: float, level: int) -> GeneratorOutput:
 
     # interface disk: concentric rings sharing the junction ring vertices
     n = max(2, round(M / TAU))
-    start = sum(map(len, verts))
     cs = _circle(M)
-    verts += [_ring(rho * k / n, 0.0, cs) for k in range(n - 1, 0, -1)]
-    verts.append(np.zeros((1, 3)))
-    rows = np.vstack([np.arange(M), start + np.arange(M * (n - 1)).reshape(-1, M)])
-    center = _fan(start + M * (n - 1), rows[-1])[:, [1, 2, 0]]
-    faces.append(np.vstack([_strips(rows, outer_first=True), center]))
-    v = _mesh(verts, faces, [0, 1, 2])
+    disk_v, disk_f = _dome(np.arange(M), sum(map(len, verts)),
+                           [_ring(rho * k / n, 0.0, cs) for k in range(n - 1, 0, -1)], (0.0, 0.0, 0.0))
+    v = _mesh(verts + [disk_v], faces + [disk_f], [0, 1, 2])
     cap_area = TAU * R * R * 1.5
     analytic = {
         "cap_areas": [cap_area, cap_area],
         "area": 2.0 * cap_area + math.pi * rho * rho,
-        "willmore_energy": 6.0 * math.pi,
-        "junction_circles": [
-            {"center": [0.0, 0.0, 0.0], "radius": float(rho), "normal": [0.0, 0.0, 1.0],
-             "density": 1.5, "vertex_indices": list(range(M))}
-        ],
-        "density_points": [
-            {"point": [float(rho), 0.0, 0.0], "density": 1.5, "label": "junction circle"},
-            {"point": [float(c) for c in verts[1][-1]], "density": 1.0, "label": "cap apex"},
-        ],
-        "li_yau": {"theta_max": 1.5, "w_over_4pi": 1.5},
+        **_junction_analytic(rho, M, verts[1][-1], "cap apex"),
     }
 
     return GeneratorOutput(v, analytic)
@@ -492,8 +492,7 @@ def gen_branched_patch(delta: float, rho0: float, level: int) -> GeneratorOutput
     verts = [np.zeros((1, 3))]
     for i in range(1, n + 1):
         rho = rho0 * i / n
-        s = _smoothstep((rho - rho0 / 3.0) / (rho0 / 3.0))
-        psi = 1.0 - float(s)
+        psi = 1.0 - _smoothstep((rho - rho0 / 3.0) / (rho0 / 3.0))
         zamp = delta * math.exp(-1.0 / (rho * rho)) * psi
         verts.append(_ring(rho, zamp * cos1, cs2))
     rows = 1 + np.arange(n * M).reshape(n, M)
@@ -527,45 +526,41 @@ def gen_singular_pair(
     """
     _check_level(level)
     delta = _length(delta, "delta")
-    centers = np.asarray(disk_centers, dtype=np.float64).reshape(-1, 2)
-    radii = np.asarray(disk_radii, dtype=np.float64).reshape(-1)
-    if len(centers) != len(radii):
-        raise ValueError("disk_centers and disk_radii must have equal length")
-    if not np.isfinite(centers).all():
-        raise ValueError("disk centers must be finite")
-    if not (radii > 0.0).all():  # NaN is not; an infinite radius fails the next check
-        raise ValueError("disk radii must be positive")
-    if np.any(np.linalg.norm(centers, axis=1) + radii > 1.0 + 1e-12):
+    centers, radii = (x.tolist() if hasattr(x, "tolist") else x for x in (disk_centers, disk_radii))
+    if not all(isinstance(x, (list, tuple)) for x in (centers, radii)) or len(centers) != len(radii):
+        raise ValueError("disk_centers and disk_radii must be lists of equal length")
+    disks = [(_point(c, f"disk_centers[{i}]", 2), _length(r, f"disk_radii[{i}]"))
+             for i, (c, r) in enumerate(zip(centers, radii))]
+    reach = [math.hypot(*c) + r for c, r in disks]
+    if any(d > 1.0 + 1e-12 for d in reach):
         raise ValueError("every disk must be contained in the unit disk")
-    if len(centers) == 0:
+    if not disks:
         log.warning("no disks given: the contact set A is empty")
-    elif np.any(np.linalg.norm(centers, axis=1) + radii > 0.95):
+    elif any(d > 0.95 for d in reach):
         log.warning("a disk reaches into the rim cutoff band |x| >= 0.95")
 
-    def u_of(xy: np.ndarray) -> np.ndarray:
-        vals = np.ones(len(xy))
-        for c, r in zip(centers, radii):
-            t = np.einsum("ij,ij->i", xy - c, xy - c) - r * r
+    def u_of(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        vals = np.ones(len(x))
+        for (cx, cy), r in disks:
+            t = (x - cx) * (x - cx) + (y - cy) * (y - cy) - r * r
             f = np.zeros_like(t)
             pos = t > 0.0
             # math.exp, not np.exp, whose last bits depend on the host's SIMD level
-            f[pos] = [math.exp(-1.0 / x) for x in t[pos].tolist()]
+            f[pos] = [math.exp(-1.0 / e) for e in t[pos].tolist()]
             vals *= f
         return vals
 
-    def eta_of(s: np.ndarray) -> np.ndarray:
+    def eta(s: float) -> float:
         return 1.0 - _smoothstep((s - 0.95) / 0.05)
 
     M = 12 * 2**level
     n = 6 * 2**level
-    thetas = TAU * np.arange(M) / M
-    ring_xy = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
+    cs = _circle(M)
 
     def ring(s: float, sign: int) -> np.ndarray:
-        xy = s * ring_xy
-        return np.column_stack([xy, sign * delta * float(eta_of(np.array([s]))[0]) * u_of(xy)])
+        return _ring(s, sign * delta * eta(s) * u_of(s * cs[0], s * cs[1]), cs)
 
-    u0 = float(u_of(np.zeros((1, 2)))[0])
+    u0 = float(u_of(np.zeros(1), np.zeros(1))[0])
     verts = [ring(1.0, +1)]  # the shared rim: z = 0 exactly (eta vanishes)
     faces = []
     for sign in (+1, -1):
@@ -576,27 +571,18 @@ def gen_singular_pair(
         sheet = np.vstack([_fan(start + M * (n - 1), rows[0]), _strips(rows, outer_first=False)])
         faces.append(sheet if sign > 0 else sheet[:, ::-1])
     v = _mesh(verts, faces, [0, 1], oriented=True)
-    density_points = [
-        {"point": [float(c[0]), float(c[1]), 0.0], "density": 2.0, "label": "contact disk center"}
-        for c in centers
-    ]
-    probe = np.array([[0.9, 0.0]])
-    if len(centers) == 0 or np.all(np.linalg.norm(probe - centers, axis=1) > radii):
-        h = delta * float(eta_of(np.array([0.9]))[0]) * float(u_of(probe)[0])
+    density_points = [{"point": [cx, cy, 0.0], "density": 2.0, "label": "contact disk center"}
+                      for (cx, cy), _ in disks]
+    if all(math.hypot(0.9 - cx, cy) > r for (cx, cy), r in disks):
+        h = delta * eta(0.9) * float(u_of(np.array([0.9]), np.zeros(1))[0])
         if h > 0.0:
             # the sheets sit 2h apart here, so a single-sheet density reading
             # needs a ladder capped below that separation
-            r_hint = 1.6 * h
-            density_points.append({"point": [0.9, 0.0, +h], "density": 1.0,
-                                   "label": "upper sheet", "r_max": r_hint})
-            density_points.append({"point": [0.9, 0.0, -h], "density": 1.0,
-                                   "label": "lower sheet", "r_max": r_hint})
+            density_points += [{"point": [0.9, 0.0, z], "density": 1.0, "label": f"{side} sheet",
+                                "r_max": 1.6 * h} for z, side in ((+h, "upper"), (-h, "lower"))]
     analytic = {
         "density_points": density_points,
-        "contact_disks": [
-            {"center": [float(c[0]), float(c[1])], "radius": float(r)}
-            for c, r in zip(centers, radii)
-        ],
+        "contact_disks": [{"center": list(c), "radius": r} for c, r in disks],
         "chi": 2,
     }
     return GeneratorOutput(v, analytic)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from ._values import _nonnegative
+from ._values import _is_number, _nonnegative, _quote
 from .reports import TOLERANCE_PROFILES
 
 
@@ -54,9 +54,10 @@ def match_link(link, tol: float = TOLERANCE_PROFILES["default"]["link_match_abs"
     composite/unknown (sums of catalogue lengths are not decomposed).
     """
     tol = _nonnegative(tol, "tol", NetError)
-    length = float(getattr(link, "total_length", link))
-    if not math.isfinite(length):
-        raise NetError(f"cannot match a link of length {length}")
+    length = getattr(link, "total_length", link)
+    if not (_is_number(length) and math.isfinite(length)):
+        raise NetError(f"cannot match a link of length {_quote(length)}")
+    length = float(length)
     if length <= 0:
         raise NetError("cannot match an empty link")
     name, _, matched = min((e for e in CATALOGUE if e[2] is not None), key=lambda e: abs(length - e[2]))

@@ -63,6 +63,13 @@ def test_helfrich_names_the_first_edge_where_windings_disagree():
         curvature.helfrich_energy(flipped, 0.0)
 
 
+@pytest.mark.parametrize("c0, shown", [(math.nan, "nan"), (-math.inf, "-inf"), ("1", "'1'"), (True, "True")],
+                         ids=["nan", "minus-inf", "string", "boolean"])
+def test_helfrich_rejects_a_c0_that_is_not_a_finite_number(sphere3, c0, shown):
+    with pytest.raises(ValueError, match=f"^c0 must be a finite number, not {shown}$"):
+        curvature.helfrich_energy(sphere3.varifold, c0)
+
+
 def test_helfrich_on_one_oriented_triangle_is_zero():
     # no interior edge and only boundary vertices; recorded while an empty
     # interior took a special case

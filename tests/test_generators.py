@@ -1,6 +1,7 @@
 import hashlib
 import logging
 import math
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -390,8 +391,10 @@ def test_singular_pair_validation():
     (lambda: gen_double_bubble_flat(0.0, 2), "rho must be positive and finite, not 0.0"),
     (lambda: gen_flat_disk(-1.0, 2), "rho must be positive and finite, not -1.0"),
     (lambda: gen_triple_bubble(-1), "level must be >= 0"),
-    (lambda: gen_singular_pair([[0.0, 0.0]], [0.0], 0.2, level=2), "disk radii must be positive"),
-    (lambda: gen_singular_pair([[0.0, 0.0]], [-0.3], 0.2, level=2), "disk radii must be positive"),
+    (lambda: gen_singular_pair([[0.0, 0.0]], [0.0], 0.2, level=2),
+     "disk_radii[0] must be positive and finite, not 0.0"),
+    (lambda: gen_singular_pair([[0.0, 0.0]], [-0.3], 0.2, level=2),
+     "disk_radii[0] must be positive and finite, not -0.3"),
     (lambda: gen_sphere(math.nan, 1), "R must be positive and finite, not nan"),
     (lambda: gen_sphere(1.0, 1.5), "level must be an integer, not 1.5"),
     (lambda: gen_torus(1.0, 0.3, True), "level must be an integer, not True"),
@@ -400,15 +403,45 @@ def test_singular_pair_validation():
     (lambda: gen_branched_patch(math.nan, 1.0, 2), "delta must be finite and >= 0, not nan"),
     (lambda: gen_branched_patch(0.1, math.nan, 2), "rho0 must be positive and finite, not nan"),
     (lambda: gen_singular_pair([[0.0, 0.0]], [0.3], math.nan, level=2), "delta must be positive and finite, not nan"),
-    (lambda: gen_singular_pair([[0.0, 0.0]], [math.nan], 0.2, level=2), "disk radii must be positive"),
-    (lambda: gen_singular_pair([[math.nan, 0.0]], [0.3], 0.2, level=2), "disk centers must be finite"),
+    (lambda: gen_singular_pair([[0.0, 0.0]], [math.nan], 0.2, level=2),
+     "disk_radii[0] must be positive and finite, not nan"),
+    (lambda: gen_singular_pair([[math.nan, 0.0]], [0.3], 0.2, level=2),
+     "disk_centers[0] must be finite, not [nan, 0.0]"),
+    (lambda: gen_singular_pair([[0.0, 0.0], ["0.1", "0"]], [0.3, 0.2], 0.2, level=2),
+     "disk_centers[1] must be 2 numbers, not ['0.1', '0']"),
+    (lambda: gen_singular_pair([[False, 0.0]], [0.3], 0.2, level=2),
+     "disk_centers[0] must be 2 numbers, not [False, 0.0]"),
+    (lambda: gen_singular_pair([[0.1, 0.0, 0.0]], [0.3], 0.2, level=2),
+     "disk_centers[0] must be 2 numbers, not [0.1, 0.0, 0.0]"),
+    (lambda: gen_singular_pair([0.1, 0.0], [0.3], 0.2, level=2),
+     "disk_centers and disk_radii must be lists of equal length"),
+    (lambda: gen_singular_pair([0.1, 0.0], [0.3, 0.2], 0.2, level=2),
+     "disk_centers[0] must be 2 numbers, not 0.1"),
+    (lambda: gen_singular_pair([[0.0, 0.0]], 0.3, 0.2, level=2),
+     "disk_centers and disk_radii must be lists of equal length"),
+    (lambda: gen_singular_pair([[0.0, 0.0]], ["0.3"], 0.2, level=2),
+     "disk_radii[0] must be a number, not '0.3'"),
+    (lambda: gen_singular_pair([[0.0, 0.0]], [math.inf], 0.2, level=2),
+     "disk_radii[0] must be positive and finite, not inf"),
+    (lambda: gen_cap(1.0, True, 1), "theta must be a number, not True"),
+    (lambda: gen_cap(1.0, "1", 1), "theta must be a number, not '1'"),
+    (lambda: gen_cap(1.0, -0.5, 1), "theta must be positive and finite, not -0.5"),
+    (lambda: gen_cap(1.0, math.pi, 1),
+     "theta must lie in (0, pi), not 3.141592653589793; for the closed sphere use gen_sphere ('generate sphere')"),
+    (lambda: gen_double_bubble(True, 1.0, 1), "theta2 must be a number, not True"),
+    (lambda: gen_double_bubble("0.7", 1.0, 1), "theta2 must be a number, not '0.7'"),
+    (lambda: gen_double_bubble(2.0 * math.pi / 3.0, 1.0, 1), "theta2 must lie in (0, 2*pi/3)"),
 ], ids=["cap-zero-R", "cap-negative-R", "double-bubble-flat-rho", "flat-disk-rho",
         "triple-bubble-level", "singular-pair-zero-radius", "singular-pair-negative-radius",
         "sphere-nan-R", "sphere-fractional-level", "torus-boolean-level", "torus-nan-r", "double-bubble-nan-rho",
         "branched-patch-nan-delta", "branched-patch-nan-rho0", "singular-pair-nan-delta",
-        "singular-pair-nan-radius", "singular-pair-nan-center"])
+        "singular-pair-nan-radius", "singular-pair-nan-center", "singular-pair-string-center",
+        "singular-pair-boolean-center", "singular-pair-3-number-center", "singular-pair-flat-centers",
+        "singular-pair-flat-centers-two-radii", "singular-pair-scalar-radii", "singular-pair-string-radius",
+        "singular-pair-inf-radius", "cap-boolean-theta", "cap-string-theta", "cap-negative-theta", "cap-theta-pi",
+        "double-bubble-boolean-theta2", "double-bubble-string-theta2", "double-bubble-theta2-2pi-3"])
 def test_generator_parameter_checks(call, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
 
 

@@ -658,11 +658,13 @@ def test_match_rejects_a_non_finite_length(length):
 @pytest.mark.parametrize("call, message", [
     (lambda net: match_link(100.0, tol=math.nan), "tol must be finite and >= 0, not nan"),
     (lambda net: match_link(100.0, tol=-0.1), "tol must be finite and >= 0, not -0.1"),
+    (lambda net: match_link("6.283185307179586"), "cannot match a link of length '6.283185307179586'"),
+    (lambda net: match_link(True), "cannot match a link of length True"),
     (lambda net: relax(net, max_iter=True), "max_iter must be an integer, not True"),
     (lambda net: relax(net, max_iter=1.5), "max_iter must be an integer, not 1.5"),
     (lambda net: relax(net, max_iter=-3), "max_iter must be at least 0, not -3"),
-], ids=["match-nan-tol", "match-negative-tol", "relax-boolean-max-iter", "relax-fractional-max-iter",
-        "relax-negative-max-iter"])
+], ids=["match-nan-tol", "match-negative-tol", "match-string-length", "match-boolean-length",
+        "relax-boolean-max-iter", "relax-fractional-max-iter", "relax-negative-max-iter"])
 def test_tolerances_and_counts_follow_the_number_rule(entries, call, message):
     with pytest.raises(NetError, match=f"^{re.escape(message)}$"):
         call(entries[2].net)

@@ -292,9 +292,8 @@ def test_rows_of_3_vectors_are_reduced_by_the_kernels_helpers():
     """Squared norms, norms and dots of rows of 3-vectors are ``_kernels._sq``, ``_norm`` and
     ``_inner``, whose summation order is fixed. The ``np.einsum`` and ``np.linalg.norm`` calls
     left are these, by module and top-level function: the 3×3 products of
-    ``second_fundamental_norm``; the 2-D disk tests of ``gen_singular_pair``; and
-    ``mesh_scale``'s norm of one 3-vector, the square root of a BLAS dot product like
-    ``_kernels._dot``'s."""
+    ``second_fundamental_norm``, and ``mesh_scale``'s norm of one 3-vector, the square root of
+    a BLAS dot product like ``_kernels._dot``'s."""
     src = Path(varifold_lab.__file__).parent
     calls = []
     for path in sorted(src.glob("*.py")):
@@ -305,10 +304,6 @@ def test_rows_of_3_vectors_are_reduced_by_the_kernels_helpers():
     assert sorted(calls) == [
         ("curvature", "second_fundamental_norm", "np.einsum"),
         ("curvature", "second_fundamental_norm", "np.einsum"),
-        ("generators", "gen_singular_pair", "np.einsum"),
-        ("generators", "gen_singular_pair", "np.linalg.norm"),
-        ("generators", "gen_singular_pair", "np.linalg.norm"),
-        ("generators", "gen_singular_pair", "np.linalg.norm"),
         ("mesh", "mesh_scale", "np.linalg.norm"),
     ]
 
@@ -364,7 +359,8 @@ def test_values_is_the_one_home_of_plain_python_numbers_and_vectors():
     ``_is_int`` and ``_is_number``, and the argument readers ``_point``, ``_length``
     and ``_nonnegative`` (``_kernels``' ``_dot`` and ``_cross`` are the NumPy ones, and
     its ``_point`` the array of ``_values._point``); ``cli`` imports no NumPy; and
-    ``boundary``, ``cli`` and ``nets`` test no value against a number type of their own."""
+    ``boundary``, ``cli``, ``generators`` and ``nets`` import no ``numbers`` and test no value
+    against a number type of their own."""
     src = Path(varifold_lab.__file__).parent
     homes, imports, own = {}, {}, []
     vocabulary = ("_dot", "_cross", "_unit", "_is_int", "_is_number", "_point", "_length", "_nonnegative")
@@ -383,5 +379,5 @@ def test_values_is_the_one_home_of_plain_python_numbers_and_vectors():
                      "_is_int": ["_values"], "_is_number": ["_values"],
                      "_point": ["_kernels", "_values"], "_length": ["_values"], "_nonnegative": ["_values"]}
     assert "numpy" not in imports["cli"]
-    assert [m for m in ("boundary", "cli", "nets") if "numbers" in imports[m]] == []
-    assert [(m, k) for m, k in own if m in ("boundary", "cli", "nets")] == []
+    assert [m for m in ("boundary", "cli", "generators", "nets") if "numbers" in imports[m]] == []
+    assert [(m, k) for m, k in own if m in ("boundary", "cli", "generators", "nets")] == []
