@@ -34,9 +34,9 @@ These rules keep the bits:
   ``(1, 3) @ (3, 1)`` product per face), which rounds like a 1-D ``a @ b``:
   as BLAS ``ddot`` does, with fused multiply-adds where the host has them, so
   no written-out order reproduces it;
-- arc angles use ``math.atan2`` (libm), computed only for the arc pieces that
-  contribute; ``np.arctan2`` may take a SIMD path that differs in the last
-  bit;
+- arc angles use ``_atan2`` (``math.atan2``, libm), computed only for the arc
+  pieces that contribute; ``np.arctan2`` may take a SIMD path that differs in
+  the last bit;
 - sums are exact (``fsum``): mantissas are binned by exponent in integer
   halves, a block of terms at a time, combined in a Python int and rounded
   once; non-finite input, a zero total and sums near overflow go to
@@ -132,9 +132,13 @@ def _arc_terms(w0x, w0y, w1x, w1y, rho2, mask) -> np.ndarray:
     idx = np.flatnonzero(mask)
     if len(idx):
         u0x, u0y, u1x, u1y = w0x[idx], w0y[idx], w1x[idx], w1y[idx]
-        ang = map(math.atan2, (u0x * u1y - u0y * u1x).tolist(), (u0x * u1x + u0y * u1y).tolist())
-        out[idx] = 0.5 * rho2[idx] * np.fromiter(ang, dtype=np.float64, count=len(idx))
+        out[idx] = 0.5 * rho2[idx] * _atan2(u0x * u1y - u0y * u1x, u0x * u1x + u0y * u1y)
     return out
+
+
+def _atan2(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Elementwise ``math.atan2`` of two 1-D arrays: ``np.arctan2``'s last bit depends on the SIMD level."""
+    return np.fromiter(map(math.atan2, y.tolist(), x.tolist()), dtype=np.float64, count=len(y))
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

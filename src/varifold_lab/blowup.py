@@ -288,8 +288,7 @@ def _circle_arcs(P: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray
                 hit = np.flatnonzero(cut & (0.0 <= t) & (t <= 1.0))
                 qx = p0[hit, 0] + t[hit] * d[hit, 0]
                 qy = p0[hit, 1] + t[hit] * d[hit, 1]
-                ang[hit, 2 * k + j] = np.fromiter(map(math.atan2, qy.tolist(), qx.tolist()),
-                                                  dtype=np.float64, count=len(hit))
+                ang[hit, 2 * k + j] = _kernels._atan2(qy, qx)
     order = np.argsort(ang, axis=1, kind="stable")
     ang = np.take_along_axis(ang, order, axis=1)
     count = np.isfinite(ang).sum(axis=1)

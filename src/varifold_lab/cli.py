@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 a requested pass/fail check failed, 2 usage or input
 error; an analysis the mesh does not admit gives a "not_applicable" block
 instead.  Reports are canonical JSON (see reports.py) and byte-identical across
-runs for identical inputs; ``--serial`` (or the VARIFOLD_LAB_THREADS env var)
-caps the BLAS thread pools before the numeric stack loads.
+runs for identical inputs. ``main`` caps the BLAS thread pools at one thread
+before any command loads NumPy, unless the caller set them: no BLAS call in the
+package is large enough to use a second thread.
 """
 
 from __future__ import annotations
@@ -171,12 +172,7 @@ def _density(v, analytic, tol, spec) -> dict:
 def _link(v, analytic, tol, spec) -> dict:
     link = blowup.spherical_link(v, spec["point"], spec["radius"])
     if link.total_length <= 0:
-        return {
-            "total_length": link.total_length,
-            "components": len(link.polylines),
-            "status": "not_applicable",
-            "reason": "the sphere misses the support, so the link is empty",
-        }
+        raise ValueError("the sphere misses the support, so the link is empty")
     m = netmatch.match_link(link, tol["link_match_abs"])
     return {
         "total_length": link.total_length,
@@ -414,8 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Mesh generators and varifold-style analyses for surfaces "
                     "with junctions.",
     )
-    parser.add_argument("--serial", action="store_true",
-                        help="cap the BLAS thread pools at one thread; reports stay byte-identical")
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="write an example mesh with its analytic block")
@@ -501,15 +495,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cap = os.environ.get("VARIFOLD_LAB_THREADS")
-    if args.serial:
-        cap = "1"
-    if cap:
-        # must happen before the numeric stack spins up its thread pools,
-        # which is why the package's modules run only when a command uses them
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
+    # must happen before the numeric stack spins up its thread pools,
+    # which is why the package's modules run only when a command uses them
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
     try:
         return args.func(args)
     except (ValueError, OverflowError, OSError) as exc:  # MeshError/NetError are ValueErrors

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _kernels
-from ._kernels import _cross, _dot, _inner, _norm, _point, _sq
+from ._kernels import _atan2, _cross, _dot, _inner, _norm, _point, _sq
 from ._values import _is_number, _quote
 from .mesh import DiscreteVarifold, MeshError, _boundary_conormals, _incidences, _min_labels, _require
 from .reports import Record
@@ -156,7 +156,7 @@ def _corner_angles(v: DiscreteVarifold) -> np.ndarray:
             u, w = p[(k + 1) % 3] - p[k], p[(k + 2) % 3] - p[k]
             cr = _norm(_cross(u, w))
             dt = _inner(u, w)
-            out[blk, k] = np.arctan2(cr, dt)
+            out[blk, k] = _atan2(cr, dt)
     return out
 
 
@@ -283,7 +283,7 @@ def second_fundamental_norm(v: DiscreteVarifold) -> CurvatureField:
     # signed dihedral: angle from n0 to n1 around the edge as f0 traverses it
     ef0 = ebar * s[:, :1]
     n0, n1 = np.take(nhat, f[:, 0], axis=0), np.take(nhat, f[:, 1], axis=0)
-    beta = np.arctan2(_inner(_cross(n0, n1), ef0), _inner(n0, n1))
+    beta = _atan2(_inner(_cross(n0, n1), ef0), _inner(n0, n1))
     w = beta * elen / 2.0
     t = w[:, None, None] * (ebar[:, :, None] * ebar[:, None, :])
     S = _vertex_sum(topo.edges[ie], t.reshape(-1, 1, 9), nv)[ok].reshape(-1, 3, 3)

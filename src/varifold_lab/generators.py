@@ -252,7 +252,9 @@ def gen_double_bubble(theta2: float, rho: float, level: int) -> GeneratorOutput:
     if not theta2 < 2.0 * math.pi / 3.0:
         raise ValueError("theta2 must lie in (0, 2*pi/3)")
     t1, t2, t3 = 2.0 * math.pi / 3.0 - theta2, theta2, theta2 + 2.0 * math.pi / 3.0
-    if min(abs(math.sin(t1)), abs(math.sin(t2)), abs(math.sin(t3))) < 1e-9:
+    if min(abs(math.sin(t1)), abs(math.sin(t2))) < 1e-9:
+        raise ValueError(f"theta2 must lie in (0, 2*pi/3) away from its ends, not {theta2}: a cap radius diverges")
+    if abs(math.sin(t3)) < 1e-9:
         raise ValueError("flat-interface case; use gen_double_bubble_flat")
 
     M = 4 * 2**level
@@ -557,15 +559,14 @@ def gen_singular_pair(
     n = 6 * 2**level
     cs = _circle(M)
 
-    def ring(s: float, sign: int) -> np.ndarray:
-        return _ring(s, sign * delta * eta(s) * u_of(s * cs[0], s * cs[1]), cs)
-
     u0 = float(u_of(np.zeros(1), np.zeros(1))[0])
-    verts = [ring(1.0, +1)]  # the shared rim: z = 0 exactly (eta vanishes)
+    # each inner ring's height once, for both sheets: rounding is sign-symmetric, so -z = ((-delta)*eta)*u
+    heights = [(i / n, delta * eta(i / n) * u_of(i / n * cs[0], i / n * cs[1])) for i in range(1, n)]
+    verts = [_ring(1.0, delta * eta(1.0) * u_of(cs[0], cs[1]), cs)]  # the shared rim: z = 0 exactly (eta vanishes)
     faces = []
     for sign in (+1, -1):
         start = sum(map(len, verts))
-        verts += [ring(i / n, sign) for i in range(1, n)]
+        verts += [_ring(s, sign * z, cs) for s, z in heights]
         verts.append(np.array([[0.0, 0.0, sign * delta * u0]]))
         rows = np.vstack([start + np.arange(M * (n - 1)).reshape(-1, M), np.arange(M)])
         sheet = np.vstack([_fan(start + M * (n - 1), rows[0]), _strips(rows, outer_first=False)])

@@ -28,7 +28,6 @@ incidence's face, edge vector and conormal.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -36,7 +35,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import _kernels
-from ._kernels import _cross, _inner, _norm
+from ._kernels import _atan2, _cross, _inner, _norm
 from ._values import _DIRECTION, _NUMBER, _POINT, MeshError, _check_rows, _frozen, _is_number, _numeric, _quote
 from .reports import load_json, save_json
 
@@ -380,8 +379,8 @@ def junction_sheet_angles(v: DiscreteVarifold) -> np.ndarray:
     je = topo.junction_edges[topo.counts[topo.junction_edges] == 3]
     nu = _conormals(v, v.face_geometry[0], je, 3)[2]
     a, b = nu[:, [0, 0, 1]].reshape(-1, 3), nu[:, [1, 2, 2]].reshape(-1, 3)
-    ang = list(map(math.atan2, _norm(_cross(a, b)).tolist(), _inner(a, b).tolist()))
-    return np.sort(np.degrees(np.array(ang, dtype=np.float64)).reshape(-1, 3), axis=1)
+    ang = _atan2(_norm(_cross(a, b)), _inner(a, b))
+    return np.sort(np.degrees(ang).reshape(-1, 3), axis=1)
 
 
 # ---------------------------------------------------------------------------

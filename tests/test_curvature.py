@@ -231,15 +231,17 @@ def test_curvature_fields_keep_their_bits():
     # sha256 of each array of second_fundamental_norm on a cap, recorded
     # before the face normals were passed between the helpers; B2 and the
     # residual re-recorded when |B|² became the norm of S's tangential part
-    # (within 8 ulps of the eigenvalue form's B2 here)
+    # (within 8 ulps of the eigenvalue form's B2 here); K, the angle defects,
+    # B2 and the residual re-recorded when every angle became libm's atan2
+    # (corner angles within 1 ulp, defects within 1.8e-15, B2 within 1 ulp here)
     f = curvature.second_fundamental_norm(generators.gen_cap(1.0, 1.2, 3).varifold)
     want = {
         "H": "894606aa55b32203214cb95aeafa8be2fc3d4082863339f3a39b6df8462ddb93",
         "vertex_area": "7557a20ab597ec0e7c22ae557004de433989baad115d0edb319a839c1f1e32ec",
-        "K": "93743b0d6169e0bd4cd35fbbf8620cb19aa0c9d685801b64b9b29241402cb65c",
-        "angle_defect": "c62972aef3d517711051f1d1648794fcd39db7541e3eb0f785d12d6743b08411",
-        "B2": "a37226abb27a88386b200da95e933b7936046f282951941ae550bbd7a8c3e49a",
-        "gauss_relation_residual": "6427c22bcb6477de94c6bfd383cd56033755e2cf12b950b358e38b8cc3a0fd13",
+        "K": "b45ef15f5fef125d047980c386b9d9b9beca7e0fbb622dfa3b07a9666f82bdce",
+        "angle_defect": "fdbef2b997f44ffa93ff506befd5ffd0dc6997c067e3c997dfdb34e35339cb2a",
+        "B2": "6b8b674f1772edf30d17500a8905c6974c8f6e002b5b9a955bc82c9b58769a97",
+        "gauss_relation_residual": "50e2f63820d25c02613017cc397878daf0599b04b9edb7a7e0244f1f36276ddb",
     }
     assert {k: hashlib.sha256(getattr(f, k).tobytes()).hexdigest() for k in want} == want
 

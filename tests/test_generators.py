@@ -431,6 +431,11 @@ def test_singular_pair_validation():
     (lambda: gen_double_bubble(True, 1.0, 1), "theta2 must be a number, not True"),
     (lambda: gen_double_bubble("0.7", 1.0, 1), "theta2 must be a number, not '0.7'"),
     (lambda: gen_double_bubble(2.0 * math.pi / 3.0, 1.0, 1), "theta2 must lie in (0, 2*pi/3)"),
+    (lambda: gen_double_bubble(1e-12, 1.0, 1),
+     "theta2 must lie in (0, 2*pi/3) away from its ends, not 1e-12: a cap radius diverges"),
+    (lambda: gen_double_bubble(2.0 * math.pi / 3.0 - 1e-12, 1.0, 1),
+     "theta2 must lie in (0, 2*pi/3) away from its ends, not 2.094395102392195: a cap radius diverges"),
+    (lambda: gen_double_bubble(math.pi / 3.0, 1.0, 1), "flat-interface case; use gen_double_bubble_flat"),
 ], ids=["cap-zero-R", "cap-negative-R", "double-bubble-flat-rho", "flat-disk-rho",
         "triple-bubble-level", "singular-pair-zero-radius", "singular-pair-negative-radius",
         "sphere-nan-R", "sphere-fractional-level", "torus-boolean-level", "torus-nan-r", "double-bubble-nan-rho",
@@ -439,7 +444,8 @@ def test_singular_pair_validation():
         "singular-pair-boolean-center", "singular-pair-3-number-center", "singular-pair-flat-centers",
         "singular-pair-flat-centers-two-radii", "singular-pair-scalar-radii", "singular-pair-string-radius",
         "singular-pair-inf-radius", "cap-boolean-theta", "cap-string-theta", "cap-negative-theta", "cap-theta-pi",
-        "double-bubble-boolean-theta2", "double-bubble-string-theta2", "double-bubble-theta2-2pi-3"])
+        "double-bubble-boolean-theta2", "double-bubble-string-theta2", "double-bubble-theta2-2pi-3",
+        "double-bubble-theta2-near-0", "double-bubble-theta2-near-2pi-3", "double-bubble-flat-interface"])
 def test_generator_parameter_checks(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
@@ -569,6 +575,18 @@ def test_singular_pair_bytes_do_not_depend_on_the_simd_level(tmp_path):
         outs.append(out.read_bytes())
     assert outs[1] == outs[0]
     assert hashlib.sha256(outs[0]).hexdigest() == GENERATOR_SHA256[("singular-pair", 2)]
+
+
+def test_singular_pair_evaluates_the_bump_once_per_point(monkeypatch):
+    # both sheets share each inner ring's bump u: math.exp runs once per distinct
+    # point (x, y) outside the disk, over the mesh's vertices and the 0.9 probe
+    calls = []
+    exp = math.exp
+    monkeypatch.setattr(math, "exp", lambda t: calls.append(t) or exp(t))
+    v = gen_singular_pair([[0.2, 0.1]], [0.3], 0.1, 4).varifold
+    points = {(x, y) for x, y, _ in v.vertices.tolist()} | {(0.9, 0.0)}
+    outside = [p for p in points if (p[0] - 0.2) * (p[0] - 0.2) + (p[1] - 0.1) * (p[1] - 0.1) - 0.3 * 0.3 > 0.0]
+    assert len(calls) == len(outside) == 13_874
 
 
 class _GridWeldOracle:

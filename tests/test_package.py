@@ -308,6 +308,19 @@ def test_rows_of_3_vectors_are_reduced_by_the_kernels_helpers():
     ]
 
 
+def test_every_angle_is_the_kernels_atan2():
+    """Angles are ``_kernels._atan2``, libm's ``math.atan2`` over arrays, whose bits do not
+    depend on the SIMD level; no module calls ``np.arctan2``, and ``math.atan2`` is read only
+    in ``_atan2``."""
+    src = Path(varifold_lab.__file__).parent
+    reads = []
+    for path in sorted(src.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            reads += [(path.stem, getattr(top, "name", None), ast.unparse(node)) for node in ast.walk(top)
+                      if isinstance(node, ast.Attribute) and node.attr in ("atan2", "arctan2")]
+    assert reads == [("_kernels", "_atan2", "math.atan2")]
+
+
 def test_the_mesh_module_is_the_one_owner_of_edge_structure():
     """Edge keys min·V + max are formed by ``mesh._edge_keys`` and the CSR incidence
     arrays ``offsets``, ``inc_faces`` and ``inc_signs`` are read by ``mesh._incidences``
