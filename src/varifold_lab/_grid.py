@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._kernels import _blocks, _sq
+from ._kernels import _blocks, _indices, _sq
 from ._values import _frozen
 
 if TYPE_CHECKING:
@@ -50,6 +50,9 @@ class FaceGrid:
     centroid, ``(a + b + c) / 3``, and the largest distance from it to f's
     corners: f lies in the ball of radius ``spreads[f]`` about
     ``centroids[f]``. ``spread`` is the largest spread of all.
+
+    ``shape``, ``cells``, ``start`` and ``order`` are int32, which bounds a
+    grid to F < 2³¹ faces; the other arrays are float64.
     """
 
     origin: np.ndarray
@@ -74,7 +77,7 @@ class FaceGrid:
             spreads[b] = np.sqrt(_sq(abc).max(axis=0))
         if not len(cen):
             return cls(_frozen(np.zeros(3)), 1.0, _frozen(np.zeros(3, dtype=np.int32)),
-                       _frozen(np.zeros((0, 3), dtype=np.int32)), _frozen(np.zeros(1, dtype=np.int64)),
+                       _frozen(np.zeros((0, 3), dtype=np.int32)), _frozen(np.zeros(1, dtype=np.int32)),
                        _frozen(np.zeros(0, dtype=np.int32)), _frozen(np.zeros(0)), 0.0,
                        _frozen(cen), _frozen(spreads))
         origin = np.array([col.min() for col in cen.T])  # one column at a time: faster than axis 0
@@ -91,7 +94,7 @@ class FaceGrid:
             keys[b] = (ijk[:, 0] * n[1] + ijk[:, 1]) * n[2] + ijk[:, 2]
         order = np.argsort(keys)  # the faces of a cell in no particular order: queries sort what they keep
         keys = keys[order]
-        start = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1], [True])))
+        start = _indices(np.concatenate(([True], keys[1:] != keys[:-1], [True])))
         keys = keys[start[:-1]]
         cells = np.stack([keys // (n[1] * n[2]), keys // n[2] % n[1], keys % n[2]], axis=1)
         return cls(_frozen(origin), pitch, _frozen(n.astype(np.int32)), _frozen(cells.astype(np.int32)),

@@ -91,6 +91,12 @@ def _blocks(n: int) -> list[slice]:
     return [slice(s, s + _BLOCK) for s in range(0, n, _BLOCK)]
 
 
+def _indices(mask: np.ndarray) -> np.ndarray:
+    """The ascending indices of the true entries of the 1-D ``mask``, written as int32
+    (``np.flatnonzero`` returns int64); ``len(mask)`` must be at most 2³¹."""
+    return np.compress(mask, np.arange(len(mask), dtype=np.int32))
+
+
 def _disk_tri_areas(ax, ay, bx, by, cx, cy, rho) -> np.ndarray:
     """Areas of the CCW triangles (a, b, c) intersected with the disks |p| <= rho, rho > 0.
 

@@ -495,10 +495,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # must happen before the numeric stack spins up its thread pools,
-    # which is why the package's modules run only when a command uses them
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, "1")
+    # the thread pools read these when NumPy loads, which is why the package's modules run
+    # only when a command uses them. Once NumPy is loaded (a caller running main in its own
+    # process), a cap cannot act and would only reach that caller's subprocesses.
+    if "numpy" not in sys.modules:
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+            os.environ.setdefault(var, "1")
     try:
         return args.func(args)
     except (ValueError, OverflowError, OSError) as exc:  # MeshError/NetError are ValueErrors

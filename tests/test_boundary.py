@@ -454,7 +454,7 @@ def test_a_circle_center_is_any_three_numbers(center):
 def test_closed_mesh_boundary_arrays_keep_their_shapes_and_types(sphere3):
     # recorded while a closed mesh still took a special case
     b = boundary_measure(sphere3.varifold)
-    for a, shape, dtype in ((b.edges, (0, 2), np.int64), (b.lengths, (0,), np.float64),
+    for a, shape, dtype in ((b.edges, (0, 2), np.int32), (b.lengths, (0,), np.float64),
                             (b.conormals, (0, 3), np.float64), (b.multiplicity, (0,), np.int64)):
         assert (a.shape, a.dtype) == (shape, dtype)
     assert type(b.total_length) is float and b.total_length == 0.0

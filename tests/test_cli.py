@@ -957,6 +957,19 @@ def test_a_callers_blas_threads_are_kept(tmp_path):
     assert got == ["before=False", "at-load=2/2/1/1", "after=True"]
 
 
+def test_an_in_process_main_leaves_the_blas_variables_as_found(monkeypatch, tmp_path):
+    # NumPy is loaded in this process, so a cap could not act here: main must not
+    # write one into the environment, which every later subprocess would inherit
+    for var in _BLAS_VARS:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    found = {var: os.environ.get(var) for var in _BLAS_VARS}
+    assert main(["generate", "sphere", "--level", "0", "-o", str(tmp_path / "sphere.json")]) == 0
+    assert main(["net", "catalogue", "--json", "-o", str(tmp_path / "nets.json")]) == 0
+    assert main(["analyze", str(tmp_path / "missing.json"), "--energy"]) == 2
+    assert {var: os.environ.get(var) for var in _BLAS_VARS} == found
+
+
 def test_reports_do_not_depend_on_the_blas_thread_count(sphere_file, tmp_path):
     outs = []
     for k, extra in enumerate(({}, {"OPENBLAS_NUM_THREADS": "2"})):

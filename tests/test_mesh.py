@@ -268,11 +268,11 @@ def test_edge_topology_without_boundary_or_junction_edges(sphere3):
     # recorded while empty edge classes took a special case
     for v in (sphere3.varifold, DiscreteVarifold(*two_triangle_square())):
         topo = mesh.edge_topology(v)
-        assert (topo.junction_edges.shape, topo.junction_edges.dtype) == ((0,), np.int64)
+        assert (topo.junction_edges.shape, topo.junction_edges.dtype) == ((0,), np.int32)
         assert topo.junction_vertex_mask.dtype == bool
         assert topo.junction_vertex_mask.shape == (v.num_vertices,) and not topo.junction_vertex_mask.any()
     topo = sphere3.varifold.topology
-    assert (topo.boundary_edges.shape, topo.boundary_edges.dtype) == ((0,), np.int64)
+    assert (topo.boundary_edges.shape, topo.boundary_edges.dtype) == ((0,), np.int32)
     assert topo.boundary_vertex_mask.shape == (642,) and not topo.boundary_vertex_mask.any()
 
 
@@ -694,7 +694,7 @@ def _face_grid_axis0(v: DiscreteVarifold) -> _grid.FaceGrid:
     spreads = np.sqrt(np.maximum(np.maximum(_sq(a - cen), _sq(b - cen)), _sq(c - cen)))
     if not len(cen):
         return _grid.FaceGrid(np.zeros(3), 1.0, np.zeros(3, dtype=np.int32), np.zeros((0, 3), dtype=np.int32),
-                              np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int32), np.zeros(0), 0.0,
+                              np.zeros(1, dtype=np.int32), np.zeros(0, dtype=np.int32), np.zeros(0), 0.0,
                               cen, spreads)
     origin = cen.min(axis=0)
     extent = float((cen.max(axis=0) - origin).max())
@@ -705,7 +705,7 @@ def _face_grid_axis0(v: DiscreteVarifold) -> _grid.FaceGrid:
     n = ijk.max(axis=0) + 1
     keys, face_cell = np.unique((ijk[:, 0] * n[1] + ijk[:, 1]) * n[2] + ijk[:, 2], return_inverse=True)
     cells = np.stack([keys // (n[1] * n[2]), keys // n[2] % n[1], keys % n[2]], axis=1)
-    start = np.concatenate([[0], np.cumsum(np.bincount(face_cell))])
+    start = np.concatenate([[0], np.cumsum(np.bincount(face_cell))]).astype(np.int32)
     order = np.argsort(face_cell, kind="stable")
     cell_spread = np.array([spreads[face_cell == c].max() for c in range(len(cells))])
     return _grid.FaceGrid(origin, pitch, n.astype(np.int32), cells.astype(np.int32), start,
