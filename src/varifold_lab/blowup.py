@@ -40,7 +40,7 @@ def ball_mass_ladder(v: DiscreteVarifold, x0, radii) -> np.ndarray:
     x0 = _kernels._point(x0, "ball_mass_ladder: x0")
     if radii.ndim != 1:
         raise ValueError(f"ball_mass_ladder: radii must be 1-D, got shape {radii.shape}")
-    _require_faces(v)
+    _require(v, faces=True)
     return _ball_masses(v, x0, radii)
 
 
@@ -57,11 +57,6 @@ def _ball_masses(v: DiscreteVarifold, x0: np.ndarray, radii: np.ndarray) -> np.n
     return _kernels.ball_masses(v.vertices, faces, mult.astype(np.float64), x0, radii)
 
 
-def _require_faces(v: DiscreteVarifold) -> None:
-    if v.num_faces == 0:
-        raise MeshError("varifold has no faces")
-
-
 def local_edge_scale(v: DiscreteVarifold, x0) -> float:
     """Mean edge length over the 32 faces whose centroids are nearest to x0.
 
@@ -70,7 +65,7 @@ def local_edge_scale(v: DiscreteVarifold, x0) -> float:
     does not reproduce it. The centroids are the face grid's, which have the
     bits of ``v.vertices[v.faces].mean(axis=1)``.
     """
-    _require_faces(v)
+    _require(v, faces=True)
     x0 = _kernels._point(x0, "local_edge_scale: x0")
     d2 = _kernels._sq(v.face_grid.centroids, x0)
     k = min(32, len(d2))

@@ -16,8 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._values import (_INTEGER, _NUMBER, _POINT, MeshError, _check_rows, _cross, _dot, _is_int, _length,
-                      _nonnegative, _point, _quote, _unit)
+from ._values import (_INTEGER, _NUMBER, _POINT, MeshError, _check_rows, _cross, _dot, _is_int, _is_number,
+                      _length, _nonnegative, _point, _quote, _unit)
 from .reports import Record, load_json, save_json
 
 _FOUR_PI = 4.0 * math.pi
@@ -160,8 +160,9 @@ def _circle_point(circle: CircleSpec, frame, t: float) -> tuple[float, float, fl
 
 def circle_conormal_integral_quad(circle: CircleSpec, x0, n_samples: int = 256) -> float:
     """Trapezoid-rule conormal integral (spectrally accurate: periodic smooth)."""
-    if n_samples < 16:
-        raise ValueError("n_samples must be >= 16")
+    if not (_is_int(n_samples) and n_samples >= 16):
+        raise ValueError("n_samples must be >= 16" if _is_int(n_samples) else
+                         f"n_samples must be an integer, not {_quote(n_samples)}")
     x0 = _point(x0, "basepoint")
     nu = tuple(circle.conormal_sign * a for a in circle.normal)
     frame = _circle_frame(circle)
@@ -372,7 +373,7 @@ def admissibility_check(
     ``threshold`` must be 6*pi or 8*pi — the two regimes with a guarantee.
     """
     p_estimate = _nonnegative(p_estimate, "p_estimate")
-    if not (abs(threshold - 6.0 * math.pi) < 1e-12 or abs(threshold - 8.0 * math.pi) < 1e-12):
+    if not (_is_number(threshold) and min(abs(threshold - k * math.pi) for k in (6.0, 8.0)) < 1e-12):
         raise ValueError("threshold must be 6*pi or 8*pi")
     sup = sup_conormal_integral(datum)
     total = p_estimate + 2.0 * sup.value

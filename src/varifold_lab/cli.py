@@ -188,8 +188,11 @@ def _link(v, analytic, tol, spec) -> dict:
 
 
 def _topology(v, analytic, tol, _) -> dict:
-    rep = curvature.euler_characteristic(v)
-    return {**rep.to_dict(), **_verdict(abs(rep.defect_chi - rep.chi), 1e-6)}
+    block = curvature.euler_characteristic(v).to_dict()
+    ref = (analytic or {}).get("chi")
+    if ref is not None:
+        block.update(analytic_chi=ref, **_verdict(abs(block["chi"] - ref), 0))
+    return block
 
 
 def _liyau(v, analytic, tol, _) -> dict:

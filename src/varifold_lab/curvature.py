@@ -24,7 +24,7 @@ import numpy as np
 from . import _kernels
 from ._kernels import _atan2, _cross, _dot, _inner, _norm, _point, _sq
 from ._values import _is_number, _quote
-from .mesh import DiscreteVarifold, MeshError, _boundary_conormals, _incidences, _min_labels, _require
+from .mesh import DiscreteVarifold, _boundary_conormals, _incidences, _min_labels, _require
 from .reports import Record
 
 
@@ -58,7 +58,6 @@ class TopologyReport(Record):
     num_edges: int
     num_faces: int
     chi: int
-    defect_chi: float
     orientable: bool
     connected_components: int
     genus: int | None
@@ -171,11 +170,11 @@ def _angle_defects(v: DiscreteVarifold) -> np.ndarray:
 
 
 def euler_characteristic(v: DiscreteVarifold) -> TopologyReport:
-    """V - E + F with the angle-defect cross-check, orientability, and genus.
+    """V - E + F, orientability, connected components, and the genus of a connected orientable mesh.
 
-    Requires a closed manifold: every edge on exactly two faces. Junction or
-    boundary edges raise MeshError naming the first offending edge. Vertex
-    count uses vertices actually referenced by faces.
+    Requires a closed manifold (``mesh._require``): every edge on exactly two faces, and the
+    faces at every vertex one fan. Otherwise MeshError names the first boundary or junction
+    edge, or the first pinched vertex. Vertex count uses vertices actually referenced by faces.
     """
     _require(v, closed=True, manifold=True)
     topo = v.topology
@@ -185,21 +184,15 @@ def euler_characteristic(v: DiscreteVarifold) -> TopologyReport:
     ne = len(topo.edges)
     nf = v.num_faces
     chi = nv - ne + nf
-    defect_chi = _kernels.fsum(_angle_defects(v)) / (2.0 * math.pi)
-
     orientable, components = _orient_scan(v)
-    genus: int | None = None
-    if orientable and components == 1 and (2 - chi) % 2 == 0:
-        genus = (2 - chi) // 2
     return TopologyReport(
         num_vertices=nv,
         num_edges=ne,
         num_faces=nf,
         chi=chi,
-        defect_chi=defect_chi,
         orientable=orientable,
         connected_components=components,
-        genus=genus,
+        genus=(2 - chi) // 2 if orientable and components == 1 else None,
     )
 
 
@@ -303,21 +296,9 @@ def second_fundamental_norm(v: DiscreteVarifold) -> CurvatureField:
 # oriented-surface functionals
 
 
-def _require_consistent_orientation(v: DiscreteVarifold) -> None:
-    if not v.oriented:
-        raise MeshError("operation requires an oriented mesh (oriented=True)")
-    _require(v, manifold=True)
-    topo = v.topology
-    s = _incidences(topo, topo.interior_edges, 2)[1]
-    bad = topo.interior_edges[s[:, 0] == s[:, 1]]
-    if len(bad):
-        e = topo.edges[bad[0]]
-        raise MeshError(f"face windings disagree across edge ({e[0]}, {e[1]})")
-
-
 def oriented_vertex_normals(v: DiscreteVarifold) -> np.ndarray:
     """Area-and-multiplicity-weighted unit vertex normals of an oriented mesh."""
-    _require_consistent_orientation(v)
+    _require(v, oriented=True)
     nhat, areas = v.face_geometry
     w = (areas * v.multiplicity)[:, None] * nhat
     acc = _vertex_sum(v.faces, w[:, None], v.num_vertices)
@@ -349,8 +330,7 @@ def enclosed_volume(v: DiscreteVarifold) -> float:
     Positive for closed surfaces whose windings give outward normals; flip the
     orientation to negate. Requires a closed, consistently oriented mesh.
     """
-    _require_consistent_orientation(v)
-    _require(v, closed=True)
+    _require(v, closed=True, oriented=True)
     nhat, areas = v.face_geometry
     cen = np.take(v.vertices, v.faces.T, axis=0).mean(axis=0)
     vals = (areas * v.multiplicity) * _inner(cen, nhat)

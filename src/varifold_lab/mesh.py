@@ -37,7 +37,7 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import _atan2, _cross, _inner, _norm
-from ._values import _DIRECTION, _NUMBER, _POINT, MeshError, _check_rows, _frozen, _is_number, _numeric, _quote
+from ._values import _DIRECTION, _INTEGER, _NUMBER, _POINT, MeshError, _check_rows, _frozen, _numeric, _quote
 from .reports import load_json, save_json
 
 if TYPE_CHECKING:
@@ -184,16 +184,55 @@ def validate(v: DiscreteVarifold) -> None:
             raise MeshError(f"face {b.start + int(np.flatnonzero(tiny)[0])} is degenerate (zero area)")
 
 
-def _require(v: DiscreteVarifold, closed: bool = False, manifold: bool = False) -> None:
-    """Raise MeshError naming the first boundary edge (``closed``) or the first
-    junction edge (``manifold``) of ``v``."""
+def _require(v: DiscreteVarifold, *, faces: bool = False, closed: bool = False, manifold: bool = False,
+             oriented: bool = False) -> None:
+    """The one owner of what an analysis admits: raise MeshError for the first need of ``v``
+    that fails, checked in this order: some face (``faces``); ``v.oriented`` (``oriented``); no
+    boundary edge (``closed``); no junction edge, then one fan at every vertex (``manifold``,
+    which ``oriented`` implies); windings that agree across every interior edge (``oriented``).
+    Each message names the first offending edge or vertex. ``faces`` alone reads no derived
+    structure."""
+    if faces and v.num_faces == 0:
+        raise MeshError("varifold has no faces")
+    if oriented and not v.oriented:
+        raise MeshError("operation requires an oriented mesh (oriented=True)")
+    if not (closed or manifold or oriented):
+        return
     topo = v.topology
     if closed and len(topo.boundary_edges):
         a, b = topo.edges[topo.boundary_edges[0]]
         raise MeshError(f"mesh is not closed: edge ({a}, {b}) bounds one face")
-    if manifold and len(topo.junction_edges):
-        a, b = topo.edges[topo.junction_edges[0]]
-        raise MeshError(f"mesh is not manifold: edge ({a}, {b}) has 3+ faces")
+    if manifold or oriented:
+        if len(topo.junction_edges):
+            a, b = topo.edges[topo.junction_edges[0]]
+            raise MeshError(f"mesh is not manifold: edge ({a}, {b}) has 3+ faces")
+        fans = _fans(v)
+        if (fans > 1).any():
+            c = int(np.argmax(fans > 1))
+            raise MeshError(f"mesh is not manifold: the faces at vertex {c} form {fans[c]} fans")
+    if oriented:
+        s = _incidences(topo, topo.interior_edges, 2)[1]
+        bad = topo.interior_edges[s[:, 0] == s[:, 1]]
+        if len(bad):
+            a, b = topo.edges[bad[0]]
+            raise MeshError(f"face windings disagree across edge ({a}, {b})")
+
+
+def _fans(v: DiscreteVarifold) -> np.ndarray:
+    """The number of fans (V,) at each vertex: the classes of its faces joined across its
+    interior edges. Node 3f + k is face f's corner at ``faces[f, k]``, and each interior edge
+    joins its two faces' corners at each of its ends (``_min_labels``); a vertex has one fan
+    per label. A vertex inside a disk or a half-disk of faces has one, an unused vertex none,
+    and a pinch, where surfaces meet in a vertex only, more than one."""
+    topo = v.topology
+    f = _incidences(topo, topo.interior_edges, 2)[0]
+    ends = np.take(topo.edges, topo.interior_edges, axis=0)
+    corners = np.take(v.faces, f, axis=0)  # (E, 2, 3)
+    c = [3 * f + np.argmax(corners == ends[:, k, None, None], axis=2) for k in range(2)]  # (E, 2) at each end
+    joins = np.concatenate(c)
+    label = _min_labels(3 * v.num_faces, joins[:, 0], joins[:, 1])
+    roots = np.flatnonzero(label == np.arange(len(label)))
+    return np.bincount(np.take(v.faces.ravel(), roots), minlength=v.num_vertices)
 
 
 def _face_cross(v: DiscreteVarifold, b: slice) -> tuple[np.ndarray, np.ndarray]:
@@ -429,8 +468,9 @@ def load_mesh_file(path: str) -> tuple[DiscreteVarifold, dict | None]:
     analytic, where = doc.get("analytic"), f"mesh file {path!r}: 'analytic'"
     if analytic is not None and not isinstance(analytic, dict):
         raise MeshError(f"{where} must be an object, not {type(analytic).__name__}")
-    if not _is_number(energy := (analytic or {}).get("willmore_energy", 0)):
-        raise MeshError(f"{where}: 'willmore_energy' must be a number, not {_quote(energy)}")
+    for key, (ok, what) in (("willmore_energy", _NUMBER), ("chi", _INTEGER)):  # the values that analyses read
+        if key in (analytic or {}) and not ok(analytic[key]):
+            raise MeshError(f"{where}: {key!r} must be {what}, not {_quote(analytic[key])}")
     for key, spec in (("density_points", {"point": _POINT, "density": _NUMBER, "r_max?": _NUMBER}),
                       ("junction_circles", {"center": _POINT, "normal": _DIRECTION, "radius": _NUMBER,
                                             "density?": _NUMBER})):  # the lists that analyses read

@@ -79,10 +79,6 @@ class GeodesicNet:
         return _array(self.flags, "bool")
 
     @property
-    def num_vertices(self) -> int:
-        return len(self.points)
-
-    @property
     def num_arcs(self) -> int:
         return len(self.rows)
 
@@ -224,17 +220,19 @@ def relax(net: GeodesicNet, max_iter: int = 1000, tol: float = 1e-10) -> RelaxRe
     after max_iter steps, or on a stall (``_STALL``), and the length and
     residual histories hold iterations + 1 entries; the last entries are
     ``total_length(res.net)`` and ``balance_residual(res.net)``, bit for
-    bit. Raises NetError for a max_iter that is not an integer >= 0 or tol <= 0
-    (a tolerance no residual can meet), for an arc with antipodal endpoints,
-    and for a start with an arc, major or minor, whose endpoints are closer
+    bit. Raises NetError for a max_iter that is not an integer >= 0, for a tol
+    that is not a positive finite number (one no residual can meet, or one
+    every start meets), for an arc with antipodal endpoints, and for a start
+    with an arc, major or minor, whose endpoints are closer
     than 1e-6 in angle; a trial step that brings an arc's endpoints that
     close is rejected, like one that does not lower the residual norm.
     """
     if not (_is_int(max_iter) and max_iter >= 0):
         what = "at least 0" if _is_int(max_iter) else "an integer"
         raise NetError(f"max_iter must be {what}, not {_quote(max_iter)}")
-    if not tol > 0:
-        raise NetError(f"tol must be positive, not {tol!r}")
+    if not (_is_number(tol) and 0.0 < tol < math.inf):
+        what = "a number" if not _is_number(tol) else "finite" if tol == math.inf else "positive"
+        raise NetError(f"tol must be {what}, not {_quote(tol)}")
     rows, flags = net.rows, net.flags
     for i, j, _ in rows:
         ends = [a + b for a, b in zip(net.points[i], net.points[j])]

@@ -75,6 +75,18 @@ def two_spheres():
                          np.vstack([s.faces, s.faces + s.num_vertices]))
 
 
+def tangent_spheres(level: int) -> DiscreteVarifold:
+    """Two unit spheres at ``level`` that touch at vertex 0 and share it: the second is the
+    first reflected through that vertex, x -> 2 x_0 - x, with its windings reversed so that
+    both are wound outward. Each edge has two faces, but the faces at vertex 0 form two fans:
+    a pinch, with chi 3 where the two spheres have chi 4."""
+    s = generators.gen_sphere(1.0, level).varifold
+    n = s.num_vertices
+    index = np.concatenate([[0], n + np.arange(n - 1)])  # the reflected vertices, vertex 0 shared
+    return DiscreteVarifold(np.vstack([s.vertices, (2.0 * s.vertices[0] - s.vertices)[1:]]),
+                            np.vstack([s.faces, index[s.faces[:, ::-1]]]), oriented=True)
+
+
 def first_variation_residual(v, phi) -> float:
     """Defect of the first-variation identity for the vertex field phi (an array or a function of
     the vertices), the oracle for the mean curvature and the boundary conormals:

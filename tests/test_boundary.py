@@ -209,6 +209,23 @@ def test_quadrature_options():
         circle_conormal_integral_quad(unit_circle(), [0, 0, 1], n_samples=8)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda d: circle_conormal_integral_quad(unit_circle(), [0, 0, 1], n_samples=16.0),
+     "n_samples must be an integer, not 16.0"),
+    (lambda d: circle_conormal_integral_quad(unit_circle(), [0, 0, 1], n_samples=True),
+     "n_samples must be an integer, not True"),
+    (lambda d: circle_conormal_integral_quad(unit_circle(), [0, 0, 1], n_samples=15),
+     "n_samples must be >= 16"),
+    (lambda d: admissibility_check(1.0, d, "6pi"), "threshold must be 6*pi or 8*pi"),
+    (lambda d: admissibility_check(1.0, d, None), "threshold must be 6*pi or 8*pi"),
+    (lambda d: admissibility_check(1.0, d, math.nan), "threshold must be 6*pi or 8*pi"),
+], ids=["float-samples", "boolean-samples", "too-few-samples", "string-threshold", "no-threshold",
+        "nan-threshold"])
+def test_quadrature_samples_and_thresholds_raise_value_errors(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(make_datum([unit_circle()]))
+
+
 def test_datum_integral_sums_circles():
     lower = CircleSpec([0, 0, -0.5], 1.0, [0, 0, 1])
     datum = make_datum([unit_circle(), lower])

@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 import varifold_lab
-from varifold_lab import boundary, nets
+from varifold_lab import boundary, generators, nets
 from varifold_lab.cli import ANALYSES, build_parser, main
+from varifold_lab.mesh import DiscreteVarifold, save_varifold
 from varifold_lab.reports import canonical_dumps
 
-from conftest import _child_env
+from conftest import _child_env, tangent_spheres
 
 
 @pytest.fixture()
@@ -300,6 +301,64 @@ def test_topology_of_a_mesh_with_boundary_is_not_applicable(tmp_path):
     assert main(["analyze", path, "--topology", "-o", report]) == 0
     block = read_json(report)["analyses"]["topology"]
     assert block["status"] == "not_applicable" and block["reason"].startswith("mesh is not closed: edge (")
+
+
+def _flipped_sphere():
+    v = generators.gen_sphere(1.0, 2).varifold
+    faces = v.faces.copy()
+    faces[0] = faces[0, ::-1]
+    return DiscreteVarifold(v.vertices, faces, oriented=True)
+
+
+@pytest.mark.parametrize("make, option, reason", [
+    (lambda: DiscreteVarifold([[0.0, 0.0, 0.0]], []), "--density=0,0,0", "varifold has no faces"),
+    (lambda: generators.gen_cap(1.0, 1.2, 2).varifold, "--topology",
+     "mesh is not closed: edge (0, 1) bounds one face"),
+    (lambda: generators.gen_double_bubble(0.7, 1.0, 2).varifold, "--topology",
+     "mesh is not manifold: edge (0, 1) has 3+ faces"),
+    (lambda: tangent_spheres(2), "--topology", "mesh is not manifold: the faces at vertex 0 form 2 fans"),
+    (lambda: generators.gen_double_bubble(0.7, 1.0, 2).varifold, "--helfrich=0",
+     "operation requires an oriented mesh (oriented=True)"),
+    (_flipped_sphere, "--helfrich=0", "face windings disagree across edge (0, 42)"),
+], ids=["no-faces", "boundary", "junction", "pinch", "unoriented", "windings"])
+def test_each_reason_a_mesh_is_not_admitted_is_reported(tmp_path, make, option, reason):
+    """One mesh per message of ``mesh._require``; its block, or row, is not applicable."""
+    path, report = str(tmp_path / "m.json"), str(tmp_path / "r.json")
+    save_varifold(make(), path)
+    assert main(["analyze", path, option, "-o", report]) == 0
+    (block,) = read_json(report)["analyses"].values()
+    assert (block[0] if isinstance(block, list) else block)["reason"] == reason
+
+
+@pytest.mark.parametrize("level", [2, 3, 4])
+def test_tangent_spheres_sharing_their_contact_vertex_are_not_applicable(tmp_path, level):
+    """Two spheres that share the vertex where they touch pass every edge test, and would give
+    chi 3; the star at the contact vertex is two fans, so the mesh is no discrete immersion."""
+    path, report = str(tmp_path / "pinch.json"), str(tmp_path / "r.json")
+    save_varifold(tangent_spheres(level), path)
+    assert main(["analyze", path, "--topology", "--helfrich", "0", "-o", report]) == 0
+    reason = "mesh is not manifold: the faces at vertex 0 form 2 fans"
+    assert read_json(report)["analyses"] == {name: {"status": "not_applicable", "reason": reason}
+                                             for name in ("topology", "helfrich")}
+
+
+@pytest.mark.parametrize("chi, code, verdict", [
+    (2, 0, {"analytic_chi": 2, "tolerance": 0, "passed": True}),
+    (0, 1, {"analytic_chi": 0, "tolerance": 0, "passed": False}),
+    (None, 0, {}),
+], ids=["matching", "differing", "absent"])
+def test_topology_checks_chi_against_the_analytic_block(sphere_file, tmp_path, capsys, chi, code, verdict):
+    doc = read_json(sphere_file)
+    doc["analytic"].pop("chi")
+    if chi is not None:
+        doc["analytic"]["chi"] = chi
+    path, report = tmp_path / "m.json", str(tmp_path / "r.json")
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path), "--topology", "-o", report]) == code
+    block = read_json(report)["analyses"]["topology"]
+    assert block == {"num_vertices": 642, "num_edges": 1920, "num_faces": 1280, "chi": 2, "orientable": True,
+                     "connected_components": 1, "genus": 0, **verdict}
+    assert ("analyses.topology" in capsys.readouterr().out) == (chi is not None)
 
 
 def test_analyze_failure_exits_one(tmp_path, capsys):
@@ -772,11 +831,14 @@ def test_report_of_the_wrong_shape_is_input_error(tmp_path, capsys, doc, message
     ([1], "--energy", "'analytic' must be an object, not list"),
     ({"density_points": "x"}, "--liyau", "'analytic': 'density_points' must be a list of objects"),
     ({"willmore_energy": True}, "--energy", "'analytic': 'willmore_energy' must be a number, not True"),
+    ({"chi": 2.0}, "--topology", "'analytic': 'chi' must be an integer, not 2.0"),
+    ({"chi": True}, "--topology", "'analytic': 'chi' must be an integer, not True"),
     ({"density_points": [{"point": [1, 0, 0]}]}, "--liyau",
      "'analytic': 'density_points' entry 0 is missing 'density'"),
     ({"junction_circles": [{"center": [0, 0, 0], "normal": [0, 0, 1], "radius": 1, "density": None}]},
      "--density=1,0,0", "'analytic': 'junction_circles' entry 0: 'density' must be a number, not None"),
-], ids=["list", "string-density-points", "bool-energy", "no-density", "null-circle-density"])
+], ids=["list", "string-density-points", "bool-energy", "float-chi", "bool-chi", "no-density",
+        "null-circle-density"])
 def test_analytic_block_of_the_wrong_shape_is_input_error(sphere_file, tmp_path, capsys, analytic,
                                                           option, message):
     doc = read_json(sphere_file)

@@ -7,7 +7,7 @@ import pytest
 from varifold_lab import curvature, generators, mesh
 from varifold_lab.mesh import DiscreteVarifold, MeshError
 
-from conftest import first_variation_residual, projective_plane, triple_fan, two_spheres
+from conftest import first_variation_residual, projective_plane, tangent_spheres, triple_fan, two_spheres
 
 
 def test_sphere_mean_curvature_magnitude(sphere4):
@@ -280,13 +280,11 @@ def test_euler_characteristic_sphere(sphere3):
     t = curvature.euler_characteristic(sphere3.varifold)
     assert t.chi == 2 and t.genus == 0 and t.orientable
     assert t.num_vertices - t.num_edges + t.num_faces == 2
-    assert abs(t.defect_chi - 2.0) < 1e-9
 
 
 def test_euler_characteristic_torus(torus3):
     t = curvature.euler_characteristic(torus3.varifold)
     assert t.chi == 0 and t.genus == 1 and t.orientable
-    assert abs(t.defect_chi) < 1e-9
 
 
 def test_euler_characteristic_rejects_junctions():
@@ -308,7 +306,7 @@ def test_euler_characteristic_of_the_projective_plane():
              (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3)]
     var = DiscreteVarifold(np.random.default_rng(0).standard_normal((6, 3)), faces)
     t = curvature.euler_characteristic(var)
-    assert (t.chi, t.defect_chi, t.orientable, t.connected_components, t.genus) == (1, 1.0, False, 1, None)
+    assert (t.chi, t.orientable, t.connected_components, t.genus) == (1, False, 1, None)
 
 
 def _orient_scan_bfs(v):
@@ -356,7 +354,22 @@ def test_orientation_union_find_matches_the_bfs_oracle(make, want):
 def test_euler_characteristic_of_two_disjoint_spheres():
     t = curvature.euler_characteristic(two_spheres())
     assert (t.chi, t.orientable, t.connected_components, t.genus) == (4, True, 2, None)
-    assert abs(t.defect_chi - 4.0) < 1e-9
+
+
+def test_a_multiplicity_two_sphere_has_one_fan_at_every_vertex(sphere3):
+    """The control without a pinch: every vertex star is one disk carried twice, and W doubles."""
+    v = sphere3.varifold
+    doubled = DiscreteVarifold(v.vertices, v.faces, 2 * v.multiplicity, oriented=True)
+    assert (mesh._fans(doubled) == 1).all() and doubled.num_vertices == 642
+    assert curvature.euler_characteristic(doubled) == curvature.euler_characteristic(v)
+    assert curvature.willmore_energy(doubled) == 2 * curvature.willmore_energy(v)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: at a pinch the two stars' mass gradients "
+                                       "cancel in one H, and W loses 0.039 at L3")
+def test_tangent_spheres_bend_as_much_as_the_two_spheres(sphere3):
+    assert curvature.willmore_energy(tangent_spheres(3)) == pytest.approx(
+        2 * curvature.willmore_energy(sphere3.varifold), rel=1e-9)
 
 
 def _same_partition(a, b):
@@ -411,6 +424,17 @@ def test_enclosed_volume_rejects_open_mesh():
     cap = generators.gen_cap(1.0, 0.8, 2).varifold
     with pytest.raises(MeshError):
         curvature.enclosed_volume(cap)
+
+
+def test_enclosed_volume_names_the_boundary_before_the_windings():
+    # the order of mesh._require: the declared orientation, then closed, then manifold and windings
+    cap = generators.gen_cap(1.0, 0.8, 2).varifold
+    faces = cap.faces.copy()
+    faces[0] = faces[0, ::-1]
+    with pytest.raises(MeshError, match=r"^mesh is not closed: edge \(0, 1\) bounds one face$"):
+        curvature.enclosed_volume(DiscreteVarifold(cap.vertices, faces, oriented=True))
+    with pytest.raises(MeshError, match=r"^operation requires an oriented mesh \(oriented=True\)$"):
+        curvature.enclosed_volume(DiscreteVarifold(cap.vertices, faces))
 
 
 def test_first_variation_matches_finite_differences(sphere3, rng):

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from varifold_lab import blowup
+from varifold_lab import blowup, mesh
 from varifold_lab.cli import main
 from varifold_lab.generators import (
     GENERATORS,
@@ -44,6 +44,16 @@ def test_every_generator_rejects_a_negative_level(name):
     assert GENERATORS[name](**_ARGS[name], level=0).varifold.num_faces > 0
     with pytest.raises(ValueError, match="^level must be >= 0$"):
         GENERATORS[name](**_ARGS[name], level=-1)
+
+
+@pytest.mark.parametrize("level", [2, 3])
+@pytest.mark.parametrize("name", [name for name in sorted(_ARGS) if "bubble" not in name])
+def test_every_generator_without_junctions_has_one_fan_at_every_used_vertex(name, level):
+    """The vertex stars of the surfaces that reach ``mesh._require``'s fan test are one disk,
+    or one half-disk on a rim; the bubbles stop at their junction edges first."""
+    v = GENERATORS[name](**_ARGS[name], level=level).varifold
+    assert len(v.topology.junction_edges) == 0
+    np.testing.assert_array_equal(mesh._fans(v), np.bincount(v.faces.ravel(), minlength=v.num_vertices) > 0)
 
 
 def test_registry_names():

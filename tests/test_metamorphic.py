@@ -2,7 +2,6 @@
 scaling the mesh, doubling its multiplicities, relabelling its faces and
 vertices and moving it rigidly change the outputs in known ways."""
 import functools
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varifold_lab import blowup, curvature, generators
-from varifold_lab.mesh import DiscreteVarifold
+from varifold_lab.mesh import DiscreteVarifold, _fans
 
-from conftest import projective_plane, two_spheres
+from conftest import projective_plane, tangent_spheres, two_spheres
 
 MESHES = [(name, level) for name in ("sphere", "double_bubble", "triple_bubble") for level in (2, 3)]
 
@@ -28,6 +27,15 @@ def _mesh(name: str, level: int) -> DiscreteVarifold:
 
 def _center(v: DiscreteVarifold, i: int) -> np.ndarray:
     return v.vertices[i % v.num_vertices]
+
+
+def _relabelled(v: DiscreteVarifold, seed: int) -> tuple[DiscreteVarifold, np.ndarray]:
+    """``v`` with its vertices and faces in a random order, and the new index of each old vertex."""
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(v.num_vertices)  # new vertex j is old vertex order[j]
+    label = np.argsort(order)  # old vertex i is new vertex label[i]
+    shuffle = rng.permutation(v.num_faces)
+    return DiscreteVarifold(v.vertices[order], label[v.faces][shuffle], v.multiplicity[shuffle]), label
 
 
 def _radii(r: float) -> np.ndarray:
@@ -75,11 +83,7 @@ def test_doubling_multiplicities_doubles_masses_and_density(mesh, i, r):
 @given(mesh=mesh, i=vertex, r=st.floats(0.05, 1.0), seed=st.integers(0, 2**32 - 1))
 def test_relabelling_faces_and_vertices_keeps_density_and_link_length(mesh, i, r, seed):
     v = _mesh(*mesh)
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(v.num_vertices)  # new vertex j is old vertex order[j]
-    label = np.argsort(order)  # old vertex i is new vertex label[i]
-    shuffle = rng.permutation(v.num_faces)
-    relabelled = DiscreteVarifold(v.vertices[order], label[v.faces][shuffle], v.multiplicity[shuffle])
+    relabelled = _relabelled(v, seed)[0]
     x0 = _center(v, i)
     assert blowup.density(relabelled, x0).theta == pytest.approx(blowup.density(v, x0).theta,
                                                                   rel=1e-12, abs=0)
@@ -101,15 +105,27 @@ def _closed(name: str) -> DiscreteVarifold:
 @given(name=st.sampled_from(sorted(CLOSED)), seed=st.integers(0, 2**32 - 1))
 def test_relabelling_faces_and_vertices_keeps_the_topology_report(name, seed):
     v = _closed(name)
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(v.num_vertices)
-    label = np.argsort(order)
-    shuffle = rng.permutation(v.num_faces)
-    relabelled = DiscreteVarifold(v.vertices[order], label[v.faces][shuffle], v.multiplicity[shuffle])
-    want = curvature.euler_characteristic(v)
-    got = curvature.euler_characteristic(relabelled)
-    assert got.defect_chi == pytest.approx(want.defect_chi, rel=0, abs=1e-12)
-    assert got == replace(want, defect_chi=got.defect_chi)
+    assert curvature.euler_characteristic(_relabelled(v, seed)[0]) == curvature.euler_characteristic(v)
+
+
+FANNED = {"tangent_spheres": lambda: tangent_spheres(2), "projective_plane": projective_plane,
+          "cap": lambda: generators.gen_cap(1.0, 1.2, 2).varifold,
+          "double_bubble": lambda: generators.gen_double_bubble(0.7, 1.0, 2).varifold}
+
+
+@functools.cache
+def _fanned(name: str) -> DiscreteVarifold:
+    return FANNED[name]()
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(sorted(FANNED)), seed=st.integers(0, 2**32 - 1))
+def test_relabelling_faces_and_vertices_keeps_the_fan_counts(name, seed):
+    """Each vertex keeps its number of fans: two at the pinch of the tangent spheres, one
+    inside a sheet or on a rim, and one per sheet at the double bubble's junction vertices."""
+    v = _fanned(name)
+    relabelled, label = _relabelled(v, seed)
+    np.testing.assert_array_equal(_fans(relabelled)[label], _fans(v))
 
 
 #: Relative agreement asked of a rigidly moved mesh: rotating and translating

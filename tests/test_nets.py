@@ -663,8 +663,12 @@ def test_match_rejects_a_non_finite_length(length):
     (lambda net: relax(net, max_iter=True), "max_iter must be an integer, not True"),
     (lambda net: relax(net, max_iter=1.5), "max_iter must be an integer, not 1.5"),
     (lambda net: relax(net, max_iter=-3), "max_iter must be at least 0, not -3"),
+    (lambda net: relax(net, tol=True), "tol must be a number, not True"),
+    (lambda net: relax(net, tol=math.inf), "tol must be finite, not inf"),
+    (lambda net: relax(net, tol=math.nan), "tol must be positive, not nan"),
 ], ids=["match-nan-tol", "match-negative-tol", "match-string-length", "match-boolean-length",
-        "relax-boolean-max-iter", "relax-fractional-max-iter", "relax-negative-max-iter"])
+        "relax-boolean-max-iter", "relax-fractional-max-iter", "relax-negative-max-iter",
+        "relax-boolean-tol", "relax-infinite-tol", "relax-nan-tol"])
 def test_tolerances_and_counts_follow_the_number_rule(entries, call, message):
     with pytest.raises(NetError, match=f"^{re.escape(message)}$"):
         call(entries[2].net)

@@ -342,6 +342,20 @@ def test_the_mesh_module_is_the_one_owner_of_edge_structure():
     assert sorted(set(reads)) == [("mesh", "_incidences")]
 
 
+def test_the_mesh_module_is_the_one_owner_of_what_an_analysis_admits():
+    """The six messages that say why a mesh does not admit an analysis are raised by
+    ``mesh._require`` only; every analysis states what it needs in one call to it."""
+    src = Path(varifold_lab.__file__).parent
+    messages = ("varifold has no faces", "mesh is not closed", "mesh is not manifold",
+                "operation requires an oriented mesh", "face windings disagree")
+    raises = []
+    for path in sorted(src.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            raises += [(path.stem, getattr(top, "name", None)) for node in ast.walk(top)
+                       if isinstance(node, ast.Raise) and any(m in ast.unparse(node) for m in messages)]
+    assert raises == [("mesh", "_require")] * 6
+
+
 def test_nets_and_circles_check_their_input_without_numpy():
     """``boundary``, ``netmatch`` and ``nets`` check their input in Python: no
     module imports ``_values._numeric``, and NumPy is imported only inside
