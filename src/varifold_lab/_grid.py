@@ -10,8 +10,9 @@ each cell that its own spread cannot bring near the ball (or, for a
 spherical link, the shell around the sphere), keeps every face of a cell
 that lies wholly inside, and tests the faces of the other cells one by one:
 a face is kept when its own bounding sphere (centroid and spread) meets the
-ball or shell. It is built once per mesh, as ``DiscreteVarifold.face_grid``;
-this module is imported only when a grid is first needed. Like every
+ball or shell. ``FaceGrid.build`` returns fresh arrays, and
+``DiscreteVarifold.face_grid`` keeps one read-only grid per mesh; this module
+is imported only when a grid is first needed. Like every
 whole-mesh per-face pass, the build works through the faces in blocks of
 ``_kernels._BLOCK``: each block's corners are gathered, and its centroids,
 spreads and cell keys written into the (F,)-sized outputs, so no corner
@@ -26,7 +27,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ._kernels import _blocks, _indices, _sq
-from ._values import _frozen
 
 if TYPE_CHECKING:
     from .mesh import DiscreteVarifold
@@ -52,7 +52,8 @@ class FaceGrid:
     ``centroids[f]``. ``spread`` is the largest spread of all.
 
     ``shape``, ``cells``, ``start`` and ``order`` are int32, which bounds a
-    grid to F < 2³¹ faces; the other arrays are float64.
+    grid to F < 2³¹ faces; the other arrays are float64. ``build`` returns
+    writable arrays; ``DiscreteVarifold.face_grid`` keeps them read-only.
     """
 
     origin: np.ndarray
@@ -76,10 +77,8 @@ class FaceGrid:
             abc -= cen[b]
             spreads[b] = np.sqrt(_sq(abc).max(axis=0))
         if not len(cen):
-            return cls(_frozen(np.zeros(3)), 1.0, _frozen(np.zeros(3, dtype=np.int32)),
-                       _frozen(np.zeros((0, 3), dtype=np.int32)), _frozen(np.zeros(1, dtype=np.int32)),
-                       _frozen(np.zeros(0, dtype=np.int32)), _frozen(np.zeros(0)), 0.0,
-                       _frozen(cen), _frozen(spreads))
+            return cls(np.zeros(3), 1.0, np.zeros(3, dtype=np.int32), np.zeros((0, 3), dtype=np.int32),
+                       np.zeros(1, dtype=np.int32), np.zeros(0, dtype=np.int32), np.zeros(0), 0.0, cen, spreads)
         origin = np.array([col.min() for col in cen.T])  # one column at a time: faster than axis 0
         top = np.array([col.max() for col in cen.T])
         extent = float((top - origin).max())
@@ -97,10 +96,8 @@ class FaceGrid:
         start = _indices(np.concatenate(([True], keys[1:] != keys[:-1], [True])))
         keys = keys[start[:-1]]
         cells = np.stack([keys // (n[1] * n[2]), keys // n[2] % n[1], keys % n[2]], axis=1)
-        return cls(_frozen(origin), pitch, _frozen(n.astype(np.int32)), _frozen(cells.astype(np.int32)),
-                   _frozen(start), _frozen(order.astype(np.int32)),
-                   _frozen(np.maximum.reduceat(spreads[order], start[:-1])), float(spreads.max()),
-                   _frozen(cen), _frozen(spreads))
+        return cls(origin, pitch, n.astype(np.int32), cells.astype(np.int32), start, order.astype(np.int32),
+                   np.maximum.reduceat(spreads[order], start[:-1]), float(spreads.max()), cen, spreads)
 
     def query(self, x0, r: float, inner: float = 0.0) -> np.ndarray:
         """Ascending indices of a superset of the faces that can meet the shell

@@ -124,22 +124,33 @@ def _unit(a) -> tuple[float, float, float]:
     return (a[0] / n, a[1] / n, a[2] / n)
 
 
-#: Tests of a JSON value for ``_check_rows``, each with what it asks for.
+#: Tests of a JSON value for ``_check_value``, each with what it asks for. A tuple of tests
+#: runs them in order, so a range follows the type it reads.
 _NUMBER = (_is_number, "a number")
 _INTEGER = (_is_int, "an integer")
 _POINT = (lambda x: isinstance(x, list) and len(x) == 3 and all(map(_is_number, x)), "3 numbers")
 _DIRECTION = (lambda x: _POINT[0](x) and any(x), "3 numbers, not all zero")
+_FINITE = (_NUMBER, (math.isfinite, "finite"))
+_POSITIVE = (_NUMBER, (lambda x: 0 < x < math.inf, "positive and finite"))
+_FINITE_POINT = (_POINT, (lambda x: all(map(math.isfinite, x)), "finite"))
+
+
+def _check_value(value, spec, where: str, error: type[ValueError]) -> None:
+    """``error`` saying that ``where`` must be what the first failing test of ``spec`` asks for."""
+    for ok, what in spec if isinstance(spec[0], tuple) else (spec,):
+        if not ok(value):
+            raise error(f"{where} must be {what}, not {_quote(value)}")
 
 
 def _check_rows(rows, spec: dict, where: str, error: type[ValueError]) -> None:
     """``error`` naming the entry and key unless ``rows`` is a list of objects whose keys pass
-    ``spec``'s tests (key -> (test, what it asks for)); only a key ending in "?" may be missing."""
+    ``spec``'s tests (key -> ``_check_value`` tests); only a key ending in "?" may be missing."""
     if not (isinstance(rows, list) and all(isinstance(r, dict) for r in rows)):
         raise error(f"{where} must be a list of objects")
     for k, row in enumerate(rows):
-        for name, (ok, what) in spec.items():
+        for name, tests in spec.items():
             key = name.rstrip("?")
             if key == name and key not in row:
                 raise error(f"{where} entry {k} is missing {key!r}")
-            if key in row and not ok(row[key]):
-                raise error(f"{where} entry {k}: {key!r} must be {what}, not {_quote(row[key])}")
+            if key in row:
+                _check_value(row[key], tests, f"{where} entry {k}: {key!r}", error)

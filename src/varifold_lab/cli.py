@@ -163,6 +163,8 @@ def _density(v, analytic, tol, spec) -> dict:
         "classification": rep.classification,
         "ladder": {"radii": rep.radii.tolist(), "ratios": rep.ratios.tolist()},
     }
+    if rep.warnings:
+        row["warnings"] = list(rep.warnings)
     if ref is not None:
         err = abs(rep.theta - float(ref["density"]))
         row.update(expected=float(ref["density"]), abs_error=err, **_verdict(err, tol["density_abs"]))

@@ -24,7 +24,7 @@ import numpy as np
 from . import _kernels
 from ._kernels import _atan2, _cross, _dot, _inner, _norm, _point, _sq
 from ._values import _is_number, _quote
-from .mesh import DiscreteVarifold, _boundary_conormals, _incidences, _min_labels, _require
+from .mesh import DiscreteVarifold, _boundary_conormals, _incidences, _require
 from .reports import Record
 
 
@@ -174,17 +174,15 @@ def euler_characteristic(v: DiscreteVarifold) -> TopologyReport:
 
     Requires a closed manifold (``mesh._require``): every edge on exactly two faces, and the
     faces at every vertex one fan. Otherwise MeshError names the first boundary or junction
-    edge, or the first pinched vertex. Vertex count uses vertices actually referenced by faces.
+    edge, or the first pinched vertex. V counts the vertices on some face, which are those
+    with a fan (``v.fans``). The mesh is orientable when no face shares a component of the
+    orientation double cover (``v.cover``) with its flip, and has one component per sheet label.
     """
     _require(v, closed=True, manifold=True)
-    topo = v.topology
-    used = np.zeros(v.num_vertices, dtype=bool)
-    used[v.faces.ravel()] = True
-    nv = int(used.sum())
-    ne = len(topo.edges)
-    nf = v.num_faces
+    nv, ne, nf = int(np.count_nonzero(v.fans)), len(v.topology.edges), v.num_faces
     chi = nv - ne + nf
-    orientable, components = _orient_scan(v)
+    orientable = bool((v.cover[:, 0] != v.cover[:, 1]).all())
+    components = len(np.unique(v.cover.min(axis=1)))
     return TopologyReport(
         num_vertices=nv,
         num_edges=ne,
@@ -194,25 +192,6 @@ def euler_characteristic(v: DiscreteVarifold) -> TopologyReport:
         connected_components=components,
         genus=(2 - chi) // 2 if orientable and components == 1 else None,
     )
-
-
-def _cover_labels(v: DiscreteVarifold) -> np.ndarray:
-    """Labels (2F,) of the components of the orientation double cover: node
-    2f + s is face f flipped s times, and each interior edge joins the nodes
-    of its two faces that wind alike across it; each node's label is the least
-    node of its component (``_min_labels``). No junction or boundary edge
-    joins faces, so min(label[2f], label[2f + 1]) labels sheets."""
-    f, s = _incidences(v.topology, v.topology.interior_edges, 2)
-    alike = s[:, 0] != s[:, 1]
-    a = np.concatenate([2 * f[:, 0], 2 * f[:, 0] + 1])
-    b = np.concatenate([2 * f[:, 1] + ~alike, 2 * f[:, 1] + alike])
-    return _min_labels(2 * v.num_faces, a, b)
-
-
-def _orient_scan(v: DiscreteVarifold) -> tuple[bool, int]:
-    """Orientable when no face shares a cover component with its flip; one component per sheet label."""
-    label = _cover_labels(v).reshape(-1, 2)
-    return bool((label[:, 0] != label[:, 1]).all()), len(np.unique(label.min(axis=1)))
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ vector and conormal.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -37,7 +37,8 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import _atan2, _cross, _inner, _norm
-from ._values import _DIRECTION, _INTEGER, _NUMBER, _POINT, MeshError, _check_rows, _frozen, _numeric, _quote
+from ._values import (_DIRECTION, _FINITE, _FINITE_POINT, _INTEGER, _POSITIVE, MeshError, _check_rows,
+                      _check_value, _frozen, _numeric)
 from .reports import load_json, save_json
 
 if TYPE_CHECKING:
@@ -62,8 +63,11 @@ class DiscreteVarifold:
     and ``oriented`` a bool; then ``validate`` checks the structure. Any
     failure raises MeshError naming the key or the first offending face, also
     from ``dataclasses.replace``. The arrays are read-only (views are copied
-    first), and so are those of ``topology``, ``face_geometry``,
-    ``curvature`` and ``face_grid``, which are derived on first use and kept.
+    first). Six derived structures are built on first read, each apart from the
+    others, and kept: ``topology``, ``face_geometry``, ``curvature``, ``fans``,
+    ``cover`` and ``face_grid``. Their builders return fresh, writable arrays;
+    the property keeps one read-only copy through ``_freeze``, the one place
+    where derived arrays are frozen.
     """
 
     vertices: np.ndarray
@@ -99,29 +103,50 @@ class DiscreteVarifold:
 
     @cached_property
     def topology(self) -> EdgeTopology:
-        """``edge_topology(self)``, built once."""
-        return edge_topology(self)
+        """``edge_topology(self)``."""
+        return _freeze(edge_topology(self))
 
     @cached_property
     def face_geometry(self) -> tuple[np.ndarray, np.ndarray]:
-        """``face_normals(self)``, unit normals and areas, read-only and computed once."""
-        return tuple(map(_frozen, face_normals(self)))
+        """``face_normals(self)``: unit normals and areas."""
+        return _freeze(face_normals(self))
 
     @cached_property
     def curvature(self):
-        """``curvature.mean_curvature(self)`` with read-only arrays, computed once."""
+        """``curvature.mean_curvature(self)``."""
         from . import curvature
 
-        f = curvature.mean_curvature(self)
-        return replace(f, **{k.name: _frozen(getattr(f, k.name))
-                             for k in fields(f) if getattr(f, k.name) is not None})
+        return _freeze(curvature.mean_curvature(self))
+
+    @cached_property
+    def fans(self) -> np.ndarray:
+        """``_fans(self)``: the number of fans (V,) at each vertex."""
+        return _freeze(_fans(self))
+
+    @cached_property
+    def cover(self) -> np.ndarray:
+        """``_cover_labels(self)``: the orientation double cover's labels (F, 2)."""
+        return _freeze(_cover_labels(self))
 
     @cached_property
     def face_grid(self) -> FaceGrid:
-        """``FaceGrid.build(self)``, built once."""
+        """``FaceGrid.build(self)``."""
         from ._grid import FaceGrid
 
-        return FaceGrid.build(self)
+        return _freeze(FaceGrid.build(self))
+
+
+def _freeze(x):
+    """``x`` made read-only for a ``DiscreteVarifold`` to keep: an array through
+    ``_values._frozen`` (which copies a view, and no array that owns its data), a tuple
+    item by item, a dataclass field by field, and anything else (a float, None) as it is."""
+    if isinstance(x, np.ndarray):
+        return _frozen(x)
+    if isinstance(x, tuple):
+        return tuple(map(_freeze, x))
+    if is_dataclass(x):
+        return replace(x, **{f.name: _freeze(getattr(x, f.name)) for f in fields(x)})
+    return x
 
 
 @dataclass(frozen=True)
@@ -206,7 +231,7 @@ def _require(v: DiscreteVarifold, *, faces: bool = False, closed: bool = False, 
         if len(topo.junction_edges):
             a, b = topo.edges[topo.junction_edges[0]]
             raise MeshError(f"mesh is not manifold: edge ({a}, {b}) has 3+ faces")
-        fans = _fans(v)
+        fans = v.fans
         if (fans > 1).any():
             c = int(np.argmax(fans > 1))
             raise MeshError(f"mesh is not manifold: the faces at vertex {c} form {fans[c]} fans")
@@ -235,6 +260,19 @@ def _fans(v: DiscreteVarifold) -> np.ndarray:
     return np.bincount(np.take(v.faces.ravel(), roots), minlength=v.num_vertices)
 
 
+def _cover_labels(v: DiscreteVarifold) -> np.ndarray:
+    """Labels (F, 2) of the components of the orientation double cover: node 2f + s, entry
+    [f, s], is face f flipped s times, and each interior edge joins the nodes of its two faces
+    that wind alike across it; each node's label is the least node of its component
+    (``_min_labels``). No junction or boundary edge joins faces, so the row minima label the
+    sheets, and a face whose two labels are equal lies on a sheet that cannot be oriented."""
+    f, s = _incidences(v.topology, v.topology.interior_edges, 2)
+    alike = s[:, 0] != s[:, 1]
+    a = np.concatenate([2 * f[:, 0], 2 * f[:, 0] + 1])
+    b = np.concatenate([2 * f[:, 1] + ~alike, 2 * f[:, 1] + alike])
+    return _min_labels(2 * v.num_faces, a, b).reshape(-1, 2)
+
+
 def _face_cross(v: DiscreteVarifold, b: slice) -> tuple[np.ndarray, np.ndarray]:
     """The cross products (b - a) x (c - a) of the faces ``v.faces[b]`` and their norms."""
     p0, p1, p2 = np.take(v.vertices, v.faces[b].T, axis=0)
@@ -243,7 +281,8 @@ def _face_cross(v: DiscreteVarifold, b: slice) -> tuple[np.ndarray, np.ndarray]:
 
 
 def face_normals(v: DiscreteVarifold) -> tuple[np.ndarray, np.ndarray]:
-    """Unit face normals and face areas, as (normals (F,3), areas (F,))."""
+    """Unit face normals and face areas, as (normals (F,3), areas (F,)), fresh on each call;
+    ``v.face_geometry`` keeps one read-only copy."""
     normals, areas = np.empty((v.num_faces, 3)), np.empty(v.num_faces)
     for b in _kernels._blocks(v.num_faces):
         n, nn = _face_cross(v, b)
@@ -345,7 +384,8 @@ def edge_topology(v: DiscreteVarifold) -> EdgeTopology:
     Half-edge 3i + k runs from ``f[i, k]`` to ``f[i, (k + 1) % 3]``. Its key lo*V + hi comes
     from the face columns; one stable argsort of the keys yields the edges in lexicographic order
     and their incidences in face order. Each returned array is written at its own width
-    (``EdgeTopology``); only the keys and their sort order are int64.
+    (``EdgeTopology``); only the keys and their sort order are int64. The arrays are fresh and
+    writable; ``v.topology`` keeps one read-only copy.
     """
     f, n = v.faces, v.num_vertices
     forward = f < f[:, [1, 2, 0]]  # half-edge 3i + k runs from lo to hi
@@ -368,18 +408,7 @@ def edge_topology(v: DiscreteVarifold) -> EdgeTopology:
     jmask = np.zeros(v.num_vertices, dtype=bool)
     bmask[edges[boundary].ravel()] = True
     jmask[edges[junction].ravel()] = True
-    return EdgeTopology(
-        edges=_frozen(edges),
-        counts=_frozen(counts),
-        offsets=_frozen(offsets),
-        inc_faces=_frozen(inc_faces),
-        inc_signs=_frozen(inc_signs),
-        boundary_edges=_frozen(boundary),
-        interior_edges=_frozen(interior),
-        junction_edges=_frozen(junction),
-        boundary_vertex_mask=_frozen(bmask),
-        junction_vertex_mask=_frozen(jmask),
-    )
+    return EdgeTopology(edges, counts, offsets, inc_faces, inc_signs, boundary, interior, junction, bmask, jmask)
 
 
 def _split(faces: np.ndarray, num_vertices: int) -> tuple[np.ndarray, np.ndarray]:
@@ -458,8 +487,9 @@ def load_mesh_file(path: str) -> tuple[DiscreteVarifold, dict | None]:
     The arrays and ``oriented`` go to the ``DiscreteVarifold`` constructor,
     which coerces nothing; any MeshError it raises is re-raised as
     ``mesh file '<path>': <message>``. An ``analytic`` block whose keys that
-    analyses read have the wrong type (or a junction circle whose normal is
-    zero) raises MeshError naming the file and the key.
+    analyses read have the wrong type, or a value that is not finite, an
+    ``r_max`` or ``radius`` that is not positive, or a junction circle whose
+    normal is zero, raises MeshError naming the file and the key.
     """
     doc = load_json(path, "mesh file")
     for key in ("vertices", "faces", "multiplicity"):
@@ -468,12 +498,12 @@ def load_mesh_file(path: str) -> tuple[DiscreteVarifold, dict | None]:
     analytic, where = doc.get("analytic"), f"mesh file {path!r}: 'analytic'"
     if analytic is not None and not isinstance(analytic, dict):
         raise MeshError(f"{where} must be an object, not {type(analytic).__name__}")
-    for key, (ok, what) in (("willmore_energy", _NUMBER), ("chi", _INTEGER)):  # the values that analyses read
-        if key in (analytic or {}) and not ok(analytic[key]):
-            raise MeshError(f"{where}: {key!r} must be {what}, not {_quote(analytic[key])}")
-    for key, spec in (("density_points", {"point": _POINT, "density": _NUMBER, "r_max?": _NUMBER}),
-                      ("junction_circles", {"center": _POINT, "normal": _DIRECTION, "radius": _NUMBER,
-                                            "density?": _NUMBER})):  # the lists that analyses read
+    for key, spec in (("willmore_energy", _FINITE), ("chi", _INTEGER)):  # the values that analyses read
+        if key in (analytic or {}):
+            _check_value(analytic[key], spec, f"{where}: {key!r}", MeshError)
+    for key, spec in (("density_points", {"point": _FINITE_POINT, "density": _FINITE, "r_max?": _POSITIVE}),
+                      ("junction_circles", {"center": _FINITE_POINT, "normal": (_DIRECTION, _FINITE_POINT[1]),
+                                            "radius": _POSITIVE, "density?": _FINITE})):  # the lists that analyses read
         _check_rows((analytic or {}).get(key, []), spec, f"{where}: {key!r}", MeshError)
     try:
         v = DiscreteVarifold(doc["vertices"], doc["faces"], doc["multiplicity"], doc.get("oriented", False),

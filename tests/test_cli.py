@@ -434,6 +434,23 @@ def test_analyze_density_without_an_analytic_block_has_no_expected_value(tmp_pat
     assert not {"expected", "abs_error", "tolerance", "passed"} & set(row)
 
 
+def test_analyze_density_keeps_the_ladder_warnings_in_its_row(tmp_path):
+    """On singular-pair L1 the upper sheet's ``r_max`` hint lies below the mesh resolution, and
+    its row keeps the warning that ``blowup.density`` logs; the contact disk's centre, on the
+    default cap of 10·h, warns of nothing and its row has no ``warnings``."""
+    from varifold_lab.mesh import load_mesh_file
+
+    path, report = str(tmp_path / "pair.json"), str(tmp_path / "r.json")
+    assert main(["generate", "singular-pair", "--level", "1", "--disk", "0,0:0.3", "-o", path]) == 0
+    dps = {dp["label"]: dp for dp in load_mesh_file(path)[1]["density_points"]}
+    points = [",".join(map(repr, dps[label]["point"])) for label in ("upper sheet", "contact disk center")]
+    assert main(["analyze", path, *(f"--density={p}" for p in points), "-o", report]) == 0
+    upper, center = read_json(report)["analyses"]["density"]
+    assert upper["warnings"] == ["r_max=0.0399 is below mesh resolution (edge scale 0.178); "
+                                 "the ladder is under-resolved"]
+    assert "warnings" not in center
+
+
 def test_analyze_writes_to_stdout_without_out(sphere_file, capsys):
     assert main(["analyze", sphere_file, "--energy"]) == 0
     out = capsys.readouterr().out
@@ -837,10 +854,30 @@ def test_report_of_the_wrong_shape_is_input_error(tmp_path, capsys, doc, message
      "'analytic': 'density_points' entry 0 is missing 'density'"),
     ({"junction_circles": [{"center": [0, 0, 0], "normal": [0, 0, 1], "radius": 1, "density": None}]},
      "--density=1,0,0", "'analytic': 'junction_circles' entry 0: 'density' must be a number, not None"),
+    ({"willmore_energy": math.nan}, "--energy", "'analytic': 'willmore_energy' must be finite, not nan"),
+    ({"density_points": [{"point": [math.nan, 0, 0], "density": 1}]}, "--liyau",
+     "'analytic': 'density_points' entry 0: 'point' must be finite, not [nan, 0, 0]"),
+    ({"density_points": [{"point": [1, 0, 0], "density": math.inf}]}, "--density=1,0,0",
+     "'analytic': 'density_points' entry 0: 'density' must be finite, not inf"),
+    ({"density_points": [{"point": [1, 0, 0], "density": 1, "r_max": -math.inf}]}, "--density=1,0,0",
+     "'analytic': 'density_points' entry 0: 'r_max' must be positive and finite, not -inf"),
+    ({"density_points": [{"point": [1, 0, 0], "density": 1, "r_max": 0}]}, "--liyau",
+     "'analytic': 'density_points' entry 0: 'r_max' must be positive and finite, not 0"),
+    ({"junction_circles": [{"center": [0, math.inf, 0], "normal": [0, 0, 1], "radius": 1}]}, "--density=1,0,0",
+     "'analytic': 'junction_circles' entry 0: 'center' must be finite, not [0, inf, 0]"),
+    ({"junction_circles": [{"center": [0, 0, 0], "normal": [math.nan, 0, 1], "radius": 1}]}, "--density=1,0,0",
+     "'analytic': 'junction_circles' entry 0: 'normal' must be finite, not [nan, 0, 1]"),
+    ({"junction_circles": [{"center": [0, 0, 0], "normal": [0, 0, 1], "radius": -0.5}]}, "--density=1,0,0",
+     "'analytic': 'junction_circles' entry 0: 'radius' must be positive and finite, not -0.5"),
+    ({"junction_circles": [{"center": [0, 0, 0], "normal": [0, 0, 1], "radius": 1, "density": math.nan}]},
+     "--density=1,0,0", "'analytic': 'junction_circles' entry 0: 'density' must be finite, not nan"),
 ], ids=["list", "string-density-points", "bool-energy", "float-chi", "bool-chi", "no-density",
-        "null-circle-density"])
+        "null-circle-density", "nan-energy", "nan-point", "infinite-density", "infinite-r-max", "zero-r-max",
+        "infinite-center", "nan-normal", "negative-radius", "nan-circle-density"])
 def test_analytic_block_of_the_wrong_shape_is_input_error(sphere_file, tmp_path, capsys, analytic,
                                                           option, message):
+    """``json`` reads ``NaN`` and ``Infinity``, so the reader checks that values are finite, and
+    that an ``r_max`` or ``radius`` is positive, as well as their types."""
     doc = read_json(sphere_file)
     doc["analytic"] = analytic
     path = tmp_path / "m.json"

@@ -310,7 +310,7 @@ def test_euler_characteristic_of_the_projective_plane():
 
 
 def _orient_scan_bfs(v):
-    """Face-by-face BFS oracle for curvature._orient_scan: (orientable, components)."""
+    """Face-by-face BFS oracle for the orientability and components that ``v.cover`` gives."""
     topo = v.topology
     adj_f = [[] for _ in range(v.num_faces)]
     for ei in topo.interior_edges:
@@ -348,7 +348,8 @@ def _orient_scan_bfs(v):
 ], ids=["sphere3", "torus3", "projective_plane", "two_spheres"])
 def test_orientation_union_find_matches_the_bfs_oracle(make, want):
     v = make()
-    assert curvature._orient_scan(v) == _orient_scan_bfs(v) == want
+    t = curvature.euler_characteristic(v)
+    assert (t.orientable, t.connected_components) == _orient_scan_bfs(v) == want
 
 
 def test_euler_characteristic_of_two_disjoint_spheres():
@@ -360,7 +361,7 @@ def test_a_multiplicity_two_sphere_has_one_fan_at_every_vertex(sphere3):
     """The control without a pinch: every vertex star is one disk carried twice, and W doubles."""
     v = sphere3.varifold
     doubled = DiscreteVarifold(v.vertices, v.faces, 2 * v.multiplicity, oriented=True)
-    assert (mesh._fans(doubled) == 1).all() and doubled.num_vertices == 642
+    assert (doubled.fans == 1).all() and doubled.num_vertices == 642
     assert curvature.euler_characteristic(doubled) == curvature.euler_characteristic(v)
     assert curvature.willmore_energy(doubled) == 2 * curvature.willmore_energy(v)
 
@@ -386,7 +387,7 @@ def _same_partition(a, b):
 def test_cover_components_are_the_generator_patches(make, sheets):
     # faces joined across edges with exactly two faces: the sheets between junctions
     v = make().varifold
-    label = curvature._cover_labels(v).reshape(-1, 2).min(axis=1)
+    label = v.cover.min(axis=1)
     assert len(set(label.tolist())) == sheets
     assert _same_partition(label, v.face_patches)
 
@@ -394,7 +395,7 @@ def test_cover_components_are_the_generator_patches(make, sheets):
 def test_singular_pair_is_one_sheet_with_two_patches():
     # its two graph sheets are welded at the rim into one pillow
     v = generators.gen_singular_pair([[0.0, 0.0]], [0.3], 0.1, 3).varifold
-    label = curvature._cover_labels(v).reshape(-1, 2).min(axis=1)
+    label = v.cover.min(axis=1)
     assert set(label.tolist()) == {0} and len(set(v.face_patches.tolist())) == 2
 
 

@@ -53,7 +53,7 @@ def test_every_generator_without_junctions_has_one_fan_at_every_used_vertex(name
     or one half-disk on a rim; the bubbles stop at their junction edges first."""
     v = GENERATORS[name](**_ARGS[name], level=level).varifold
     assert len(v.topology.junction_edges) == 0
-    np.testing.assert_array_equal(mesh._fans(v), np.bincount(v.faces.ravel(), minlength=v.num_vertices) > 0)
+    np.testing.assert_array_equal(v.fans, np.bincount(v.faces.ravel(), minlength=v.num_vertices) > 0)
 
 
 def test_registry_names():

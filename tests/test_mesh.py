@@ -113,6 +113,51 @@ def test_cached_arrays_are_read_only(sphere3):
     assert v.topology is topo and v.curvature is field and v.face_grid is grid
 
 
+#: Each structure a mesh keeps, and the builder (its owner and attribute) that derives it.
+CACHED = {"topology": (mesh, "edge_topology"), "face_geometry": (mesh, "face_normals"),
+          "curvature": (curvature, "mean_curvature"), "fans": (mesh, "_fans"),
+          "cover": (mesh, "_cover_labels"), "face_grid": (_grid.FaceGrid, "build")}
+
+
+def _arrays(x) -> list:
+    """The arrays of a derived structure: an array, a tuple's items or a dataclass's fields."""
+    if isinstance(x, np.ndarray):
+        return [x]
+    if isinstance(x, tuple):
+        return [a for item in x for a in _arrays(item)]
+    if dataclasses.is_dataclass(x):
+        return [a for f in dataclasses.fields(x) for a in _arrays(getattr(x, f.name))]
+    return []
+
+
+@pytest.mark.parametrize("name", sorted(CACHED))
+def test_each_derived_structure_is_built_once_and_kept_read_only(monkeypatch, sphere3, name):
+    """The builder runs on the first read only, and every later read returns the same object;
+    its arrays are read-only, while the builder called directly returns writable arrays with
+    the same dtypes, shapes and bytes."""
+    owner, builder = CACHED[name]
+    original = getattr(owner, builder)
+    calls = []
+    monkeypatch.setattr(owner, builder, lambda w: calls.append(w) or original(w))
+    v = _fresh(sphere3.varifold)
+    kept = getattr(v, name)
+    assert getattr(v, name) is kept and calls == [v]
+    cached, fresh = _arrays(kept), _arrays(original(v))
+    assert len(cached) == len(fresh) > 0
+    for a, b in zip(cached, fresh):
+        assert not a.flags.writeable and b.flags.writeable
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+def test_a_call_that_needs_only_the_fan_count_builds_no_cover(sphere3):
+    v = _fresh(sphere3.varifold)
+    curvature.helfrich_energy(v, 0.0)
+    curvature.enclosed_volume(v)
+    assert "fans" in vars(v) and "cover" not in vars(v)
+    curvature.euler_characteristic(v)
+    assert "cover" in vars(v)
+
+
 def test_cached_curvature_is_mean_curvature(double_bubble4):
     v = double_bubble4.varifold
     fresh = curvature.mean_curvature(v)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varifold_lab import blowup, curvature, generators
-from varifold_lab.mesh import DiscreteVarifold, _fans
+from varifold_lab.mesh import DiscreteVarifold
 
 from conftest import projective_plane, tangent_spheres, two_spheres
 
@@ -29,13 +29,14 @@ def _center(v: DiscreteVarifold, i: int) -> np.ndarray:
     return v.vertices[i % v.num_vertices]
 
 
-def _relabelled(v: DiscreteVarifold, seed: int) -> tuple[DiscreteVarifold, np.ndarray]:
-    """``v`` with its vertices and faces in a random order, and the new index of each old vertex."""
+def _relabelled(v: DiscreteVarifold, seed: int) -> tuple[DiscreteVarifold, np.ndarray, np.ndarray]:
+    """``v`` with its vertices and faces in a random order, the new index of each old vertex,
+    and the old index of each new face."""
     rng = np.random.default_rng(seed)
     order = rng.permutation(v.num_vertices)  # new vertex j is old vertex order[j]
     label = np.argsort(order)  # old vertex i is new vertex label[i]
     shuffle = rng.permutation(v.num_faces)
-    return DiscreteVarifold(v.vertices[order], label[v.faces][shuffle], v.multiplicity[shuffle]), label
+    return DiscreteVarifold(v.vertices[order], label[v.faces][shuffle], v.multiplicity[shuffle]), label, shuffle
 
 
 def _radii(r: float) -> np.ndarray:
@@ -124,8 +125,23 @@ def test_relabelling_faces_and_vertices_keeps_the_fan_counts(name, seed):
     """Each vertex keeps its number of fans: two at the pinch of the tangent spheres, one
     inside a sheet or on a rim, and one per sheet at the double bubble's junction vertices."""
     v = _fanned(name)
-    relabelled, label = _relabelled(v, seed)
-    np.testing.assert_array_equal(_fans(relabelled)[label], _fans(v))
+    relabelled, label, _ = _relabelled(v, seed)
+    np.testing.assert_array_equal(relabelled.fans[label], v.fans)
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(sorted(FANNED)), seed=st.integers(0, 2**32 - 1))
+def test_relabelling_faces_and_vertices_keeps_the_orientation_cover(name, seed):
+    """Face f flipped s times keeps its component of the orientation double cover: the same
+    sheets, and on each the same orientability (a face and its flip share a component only on
+    the projective plane)."""
+    v = _fanned(name)
+    relabelled, _, shuffle = _relabelled(v, seed)
+    new, old = relabelled.cover, v.cover[shuffle]
+    pairs = set(zip(new.ravel().tolist(), old.ravel().tolist()))
+    assert len(pairs) == len(np.unique(new)) == len(np.unique(old))
+    np.testing.assert_array_equal(new[:, 0] == new[:, 1], old[:, 0] == old[:, 1])
+    assert (old[:, 0] == old[:, 1]).any() == (name == "projective_plane")
 
 
 #: Relative agreement asked of a rigidly moved mesh: rotating and translating

@@ -356,6 +356,22 @@ def test_the_mesh_module_is_the_one_owner_of_what_an_analysis_admits():
     assert raises == [("mesh", "_require")] * 6
 
 
+def test_derived_arrays_are_frozen_in_one_place():
+    """``_values._frozen`` makes a mesh's own arrays read-only in ``DiscreteVarifold.__post_init__``,
+    the arrays of every structure it derives in ``mesh._freeze``, and a net's in ``nets._array``;
+    no builder calls it."""
+    src = Path(varifold_lab.__file__).parent
+    calls = []
+    for path in sorted(src.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for part in top.body if isinstance(top, ast.ClassDef) else [top]:
+                name = getattr(top, "name", None) if part is top else f"{top.name}.{getattr(part, 'name', None)}"
+                calls += [(path.stem, name) for node in ast.walk(part) if isinstance(node, ast.Call)
+                          and ast.unparse(node.func).split(".")[-1] == "_frozen"]
+    assert sorted(set(calls)) == [("mesh", "DiscreteVarifold.__post_init__"), ("mesh", "_freeze"),
+                                  ("nets", "_array")]
+
+
 def test_nets_and_circles_check_their_input_without_numpy():
     """``boundary``, ``netmatch`` and ``nets`` check their input in Python: no
     module imports ``_values._numeric``, and NumPy is imported only inside
