@@ -107,7 +107,7 @@ def cmd_generate(args) -> int:
 # analyze
 
 
-def _expected_density(analytic: dict | None, point) -> dict | None:
+def _expected_density(analytic: dict, point) -> dict | None:
     """Reference density entry at ``point`` from the mesh's analytic block.
 
     Returns a dict with "density" and optionally "r_max" (a ladder cap for
@@ -116,8 +116,6 @@ def _expected_density(analytic: dict | None, point) -> dict | None:
     tolerance of 1e-9, squared for a point; a junction circle whose normal's
     squared norm underflows to 0 matches no point.
     """
-    if not analytic:
-        return None
     for dp in analytic.get("density_points", []):
         d = [a - b for a, b in zip(point, dp["point"])]
         if _dot(d, d) < 1e-18 * max(1.0, _dot(dp["point"], dp["point"])):
@@ -142,7 +140,7 @@ def _verdict(err: float, tol: float) -> dict:
 def _energy(v, analytic, tol, _) -> dict:
     w = curvature.willmore_energy(v)
     block: dict = {"willmore_energy": w, "area": mesh.total_mass(v)}
-    ref = (analytic or {}).get("willmore_energy")
+    ref = analytic.get("willmore_energy")
     if ref is not None:
         err = abs(w - ref) / abs(ref) if ref else abs(w)
         block.update(analytic_willmore=float(ref), rel_error=err, **_verdict(err, tol["energy_rel"]))
@@ -191,18 +189,24 @@ def _link(v, analytic, tol, spec) -> dict:
 
 def _topology(v, analytic, tol, _) -> dict:
     block = curvature.euler_characteristic(v).to_dict()
-    ref = (analytic or {}).get("chi")
+    ref = analytic.get("chi")
     if ref is not None:
         block.update(analytic_chi=ref, **_verdict(abs(block["chi"] - ref), 0))
     return block
 
 
+def _spread(used) -> list:
+    """``used[i]`` at the distinct i of np.linspace(0, len(used) - 1, 8).astype(int), ascending:
+    ``--liyau``'s samples among the vertices on a face when the mesh names no density points."""
+    last = len(used) - 1
+    return [used[i] for i in sorted({int(k * (last / 7)) for k in range(7)} | {last})]
+
+
 def _liyau(v, analytic, tol, _) -> dict:
-    dps = (analytic or {}).get("density_points", [])
+    dps = analytic.get("density_points", [])
     pts, caps = [dp["point"] for dp in dps], [dp.get("r_max") for dp in dps]  # the --density caps
-    if not pts:  # the distinct vertices of np.linspace(0, V - 1, 8).astype(int), ascending
-        last = v.num_vertices - 1
-        pts, caps = [v.vertices[i] for i in sorted({int(k * (last / 7)) for k in range(7)} | {last})], None
+    if not pts:  # the vertices on a face are those with a lumped area, which W reads as well
+        pts, caps = [v.vertices[i] for i in _spread((v.curvature.vertex_area > 0).nonzero()[0])], None
     rep = blowup.li_yau_check(v, pts, eps=tol["liyau_gap"], r_max=caps)
     return {
         "n_samples": len(pts),
@@ -223,18 +227,21 @@ def _boundary(v, analytic, tol, _) -> dict:
     return {"edge_count": int(len(b.edges)), "total_length": b.total_length, "closed": bool(len(b.edges) == 0)}
 
 
-#: Each ``analyze`` option (its ``args`` name): the builder of its block,
-#: called as ``build(v, analytic, tol, value)`` with the option's value, and
-#: for a repeatable option the parser of one spec; such an option gets one
-#: row per spec, built from the parsed spec and starting with it.
+#: The ``analyze`` options, in the order ``build_parser`` adds them: each one's ``args`` name,
+#: the builder of its block, called as ``build(v, analytic, tol, value)`` with the option's
+#: value and the file's analytic block (``{}`` when it has none), for a repeatable option the
+#: parser of one spec, and its ``add_argument`` keywords. A repeatable option gets one row per
+#: spec, built from the parsed spec and starting with it.
 ANALYSES = {
-    "energy": (_energy, None),
-    "density": (_density, _density_spec),
-    "link": (_link, _parse_link_spec),
-    "topology": (_topology, None),
-    "liyau": (_liyau, None),
-    "helfrich": (_helfrich, None),
-    "boundary": (_boundary, None),
+    "energy": (_energy, None, dict(action="store_true", help="bending energy and area")),
+    "density": (_density, _density_spec,
+                dict(action="append", metavar="X,Y,Z", help="extrapolated density at a point (repeatable)")),
+    "link": (_link, _parse_link_spec,
+             dict(action="append", metavar="X,Y,Z:R", help="spherical link at a point and radius (repeatable)")),
+    "topology": (_topology, None, dict(action="store_true", help="Euler characteristic, orientability, genus")),
+    "liyau": (_liyau, None, dict(action="store_true", help="density bound against energy/(4*pi)")),
+    "helfrich": (_helfrich, None, dict(type=finite, metavar="C0", help="spontaneous-curvature energy at offset C0")),
+    "boundary": (_boundary, None, dict(action="store_true", help="boundary length summary")),
 }
 
 
@@ -245,7 +252,7 @@ def cmd_analyze(args) -> int:
     after its spec, and the other analyses still run. Every spec is parsed
     before the mesh is read, so a malformed one exits 2."""
     requested = {}
-    for name, (_, parse) in ANALYSES.items():
+    for name, (_, parse, _) in ANALYSES.items():
         value = getattr(args, name)
         if value is not None and value is not False:  # --helfrich 0 is requested
             requested[name] = [parse(text) for text in value] if parse else value
@@ -253,6 +260,7 @@ def cmd_analyze(args) -> int:
         raise ValueError("no analyses requested (try --energy, --topology, ...)")
 
     v, analytic = mesh.load_mesh_file(args.mesh)
+    analytic = analytic or {}
     tol = TOLERANCE_PROFILES[args.tolerance_profile]
     doc = new_report(args.mesh, args.tolerance_profile)
 
@@ -263,7 +271,7 @@ def cmd_analyze(args) -> int:
             return {**spec, "status": "not_applicable", "reason": str(exc)}
 
     for name, value in requested.items():
-        build, parse = ANALYSES[name]
+        build, parse, _ = ANALYSES[name]
         doc["analyses"][name] = [entry(build, s, s) for s in value] if parse else entry(build, value, {})
 
     write_report(doc, args.out)
@@ -436,18 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     a = sub.add_parser("analyze", help="run analyses on a mesh file and write a report")
     a.add_argument("mesh", help="mesh JSON path")
-    a.add_argument("--energy", action="store_true", help="bending energy and area")
-    a.add_argument("--density", action="append", metavar="X,Y,Z",
-                   help="extrapolated density at a point (repeatable)")
-    a.add_argument("--link", action="append", metavar="X,Y,Z:R",
-                   help="spherical link at a point and radius (repeatable)")
-    a.add_argument("--topology", action="store_true",
-                   help="Euler characteristic, orientability, genus")
-    a.add_argument("--liyau", action="store_true",
-                   help="density bound against energy/(4*pi)")
-    a.add_argument("--helfrich", type=finite, metavar="C0",
-                   help="spontaneous-curvature energy at offset C0")
-    a.add_argument("--boundary", action="store_true", help="boundary length summary")
+    for name, (_, _, options) in ANALYSES.items():
+        a.add_argument(f"--{name}", **options)
     a.add_argument("--tolerance-profile", choices=sorted(TOLERANCE_PROFILES),
                    default="default")
     a.add_argument("-o", "--out", help="report JSON path (default: stdout)")

@@ -76,13 +76,13 @@ def _vertex_sum(idx: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
     rounding is fixed by the order of the rows and columns.
     """
     vals = np.asarray(vals, dtype=np.float64)
-    terms = vals if vals.ndim == 3 else vals[..., None]
-    terms = np.broadcast_to(terms, idx.shape + terms.shape[2:])
-    out = np.zeros((n, terms.shape[2]))
+    terms = np.broadcast_to(vals, idx.shape + vals.shape[2:])
+    out = np.zeros((n, *terms.shape[2:]))
     for j in range(idx.shape[1]):
-        for c in range(terms.shape[2]):
-            out[:, c] += np.bincount(idx[:, j], weights=terms[:, j, c], minlength=n)
-    return out if vals.ndim == 3 else out[:, 0]
+        for c in np.ndindex(terms.shape[2:]):  # () once for (M, J) terms
+            at = (slice(None), *c)
+            out[at] += np.bincount(idx[:, j], weights=terms[:, j][at], minlength=n)
+    return out
 
 
 def _area_gradients(v: DiscreteVarifold, nhat: np.ndarray) -> np.ndarray:
@@ -231,6 +231,7 @@ def second_fundamental_norm(v: DiscreteVarifold) -> CurvatureField:
     part of S_v (n the vertex normal) has the principal curvatures as
     eigenvalues, up to the known eigenvector swap, so |B|^2 = k1^2 + k2^2 is
     its squared norm ‖S‖² − 2‖S n‖² + (n·S n)². Boundary and junction vertices are flagged NaN.
+    Face windings do not enter, so reversing any faces of an unoriented mesh keeps |B|^2.
     Also fills the angle-defect Gauss curvature K_v = defect_v / (geometric
     vertex area), NaN on the same vertices, the defects themselves at every
     vertex (their total satisfies Gauss--Bonnet on closed manifolds), and the
@@ -252,15 +253,21 @@ def second_fundamental_norm(v: DiscreteVarifold) -> CurvatureField:
     evec = np.take(v.vertices, hi, axis=0) - np.take(v.vertices, lo, axis=0)
     elen = _norm(evec)
     ebar = evec / elen[:, None]
-    # signed dihedral: angle from n0 to n1 around the edge as f0 traverses it
+    # signed dihedral: angle from n0 to n1 around the edge as f0 traverses it, with n1 taken
+    # as f1 would be wound to agree with f0 (faces that traverse the edge alike disagree)
     ef0 = ebar * s[:, :1]
     n0, n1 = np.take(nhat, f[:, 0], axis=0), np.take(nhat, f[:, 1], axis=0)
+    n1[s[:, 0] == s[:, 1]] *= -1.0
     beta = _atan2(_inner(_cross(n0, n1), ef0), _inner(n0, n1))
     w = beta * elen / 2.0
     t = w[:, None, None] * (ebar[:, :, None] * ebar[:, None, :])
-    S = _vertex_sum(topo.edges[ie], t.reshape(-1, 1, 9), nv)[ok].reshape(-1, 3, 3)
+    # beta changes sign with f0's winding: at each end, sign the term by the side of n0
+    # on which the vertex's unoriented normal lies, so no face winding reaches |B|^2
+    vn = _vertex_normals_unoriented(v, nhat, areas)
+    side = np.where(_inner(np.take(vn, topo.edges[ie], axis=0), n0[:, None]) >= 0.0, 1.0, -1.0)
+    S = _vertex_sum(topo.edges[ie], t.reshape(-1, 1, 9) * side[:, :, None], nv)[ok].reshape(-1, 3, 3)
     S /= area_geom[ok, None, None]
-    n = _vertex_normals_unoriented(v, nhat, areas)[ok]
+    n = vn[ok]
     Sn = np.einsum("nij,nj->ni", S, n)
     B2 = np.full(nv, np.nan)
     B2[ok] = np.einsum("nij,nij->n", S, S) - 2.0 * _sq(Sn) + _inner(n, Sn) ** 2

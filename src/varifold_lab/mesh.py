@@ -270,7 +270,9 @@ def _cover_labels(v: DiscreteVarifold) -> np.ndarray:
     alike = s[:, 0] != s[:, 1]
     a = np.concatenate([2 * f[:, 0], 2 * f[:, 0] + 1])
     b = np.concatenate([2 * f[:, 1] + ~alike, 2 * f[:, 1] + alike])
-    return _min_labels(2 * v.num_faces, a, b).reshape(-1, 2)
+    label = _min_labels(2 * v.num_faces, a, b)
+    label.resize(v.num_faces, 2)  # the same size, so in place: the (F, 2) rows own their data
+    return label
 
 
 def _face_cross(v: DiscreteVarifold, b: slice) -> tuple[np.ndarray, np.ndarray]:

@@ -17,26 +17,14 @@ import sys
 TOOL_NAME = "varifold-lab"
 TOOL_VERSION = "0.1.0"
 
-#: Named tolerance sets; "default" is the one the acceptance checks use.
+#: Named tolerance sets; "default" is the one the acceptance checks use. Each is an
+#: energy and a density tolerance: the link's length is 2π times the density of its
+#: cone, and Li–Yau's gap is a density, so their tolerances are the density's.
 TOLERANCE_PROFILES: dict[str, dict[str, float]] = {
-    "strict": {
-        "energy_rel": 0.01,
-        "density_abs": 0.02,
-        "link_match_abs": 0.02 * 2.0 * math.pi,
-        "liyau_gap": 0.02,
-    },
-    "default": {
-        "energy_rel": 0.02,
-        "density_abs": 0.05,
-        "link_match_abs": 0.05 * 2.0 * math.pi,
-        "liyau_gap": 0.05,
-    },
-    "coarse": {
-        "energy_rel": 0.05,
-        "density_abs": 0.10,
-        "link_match_abs": 0.10 * 2.0 * math.pi,
-        "liyau_gap": 0.10,
-    },
+    name: {"energy_rel": energy_rel, "density_abs": density_abs,
+           "link_match_abs": density_abs * 2.0 * math.pi, "liyau_gap": density_abs}
+    for name, (energy_rel, density_abs) in {"strict": (0.01, 0.02), "default": (0.02, 0.05),
+                                            "coarse": (0.05, 0.10)}.items()
 }
 
 

@@ -5,7 +5,6 @@ import math
 import os
 import subprocess
 import sys
-import types
 
 import numpy as np
 import pytest
@@ -387,15 +386,28 @@ def test_analyze_liyau_without_an_analytic_block_samples_eight_vertices(tmp_path
     assert block["theta_max"] == 0.9975459219046342
 
 
-def test_analyze_liyau_without_an_analytic_block_samples_the_vertices_of_an_eight_point_linspace(monkeypatch):
+def test_analyze_liyau_without_an_analytic_block_samples_the_vertices_of_an_eight_point_linspace():
+    """Among the n vertices on a face, ascending, the samples are those at the distinct
+    indices of np.linspace(0, n - 1, 8).astype(int)."""
     from varifold_lab import cli
 
-    seen = []
-    rep = types.SimpleNamespace(theta_max=0.0, willmore_over_4pi=0.0, gap=0.0, passed=True)
-    monkeypatch.setattr(cli.blowup, "li_yau_check", lambda v, pts, eps, r_max: seen.append(pts) or rep)
     for n in [*range(1, 3000), 20_000, 39_048, 100_007, 155_000, 2**31 + 5]:
-        cli._liyau(types.SimpleNamespace(num_vertices=n, vertices=range(n)), None, {"liyau_gap": 0.05}, None)
-        assert seen.pop() == list(dict.fromkeys(np.linspace(0, n - 1, 8).astype(int).tolist())), n
+        assert cli._spread(range(n)) == list(dict.fromkeys(np.linspace(0, n - 1, 8).astype(int).tolist())), n
+
+
+def test_analyze_liyau_without_an_analytic_block_samples_only_vertices_on_a_face(tmp_path):
+    """A vertex on no face is off the support, so it is never a sample: sphere L2 with one
+    such vertex put first gives the block of sphere L2 alone."""
+    v = generators.gen_sphere(1.0, 2).varifold
+    unused = DiscreteVarifold(np.vstack([[5.0, 5.0, 5.0], v.vertices]), v.faces + 1)
+    blocks = []
+    for name, w in [("bare", v), ("unused", unused)]:
+        path, report = str(tmp_path / f"{name}.json"), str(tmp_path / f"{name}-report.json")
+        save_varifold(w, path)
+        assert main(["analyze", path, "--liyau", "-o", report]) == 0
+        blocks.append(read_json(report)["analyses"]["liyau"])
+    assert "status" not in blocks[1]
+    assert blocks[1] == blocks[0]
 
 
 @pytest.mark.parametrize("disk", [[], ["--disk", "0,0:0.3"]], ids=["no-disk", "one-disk"])

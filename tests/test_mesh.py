@@ -133,8 +133,8 @@ def _arrays(x) -> list:
 @pytest.mark.parametrize("name", sorted(CACHED))
 def test_each_derived_structure_is_built_once_and_kept_read_only(monkeypatch, sphere3, name):
     """The builder runs on the first read only, and every later read returns the same object;
-    its arrays are read-only, while the builder called directly returns writable arrays with
-    the same dtypes, shapes and bytes."""
+    its arrays are read-only, while the builder called directly returns writable arrays that
+    own their data (so freezing copies none), with the same dtypes, shapes and bytes."""
     owner, builder = CACHED[name]
     original = getattr(owner, builder)
     calls = []
@@ -145,7 +145,7 @@ def test_each_derived_structure_is_built_once_and_kept_read_only(monkeypatch, sp
     cached, fresh = _arrays(kept), _arrays(original(v))
     assert len(cached) == len(fresh) > 0
     for a, b in zip(cached, fresh):
-        assert not a.flags.writeable and b.flags.writeable
+        assert not a.flags.writeable and b.flags.writeable and b.flags.owndata
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 

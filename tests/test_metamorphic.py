@@ -1,6 +1,7 @@
-"""Metamorphic properties of ball masses, densities, links and topology:
+"""Metamorphic properties of ball masses, densities, links, curvature and topology:
 scaling the mesh, doubling its multiplicities, relabelling its faces and
-vertices and moving it rigidly change the outputs in known ways."""
+vertices, reversing the winding of some of its faces and moving it rigidly
+change the outputs in known ways."""
 import functools
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varifold_lab import blowup, curvature, generators
-from varifold_lab.mesh import DiscreteVarifold
+from varifold_lab.mesh import DiscreteVarifold, boundary_measure
 
 from conftest import projective_plane, tangent_spheres, two_spheres
 
@@ -22,6 +23,10 @@ def _mesh(name: str, level: int) -> DiscreteVarifold:
         return generators.gen_sphere(1.0, level).varifold
     if name == "double_bubble":
         return generators.gen_double_bubble(0.7, 1.0, level).varifold
+    if name == "torus":
+        return generators.gen_torus(1.0, 0.4, level).varifold
+    if name == "cap":
+        return generators.gen_cap(1.0, 1.2, level).varifold
     return generators.gen_triple_bubble(level).varifold
 
 
@@ -142,6 +147,78 @@ def test_relabelling_faces_and_vertices_keeps_the_orientation_cover(name, seed):
     assert len(pairs) == len(np.unique(new)) == len(np.unique(old))
     np.testing.assert_array_equal(new[:, 0] == new[:, 1], old[:, 0] == old[:, 1])
     assert (old[:, 0] == old[:, 1]).any() == (name == "projective_plane")
+
+
+#: The meshes whose faces are reversed: ``MESHES``, a torus and a cap with its boundary.
+REVERSED = [*MESHES, ("torus", 3), ("cap", 3)]
+EPS = np.finfo(np.float64).eps
+
+
+@functools.cache
+def _reversed(name: str, level: int) -> DiscreteVarifold:
+    """``_mesh(name, level)``, unoriented, with a random 30% of its faces wound the other way."""
+    v = _mesh(name, level)
+    flip = np.random.default_rng(0).random(v.num_faces) < 0.3
+    faces = np.array(v.faces)
+    faces[flip] = faces[flip, ::-1]
+    return DiscreteVarifold(v.vertices, faces, v.multiplicity)
+
+
+def _topology(v: DiscreteVarifold):
+    """The topology report, or the message of the MeshError that a boundary or junction raises."""
+    try:
+        return curvature.euler_characteristic(v)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _within(a, b, ulps: int, scale: float) -> None:
+    """Every entry of ``a`` within ``ulps`` machine epsilons of ``scale`` of ``b``'s."""
+    assert np.abs(np.subtract(a, b)).max() <= ulps * EPS * scale
+
+
+# The bounds in ulps below are the measured worst cases over ten random reversals of each mesh
+# and eight interior vertices, rounded up to a power of two. Reversing a face moves each vertex's
+# terms to another corner column, so H is summed in another order; W, the correctly rounded sum
+# of its per-vertex terms, moves by at most one ulp (it does on the double bubble).
+
+
+@pytest.mark.parametrize("name, level", REVERSED)
+def test_reversing_faces_keeps_the_energy_the_boundary_length_and_the_topology(name, level):
+    v, w = _mesh(name, level), _reversed(name, level)
+    energy = curvature.willmore_energy(v)
+    _within(curvature.willmore_energy(w), energy, 1, energy)
+    assert boundary_measure(w).total_length == boundary_measure(v).total_length
+    assert _topology(w) == _topology(v)
+
+
+@pytest.mark.parametrize("name, level", REVERSED)
+def test_reversing_faces_keeps_ball_masses_density_and_link_length(name, level):
+    v, w = _mesh(name, level), _reversed(name, level)
+    inner = np.flatnonzero(~v.topology.boundary_vertex_mask)
+    for x0 in v.vertices[inner[np.linspace(0, len(inner) - 1, 8).astype(int)]]:
+        mass = blowup.ball_mass_ladder(v, x0, np.array([0.7]))[0]
+        _within(blowup.ball_mass_ladder(w, x0, np.array([0.7]))[0], mass, 1, mass)
+        theta = blowup.density(v, x0).theta
+        _within(blowup.density(w, x0).theta, theta, 4, theta)
+        length = blowup.spherical_link(v, x0, 0.7).total_length
+        _within(blowup.spherical_link(w, x0, 0.7).total_length, length, 16, length)
+
+
+@pytest.mark.parametrize("name, level", REVERSED)
+def test_reversing_faces_keeps_the_mean_curvature_vectors(name, level):
+    v, w = _mesh(name, level), _reversed(name, level)
+    _within(w.curvature.H, v.curvature.H, 256, np.abs(v.curvature.H).max())
+
+
+@pytest.mark.parametrize("name, level", REVERSED)
+def test_reversing_faces_keeps_the_second_fundamental_norm(name, level):
+    """|B|^2 reads the dihedral angle of each edge and the normal of each vertex as unoriented."""
+    a = curvature.second_fundamental_norm(_mesh(name, level)).B2
+    b = curvature.second_fundamental_norm(_reversed(name, level)).B2
+    ok = ~np.isnan(a)
+    np.testing.assert_array_equal(np.isnan(b), ~ok)
+    _within(b[ok], a[ok], 64, a[ok].max())
 
 
 #: Relative agreement asked of a rigidly moved mesh: rotating and translating

@@ -85,6 +85,13 @@ def test_tolerance_profiles_are_nested():
         assert s <= d <= c
 
 
+def test_link_and_li_yau_tolerances_are_the_density_tolerance():
+    """A link's length is 2*pi times the density of its cone, and Li-Yau's gap is a density."""
+    for name, prof in TOLERANCE_PROFILES.items():
+        assert prof["link_match_abs"] == prof["density_abs"] * 2.0 * math.pi, name
+        assert prof["liyau_gap"] == prof["density_abs"], name
+
+
 def test_collect_flags_walks_nested_paths():
     doc = {
         "analyses": {

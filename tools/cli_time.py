@@ -4,12 +4,12 @@
 
 Each pair runs ``python -m varifold_lab.cli ARGS`` once from each tree (the parent first in
 even pairs, the change first in odd ones) in the current directory, with the caller's
-environment minus the four BLAS thread variables and ``VARIFOLD_LAB_THREADS``, and with
-``PYTHONPATH`` set to the tree. Both sides must exit with the same code, 0 or 1. The script
-prints each side's median wall time and in how many pairs the change was faster, each side's
-median peak RSS per child, then the interpreter floors measured the same way: ``python -S -c
-pass``, ``python -c pass``, and ``python -c "import numpy"`` with the BLAS variables at 1
-(capped) and unset (uncapped), in alternating pairs. It imports nothing from the package.
+environment minus the four BLAS thread variables, and with ``PYTHONPATH`` set to the tree.
+Both sides must exit with the same code, 0 or 1. The script prints each side's median wall
+time and in how many pairs the change was faster, each side's median peak RSS per child,
+then the interpreter floors measured the same way: ``python -S -c pass``, ``python -c pass``,
+and ``python -c "import numpy"`` with the BLAS variables at 1 (capped) and unset (uncapped),
+in alternating pairs. It imports nothing from the package.
 
 A child's peak RSS is the ``ru_maxrss`` of the rusage that ``os.wait4`` returns for that one
 child. ``RUSAGE_CHILDREN`` is not used: its maximum is the largest mark of all children waited
@@ -32,7 +32,7 @@ BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUME
 
 def base_env() -> dict:
     """The caller's environment without any thread cap."""
-    return {k: v for k, v in os.environ.items() if k not in (*BLAS_VARS, "VARIFOLD_LAB_THREADS")}
+    return {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
 
 
 def run(argv: list[str], env: dict) -> tuple[float, float, int, str]:

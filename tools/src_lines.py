@@ -4,9 +4,11 @@ A code line is a non-blank line that is neither a comment nor part of a module, 
 function docstring. A physical line is any line. The script reads the sources with ``ast``
 and imports nothing from the package::
 
-    python tools/src_lines.py [SRC_DIR]
+    python tools/src_lines.py [SRC_DIR [NEW_SRC_DIR]]
 
-SRC_DIR defaults to ``src/varifold_lab`` next to this script's directory.
+SRC_DIR defaults to ``src/varifold_lab`` next to this script's directory. Given a second tree,
+it prints each module's code and physical lines in both and the change in code lines; a module
+in one tree only counts 0 lines in the other.
 """
 from __future__ import annotations
 
@@ -37,16 +39,26 @@ def count(path: Path) -> tuple[int, int]:
     return code, len(lines)
 
 
+def counts(src: Path) -> dict[str, tuple[int, int]]:
+    """``count`` of each module in ``src``, by file name."""
+    return {path.name: count(path) for path in sorted(src.glob("*.py"))}
+
+
 def main(argv: list[str]) -> int:
-    src = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src" / "varifold_lab"
-    total_code = total_physical = 0
-    print(f"{'module':<16}{'code':>7}{'physical':>10}")
-    for path in sorted(src.glob("*.py")):
-        code, physical = count(path)
-        total_code += code
-        total_physical += physical
-        print(f"{path.name:<16}{code:>7,}{physical:>10,}")
-    print(f"{'total':<16}{total_code:>7,}{total_physical:>10,}")
+    if len(argv) > 2:
+        sys.exit("usage: python tools/src_lines.py [SRC_DIR [NEW_SRC_DIR]]")
+    trees = [counts(Path(a)) for a in argv] or [
+        counts(Path(__file__).resolve().parent.parent / "src" / "varifold_lab")]
+    rows = {name: [t.get(name, (0, 0)) for t in trees] for name in sorted(set().union(*trees))}
+    rows["total"] = [(sum(c for c, _ in t.values()), sum(p for _, p in t.values())) for t in trees]
+    if len(trees) == 1:
+        print(f"{'module':<16}{'code':>7}{'physical':>10}")
+        for name, [(code, physical)] in rows.items():
+            print(f"{name:<16}{code:>7,}{physical:>10,}")
+    else:
+        print(f"{'module':<16}{'code':>7}{'new':>7}{'delta':>7}{'physical':>10}{'new':>7}")
+        for name, [(code, physical), (new_code, new_physical)] in rows.items():
+            print(f"{name:<16}{code:>7,}{new_code:>7,}{new_code - code:>+7,}{physical:>10,}{new_physical:>7,}")
     return 0
 
 
