@@ -4,20 +4,19 @@ Local queries (density ladders, spherical links, distances to the support)
 need only the faces near a small ball, yet a mesh has up to ~10^5 faces. The
 grid finds a superset of those faces at a cost set by the cells near the
 ball, not by the mesh. The occupied cells are kept sorted, each with its
-faces as one run of ``order`` and the largest spread of those faces. A query
-reads only the slab of cells whose first index meets the ball's box, drops
-each cell that its own spread cannot bring near the ball (or, for a
-spherical link, the shell around the sphere), keeps every face of a cell
-that lies wholly inside, and tests the faces of the other cells one by one:
+faces as one run of ``order``. A query reads only the slab of cells whose
+first index meets the ball's box and applies one filter to all their faces:
 a face is kept when its own bounding sphere (centroid and spread) meets the
-ball or shell. ``FaceGrid.build`` returns fresh arrays, and
-``DiscreteVarifold.face_grid`` keeps one read-only grid per mesh; this module
-is imported only when a grid is first needed. Like every
-whole-mesh per-face pass, the build works through the faces in blocks of
-``_kernels._BLOCK``: each block's corners are gathered, and its centroids,
-spreads and cell keys written into the (F,)-sized outputs, so no corner
-array of the whole mesh is formed. Only the sort of the keys and the
-per-cell reductions read whole arrays.
+ball (or, for a spherical link, the shell around the sphere). The box is
+wide enough to hold the centroid of every face that passes, so the query
+keeps exactly the faces a test of every face keeps. ``FaceGrid.build``
+returns fresh arrays, and ``DiscreteVarifold.face_grid`` keeps one read-only
+grid per mesh; this module is imported only when a grid is first needed.
+Like every whole-mesh per-face pass, the build works through the faces in
+blocks of ``_kernels._BLOCK``: each block's corners are gathered, and its
+centroids, spreads and cell keys written into the (F,)-sized outputs, so no
+corner array of the whole mesh is formed. Only the sort of the keys and the
+search for the cell runs read whole arrays.
 """
 from __future__ import annotations
 
@@ -45,10 +44,9 @@ class FaceGrid:
     ``origin + pitch * [i, i+1) x ...``, and ``shape`` is the number of cells
     along each axis. ``cells`` holds the integer coordinates of the occupied
     cells in ascending (i, j, k) order; the faces of cell row c are
-    ``order[start[c]:start[c + 1]]``, and ``cell_spread[c]`` is the largest
-    spread among them. ``centroids[f]`` and ``spreads[f]`` are face f's
-    centroid, ``(a + b + c) / 3``, and the largest distance from it to f's
-    corners: f lies in the ball of radius ``spreads[f]`` about
+    ``order[start[c]:start[c + 1]]``. ``centroids[f]`` and ``spreads[f]`` are
+    face f's centroid, ``(a + b + c) / 3``, and the largest distance from it
+    to f's corners: f lies in the ball of radius ``spreads[f]`` about
     ``centroids[f]``. ``spread`` is the largest spread of all.
 
     ``shape``, ``cells``, ``start`` and ``order`` are int32, which bounds a
@@ -62,7 +60,6 @@ class FaceGrid:
     cells: np.ndarray
     start: np.ndarray
     order: np.ndarray
-    cell_spread: np.ndarray
     spread: float
     centroids: np.ndarray
     spreads: np.ndarray
@@ -78,7 +75,7 @@ class FaceGrid:
             spreads[b] = np.sqrt(_sq(abc).max(axis=0))
         if not len(cen):
             return cls(np.zeros(3), 1.0, np.zeros(3, dtype=np.int32), np.zeros((0, 3), dtype=np.int32),
-                       np.zeros(1, dtype=np.int32), np.zeros(0, dtype=np.int32), np.zeros(0), 0.0, cen, spreads)
+                       np.zeros(1, dtype=np.int32), np.zeros(0, dtype=np.int32), 0.0, cen, spreads)
         origin = np.array([col.min() for col in cen.T])  # one column at a time: faster than axis 0
         top = np.array([col.max() for col in cen.T])
         extent = float((top - origin).max())
@@ -97,22 +94,22 @@ class FaceGrid:
         keys = keys[start[:-1]]
         cells = np.stack([keys // (n[1] * n[2]), keys // n[2] % n[1], keys % n[2]], axis=1)
         return cls(origin, pitch, n.astype(np.int32), cells.astype(np.int32), start, order.astype(np.int32),
-                   np.maximum.reduceat(spreads[order], start[:-1]), float(spreads.max()), cen, spreads)
+                   float(spreads.max()), cen, spreads)
 
     def query(self, x0, r: float, inner: float = 0.0) -> np.ndarray:
         """Ascending indices of a superset of the faces that can meet the shell
         ``inner <= |x - x0| <= r`` (the ball B(x0, r) for ``inner = 0``).
 
         The cells that meet the box of half-width ``r + spread`` around x0
-        are found in the sorted slab of their first index. A cell is dropped
-        when its cube, widened by its own largest spread, misses the shell,
-        and all its faces are kept when its cube lies inside the shell; of
-        the other cells, a face is kept when its bounding sphere meets the
-        shell. Box, cubes and shell are widened by the same absolute
-        tolerance, 1e-9 × (r + spread + |x0|∞ + |origin|∞), far above the
-        round-off of these tests, so the faces kept are exactly those of a
-        test of every face in the box. A box that covers every cell, or is
-        not finite (NaN or infinite x0 or r), gives every face, untested.
+        are found in the sorted slab of their first index, and of all their
+        faces a face is kept when its bounding sphere meets the shell. Box
+        and shell are widened by the same absolute tolerance,
+        1e-9 × (r + spread + |x0|∞ + |origin|∞), far above the round-off of
+        these tests. A face whose bounding sphere meets the widened shell has
+        its centroid within ``r + spread`` plus that tolerance of x0, so in a
+        cell of the widened box: the faces kept are exactly those of a test
+        of every face. A box that covers every cell, or is not finite (NaN or
+        infinite x0 or r), gives every face, untested.
         """
         x0 = np.asarray(x0, dtype=np.float64)
         reach = r + self.spread
@@ -127,21 +124,8 @@ class FaceGrid:
         first, last = np.searchsorted(self.cells[:, 0], (lo[0], hi[0] + 1))
         run = self.cells[first:last]
         c = first + np.flatnonzero(((run >= lo) & (run <= hi)).all(axis=1))
-        # a face of cell c has its centroid in the cube, up to round-off, and
-        # its bounding sphere within cell_spread[c] of the cube: near and far
-        # are the least and largest distances from x0 to the cube
-        w = np.abs(self.origin + self.pitch * (self.cells[c] + 0.5) - x0)
-        near = np.sqrt(_sq(np.maximum(w - 0.5 * self.pitch, 0.0)))
-        far = np.sqrt(_sq(w + 0.5 * self.pitch))
-        pad = self.cell_spread[c] + 2.0 * tol  # one tol more than the face test's
-        keep = (near <= r + pad) & (far + pad >= inner)
-        whole = (far <= r) & (near >= inner)  # every face of the cell passes the face test
-        c, whole = c[keep], whole[keep]
         first, count = self.start[c], self.start[c + 1] - self.start[c]
         idx = self.order[np.repeat(first - (np.cumsum(count) - count), count) + np.arange(count.sum())]
-        ok = np.repeat(whole, count)
-        test = np.flatnonzero(~ok)
-        d = np.sqrt(_sq(np.take(self.centroids, idx[test], axis=0), x0))
-        s = np.take(self.spreads, idx[test])
-        ok[test] = (d <= r + s + tol) & (d + s >= inner - tol)
-        return np.sort(idx[ok]).astype(np.intp)
+        d = np.sqrt(_sq(np.take(self.centroids, idx, axis=0), x0))
+        s = np.take(self.spreads, idx)
+        return np.sort(idx[(d <= r + s + tol) & (d + s >= inner - tol)]).astype(np.intp)

@@ -41,15 +41,9 @@ def ball_mass_ladder(v: DiscreteVarifold, x0, radii) -> np.ndarray:
     if radii.ndim != 1:
         raise ValueError(f"ball_mass_ladder: radii must be 1-D, got shape {radii.shape}")
     _require(v, faces=True)
-    return _ball_masses(v, x0, radii)
-
-
-def _ball_masses(v: DiscreteVarifold, x0: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """``_kernels.ball_masses`` over the faces the face grid finds near the largest ball.
-
-    Faces that cannot meet a ball add nothing to its mass, and the kernel's
-    sums are exact, so the masses are those of a pass over every face.
-    """
+    # faces that cannot meet a ball add nothing to its mass, and the kernel's
+    # sums are exact, so clipping only the faces the face grid finds near the
+    # largest ball gives the masses of a pass over every face
     idx = v.face_grid.query(x0, float(radii.max()) if len(radii) else 0.0)
     faces, mult = v.faces, v.multiplicity
     if len(idx) < v.num_faces:  # large balls, which need every face, skip the copies

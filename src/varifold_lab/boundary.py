@@ -198,12 +198,8 @@ class ConormalSup(Record):
 
 
 def _total(datum: BoundaryDatum, x) -> float:
+    """Total integral at basepoint x (a singular point gives -inf)."""
     return math.fsum([_circle_eval(c, x) for c in datum.circles])
-
-
-def _datum_eval(datum: BoundaryDatum, pts) -> list[float]:
-    """Total integral at each basepoint of ``pts`` (singular points -> -inf)."""
-    return [_total(datum, x) for x in pts]
 
 
 def _total_grad(datum: BoundaryDatum, x) -> tuple[float, float, float]:
@@ -340,7 +336,7 @@ def sup_conormal_integral(datum: BoundaryDatum) -> ConormalSup:
     hi = [max(c.center[k] + c.radius for c in datum.circles) + rmax for k in range(3)]
     axes = [[lo[k] + (hi[k] - lo[k]) * i / (_GRID_N - 1) for i in range(_GRID_N)] for k in range(3)]
     grid = [(a, b, c) for a in axes[0] for b in axes[1] for c in axes[2]]
-    vals = _datum_eval(datum, grid)
+    vals = [_total(datum, x) for x in grid]
     order = sorted(range(len(grid)), key=lambda k: -vals[k])[:_GRID_SEEDS]
     seeds = [tuple(c.center[k] + sign * c.radius * c.normal[k] for k in range(3))
              for c in datum.circles for sign in (1.0, -1.0)]

@@ -104,9 +104,9 @@ def test_datum_roundtrip_keeps_the_integral_bits(tmp_path):
     datum = make_datum([CircleSpec([0, 0, 0], 1.0, [0, 0, 1], m=np.int64(2), conormal_sign=-1)])
     path = str(tmp_path / "datum.json")
     save_datum(datum, path)
-    x0 = np.array([[0.0, 0.0, 1.0]])
-    want = boundary._datum_eval(datum, x0)[0]
-    assert float(boundary._datum_eval(load_datum(path), x0)[0]).hex() == float(want).hex()
+    x0 = np.array([0.0, 0.0, 1.0])
+    want = boundary._total(datum, x0)
+    assert float(boundary._total(load_datum(path), x0)).hex() == float(want).hex()
     assert want == pytest.approx(2.0 * math.pi)  # m * (-pi) * conormal_sign
 
 
@@ -122,8 +122,8 @@ def test_datum_roundtrip_keeps_the_bits_of_random_normals(tmp_path):
     assert [np.asarray(c.normal).tobytes() for c in back] == [np.asarray(c.normal).tobytes() for c in circles]
     x0 = rng.normal(size=(20, 3))
     for got, want in zip(back, circles):
-        assert (np.asarray(boundary._datum_eval(make_datum([got]), x0)).tobytes()
-                == np.asarray(boundary._datum_eval(make_datum([want]), x0)).tobytes())
+        assert (np.array([boundary._total(make_datum([got]), x) for x in x0]).tobytes()
+                == np.array([boundary._total(make_datum([want]), x) for x in x0]).tobytes())
 
 
 def test_circle_spec_keeps_a_normal_within_four_ulps_of_unit():
@@ -233,7 +233,7 @@ def test_datum_integral_sums_circles():
     expected = circle_conormal_integral(unit_circle(), x0) + circle_conormal_integral(
         lower, x0
     )
-    assert boundary._datum_eval(datum, np.array([x0]))[0] == pytest.approx(expected, abs=1e-14)
+    assert boundary._total(datum, np.array(x0)) == pytest.approx(expected, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +323,7 @@ def test_no_basepoint_near_a_hemisphere_beats_the_sup(circles, data):
                 w -= 2.0 * h * np.asarray(c.normal)
             w *= data.draw(st.floats(0.9, 1.1))
             x = np.asarray(c.center) + c.radius * w
-            assert boundary._datum_eval(datum, [x])[0] <= sup.value + 1e-9
+            assert boundary._total(datum, x) <= sup.value + 1e-9
 
 
 # ---------------------------------------------------------------------------

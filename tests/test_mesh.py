@@ -106,7 +106,7 @@ def test_cached_arrays_are_read_only(sphere3):
     arrays.append(curvature.second_fundamental_norm(v).H)  # shares the cached array
     arrays += [getattr(grid, f.name) for f in dataclasses.fields(grid)
                if isinstance(getattr(grid, f.name), np.ndarray)]
-    assert len(arrays) == 22
+    assert len(arrays) == 21
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
@@ -649,9 +649,8 @@ def _query_oracle(grid: _grid.FaceGrid, x0: np.ndarray, r: float, inner: float) 
 @settings(max_examples=300, deadline=None)
 @given(**_query_draws)
 def test_face_grid_query_is_the_test_of_every_face(v, x0, r, t, k):
-    """Reading only the cells near the shell, and of those only the cells
-    whose own spread can reach it, drops no face that a test of every face
-    keeps, and keeps no other."""
+    """Testing only the faces of the cells in the query box drops no face
+    that a test of every face keeps, and keeps no other."""
     x0 = np.array(x0)
     r, inner = _shell(v, x0, r, t, k)
     got = v.face_grid.query(x0, r, inner=inner)
@@ -674,8 +673,8 @@ def _corner_face(scale: float) -> DiscreteVarifold:
 @pytest.mark.parametrize("side", [-1.0, 1.0])
 def test_face_grid_query_keeps_a_cell_its_face_reaches_within_the_tolerance(side):
     """The ball's sphere (side -1) or the shell's inner sphere (side 1)
-    passes face 0's bounding sphere by half the query's tolerance: the face
-    test keeps the face, and so the cell test must keep its cell."""
+    passes face 0's bounding sphere by half the query's tolerance, at a
+    corner of face 0's cell: the face test keeps the face."""
     grid = _corner_face(1.0).face_grid
     x0 = np.full(3, 2.0 * side)
     d, s = math.sqrt(12.0), grid.spreads[0]
@@ -689,10 +688,10 @@ def test_face_grid_query_keeps_a_cell_its_face_reaches_within_the_tolerance(side
 
 @pytest.mark.parametrize("side", [-1.0, 1.0])
 def test_face_grid_query_tests_the_faces_of_a_cell_the_sphere_cuts(side):
-    """Face 0 (spread 0.0056) misses the shell by 1e-6, so its cell, whose
-    corner is face 0's centroid, reaches past the ball's sphere (side 1) or
-    the shell's inner sphere (side -1): the cell is not wholly inside the
-    shell, its faces are tested, and face 0 is left out."""
+    """Face 0 (spread 0.0056) misses the shell by 1e-6, while its cell,
+    whose corner is face 0's centroid, reaches past the ball's sphere
+    (side 1) or the shell's inner sphere (side -1): the face test leaves
+    face 0 out."""
     grid = _corner_face(0.01).face_grid
     x0 = np.full(3, 2.0 * side)
     d, s = math.sqrt(12.0), grid.spreads[0]
@@ -704,16 +703,18 @@ def test_face_grid_query_tests_the_faces_of_a_cell_the_sphere_cuts(side):
 
 def test_face_grid_query_is_the_test_of_every_face_on_a_triple_bubble():
     """At a tetrahedral point, a triple-line point, and points off the
-    support, for balls and shells from one face wide to most of the mesh."""
-    v = generators.gen_triple_bubble(3).varifold
-    for point in [(0.8164965809277261, -0.5773502691896258, 0.0), (0.0, 0.0, 1.0), (0.3, 0.2, 0.1),
-                  (0.0, -0.6, 0.9)]:
-        x0 = np.array(point)
-        for r in (0.01, 0.05, 0.3, 0.8):
-            for inner in (0.0, 0.5 * r, r):
-                want = _query_oracle(v.face_grid, x0, r, inner)
-                assert len(want) < v.num_faces
-                np.testing.assert_array_equal(v.face_grid.query(x0, r, inner=inner), want)
+    support, for balls and shells from one face wide to most of the mesh, at
+    level 3 and at level 4, where a cell holds more faces."""
+    for level in (3, 4):
+        v = generators.gen_triple_bubble(level).varifold
+        for point in [(0.8164965809277261, -0.5773502691896258, 0.0), (0.0, 0.0, 1.0), (0.3, 0.2, 0.1),
+                      (0.0, -0.6, 0.9)]:
+            x0 = np.array(point)
+            for r in (0.01, 0.05, 0.3, 0.8):
+                for inner in (0.0, 0.5 * r, r):
+                    want = _query_oracle(v.face_grid, x0, r, inner)
+                    assert len(want) < v.num_faces
+                    np.testing.assert_array_equal(v.face_grid.query(x0, r, inner=inner), want)
 
 
 @pytest.mark.parametrize("r", [1e-9, 0.2, 1e6, math.inf])
@@ -739,8 +740,7 @@ def _face_grid_axis0(v: DiscreteVarifold) -> _grid.FaceGrid:
     spreads = np.sqrt(np.maximum(np.maximum(_sq(a - cen), _sq(b - cen)), _sq(c - cen)))
     if not len(cen):
         return _grid.FaceGrid(np.zeros(3), 1.0, np.zeros(3, dtype=np.int32), np.zeros((0, 3), dtype=np.int32),
-                              np.zeros(1, dtype=np.int32), np.zeros(0, dtype=np.int32), np.zeros(0), 0.0,
-                              cen, spreads)
+                              np.zeros(1, dtype=np.int32), np.zeros(0, dtype=np.int32), 0.0, cen, spreads)
     origin = cen.min(axis=0)
     extent = float((cen.max(axis=0) - origin).max())
     pitch = max(_grid._PITCH_SPREADS * float(spreads.mean()), extent / (_grid._MAX_CELLS - 1))
@@ -752,9 +752,8 @@ def _face_grid_axis0(v: DiscreteVarifold) -> _grid.FaceGrid:
     cells = np.stack([keys // (n[1] * n[2]), keys // n[2] % n[1], keys % n[2]], axis=1)
     start = np.concatenate([[0], np.cumsum(np.bincount(face_cell))]).astype(np.int32)
     order = np.argsort(face_cell, kind="stable")
-    cell_spread = np.array([spreads[face_cell == c].max() for c in range(len(cells))])
     return _grid.FaceGrid(origin, pitch, n.astype(np.int32), cells.astype(np.int32), start,
-                          order.astype(np.int32), cell_spread, float(spreads.max()), cen, spreads)
+                          order.astype(np.int32), float(spreads.max()), cen, spreads)
 
 
 @pytest.mark.parametrize("make", [
