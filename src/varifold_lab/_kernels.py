@@ -77,6 +77,9 @@ from . import _values
 #: Name of the clipping kernel, recorded in benchmark provenance.
 BACKEND = "fallback"
 
+#: The tangency cut: a circle |p| = rho crosses an edge's line only where its discriminant
+#: exceeds ``_DISC_EPS * dd * rho²``. ``blowup._circle_arcs`` reads it too, so that ball
+#: masses and link lengths take the same crossings.
 _DISC_EPS = 1e-12
 
 #: Rows per block of ``ball_masses``, of the exact sums and of every whole-mesh per-face pass
@@ -84,6 +87,11 @@ _DISC_EPS = 1e-12
 #: of 128 KiB. On the calls of the ``global-monotonicity`` benchmark, 2,048 ran about 10%
 #: slower, and 8,192 or 16,384 no faster.
 _BLOCK = 4096
+
+#: Most terms that ``_exact_sums`` bins, read at each call; longer input takes the
+#: ``math.fsum`` fallbacks of ``fsum`` and ``ball_masses``. The bound keeps the bins exact
+#: (see the comment in ``_exact_sums``), so it must not be raised.
+_EXACT_TERMS = 2**26
 
 
 def _blocks(n: int) -> list[slice]:
@@ -315,7 +323,7 @@ def _exact_sums(x: np.ndarray, group: np.ndarray | int, n: int) -> tuple[list[in
     """
     if not len(x):
         return [0] * n, 0
-    if len(x) > 2**26:
+    if len(x) > _EXACT_TERMS:
         return None
     blocks = _blocks(len(x))
     limit = 2.0 ** (1021 - len(x).bit_length())
@@ -329,7 +337,7 @@ def _exact_sums(x: np.ndarray, group: np.ndarray | int, n: int) -> tuple[list[in
     e0 = min(lows)
     width = max(highs) - e0 + 1
     # x = mant · 2**(e − 53) with |mant| < 2**53: halves of 27 and 26 bits
-    # have bin sums below 2**53 over all of x (at most 2**26 terms), so every
+    # have bin sums below 2**53 over all of x (at most _EXACT_TERMS = 2**26 terms), so every
     # bin and every running total of the blocks' bins is an exact float64
     hi, lo = np.zeros(n * width), np.zeros(n * width)
     for b in blocks:

@@ -271,7 +271,7 @@ def _circle_arcs(P: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray
             dd = _kernels._dot(d, d)
             p0d = _kernels._dot(p0, d)
             disc = p0d * p0d - dd * (_kernels._dot(p0, p0) - rho * rho)
-            cut = ~(dd < 1e-300) & ~(disc <= 1e-12 * dd * rho * rho)
+            cut = ~(dd < 1e-300) & ~(disc <= _kernels._DISC_EPS * dd * rho * rho)
             sq = np.sqrt(disc)
             for j, t in enumerate(((-p0d - sq) / dd, (-p0d + sq) / dd)):
                 hit = np.flatnonzero(cut & (0.0 <= t) & (t <= 1.0))

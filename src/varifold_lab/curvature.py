@@ -206,17 +206,16 @@ def _vertex_normals_unoriented(v: DiscreteVarifold, nhat: np.ndarray, areas: np.
     sum; a zero sum falls back to that reference normal, and vertices on no
     face get zero. ``nhat`` and ``areas`` are the face normals and areas.
     """
-    nv = v.num_vertices
-    order = np.argsort(v.faces.ravel(), kind="stable")
-    vert_of = v.faces.ravel()[order]
-    face_of = order // 3
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = vert_of[1:] != vert_of[:-1]
+    nv, corners = v.num_vertices, v.faces.ravel()  # each vertex's corners in face order
+    face_of = np.arange(len(corners)) // 3
+    first = np.full(nv, v.num_faces)
+    np.minimum.at(first, corners, face_of)  # each vertex's first face; F on an unused vertex
+    used = first < v.num_faces
     ref = np.zeros((nv, 3))
+    ref[used] = np.take(nhat, first[used], axis=0)
     fn = np.take(nhat, face_of, axis=0)
-    ref[vert_of[first]] = fn[first]
-    sgn = np.where(_dot(fn, np.take(ref, vert_of, axis=0)) >= 0.0, 1.0, -1.0)
-    acc = _vertex_sum(vert_of[:, None], (fn * (areas[face_of] * sgn)[:, None])[:, None], nv)
+    sgn = np.where(_dot(fn, np.take(ref, corners, axis=0)) >= 0.0, 1.0, -1.0)
+    acc = _vertex_sum(corners[:, None], (fn * (areas[face_of] * sgn)[:, None])[:, None], nv)
     nrm = np.sqrt(_dot(acc, acc))  # rounds like the norm of each row alone
     ok = nrm > 0
     ref[ok] = acc[ok] / nrm[ok, None]

@@ -2,8 +2,10 @@
 
 Every generator returns a :class:`GeneratorOutput` bundling the discrete
 varifold and an ``analytic`` dict of exact reference values (areas, energies,
-density points, marked feature circles). Meshes that have smooth pieces carry
-their piece labels as ``face_patches``. A finer mesh of the smooth model
+density points, marked feature circles). A mesh does not label its smooth
+pieces. Between junctions they are its sheets, the row minima of ``v.cover``:
+ranked by first face, these number the pieces of the cap, both double bubbles
+and the triple bubble in the order they are built. A finer mesh of the smooth model
 comes from a higher ``level``: :func:`varifold_lab.mesh.refine` leaves the new
 midpoints on the chords.
 """
@@ -81,12 +83,9 @@ def _dome(ring: np.ndarray, start: int, rings: list, tip) -> tuple[np.ndarray, n
     return np.vstack([*rings, tip]), np.vstack([_strips(rows, outer_first=True), fan])
 
 
-def _mesh(verts, faces, patches=None, oriented: bool = False) -> DiscreteVarifold:
-    """Varifold from vertex blocks and face blocks, with one patch label per face block."""
-    labels = None
-    if patches is not None:
-        labels = np.concatenate([np.full(len(f), p, dtype=np.int64) for f, p in zip(faces, patches)])
-    return DiscreteVarifold(np.vstack(verts), np.vstack(faces), oriented=oriented, face_patches=labels)
+def _mesh(verts, faces, oriented: bool = False) -> DiscreteVarifold:
+    """Varifold from vertex blocks and face blocks."""
+    return DiscreteVarifold(np.vstack(verts), np.vstack(faces), oriented=oriented)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +193,7 @@ def gen_cap(R: float, theta: float, level: int) -> GeneratorOutput:
     M = max(6, 6 * 2**level)
     rim_r = R * math.sin(theta)
     cap_v, cap_f = _cap(np.arange(M), M, theta, R, +1, first_frac=1.0)
-    v = _mesh([_ring(rim_r, 0.0, _circle(M)), cap_v], [cap_f], [0], oriented=True)
+    v = _mesh([_ring(rim_r, 0.0, _circle(M)), cap_v], [cap_f], oriented=True)
     analytic = {
         "area": TAU * R * R * (1.0 - math.cos(theta)),
         "willmore_energy": TAU * (1.0 - math.cos(theta)),
@@ -267,7 +266,7 @@ def gen_double_bubble(theta2: float, rho: float, level: int) -> GeneratorOutput:
     else:
         specs.append((TAU - t3, abs(r3), +1))
     verts, faces = _junction_caps(rho, M, specs)
-    v = _mesh(verts, faces, [0, 1, 2])
+    v = _mesh(verts, faces)
     cap_areas = [TAU * r * r * (1.0 - math.cos(t)) for r, t in ((r1, t1), (r2, t2), (r3, t3))]
     analytic = {
         "angles": [t1, t2, t3],
@@ -299,7 +298,7 @@ def gen_double_bubble_flat(rho: float, level: int) -> GeneratorOutput:
     cs = _circle(M)
     disk_v, disk_f = _dome(np.arange(M), sum(map(len, verts)),
                            [_ring(rho * k / n, 0.0, cs) for k in range(n - 1, 0, -1)], (0.0, 0.0, 0.0))
-    v = _mesh(verts + [disk_v], faces + [disk_f], [0, 1, 2])
+    v = _mesh(verts + [disk_v], faces + [disk_f])
     cap_area = TAU * R * R * 1.5
     analytic = {
         "cap_areas": [cap_area, cap_area],
@@ -438,19 +437,17 @@ def gen_triple_bubble(level: int) -> GeneratorOutput:
     points = np.vstack(sheets + flats)
     a, b = (np.concatenate([x.ravel() for x in side]) for side in zip(*pairs))
     founders, ids = np.unique(_min_labels(len(points), a, b), return_inverse=True)
-    faces, patches = [], []
+    faces = []
     for s, (_, flip) in enumerate(mirrors * 3):
         f = np.take(ids, s * Q + quarter_faces)
         faces.append(f[:, ::-1] if flip else f)
-        patches.append(s // 4)
     x2, x1 = ids[Q + n], ids[n]
     flat_ids = np.pad(np.take(ids, layer), ((0, 0), (0, 0), (1, 1)),
                       constant_values=((0, 0), (0, 0), (x2, x1)))
     for s, flip in enumerate((False, True, False)):
         f = _quad_sweep(flat_ids[s])
         faces.append(f[:, ::-1] if flip else f)
-        patches.append(3 + s)
-    v = _mesh([np.take(points, founders, axis=0)], faces, patches)
+    v = _mesh([np.take(points, founders, axis=0)], faces)
     w = 12.0 * math.acos(-1.0 / 3.0)
     lam_seg = math.acos(1.0 / 3.0)
     flat_area = math.pi * 0.75 - 0.75 * (lam_seg - math.sin(lam_seg) * math.cos(lam_seg))
@@ -571,7 +568,7 @@ def gen_singular_pair(
         rows = np.vstack([start + np.arange(M * (n - 1)).reshape(-1, M), np.arange(M)])
         sheet = np.vstack([_fan(start + M * (n - 1), rows[0]), _strips(rows, outer_first=False)])
         faces.append(sheet if sign > 0 else sheet[:, ::-1])
-    v = _mesh(verts, faces, [0, 1], oriented=True)
+    v = _mesh(verts, faces, oriented=True)
     density_points = [{"point": [cx, cy, 0.0], "density": 2.0, "label": "contact disk center"}
                       for (cx, cy), _ in disks]
     if all(math.hypot(0.9 - cx, cy) > r for (cx, cy), r in disks):

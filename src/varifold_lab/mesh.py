@@ -6,7 +6,10 @@ or three and more (junctions, e.g. soap-film triple lines); all of these are
 legal inputs everywhere unless an operation documents otherwise. A
 ``DiscreteVarifold`` checks itself when it is built, so every instance,
 whether from a generator, ``refine``, ``load_mesh_file`` or a caller, holds
-valid, uncoerced arrays.
+valid, uncoerced arrays. It holds vertices, faces, multiplicities and the
+``oriented`` flag, and nothing else: the sheets between junctions are derived
+(``v.cover``), not stored, and ``load_mesh_file`` ignores the ``face_patches``
+key that older files carry.
 
 Every elementwise whole-mesh per-face pass (``face_normals``, the degenerate
 face check of ``validate``, ``FaceGrid.build``'s centroids, spreads and cell
@@ -55,9 +58,6 @@ class DiscreteVarifold:
     faces : (F, 3) int64, indices into vertices; an empty array stands for no faces
     multiplicity : (F,) int64, each >= 1; None stands for ones
     oriented : whether face windings are declared globally consistent
-    face_patches : optional (F,) int64 labels of the smooth pieces a generator
-        built the mesh from; refine hands each child its parent's label and
-        the JSON format stores them, but no analysis reads them
 
     Nothing is coerced: vertices must be numbers, the other arrays integers,
     and ``oriented`` a bool; then ``validate`` checks the structure. Any
@@ -74,7 +74,6 @@ class DiscreteVarifold:
     faces: np.ndarray
     multiplicity: np.ndarray | None = None
     oriented: bool = False
-    face_patches: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         def put(key, a, kinds="iu", dtype=np.int64):  # checked, never coerced, then frozen
@@ -87,8 +86,6 @@ class DiscreteVarifold:
         put("faces", self.faces)
         put("multiplicity", np.ones(len(self.faces), dtype=np.int64) if self.multiplicity is None
             else self.multiplicity)
-        if self.face_patches is not None:
-            put("face_patches", self.face_patches)
         if not isinstance(self.oriented, bool):
             raise MeshError(f"oriented must be a bool, not {self.oriented!r}")
         validate(self)
@@ -185,10 +182,8 @@ def validate(v: DiscreteVarifold) -> None:
         raise MeshError(f"faces must be (F, 3), got {v.faces.shape}")
     if not np.all(np.isfinite(v.vertices)):
         raise MeshError("vertices contain non-finite coordinates")
-    for key in ("multiplicity", "face_patches"):
-        a = getattr(v, key)
-        if a is not None and a.shape != (len(v.faces),):
-            raise MeshError(f"{key} shape {a.shape} does not match (F,) = ({len(v.faces)},)")
+    if v.multiplicity.shape != (len(v.faces),):
+        raise MeshError(f"multiplicity shape {v.multiplicity.shape} does not match (F,) = ({len(v.faces)},)")
     if v.faces.min(initial=0) < 0 or v.faces.max(initial=-1) >= len(v.vertices):
         bad = int(np.nonzero((v.faces < 0) | (v.faces >= len(v.vertices)))[0][0])
         raise MeshError(f"face {bad} has a vertex index out of range")
@@ -437,7 +432,7 @@ def refine(v: DiscreteVarifold) -> DiscreteVarifold:
     """Split every face 4-to-1 at edge midpoints 0.5·(a + b), numbered and
     laid out as ``_split`` says (one midpoint per edge, shared by its faces).
 
-    Children inherit the parent multiplicity, patch label, and winding.
+    Children inherit the parent multiplicity and winding.
     """
     ends, children = _split(v.faces, v.num_vertices)
     mids = np.take(v.vertices, ends[:, 0], axis=0)
@@ -448,7 +443,6 @@ def refine(v: DiscreteVarifold) -> DiscreteVarifold:
         faces=children,
         multiplicity=np.repeat(v.multiplicity, 4),
         oriented=v.oriented,
-        face_patches=None if v.face_patches is None else np.repeat(v.face_patches, 4),
     )
 
 
@@ -476,8 +470,6 @@ def save_varifold(v: DiscreteVarifold, path: str, analytic: dict | None = None) 
         "multiplicity": v.multiplicity.tolist(),
         "oriented": bool(v.oriented),
     }
-    if v.face_patches is not None:
-        doc["face_patches"] = v.face_patches.tolist()
     if analytic is not None:
         doc["analytic"] = analytic
     save_json(doc, path)
@@ -508,8 +500,7 @@ def load_mesh_file(path: str) -> tuple[DiscreteVarifold, dict | None]:
                                             "radius": _POSITIVE, "density?": _FINITE})):  # the lists that analyses read
         _check_rows((analytic or {}).get(key, []), spec, f"{where}: {key!r}", MeshError)
     try:
-        v = DiscreteVarifold(doc["vertices"], doc["faces"], doc["multiplicity"], doc.get("oriented", False),
-                             doc.get("face_patches"))
+        v = DiscreteVarifold(doc["vertices"], doc["faces"], doc["multiplicity"], doc.get("oriented", False))
     except MeshError as e:
         raise MeshError(f"mesh file {path!r}: {e}") from None
     return v, analytic

@@ -87,6 +87,13 @@ def tangent_spheres(level: int) -> DiscreteVarifold:
                             np.vstack([s.faces, index[s.faces[:, ::-1]]]), oriented=True)
 
 
+def ranked_sheets(v: DiscreteVarifold) -> np.ndarray:
+    """The sheet of each face (F,) int64: the row minima of ``v.cover`` ranked by the first
+    face of each, so sheet k is the k-th one met in face order."""
+    _, first, inv = np.unique(v.cover.min(axis=1), return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inv].astype(np.int64)
+
+
 def first_variation_residual(v, phi) -> float:
     """Defect of the first-variation identity for the vertex field phi (an array or a function of
     the vertices), the oracle for the mean curvature and the boundary conormals:

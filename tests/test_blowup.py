@@ -789,3 +789,48 @@ def test_link_query_holds_every_face_with_an_arc(monkeypatch):
         assert len(seen["arcs"][0]) == 0
         if i < 3:  # the closed-form points: a link, from a small part of the mesh
             assert 0 < len(rows) and len(got) < v.num_faces / 25
+
+
+@pytest.mark.parametrize("make", [
+    lambda: generators.gen_sphere(1.0, 3),
+    lambda: generators.gen_double_bubble(0.7, 1.0, 3),
+    lambda: generators.gen_triple_bubble(3),
+    lambda: generators.gen_double_bubble_flat(1.0, 3),
+    lambda: generators.gen_torus(2.0, 0.7, 3),
+    lambda: generators.gen_cap(1.0, 1.2, 3),
+], ids=["sphere3", "double_bubble3", "triple_bubble3", "double_bubble_flat3", "torus3", "cap3"])
+def test_small_balls_read_the_corner_angle_density(make):
+    # Below the distance from x to every face not through x, mu(B_r(x)) / (pi r^2) is the
+    # density of the mesh itself: Theta_v = sum_{f ∋ v} m_f alpha_f / 2pi at a vertex, with
+    # alpha_f the corner angle, sum_{f ∋ e} m_f / 2 at an edge point and m_f inside a face.
+    # r = 1e-3 local_edge_scale lies below that distance on every point tested. Measured
+    # worst relative errors: 3.7e-14 at the vertices (densities near 1/2, 1, 3/2 and
+    # 3 acos(-1/3)/pi), 3.1e-13 at the edge midpoints (a boundary edge of the cap) and
+    # 4.4e-16 at the centroids; the bounds leave a margin of about 10.
+    v = make().varifold
+    topo, m = v.topology, v.multiplicity.astype(np.float64)
+    alpha = curvature._corner_angles(v)
+    theta = np.bincount(v.faces.ravel(), weights=(m[:, None] * alpha).ravel(), minlength=v.num_vertices)
+    theta /= 2.0 * math.pi
+    rng = np.random.default_rng(19)
+
+    def error(x, want):
+        r = 1e-3 * blowup.local_edge_scale(v, x)
+        return abs(blowup.ball_mass_ladder(v, x, [r])[0] / (math.pi * r * r) / want - 1.0)
+
+    special = np.flatnonzero(topo.junction_vertex_mask | topo.boundary_vertex_mask)
+    others = np.setdiff1d(np.arange(v.num_vertices), special)
+    vertices = np.concatenate([special, rng.choice(others, 150, replace=False)])
+    assert max(error(v.vertices[i], theta[i]) for i in vertices) < 4e-13
+
+    edges = np.union1d(rng.choice(len(topo.edges), 150, replace=False),
+                       np.concatenate([topo.junction_edges, topo.boundary_edges]))
+    worst = 0.0
+    for e in edges:
+        a, b = topo.edges[e]
+        want = m[topo.inc_faces[topo.offsets[e]:topo.offsets[e + 1]]].sum() / 2.0
+        worst = max(worst, error(0.5 * (v.vertices[a] + v.vertices[b]), want))
+    assert worst < 3e-12
+
+    faces = rng.choice(v.num_faces, 150, replace=False)
+    assert max(error(v.vertices[v.faces[f]].mean(axis=0), m[f]) for f in faces) < 4.4e-15

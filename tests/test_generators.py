@@ -25,7 +25,7 @@ from varifold_lab.generators import (
 )
 from varifold_lab.mesh import DiscreteVarifold, junction_sheet_angles, total_mass
 
-from conftest import _child_env
+from conftest import _child_env, ranked_sheets
 
 TETRA_DENSITY = 3.0 * math.acos(-1.0 / 3.0) / math.pi
 
@@ -200,7 +200,7 @@ def test_double_bubble_with_third_cap_above():
     out = gen_double_bubble(1.2, 1.0, 4)
     v, a = out.varifold, out.analytic
     assert a["angles"][2] > math.pi
-    z = v.vertices[v.faces[v.face_patches == 2]][..., 2]
+    z = v.vertices[v.faces[ranked_sheets(v) == 2]][..., 2]
     assert z.min() == 0.0 and z.max() > 1.0
     assert willmore_energy(v) / (6 * math.pi) == pytest.approx(1.0, abs=0.01)
     assert total_mass(v) / a["area"] == pytest.approx(1.0, abs=0.005)
@@ -512,36 +512,39 @@ def test_density_points_sit_on_support():
 # ---------------------------------------------------------------------------
 # byte pins: every float pin, digest and acceptance value downstream reads
 # these meshes, so their bytes (vertex order and coordinates down to the sign
-# of zero, face order, patch labels, analytic block) must not drift
+# of zero, face order, analytic block) must not drift
 
 # sha256 of `generate NAME --level L` with the CLI's default parameters
 # (singular-pair: one disk 0,0:0.3; re-recorded when its bump moved from
-# np.exp to math.exp, the bytes NumPy held to SSE4.2 wrote before)
+# np.exp to math.exp, the bytes NumPy held to SSE4.2 wrote before). The cap,
+# double bubble, flat double bubble, singular pair and triple bubble pins were
+# re-recorded when the files lost their face_patches key: each new file is the
+# old one with that key removed, written by the same encoder.
 GENERATOR_SHA256 = {
     ("branched-patch", 0): "35761be722a3d0ff07060876452439e8e3614007541188173c435a78efeb2013",
     ("branched-patch", 1): "910336bfe0c3803bcb3db74aef60b52ca0a60d4cae459912cf8161eae5c435fe",
     ("branched-patch", 2): "f436cf85db334360b54058ee8d3a7c165f0c0ca04b93f88cec65fe086470d22c",
     ("branched-patch", 3): "31ddcbf0391bf08b603aab48283798248a03d02487509a71b5c8a95310bd4387",
-    ("cap", 0): "e818a51bf549c645f81c0ef1582b646776691d83470f9e7056e92ef84ee2421c",
-    ("cap", 1): "77344e5337ee472ee63fa972aeb52d06338ee927fe7118e663a22ceec90c41dd",
-    ("cap", 2): "45f325fb27d02bdf4341fabf11e31eec4d1cd639aeebc73fd4eb20bccea5739c",
-    ("cap", 3): "6dd4ddbd548a7053266fa48f8b50d36d9d03189e0cf26d441e8919ea486fa3fe",
-    ("double-bubble", 0): "2ad5f1b347fa178fa1c5e0392aa511f08dcf74e1f5b39e6e4f80e981799ed99b",
-    ("double-bubble", 1): "c51d4721bf8b5897cf7375bef09cc9329028da803815227766562378a99d427a",
-    ("double-bubble", 2): "d7e452490f26bd5d087a875d7069a8f1f117df0109f1b4877637594c94706d18",
-    ("double-bubble", 3): "11d28dc7b3bcc9d713355051b24b81958876186d63c4ed942a26749b750192f7",
-    ("double-bubble-flat", 0): "00c0f2b2be7ef183c8e7c8555bb7c67f4388a24cf47e88aaa66981bce114f467",
-    ("double-bubble-flat", 1): "dd88a5d130f39d50a158356843d2e671b457f08876b7b90ad64fcf04045d7fdf",
-    ("double-bubble-flat", 2): "968570cfb3acac96871db6be1506e915b9b3e7c6363fe271c547e058b7ce4027",
-    ("double-bubble-flat", 3): "e98395ead4b767d1dc47acbfe9606605c7457e024c655b6354e39ce13ba85f02",
+    ("cap", 0): "ea6d369d17fdef91d86a9b8a3f125aace9d1e868bf48cbcb1386f67b18124fc5",
+    ("cap", 1): "d77a4965f31c3a1cc85a45665a7306254d3545d9b1cc2dc600797bc051f9042a",
+    ("cap", 2): "0e5f6fe2c48c0e4f6866dc8b5864f495f75984020d99718dec709f146684846b",
+    ("cap", 3): "c8670eed0e6beefec7e791aaa979208f40eed4657748b3cddbc5a1ef631157c6",
+    ("double-bubble", 0): "39f535c8ccd21ce3d55e9834e531973daf66d22a65f1299a487673af97bb7c46",
+    ("double-bubble", 1): "846685e5219d3200b57ae94df0920c0ffa2c7114bf148ebbbef2c84943884f1c",
+    ("double-bubble", 2): "a2b4f97e94e93d3480335b267fa9a235fbd3c98e1a7163e382f47d21e9228d7e",
+    ("double-bubble", 3): "a43bceed04a1874c7bad82c7e0fe0e71f7d1f3e8b6144a6f404bcce87ebd27b3",
+    ("double-bubble-flat", 0): "8f2d6122e16cb8b813ebfce7577c1a359bf44c8d4e4196336b19f5be7ac2e690",
+    ("double-bubble-flat", 1): "5af393c2b5613ce26943fb12bc3cc842fd60925423d4fd7ca8f8004c23a4c568",
+    ("double-bubble-flat", 2): "cd3455fac994df2c63201a757bb963449aa7fae77af06bb7009ddb1117794e38",
+    ("double-bubble-flat", 3): "91f13df1dec19ce968a46615b6ac9369742ea36de71446be835cc8b09214f88f",
     ("flat-disk", 0): "ac7b9237e6241cf6847a718d5813d1390d8ce476dacc39b415054cf71316710c",
     ("flat-disk", 1): "346b55e1664c82adac6594dc5adfaebb6876f7c99ec24c7982c5a7eb08cf2cbb",
     ("flat-disk", 2): "86911900f2f8e47b1420fff3b2a525ddd2d34ac68f4213127152f1d89c604733",
     ("flat-disk", 3): "9577c6cbb288ee3bb08af6ca3a2a6b49414a802172a4da2923359ef0a8bd3b39",
-    ("singular-pair", 0): "ab5c2c81e6c2af8abc890e44719ebfce7c844ddf557746451d0da099dea1b3fc",
-    ("singular-pair", 1): "271672d7c140f85fe1e00ed9806efbcad354e5e61a0a42495482ea5efb70c352",
-    ("singular-pair", 2): "8a276f13a9a6b135277c73fc722bc61c96e3a5e65001f053f9e82cc4a1e1b086",
-    ("singular-pair", 3): "357f986a5997e37063eba0edb1e73a1cc7bc49bc7d973769f7fc9e8f6164ca05",
+    ("singular-pair", 0): "ff1f1c809d8c4ae1ab008c2ba6131605c7733c192fb45e443aaa4d0111194d4b",
+    ("singular-pair", 1): "ac14cdaca4c44f27e57d0e4f9f173ce22e9f1bad75357c98409a9bff853045ef",
+    ("singular-pair", 2): "91c9054f92a0ec2c65c873e3fb73736cb28d44234c8911101adb20d6dd63f6dc",
+    ("singular-pair", 3): "6d62ca455e228a3f8b147fae356e11ff5de489b1d1542c87339b2b8291394160",
     ("sphere", 0): "f21541d7fca613609a563837e2e2df0f35d0d081fdb856143b5ab40d807bb35e",
     ("sphere", 1): "e20ebea0d2be6486348f3b12fcde0b208927874e2c729068bf9223ba8d164e62",
     ("sphere", 2): "2413b739d7ef9504e82e144b468183eb8ec8b771ee1d4f05ad1cbcce50b089ac",
@@ -550,11 +553,11 @@ GENERATOR_SHA256 = {
     ("torus", 1): "340e2c695df7ff0a880de47908c591202eb7f9efc4a5759680344d9ee21e2e2d",
     ("torus", 2): "3049fc7d532267d4a0fa839c60db5e7c20bb1b68bd2b79895330ea65a56c8462",
     ("torus", 3): "f99ef38e860c1e725ef479d936d244d084d6ad3aafc6022f9f5ecdc030ce1bc0",
-    ("triple-bubble", 0): "5f6c3ca8ee40ede9c067d34ca39f156ceb336cfb5deb5258e38676f2480a1752",
-    ("triple-bubble", 1): "46cf3122d11ab109cb6f00c53713ee73d8b630ac1a4dda6e3d69f1416d2782c5",
-    ("triple-bubble", 2): "d274c4a8cc93e5949435ab92aa5011c41595cb6fb0bd450d99c4eade299995e6",
-    ("triple-bubble", 3): "e0f570a27512b6e32108afa75420943d35328d6b03ba41efd16c74ecbe4ae0bf",
-    ("triple-bubble", 4): "f83085f783801e57a970f3665cfe2cc9b85cbb2295f396a514fa049de5e931bd",
+    ("triple-bubble", 0): "21aba18f99f3639b8b36c1c06d96f91b5354c0f3d3e15a63e0a06fdf281a280a",
+    ("triple-bubble", 1): "5c0769e8379cad5eeb306f091e56c2f5eee6d4a2eeef12d5cdcdb1f8e87a4558",
+    ("triple-bubble", 2): "b01bc25b3d3448c0de74efbd841ce617641344ed15d67156e4f711d033708cb5",
+    ("triple-bubble", 3): "6054ae4774de1ee8e19522e04d8f405e96b0f55c74d1c68bf7068c821d624eb7",
+    ("triple-bubble", 4): "b496324241f12241a4efbecf1f73ddfcf95f34b1b13b1987bd91e5a1222c0260",
 }
 
 

@@ -470,6 +470,22 @@ def test_fsum_of_many_values(seed):
     assert _kernels.fsum(np.abs(x)).hex() == math.fsum(np.abs(x).tolist()).hex()
 
 
+def test_sums_beyond_the_exact_bound_take_the_fsum_fallbacks(monkeypatch, sphere3):
+    # past _EXACT_TERMS terms the bins might round, so _exact_sums gives up; fsum then
+    # returns math.fsum's bits, and ball_masses adds each ball's terms with math.fsum
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal(1000) * np.exp2(rng.integers(-60, 60, size=1000))
+    v = sphere3.varifold
+    args = (v.vertices, v.faces, v.multiplicity.astype(np.float64), v.vertices[7] + 0.01, np.array([0.3, 0.9, 3.0]))
+    exact = _kernels.ball_masses(*args)
+    monkeypatch.setattr(_kernels, "_EXACT_TERMS", 99)
+    assert _kernels._exact_sums(x, 0, 1) is None and _kernels._exact_sums(x[:99], 0, 1) is not None
+    for y in (x, np.array([1e308, 1e308, -1e308] * 40), np.array([1.0, 2.0**-53, 2.0**-105] * 40)):
+        assert _outcome(_kernels.fsum, y) == _outcome(math.fsum, y.tolist())
+    got = _kernels.ball_masses(*args)
+    assert [m.hex() for m in got.tolist()] == [m.hex() for m in exact.tolist()]
+
+
 def test_cross_has_the_bits_of_np_cross():
     rng = np.random.default_rng(3)
     e = rng.standard_normal((500, 3)) * np.exp2(rng.integers(-30, 30, size=(500, 1)))

@@ -230,24 +230,19 @@ _TRIANGLE = [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
     ((_TRIANGLE, [[0, 1, 2]]), {"multiplicity": [1.9]}, "multiplicity must hold integers, not float64"),
     (([[True, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]]), {}, "vertices must hold numbers, not booleans"),
     ((_TRIANGLE, [[0, 1, True]]), {}, "faces must hold integers, not booleans"),
-    ((_TRIANGLE, [[0, 1, 2]]), {"face_patches": [True]}, "face_patches must hold integers, not booleans"),
     ((np.array(_TRIANGLE, dtype=bool), [[0, 1, 2]]), {}, "vertices must hold numbers, not bool"),
     ((_TRIANGLE, np.array([[0.0, 1.0, 2.0]])), {}, "faces must hold integers, not float64"),
     ((_TRIANGLE, [[0, 1, 2]]), {"multiplicity": [[1]]},
      r"multiplicity shape \(1, 1\) does not match \(F,\) = \(1,\)"),
     ((_TRIANGLE, [[0, 1, 2]]), {"multiplicity": [[]]},
      r"multiplicity shape \(1, 0\) does not match \(F,\) = \(1,\)"),
-    ((_TRIANGLE, [[0, 1, 2]]), {"face_patches": 0},
-     r"face_patches shape \(\) does not match \(F,\) = \(1,\)"),
-    ((_TRIANGLE, [[0, 1, 2]]), {"face_patches": [[0]]},
-     r"face_patches shape \(1, 1\) does not match \(F,\) = \(1,\)"),
     ((_TRIANGLE, [[0, 1, 2]]), {"oriented": 1}, "oriented must be a bool, not 1"),
     ((_TRIANGLE, [[0, 1, 2]]), {"oriented": "true"}, "oriented must be a bool, not 'true'"),
     (([[0, 0, 0], [1, 0, 0], [0, 1]], [[0, 1, 2]]), {}, "vertices must be a rectangular array, not ragged rows"),
     ((_TRIANGLE, [[0, 1, 2], [0, 1]]), {}, "faces must be a rectangular array, not ragged rows"),
-], ids=["float-face", "float-multiplicity", "bool-vertex", "bool-face", "bool-patch",
+], ids=["float-face", "float-multiplicity", "bool-vertex", "bool-face",
         "bool-vertex-array", "float-face-array", "column-multiplicity", "empty-rows-multiplicity",
-        "scalar-patch", "column-patch", "int-oriented", "string-oriented", "ragged-vertices", "ragged-faces"])
+        "int-oriented", "string-oriented", "ragged-vertices", "ragged-faces"])
 def test_make_varifold_coerces_nothing(args, kwargs, message):
     with pytest.raises(MeshError, match=f"^{message}$"):
         DiscreteVarifold(*args, **kwargs)
@@ -261,14 +256,12 @@ def test_make_varifold_coerces_nothing(args, kwargs, message):
     ("faces", np.array([[0, 1, 2**63]], dtype=np.uint64)),
     ("multiplicity", [2**63 + 1]),
     ("multiplicity", [2**64]),
-    ("face_patches", [2**63]),
-    ("face_patches", np.array([2**64 - 1], dtype=np.uint64)),
     ("vertices", [[2**63, 0, 0], [2**63, 2**62, 0], [2**63, 0, 2**62]]),
     ("vertices", [[2**64, 0, 0], [2**64, 2**62, 0], [2**64, 0, 2**62]]),
     ("vertices", [[1.5, 0, 2**63], [0, 1, 0], [0, 0, 1]]),
 ], ids=["face-list-read-as-float64", "face-uint64-array", "multiplicity-list-read-as-uint64",
-        "multiplicity-list-read-as-objects", "patch-list-read-as-uint64", "patch-uint64-array",
-        "vertex-list-read-as-uint64", "vertex-list-read-as-objects", "vertex-row-among-floats"])
+        "multiplicity-list-read-as-objects", "vertex-list-read-as-uint64", "vertex-list-read-as-objects",
+        "vertex-row-among-floats"])
 def test_integers_beyond_int64_are_rejected(key, value):
     # cast to int64, 2**63 was stored as -2**63, and 2**63 + 1 as a negative multiplicity; a
     # vertex coordinate of 2**63 was read as the float 9.223372036854776e+18
@@ -278,16 +271,14 @@ def test_integers_beyond_int64_are_rejected(key, value):
 
 
 def test_integers_at_the_ends_of_int64_are_kept():
-    v = DiscreteVarifold(_TRIANGLE, np.array([[0, 1, 2]], dtype=np.uint64), [2**63 - 1], face_patches=[-2**63])
-    assert (v.faces.tolist(), v.multiplicity.tolist(), v.face_patches.tolist()) == (
-        [[0, 1, 2]], [2**63 - 1], [-2**63])
+    v = DiscreteVarifold(_TRIANGLE, np.array([[0, 1, 2]], dtype=np.uint64), [2**63 - 1])
+    assert (v.faces.tolist(), v.multiplicity.tolist()) == ([[0, 1, 2]], [2**63 - 1])
 
 
 def test_make_varifold_takes_integer_and_float_arrays_of_any_width():
     v = DiscreteVarifold(np.array(_TRIANGLE, dtype=np.float32), np.array([[0, 1, 2]], dtype=np.uint8),
-                      np.array([3], dtype=np.int32), face_patches=np.array([7], dtype=np.int16))
-    assert (v.vertices.dtype, v.faces.dtype, v.multiplicity.dtype, v.face_patches.dtype) == (
-        np.float64, np.int64, np.int64, np.int64)
+                      np.array([3], dtype=np.int32))
+    assert (v.vertices.dtype, v.faces.dtype, v.multiplicity.dtype) == (np.float64, np.int64, np.int64)
     assert v.faces.tolist() == [[0, 1, 2]] and v.multiplicity.tolist() == [3]
 
 
@@ -456,11 +447,10 @@ def _rejected(path: str, message: str) -> str:
         ({"faces": [[0, 1, 2.9], [0, 2, 3]]}, "faces must hold integers, not float64"),
         ({"oriented": "false"}, "oriented must be a bool, not 'false'"),
         ({"faces": [[0, 1], [2, 0], [1, 2]]}, "faces must be (F, 3), got (3, 2)"),
-        ({"face_patches": [0, 2**63]}, "face_patches holds integers beyond int64"),
         ({"faces": [[0, 1, 2], [0, 2]]}, "faces must be a rectangular array, not ragged rows"),
     ],
     ids=["fractional_multiplicity", "fractional_face_index", "string_oriented",
-         "two_index_faces", "face_patch_beyond_int64", "ragged_faces"],
+         "two_index_faces", "ragged_faces"],
 )
 def test_load_rejects_values_it_would_have_to_coerce(tmp_path, capsys, overrides, message):
     path = _write_square(tmp_path / "bad.json", **overrides)
@@ -477,9 +467,8 @@ def test_load_rejects_values_it_would_have_to_coerce(tmp_path, capsys, overrides
          "--boundary"),
         ({"faces": [[0, True, 2], [0, 2, 3]]}, "faces must hold integers", "--energy"),
         ({"multiplicity": [1, True]}, "multiplicity must hold integers", "--energy"),
-        ({"face_patches": [False, 3]}, "face_patches must hold integers", "--energy"),
     ],
-    ids=["vertices", "faces", "multiplicity", "face_patches"],
+    ids=["vertices", "faces", "multiplicity"],
 )
 def test_load_rejects_booleans_among_numbers(tmp_path, capsys, overrides, message, flag):
     path = _write_square(tmp_path / "bad.json", **overrides)
@@ -494,10 +483,8 @@ def test_load_rejects_booleans_among_numbers(tmp_path, capsys, overrides, messag
     [
         ({"multiplicity": [[1], [2]]}, "multiplicity", "(2, 1)"),
         ({"multiplicity": [[], []]}, "multiplicity", "(2, 0)"),
-        ({"face_patches": 0}, "face_patches", "()"),
-        ({"face_patches": [[0], [1]]}, "face_patches", "(2, 1)"),
     ],
-    ids=["column-multiplicity", "empty-rows-multiplicity", "scalar-patch", "column-patch"],
+    ids=["column-multiplicity", "empty-rows-multiplicity"],
 )
 def test_load_rejects_per_face_arrays_of_another_shape(tmp_path, capsys, overrides, key, shape):
     path = _write_square(tmp_path / "bad.json", **overrides)
@@ -516,10 +503,22 @@ def test_load_names_the_file_for_structural_errors(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: mesh file {path!r}: face 0 has a vertex index out of range\n"
 
 
-def test_load_keeps_face_patches(tmp_path):
-    var, _ = mesh.load_mesh_file(_write_square(tmp_path / "p.json", face_patches=[0, 3]))
-    assert var.face_patches.tolist() == [0, 3]
-    assert var.oriented is True
+@pytest.mark.parametrize("labels", [[0, 3], [False, 3], [[0], [1, 2]]], ids=["valid", "boolean", "ragged"])
+def test_load_ignores_face_patches(tmp_path, labels):
+    # files written before the mesh stopped carrying piece labels still load, as if without them
+    plain, old = _write_square(tmp_path / "plain.json"), _write_square(tmp_path / "old.json", face_patches=labels)
+    (a, analytic_a), (b, analytic_b) = mesh.load_mesh_file(plain), mesh.load_mesh_file(old)
+    assert [f.name for f in dataclasses.fields(b)] == ["vertices", "faces", "multiplicity", "oriented"]
+    with pytest.raises(TypeError, match="face_patches"):
+        DiscreteVarifold(_TRIANGLE, [[0, 1, 2]], face_patches=[0])
+    for name in ("vertices", "faces", "multiplicity"):
+        assert getattr(b, name).tobytes() == getattr(a, name).tobytes()
+    assert (b.oriented, analytic_b) == (a.oriented, analytic_a) == (True, None)
+    blocks = []
+    for path in (plain, old):
+        assert main(["analyze", path, "--energy", "-o", str(tmp_path / "r.json")]) == 0
+        blocks.append(json.loads((tmp_path / "r.json").read_text())["analyses"])
+    assert blocks[1] == blocks[0]
 
 
 def test_mesh_scale_is_bbox_diagonal():

@@ -24,8 +24,7 @@ def _invert(v: DiscreteVarifold, c) -> DiscreteVarifold:
     c = np.asarray(c, dtype=np.float64)
     d = v.vertices - c
     x = c + d / np.einsum("ij,ij->i", d, d)[:, None]
-    return DiscreteVarifold(x, v.faces[:, ::-1] if v.oriented else v.faces, v.multiplicity, v.oriented,
-                            v.face_patches)
+    return DiscreteVarifold(x, v.faces[:, ::-1] if v.oriented else v.faces, v.multiplicity, v.oriented)
 
 
 def _energies(build, c) -> list[tuple[float, float]]:
