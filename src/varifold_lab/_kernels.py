@@ -8,6 +8,14 @@ signed angle over all outside pieces automatically picks up the winding of the
 triangle around the disk center, so the same steps handle every configuration
 (disk inside triangle, triangle inside disk, partial overlap, disjoint).
 
+One walk (``_walk``, in the face frames of ``_face_frames``) serves both
+readings of a ball: ``ball_masses`` sums its terms, and ``spherical_link``
+takes the circle's arcs inside each face from it (``_arcs``): an arc runs
+from where the walk leaves the disk to where it next comes in, through the
+outside pieces whose angles the area sums. So the link's length over 2π and
+the mass ratio read the same crossings, and the tangency cut ``_DISC_EPS``
+has one reader.
+
 ``ball_masses`` works through the faces in blocks of ``_BLOCK``, for every
 radius at once. A face wholly inside a ball contributes its area, kept with
 its shell; the rows of the faces a sphere cuts are kept too, and after the
@@ -77,9 +85,8 @@ from . import _values
 #: Name of the clipping kernel, recorded in benchmark provenance.
 BACKEND = "fallback"
 
-#: The tangency cut: a circle |p| = rho crosses an edge's line only where its discriminant
-#: exceeds ``_DISC_EPS * dd * rho²``. ``blowup._circle_arcs`` reads it too, so that ball
-#: masses and link lengths take the same crossings.
+#: The tangency cut of ``_walk``: a circle |p| = rho crosses an edge's line only where its
+#: discriminant exceeds ``_DISC_EPS * dd * rho²``.
 _DISC_EPS = 1e-12
 
 #: Rows per block of ``ball_masses``, of the exact sums and of every whole-mesh per-face pass
@@ -105,15 +112,22 @@ def _indices(mask: np.ndarray) -> np.ndarray:
     return np.compress(mask, np.arange(len(mask), dtype=np.int32))
 
 
-def _disk_tri_areas(ax, ay, bx, by, cx, cy, rho) -> np.ndarray:
-    """Areas of the CCW triangles (a, b, c) intersected with the disks |p| <= rho, rho > 0.
+def _walk(ax, ay, bx, by, cx, cy, rho) -> tuple[np.ndarray, ...]:
+    """Green's walk around the CCW triangles (a, b, c) against the circles |p| = rho, rho > 0.
 
-    Per triangle the terms are added in the scalar order: for each edge, its
-    entry arc, chord and exit arc, or its whole outside arc.
+    Returns (chord, w0x, w0y, w1x, w1y, into, out, whole), each a list of three
+    (m,) arrays, item k for edge k, from corner k to corner k + 1. Where
+    ``chord``, the edge's piece
+    inside the disk runs from w0 to w1, at its first and second root (or the
+    corner where the edge starts or ends inside); ``into`` is the signed angle
+    about the center that the edge turns outside the disk before w0, ``out``
+    the one after w1, and ``whole`` that of an edge with no piece inside. An
+    angle is 0 where its piece is empty, and every angle is 0 on an edge of
+    zero length.
     """
-    rho2 = rho * rho
-    total = np.zeros(len(rho))
     pts = ((ax, ay), (bx, by), (cx, cy))
+    rho2 = rho * rho
+    edges = []
     with np.errstate(invalid="ignore", divide="ignore"):
         for k in range(3):
             x0, y0 = pts[k]
@@ -133,21 +147,72 @@ def _disk_tri_areas(ax, ay, bx, by, cx, cy, rho) -> np.ndarray:
             chord = live & (lo < hi)
             w0x, w0y = x0 + lo * dx, y0 + lo * dy
             w1x, w1y = x0 + hi * dx, y0 + hi * dy
-            total += _arc_terms(x0, y0, w0x, w0y, rho2, chord & (lo > 0.0))
-            total += np.where(chord, 0.5 * (w0x * w1y - w0y * w1x), 0.0)
-            total += _arc_terms(w1x, w1y, x1, y1, rho2, chord & (hi < 1.0))
-            total += _arc_terms(x0, y0, x1, y1, rho2, live & ~chord)
+            edges.append((chord, w0x, w0y, w1x, w1y, _angles(x0, y0, w0x, w0y, chord & (lo > 0.0)),
+                          _angles(w1x, w1y, x1, y1, chord & (hi < 1.0)), _angles(x0, y0, x1, y1, live & ~chord)))
+    return tuple(list(c) for c in zip(*edges))
+
+
+def _angles(u0x, u0y, u1x, u1y, mask) -> np.ndarray:
+    """Signed angles from u0 to u1 about the origin, by ``_atan2``, where ``mask``; 0 off it."""
+    out = np.zeros(len(mask))
+    idx = np.flatnonzero(mask)
+    u0x, u0y, u1x, u1y = u0x[idx], u0y[idx], u1x[idx], u1y[idx]
+    out[idx] = _atan2(u0x * u1y - u0y * u1x, u0x * u1x + u0y * u1y)
+    return out
+
+
+def _disk_tri_areas(ax, ay, bx, by, cx, cy, rho) -> np.ndarray:
+    """Areas of the CCW triangles (a, b, c) intersected with the disks |p| <= rho, rho > 0.
+
+    Per triangle the terms of ``_walk`` are added in the scalar order: for
+    each edge, its entry arc, chord and exit arc, or its whole outside arc;
+    an arc's term is ½ρ²·angle.
+    """
+    half = 0.5 * (rho * rho)
+    total = np.zeros(len(rho))
+    chord, w0x, w0y, w1x, w1y, into, out, whole = _walk(ax, ay, bx, by, cx, cy, rho)
+    for k in range(3):
+        total += half * into[k]
+        total += np.where(chord[k], 0.5 * (w0x[k] * w1y[k] - w0y[k] * w1x[k]), 0.0)
+        total += half * out[k]
+        total += half * whole[k]
     return total
 
 
-def _arc_terms(w0x, w0y, w1x, w1y, rho2, mask) -> np.ndarray:
-    """Green's-theorem terms of the edge pieces outside the circle; 0 off mask."""
-    out = np.zeros(len(mask))
-    idx = np.flatnonzero(mask)
-    if len(idx):
-        u0x, u0y, u1x, u1y = w0x[idx], w0y[idx], w1x[idx], w1y[idx]
-        out[idx] = 0.5 * rho2[idx] * _atan2(u0x * u1y - u0y * u1x, u0x * u1x + u0y * u1y)
-    return out
+def _arcs(ax, ay, bx, by, cx, cy, rho) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The arcs of the circles |p| = rho, rho > 0, inside the CCW triangles (a, b, c), from ``_walk``.
+
+    Returns (row, theta0, dtheta, ends) per arc, ordered by row and then by
+    theta0. An arc runs counter-clockwise from where the walk leaves the disk,
+    the end w1 of edge k's inside piece, to where it next comes in, the start
+    w0 of the next edge k' with an inside piece (k' = k after a whole turn).
+    theta0 is the angle of w1, dtheta the sum of the walk's outside angles from
+    w1 to w0, and an arc with dtheta <= 0 is dropped, such as the empty one
+    between two inside pieces that meet at a corner. ``ends`` (n, 2) names the
+    two points: 2k + 1 for the end of edge k's piece (its second root in the
+    order of t, or corner k + 1), 2k' for the start of edge k''s (its first
+    root, or corner k'). A circle whose walk has no inside piece is one whole
+    arc, theta0 = 0, dtheta = 2π and ends (0, 0), if the outside angles wind
+    once around its center, and no arc otherwise.
+    """
+    chord, _, _, w1x, w1y, into, out, whole = _walk(ax, ay, bx, by, cx, cy, rho)
+    chord, w1x, w1y = np.array(chord), np.array(w1x), np.array(w1y)
+    dtheta, end = np.zeros(chord.shape), np.zeros(chord.shape, dtype=np.int64)  # of the arc from edge k
+    for k in range(3):
+        going, turn = chord[k].copy(), out[k]
+        for j in ((k + 1) % 3, (k + 2) % 3, k):
+            stop = going & chord[j]
+            dtheta[k, stop] = turn[stop] + into[j][stop]
+            end[k, stop] = 2 * j
+            going &= ~chord[j]
+            turn = turn + whole[j]
+    circle = ~chord.any(axis=0) & ((whole[0] + whole[1]) + whole[2] > math.pi)
+    dtheta[0, circle] = 2.0 * math.pi  # put on edge 0, with the angle and ends of a whole circle
+    k, row = np.nonzero(dtheta > 0.0)
+    theta0 = np.where(circle[row], 0.0, _atan2(w1y[k, row], w1x[k, row]))
+    ends = np.where(circle[row, None], 0, np.stack([2 * k + 1, end[k, row]], axis=1))
+    order = np.lexsort((theta0, row))
+    return row[order], theta0[order], dtheta[k, row][order], ends[order]
 
 
 def _atan2(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -176,10 +241,14 @@ def _cross(e: np.ndarray, f: np.ndarray) -> np.ndarray:
     return out
 
 
-def _clipped_areas(va, vb, vc, n, two_area, r) -> tuple[np.ndarray, np.ndarray]:
-    """area(face ∩ B(0, r)) for faces the sphere |x| = r may cut, one r per row.
+def _face_frames(va, vb, vc, n, two_area, r) -> tuple[np.ndarray, ...]:
+    """The frames of the faces whose plane meets the ball B(0, r), one r per row or one for all.
 
-    Returns (rows, areas) for the rows whose face plane meets the ball.
+    Returns (rows, rho, q, e1, e2, corners) for those rows: the radius rho of
+    the circle in which the sphere |x| = r meets the plane, its center mirrored
+    through the origin q, the plane's unit axes e1 and e2, and ``corners``, the
+    in-plane coordinates (ax, ay, bx, by, cx, cy) of the face about the circle's
+    center, which ``_walk`` reads.
     """
     nf = n / two_area[:, None]
     d = _dot(va, nf)  # signed distance from the center to each face plane
@@ -195,10 +264,7 @@ def _clipped_areas(va, vb, vc, n, two_area, r) -> tuple[np.ndarray, np.ndarray]:
     # e1, e2 ⊥ nf; using the foot itself would move last bits
     q = -d[:, None] * nf
     a, b, c = va - q, vb - q, vc - q
-    area = _disk_tri_areas(
-        _dot(a, e1), _dot(a, e2), _dot(b, e1), _dot(b, e2), _dot(c, e1), _dot(c, e2), rho
-    )
-    return rows, area
+    return rows, rho, q, e1, e2, (_dot(a, e1), _dot(a, e2), _dot(b, e1), _dot(b, e2), _dot(c, e1), _dot(c, e2))
 
 
 def ball_masses(
@@ -237,8 +303,8 @@ def ball_masses(
     va, vb, vc, n, two_area, cut_mult, k = map(np.concatenate, cut)
     del points, sq, blocks, cut  # the sums are the call's peak: free what they do not read
 
-    rows, clip = _clipped_areas(va, vb, vc, n, two_area, rs[k])
-    clip = np.minimum(clip, 0.5 * two_area[rows])  # round-off can overshoot the face area
+    rows, rho, *_, corners = _face_frames(va, vb, vc, n, two_area, rs[k])
+    clip = np.minimum(_disk_tri_areas(*corners, rho), 0.5 * two_area[rows])  # round-off can overshoot the face area
     hit = clip > 0.0
     k = k[rows][hit]
     parts = cut_mult[rows][hit] * clip[hit]

@@ -251,101 +251,45 @@ class SphericalLink(Record):
     density_estimate: float
 
 
-def _circle_arcs(P: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Angular intervals of the circles |p| = rho inside the CCW triangles P.
-
-    P is (m, 3, 2), one triangle per circle. Returns (row, theta0, dtheta,
-    ends) per arc, ordered by row and then by start angle: the circle's
-    crossings of the triangle's edges are sorted, and each span between
-    consecutive crossings whose midpoint lies inside the triangle is an arc;
-    a circle that crosses no edge is one whole arc or none. ``ends`` (n, 2)
-    names the crossings where an open arc starts and ends: 2k + j is the j-th
-    root, in the order of t, on edge k from corner k to corner k + 1.
-    """
-    m = len(rho)
-    ang = np.full((m, 6), np.inf)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        for k in range(3):
-            p0 = P[:, k]
-            d = P[:, (k + 1) % 3] - p0
-            dd = _kernels._dot(d, d)
-            p0d = _kernels._dot(p0, d)
-            disc = p0d * p0d - dd * (_kernels._dot(p0, p0) - rho * rho)
-            cut = ~(dd < 1e-300) & ~(disc <= _kernels._DISC_EPS * dd * rho * rho)
-            sq = np.sqrt(disc)
-            for j, t in enumerate(((-p0d - sq) / dd, (-p0d + sq) / dd)):
-                hit = np.flatnonzero(cut & (0.0 <= t) & (t <= 1.0))
-                qx = p0[hit, 0] + t[hit] * d[hit, 0]
-                qy = p0[hit, 1] + t[hit] * d[hit, 1]
-                ang[hit, 2 * k + j] = _kernels._atan2(qy, qx)
-    order = np.argsort(ang, axis=1, kind="stable")
-    ang = np.take_along_axis(ang, order, axis=1)
-    count = np.isfinite(ang).sum(axis=1)
-    # a circle that crosses no edge is one arc from 0 to 2π, probed at angle 0
-    whole = count == 0
-    ang[whole, 0] = 0.0
-    count[whole] = 1
-    slot = np.arange(6)
-    nxt = np.where(slot == (count - 1)[:, None], ang[:, :1] + 2.0 * math.pi, np.roll(ang, -1, axis=1))
-    row, col = np.nonzero(slot < count[:, None])
-    a0, a1 = ang[row, col], nxt[row, col]
-    ends = np.stack([order[row, col], order[row, (col + 1) % count[row]]], axis=1)
-    mid = np.where(whole[row], 0.0, 0.5 * (a0 + a1))
-    qx = rho[row] * np.fromiter(map(math.cos, mid.tolist()), dtype=np.float64, count=len(mid))
-    qy = rho[row] * np.fromiter(map(math.sin, mid.tolist()), dtype=np.float64, count=len(mid))
-    inside = np.ones(len(row), dtype=bool)
-    for k in range(3):
-        a, b = P[row, k], P[row, (k + 1) % 3]
-        inside &= ~((b[:, 0] - a[:, 0]) * (qy - a[:, 1]) - (b[:, 1] - a[:, 1]) * (qx - a[:, 0]) < -1e-12)
-    return row[inside], a0[inside], a1[inside] - a0[inside], ends[inside]
-
-
 def spherical_link(v: DiscreteVarifold, x0, r: float) -> SphericalLink:
     """Intersection of spt v with the sphere ∂B_r(x0), rescaled to the unit sphere.
 
     The faces are those whose bounding sphere the face grid finds meeting the
-    sphere, less those with every vertex inside the ball; per face the
-    circle–triangle intersection is then computed exactly in the face plane,
-    as arrays over the faces (dot products rounded like a 1-D ``a @ b``,
-    angles from ``math.atan2``). Lengths are summed from arc angles
-    (multiplicity-weighted) with ``math.fsum``, then the arcs are sampled and
-    chained into polylines. Arc ends meet at a node when they cross the same
-    mesh edge at the same root, or lie within 1e-5·r of the same vertex
-    (``_end_keys``); nodes where three or more ends meet are junctions; at
-    four-end nodes (transversal crossings) the chaining continues straight
-    through, onto the end that best continues the arc, and stops if that end
-    is already chained. A sphere that misses the support gives the empty link.
+    sphere, less those with every vertex inside the ball and those of zero
+    area. Per face the circle–triangle intersection is read from the
+    clipping walk of the ball masses (``_kernels._face_frames``,
+    ``_kernels._walk``), in the same face frames, with the same crossings and
+    the same written-out dot products: an arc runs from where the walk leaves
+    the disk to where it next comes in, and its angle is the sum of the
+    outside angles whose ½ρ²·θ terms the ball masses add (``_kernels._arcs``).
+    Lengths are summed from arc angles (multiplicity-weighted) with
+    ``math.fsum``, then the arcs are sampled and chained into polylines. Arc
+    ends meet at a node when they cross the same mesh edge at the same root,
+    or lie within 1e-5·r of the same vertex (``_end_keys``); an arc with both
+    ends at one node is left out of the polylines, its length kept; nodes
+    where three or more ends meet are junctions; at four-end nodes
+    (transversal crossings) the chaining continues straight through, onto the
+    end that best continues the arc, and stops if that end is already
+    chained. A sphere that misses the support gives the empty link.
     """
     x0 = _kernels._point(x0, "spherical_link: x0")
     r = _values._length(r, "spherical_link: r")
     fi = v.face_grid.query(x0, r, inner=r)
-    faces = np.take(v.faces, fi, axis=0)
-    va, vb, vc = np.take(v.vertices, faces.T, axis=0) - x0
+    va, vb, vc = np.take(v.vertices, np.take(v.faces, fi, axis=0).T, axis=0) - x0
+    n = _kernels._cross(vb - va, vc - va)
+    two_area = np.sqrt(_kernels._sq(n))
     # the max of |x - x0| over a triangle sits at a vertex, so this test is exact
     dmax_v = np.maximum(np.maximum(_kernels._norm(va), _kernels._norm(vb)), _kernels._norm(vc))
-    keep = dmax_v > r * (1 - 1e-12)
-    fi, va, vb, vc = fi[keep], va[keep], vb[keep], vc[keep]
-    n = _kernels._cross(vb - va, vc - va)
-    nn = np.sqrt(_kernels._dot(n, n))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        nhat = n / nn[:, None]
-        d = _kernels._dot(va, nhat)  # signed distance from x0 to each face plane
-    rho2 = r * r - d * d
-    keep = ~(nn < 1e-300) & ~(rho2 <= 0.0)
-    fi, va, vb, vc, nhat, d = fi[keep], va[keep], vb[keep], vc[keep], nhat[keep], d[keep]
-    rho = np.sqrt(rho2[keep])
-    e1 = vb - va
-    e1 = e1 / np.sqrt(_kernels._dot(e1, e1))[:, None]
-    e2 = _kernels._cross(nhat, e1)
-    foot = d[:, None] * nhat  # circle centers relative to x0
-    P = np.stack([np.stack([_kernels._dot(p - foot, e1), _kernels._dot(p - foot, e2)], axis=1)
-                  for p in (va, vb, vc)], axis=1)
-    row, theta0, dtheta, ends = _circle_arcs(P, rho)
-    mult = v.multiplicity[fi[row]].astype(np.float64)
-    total_length = math.fsum((mult * rho[row] * dtheta / r).tolist())
-    pts, off = _sample_arcs(rho[row], foot[row], e1[row], e2[row], theta0, dtheta, r)
+    keep = np.flatnonzero((dmax_v > r * (1 - 1e-12)) & ~(two_area < 1e-300))
+    rows, rho, q, e1, e2, corners = _kernels._face_frames(va[keep], vb[keep], vc[keep], n[keep],
+                                                           two_area[keep], r)
+    row, theta0, dtheta, ends = _kernels._arcs(*corners, rho)
+    fi, rho = fi[keep[rows[row]]], rho[row]
+    total_length = math.fsum((v.multiplicity[fi].astype(np.float64) * rho * dtheta / r).tolist())
+    # the circle centers relative to x0 are the feet -q
+    pts, off = _sample_arcs(rho, -q[row], e1[row], e2[row], theta0, dtheta, r)
     tips = pts[np.stack([off[:-1], off[1:] - 1], axis=1)]  # (n, 2, 3): each arc's end samples
-    key = _end_keys(v, x0, r, v.faces[fi[row]], ends, tips)
+    key = _end_keys(v, x0, r, v.faces[fi], ends, tips)
     polylines, junction_count = _chain_arcs(pts, off, dtheta >= 2.0 * math.pi - 1e-9, key)
     return SphericalLink(
         polylines=tuple(polylines),
@@ -375,7 +319,7 @@ def _sample_arcs(rho, foot, e1, e2, theta0, dtheta, r) -> tuple[np.ndarray, np.n
 
 def _end_keys(v: DiscreteVarifold, x0, r, corners, ends, tips) -> np.ndarray:
     """Node key (n, 2) of each arc end, given its face's vertex ids ``corners``
-    (n, 3), its crossings ``ends`` named as by ``_circle_arcs`` and its samples
+    (n, 3), its crossings ``ends`` named as by ``_kernels._arcs`` and its samples
     ``tips`` (n, 2, 3): (lo·V + hi)·2 + j at the j-th root from lo of edge
     (lo, hi), alike in every face on the edge, or (c·V + c)·2 within 1e-5·r
     of the edge's vertex c (that vertex's crossing)."""
@@ -395,14 +339,17 @@ def _chain_arcs(pts: np.ndarray, off: np.ndarray, closed: np.ndarray,
     """Join the open arcs' ends into nodes and walk maximal polylines.
 
     End 2a is the first sample of arc a and end 2a + 1 its last, and ends
-    with equal ``key`` (n, 2) share a node. A walk that arrives at end e goes
+    with equal ``key`` (n, 2) share a node. An open arc whose two ends have
+    the same key, such as one shorter than 1e-5·r by a vertex, joins no node
+    and forms no polyline. A walk that arrives at end e goes
     on at end ``nxt[e]``: the other end of a two-end node, or at a four-end
     node the end whose heading best continues the arrival (the first of
     equals); it stops where ``nxt`` is -1 (other nodes) or at an arc already
     walked.
     """
     tip = np.stack([off[:-1], off[1:] - 1], axis=1).ravel()  # each end's sample
-    ends = np.flatnonzero(np.repeat(~closed, 2))
+    skip = closed | (key[:, 0] == key[:, 1])  # closed arcs, and open arcs from a node back to it
+    ends = np.flatnonzero(np.repeat(~skip, 2))
     _, seen, inv = np.unique(key.ravel()[ends], return_index=True, return_inverse=True)
     node = np.argsort(np.argsort(seen))[inv]  # numbered in the order of their first end
     degree = np.bincount(node)
@@ -419,7 +366,7 @@ def _chain_arcs(pts: np.ndarray, off: np.ndarray, closed: np.ndarray,
     dots = np.where(np.eye(4, dtype=bool), -np.inf, dots.reshape(-1, 4, 4))
     nxt[e] = np.take_along_axis(e, dots.argmax(axis=2), axis=1)
 
-    off, nxt, used = off.tolist(), nxt.tolist(), closed.tolist()
+    off, nxt, used = off.tolist(), nxt.tolist(), skip.tolist()
     polylines = [pts[off[a]:off[a + 1]] for a in np.flatnonzero(closed).tolist()]
 
     def piece(e: int) -> np.ndarray:

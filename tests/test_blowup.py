@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from varifold_lab import _grid, blowup, curvature, generators, mesh, nets
+from varifold_lab import _grid, _kernels, blowup, curvature, generators, mesh, nets
 from varifold_lab.blowup import ADMISSIBLE_DENSITIES
 from varifold_lab.mesh import DiscreteVarifold, MeshError
 from varifold_lab.reports import canonical_dumps
@@ -293,8 +293,13 @@ def test_spherical_link_density_agrees_with_ladder(double_bubble4):
     assert link.density_estimate == pytest.approx(theta, abs=0.02 * theta)
 
 
-def _face_circle_arcs_loop(p2d: np.ndarray, rho: float) -> list[tuple[float, float]]:
-    """The per-face scalar loop that ``blowup._circle_arcs`` replaced, kept as its oracle."""
+def _face_circle_arcs_loop(p2d: np.ndarray, rho: float) -> list[tuple[float, float, tuple[int, int]]]:
+    """The arcs of the circle |p| = rho inside the CCW triangle p2d (3, 2), as (theta0,
+    dtheta, ends) in the order of theta0, by a per-face scalar loop: the circle's crossings
+    of the edges are sorted by angle, and each span between consecutive crossings whose
+    midpoint lies inside the triangle is an arc; a circle that crosses no edge is one whole
+    arc or none. End 2k + j is the j-th root, in the order of t, on edge k. The independent
+    oracle of ``_kernels._arcs``, which takes its arcs from the clipping walk instead."""
 
     def inside(q):
         for k in range(3):
@@ -303,7 +308,7 @@ def _face_circle_arcs_loop(p2d: np.ndarray, rho: float) -> list[tuple[float, flo
                 return False
         return True
 
-    angles: list[float] = []
+    crossings: list[tuple[float, int]] = []
     for k in range(3):
         p0 = p2d[k]
         d = p2d[(k + 1) % 3] - p0
@@ -315,25 +320,39 @@ def _face_circle_arcs_loop(p2d: np.ndarray, rho: float) -> list[tuple[float, flo
         if disc <= 1e-12 * dd * rho * rho:
             continue
         sq = math.sqrt(disc)
-        for t in ((-p0d - sq) / dd, (-p0d + sq) / dd):
+        for j, t in enumerate(((-p0d - sq) / dd, (-p0d + sq) / dd)):
             if 0.0 <= t <= 1.0:
                 q = p0 + t * d
-                angles.append(math.atan2(q[1], q[0]))
-    if not angles:
-        return [(0.0, 2.0 * math.pi)] if inside(np.array([rho, 0.0])) else []
-    angles.sort()
+                crossings.append((math.atan2(q[1], q[0]), 2 * k + j))
+    if not crossings:
+        return [(0.0, 2.0 * math.pi, (0, 0))] if inside(np.array([rho, 0.0])) else []
+    crossings.sort()
     out = []
-    for i, a0 in enumerate(angles):
-        a1 = angles[(i + 1) % len(angles)]
-        if i + 1 == len(angles):
+    for i, (a0, end0) in enumerate(crossings):
+        a1, end1 = crossings[(i + 1) % len(crossings)]
+        if i + 1 == len(crossings):
             a1 += 2.0 * math.pi
         mid = 0.5 * (a0 + a1)
         if inside(np.array([rho * math.cos(mid), rho * math.sin(mid)])):
-            out.append((a0, a1 - a0))
+            out.append((a0, a1 - a0, (end0, end1)))
     return out
 
 
-def test_circle_arcs_match_the_scalar_loop_bit_for_bit():
+def _walk_arcs(P: np.ndarray, rho: np.ndarray) -> list[list[tuple[float, float, tuple[int, int]]]]:
+    """``_kernels._arcs`` of the triangles P (m, 3, 2) and circles rho, as lists per row."""
+    got = [[] for _ in rho]
+    for i, a, w, e in zip(*(x.tolist() for x in _kernels._arcs(*P.reshape(len(P), 6).T, rho))):
+        got[i].append((a, w, tuple(e)))
+    return got
+
+
+def test_walk_arcs_match_the_scalar_loop():
+    """The walk's arcs are the scalar loop's: the same rows, the same number of arcs and the
+    same end names per row, in the same order, with angles within 256 ulps of 2π (measured:
+    248.5, on a near-tangent crossing of a triangle scaled by 20; 270 of the 1,568 arcs
+    compared are bit-equal). Rows 103, 104 and 109 have an edge of zero length, along which
+    the triangle folds back: there the two rules give only arcs of |dtheta| <= 1.6e-15, not
+    alike (the walk: none, one, none)."""
     rng = np.random.default_rng(17)
     P = rng.uniform(-1.5, 1.5, size=(2000, 3, 2))
     e1, e2 = P[:, 1] - P[:, 0], P[:, 2] - P[:, 0]
@@ -343,14 +362,52 @@ def test_circle_arcs_match_the_scalar_loop_bit_for_bit():
     P[50:100] *= 20.0
     P[100:110, 1] = P[100:110, 0]  # a zero-length edge
     rho = rng.uniform(0.05, 2.0, size=2000)
-    row, theta0, dtheta, _ = blowup._circle_arcs(P, rho)
-    got = [[] for _ in rho]
-    for i, a, w in zip(row.tolist(), theta0.tolist(), dtheta.tolist()):
-        got[i].append((a, w))
+    got = _walk_arcs(P, rho)
     want = [_face_circle_arcs_loop(p, r) for p, r in zip(P, rho.tolist())]
-    assert [[(x.hex(), y.hex()) for x, y in arcs] for arcs in got] == \
-        [[(x.hex(), y.hex()) for x, y in arcs] for arcs in want]
-    assert sum(map(len, want)) > 1000 and sum(arcs == [(0.0, 2.0 * math.pi)] for arcs in want) > 10
+    folded = [103, 104, 109]
+    for i in folded:
+        assert [len(got[i]), len(want[i])] in ([0, 1], [1, 1], [0, 2])
+        assert all(abs(w) <= 1.6e-15 for _, w, _ in got[i] + want[i])
+    assert [[e for *_, e in arcs] for i, arcs in enumerate(got) if i not in folded] == \
+        [[e for *_, e in arcs] for i, arcs in enumerate(want) if i not in folded]
+    bound = 256 * math.ulp(2.0 * math.pi)
+    for i in set(range(len(rho))) - set(folded):
+        for (a, w, _), (b, x, _) in zip(got[i], want[i]):
+            assert abs(a - b) <= bound and abs(w - x) <= bound, i
+    assert sum(map(len, want)) == 1572 and sum(arcs == [(0.0, 2.0 * math.pi, (0, 0))] for arcs in got) == 31
+
+
+
+@pytest.mark.parametrize("corners, rho, want", [
+    # a circle inside the triangle: one whole arc; a triangle inside the circle: none;
+    # a triangle beside the circle: none
+    ([(-3.0, -3.0), (3.0, -3.0), (0.0, 3.0)], 1.0, [(0.0, 2.0 * math.pi, (0, 0))]),
+    ([(-0.2, -0.2), (0.2, -0.2), (0.0, 0.2)], 1.0, []),
+    ([(2.0, 2.0), (3.0, 2.0), (2.0, 3.0)], 1.0, []),
+    # the circle leaves the triangle at its corner (1, 0) and comes back through edge 2 at
+    # (-7/25, 24/25); the walk reaches that corner at the end of edge 2's inside piece (5)
+    ([(1.0, 0.0), (3.0, 3.0), (-3.0, 3.0)], 1.0, [(0.0, math.atan2(24.0, -7.0), (5, 4))]),
+    # the mirror image: the circle comes back through the corner, at the start of edge 0's
+    # inside piece (0)
+    ([(1.0, 0.0), (-3.0, -3.0), (3.0, -3.0)], 1.0, [(math.atan2(-24.0, -7.0), math.atan2(24.0, -7.0), (1, 0))]),
+    # edge 0 is a chord of the circle of radius 5, from (-3, 4) to (3, 4), and the
+    # triangle holds the arc above it: the arc runs from the end of edge 0 back to its
+    # start, with no empty arc at either corner
+    ([(-3.0, 4.0), (3.0, 4.0), (0.0, 30.0)], 5.0,
+     [(math.atan2(4.0, 3.0), math.atan2(4.0, -3.0) - math.atan2(4.0, 3.0), (1, 0))]),
+    # edge 0 has zero length: corners 0 and 1 coincide, the triangle is a segment walked
+    # there and back, and the arcs between its crossings are empty
+    ([(0.0, 2.0), (0.0, 2.0), (0.0, -2.0)], 1.0, []),
+    ([(0.5, 0.0), (0.5, 0.0), (3.0, 0.0)], 1.0, []),
+], ids=["circle-inside", "triangle-inside", "apart", "leaves-at-corner", "comes-back-at-corner",
+        "chord-edge", "fold-through-center", "fold-across"])
+def test_walk_arcs_of_constructed_triangles(corners, rho, want):
+    """Arcs that start or end at a corner on the circle, whole circles, and edges of zero
+    length, each against its closed form within 4 ulps of 2π."""
+    got = _walk_arcs(np.array([corners], dtype=np.float64), np.array([rho]))[0]
+    assert [e for *_, e in got] == [e for *_, e in want]
+    for (a, w, _), (b, x, _) in zip(got, want):
+        assert abs(a - b) <= 4 * math.ulp(2.0 * math.pi) and abs(w - x) <= 4 * math.ulp(2.0 * math.pi)
 
 
 def _no_faces() -> DiscreteVarifold:
@@ -413,7 +470,7 @@ def test_link_walk_goes_straight_through_four_end_nodes():
     for p in link.polylines:
         np.testing.assert_allclose(p[0], p[-1], atol=1e-12)
     # recorded with the walk that stops when the straight end is taken
-    assert _link_digest(link) == "845e4c3342f189936a02404aa4cc01d39cd7c7b18525af8afa3bd5911c78f377"
+    assert _link_digest(link) == "21c5ce4c77a651f90ab6654cd6ab79adc0dfb1b669eb0669bf88cbaf55452e7f"
 
 
 def _sample_arc(rho, foot, e1, e2, theta0, dtheta, r) -> np.ndarray:
@@ -454,8 +511,14 @@ def _chain_arcs_oracle(arcs, r, last_max=False) -> tuple[list[np.ndarray], int]:
     ``blowup._sample_arcs`` and ``blowup._chain_arcs`` replaced, kept as their
     oracle; ``last_max`` lets the last of equal ends win at four-end nodes.
     Ends within 1e-5 share a node (``_weld_oracle``): where that clustering
-    does not depend on the tolerance, it is the clustering by crossed edge."""
+    does not depend on the tolerance, it is the clustering by crossed edge.
+    An open arc whose two ends share a node is left out: it joins no node and
+    forms no polyline, and the other ends are welded again."""
     samples, closed, ends = _arc_ends(arcs, r)
+    nodes = _weld_oracle([p for _, _, p in ends], 1e-5)
+    node_of = {(i, w): nd for (i, w, _), nd in zip(ends, nodes)}
+    loops = {i for i, _ in node_of if node_of[(i, 0)] == node_of[(i, 1)]}
+    ends = [end for end in ends if end[0] not in loops]
     nodes = _weld_oracle([p for _, _, p in ends], 1e-5)
     node_of = {(i, w): nd for (i, w, _), nd in zip(ends, nodes)}
     degree = [0] * (max(nodes, default=-1) + 1)
@@ -464,7 +527,7 @@ def _chain_arcs_oracle(arcs, r, last_max=False) -> tuple[list[np.ndarray], int]:
     incident: dict[int, list[tuple[int, int]]] = {}
     for (i, w), nd in node_of.items():
         incident.setdefault(nd, []).append((i, w))
-    used = list(closed)
+    used = [cl or i in loops for i, cl in enumerate(closed)]
     polylines = [s for s, cl in zip(samples, closed) if cl]
 
     def heading(i: int, w: int, outward: bool) -> np.ndarray:
@@ -557,21 +620,22 @@ def test_link_chain_matches_the_per_arc_oracle(name, i, dx, r):
 
 @pytest.mark.parametrize("name, i, dx, r, junctions, sizes, digest", [
     ("four_half_planes", 0, (0.0, 0.02, 0.0003152315601372864), 1.0, 1, [81, 39, 41],
-     "81ac019f5c9dd5973705da7661831d2e3a3b3b8f44616a347a6d13c3726a7672"),
+     "98f77413c667ebda9528649da5bbfb88303baa037b52db9da003ec9780417cb7"),
     ("torus3", 342363, (-0.011124187963797492, -0.007214827307746825, 0.000553718629653966),
-     0.33412493081904765, 1, [77], "075752aec2e67091ece0551aa5b4160911ae3562ae7239f8d5fc92b41a558a6d"),
+     0.33412493081904765, 0, [76], "7d00070c76f4869208bd0cfaf2061716aa6ae805f99c67765b27de93a23dfdbb"),
     ("triple_bubble2", 146614, (0.008015611462651919, 0.0011014872493499764, -0.00993335613835241),
-     0.5984638413874648, 2, [51, 54, 48], "5c019bb38b7b74b9ee61cf9c593f752d8559d0c5219396863c338355fdc2b81d"),
+     0.5984638413874648, 2, [51, 54, 48], "8877abc2655b4580ca99e0874a265a3079e2be8099e0830a38a23db2df7dc4c2"),
     ("four_half_planes", 1, (0.0, 0.0, 0.001953125), 0.5, 1, [63, 32, 32],
-     "5df67757cd87ccebcb915558546c9dae4ab7be9200ecb4240cdfb3ae3df79943"),
-])
+     "eb61eb651f59ab616b3a4cd2c776358830170c5515d9dd4542a873e73826e378"),
+], ids=["four_half_planes-0", "torus3", "triple_bubble2", "four_half_planes-1"])
 def test_links_near_a_vertex_keep_their_bytes(name, i, dx, r, junctions, sizes, digest):
     """Spheres that pass within 1.3e-5·r of a mesh vertex, where joining ends
     within 1e-5 of each other and joining them by the edge or vertex they
     cross give different nodes. The ends within 1e-5·r of the vertex are its
     crossing. Joining by distance gave 3, 0, 3 and 5 junctions in 5, 1, 4 and
     7 polylines. On the torus, an arc shorter than 1e-5·r has both ends at
-    the vertex, which makes a four-end node. On the last, four arcs of 8e-6
+    the vertex: it joins no node and forms no polyline (chained, it made a
+    four-end node, one junction). On the last, four arcs of 8e-6
     run from a vertex's crossing to a diagonal edge's, 1.08e-5·r from the
     vertex: by distance each made a four-end node in the middle of a plane."""
     v = _oracle_meshes()[name]
@@ -614,7 +678,7 @@ def test_link_lists_closed_arcs_before_open_ones():
     v = mesh.DiscreteVarifold(np.array(square + _BIG_TRIANGLE), np.array([[0, 1, 2], [0, 2, 3], [4, 5, 6]]))
     link = blowup.spherical_link(v, np.array([0.0, 0.0, 0.1]), 0.2)
     assert [len(p) for p in link.polylines] == [64, 7, 7, 7, 7] and link.junction_count == 0
-    assert _link_digest(link) == "1d015088e47bb44dd52909960e9dc948840eb1f64e9868884178d70ae5e240d9"
+    assert _link_digest(link) == "22ec6950f64e73ed97936b4ce153b38900c128af9891523f1255d612949dcc87"
     got, want = _link_and_oracle(v, [0.0, 0.0, 0.1], 0.2)
     assert got == want
 
@@ -633,12 +697,13 @@ def _link_digest(link) -> str:
 _T1 = 2.0 * math.pi / 3.0 - 0.7  # outer-sheet opening of the double bubble with theta2 = 0.7
 _X1 = (math.sqrt(2.0 / 3.0), -1.0 / math.sqrt(3.0), 0.0)
 _X2 = (-math.sqrt(2.0 / 3.0), -1.0 / math.sqrt(3.0), 0.0)
+_APEX = (0.0, 0.0, (1.0 - math.cos(_T1)) / math.sin(_T1))  # of the double bubble's outer sheet
 #: (mesh, level, point, radius) of the eight benchmark links at closed-form
 #: density points: a triple line and an apex of the double bubble, two
 #: tetrahedral points and a triple line of the triple bubble.
 LOCAL_LINKS = [
     ("double_bubble", 5, (1.0, 0.0, 0.0), 0.35),
-    ("double_bubble", 5, (0.0, 0.0, (1.0 - math.cos(_T1)) / math.sin(_T1)), 0.35),
+    ("double_bubble", 5, _APEX, 0.35),
     ("triple_bubble", 4, _X1, 0.3),
     ("triple_bubble", 4, _X2, 0.3),
     ("triple_bubble", 4, (0.0, 0.0, 1.0), 0.3),
@@ -648,16 +713,16 @@ LOCAL_LINKS = [
 ]
 
 #: sha256 of json.dumps(link.to_dict()) for LOCAL_LINKS, recorded with the
-#: per-face loop over all faces that the face grid and the array frames replaced.
+#: arcs of the clipping walk (``_kernels._arcs``).
 LOCAL_LINK_DIGESTS = [
-    "6365b63f99cabebf354df75db5a065b8cd589a3a2791bcde0dcdae6d2173ef35",
-    "176abb9f00e1cbb7647f2dc3c084bf050e6f092e02eb934c597e4dfdda7db667",
-    "840b3aac602458c378e78dc86bf4d4a28d9f5285f673f809d627f8c75f98339b",
-    "1e2ce9ed61fd7536545e2f85062af97c7fa0d5d4cbc2d23df637dfb68548c0d0",
-    "35970b3a812f981bb9dba99020d2d3e7db6f605470c1eda286bb1b8c4a4e3263",
-    "2cf18d042ac6322c7bab8bc670ba96f59082eb0573a5f5c6951b1064d5d498cc",
-    "a9a3862612b1430bc2d5b17c03a3daf104c5513a825e47e9171b4776f6bd6892",
-    "46cf056378f61d88bab3eaf918a96ee857e468d6eb7524caba8f50a26ca08896",
+    "9066a2071c1c000f6b3ab4b82a936ba3f9becd8ca27f772183ed04629883ceda",
+    "94cc3f34fb2db36e15444f65e4f369e1304c2e39c7601b1d2c256b6179eceb72",
+    "42ee6ca7414f722ad0933e942d8567b1c4cdcb0db9c04405905788086291c694",
+    "365c0a065b5c4c22c922327d78cd03413c15dd79428647cdf3c4f910b85816f4",
+    "762df92c821c3a800f99d76e2a138b246746f8e170e0e089bece3092805f134e",
+    "b92d54c52d2bdfb2bd921e40d7b67098ca3e76bd8c95f37c5e473bb3152c75a8",
+    "70315ca1d2a3919bc961a8d66449fa672a6df3459ebf39ceb2bd8c98e670e542",
+    "6ff0ca06769d1f2e3c313058ccb14a4365ac113e1d18817f723af51627545d27",
 ]
 
 
@@ -702,25 +767,25 @@ def test_benchmark_densities_keep_their_bytes():
 #: torus; recorded like LOCAL_LINK_DIGESTS.
 RANDOM_LINK_DIGESTS = {
     "sphere4": [
-        "b168c2ab91ad2eedc2bc32c90f1ac5c1b794f33a29fdcf8ac625c65453c521a0",
-        "297c21166ddbd37c187407ad2ea85caeadc014656d3f4ad7936fee78933c1b45",
-        "55e6fada6a52d6db05179c355c5d792c9356c60bf6258d2d1da004dcbd75cc0f",
-        "69153d8bc67da5aedcc587d46f8157616f91e907ef5b44d0a0fd62a2ed25ed1e",
-        "bb8d489c805705a6be2e8063696698b7f8390dd129165772781bda1f05080edf",
+        "5c166e966da961d4fa0b3da3cdef13b33da0c106a4ccec4dff8f970d23223ec9",
+        "b815dd077e886f79791893e907c839dd9aef9106c6625d2a276d97b6aba496b1",
+        "374e269da565c8a5ac4252221272d564ae97fdbb4f96428be92d8f5055fb0510",
+        "5170cfd447acc158085d9a369ad574fed4ce0285304e3166d6ed2ba757d1171f",
+        "5c18532a2a828a2c8fb974928c70dec9aa5233498ccb6b9adb83b9acefa6f9d2",
     ],
     "cap3": [
-        "0dfde4fad271a7d8cd83d131db5a3a25d22e1771d46b58270faf4ce01c225fa6",
-        "f2ec892a6219818dbac1d1a66a10efefa825d96574293520f7d167e8d40e2cb5",
+        "f475fe36e958da60bf0f841ac67b26bc848a87bcc63b7876a92541496bf62915",
+        "b1bd21ddb50e9d7cb25d176c3f79a18c7a882115a40739e99a6e86641d55f8f2",
         "2fef752c2db03986da7166f12c241f505c88658f415b7120a6289323be5dc94f",
-        "0616ac98617bc7c0f61d4e477e8a24501b5aadf95f538dac28ec3c1d03de203e",
-        "0b4136c242001dfd01b2572395a284a0f36a9dee67b469286411f30dd77c187e",
+        "782178bf10d499e7c8f0e75dc6a7502ef62351f8ea3ff25ff838ee791418d878",
+        "9489243d6e38a4260543b453cd45ed4e996c330f6eb134517e595e9595c56c46",
     ],
     "torus3": [
-        "e1c5a69c87c6dbb737b1b58f9329a3ec37f30e16735d17d05b03ac11d864701c",
-        "c3d85a99a3761d1fa7f7de656bd31561539c7c650fe1962121bb9108b4dbe5dd",
-        "c4c652f7ae5467a7956c0c6dde39f1c250855699c3fe0360da4adcd91d41bac6",
-        "c76476c86e2150309c881e02dc8a4f54a25271b3f55527ad78b378a8c7d02372",
-        "3a351ceb8719032b6748da6c905872493c971af342eb9763cff8e66ff47f0a5f",
+        "da41f345e6fdadb7e1498b738a461571b308acf1062ab44378463d953e3919fb",
+        "5f88cbc9f972de107a970e8e5dc0e6d76eb9476179fa9596300bcd5cf19dc53f",
+        "7f2221d82aee0165158d68b950b37c5011d798cb59866223c1a605ff932cc663",
+        "333eb107accf6593a9696b7c0ad5a67043b8bddf199e855d3b43714611a43cb8",
+        "fa7588a27a78669e8cdef5311ee209f0c0092f3f915b3763385e7931bf6bed29",
     ],
 }
 
@@ -765,7 +830,7 @@ def test_face_grid_changes_no_bits_on_a_sparse_cloud(monkeypatch):
 
 def test_link_query_holds_every_face_with_an_arc(monkeypatch):
     """On triple bubble L3, at x1, x2, a triple-line point and 50 seeded random
-    points, ``_circle_arcs`` finds no arc on the faces that ``spherical_link``'s
+    points, ``_kernels._arcs`` finds no arc on the faces that ``spherical_link``'s
     grid query leaves out, so every face with an arc, over all faces, is among
     those it returns; at the three closed-form points it returns under 4% of
     the faces."""
@@ -774,11 +839,11 @@ def test_link_query_holds_every_face_with_an_arc(monkeypatch):
     cases = [(np.array(p), 0.3) for p in (_X1, _X2, (0.0, 0.0, 1.0))]
     cases += [(v.vertices[rng.integers(v.num_vertices)] + rng.normal(scale=0.05, size=3),
                float(rng.uniform(0.05, 1.5))) for _ in range(50)]
-    query, circle_arcs = _grid.FaceGrid.query, blowup._circle_arcs
+    query, arcs = _grid.FaceGrid.query, _kernels._arcs
     seen = {}  # a query returns seen["faces"] if it is set
     monkeypatch.setattr(_grid.FaceGrid, "query",
                         lambda self, *args, **kwargs: seen.setdefault("faces", query(self, *args, **kwargs)))
-    monkeypatch.setattr(blowup, "_circle_arcs", lambda P, rho: seen.setdefault("arcs", circle_arcs(P, rho)))
+    monkeypatch.setattr(_kernels, "_arcs", lambda *args: seen.setdefault("arcs", arcs(*args)))
     for i, (x0, r) in enumerate(cases):
         seen.clear()
         blowup.spherical_link(v, x0, r)
@@ -789,6 +854,38 @@ def test_link_query_holds_every_face_with_an_arc(monkeypatch):
         assert len(seen["arcs"][0]) == 0
         if i < 3:  # the closed-form points: a link, from a small part of the mesh
             assert 0 < len(rows) and len(got) < v.num_faces / 25
+
+
+def _walk_length(v: DiscreteVarifold, x0, r: float) -> float:
+    """Σ_f m_f·ρ_f·θ_f / r over every face whose plane meets B(x0, r), with ρ_f the radius of
+    the circle in the face plane and θ_f the sum of the outside angles of ``_kernels._walk``,
+    the angles whose ½ρ²·θ terms the ball masses sum."""
+    va, vb, vc = np.take(v.vertices, v.faces.T, axis=0) - x0
+    n = _kernels._cross(vb - va, vc - va)
+    rows, rho, *_, corners = _kernels._face_frames(va, vb, vc, n, np.sqrt(_kernels._sq(n)), r)
+    *_, into, out, whole = _kernels._walk(*corners, rho)
+    theta = sum(a + b + c for a, b, c in zip(into, out, whole))
+    return math.fsum((v.multiplicity[rows] * rho * theta / r).tolist())
+
+
+@pytest.mark.parametrize("make, points", [
+    (lambda: generators.gen_sphere(1.0, 4), []),
+    (lambda: generators.gen_triple_bubble(3), [_X1, (0.0, 0.0, 1.0)]),
+    (lambda: generators.gen_double_bubble(0.7, 1.0, 4), [(1.0, 0.0, 0.0), _APEX]),
+    (lambda: generators.gen_torus(1.0, 0.4, 4), []),
+], ids=["sphere4", "triple_bubble3", "double_bubble4", "torus4"])
+def test_link_length_is_the_walks_arc_length(make, points):
+    """The link's length is the clipping walk's arc length, Σ m·ρ·θ/r over the faces, within
+    8 ulps (measured: at most 5, on the torus at r = 0.3): every outside angle of the walk
+    belongs to one arc of the link. At the closed-form points and two seeded points near the
+    support of each mesh, r in {0.05, 0.3, 0.7}."""
+    v = make().varifold
+    rng = np.random.default_rng(5)
+    near = [v.vertices[rng.integers(v.num_vertices)] + rng.normal(scale=0.01, size=3) for _ in range(2)]
+    for x0 in [np.array(p) for p in points] + near:
+        for r in (0.05, 0.3, 0.7):
+            length = blowup.spherical_link(v, x0, r).total_length
+            assert abs(_walk_length(v, x0, r) - length) <= 8 * math.ulp(length), (x0, r)
 
 
 @pytest.mark.parametrize("make", [

@@ -247,11 +247,11 @@ def test_rigid_motions_keep_ball_masses_density_and_link_length(mesh, i, r, seed
             blowup.spherical_link(v, x0, r).total_length, rel=RIGID_TOL, abs=0)
 
 
-@pytest.mark.xfail(strict=True, reason="a link sphere through mesh vertices loses arcs")
 def test_rigid_motion_keeps_the_link_of_a_sphere_through_vertices():
     # Found by the test above: on triple bubble L2 two vertices lie at distance
     # 1 from vertex 0, to round-off. Radii 1 -+ 1e-9 give 8.5243 on both
-    # meshes, r = 1 gives 7.4813 as generated and 8.0028 once moved.
+    # meshes, and so does r = 1, where the clipping walk joins the pieces
+    # inside the ball that meet at those vertices.
     v = generators.gen_triple_bubble(2).varifold
     rng = np.random.default_rng(1)
     q, upper = np.linalg.qr(rng.standard_normal((3, 3)))

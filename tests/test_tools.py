@@ -47,3 +47,68 @@ def test_digest_diff_rejects_what_is_no_details_file(tmp_path):
                  [good, str(tmp_path / "missing.json")]):
         proc = _digest_diff(*argv)
         assert proc.returncode == 2 and proc.stdout == "" and proc.stderr, argv
+
+
+def _src_lines(*argv: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, str(TOOLS / "src_lines.py"), *argv], capture_output=True, text=True)
+
+
+def _tree(path: Path, modules: dict[str, str]) -> str:
+    path.mkdir()
+    for name, text in modules.items():
+        (path / name).write_text(text)
+    return str(path)
+
+
+#: 10 physical lines: 3 code lines, a two-line module docstring, a function docstring, a
+#: comment line and three blank lines; a comment after code leaves its line a code line
+_A = '''"""Module docstring
+over two lines."""
+import os  # a comment after code
+
+
+# a comment line
+
+def f():
+    """One line."""
+    return os.sep
+'''
+#: 4 physical lines: 2 code lines, a class docstring and a blank line; a string that is not
+#: the first statement is code
+_B = '''class C:
+    """Doc."""
+
+    x = "not a docstring"
+'''
+
+
+def test_src_lines_counts_code_and_physical_lines(tmp_path):
+    proc = _src_lines(_tree(tmp_path / "src", {"a.py": _A, "b.py": _B, "notes.txt": "not a module\n"}))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert [line.split() for line in proc.stdout.splitlines()] == [
+        ["module", "code", "physical"],
+        ["a.py", "3", "10"],
+        ["b.py", "2", "4"],
+        ["total", "5", "14"],
+    ]
+
+
+def test_src_lines_compares_two_trees(tmp_path):
+    old = _tree(tmp_path / "old", {"a.py": _A, "b.py": _B})
+    new = _tree(tmp_path / "new", {"a.py": _A + "x = 1\n", "c.py": "y = 2\n"})
+    proc = _src_lines(old, new)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert [line.split() for line in proc.stdout.splitlines()] == [
+        ["module", "code", "new", "delta", "physical", "new"],
+        ["a.py", "3", "4", "+1", "10", "11"],
+        ["b.py", "2", "0", "-2", "4", "0"],
+        ["c.py", "0", "1", "+1", "0", "1"],
+        ["total", "5", "5", "+0", "14", "12"],
+    ]
+
+
+def test_src_lines_rejects_three_trees(tmp_path):
+    src = _tree(tmp_path / "src", {"a.py": _A})
+    proc = _src_lines(src, src, src)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "usage: python tools/src_lines.py [SRC_DIR [NEW_SRC_DIR]]\n"
