@@ -17,10 +17,13 @@ the mass ratio read the same crossings, and the tangency cut ``_DISC_EPS``
 has one reader.
 
 ``ball_masses`` works through the faces in blocks of ``_BLOCK``, for every
-radius at once. A face wholly inside a ball contributes its area, kept with
+radius at once. A face wholly inside a ball contributes its mass, kept with
 its shell; the rows of the faces a sphere cuts are kept too, and after the
 blocks all of them are clipped in one batch and all terms summed in one
-call. A block's temporaries stay in cache and the heap reuses them, where
+call, with the ``held`` masses a caller passes in: ``ball_mass_ladder``
+passes the masses of the faces and grid cells that no sphere cuts
+(``_grid.GridMasses``), so only the faces near a sphere come in as
+``faces``. A block's temporaries stay in cache and the heap reuses them, where
 whole-mesh ones of several MB were freed at the top of the heap, trimmed,
 and faulted in again by the next call. The blocks keep every bit, because
 the per-face work is elementwise and the sums are exact. Every per-face
@@ -29,12 +32,16 @@ round it, and each mass is the correctly rounded exact sum of its terms
 (what ``math.fsum`` returns), so the masses do not depend on face order.
 These rules keep the bits:
 
-- corners are shifted by the center row by row, so a corner's shift and
-  squared norm have the same bits whether the corners are gathered first and
-  then shifted (a call on few faces: their 3F corner rows are fewer than the
-  V vertices) or every vertex is shifted and squared once and the corners
-  gathered from the result (a call on most of the mesh, such as a large
-  ball's);
+- a whole face's mass is its multiplicity times the area of
+  ``mesh.face_normals``, from ``_face_cross`` on its corners as given: not
+  shifted by the center, so its bits are the same at every center, those
+  that ``total_mass`` sums and that ``_grid.GridMasses`` keeps;
+- for the distance tests and the clipping, corners are shifted by the center
+  row by row, so a corner's shift and squared norm have the same bits whether
+  the corners are gathered first and then shifted (a call on few faces: their
+  3F corner rows are fewer than the V vertices) or every vertex is shifted and
+  squared once and the corners gathered from the result (a call on most of
+  the mesh);
 - cross products are written out (``_cross``), the products and differences
   ``np.cross`` forms;
 - squared norms (``_sq``) are summed in one fixed order, (x² + z²) + y²;
@@ -48,9 +55,9 @@ These rules keep the bits:
 - sums are exact (``fsum``): mantissas are binned by exponent in integer
   halves, a block of terms at a time, combined in a Python int and rounded
   once; non-finite input, a zero total and sums near overflow go to
-  ``math.fsum``. A face's whole mass is added to the shell of the smallest
-  radius whose ball holds the face, and each mass takes the shells of the
-  radii up to its own.
+  ``math.fsum``. A face's whole mass, and a held mass, is added to the shell
+  of the smallest radius whose ball holds it, and each mass takes the shells
+  of the radii up to its own.
 
 Every other reduction over rows of 3-vectors in the package goes through
 three helpers that read the coordinate columns and never form an (N, 3)
@@ -273,13 +280,19 @@ def ball_masses(
     mult: np.ndarray,
     x0: np.ndarray,
     radii: np.ndarray,
+    held: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Mass of the varifold restricted to balls B(x0, r) for each r in radii.
 
     Each face contributes multiplicity × area(face ∩ ball) with the clipped
     area computed exactly, and each mass is the exactly rounded sum of these
-    terms, so it does not depend on face order. Radii r <= 0 (and NaN) give
-    mass 0.
+    terms, so it does not depend on face order. A face wholly inside a ball
+    adds its mass with its area from ``_face_cross``, the area of
+    ``mesh.face_normals``. ``held`` is (masses, reach), masses that are not
+    among ``faces`` and that every ball of radius ``reach`` or more holds
+    whole and every other misses: a caller's masses of whole faces and sums of
+    whole grid cells, each ``reach`` one of ``radii``. Radii r <= 0 (and NaN)
+    give mass 0.
     """
     vertices = np.asarray(vertices, dtype=np.float64)
     faces = np.asarray(faces, dtype=np.int64)
@@ -297,18 +310,24 @@ def ball_masses(
     else:  # most of the mesh: shift and square each vertex once
         points = vertices - x0
         sq = _sq(points)
-    blocks = [_block_terms(points, sq, x0, faces[b], mult[b], rs)
+    blocks = [_block_terms(vertices, points, sq, x0, faces[b], mult[b], rs)
               for b in _blocks(len(faces) or 1)]  # no faces: one empty block
     whole_mass, shell, *cut = zip(*blocks)  # each a tuple of per-block arrays
     va, vb, vc, n, two_area, cut_mult, k = map(np.concatenate, cut)
     del points, sq, blocks, cut  # the sums are the call's peak: free what they do not read
+    if held is not None:
+        held_shell = np.searchsorted(rs, held[1], side="left")
+        kept = np.flatnonzero(held_shell < nr)
+        whole_mass += (np.asarray(held[0], dtype=np.float64)[kept],)
+        shell += (held_shell[kept],)
 
     rows, rho, *_, corners = _face_frames(va, vb, vc, n, two_area, rs[k])
     clip = np.minimum(_disk_tri_areas(*corners, rho), 0.5 * two_area[rows])  # round-off can overshoot the face area
     hit = clip > 0.0
     k = k[rows][hit]
     parts = cut_mult[rows][hit] * clip[hit]
-    # the terms: whole faces in their shells, then the cut ones by radius, each in face order
+    # the terms: whole faces (and the held masses) in their shells, then the cut ones by
+    # radius, each in face order
     terms = np.concatenate(whole_mass + (parts,))
     group = np.concatenate(shell + (nr + k,))
     del va, vb, vc, n, two_area, cut_mult, whole_mass, shell  # likewise
@@ -330,7 +349,7 @@ def ball_masses(
     return out
 
 
-def _block_terms(points, sq, x0, faces, mult, rs):
+def _block_terms(vertices, points, sq, x0, faces, mult, rs):
     """The terms of one block of faces: the masses of the faces wholly inside some ball
     B(x0, r), r in ``rs``, with their shells, and per row that a sphere |x - x0| = r cuts, its
     shifted corners, normal, doubled area, multiplicity and radius index.
@@ -353,7 +372,6 @@ def _block_terms(points, sq, x0, faces, mult, rs):
 
     n = _cross(vb - va, vc - va)
     two_area = np.sqrt(_sq(n))
-    whole_mass = mult * (0.5 * two_area)
     live = ~(two_area < 1e-300)
 
     # a face is near ball k (d_min < r) from k_near on and inside it
@@ -367,8 +385,17 @@ def _block_terms(points, sq, x0, faces, mult, rs):
     cut = np.repeat(np.arange(len(faces)), count)
     k = np.arange(len(cut)) + np.repeat(k_near - (np.cumsum(count) - count), count)
     whole = np.flatnonzero(shell < nr)
-    return (whole_mass[whole], shell[whole], va.take(cut, axis=0), vb.take(cut, axis=0),
+    whole_mass = mult[whole] * (0.5 * _face_cross(vertices, faces[whole])[1])
+    return (whole_mass, shell[whole], va.take(cut, axis=0), vb.take(cut, axis=0),
             vc.take(cut, axis=0), n.take(cut, axis=0), two_area[cut], mult[cut], k)
+
+
+def _face_cross(vertices: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cross products (b - a) x (c - a) of the faces (a, b, c), and their norms: twice the
+    face areas. Every whole face's area is read from here, unshifted, so with one set of bits."""
+    p0, p1, p2 = np.take(vertices, faces.T, axis=0)
+    n = _cross(p1 - p0, p2 - p0)
+    return n, _norm(n)
 
 
 def fsum(x) -> float:
@@ -382,13 +409,34 @@ def fsum(x) -> float:
 def _exact_sums(x: np.ndarray, group: np.ndarray | int, n: int) -> tuple[list[int], int] | None:
     """Exact sums of x by group (each in 0..n-1), as ints t_g with sum = t_g · 2**(e0 − 53).
 
-    Returns (t, e0), or None when x holds a non-finite value or is large
-    enough that ``math.fsum`` might overflow on the way. The guards, e0 and
-    the exponent width are taken over all of x first; then each block of
-    ``_BLOCK`` terms is binned and its bins added to the totals, exactly.
+    Returns (t, e0), or None where ``_bins`` gives none.
+    """
+    bins = _bins(x, group, n)
+    if bins is None:
+        return None
+    hi, lo, e0 = bins
+    nz = np.flatnonzero((hi != 0.0) | (lo != 0.0))
+    sums = [0] * n
+    width = hi.shape[1]
+    for i, h, l in zip(nz.tolist(), hi.ravel()[nz].tolist(), lo.ravel()[nz].tolist()):
+        g, b = divmod(i, width)
+        sums[g] += ((int(h) << 26) + int(l)) << b
+    return sums, e0
+
+
+def _bins(x: np.ndarray, group: np.ndarray | int, n: int) -> tuple[np.ndarray, np.ndarray, int] | None:
+    """The binned mantissas of x by group (each in 0..n-1) and exponent, exactly.
+
+    Returns (hi, lo, e0): (n, width) arrays of integers, where group g sums to
+    Σ_b (hi[g, b]·2**26 + lo[g, b])·2**(b + e0 − 53). Every bin, and every sum of
+    bins over any groups, is an exact float64. None when x holds more than
+    ``_EXACT_TERMS`` terms, a non-finite value, or one large enough that
+    ``math.fsum`` might overflow on the way. The guards, e0 and the exponent
+    width are taken over all of x first; then each block of ``_BLOCK`` terms
+    is binned and its bins added to the totals, exactly.
     """
     if not len(x):
-        return [0] * n, 0
+        return np.zeros((n, 0)), np.zeros((n, 0)), 0
     if len(x) > _EXACT_TERMS:
         return None
     blocks = _blocks(len(x))
@@ -405,19 +453,29 @@ def _exact_sums(x: np.ndarray, group: np.ndarray | int, n: int) -> tuple[list[in
     # x = mant · 2**(e − 53) with |mant| < 2**53: halves of 27 and 26 bits
     # have bin sums below 2**53 over all of x (at most _EXACT_TERMS = 2**26 terms), so every
     # bin and every running total of the blocks' bins is an exact float64
-    hi, lo = np.zeros(n * width), np.zeros(n * width)
+    hi, lo = np.zeros((n, width)), np.zeros((n, width))
     for b in blocks:
         m, e = np.frexp(x[b])
         key = (group if np.ndim(group) == 0 else group[b]) * width + (e - e0)
         mant = (m * 2.0**53).astype(np.int64)
-        hi += np.bincount(key, weights=mant >> 26, minlength=n * width)
-        lo += np.bincount(key, weights=mant & (2**26 - 1), minlength=n * width)
-    nz = np.flatnonzero((hi != 0.0) | (lo != 0.0))
-    sums = [0] * n
-    for i, h, l in zip(nz.tolist(), hi[nz].tolist(), lo[nz].tolist()):
-        g, b = divmod(i, width)
-        sums[g] += ((int(h) << 26) + int(l)) << b
-    return sums, e0
+        hi.reshape(-1)[:] += np.bincount(key, weights=mant >> 26, minlength=n * width)
+        lo.reshape(-1)[:] += np.bincount(key, weights=mant & (2**26 - 1), minlength=n * width)
+    return hi, lo, e0
+
+
+def _bin_terms(hi: np.ndarray, lo: np.ndarray, e0: int) -> tuple[np.ndarray, np.ndarray]:
+    """The non-zero bins of ``_bins`` as exact float64 terms, with their groups.
+
+    Each is an integer below 2**53 times a power of two no smaller than the
+    least one of the binned terms', so ``np.ldexp`` rounds none of them.
+    """
+    width = hi.shape[1]
+    terms, groups = [], []
+    for half, shift in ((hi, 26), (lo, 0)):
+        group, b = np.divmod(np.flatnonzero(half), width)
+        terms.append(np.ldexp(half[group, b], b + (e0 - 53 + shift)))
+        groups.append(group)
+    return np.concatenate(terms), np.concatenate(groups)
 
 
 def _round(t: int, e0: int) -> float | None:

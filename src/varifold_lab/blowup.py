@@ -41,23 +41,34 @@ def ball_mass_ladder(v: DiscreteVarifold, x0, radii) -> np.ndarray:
     if radii.ndim != 1:
         raise ValueError(f"ball_mass_ladder: radii must be 1-D, got shape {radii.shape}")
     _require(v, faces=True)
-    # faces that cannot meet a ball add nothing to its mass, and the kernel's
-    # sums are exact, so clipping only the faces the face grid finds near the
-    # largest ball gives the masses of a pass over every face
-    idx = v.face_grid.query(x0, float(radii.max()) if len(radii) else 0.0)
+    # faces that cannot meet a ball add nothing to its mass, a face or grid cell that no sphere
+    # cuts adds its whole mass (a cell's exact sum) to the balls that hold it, and the kernel's
+    # sums are exact, so clipping only the other faces gives the masses of a pass over every face
+    rs = np.sort(radii)  # repeated radii are harmless here; a plain np.unique imports numpy.ma
+    grid = v.face_grid
+    idx, faces, cells = grid.ball(x0, rs)
+    held = None
+    if len(cells[0]):
+        sums = v.grid_masses
+        if sums is None:  # no exact sums of the cells: clip every face one by one
+            idx = np.concatenate([idx, faces[0], grid.faces(cells[0])])
+        else:
+            held = sums.held(faces, cells, rs)
     faces, mult = v.faces, v.multiplicity
     if len(idx) < v.num_faces:  # large balls, which need every face, skip the copies
         faces, mult = np.take(faces, idx, axis=0), mult[idx]  # take: several times faster than faces[idx]
-    return _kernels.ball_masses(v.vertices, faces, mult.astype(np.float64), x0, radii)
+    return _kernels.ball_masses(v.vertices, faces, mult.astype(np.float64), x0, radii, held)
 
 
 def local_edge_scale(v: DiscreteVarifold, x0) -> float:
     """Mean edge length over the 32 faces whose centroids are nearest to x0.
 
-    This ranks every face: the order in which ``np.argpartition`` returns the
-    32 nearest fixes the rounding of the mean, and a ranking of fewer faces
-    does not reproduce it. The centroids are the face grid's, which have the
-    bits of ``v.vertices[v.faces].mean(axis=1)``.
+    This ranks every face by its squared distance, so ties at the 32nd place
+    are broken by ``np.argpartition``. The mean is the correctly rounded sum
+    of the 96 lengths (``math.fsum``, the bits of ``_kernels.fsum`` and, on
+    so few terms, faster) over 96, whatever order the faces come in and
+    whatever the SIMD level. The centroids are the face grid's,
+    which have the bits of ``v.vertices[v.faces].mean(axis=1)``.
     """
     _require(v, faces=True)
     x0 = _kernels._point(x0, "local_edge_scale: x0")
@@ -66,7 +77,7 @@ def local_edge_scale(v: DiscreteVarifold, x0) -> float:
     idx = np.argpartition(d2, k - 1)[:k] if k < len(d2) else np.arange(len(d2))
     p = np.take(v.vertices, np.take(v.faces, idx, axis=0).T, axis=0)
     e = np.concatenate([p[1] - p[0], p[2] - p[1], p[0] - p[2]])
-    return float(_kernels._norm(e).mean())
+    return math.fsum(_kernels._norm(e).tolist()) / len(e)
 
 
 @dataclass(frozen=True)

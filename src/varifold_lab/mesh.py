@@ -45,7 +45,7 @@ from ._values import (_DIRECTION, _FINITE, _FINITE_POINT, _INTEGER, _POSITIVE, M
 from .reports import load_json, save_json
 
 if TYPE_CHECKING:
-    from ._grid import FaceGrid
+    from ._grid import FaceGrid, GridMasses
 
 
 @dataclass(frozen=True)
@@ -63,11 +63,11 @@ class DiscreteVarifold:
     and ``oriented`` a bool; then ``validate`` checks the structure. Any
     failure raises MeshError naming the key or the first offending face, also
     from ``dataclasses.replace``. The arrays are read-only (views are copied
-    first). Six derived structures are built on first read, each apart from the
-    others, and kept: ``topology``, ``face_geometry``, ``curvature``, ``fans``,
-    ``cover`` and ``face_grid``. Their builders return fresh, writable arrays;
-    the property keeps one read-only copy through ``_freeze``, the one place
-    where derived arrays are frozen.
+    first). Seven derived structures are built on first read, each apart from
+    the others, and kept: ``topology``, ``face_geometry``, ``curvature``,
+    ``fans``, ``cover``, ``face_grid`` and ``grid_masses``. Their builders
+    return fresh, writable arrays; the property keeps one read-only copy
+    through ``_freeze``, the one place where derived arrays are frozen.
     """
 
     vertices: np.ndarray
@@ -131,6 +131,14 @@ class DiscreteVarifold:
         from ._grid import FaceGrid
 
         return _freeze(FaceGrid.build(self))
+
+    @cached_property
+    def grid_masses(self) -> GridMasses | None:
+        """``GridMasses.build(self)``: each face's mass and the exact sums of ``face_grid``'s
+        cells."""
+        from ._grid import GridMasses
+
+        return _freeze(GridMasses.build(self))
 
 
 def _freeze(x):
@@ -199,7 +207,8 @@ def validate(v: DiscreteVarifold) -> None:
         raise MeshError(f"face {bad} has multiplicity < 1")
     scale = mesh_scale(v)
     for b in _kernels._blocks(v.num_faces):  # the areas of face_normals, a block at a time, kept nowhere
-        tiny = 0.5 * _face_cross(v, b)[1] / scale / scale < 1e-14  # scale * scale may underflow to 0
+        area = 0.5 * _kernels._face_cross(v.vertices, v.faces[b])[1]
+        tiny = area / scale / scale < 1e-14  # scale * scale may underflow to 0
         if tiny.any():
             raise MeshError(f"face {b.start + int(np.flatnonzero(tiny)[0])} is degenerate (zero area)")
 
@@ -270,19 +279,12 @@ def _cover_labels(v: DiscreteVarifold) -> np.ndarray:
     return label
 
 
-def _face_cross(v: DiscreteVarifold, b: slice) -> tuple[np.ndarray, np.ndarray]:
-    """The cross products (b - a) x (c - a) of the faces ``v.faces[b]`` and their norms."""
-    p0, p1, p2 = np.take(v.vertices, v.faces[b].T, axis=0)
-    n = _cross(p1 - p0, p2 - p0)
-    return n, _norm(n)
-
-
 def face_normals(v: DiscreteVarifold) -> tuple[np.ndarray, np.ndarray]:
     """Unit face normals and face areas, as (normals (F,3), areas (F,)), fresh on each call;
     ``v.face_geometry`` keeps one read-only copy."""
     normals, areas = np.empty((v.num_faces, 3)), np.empty(v.num_faces)
     for b in _kernels._blocks(v.num_faces):
-        n, nn = _face_cross(v, b)
+        n, nn = _kernels._face_cross(v.vertices, v.faces[b])
         areas[b] = 0.5 * nn
         with np.errstate(invalid="ignore", divide="ignore"):
             np.divide(n, nn[:, None], out=normals[b])

@@ -106,7 +106,7 @@ def test_cached_arrays_are_read_only(sphere3):
     arrays.append(curvature.second_fundamental_norm(v).H)  # shares the cached array
     arrays += [getattr(grid, f.name) for f in dataclasses.fields(grid)
                if isinstance(getattr(grid, f.name), np.ndarray)]
-    assert len(arrays) == 21
+    assert len(arrays) == 23
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
@@ -116,7 +116,8 @@ def test_cached_arrays_are_read_only(sphere3):
 #: Each structure a mesh keeps, and the builder (its owner and attribute) that derives it.
 CACHED = {"topology": (mesh, "edge_topology"), "face_geometry": (mesh, "face_normals"),
           "curvature": (curvature, "mean_curvature"), "fans": (mesh, "_fans"),
-          "cover": (mesh, "_cover_labels"), "face_grid": (_grid.FaceGrid, "build")}
+          "cover": (mesh, "_cover_labels"), "face_grid": (_grid.FaceGrid, "build"),
+          "grid_masses": (_grid.GridMasses, "build")}
 
 
 def _arrays(x) -> list:
@@ -716,6 +717,36 @@ def test_face_grid_query_is_the_test_of_every_face_on_a_triple_bubble():
                     np.testing.assert_array_equal(v.face_grid.query(x0, r, inner=inner), want)
 
 
+@settings(max_examples=300, deadline=None)
+@given(v=_soups() | _scattered(), x0=_query_draws["x0"],
+       radii=st.lists(st.floats(1e-6, 1e4, allow_nan=False), min_size=1, max_size=6), k=st.none() | st.integers(0, 11))
+def test_face_grid_ball_puts_each_face_in_one_place(v, x0, radii, k):
+    """``FaceGrid.ball`` clips each face, takes it whole (alone or with its
+    cell), or leaves it out, once. A face taken whole lies, by its bounding
+    sphere, inside the balls from its shell on and outside the smaller ones,
+    and a face left out outside every ball; every face whose bounding sphere a
+    sphere cuts is clipped. With k, two radii are tangent to the k-th nearest
+    face's bounding sphere, where round-off decides."""
+    x0 = np.array(x0)
+    d, s = _sphere_distances(v, x0)
+    if k is not None:
+        f = np.argsort(d - s, kind="stable")[k % v.num_faces]
+        radii += [float(d[f] + s[f])] + ([float(d[f] - s[f])] if d[f] > s[f] else [])
+    rs = np.sort(radii)
+    grid = v.face_grid
+    clip, (faces, shells), (cells, cell_shells) = grid.ball(x0, rs)
+    held = np.concatenate([faces, grid.faces(cells)])
+    held_shells = np.concatenate([shells, np.repeat(cell_shells, grid.start[cells + 1] - grid.start[cells])])
+    placed = np.concatenate([clip, held]).tolist()
+    assert len(placed) == len(set(placed))
+    below = np.concatenate([[-math.inf], rs])[held_shells]
+    assert ((d[held] + s[held] < rs[held_shells]) & (d[held] - s[held] > below)).all()
+    out = np.setdiff1d(np.arange(v.num_faces), placed)
+    assert (d[out] - s[out] > rs[-1]).all()
+    cut = (np.abs(d[:, None] - rs) < s[:, None]).any(axis=1)
+    assert set(np.flatnonzero(cut).tolist()) <= set(clip.tolist())
+
+
 @pytest.mark.parametrize("r", [1e-9, 0.2, 1e6, math.inf])
 def test_face_grid_single_face_and_flat_mesh(r):
     one = DiscreteVarifold([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]])
@@ -733,13 +764,15 @@ def _face_grid_axis0(v: DiscreteVarifold) -> _grid.FaceGrid:
     """The face grid as it was built with axis-0 reductions: three corner
     gathers, their sum and the largest of three spreads, and the origin and
     cell counts from ``min``/``max`` over the centroid rows; the cells and
-    each face's cell row from ``np.unique``, each cell's faces ascending."""
+    each face's cell row from ``np.unique``, each cell's faces ascending; each
+    cell's largest spread by ``np.maximum.at`` over its faces."""
     a, b, c = (v.vertices[v.faces[:, k]] for k in range(3))
     cen = (a + b + c) / 3.0
     spreads = np.sqrt(np.maximum(np.maximum(_sq(a - cen), _sq(b - cen)), _sq(c - cen)))
     if not len(cen):
         return _grid.FaceGrid(np.zeros(3), 1.0, np.zeros(3, dtype=np.int32), np.zeros((0, 3), dtype=np.int32),
-                              np.zeros(1, dtype=np.int32), np.zeros(0, dtype=np.int32), 0.0, cen, spreads)
+                              np.zeros(1, dtype=np.int32), np.zeros(0, dtype=np.int32), 0.0, cen, spreads,
+                              np.zeros((0, 3)), np.zeros(0))
     origin = cen.min(axis=0)
     extent = float((cen.max(axis=0) - origin).max())
     pitch = max(_grid._PITCH_SPREADS * float(spreads.mean()), extent / (_grid._MAX_CELLS - 1))
@@ -751,8 +784,11 @@ def _face_grid_axis0(v: DiscreteVarifold) -> _grid.FaceGrid:
     cells = np.stack([keys // (n[1] * n[2]), keys // n[2] % n[1], keys % n[2]], axis=1)
     start = np.concatenate([[0], np.cumsum(np.bincount(face_cell))]).astype(np.int32)
     order = np.argsort(face_cell, kind="stable")
+    cell_spread = np.zeros(len(keys))
+    np.maximum.at(cell_spread, face_cell, spreads)
+    centers, radii = origin + pitch * (cells + 0.5), pitch * (0.5 * math.sqrt(3.0)) + cell_spread
     return _grid.FaceGrid(origin, pitch, n.astype(np.int32), cells.astype(np.int32), start,
-                          order.astype(np.int32), float(spreads.max()), cen, spreads)
+                          order.astype(np.int32), float(spreads.max()), cen, spreads, centers, radii)
 
 
 @pytest.mark.parametrize("make", [

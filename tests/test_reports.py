@@ -126,10 +126,14 @@ def test_write_report_file_and_stdout(tmp_path, capsys):
 # built from it). "topology" re-recorded when the corner angles became libm's
 # atan2 (its defect_chi moved by 2 ulps), and again when defect_chi, which
 # restated chi through Gauss-Bonnet, was dropped: the earlier dict without
-# that key has the new digest.
+# that key has the new digest. "density_branch_point" re-recorded when whole
+# faces took the areas of mesh.face_normals: on the flat branched patch the
+# ratios became 2.0 exactly (five were 2.0000000000000004, 1 ulp above), the
+# radii moved by 1 ulp with the edge scale, and the error bar fell from
+# 2.2e-16 to 0.0; theta kept its bits.
 RECORD_SHA256 = {
     "density_sphere": "89618f3f793bdacbef459e4348bdd69973e9e4137029821e261d15e5de03b58f",
-    "density_branch_point": "8ee9f6960285a4bcdff37889d0db0b0d4761be2b6b0b9cc9cb32b40dc6440d26",
+    "density_branch_point": "abe61c5fa68364893ff677532e5522e4f8af296b89d740f1c8bc349c6e856165",
     "monotonicity": "126e337cc3167459242a7da74bc395e0b2194b68db612a76d0f4f8b800114f8e",
     "li_yau": "4886fd0c1976e3eff824cd02e124ecf349b2446bf02f6689e7bc01ca45702a66",
     # re-recorded when the link took its arcs from the clipping walk of the ball

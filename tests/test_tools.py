@@ -1,5 +1,6 @@
 """The scripts under tools/, run as a user runs them."""
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -112,3 +113,41 @@ def test_src_lines_rejects_three_trees(tmp_path):
     proc = _src_lines(src, src, src)
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == "usage: python tools/src_lines.py [SRC_DIR [NEW_SRC_DIR]]\n"
+
+
+def _ulps(*argv: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, str(TOOLS / "ulps.py"), *argv], capture_output=True, text=True)
+
+
+SRC = str(TOOLS.parent / "src")
+
+
+def test_ulps_of_a_tree_against_itself_moves_nothing():
+    proc = _ulps(SRC, SRC)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = proc.stdout.splitlines()
+    assert lines[0].split() == ["quantity", "values", "moved", "ulps", "of", "scale"]
+    rows = [line.split() for line in lines[1:-1]]
+    assert [row[0] for row in rows] == sorted(row[0] for row in rows) and len(rows) == 13
+    assert all(int(row[1]) > 0 and row[2:] == ["0", "0", "0"] for row in rows)
+    assert lines[-1] == "0 moved"
+
+
+def test_ulps_counts_each_move_in_ulps_of_the_value_and_of_the_scale():
+    sys.path.insert(0, str(TOOLS))
+    try:
+        import ulps
+    finally:
+        sys.path.remove(str(TOOLS))
+    four = 4.0 + 2 * math.ulp(4.0)
+    before = {"a": [1.0, 4.0, -0.0, 1e-20], "b": [math.nan, 2.0]}
+    after = {"a": [1.0, four, 0.0, 2e-20], "b": [math.nan, math.inf]}
+    # 4 → 4 + 2 ulp(4) is 2 ulps of itself and of the scale, 4; 1e-20 → 2e-20 is ~3e15 ulps of
+    # itself and ~1e-5 of the scale; ±0 and two NaNs are equal, a move to inf is inf ulps
+    assert ulps.table(before, after) == [("a", 4, 2, 1e-20 / math.ulp(2e-20), 2.0), ("b", 2, 1, math.inf, math.inf)]
+
+
+def test_ulps_rejects_one_tree():
+    proc = _ulps(SRC)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "usage: python tools/ulps.py PARENT_SRC CHANGE_SRC\n"
